@@ -9,13 +9,20 @@
 #   make recoverbench - segmented-WAL recovery benchmark ("durability" section)
 #   make searchbench  - admission-search strategy benchmark ("search" section)
 #   make gate     - perf-regression gate: fresh BENCH_admission.json vs HEAD's
+#   make pairbench - paired, alternating runs of the repository benchmark
+#                   (bench/): working tree vs BASE on WORKLOAD, PAIRS pairs
 #   make lint     - ruff lint (and format check on the gated paths)
 #   make bench    - the full benchmark suite (regenerates every figure/table)
 #
 # Set REPRO_BENCH_SCALE=paper for the paper-sized benchmark parameters.
 # The smoke pass refreshes BENCH_admission.json (admission throughput and
 # merged_for scan counts per (shard count, backend, lanes) point),
-# tracking the admission-path perf trajectory across PRs; `make gate`
+# tracking the admission-path perf trajectory across PRs.  Only the
+# baseline chain (`make smoke recoverbench searchbench`) writes that
+# committed file; `make bench`, a plain `pytest` and paper-scale runs
+# write the gitignored BENCH_admission.full.json instead (see
+# benchmarks/bench_json.py), so a full run can no longer be committed as
+# the baseline by accident.  `make gate`
 # fails the build if it regressed against the committed baseline
 # (BENCH_GATE_TOLERANCE overrides the default 30% throughput tolerance;
 # decision divergence always fails), if the baseline's workload scale or
@@ -31,7 +38,7 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 # Paths under `ruff format --check`; grows as files are normalized.
 FORMAT_PATHS = src/repro/sharding/backend.py scripts
 
-.PHONY: check test smoke docs loadtest recoverbench searchbench gate lint bench
+.PHONY: check test smoke docs loadtest recoverbench searchbench gate pairbench lint bench
 
 check: test smoke docs loadtest recoverbench searchbench gate
 
@@ -75,6 +82,17 @@ searchbench: recoverbench
 # working-tree copy (and `make -j` cannot run them out of order).
 gate: smoke recoverbench searchbench
 	$(PYTHON) scripts/bench_gate.py
+
+# A performance claim against the repository benchmark (BENCHMARK.json,
+# bench/) is made from paired runs: the same seeds on the base revision
+# and on the working tree, alternating which side goes first, judged per
+# end-to-end metric by the nine-of-ten-pairs rule (scripts/bench_pair.py).
+# Ten pairs of 16 s runs take about ten minutes per workload.
+BASE ?= HEAD
+WORKLOAD ?= book_batch
+PAIRS ?= 10
+pairbench:
+	$(PYTHON) scripts/bench_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks scripts

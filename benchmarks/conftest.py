@@ -11,8 +11,11 @@ for which scale produced the recorded numbers.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
+
+from benchmarks.bench_json import results_path
 
 #: "default" (scaled-down, minutes) or "paper" (the published sizes, hours).
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
@@ -46,6 +49,18 @@ def smoke_run(request) -> bool:
     # Exact match only: compound expressions like "not smoke" must not
     # shrink parameters.
     return markexpr.strip() == "smoke"
+
+
+@pytest.fixture(scope="session")
+def bench_json(request) -> Path:
+    """The results file this session's emitters read-modify-write.
+
+    The committed ``BENCH_admission.json`` only for the baseline chain's
+    ``-m`` selections; ``BENCH_admission.full.json`` otherwise (see
+    :mod:`benchmarks.bench_json`).
+    """
+    markexpr = request.config.getoption("markexpr", default="") or ""
+    return results_path(markexpr, BENCH_SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -32,13 +32,13 @@ budget.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_json import read_results, write_results
 from benchmarks.conftest import BENCH_SCALE, report
 from repro.experiments.report import format_table
 from repro.relational.database import Database
@@ -46,8 +46,6 @@ from repro.relational.recovery import recover_database
 from repro.relational.wal import FileWalSink, LogRecordType, WriteAheadLog
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_JSON = REPO_ROOT / "BENCH_admission.json"
 
 #: (store rows, churned rows per checkpoint, checkpointed churn rounds).
 #: The store dwarfs the churn (≥ 10×) — the regime where a full-snapshot
@@ -141,22 +139,20 @@ def _measure_windowed_fsyncs(directory) -> tuple[float, int]:
     return fsyncs / commits, commits
 
 
-def _emit_durability_json(result: dict) -> None:
-    """Merge the durability section into ``BENCH_admission.json``.
+def _emit_durability_json(path: Path, result: dict) -> None:
+    """Merge the durability section into the results file.
 
     Read-modify-write, mirroring the ``"network"`` emitter: the sharded
     admission benchmark owns the rest of the file and preserves this
     section symmetrically.
     """
-    payload = {}
-    if BENCH_JSON.exists():
-        payload = json.loads(BENCH_JSON.read_text())
+    payload = read_results(path)
     payload["durability"] = {"scale": BENCH_SCALE, "results": [result]}
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_results(path, payload)
 
 
 @pytest.mark.recovery
-def test_recovery_and_checkpoint_pause(tmp_path):
+def test_recovery_and_checkpoint_pause(tmp_path, bench_json):
     rows, churn, rounds = _params()
     assert rows >= 10 * churn
 
@@ -255,4 +251,4 @@ def test_recovery_and_checkpoint_pause(tmp_path):
             ],
         ),
     )
-    _emit_durability_json(result)
+    _emit_durability_json(bench_json, result)

@@ -34,13 +34,13 @@ point — so the admission-path perf trajectory is tracked across PRs by
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_json import read_results, write_results
 from benchmarks.conftest import BENCH_SCALE, report
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.experiments.report import format_table
@@ -79,7 +79,6 @@ SWEEP = (
 )
 
 #: Where the perf trajectory lands (tracked in git, one file per repo).
-BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_admission.json"
 
 
 def _spec(smoke: bool) -> FlightDatabaseSpec:
@@ -137,9 +136,9 @@ def _run(
 
 
 def _emit_json(
-    spec: FlightDatabaseSpec, results: dict[tuple, dict], *, smoke: bool
+    path: Path, spec: FlightDatabaseSpec, results: dict[tuple, dict], *, smoke: bool
 ) -> None:
-    """Write ``BENCH_admission.json`` (one entry per (shards, backend)).
+    """Write the results file (one entry per (shards, backend)).
 
     The recorded ``scale`` distinguishes the smoke-shrunk workload from the
     full/paper ones so ``scripts/bench_gate.py`` refuses to compare numbers
@@ -189,16 +188,15 @@ def _emit_json(
             2,
         ),
     }
-    if BENCH_JSON.exists():
-        previous = json.loads(BENCH_JSON.read_text())
-        for section in ("network", "durability", "search"):
-            if section in previous:
-                payload[section] = previous[section]
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    previous = read_results(path)
+    for section in ("network", "durability", "search"):
+        if section in previous:
+            payload[section] = previous[section]
+    write_results(path, payload)
 
 
 @pytest.mark.smoke
-def test_sharded_admission(benchmark, smoke_run):
+def test_sharded_admission(benchmark, smoke_run, bench_json):
     spec = _spec(smoke_run)
     runs: dict[tuple, tuple] = {}
 
@@ -279,7 +277,7 @@ def test_sharded_admission(benchmark, smoke_run):
             rows,
         ),
     )
-    _emit_json(spec, results, smoke=smoke_run)
+    _emit_json(bench_json, spec, results, smoke=smoke_run)
 
     # The headline criteria: at least 5x fewer pairwise unification calls
     # with routing on, and admission throughput that scales 1 -> 4 shards.

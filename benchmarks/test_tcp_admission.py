@@ -31,17 +31,16 @@ from __future__ import annotations
 import asyncio
 import gc
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from benchmarks.bench_json import read_results, write_results
 from benchmarks.conftest import BENCH_SCALE, report
 from repro.experiments.report import format_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-BENCH_JSON = REPO_ROOT / "BENCH_admission.json"
 
 _SPEC = importlib.util.spec_from_file_location(
     "load_client", REPO_ROOT / "scripts" / "load_client.py"
@@ -59,26 +58,24 @@ def _clients_sweep(smoke: bool) -> tuple[int, ...]:
     return (256, 1000)
 
 
-def _emit_network_json(sweep_results: list[dict], *, smoke: bool) -> None:
-    """Merge the network section into ``BENCH_admission.json``.
+def _emit_network_json(path: Path, sweep_results: list[dict], *, smoke: bool) -> None:
+    """Merge the network section into the results file.
 
     Read-modify-write: the sharded-admission benchmark owns the rest of the
     file (and preserves this section symmetrically), so the two emitters
     can run in either order within one pytest session.
     """
-    payload = {}
-    if BENCH_JSON.exists():
-        payload = json.loads(BENCH_JSON.read_text())
+    payload = read_results(path)
     scale = "smoke" if smoke and BENCH_SCALE != "paper" else BENCH_SCALE
     payload["network"] = {
         "scale": scale,
         "results": sweep_results,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
+    write_results(path, payload)
 
 
 @pytest.mark.smoke
-def test_network_admission(benchmark, smoke_run):
+def test_network_admission(benchmark, smoke_run, bench_json):
     sweep = _clients_sweep(smoke_run)
     results: list[dict] = []
 
@@ -124,6 +121,7 @@ def test_network_admission(benchmark, smoke_run):
         ),
     )
     _emit_network_json(
+        bench_json,
         [
             {
                 key: result[key]

@@ -56,10 +56,15 @@ path regressed:
   baseline or not: the strategies decided every transaction identically
   (``decisions_match``), and bnb expanded at most
   ``SEARCH_NODES_RATIO_BOUND`` of backtracking's admission-search nodes.
+  A third is structural too, within the standard tolerance: bnb's
+  admission-search *wall time* (``bnb_search_ms``) must not exceed
+  backtracking's (``backtracking_search_ms``, same run, same machine) —
+  counted nodes are a proxy, and a strategy that expands fewer of them
+  while running slower is a regression the node ratio cannot see.
   Against the baseline, the fast-path hit rate must not drop beyond the
-  throughput tolerance, and the sampled-admission latency — anchor-
-  normalized like every other millisecond quantity — must not grow
-  beyond ``LATENCY_TOLERANCE``.
+  throughput tolerance, and each strategy's search wall time and the
+  sampled-admission latency — anchor-normalized like every other
+  millisecond quantity — must not grow beyond ``LATENCY_TOLERANCE``.
 
 Sweep points present on only one side are reported but never fail the
 gate: the grid may legitimately grow (a new backend) or shrink across PRs.
@@ -649,6 +654,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"search {key}: admission-node ratio {float(ratio):.3f} "
                 f"exceeds the {SEARCH_NODES_RATIO_BOUND} bound"
             )
+        # Same run, same machine: a plain ratio, no anchor needed.
+        bt_ms = fresh_result.get("backtracking_search_ms")
+        bnb_ms = fresh_result.get("bnb_search_ms")
+        if bt_ms and bnb_ms:
+            slower = float(bnb_ms) / float(bt_ms) - 1.0
+            print(
+                f"bench gate: search {key} wall time backtracking "
+                f"{float(bt_ms):.1f}ms, bnb {float(bnb_ms):.1f}ms ({slower:+.1%})"
+            )
+            if slower > args.tolerance:
+                failures.append(
+                    f"search {key}: bnb search wall time is {slower:.1%} above "
+                    f"backtracking's (tolerance {args.tolerance:.0%})"
+                )
     for key in shared_search:
         fresh_result = fresh_search[key]
         base_result = base_search[key]
@@ -674,29 +693,30 @@ def main(argv: list[str] | None = None) -> int:
                     f"search {key}: fastpath hit rate dropped {drop:.1%} "
                     f"(tolerance {args.tolerance:.0%})"
                 )
-        # Sampled-admission latency: anchor-normalized milliseconds, the
-        # same machine-speed trick as the network and durability points.
-        if args.absolute:
-            base_ms = base_result.get("sampled_admission_ms")
-            fresh_ms = fresh_result.get("sampled_admission_ms")
-        else:
-            base_ms = normalized_ms(
-                base_result.get("sampled_admission_ms"), base_points
-            )
-            fresh_ms = normalized_ms(
-                fresh_result.get("sampled_admission_ms"), fresh_points
-            )
-        if base_ms and fresh_ms:
-            growth = float(fresh_ms) / float(base_ms) - 1.0
-            print(
-                f"bench gate: search {key} sampled-admission latency "
-                f"{float(base_ms):.2f} -> {float(fresh_ms):.2f} ({growth:+.1%})"
-            )
-            if growth > LATENCY_TOLERANCE:
-                failures.append(
-                    f"search {key}: sampled-admission latency grew "
-                    f"{growth:.1%} (tolerance {LATENCY_TOLERANCE:.0%})"
+        # Millisecond quantities: anchor-normalized, the same machine-speed
+        # trick as the network and durability points.
+        for field, label in (
+            ("backtracking_search_ms", "backtracking search wall time"),
+            ("bnb_search_ms", "bnb search wall time"),
+            ("sampled_admission_ms", "sampled-admission latency"),
+        ):
+            if args.absolute:
+                base_ms = base_result.get(field)
+                fresh_ms = fresh_result.get(field)
+            else:
+                base_ms = normalized_ms(base_result.get(field), base_points)
+                fresh_ms = normalized_ms(fresh_result.get(field), fresh_points)
+            if base_ms and fresh_ms:
+                growth = float(fresh_ms) / float(base_ms) - 1.0
+                print(
+                    f"bench gate: search {key} {label} "
+                    f"{float(base_ms):.2f} -> {float(fresh_ms):.2f} ({growth:+.1%})"
                 )
+                if growth > LATENCY_TOLERANCE:
+                    failures.append(
+                        f"search {key}: {label} grew "
+                        f"{growth:.1%} (tolerance {LATENCY_TOLERANCE:.0%})"
+                    )
 
     if failures:
         for failure in failures:

@@ -26,6 +26,7 @@ from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
 from repro.logic.unification import unifiable
+from repro.solver.kernel import Program, compile_formula
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.quantum_state import PendingTransaction
@@ -53,6 +54,9 @@ class Partition:
         #: Incrementally maintained composed body (hard atoms only); rebuilt
         #: lazily after structural changes (merges, groundings).
         self._composition: IncrementalComposition | None = None
+        #: Compiled search handle of the composed hard body; dies with the
+        #: composed formula it was compiled from (see :meth:`composed_program`).
+        self._program: tuple[Formula, Program] | None = None
         #: Observer invoked after every structural change to the pending
         #: sequence.  Receives the partition and, for an append, the entry
         #: just added (``None`` for removals and whole-sequence assignment,
@@ -140,6 +144,19 @@ class Partition:
                 include_optional=True,
             )
         return self.composition().formula()
+
+    def composed_program(self) -> Program:
+        """The composed hard body as a compiled search handle, cached.
+
+        Compiled on first use and kept for as long as the composed formula
+        it came from is current (any structural change yields a new formula
+        object, and with it a new handle) — so repeated write validations
+        of an unchanged partition verify and re-solve one program.
+        """
+        formula = self.composed_formula()
+        if self._program is None or self._program[0] is not formula:
+            self._program = (formula, compile_formula(formula))
+        return self._program[1]
 
     def composed_atom_count(self) -> int:
         """Number of relational atoms in the composed hard body.

@@ -59,12 +59,13 @@ from repro.errors import (
     WriteRejected,
 )
 from repro.logic.atoms import Atom
-from repro.logic.formula import Formula, TRUE, conjunction
+from repro.logic.formula import AtomFormula, Formula, TRUE, conjunction
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.logic.unification import unifiable
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert, Statement
+from repro.solver.kernel import Program, Scope, conjoin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sharding.backend import PlanResult
@@ -255,15 +256,27 @@ def choose_grounding(
     prefix_ids = {entry.transaction_id for entry in prefix}
     suffix = [entry for entry in order if entry.transaction_id not in prefix_ids]
 
-    prefix_hard = compose_sequence([entry.renamed for entry in prefix])
     prefix_required = frozenset().union(
         *(entry.renamed.hard_variables() for entry in prefix)
     ) if prefix else frozenset()
     suffix_formula, suffix_required = _suffix_formula(prefix, suffix)
-    optional_atoms = _optional_factors(order, to_ground)
+    # Every body below is compiled once, into one scope, and the attempts
+    # conjoin the handles: a plan runs up to 2 + n attempts of up to
+    # PREFIX_CANDIDATES + 2 searches each over the same few formulas.
+    scope = Scope()
+    prefix_hard = search.compile(
+        compose_sequence([entry.renamed for entry in prefix]),
+        required=prefix_required,
+        scope=scope,
+    )
+    suffix_body = search.compile(suffix_formula, required=suffix_required, scope=scope)
+    optional_atoms = [
+        (txn_id, atom, search.compile(factor, scope=scope))
+        for txn_id, atom, factor in _optional_factors(order, to_ground)
+    ]
 
     def attempt(
-        selected: Sequence[tuple[int, Atom, Formula]]
+        selected: Sequence[tuple[int, Atom, Program]]
     ) -> Substitution | None:
         """Try to ground the prefix with ``selected`` optional factors.
 
@@ -275,27 +288,20 @@ def choose_grounding(
         complete; a node budget keeps the combined search from thrashing
         when optional factors are involved.
         """
-        formula = conjunction(
-            [prefix_hard] + [factor for _txn, _atom, factor in selected]
+        body = conjoin(
+            [prefix_hard] + [factor for _txn, _atom, factor in selected],
+            required=prefix_required,
         )
-        candidates = search.find(
-            formula, required=prefix_required, limit=PREFIX_CANDIDATES
-        )
-        for candidate in candidates:
+        for candidate in search.find(body, limit=PREFIX_CANDIDATES):
             if not suffix:
                 return candidate.substitution
-            extended = search.find_one(
-                suffix_formula,
-                required=suffix_required,
-                initial=candidate.substitution,
-            )
+            extended = search.find_one(suffix_body, initial=candidate.substitution)
             if extended.satisfiable:
                 return extended.substitution
         if not suffix:
             return None
         combined = search.find_one(
-            conjunction([formula, suffix_formula]),
-            required=prefix_required | suffix_required,
+            conjoin([body, suffix_body], required=prefix_required | suffix_required),
             node_budget=COMBINED_NODE_BUDGET if selected else None,
         )
         return combined.substitution if combined.satisfiable else None
@@ -307,7 +313,7 @@ def choose_grounding(
                 satisfied[txn_id] += 1
             return solution, satisfied
         # Greedy maximal subset of optional atoms.
-        accepted: list[tuple[int, Atom, Formula]] = []
+        accepted: list[tuple[int, Atom, Program]] = []
         best: Substitution | None = None
         for candidate_atom in optional_atoms:
             solution = attempt(accepted + [candidate_atom])
@@ -1011,9 +1017,9 @@ class QuantumState:
         pinned = substitution.restrict(entry.renamed.hard_variables())
         count = 0
         for atom in entry.renamed.optional_body:
-            specialised = pinned.apply_atom(atom)
-            formula = rewrite_atom_against_updates(specialised, [])
-            if self.cache.search.exists(formula):
+            # Searching the atom from the pinned bindings is the search of
+            # its pinned instance: same bound positions, same lookups.
+            if self.cache.search.exists(AtomFormula(atom.as_body()), initial=pinned):
                 count += 1
         return count
 
@@ -1105,13 +1111,13 @@ class QuantumState:
                 if self.cache.enable_witness:
                     self.cache.statistics.witness_misses += 1
                     self.cache.statistics.fallback_searches += 1
-                formula = partition.composed_formula()
-                if self.cache.verify(formula, partition.cached_solution):
+                body = partition.composed_program()
+                if self.cache.verify(body, partition.cached_solution):
                     continue
                 required = frozenset().union(
                     *(e.renamed.hard_variables() for e in partition.pending)
                 )
-                result = self.cache.solve(formula, required=required)
+                result = self.cache.solve(body, required=required)
                 if not result.satisfiable:
                     raise WriteRejected(
                         "write rejected: it would invalidate pending "

@@ -41,19 +41,18 @@ from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.partition import Partition
-from repro.errors import FormulaError
 from repro.logic.formula import (
     Conjunction,
     Disjunction,
     Formula,
     Negation,
     TRUE,
-    conjunction,
 )
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingResult, GroundingSearch
+from repro.solver.kernel import Program, Scope, compile_formula, conjoin
 from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig, dispatch_find_one
 
@@ -143,44 +142,23 @@ class AdmissionProbe:
 
 
 def verify_solution(
-    database: Database, formula: Formula, solution: Substitution | None
+    database: Database, formula: Formula | Program, solution: Substitution | None
 ) -> bool:
     """True if ``solution`` still satisfies ``formula`` over ``database``.
 
     The pure core of :meth:`SolutionCache.verify`: no counters, no cache
     state — callable against a worker's snapshot store as well as the
-    writer's live one.
+    writer's live one.  ``solution`` must bind every free variable of the
+    (simplified) body to a constant.
     """
-    if solution is None:
-        return False
-    required = formula.free_variables()
-    if not required <= solution.domain():
-        return False
-    try:
-        valuation = solution.restrict(required).as_valuation()
-    except Exception:  # non-ground binding; treat as invalid
-        return False
-
-    def oracle(relation: str, values: tuple) -> bool:
-        if not database.has_table(relation):
-            return False
-        table = database.table(relation)
-        columns = list(table.schema.column_names)
-        for _ in table.lookup(columns, list(values)):
-            return True
-        return False
-
-    try:
-        return formula.evaluate(valuation, oracle)
-    except FormulaError:
-        return False
+    return compile_formula(formula).holds(database, solution)
 
 
 def compute_admission(
     search: GroundingSearch,
     database: Database,
     *,
-    composed: Formula,
+    composed: Formula | Program,
     cached_solution: Substitution | None,
     witness_substitution: Substitution | None,
     new_factor: Formula | None = None,
@@ -204,7 +182,10 @@ def compute_admission(
         search: the grounding search to run extensions/solves on (the
             cache's shared search inline; a throwaway one in a worker).
         database: the store ``search`` runs against (verification oracle).
-        composed: the partition's composed hard body.
+        composed: the partition's composed hard body, or its compiled
+            handle when the caller holds one (``Partition.composed_program``);
+            a formula is compiled here, at most once, and only when a miss
+            makes the composed body itself be verified or searched.
         cached_solution: the partition's last known satisfying
             substitution (pre-witness fallback state).
         witness_substitution: the substitution of a structurally current,
@@ -238,53 +219,54 @@ def compute_admission(
         "nodes": 0,
     }
 
-    def verify(formula: Formula, solution: Substitution | None) -> bool:
+    # One scope for everything this admission compiles: the new factor is
+    # searched up to twice and then conjoined with the composed body.
+    scope = composed.scope if isinstance(composed, Program) else Scope()
+
+    def composed_body() -> Program:
+        nonlocal composed
+        if not isinstance(composed, Program):
+            composed = search.compile(composed, scope=scope)
+        return composed
+
+    def verify(solution: Substitution | None) -> bool:
         if solution is None:
             return False
         counters["verifications"] += 1
-        return verify_solution(database, formula, solution)
+        return composed_body().holds(database, solution)
 
     def run_find(
-        formula: Formula,
-        required: frozenset[Variable],
-        initial: Substitution | None = None,
+        program: Program, initial: Substitution | None = None
     ) -> GroundingResult:
-        result, method = dispatch_find_one(
-            search, config, formula, required=required, initial=initial
-        )
+        result, method = dispatch_find_one(search, config, program, initial=initial)
         outcome["method"] = method
         outcome["nodes"] += result.statistics.nodes
         if result.statistics.exhausted_budget:
             outcome["exhausted"] = True
         return result
 
-    def extend(
-        base: Substitution | None, factor: Formula, required: frozenset[Variable]
-    ) -> GroundingResult:
-        initial = base or Substitution.empty()
-        result = run_find(factor, required, initial=initial)
+    def extend(base: Substitution | None, factor: Program) -> GroundingResult:
+        result = run_find(factor, initial=base or Substitution.empty())
         counters["extension_hits" if result.satisfiable else "extension_misses"] += 1
         return result
 
-    def solve(formula: Formula, required: frozenset[Variable]) -> GroundingResult:
+    def solve(program: Program) -> GroundingResult:
         counters["full_solves"] += 1
         if (
             config is not None
             and config.sampling is not None
-            and relational_atom_count(formula) >= config.sampling.threshold
+            and relational_atom_count(program.formula) >= config.sampling.threshold
         ):
             # The partition is above the exact-search threshold and the
             # caller explicitly opted into estimation: bounded seeded
             # descents instead of an exhaustive walk.  An accept still
             # carries a genuine witness; the decision is just not exact.
-            result = sample_find_one(
-                search, formula, required=required, sampling=config.sampling
-            )
+            result = sample_find_one(search, program, sampling=config.sampling)
             outcome["method"] = "sampled"
             outcome["exact"] = False
             outcome["nodes"] += result.statistics.nodes
         else:
-            result = run_find(formula, required)
+            result = run_find(program)
         if not result.satisfiable:
             counters["failures"] += 1
         return result
@@ -309,14 +291,15 @@ def compute_admission(
         if enable_witness:
             counters["witness_misses"] += 1
             counters["fallback_searches"] += 1
-        if verify(composed, cached_solution):
+        if verify(cached_solution):
             return probe(cached_solution)
-        result = solve(composed, base_required)
+        result = solve(composed_body().requiring(base_required))
         return probe(result.substitution if result.satisfiable else None)
 
     required = frozenset(new_required)
+    factor = search.compile(new_factor, required=required, scope=scope)
     if witness_substitution is not None:
-        extended = extend(witness_substitution, new_factor, required)
+        extended = extend(witness_substitution, factor)
         if extended.satisfiable:
             # Only a *successful* extension counts as a hit: the composed
             # body was never re-walked.
@@ -326,13 +309,12 @@ def compute_admission(
         counters["witness_misses"] += 1
         counters["fallback_searches"] += 1
     if witness_substitution is None and cached_solution is not None:
-        if verify(composed, cached_solution):
-            extended = extend(cached_solution, new_factor, required)
+        if verify(cached_solution):
+            extended = extend(cached_solution, factor)
             if extended.satisfiable:
                 return probe(extended.substitution)
     # Cache miss: solve the whole composed body including the new factor.
-    full = conjunction([composed, new_factor])
-    result = solve(full, base_required | required)
+    result = solve(conjoin([composed_body(), factor], required=base_required | required))
     return probe(result.substitution if result.satisfiable else None)
 
 
@@ -640,7 +622,9 @@ class SolutionCache:
 
     # -- verification --------------------------------------------------------
 
-    def verify(self, formula: Formula, solution: Substitution | None) -> bool:
+    def verify(
+        self, formula: Formula | Program, solution: Substitution | None
+    ) -> bool:
         """True if ``solution`` still satisfies ``formula`` over the database.
 
         Used after blind writes: the write may have removed the row the
@@ -656,8 +640,8 @@ class SolutionCache:
     def extend(
         self,
         base: Substitution | None,
-        new_factor: Formula,
-        required: Iterable[Variable],
+        new_factor: Formula | Program,
+        required: Iterable[Variable] | None,
     ) -> GroundingResult:
         """Extend ``base`` so that ``new_factor`` is also satisfied."""
         initial = base or Substitution.empty()
@@ -669,7 +653,7 @@ class SolutionCache:
         return result
 
     def solve(
-        self, formula: Formula, required: Iterable[Variable] | None = None
+        self, formula: Formula | Program, required: Iterable[Variable] | None = None
     ) -> GroundingResult:
         """Full grounding search over the composed body (cache miss path)."""
         self._stats.full_solves += 1
@@ -708,10 +692,19 @@ class SolutionCache:
             reject the transaction or write.
         """
         witness = self.witness_for(partition)
+        revalidating = new_factor is None or new_factor is TRUE
         probe = compute_admission(
             self.search,
             self.database,
-            composed=partition.composed_formula(),
+            # An admission rarely walks the composed body (the witness
+            # answers), so it gets the formula and compiles on a miss; a
+            # re-validation exists to walk it, and reuses the partition's
+            # compiled handle.
+            composed=(
+                partition.composed_program()
+                if revalidating
+                else partition.composed_formula()
+            ),
             cached_solution=partition.cached_solution,
             witness_substitution=None if witness is None else witness.substitution,
             new_factor=new_factor,
@@ -722,7 +715,7 @@ class SolutionCache:
         )
         self.absorb_probe(probe)
         if (
-            (new_factor is None or new_factor is TRUE)
+            revalidating
             and not probe.used_witness
             and probe.substitution is not None
         ):

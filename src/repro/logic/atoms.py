@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.errors import LogicError
-from repro.logic.terms import Constant, Term, Variable, as_term
+from repro.logic.terms import Constant, Term, Variable, _remember_hash, as_term
 
 
 class AtomKind(enum.Enum):
@@ -52,6 +52,18 @@ class Atom:
             raise LogicError("only body atoms can be optional")
         coerced = tuple(as_term(t) for t in self.terms)
         object.__setattr__(self, "terms", coerced)
+
+    def __hash__(self) -> int:
+        # Kept after first use (see ``Variable``); rebuilt on unpickling.
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            return _remember_hash(
+                self, (self.relation, self.terms, self.kind, self.optional)
+            )
+
+    def __reduce__(self):
+        return Atom, (self.relation, self.terms, self.kind, self.optional)
 
     # -- constructors -------------------------------------------------------
 

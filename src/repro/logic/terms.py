@@ -20,15 +20,40 @@ from repro.errors import LogicError
 _fresh_counter = itertools.count(1)
 
 
+def _remember_hash(term: Any, key: tuple) -> int:
+    """Hash a frozen term's field tuple once and keep it on the instance."""
+    value = hash(key)
+    object.__setattr__(term, "_hash", value)
+    return value
+
+
 @dataclass(frozen=True)
 class Variable:
-    """A named logical variable."""
+    """A named logical variable.
+
+    Terms key the routing tables, the signature index, witness footprints
+    and every substitution, so the hash (same value the generated
+    ``__hash__`` would return) is kept after its first use instead of
+    re-hashing the field tuple on every dict or set probe — on first use
+    rather than at construction, because read paths build terms they
+    never hash.  It is never pickled: string hashes differ between
+    processes.
+    """
 
     name: str
 
     def __post_init__(self) -> None:
         if not self.name:
             raise LogicError("variable name must be non-empty")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            return _remember_hash(self, (self.name,))
+
+    def __reduce__(self):
+        return Variable, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
@@ -47,6 +72,15 @@ class Constant:
     def __post_init__(self) -> None:
         if isinstance(self.value, (Variable, Constant)):
             raise LogicError("constants must wrap plain data values")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash  # type: ignore[attr-defined]
+        except AttributeError:
+            return _remember_hash(self, (self.value,))
+
+    def __reduce__(self):
+        return Constant, (self.value,)
 
     def __repr__(self) -> str:
         return repr(self.value)

@@ -5,18 +5,21 @@ transaction body has at least one grounding over the extensional database.
 The paper's prototype checks this with ``LIMIT 1`` SQL joins and discusses
 SMT solvers as future work.  This subpackage provides:
 
-* :mod:`.grounding` — the workhorse: a backtracking grounding search that
-  evaluates a composed-body :class:`~repro.logic.formula.Formula` directly
-  against a :class:`~repro.relational.database.Database`, using its indexes
-  for candidate generation.  This is the direct analogue of the paper's
-  ``LIMIT 1`` probes and is what :class:`~repro.core.quantum_database.QuantumDatabase`
-  uses.
-* :mod:`.strategy` / :mod:`.bnb` / :mod:`.fastpath` / :mod:`.sampling` /
-  :mod:`.undo` — the pluggable admission-search subsystem: a frozen
+* :mod:`.kernel` — the one search traversal: a compiler from a
+  composed-body :class:`~repro.logic.formula.Formula` to an immutable
+  slot program, and a reentrant executor that searches it against a
+  :class:`~repro.relational.database.Database` on a flat slot array with
+  an undo trail, using the tables' indexes for candidate generation.
+* :mod:`.grounding` — :class:`GroundingSearch`, the entry point onto the
+  kernel that owns the shared work counters.  This is the direct analogue
+  of the paper's ``LIMIT 1`` probes and is what
+  :class:`~repro.core.quantum_database.QuantumDatabase` uses.
+* :mod:`.strategy` / :mod:`.bnb` / :mod:`.fastpath` / :mod:`.sampling` —
+  the admission-search configuration: a frozen
   :class:`~repro.solver.strategy.AdmissionSearchConfig` selects between
-  plain backtracking and a trail-based branch-and-bound searcher (with
-  per-shape fast paths and an opt-in seeded sampling estimator), all
-  dispatched through :func:`~repro.solver.strategy.dispatch_find_one`
+  backtracking and branch-and-bound accounting of that one traversal
+  (with per-shape fast paths and an opt-in seeded sampling estimator),
+  all dispatched through :func:`~repro.solver.strategy.dispatch_find_one`
   inside the pure admission function so every execution mode honors the
   strategy bit-identically.
 * :mod:`.csp` / :mod:`.propagation` / :mod:`.backtracking` — a generic
@@ -32,6 +35,7 @@ from repro.solver.bnb import find_one_bnb
 from repro.solver.csp import Constraint, CSP, Domain
 from repro.solver.fastpath import find_one_fastpath
 from repro.solver.grounding import GroundingSearch, GroundingResult
+from repro.solver.kernel import Program, Scope, compile_formula, conjoin
 from repro.solver.propagation import ac3, forward_check
 from repro.solver.randomsat import random_ksat
 from repro.solver.sampling import sample_find_one
@@ -41,7 +45,6 @@ from repro.solver.strategy import (
     SamplingConfig,
     dispatch_find_one,
 )
-from repro.solver.undo import Trail, TrailBindings
 
 __all__ = [
     "AdmissionSearchConfig",
@@ -55,10 +58,12 @@ __all__ = [
     "GroundingResult",
     "GroundingSearch",
     "Literal",
+    "Program",
     "SamplingConfig",
-    "Trail",
-    "TrailBindings",
+    "Scope",
     "ac3",
+    "compile_formula",
+    "conjoin",
     "dispatch_find_one",
     "find_one_bnb",
     "find_one_fastpath",

@@ -80,11 +80,11 @@ class BacktrackingSolver:
             consistent, domains = ac3(csp, domains)
             if not consistent:
                 return
-        yield from self._search(csp, assignment, domains)
+        yield from self._backtrack(csp, assignment, domains)
 
     # -- search -------------------------------------------------------------
 
-    def _search(
+    def _backtrack(
         self,
         csp: CSP,
         assignment: dict[str, Any],
@@ -109,7 +109,7 @@ class BacktrackingSolver:
                 else:
                     ok, pruned = True, dict(domains)
                 if ok:
-                    yield from self._search(csp, assignment, pruned)
+                    yield from self._backtrack(csp, assignment, pruned)
                     if (
                         self.max_solutions is not None
                         and self.statistics.solutions >= self.max_solutions

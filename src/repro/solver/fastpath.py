@@ -3,12 +3,11 @@
 Most factors the admission path searches are *simple*: a freshly renamed
 transaction body is a flat conjunction of relational atoms (plus the
 equality constraints composition introduced), and the witness-extension
-step searches exactly that shape against an already-ground base.  The
-general search pays its full machinery — the part-type ladder, the
-deferred-negation protocol, choice bookkeeping — on every recursion even
-though none of it can trigger.  Following pracmln's ``fastconj`` /
-``fastexistential`` specializations, this module recognizes two shapes on
-the *simplified* formula and runs a tight trail-based join instead:
+step searches exactly that shape against an already-ground base.  On such
+a shape neither the deferred-negation protocol nor the branch-and-bound
+prunes can ever trigger, so — following pracmln's ``fastconj`` /
+``fastexistential`` specializations — the compiled program's shape is
+recognized and the kernel runs it with the prunes switched off:
 
 * **conjunctive** — ``TRUE``, a single atom/equality, or a flat
   conjunction of atoms and equalities (no negations, no disjunctions,
@@ -16,9 +15,7 @@ the *simplified* formula and runs a tight trail-based join instead:
 * **existential** — a disjunction whose branches are each conjunctive
   (the "some branch has a grounding" probe).
 
-The join replicates the general search's operation order on these shapes
-— equalities first in index order, then atoms most-bound-first with the
-original tie-break, identical row enumeration — so the first solution is
+It is the same traversal as every other search, so the first solution is
 bit-identical and dispatching a fast path can never change a decision.
 Shapes outside the two classes return ``None`` and fall through to the
 configured general strategy.
@@ -26,166 +23,24 @@ configured general strategy.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Iterable
 
-from repro.errors import FormulaError
-from repro.logic.formula import (
-    AtomFormula,
-    Conjunction,
-    Disjunction,
-    Equality,
-    FALSE,
-    Formula,
-    TRUE,
-)
+from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Variable
-from repro.relational.database import Database
+from repro.logic.terms import Variable
 from repro.solver.grounding import (
     GroundingResult,
     GroundingSearch,
     GroundingStatistics,
 )
-from repro.solver.undo import TrailBindings
-
-
-def conjunctive_parts(formula: Formula) -> list[Formula] | None:
-    """The flat atom/equality parts of a conjunctive shape, else ``None``."""
-    if formula is TRUE:
-        return []
-    if isinstance(formula, (AtomFormula, Equality)):
-        return [formula]
-    if isinstance(formula, Conjunction):
-        parts = list(formula.parts)
-        if all(isinstance(part, (AtomFormula, Equality)) for part in parts):
-            return parts
-    return None
-
-
-def existential_branches(formula: Formula) -> list[list[Formula]] | None:
-    """Conjunctive part lists of a disjunction's branches, else ``None``."""
-    if not isinstance(formula, Disjunction):
-        return None
-    branches: list[list[Formula]] = []
-    for branch in formula.parts:
-        parts = conjunctive_parts(branch)
-        if parts is None:
-            return None
-        branches.append(parts)
-    return branches
-
-
-class _FastJoin:
-    """Tight trail-based join over flat atom/equality part lists."""
-
-    def __init__(
-        self,
-        database: Database,
-        bindings: TrailBindings,
-        stats: GroundingStatistics,
-        node_budget: int | None,
-    ) -> None:
-        self.database = database
-        self.bindings = bindings
-        self.stats = stats
-        self.node_budget = node_budget
-        self.exhausted = False
-
-    def _charge_node(self) -> bool:
-        self.stats.nodes += 1
-        if self.node_budget is not None and self.stats.nodes > self.node_budget:
-            self.stats.exhausted_budget = True
-            self.exhausted = True
-            return False
-        return True
-
-    def join(self, parts: list[Formula]) -> Iterator[Substitution]:
-        """Solve one conjunctive part list from the current bindings.
-
-        Equalities are deterministic and unified up front in index order
-        (exactly where the general search's part selection takes them);
-        the atoms then join most-bound-first.  All bindings this call
-        makes are rewound on exit.
-        """
-        bindings = self.bindings
-        mark = bindings.trail.mark()
-        try:
-            atoms: list[AtomFormula] = []
-            for part in parts:
-                if isinstance(part, Equality):
-                    if not bindings.unify(part.left, part.right):
-                        self.stats.backtracks += 1
-                        return
-                else:
-                    atoms.append(part)
-            yield from self._join_atoms(atoms)
-        finally:
-            bindings.trail.undo_to(mark)
-
-    def _join_atoms(self, atoms: list[AtomFormula]) -> Iterator[Substitution]:
-        bindings = self.bindings
-        stats = self.stats
-        if self.exhausted:
-            return
-        if not atoms:
-            yield bindings.snapshot()
-            return
-        walk = bindings.walk
-        best_index = 0
-        best_score: tuple[int, int] | None = None
-        for index, part in enumerate(atoms):
-            bound = sum(
-                1 for term in part.atom.terms if isinstance(walk(term), Constant)
-            )
-            score = (bound, -index)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_index = index
-        atom = atoms[best_index].atom
-        rest = atoms[:best_index] + atoms[best_index + 1 :]
-        stats.choice_points += 1
-        if not self.database.has_table(atom.relation):
-            return
-        table = self.database.table(atom.relation)
-        schema = table.schema
-        resolved = [walk(t) for t in atom.terms]
-        if len(resolved) != schema.arity:
-            raise FormulaError(
-                f"atom {atom!r} has arity {len(resolved)}, table "
-                f"{schema.name!r} has arity {schema.arity}"
-            )
-        columns: list[str] = []
-        values: list[Any] = []
-        for position, term in enumerate(resolved):
-            if isinstance(term, Constant):
-                columns.append(schema.columns[position].name)
-                values.append(term.value)
-        rows = table.lookup(columns, values) if columns else table.scan()
-        for row in rows:
-            stats.rows_examined += 1
-            mark = bindings.trail.mark()
-            matched = True
-            for term, value in zip(resolved, row.values):
-                if not bindings.unify(term, Constant(value)):
-                    matched = False
-                    break
-            if not matched:
-                bindings.trail.undo_to(mark)
-                continue
-            if not self._charge_node():
-                bindings.trail.undo_to(mark)
-                return
-            yield from self._join_atoms(rest)
-            bindings.trail.undo_to(mark)
-            if self.exhausted:
-                return
+from repro.solver.kernel import Program
 
 
 def find_one_fastpath(
     search: GroundingSearch,
-    formula: Formula,
+    formula: Formula | Program,
     *,
-    required: frozenset[Variable] | None = None,
+    required: Iterable[Variable] | None = None,
     initial: Substitution | None = None,
     node_budget: int | None = None,
 ) -> GroundingResult | None:
@@ -196,49 +51,16 @@ def find_one_fastpath(
     to what the general search would return, with the work folded into
     ``search``'s totals (plus one ``fastpath_hits``).
     """
-    simplified = formula.simplify()
-    if simplified is FALSE:
+    program = search.compile(formula, required=required)
+    if program.is_false:
         return GroundingResult(Substitution.empty(), False, GroundingStatistics())
-    branches = conjunctive_parts(simplified)
-    if branches is not None:
-        branch_lists = [branches]
-    else:
-        maybe = existential_branches(simplified)
-        if maybe is None:
-            return None
-        branch_lists = maybe
-    required_vars = (
-        frozenset(required) if required is not None else simplified.free_variables()
+    if program.shape() is None:
+        return None
+    return search.find_one(
+        program,
+        initial=initial,
+        node_budget=node_budget,
+        strategy="bnb",
+        prune=False,
+        statistics=GroundingStatistics(fastpath_hits=1),
     )
-    stats = GroundingStatistics(fastpath_hits=1)
-    bindings = TrailBindings(initial)
-    joiner = _FastJoin(search.database, bindings, stats, node_budget)
-    if len(branch_lists) > 1:
-        # The disjunction itself is one choice point, like the general
-        # search's Disjunction case (each branch descent charges a node).
-        stats.choice_points += 1
-
-    def solutions() -> Iterator[Substitution]:
-        for parts in branch_lists:
-            if len(branch_lists) > 1 and not joiner._charge_node():
-                return
-            yield from joiner.join(parts)
-            if joiner.exhausted:
-                return
-
-    found: GroundingResult | None = None
-    iterator = solutions()
-    try:
-        for snapshot in iterator:
-            grounded = search._close(snapshot, required_vars)
-            if grounded is None:
-                continue
-            found = GroundingResult(grounded, True, stats)
-            break
-    finally:
-        iterator.close()
-        stats.undo_depth = max(stats.undo_depth, bindings.trail.max_depth)
-        search.absorb_statistics(stats, formula=simplified, count_search=True)
-    if found is not None:
-        return found
-    return GroundingResult(Substitution.empty(), False, stats)

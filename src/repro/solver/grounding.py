@@ -13,9 +13,15 @@ The search is a backtracking enumeration over the formula structure:
 
 * relational atoms generate candidate rows from the database (using the
   tables' indexes for the positions already bound),
-* equalities unify terms under the running substitution,
+* equalities unify terms under the running bindings,
 * disjunctions are choice points,
-* negations are deferred and checked once the substitution is complete.
+* negations are deferred and checked once the variables they mention are
+  bound.
+
+The traversal itself lives in :mod:`repro.solver.kernel` (compile a
+formula once, search it on slots with an undo trail);
+:class:`GroundingSearch` is the entry point onto it that owns the shared
+work counters.
 
 The result of a successful search is a ground substitution — a *grounding*
 in the paper's terminology — which the quantum database caches in its
@@ -26,24 +32,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import FormulaError, GroundingError
-from repro.logic.atoms import Atom
-from repro.logic.formula import (
-    AtomFormula,
-    Conjunction,
-    Disjunction,
-    Equality,
-    FALSE,
-    Formula,
-    Negation,
-    TRUE,
-)
+from repro.errors import GroundingError
+from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Variable
-from repro.logic.unification import unify_terms
+from repro.logic.terms import Variable
 from repro.relational.database import Database
+from repro.solver.kernel import Program, Run, Scope, compile_formula
 
 
 @dataclass
@@ -102,16 +98,20 @@ class GroundingResult:
 
 
 class GroundingSearch:
-    """Backtracking grounding search over a relational database.
+    """Grounding search over a relational database.
 
-    Searches are *reentrant*: all per-search state (the node budget, the
-    work counters) lives in the call frame, so several searches may run
-    concurrently on the same instance — the session layer's grounding
-    planner fans the plan phase for independent partitions out to an
-    executor (see ``docs/architecture.md``, "Concurrent grounding").  The
-    shared ``totals`` accumulator is guarded by a lock; the database itself
-    must not be mutated while searches are in flight (the single-writer
-    admission loop guarantees that).
+    Searches are *reentrant*: all per-search state (slots, trail, node
+    budget, work counters) lives in a per-call :class:`~repro.solver.kernel.Run`,
+    so several searches may run concurrently on the same instance — the
+    session layer's grounding planner fans the plan phase for independent
+    partitions out to an executor (see ``docs/architecture.md``,
+    "Concurrent grounding").  The shared ``totals`` accumulator is guarded
+    by a lock; the database itself must not be mutated while searches are
+    in flight (the single-writer admission loop guarantees that).
+
+    Every method that takes a formula also takes a compiled
+    :class:`~repro.solver.kernel.Program` (from :meth:`compile`): callers
+    that search one body repeatedly compile it once and pass the handle.
     """
 
     def __init__(self, database: Database) -> None:
@@ -119,16 +119,33 @@ class GroundingSearch:
         #: Counters accumulated over every search this instance ever ran;
         #: benchmarks read these to report total grounding work.
         self.totals = GroundingStatistics()
-        #: Number of :meth:`find` invocations (searches started).
+        #: Number of searches started (``find`` / ``find_one`` calls whose
+        #: body did not simplify to FALSE).
         self.searches = 0
         #: Optional callback invoked (under the totals lock) after every
-        #: search completes, with the searched formula and its work
-        #: counters.  The session layer uses it to stream per-server search
-        #: statistics without polling.
-        self.observer: Callable[[Formula, GroundingStatistics], None] | None = None
+        #: search completes, with the searched program (its ``formula``
+        #: property is the simplified body) and its work counters.  The
+        #: session layer uses it to stream per-server search statistics
+        #: without polling.
+        self.observer: Callable[[Program, GroundingStatistics], None] | None = None
         self._totals_lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------
+
+    def compile(
+        self,
+        formula: Formula | Program,
+        *,
+        required: Iterable[Variable] | None = None,
+        scope: Scope | None = None,
+    ) -> Program:
+        """Compile ``formula`` into a reusable search handle.
+
+        See :func:`repro.solver.kernel.compile_formula`; a handle is
+        accepted wherever this class takes a formula, and is independent
+        of the database (tables are resolved when a search runs).
+        """
+        return compile_formula(formula, required=required, scope=scope)
 
     def absorb_nodes(self, nodes: int) -> None:
         """Fold search work performed on this instance's behalf elsewhere.
@@ -141,73 +158,66 @@ class GroundingSearch:
         with self._totals_lock:
             self.totals.nodes += nodes
 
-    def absorb_statistics(
-        self,
-        stats: GroundingStatistics,
-        *,
-        formula: Formula | None = None,
-        count_search: bool = False,
-    ) -> None:
-        """Fold a complete search's counters into the shared totals.
-
-        The alternative-strategy searchers (branch-and-bound, shape fast
-        paths, the sampling estimator) run their own traversal but report
-        through the same accumulator as :meth:`find`, so ``totals`` stays
-        the single source of truth no matter which strategy ran.  With
-        ``formula`` given the per-search observer fires too, and
-        ``count_search`` increments :attr:`searches` — together mirroring
-        exactly what one :meth:`find` call would have recorded.
-        """
-        with self._totals_lock:
-            if count_search:
-                self.searches += 1
-            self.totals.add(stats)
-            observer = self.observer
-            if formula is not None and observer is not None:
-                observer(formula, stats)
-
-    def exists(self, formula: Formula, *, initial: Substitution | None = None) -> bool:
+    def exists(
+        self, formula: Formula | Program, *, initial: Substitution | None = None
+    ) -> bool:
         """True if the formula has at least one grounding (a LIMIT 1 probe)."""
         return self.find_one(formula, initial=initial).satisfiable
 
     def find_one(
         self,
-        formula: Formula,
+        formula: Formula | Program,
         *,
         required: Iterable[Variable] | None = None,
         initial: Substitution | None = None,
         node_budget: int | None = None,
+        strategy: str = "backtracking",
+        prune: bool = True,
+        statistics: GroundingStatistics | None = None,
     ) -> GroundingResult:
         """Find one grounding of ``formula``.
 
         Args:
-            formula: the composed body to ground.
+            formula: the composed body to ground (or its compiled handle).
             required: variables that must be bound to constants in the
-                result (defaults to all free variables of the formula).
+                result (defaults to all free variables of the formula, or
+                to what the handle was compiled with).
             initial: a substitution to extend; used by the solution cache to
                 try extending a previously found grounding.
             node_budget: optional cap on search nodes; when exhausted the
                 search gives up (reported as unsatisfiable with
                 ``statistics.exhausted_budget`` set), which callers use for
                 best-effort preference maximisation.
+            strategy: ``"backtracking"`` or ``"bnb"`` node accounting (and,
+                under bnb with ``prune``, the two structural prunes); the
+                first solution is the same under either.
+            prune: run the bnb prunes (the shape fast paths turn them off).
+            statistics: accumulator to count into (a fresh one by default).
         """
-        stats = GroundingStatistics()
-        for result in self.find(
-            formula,
-            required=required,
-            initial=initial,
-            limit=1,
-            node_budget=node_budget,
-            statistics=stats,
-        ):
-            return result
+        stats = statistics if statistics is not None else GroundingStatistics()
+        program = compile_formula(formula, required=required)
+        if program.is_false:
+            # A trivially false body never starts a search.
+            return GroundingResult(Substitution.empty(), False, stats)
+        run = Run(
+            program, self.database, initial, stats, node_budget,
+            strategy=strategy, prune=prune,
+        )  # fmt: skip
+        leaves = run.solutions()
+        try:
+            for _leaf in leaves:
+                if run.closed():
+                    return GroundingResult(run.snapshot(), True, stats)
+        finally:
+            leaves.close()
+            self._record(program, run, stats)
         # Unsatisfiable (or budget-exhausted): the result still carries the
         # real work counters, so callers can see ``exhausted_budget``.
         return GroundingResult(Substitution.empty(), False, stats)
 
     def find_all(
         self,
-        formula: Formula,
+        formula: Formula | Program,
         *,
         required: Iterable[Variable] | None = None,
         limit: int | None = None,
@@ -217,7 +227,7 @@ class GroundingSearch:
 
     def require(
         self,
-        formula: Formula,
+        formula: Formula | Program,
         *,
         required: Iterable[Variable] | None = None,
         initial: Substitution | None = None,
@@ -233,11 +243,9 @@ class GroundingSearch:
             raise GroundingError(f"no grounding exists for {formula!r}")
         return result
 
-    # -- search -------------------------------------------------------------
-
     def find(
         self,
-        formula: Formula,
+        formula: Formula | Program,
         *,
         required: Iterable[Variable] | None = None,
         initial: Substitution | None = None,
@@ -247,297 +255,61 @@ class GroundingSearch:
     ) -> Iterator[GroundingResult]:
         """Yield groundings of ``formula`` one by one.
 
+        Solutions that agree on every required variable are yielded once.
         ``statistics`` lets a caller hand in the accumulator (so the work
         counters stay observable even when nothing is yielded); by default
         a fresh one is created per search.
         """
-        simplified = formula.simplify()
-        if simplified is FALSE:
+        program = compile_formula(formula, required=required)
+        if program.is_false:
             return
-        required_vars = (
-            frozenset(required) if required is not None else simplified.free_variables()
-        )
         stats = statistics if statistics is not None else GroundingStatistics()
-        with self._totals_lock:
-            self.searches += 1
-        start = initial or Substitution.empty()
+        run = Run(program, self.database, initial, stats, node_budget)
         count = 0
-        seen: set[frozenset] = set()
+        seen: set[tuple] = set()
         try:
-            for substitution in self._search(
-                [simplified], start, [], stats, node_budget
-            ):
-                grounded = self._close(substitution, required_vars)
-                if grounded is None:
+            for _leaf in run.solutions():
+                if not run.closed():
                     continue
-                # Chase alias chains: a required variable may be bound to
-                # another variable that the close step resolved to a
-                # constant (e.g. through an equality), and the signature
-                # must key on that constant.
-                signature = frozenset(
-                    (var.name, grounded.apply_term(var).value)  # type: ignore[union-attr]
-                    for var in required_vars
-                    if var in grounded
-                )
+                signature = run.signature()
                 if signature in seen:
                     continue
                 seen.add(signature)
-                yield GroundingResult(grounded, True, stats)
+                yield GroundingResult(run.snapshot(), True, stats)
                 count += 1
                 if limit is not None and count >= limit:
                     return
         finally:
             # Runs both on exhaustion and when the caller closes the
-            # generator early (e.g. find_one), so the totals always include
-            # this search's work.
-            with self._totals_lock:
-                self.totals.add(stats)
-                observer = self.observer
-                if observer is not None:
-                    observer(simplified, stats)
+            # generator early, so the totals always include this search.
+            self._record(program, run, stats)
 
-    def _search(
+    def _record(self, program: Program, run: Run, stats: GroundingStatistics) -> None:
+        """Fold one finished search into the shared totals (one lock trip)."""
+        if run.bnb:
+            stats.undo_depth = max(stats.undo_depth, run.max_depth)
+        self.absorb_statistics(stats, formula=program, count_search=True)
+
+    def absorb_statistics(
         self,
-        parts: list[Formula],
-        substitution: Substitution,
-        deferred: list[Formula],
         stats: GroundingStatistics,
-        node_budget: int | None,
-    ) -> Iterator[Substitution]:
-        """Recursive backtracking over the conjunction ``parts``."""
-        stats.nodes += 1
-        if node_budget is not None and stats.nodes > node_budget:
-            stats.exhausted_budget = True
-            return
-        if not parts:
-            if self._check_deferred(deferred, substitution):
-                yield substitution
-            return
-        index, part = self._select_part(parts, substitution)
-        rest = parts[:index] + parts[index + 1 :]
+        *,
+        formula: Program | None = None,
+        count_search: bool = False,
+    ) -> None:
+        """Fold a complete search's counters into the shared totals.
 
-        if part is TRUE:
-            yield from self._search(rest, substitution, deferred, stats, node_budget)
-            return
-        if part is FALSE:
-            stats.backtracks += 1
-            return
-        if isinstance(part, Conjunction):
-            yield from self._search(
-                list(part.parts) + rest, substitution, deferred, stats, node_budget
-            )
-            return
-        if isinstance(part, Equality):
-            unified = unify_terms(part.left, part.right, substitution)
-            if unified is None:
-                stats.backtracks += 1
-                return
-            ok, still_deferred = self._propagate_deferred(deferred, unified)
-            if not ok:
-                stats.backtracks += 1
-                return
-            yield from self._search(rest, unified, still_deferred, stats, node_budget)
-            return
-        if isinstance(part, Negation):
-            # Evaluate immediately when already decidable; otherwise keep it
-            # on the deferred list, which is re-checked every time the
-            # substitution grows (fail-fast propagation of the ¬ϕ exclusion
-            # constraints produced by composition).
-            decision = self._try_negation(part, substitution)
-            if decision is False:
-                stats.backtracks += 1
-                return
-            if decision is True:
-                yield from self._search(rest, substitution, deferred, stats, node_budget)
-            else:
-                yield from self._search(
-                    rest, substitution, deferred + [part], stats, node_budget
-                )
-            return
-        if isinstance(part, Disjunction):
-            stats.choice_points += 1
-            for branch in part.parts:
-                yield from self._search(
-                    [branch] + rest, substitution, deferred, stats, node_budget
-                )
-            return
-        if isinstance(part, AtomFormula):
-            stats.choice_points += 1
-            for extended in self._match_atom(part.atom, substitution, stats):
-                ok, still_deferred = self._propagate_deferred(deferred, extended)
-                if not ok:
-                    stats.backtracks += 1
-                    continue
-                yield from self._search(rest, extended, still_deferred, stats, node_budget)
-            return
-        raise FormulaError(f"unsupported formula node {part!r}")
-
-    def _try_negation(
-        self, part: Negation, substitution: Substitution
-    ) -> bool | None:
-        """Evaluate a negation if its variables are all bound, else ``None``."""
-        valuation = self._partial_valuation(substitution)
-        bound = set(valuation)
-        if not all(var.name in bound for var in part.free_variables()):
-            return None
-        try:
-            return part.evaluate(valuation, self._oracle)
-        except FormulaError:
-            return None
-
-    def _propagate_deferred(
-        self, deferred: list[Formula], substitution: Substitution
-    ) -> tuple[bool, list[Formula]]:
-        """Re-check deferred negations after the substitution grew.
-
-        Returns ``(False, ...)`` as soon as a now-decidable negation fails,
-        otherwise the remaining (still undecidable) deferred parts.
+        Every entry point reports through here — :meth:`find` and
+        :meth:`find_one` under either strategy, and the sampling estimator,
+        which drives the kernel's step primitives itself — so ``totals``
+        stays the single source of truth.  With ``formula`` given the
+        per-search observer fires too, and ``count_search`` increments
+        :attr:`searches`.
         """
-        if not deferred:
-            return True, deferred
-        remaining: list[Formula] = []
-        for part in deferred:
-            decision = self._try_negation(part, substitution)  # type: ignore[arg-type]
-            if decision is False:
-                return False, deferred
-            if decision is None:
-                remaining.append(part)
-        return True, remaining
-
-    # -- part selection ------------------------------------------------------
-
-    def _select_part(
-        self, parts: list[Formula], substitution: Substitution
-    ) -> tuple[int, Formula]:
-        """Pick the cheapest / most constrained part to process next.
-
-        Equalities, constants and negations are free; among atoms the one
-        with the most already-bound positions is preferred (an MRV-style
-        heuristic); disjunctions are handled last.
-        """
-        best_atom: tuple[int, int] | None = None  # (bound positions, -index)
-        best_atom_index = -1
-        first_disjunction = -1
-        for index, part in enumerate(parts):
-            if isinstance(part, (Equality, Negation, Conjunction, _TruthAlias)) or part in (
-                TRUE,
-                FALSE,
-            ):
-                return index, part
-            if isinstance(part, AtomFormula):
-                bound = self._bound_positions(part.atom, substitution)
-                score = (bound, -index)
-                if best_atom is None or score > best_atom:
-                    best_atom = score
-                    best_atom_index = index
-            elif isinstance(part, Disjunction) and first_disjunction < 0:
-                first_disjunction = index
-        if best_atom_index >= 0:
-            return best_atom_index, parts[best_atom_index]
-        if first_disjunction >= 0:
-            return first_disjunction, parts[first_disjunction]
-        return 0, parts[0]
-
-    @staticmethod
-    def _bound_positions(atom: Atom, substitution: Substitution) -> int:
-        count = 0
-        for term in atom.terms:
-            resolved = substitution.apply_term(term)
-            if isinstance(resolved, Constant):
-                count += 1
-        return count
-
-    # -- atom matching -------------------------------------------------------
-
-    def _match_atom(
-        self, atom: Atom, substitution: Substitution, stats: GroundingStatistics
-    ) -> Iterator[Substitution]:
-        """Yield extensions of ``substitution`` for rows matching ``atom``."""
-        if not self.database.has_table(atom.relation):
-            return
-        table = self.database.table(atom.relation)
-        schema = table.schema
-        resolved = [substitution.apply_term(t) for t in atom.terms]
-        if len(resolved) != schema.arity:
-            raise FormulaError(
-                f"atom {atom!r} has arity {len(resolved)}, table "
-                f"{schema.name!r} has arity {schema.arity}"
-            )
-        columns: list[str] = []
-        values: list[Any] = []
-        for position, term in enumerate(resolved):
-            if isinstance(term, Constant):
-                columns.append(schema.columns[position].name)
-                values.append(term.value)
-        rows = table.lookup(columns, values) if columns else table.scan()
-        for row in rows:
-            stats.rows_examined += 1
-            extended: Substitution | None = substitution
-            for term, value in zip(resolved, row.values):
-                assert extended is not None
-                extended = unify_terms(term, Constant(value), extended)
-                if extended is None:
-                    break
-            if extended is not None:
-                yield extended
-
-    # -- finishing -----------------------------------------------------------
-
-    def _check_deferred(
-        self, deferred: Sequence[Formula], substitution: Substitution
-    ) -> bool:
-        """Evaluate deferred negations once the substitution is final."""
-        if not deferred:
-            return True
-        valuation = self._partial_valuation(substitution)
-        oracle = self._oracle
-        for part in deferred:
-            try:
-                if not part.evaluate(valuation, oracle):
-                    return False
-            except FormulaError:
-                # A variable in a negated subformula is still unbound; be
-                # conservative and reject this candidate grounding.
-                return False
-        return True
-
-    def _oracle(self, relation: str, values: tuple[Any, ...]) -> bool:
-        """Fact oracle: membership of a ground atom in the database."""
-        if not self.database.has_table(relation):
-            return False
-        table = self.database.table(relation)
-        columns = list(table.schema.column_names)
-        for _row in table.lookup(columns, list(values)):
-            return True
-        return False
-
-    @staticmethod
-    def _partial_valuation(substitution: Substitution) -> dict[str, Any]:
-        """Valuation of the ground part of a substitution."""
-        valuation: dict[str, Any] = {}
-        for var, term in substitution.items():
-            if isinstance(term, Constant):
-                valuation[var.name] = term.value
-        return valuation
-
-    def _close(
-        self, substitution: Substitution, required: frozenset[Variable]
-    ) -> Substitution | None:
-        """Ensure every required variable resolves to a constant.
-
-        Variables aliased to other variables are chased; a required variable
-        with no constant binding causes the candidate to be rejected.
-        """
-        closed = substitution
-        for var in required:
-            resolved = closed.apply_term(var)
-            if isinstance(resolved, Variable):
-                return None
-            if var not in closed:
-                closed = closed.bind(var, resolved)
-        return closed
-
-
-#: Placeholder type so isinstance checks in _select_part stay tidy.
-class _TruthAlias:  # pragma: no cover - never instantiated
-    pass
+        with self._totals_lock:
+            if count_search:
+                self.searches += 1
+            self.totals.add(stats)
+            observer = self.observer
+            if formula is not None and observer is not None:
+                observer(formula, stats)

@@ -6,8 +6,9 @@ after pracmln's MC-SAT/Gibbs samplers: randomized state construction,
 deterministic under a seed) runs a bounded number of *greedy descents*
 through the formula instead of an exhaustive search:
 
-* each descent walks the same part-selection order as the exact search,
-  but commits to one randomly chosen row per atom (candidate rows are
+* each descent drives the search kernel's own step primitives
+  (:class:`repro.solver.kernel.Run`) in the exact search's part-selection
+  order, but commits to one randomly chosen row per atom (candidate rows are
   shuffled; unification failures skip to the next shuffled row) and one
   random branch per disjunction — **no backtracking across parts**;
 * a descent succeeds only when it reaches a *complete* assignment that
@@ -31,28 +32,18 @@ across runs and across execution modes (inline, thread lanes, shipped
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from repro.errors import FormulaError
-from repro.logic.formula import (
-    AtomFormula,
-    Conjunction,
-    Disjunction,
-    Equality,
-    FALSE,
-    Formula,
-    Negation,
-    TRUE,
-)
+from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Variable
-from repro.solver.bnb import TrailSearch
+from repro.logic.terms import Variable
+from repro.solver import kernel
 from repro.solver.grounding import (
     GroundingResult,
     GroundingSearch,
     GroundingStatistics,
 )
 from repro.solver.strategy import SamplingConfig
-from repro.solver.undo import TrailBindings
 
 
 def relational_atom_count(formula: Formula) -> int:
@@ -64,112 +55,85 @@ def relational_atom_count(formula: Formula) -> int:
     return len(formula.atoms())
 
 
-def _descend(
-    engine: TrailSearch, simplified: Formula, rng: random.Random
-) -> Substitution | None:
-    """One greedy randomized descent; a snapshot on success, else None."""
-    bindings = engine.bindings
-    stats = engine.stats
-    parts: list[Formula] = [simplified]
-    deferred: list[Formula] = []
+def _descend(run: kernel.Run, rng: random.Random) -> bool:
+    """One greedy randomized descent over the kernel's step primitives.
+
+    True when it reached a leaf whose deferred negations hold (the run's
+    bindings are then a candidate grounding, still to be closed).
+    """
+    stats = run.stats
+    parts = [run.program.root]
+    deferred: list = []
     while True:
+        index = 0
+        while index < len(parts):
+            node = parts[index]
+            if node.kind <= kernel.DISJ:
+                index += 1
+                continue
+            del parts[index]
+            if node.kind == kernel.NEG:
+                decision = run.decide(node)
+                if decision is None:
+                    deferred = deferred + [node]
+                    continue
+                ok = decision
+            elif node.kind == kernel.EQ:
+                ok = run.unify(node.left, node.right)
+                if ok:
+                    remaining = run.propagate(deferred)
+                    ok = remaining is not None
+                    deferred = remaining if ok else deferred
+            elif node.kind == kernel.CONJ:
+                parts[0:0] = node.parts
+                index = 0
+                continue
+            else:
+                ok = node.value
+            if not ok:
+                stats.backtracks += 1
+                return False
         if not parts:
-            if engine._check_deferred(deferred):
-                return bindings.snapshot()
-            return None
-        index, part = engine._select_part(parts)
-        rest = parts[:index] + parts[index + 1 :]
-        if part is TRUE:
-            parts = rest
+            return run.leaf_holds(deferred)
+        index = run.select(parts)
+        node = parts.pop(index)
+        stats.choice_points += 1
+        if node.kind == kernel.DISJ:
+            parts.insert(0, node.parts[rng.randrange(len(node.parts))])
             continue
-        if part is FALSE:
+        if not _commit_atom(run, node, rng):
+            return False
+        remaining = run.propagate(deferred)
+        if remaining is None:
             stats.backtracks += 1
-            return None
-        if isinstance(part, Conjunction):
-            parts = list(part.parts) + rest
-            continue
-        if isinstance(part, Equality):
-            if not bindings.unify(part.left, part.right):
-                stats.backtracks += 1
-                return None
-            ok, deferred = engine._propagate_deferred(deferred)
-            if not ok:
-                stats.backtracks += 1
-                return None
-            parts = rest
-            continue
-        if isinstance(part, Negation):
-            decision = engine._try_negation(part)
-            if decision is False:
-                stats.backtracks += 1
-                return None
-            if decision is None:
-                deferred = deferred + [part]
-            parts = rest
-            continue
-        if isinstance(part, Disjunction):
-            stats.choice_points += 1
-            branch = part.parts[rng.randrange(len(part.parts))]
-            parts = [branch] + rest
-            continue
-        if isinstance(part, AtomFormula):
-            stats.choice_points += 1
-            if not _commit_atom(engine, part, rng):
-                return None
-            parts = rest
-            ok, deferred = engine._propagate_deferred(deferred)
-            if not ok:
-                stats.backtracks += 1
-                return None
-            continue
-        raise FormulaError(f"unsupported formula node {part!r}")
+            return False
+        deferred = remaining
 
 
-def _commit_atom(engine: TrailSearch, part: AtomFormula, rng: random.Random) -> bool:
+def _commit_atom(run: kernel.Run, node, rng: random.Random) -> bool:
     """Bind one shuffled matching row of the atom, greedily and for good."""
-    bindings = engine.bindings
-    stats = engine.stats
-    atom = part.atom
-    database = engine.database
-    if not database.has_table(atom.relation):
+    stats = run.stats
+    if not run.database.has_table(node.atom.relation):
         return False
-    table = database.table(atom.relation)
-    schema = table.schema
-    resolved = [bindings.walk(t) for t in atom.terms]
-    if len(resolved) != schema.arity:
-        raise FormulaError(
-            f"atom {atom!r} has arity {len(resolved)}, table "
-            f"{schema.name!r} has arity {schema.arity}"
-        )
-    columns = []
-    values = []
-    for position, term in enumerate(resolved):
-        if isinstance(term, Constant):
-            columns.append(schema.columns[position].name)
-            values.append(term.value)
-    rows = list(table.lookup(columns, values) if columns else table.scan())
+    candidates, binders = run.candidates(node)
+    rows = list(candidates)
     rng.shuffle(rows)
+    mark = len(run.trail)
     for row in rows:
         stats.rows_examined += 1
-        mark = bindings.trail.mark()
-        matched = True
-        for term, value in zip(resolved, row.values):
-            if not bindings.unify(term, Constant(value)):
-                matched = False
-                break
-        if matched:
+        if run.bind_row(row.values, binders):
             stats.nodes += 1
             return True
-        bindings.trail.undo_to(mark)
+        run.undo(mark)
     stats.backtracks += 1
     return False
 
 
 def sample_find_one(
     search: GroundingSearch,
-    formula: Formula,
+    formula: Formula | kernel.Program,
     *,
-    required: frozenset[Variable] | None = None,
+    required: Iterable[Variable] | None = None,
     initial: Substitution | None = None,
     sampling: SamplingConfig,
 ) -> GroundingResult:
@@ -180,35 +144,23 @@ def sample_find_one(
     ``sampling.samples`` descents fail.  Work lands in ``search``'s
     shared totals like every other strategy's.
     """
-    simplified = formula.simplify()
+    program = search.compile(formula, required=required)
     stats = GroundingStatistics()
-    if simplified is FALSE:
+    if program.is_false:
         return GroundingResult(Substitution.empty(), False, stats)
-    required_vars = (
-        frozenset(required) if required is not None else simplified.free_variables()
-    )
     rng = random.Random(sampling.seed)
     found: GroundingResult | None = None
-    max_depth = 0
     try:
         for _ in range(sampling.samples):
             stats.samples += 1
-            bindings = TrailBindings(initial)
-            engine = TrailSearch(
-                search.database, bindings, stats, None, required_vars, prune=False
-            )
-            snapshot = _descend(engine, simplified, rng)
-            max_depth = max(max_depth, bindings.trail.max_depth)
-            if snapshot is None:
-                continue
-            grounded = search._close(snapshot, required_vars)
-            if grounded is None:
-                continue
-            found = GroundingResult(grounded, True, stats)
-            break
+            run = kernel.Run(program, search.database, initial, stats)
+            grounded = _descend(run, rng) and run.closed()
+            stats.undo_depth = max(stats.undo_depth, run.max_depth, len(run.trail))
+            if grounded:
+                found = GroundingResult(run.snapshot(), True, stats)
+                break
     finally:
-        stats.undo_depth = max(stats.undo_depth, max_depth)
-        search.absorb_statistics(stats, formula=simplified, count_search=True)
+        search.absorb_statistics(stats, formula=program, count_search=True)
     if found is not None:
         return found
     return GroundingResult(Substitution.empty(), False, stats)

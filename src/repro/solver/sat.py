@@ -124,7 +124,7 @@ class DPLLSolver:
     def solve(self, cnf: CNF) -> dict[str, bool] | None:
         """Return a satisfying assignment or ``None`` if UNSAT."""
         self.statistics = DPLLStatistics()
-        return self._search(cnf, {})
+        return self._dpll(cnf, {})
 
     def is_satisfiable(self, cnf: CNF) -> bool:
         """True if the formula is satisfiable."""
@@ -132,7 +132,7 @@ class DPLLSolver:
 
     # -- internals -----------------------------------------------------------
 
-    def _search(
+    def _dpll(
         self, cnf: CNF, assignment: dict[str, bool]
     ) -> dict[str, bool] | None:
         assignment = dict(assignment)
@@ -152,7 +152,7 @@ class DPLLSolver:
         for value in (True, False):
             self.statistics.decisions += 1
             assignment[variable] = value
-            result = self._search(cnf, assignment)
+            result = self._dpll(cnf, assignment)
             if result is not None:
                 return result
             del assignment[variable]

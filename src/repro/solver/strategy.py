@@ -1,10 +1,8 @@
 """Admission-search strategy selection: the ``AdmissionSearchConfig`` API.
 
-The witness-extension admission search used to be hardwired to the plain
-chronological backtracking of :class:`~repro.solver.grounding
-.GroundingSearch`.  This module is the configuration surface of the
-pluggable subsystem that replaced it — a frozen, validated config nested
-in ``QuantumConfig`` (following the ``DurabilityConfig`` precedent):
+This module is the configuration surface of the admission search — a
+frozen, validated config nested in ``QuantumConfig`` (following the
+``DurabilityConfig`` precedent):
 
 >>> config = AdmissionSearchConfig(strategy="bnb", node_budget=10_000)
 >>> config.strategy, config.fastpath_enabled
@@ -15,13 +13,15 @@ and the single dispatch point every execution mode funnels through:
 inline admission, thread lanes and process-shipped ``AdmissionPayload``
 workers all honor the same strategy bit-identically.
 
-Strategies:
+Both strategies run the one search kernel (:mod:`repro.solver.kernel`),
+so the first solution — and therefore every accept/reject decision — is
+the same; they differ in what a node is and in pruning:
 
-* ``"backtracking"`` — the existing copy-per-step search, unchanged; the
-  default, byte-for-byte the seed behaviour.
-* ``"bnb"`` — branch-and-bound with an undoable trail and structural
-  pruning (:mod:`repro.solver.bnb`); first solution, and therefore every
-  accept/reject decision, provably identical to backtracking.
+* ``"backtracking"`` — every interpreter step is a node, nothing is
+  pruned; the default, byte-for-byte the seed behaviour.
+* ``"bnb"`` — branch-and-bound accounting (only branch descents are
+  nodes) plus two sound structural prunes at every choice point
+  (:mod:`repro.solver.bnb`).
 
 Per-shape fast paths (:mod:`repro.solver.fastpath`) dispatch before the
 general search; they default on under ``"bnb"`` and off under
@@ -80,9 +80,9 @@ class AdmissionSearchConfig:
     """How admission searches for groundings of composed bodies.
 
     Attributes:
-        strategy: ``"backtracking"`` (the default; the seed search) or
-            ``"bnb"`` (trail-based branch-and-bound; identical decisions,
-            fewer expanded nodes).
+        strategy: ``"backtracking"`` (the default; the seed accounting) or
+            ``"bnb"`` (branch-and-bound accounting and prunes; identical
+            decisions, fewer expanded nodes).
         node_budget: optional cap on search nodes per find; exhausting it
             surfaces as a typed outcome (``AdmissionSearchExhausted``, a
             ``TransactionRejected`` subclass) instead of an unbounded
@@ -150,7 +150,6 @@ def dispatch_find_one(
     inside the pure ``compute_admission``, so the inline writer, thread
     lanes and process-shipped workers cannot diverge.
     """
-    from repro.solver.bnb import find_one_bnb
     from repro.solver.fastpath import find_one_fastpath
 
     if config is None:
@@ -158,33 +157,21 @@ def dispatch_find_one(
             search.find_one(formula, required=required, initial=initial),
             "backtracking",
         )
+    # Compile once: the fast-path shape test and the general search it may
+    # fall through to share the handle.
+    program = search.compile(formula, required=required)
     if config.fastpath_enabled:
         result = find_one_fastpath(
-            search,
-            formula,
-            required=required,
-            initial=initial,
-            node_budget=config.node_budget,
+            search, program, initial=initial, node_budget=config.node_budget
         )
         if result is not None:
             return result, "fastpath"
-    if config.strategy == "bnb":
-        return (
-            find_one_bnb(
-                search,
-                formula,
-                required=required,
-                initial=initial,
-                node_budget=config.node_budget,
-            ),
-            "bnb",
-        )
     return (
         search.find_one(
-            formula,
-            required=required,
+            program,
             initial=initial,
             node_budget=config.node_budget,
+            strategy=config.strategy,
         ),
-        "backtracking",
+        config.strategy,
     )

@@ -676,8 +676,16 @@ def search_point(
     decisions_match: bool = True,
     fastpath_hit_rate: float = 0.10,
     sampled_admission_ms: float = 15.0,
+    backtracking_search_ms: float | None = 40.0,
+    bnb_search_ms: float | None = 36.0,
 ) -> dict:
+    wall = {}
+    if backtracking_search_ms is not None:
+        wall["backtracking_search_ms"] = backtracking_search_ms
+    if bnb_search_ms is not None:
+        wall["bnb_search_ms"] = bnb_search_ms
     return {
+        **wall,
         "num_flights": num_flights,
         "rows_per_flight": rows_per_flight,
         "transactions": admitted + rejected,
@@ -806,3 +814,46 @@ def test_search_absolute_mode_compares_raw_milliseconds(tmp_path, capsys):
     )
     assert run_gate(tmp_path, fresh, baseline, "--absolute") == 1
     assert "sampled-admission latency grew" in capsys.readouterr().out
+
+
+def test_search_bnb_slower_than_backtracking_is_structural(tmp_path, capsys):
+    # The regression the node ratio cannot see: bnb counts a fifth of the
+    # nodes and still takes 1.4x the wall time.  Fails against an identical
+    # baseline and with no baseline section at all.
+    slow = search_point(backtracking_search_ms=40.0, bnb_search_ms=56.0)
+    fresh = with_search(payload(standard_points()), [slow])
+    baseline = with_search(payload(standard_points()), [slow])
+    assert run_gate(tmp_path, fresh, baseline) == 1
+    assert "bnb search wall time is 40.0% above" in capsys.readouterr().out
+    assert run_gate(tmp_path, fresh, payload(standard_points())) == 1
+
+
+def test_search_bnb_within_tolerance_of_backtracking_passes(tmp_path):
+    noisy = search_point(backtracking_search_ms=40.0, bnb_search_ms=48.0)
+    fresh = with_search(payload(standard_points()), [noisy])
+    baseline = with_search(payload(standard_points()), [search_point()])
+    assert run_gate(tmp_path, fresh, baseline) == 0
+
+
+def test_search_wall_time_growth_against_baseline_fails(tmp_path, capsys):
+    # Both strategies got 2x slower on the same machine speed: bnb still
+    # beats backtracking, but the search itself regressed.
+    fresh = with_search(
+        payload(standard_points()),
+        [search_point(backtracking_search_ms=80.0, bnb_search_ms=72.0)],
+    )
+    baseline = with_search(payload(standard_points()), [search_point()])
+    assert run_gate(tmp_path, fresh, baseline) == 1
+    out = capsys.readouterr().out
+    assert "backtracking search wall time grew" in out
+    assert "bnb search wall time grew" in out
+
+
+def test_search_wall_time_absent_from_baseline_is_not_compared(tmp_path):
+    # Baselines written before the wall-time point existed keep gating.
+    fresh = with_search(payload(standard_points()), [search_point()])
+    baseline = with_search(
+        payload(standard_points()),
+        [search_point(backtracking_search_ms=None, bnb_search_ms=None)],
+    )
+    assert run_gate(tmp_path, fresh, baseline) == 0

@@ -1,7 +1,7 @@
 """Tests for the pluggable admission-search subsystem.
 
-Covers the redesigned :class:`AdmissionSearchConfig` API, the undoable
-trail, the branch-and-bound searcher's decision equivalence with plain
+Covers the redesigned :class:`AdmissionSearchConfig` API, the kernel's
+undoable binding store, the branch-and-bound searcher's decision equivalence with plain
 backtracking, the per-shape fast paths, the opt-in sampling estimator's
 determinism, and the typed node-budget outcome.
 """
@@ -25,13 +25,13 @@ from repro.relational.database import Database
 from repro.solver.bnb import find_one_bnb
 from repro.solver.fastpath import find_one_fastpath
 from repro.solver.grounding import GroundingSearch
+from repro.solver.kernel import Run, compile_formula
 from repro.solver.sampling import sample_find_one
 from repro.solver.strategy import (
     AdmissionSearchConfig,
     SamplingConfig,
     dispatch_find_one,
 )
-from repro.solver.undo import Trail, TrailBindings
 
 F, S, S2, P, W = (Variable(n) for n in ("f", "s", "s2", "p", "w"))
 
@@ -107,44 +107,59 @@ class TestConfigValidation:
 # ---------------------------------------------------------------------------
 
 
+def _bindings(db, initial=None):
+    """The kernel's binding store over a program mentioning S, S2 and F."""
+    program = compile_formula(
+        conjunction([atom("Adjacent", [F, S, S2]), atom("Available", [F, S])])
+    )
+    run = Run(program, db, initial)
+    return run, {var: (program.scope.slot(var), None) for var in (F, S, S2)}
+
+
+def _constant(value):
+    return (-1, value)
+
+
 class TestTrail:
-    def test_undo_restores_bindings(self):
-        bindings = TrailBindings(None)
-        mark = bindings.trail.mark()
-        assert bindings.unify(S, Constant("1A"))
-        assert bindings.walk(S) == Constant("1A")
-        bindings.trail.undo_to(mark)
-        assert bindings.walk(S) is S
+    def test_undo_restores_bindings(self, db):
+        run, slot = _bindings(db)
+        mark = len(run.trail)
+        assert run.unify(slot[S], _constant("1A"))
+        assert run.snapshot().apply_term(S) == Constant("1A")
+        run.undo(mark)
+        assert run.snapshot().apply_term(S) is S
 
-    def test_initial_bindings_survive_undo(self):
-        bindings = TrailBindings(Substitution({F: Constant(1)}))
-        mark = bindings.trail.mark()
-        assert bindings.unify(S, Constant("1B"))
-        bindings.trail.undo_to(mark)
-        assert bindings.walk(F) == Constant(1)
+    def test_initial_bindings_survive_undo(self, db):
+        run, slot = _bindings(db, Substitution({F: Constant(1)}))
+        mark = len(run.trail)
+        assert run.unify(slot[S], _constant("1B"))
+        run.undo(mark)
+        assert run.snapshot().apply_term(F) == Constant(1)
+        assert run.snapshot().apply_term(S) is S
 
-    def test_max_depth_tracks_high_water_mark(self):
-        bindings = TrailBindings(None)
-        assert isinstance(bindings.trail, Trail)
-        assert bindings.trail.max_depth == 0
-        bindings.unify(S, Constant("x"))
-        bindings.unify(F, Constant("y"))
-        assert bindings.trail.max_depth == 2
-        bindings.trail.undo_to(0)
-        assert bindings.trail.max_depth == 2  # high-water, not current
-        assert bindings.trail.mark() == 0
+    def test_max_depth_tracks_high_water_mark(self, db):
+        run, slot = _bindings(db)
+        assert run.max_depth == 0
+        run.unify(slot[S], _constant("x"))
+        run.unify(slot[F], _constant("y"))
+        run.undo(0)
+        assert run.max_depth == 2
+        run.unify(slot[S], _constant("x"))
+        run.undo(0)
+        assert run.max_depth == 2  # high-water, not current
+        assert len(run.trail) == 0
 
-    def test_unify_conflicting_constants_fails(self):
-        bindings = TrailBindings(None)
-        assert bindings.unify(S, Constant("a"))
-        assert not bindings.unify(S, Constant("b"))
+    def test_unify_conflicting_constants_fails(self, db):
+        run, slot = _bindings(db)
+        assert run.unify(slot[S], _constant("a"))
+        assert not run.unify(slot[S], _constant("b"))
 
-    def test_alias_chain_walks(self):
-        bindings = TrailBindings(None)
-        assert bindings.unify(S, S2)
-        assert bindings.unify(S2, Constant("z"))
-        assert bindings.walk(S) == Constant("z")
-        assert bindings.snapshot().apply_term(S) == Constant("z")
+    def test_alias_chain_walks(self, db):
+        run, slot = _bindings(db)
+        assert run.unify(slot[S], slot[S2])
+        assert run.unify(slot[S2], _constant("z"))
+        assert run.val[run.walk(slot[S][0])] == "z"
+        assert run.snapshot().apply_term(S) == Constant("z")
 
 
 # ---------------------------------------------------------------------------
