@@ -11,6 +11,8 @@
 #   make gate     - perf-regression gate: fresh BENCH_admission.json vs HEAD's
 #   make pairbench - paired, alternating runs of the repository benchmark
 #                   (bench/): working tree vs BASE on WORKLOAD, PAIRS pairs
+#   make profile  - one fixed-seed round of WORKLOAD's generated inputs under
+#                   phase timers (parse / admit / plan / apply) and cProfile
 #   make lint     - ruff lint (and format check on the gated paths)
 #   make bench    - the full benchmark suite (regenerates every figure/table)
 #
@@ -38,7 +40,7 @@ PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 # Paths under `ruff format --check`; grows as files are normalized.
 FORMAT_PATHS = src/repro/sharding/backend.py scripts
 
-.PHONY: check test smoke docs loadtest recoverbench searchbench gate pairbench lint bench
+.PHONY: check test smoke docs loadtest recoverbench searchbench gate pairbench profile lint bench
 
 check: test smoke docs loadtest recoverbench searchbench gate
 
@@ -93,6 +95,12 @@ WORKLOAD ?= book_batch
 PAIRS ?= 10
 pairbench:
 	$(PYTHON) scripts/bench_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
+
+# Where does a commit of WORKLOAD (book_batch, book_tcp, mixed_session)
+# spend its time?  The starting point of a hot-path issue; the claim
+# itself still comes from `make pairbench`.
+profile:
+	$(PYTHON) scripts/profile_workload.py --workload $(WORKLOAD)
 
 lint:
 	$(PYTHON) -m ruff check src tests benchmarks scripts

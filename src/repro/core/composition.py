@@ -50,28 +50,33 @@ from repro.logic.formula import (
     conjunction,
     disjunction,
 )
+from repro.logic.terms import Variable
 from repro.logic.unification import unification_predicate
+from repro.solver.kernel import Program, Scope, compile_formula, conjoin
 
 
-def rewrite_atom_against_updates(atom: Atom, updates: Sequence[Atom]) -> Formula:
+def rewrite_atom_against_updates(atom: Atom, updates: Iterable[Atom]) -> Formula:
     """Rewrite one later body atom against one earlier update portion.
 
     Returns the factor ``(b ∨ ⋁_i ϕ(b, i)) ∧ ⋀_d ¬ϕ(b, d)`` described in the
     module docstring.  When the update portion shares no relation with the
     atom the factor collapses back to the plain atom.
     """
-    base = AtomFormula(atom.as_body())
-    alternatives: list[Formula] = [base]
+    # Unification reads relation and terms only, so the updates are unified
+    # as they are; the atom itself is copied only to shed an OPTIONAL flag.
+    body = atom if atom.kind is AtomKind.BODY and not atom.optional else atom.as_body()
+    alternatives: list[Formula] = [AtomFormula(body)]
     exclusions: list[Formula] = []
     for update in updates:
-        predicate = unification_predicate(atom.as_body(), update.as_body())
+        predicate = unification_predicate(body, update)
+        if predicate is FALSE:
+            continue
         if update.kind is AtomKind.INSERT:
-            if predicate is not FALSE:
-                alternatives.append(predicate)
+            alternatives.append(predicate)
         elif update.kind is AtomKind.DELETE:
-            if predicate is not FALSE:
-                exclusions.append(Negation(predicate))
-    factor = disjunction(alternatives)
+            exclusions.append(Negation(predicate))
+    # (A lone alternative is the disjunction of itself.)
+    factor = disjunction(alternatives) if len(alternatives) > 1 else alternatives[0]
     if exclusions:
         factor = conjunction([factor, *exclusions])
     return factor
@@ -164,28 +169,92 @@ def composed_body(
     return compose_sequence(transactions, include_optional=include_optional)
 
 
-class IncrementalComposition:
-    """A composed body maintained factor-by-factor (Theorem 3.5, online form).
+@dataclass(frozen=True)
+class OptionalFactor:
+    """One OPTIONAL atom of an entry, rewritten in its serialization context.
 
-    :func:`compose_sequence` recomputes every rewritten factor on each call,
-    which makes re-checking a partition's invariant on every admission
-    quadratic in the number of pending transactions.  This class maintains
-    the same composed body incrementally: appending transaction ``n+1`` only
-    rewrites *its* body against the updates accumulated so far and conjoins
-    one new factor, so a whole admission sequence costs one composition pass
-    per partition in total.
+    Attributes:
+        transaction_id: id of the transaction that wrote the atom.
+        formula: the atom rewritten against the update portions of the
+            entries serialized before its owner, the way hard atoms are.
+        program: ``formula`` compiled into the composition's scope.
+        plain: the atom as written (a body atom, nothing rewritten),
+            compiled into the same scope — what "does the preference hold
+            in the final state?" searches.  The same object as ``program``
+            when no earlier update touches the atom.
+    """
 
-    The composed formula is identical (same factors, same order) to the one
-    :func:`compose_sequence` would produce for the underlying sequence; the
-    unit tests assert this equivalence.
+    transaction_id: int
+    formula: Formula
+    program: Program
+    plain: Program
+
+
+class OrderComposition:
+    """One serialization order, composed once (Theorem 3.5, online form).
+
+    :func:`compose_sequence` recomputes every rewritten factor on each call.
+    This class holds the same composed body factor by factor — entry
+    ``i``'s hard body rewritten against the update portions of entries
+    ``0 .. i-1`` — together with everything that is derived from a factor
+    and would otherwise be derived again by each consumer:
+
+    * the factor's compiled :class:`~repro.solver.kernel.Program`.  All
+      programs of one composition share one :class:`~repro.solver.kernel.Scope`,
+      so any run of consecutive entries — the whole order for the invariant
+      and the reorder check, a prefix and a suffix for a grounding plan — is
+      a :func:`~repro.solver.kernel.conjoin` of resident parts, never a
+      recompile.  Programs are compiled on first use, or handed in by the
+      admission that already compiled one to search it;
+    * the entry's OPTIONAL atoms rewritten in the same context
+      (:meth:`optional_factors`), on first use — only a grounding plan
+      reads them, and only for the entries it grounds;
+    * the number of relational atoms per factor (:meth:`atom_count`).
+
+    The update log is bucketed by relation: an atom is only ever unified
+    with the earlier updates on its own relation, in serialization order,
+    which yields exactly the factor a scan over every update would.
+
+    A partition keeps the composition of its arrival order resident and
+    extends it by one factor per admission; a semantic reorder builds one
+    for the fronted order.  The composed formula is identical (same
+    factors, same order) to :func:`compose_sequence` of the underlying
+    sequence; the unit tests assert this equivalence.
+
+    Not thread-safe: compiling a factor grows the scope.  A composition
+    belongs to one partition (or one plan), and a partition is admitted to
+    and planned by one thread at a time.
     """
 
     def __init__(self, transactions: Iterable[ResourceTransaction] = ()) -> None:
+        self.scope = Scope()
+        #: The composed transactions (already variable-renamed by the
+        #: caller, like everywhere else in the quantum state), in order.
+        self.transactions: list[ResourceTransaction] = []
         self.factors: list[Formula] = []
-        self.accumulated_updates: list[Atom] = []
+        self._programs: list[Program | None] = []
+        self._optionals: list[tuple[OptionalFactor, ...] | None] = []
+        #: relation -> ``(index of the owning entry, update atom)``, in order.
+        self._updates: dict[str, list[tuple[int, Atom]]] = {}
+        self._atoms = 0
         self._formula: Formula | None = None
+        self._program: Program | None = None
         for transaction in transactions:
             self.append(transaction)
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+    def _rewrite(self, atom: Atom, before: int) -> Formula:
+        """``atom`` rewritten against the updates of entries ``0 .. before-1``."""
+        return rewrite_atom_against_updates(
+            atom,
+            [
+                update
+                for index, update in self._updates.get(atom.relation, ())
+                if index < before
+            ],
+        )
 
     def preview_factor(self, transaction: ResourceTransaction) -> Formula:
         """The factor ``transaction`` would contribute, without appending it.
@@ -194,31 +263,57 @@ class IncrementalComposition:
         accumulated so far — exactly what admission needs for its
         extend-or-solve check before committing to the append.
         """
-        return rewrite_body_against_updates(
-            transaction.hard_body, self.accumulated_updates
-        )
+        before = len(self.factors)
+        rewritten = [self._rewrite(atom, before) for atom in transaction.hard_body]
+        # (Each part is simplified already; a lone one is the conjunction.)
+        return rewritten[0] if len(rewritten) == 1 else conjunction(rewritten)
 
     def append(
-        self, transaction: ResourceTransaction, factor: Formula | None = None
+        self,
+        transaction: ResourceTransaction,
+        factor: Formula | None = None,
+        program: Program | None = None,
     ) -> Formula:
-        """Append a transaction, reusing ``factor`` if already computed.
+        """Append the next transaction in serialization order.
 
         Args:
-            transaction: the next transaction in serialization order (already
-                variable-renamed by the caller, like everywhere else in the
-                quantum state).
-            factor: the result of :meth:`preview_factor` for this
-                transaction, when the caller already computed it.
+            transaction: the transaction to append.
+            factor: the result of :meth:`preview_factor` for it, when the
+                caller already computed it.
+            program: ``factor`` compiled into :attr:`scope` (requiring the
+                transaction's hard variables), when the caller already
+                compiled it; compiled on first use otherwise.
 
         Returns:
             The factor contributed by ``transaction``.
         """
         if factor is None:
             factor = self.preview_factor(transaction)
+        index = len(self.factors)
+        self.transactions.append(transaction)
         self.factors.append(factor)
-        self.accumulated_updates.extend(transaction.updates)
-        self._formula = None
+        self._programs.append(program)
+        self._optionals.append(None)
+        for update in transaction.updates:
+            self._updates.setdefault(update.relation, []).append((index, update))
+        self._atoms += len(factor.atoms())
+        self._formula = self._program = None
         return factor
+
+    def discard_programs(self) -> None:
+        """Forget every compiled program, and with them the scope.
+
+        For the one case in which the scope holds variables of no entry: a
+        factor compiled into it for an admission that was then rejected.
+        A partition that keeps rejecting arrivals (a full flight) would
+        otherwise number every rejected arrival's variables for as long as
+        it lives, and size every later search's slot arrays by them.
+        Programs are recompiled on their next use.
+        """
+        self.scope = Scope()
+        self._programs = [None] * len(self.factors)
+        self._optionals = [None] * len(self.factors)
+        self._program = None
 
     def formula(self) -> Formula:
         """The composed body of everything appended so far (cached)."""
@@ -226,8 +321,86 @@ class IncrementalComposition:
             self._formula = conjunction(self.factors) if self.factors else TRUE
         return self._formula
 
-    def __len__(self) -> int:
-        return len(self.factors)
+    def atom_count(self) -> int:
+        """Relational atoms in the composed body, kept current per append.
+
+        The analogue of the number of joins the paper's SQL translation
+        would need, which MySQL caps at 61.
+        """
+        return self._atoms
+
+    def required(self, start: int = 0, stop: int | None = None) -> frozenset[Variable]:
+        """Hard variables of entries ``start .. stop-1``: what a grounding
+        of that run must bind."""
+        return frozenset().union(
+            *(t.hard_variables() for t in self.transactions[start:stop])
+        )
+
+    def _factor_program(self, index: int) -> Program:
+        """Entry ``index``'s factor, compiled into :attr:`scope` (cached)."""
+        program = self._programs[index]
+        if program is None:
+            program = self._programs[index] = compile_formula(
+                self.factors[index],
+                required=self.transactions[index].hard_variables(),
+                scope=self.scope,
+            )
+        return program
+
+    def program(
+        self,
+        start: int = 0,
+        stop: int | None = None,
+        *,
+        required: Iterable[Variable] | None = None,
+    ) -> Program:
+        """The composed body of entries ``start .. stop-1`` as a search handle.
+
+        A conjoin of the resident factor programs.  The whole order with the
+        default ``required`` (every free variable) is the handle the
+        invariant is verified and re-solved on; it is kept until the next
+        append, so repeated validations of an unchanged partition reuse one
+        program and its evaluator.
+        """
+        whole = start == 0 and stop is None and required is None
+        if whole and self._program is not None:
+            return self._program
+        parts = [
+            self._factor_program(index)
+            for index in range(len(self.factors))[start:stop]
+        ]
+        if parts:
+            program = conjoin(parts, required=required)
+        else:
+            program = compile_formula(TRUE, required=required, scope=self.scope)
+        if whole:
+            self._program = program
+        return program
+
+    def optional_factors(self, index: int) -> tuple[OptionalFactor, ...]:
+        """Entry ``index``'s OPTIONAL atoms, rewritten in context (cached).
+
+        Each optional atom is rewritten against the update portions of the
+        entries that precede its owner in the order, the same way hard
+        atoms are during composition.
+        """
+        factors = self._optionals[index]
+        if factors is None:
+            transaction = self.transactions[index]
+            built = []
+            for atom in transaction.optional_body:
+                formula = self._rewrite(atom, index)
+                program = compile_formula(formula, scope=self.scope)
+                plain = (
+                    program
+                    if isinstance(formula, AtomFormula)
+                    else compile_formula(AtomFormula(atom.as_body()), scope=self.scope)
+                )
+                built.append(
+                    OptionalFactor(transaction.transaction_id, formula, program, plain)
+                )
+            factors = self._optionals[index] = tuple(built)
+        return factors
 
 
 @dataclass

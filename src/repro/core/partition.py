@@ -17,22 +17,27 @@ merge-on-overlap logic.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.core.composition import IncrementalComposition, compose_sequence
+from repro.core.composition import OrderComposition, compose_sequence
 from repro.errors import QuantumStateError
 from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
 from repro.logic.unification import unifiable
-from repro.solver.kernel import Program, compile_formula
+from repro.solver.kernel import Program
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.quantum_state import PendingTransaction
 
 #: Monotone counter for partition identifiers.
 _partition_counter = itertools.count(1)
+#: Serializes high-water-mark updates of :class:`PartitionStatistics` (a
+#: lock on the statistics object itself would leak into ``vars()``-based
+#: reports).
+_high_water_lock = threading.Lock()
 
 
 class Partition:
@@ -51,12 +56,13 @@ class Partition:
         self.partition_id = next(_partition_counter)
         self._pending: list["PendingTransaction"] = list(pending)
         self.cached_solution: Substitution | None = None
-        #: Incrementally maintained composed body (hard atoms only); rebuilt
-        #: lazily after structural changes (merges, groundings).
-        self._composition: IncrementalComposition | None = None
-        #: Compiled search handle of the composed hard body; dies with the
-        #: composed formula it was compiled from (see :meth:`composed_program`).
-        self._program: tuple[Formula, Program] | None = None
+        #: The resident composition of the arrival order (hard atoms only,
+        #: with the factors' compiled programs); rebuilt lazily after
+        #: structural changes (merges, groundings).
+        self._composition: OrderComposition | None = None
+        #: The owning manager's counters, whose high-water marks
+        #: :meth:`append` maintains (``None`` for a free-standing partition).
+        self.statistics: PartitionStatistics | None = None
         #: Observer invoked after every structural change to the pending
         #: sequence.  Receives the partition and, for an append, the entry
         #: just added (``None`` for removals and whole-sequence assignment,
@@ -123,15 +129,18 @@ class Partition:
             names |= entry.renamed.relations()
         return frozenset(names)
 
-    def composition(self) -> IncrementalComposition:
-        """The incrementally maintained composition of the hard bodies.
+    def composition(self) -> OrderComposition:
+        """The resident composition of the pending sequence, in arrival order.
 
         Built lazily (one pass over the pending list) after structural
         changes; kept up to date factor-by-factor by :meth:`append`, so the
-        steady-state admission path never recomposes from scratch.
+        steady-state admission path never recomposes from scratch.  It is
+        the single source of the composed formula, its compiled program
+        and — whenever a grounding keeps the arrival order — of the plan's
+        prefix, suffix and optional programs.
         """
         if self._composition is None:
-            self._composition = IncrementalComposition(
+            self._composition = OrderComposition(
                 entry.renamed for entry in self._pending
             )
         return self._composition
@@ -146,25 +155,13 @@ class Partition:
         return self.composition().formula()
 
     def composed_program(self) -> Program:
-        """The composed hard body as a compiled search handle, cached.
+        """The composed hard body as a compiled search handle.
 
-        Compiled on first use and kept for as long as the composed formula
-        it came from is current (any structural change yields a new formula
-        object, and with it a new handle) — so repeated write validations
-        of an unchanged partition verify and re-solve one program.
+        A conjoin of the composition's resident factor programs, kept until
+        the next structural change — so repeated write validations of an
+        unchanged partition verify and re-solve one program.
         """
-        formula = self.composed_formula()
-        if self._program is None or self._program[0] is not formula:
-            self._program = (formula, compile_formula(formula))
-        return self._program[1]
-
-    def composed_atom_count(self) -> int:
-        """Number of relational atoms in the composed hard body.
-
-        This is the analogue of the number of joins the paper's SQL
-        translation would need, which MySQL caps at 61.
-        """
-        return len(self.composed_formula().atoms())
+        return self.composition().program()
 
     def overlaps_atoms(
         self,
@@ -194,19 +191,30 @@ class Partition:
 
     # -- mutation ------------------------------------------------------------
 
-    def append(self, entry: "PendingTransaction", factor: Formula | None = None) -> None:
+    def append(
+        self,
+        entry: "PendingTransaction",
+        factor: Formula | None = None,
+        program: Program | None = None,
+    ) -> None:
         """Add a pending transaction at the end of the serialization order.
 
         Args:
             entry: the pending transaction to append.
             factor: its composed-body factor when admission already computed
                 it (via ``composition().preview_factor``); passing it keeps
-                the incremental composition warm without recomputing the
+                the resident composition warm without recomputing the
                 rewrite.
+            program: ``factor`` compiled into the composition's scope, when
+                admission already compiled it to search it.
         """
         self._pending.append(entry)
         if self._composition is not None:
-            self._composition.append(entry.renamed, factor)
+            self._composition.append(entry.renamed, factor, program)
+        if self.statistics is not None:
+            self.statistics.record_size(
+                len(self._pending), self.composition().atom_count()
+            )
         if self.on_structural_change is not None:
             self.on_structural_change(self, entry)
 
@@ -283,6 +291,18 @@ class PartitionStatistics:
     unification_checks: int = 0
     scanned_partitions: int = 0
 
+    def record_size(self, size: int, atoms: int) -> None:
+        """Raise the two high-water marks to a partition's new size.
+
+        Called on every append, from concurrent admission lanes too: the
+        unlocked comparison only filters, a new maximum is stored under
+        the lock.
+        """
+        if size > self.max_partition_size or atoms > self.max_composed_atoms:
+            with _high_water_lock:
+                self.max_partition_size = max(self.max_partition_size, size)
+                self.max_composed_atoms = max(self.max_composed_atoms, atoms)
+
 
 class PartitionManager:
     """Owns all partitions and implements merge-on-overlap admission."""
@@ -350,6 +370,7 @@ class PartitionManager:
         overlapping = self.overlapping_partitions(atoms)
         if not overlapping:
             partition = Partition()
+            partition.statistics = self.statistics
             self.partitions.append(partition)
             self._on_partition_created(partition)
             return partition, False
@@ -391,13 +412,3 @@ class PartitionManager:
 
     def _on_partition_dropped(self, partition: Partition) -> None:
         """Called after an emptied partition left the manager (no-op here)."""
-
-    def record_sizes(self) -> None:
-        """Update the high-water-mark statistics."""
-        for partition in self.partitions:
-            size = len(partition)
-            if size > self.statistics.max_partition_size:
-                self.statistics.max_partition_size = size
-            atoms = partition.composed_atom_count()
-            if atoms > self.statistics.max_composed_atoms:
-                self.statistics.max_composed_atoms = atoms

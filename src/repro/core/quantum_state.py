@@ -36,11 +36,7 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.composition import (
-    compose_sequence,
-    rewrite_atom_against_updates,
-    rewrite_body_against_updates,
-)
+from repro.core.composition import OptionalFactor, OrderComposition
 from repro.core.futures import ReadWriteGuard, collect_plan_futures
 from repro.core.grounding_policy import GroundingPolicy
 from repro.core.partition import Partition, PartitionManager
@@ -59,13 +55,13 @@ from repro.errors import (
     WriteRejected,
 )
 from repro.logic.atoms import Atom
-from repro.logic.formula import AtomFormula, Formula, TRUE, conjunction
+from repro.logic.formula import AtomFormula, Formula
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Variable
+from repro.logic.terms import Constant
 from repro.logic.unification import unifiable
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert, Statement
-from repro.solver.kernel import Program, Scope, conjoin
+from repro.solver.kernel import compile_formula, conjoin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sharding.backend import PlanResult
@@ -163,6 +159,8 @@ class PlannedGrounding:
     Attributes:
         partition: the partition being grounded.
         plan: the serialization order chosen for the partition.
+        composition: that order, composed (the partition's resident
+            composition unless the plan reordered).
         substitution: the grounding found for the order's prefix (plus a
             witness for its suffix).
         satisfied_atoms: per-transaction satisfied-optional counts at
@@ -172,6 +170,7 @@ class PlannedGrounding:
 
     partition: Partition
     plan: GroundingPlan
+    composition: OrderComposition
     substitution: Substitution
     satisfied_atoms: Mapping[int, int]
     forced: bool = False
@@ -187,20 +186,12 @@ PREFIX_CANDIDATES = 8
 COMBINED_NODE_BUDGET = 20_000
 
 
-def order_is_satisfiable(
-    search: "GroundingSearch", order: Sequence[PendingTransaction]
-) -> bool:
-    """Satisfiability check used by the semantic reorder strategy."""
-    formula = compose_sequence([entry.renamed for entry in order])
-    return search.exists(formula)
-
-
 def compute_grounding_plan(
     search: "GroundingSearch",
     serializability: SerializabilityMode,
     partition: Partition,
     targets: Sequence[PendingTransaction],
-) -> tuple[GroundingPlan, Substitution | None, dict[int, int]]:
+) -> tuple[GroundingPlan, OrderComposition, Substitution | None, dict[int, int]]:
     """The pure plan computation: serialization order plus a grounding.
 
     This is the whole read-only half of grounding as a module-level
@@ -210,32 +201,88 @@ def compute_grounding_plan(
     snapshot (:mod:`repro.sharding.backend`) and get bit-identical results
     to the in-process path.
 
+    The chosen order is composed once.  While it is the arrival order (a
+    strict plan, targets already at the head, a refused reorder) that
+    composition is the partition's resident one; a semantic reorder
+    composes the fronted order once for its satisfiability check and the
+    grounding search then reads the same object.
+
     Returns:
-        ``(plan, substitution, satisfied)``; ``substitution`` is ``None``
-        when no grounding exists (an invariant violation the caller turns
-        into an error).
+        ``(plan, composition, substitution, satisfied)``: ``composition``
+        is the composed order ``plan.to_ground + plan.remaining_order``;
+        ``substitution`` is ``None`` when no grounding exists (an invariant
+        violation the caller turns into an error).
     """
-    plan = grounding_plan(
-        serializability,
-        partition,
-        targets,
-        lambda order: order_is_satisfiable(search, order),
+    fronted: OrderComposition | None = None
+
+    def accept_reorder(candidate: Sequence[PendingTransaction]) -> bool:
+        nonlocal fronted
+        fronted = OrderComposition(entry.renamed for entry in candidate)
+        return search.exists(fronted.program())
+
+    plan = grounding_plan(serializability, partition, targets, accept_reorder)
+    # (A reordered plan is one whose candidate order was composed above.)
+    composition = (
+        fronted
+        if plan.reordered and fronted is not None
+        else partition.composition()
     )
-    order = list(plan.to_ground) + list(plan.remaining_order)
-    substitution, satisfied_atoms = choose_grounding(search, order, plan.to_ground)
-    return plan, substitution, satisfied_atoms
+    substitution, satisfied_atoms = choose_grounding(
+        search, composition, len(plan.to_ground)
+    )
+    return plan, composition, substitution, satisfied_atoms
+
+
+def provably_unsatisfiable(database: Database, factor: Formula) -> bool:
+    """True when an index lookup proves ``factor`` has no grounding at all.
+
+    Judged only where the proof is both sound and cheaper than the searches
+    it saves:
+
+    * the factor must be a plain relational atom.  A rewritten factor with
+      an insert alternative (``atom ∨ (?s2 = ?s)``) is satisfiable through
+      the equality however empty the relation is, and an excluded one is
+      not the atom alone either;
+    * an index must cover (a subset of) the atom's constant positions —
+      with none, the only probe is a scan of the whole relation, which
+      costs more than the doomed searches did (they fail on an index
+      lookup under bindings the probe does not have).
+
+    No stored row agreeing with the atom's constants means no candidate row
+    under any bindings, so every body containing the factor is
+    unsatisfiable.  Anything this function cannot judge it leaves to the
+    search (including malformed atoms, whose errors stay the search's).
+    """
+    if not isinstance(factor, AtomFormula):
+        return False
+    atom = factor.atom
+    if not database.has_table(atom.relation):
+        return False
+    table = database.table(atom.relation)
+    if atom.arity != table.schema.arity:
+        return False
+    names = table.schema.column_names
+    columns = []
+    values = []
+    for name, term in zip(names, atom.terms):
+        if isinstance(term, Constant):
+            columns.append(name)
+            values.append(term.value)
+    if table.best_index(columns) is None:
+        return False
+    for _row in table.lookup(columns, values):
+        return False
+    return True
 
 
 def choose_grounding(
-    search: "GroundingSearch",
-    order: Sequence[PendingTransaction],
-    to_ground: Sequence[PendingTransaction],
+    search: "GroundingSearch", composition: OrderComposition, count: int
 ) -> tuple[Substitution | None, dict[int, int]]:
     """Find a grounding of the order, maximising the prefix's optionals.
 
-    The transactions being grounded now (``to_ground``) form a prefix of
-    ``order``.  The search is decomposed exactly the way the paper's
-    solution cache suggests:
+    The transactions being grounded now are the first ``count`` entries of
+    the composed order.  The search is decomposed exactly the way the
+    paper's solution cache suggests:
 
     1. ground the prefix alone, preferring groundings that satisfy its
        optional atoms (all of them first, then a greedy maximal subset);
@@ -245,39 +292,31 @@ def choose_grounding(
     3. fall back to a grounding of the whole order without optional
        atoms if preferences cannot be accommodated.
 
+    Every body searched is a slice of ``composition``: nothing is rewritten
+    or compiled here that the composition already holds.
+
     Returns:
         ``(substitution, satisfied)`` where the substitution covers both
         the prefix and a witness for the suffix, and ``satisfied`` maps
         each grounded transaction id to its satisfied-optional count at
         search time.
     """
-    satisfied: dict[int, int] = {entry.transaction_id: 0 for entry in to_ground}
-    prefix = list(to_ground)
-    prefix_ids = {entry.transaction_id for entry in prefix}
-    suffix = [entry for entry in order if entry.transaction_id not in prefix_ids]
-
-    prefix_required = frozenset().union(
-        *(entry.renamed.hard_variables() for entry in prefix)
-    ) if prefix else frozenset()
-    suffix_formula, suffix_required = _suffix_formula(prefix, suffix)
-    # Every body below is compiled once, into one scope, and the attempts
-    # conjoin the handles: a plan runs up to 2 + n attempts of up to
-    # PREFIX_CANDIDATES + 2 searches each over the same few formulas.
-    scope = Scope()
-    prefix_hard = search.compile(
-        compose_sequence([entry.renamed for entry in prefix]),
-        required=prefix_required,
-        scope=scope,
-    )
-    suffix_body = search.compile(suffix_formula, required=suffix_required, scope=scope)
-    optional_atoms = [
-        (txn_id, atom, search.compile(factor, scope=scope))
-        for txn_id, atom, factor in _optional_factors(order, to_ground)
+    satisfied: dict[int, int] = {
+        transaction.transaction_id: 0
+        for transaction in composition.transactions[:count]
+    }
+    has_suffix = len(composition) > count
+    prefix_required = composition.required(0, count)
+    suffix_required = composition.required(count)
+    prefix_hard = composition.program(0, count, required=prefix_required)
+    suffix_body = composition.program(count, required=suffix_required)
+    optional_factors = [
+        factor
+        for index in range(count)
+        for factor in composition.optional_factors(index)
     ]
 
-    def attempt(
-        selected: Sequence[tuple[int, Atom, Program]]
-    ) -> Substitution | None:
+    def attempt(selected: Sequence[OptionalFactor]) -> Substitution | None:
         """Try to ground the prefix with ``selected`` optional factors.
 
         Strategy: enumerate a handful of prefix groundings and extend
@@ -289,16 +328,16 @@ def choose_grounding(
         when optional factors are involved.
         """
         body = conjoin(
-            [prefix_hard] + [factor for _txn, _atom, factor in selected],
+            [prefix_hard] + [factor.program for factor in selected],
             required=prefix_required,
         )
         for candidate in search.find(body, limit=PREFIX_CANDIDATES):
-            if not suffix:
+            if not has_suffix:
                 return candidate.substitution
             extended = search.find_one(suffix_body, initial=candidate.substitution)
             if extended.satisfiable:
                 return extended.substitution
-        if not suffix:
+        if not has_suffix:
             return None
         combined = search.find_one(
             conjoin([body, suffix_body], required=prefix_required | suffix_required),
@@ -306,74 +345,54 @@ def choose_grounding(
         )
         return combined.substitution if combined.satisfiable else None
 
-    if optional_atoms:
-        solution = attempt(optional_atoms)
-        if solution is not None:
-            for txn_id, _atom, _factor in optional_atoms:
-                satisfied[txn_id] += 1
-            return solution, satisfied
-        # Greedy maximal subset of optional atoms.
-        accepted: list[tuple[int, Atom, Program]] = []
-        best: Substitution | None = None
-        for candidate_atom in optional_atoms:
-            solution = attempt(accepted + [candidate_atom])
+    def accept(
+        solution: Substitution, accepted: Sequence[OptionalFactor]
+    ) -> tuple[Substitution, dict[int, int]]:
+        for factor in accepted:
+            satisfied[factor.transaction_id] += 1
+        return solution, satisfied
+
+    # A factor that no stored row can satisfy fails every attempt it is
+    # part of — typically the first partner's ``[Bookings(partner, f, ?s2)]``,
+    # rewritten against no earlier update while the partner holds no seat.
+    # Dropping it leaves the greedy loop below with exactly the factors it
+    # would have accepted from, at one index probe instead of the two
+    # exhaustive attempts (all factors; that factor alone) it used to fail.
+    live = [
+        factor
+        for factor in optional_factors
+        if not provably_unsatisfiable(search.database, factor.formula)
+    ]
+    if live:
+        # All factors at once first — unless doomed ones were dropped and
+        # there is a suffix.  With every factor live this is the first try
+        # it always was.  Otherwise the whole list would have failed and
+        # the answer is the greedy loop's: without a suffix ``attempt`` is
+        # complete, so if ``live`` is jointly satisfiable so is every
+        # subset the loop tries, it accepts them all and ends on this very
+        # attempt; with a suffix a subset's budgeted combined search may
+        # give up where the full set's candidates extended, so only the
+        # loop itself knows what the loop accepts.
+        whole_failed = False
+        if len(live) == len(optional_factors) or not has_suffix:
+            solution = attempt(live)
             if solution is not None:
-                accepted.append(candidate_atom)
+                return accept(solution, live)
+            whole_failed = True
+        # Greedy maximal subset of optional atoms.
+        accepted: list[OptionalFactor] = []
+        best: Substitution | None = None
+        for candidate_factor in live:
+            selected = accepted + [candidate_factor]
+            if whole_failed and len(selected) == len(live):
+                break  # all of ``live`` again: the attempt that just failed
+            solution = attempt(selected)
+            if solution is not None:
+                accepted = selected
                 best = solution
         if best is not None:
-            for txn_id, _atom, _factor in accepted:
-                satisfied[txn_id] += 1
-            return best, satisfied
-    solution = attempt([])
-    if solution is not None:
-        return solution, satisfied
-    return None, satisfied
-
-
-def _suffix_formula(
-    prefix: Sequence[PendingTransaction],
-    suffix: Sequence[PendingTransaction],
-) -> tuple[Formula, frozenset[Variable]]:
-    """Composed body of the suffix, rewritten against the prefix updates."""
-    accumulated: list[Atom] = [
-        atom for entry in prefix for atom in entry.renamed.updates
-    ]
-    factors: list[Formula] = []
-    required: set[Variable] = set()
-    for entry in suffix:
-        factors.append(
-            rewrite_body_against_updates(entry.renamed.hard_body, accumulated)
-        )
-        accumulated.extend(entry.renamed.updates)
-        required |= entry.renamed.hard_variables()
-    return conjunction(factors) if factors else TRUE, frozenset(required)
-
-
-def _optional_factors(
-    order: Sequence[PendingTransaction],
-    to_ground: Sequence[PendingTransaction],
-) -> list[tuple[int, Atom, Formula]]:
-    """Optional atoms of the to-be-grounded entries, rewritten in context.
-
-    Each optional atom is rewritten against the update portions of the
-    transactions that precede its owner in the serialization order, the
-    same way hard atoms are during composition.
-    """
-    to_ground_ids = {entry.transaction_id for entry in to_ground}
-    factors: list[tuple[int, Atom, Formula]] = []
-    accumulated: list[Atom] = []
-    for entry in order:
-        if entry.transaction_id in to_ground_ids:
-            for atom in entry.renamed.optional_body:
-                factors.append(
-                    (
-                        entry.transaction_id,
-                        atom,
-                        rewrite_atom_against_updates(atom, accumulated),
-                    )
-                )
-        accumulated.extend(entry.renamed.updates)
-    return factors
+            return accept(best, accepted)
+    return attempt([]), satisfied
 
 
 @dataclass
@@ -529,7 +548,9 @@ class QuantumState:
             # it (the absorbed partitions' witnesses were already dropped by
             # the on_partitions_absorbed hook, inside the merge).
             self.cache.drop_witness(partition.partition_id)
-        new_factor = partition.composition().preview_factor(entry.renamed)
+        composition = partition.composition()
+        new_factor = composition.preview_factor(entry.renamed)
+        factor_program = None
         # Fetch the (structurally current) witness before the append changes
         # the partition's signature; it seeds the successor witness below.
         base_witness = self.cache.witness_for(partition)
@@ -540,14 +561,22 @@ class QuantumState:
             self.cache.absorb_probe(probe)
             solution = probe.substitution
         else:
+            # Compiled once, into the partition's scope: searched now, kept
+            # resident by the append below, conjoined by every later plan.
+            required = entry.renamed.hard_variables()
+            factor_program = compile_formula(
+                new_factor, required=required, scope=composition.scope
+            )
             # The witness-extension search reads the extensional store; hold
             # the shared side of the store guard so a concurrent lane's
             # grounding apply cannot mutate tables mid-search.
             with self.store_guard.read():
-                solution = self.cache.ensure(
-                    partition, new_factor, entry.renamed.hard_variables()
-                )
+                solution = self.cache.ensure(partition, factor_program, required)
         if solution is None:
+            if factor_program is not None:
+                # The rejected factor's variables must not stay numbered in
+                # the partition's scope.
+                composition.discard_programs()
             with self._statistics_lock:
                 self.statistics.rejected += 1
             self.partitions.drop_if_empty(partition)
@@ -568,7 +597,7 @@ class QuantumState:
                 "no consistent grounding exists"
             )
         used_witness = self.cache.last_used_witness
-        partition.append(entry, factor=new_factor)
+        partition.append(entry, factor=new_factor, program=factor_program)
         partition.cached_solution = solution
         if used_witness and base_witness is not None:
             # Fast path: the old factors keep their footprint (the extension
@@ -837,6 +866,15 @@ class QuantumState:
         return PlannedGrounding(
             partition=partition,
             plan=plan,
+            # The worker composed its own copy of the order; the apply phase
+            # reads the optional atoms' programs from the writer's.
+            composition=(
+                OrderComposition(
+                    entry.renamed for entry in plan.to_ground + plan.remaining_order
+                )
+                if plan.reordered
+                else partition.composition()
+            ),
             substitution=result.substitution,
             satisfied_atoms=dict(result.satisfied_atoms),
             forced=result.forced,
@@ -872,7 +910,7 @@ class QuantumState:
                 database invariant was somehow violated.
         """
         with self.store_guard.read():
-            plan, substitution, satisfied_atoms = compute_grounding_plan(
+            plan, composition, substitution, satisfied_atoms = compute_grounding_plan(
                 self.cache.search, self.serializability, partition, targets
             )
         if substitution is None:
@@ -883,6 +921,7 @@ class QuantumState:
         return PlannedGrounding(
             partition=partition,
             plan=plan,
+            composition=composition,
             substitution=substitution,
             satisfied_atoms=satisfied_atoms,
             forced=forced,
@@ -897,13 +936,7 @@ class QuantumState:
         if planned.plan.reordered:
             with self._statistics_lock:
                 self.statistics.semantic_reorders += 1
-        return self._execute_grounding(
-            planned.partition,
-            planned.plan,
-            planned.substitution,
-            planned.satisfied_atoms,
-            forced=planned.forced,
-        )
+        return self._execute_grounding(planned)
 
     def _ground_in_partition(
         self,
@@ -917,13 +950,7 @@ class QuantumState:
         )
 
     def _execute_grounding(
-        self,
-        partition: Partition,
-        plan: GroundingPlan,
-        substitution: Substitution,
-        satisfied_atoms: dict[int, int],
-        *,
-        forced: bool,
+        self, planned: PlannedGrounding
     ) -> list[GroundedTransaction]:
         """Apply the update portions of the grounded prefix to the database.
 
@@ -935,19 +962,13 @@ class QuantumState:
         structures.
         """
         with self.store_guard.write():
-            return self._execute_grounding_locked(
-                partition, plan, substitution, satisfied_atoms, forced=forced
-            )
+            return self._execute_grounding_locked(planned)
 
     def _execute_grounding_locked(
-        self,
-        partition: Partition,
-        plan: GroundingPlan,
-        substitution: Substitution,
-        satisfied_atoms: dict[int, int],
-        *,
-        forced: bool,
+        self, planned: PlannedGrounding
     ) -> list[GroundedTransaction]:
+        partition, plan = planned.partition, planned.plan
+        substitution = planned.substitution
         grounded_statements: list[tuple[PendingTransaction, list[Statement]]] = []
         deltas: list[tuple[str, tuple, bool]] = []
         with self.database.begin() as txn:
@@ -971,16 +992,16 @@ class QuantumState:
         # Goofy" is a property of the final seating, not of the intermediate
         # state in which one partner's booking does not exist yet.
         results: list[GroundedTransaction] = []
-        for entry, statements in grounded_statements:
+        for index, (entry, statements) in enumerate(grounded_statements):
             results.append(
                 GroundedTransaction(
                     transaction=entry.original,
                     valuation=entry.original_valuation(substitution),
                     satisfied_optionals=self._count_satisfied_optionals(
-                        entry, substitution
+                        entry, planned.composition.optional_factors(index), substitution
                     ),
                     statements=tuple(statements),
-                    forced=forced,
+                    forced=planned.forced,
                 )
             )
         partition.pending = list(plan.remaining_order)
@@ -1003,9 +1024,15 @@ class QuantumState:
         return results
 
     def _count_satisfied_optionals(
-        self, entry: PendingTransaction, substitution: Substitution
+        self,
+        entry: PendingTransaction,
+        optionals: Sequence[OptionalFactor],
+        substitution: Substitution,
     ) -> int:
         """How many optional atoms of ``entry`` hold in the current database.
+
+        ``optionals`` are the entry's optional factors from the plan's
+        composition; their ``plain`` programs are the atoms as written.
 
         Only the bindings of the transaction's *hard* variables (the ones
         that determine its actual effect — which seat was taken) are pinned;
@@ -1015,13 +1042,12 @@ class QuantumState:
         search happened to bind those auxiliaries to.
         """
         pinned = substitution.restrict(entry.renamed.hard_variables())
-        count = 0
-        for atom in entry.renamed.optional_body:
-            # Searching the atom from the pinned bindings is the search of
-            # its pinned instance: same bound positions, same lookups.
-            if self.cache.search.exists(AtomFormula(atom.as_body()), initial=pinned):
-                count += 1
-        return count
+        # Searching the atom from the pinned bindings is the search of its
+        # pinned instance: same bound positions, same lookups.
+        return sum(
+            self.cache.search.exists(factor.plain, initial=pinned)
+            for factor in optionals
+        )
 
     # ------------------------------------------------------------------
     # Reads: which pending transactions does a read touch?
@@ -1114,10 +1140,9 @@ class QuantumState:
                 body = partition.composed_program()
                 if self.cache.verify(body, partition.cached_solution):
                     continue
-                required = frozenset().union(
-                    *(e.renamed.hard_variables() for e in partition.pending)
+                result = self.cache.solve(
+                    body, required=partition.composition().required()
                 )
-                result = self.cache.solve(body, required=required)
                 if not result.satisfiable:
                     raise WriteRejected(
                         "write rejected: it would invalidate pending "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from repro.errors import InvalidTransactionError
@@ -48,6 +49,13 @@ class ResourceTransaction:
             entanglement bookkeeping; not semantically meaningful).
         partner: optional client name this transaction wants to coordinate
             with (entangled resource transactions).
+
+    The derived views (:attr:`hard_body`, :attr:`optional_body`,
+    :meth:`variables`, :meth:`hard_variables`, :meth:`relations`) are
+    computed on first use and kept on the instance — admission, planning
+    and witness maintenance read them many times per transaction.  Like a
+    term's remembered hash they are never pickled: a shipped plan or
+    admission payload carries the six fields only.
     """
 
     body: tuple[Atom, ...]
@@ -97,12 +105,15 @@ class ResourceTransaction:
 
     # -- introspection -------------------------------------------------------
 
-    @property
+    def __getstate__(self) -> dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    @cached_property
     def hard_body(self) -> tuple[Atom, ...]:
         """Non-optional body atoms (the ones the invariant must satisfy)."""
         return tuple(a for a in self.body if not a.optional)
 
-    @property
+    @cached_property
     def optional_body(self) -> tuple[Atom, ...]:
         """Optional body atoms (soft preferences)."""
         return tuple(a for a in self.body if a.optional)
@@ -117,19 +128,31 @@ class ResourceTransaction:
         """Delete atoms of the update portion."""
         return tuple(a for a in self.updates if a.kind is AtomKind.DELETE)
 
-    def variables(self) -> frozenset[Variable]:
-        """All variables of the transaction."""
+    @cached_property
+    def _variables(self) -> frozenset[Variable]:
         return atoms_variables(self.body) | atoms_variables(self.updates)
 
-    def hard_variables(self) -> frozenset[Variable]:
-        """Variables of the non-optional body atoms and the update portion."""
+    @cached_property
+    def _hard_variables(self) -> frozenset[Variable]:
         return atoms_variables(self.hard_body) | atoms_variables(self.updates)
 
-    def relations(self) -> frozenset[str]:
-        """Names of every relation the transaction touches."""
+    @cached_property
+    def _relations(self) -> frozenset[str]:
         return frozenset(a.relation for a in self.body) | frozenset(
             a.relation for a in self.updates
         )
+
+    def variables(self) -> frozenset[Variable]:
+        """All variables of the transaction."""
+        return self._variables
+
+    def hard_variables(self) -> frozenset[Variable]:
+        """Variables of the non-optional body atoms and the update portion."""
+        return self._hard_variables
+
+    def relations(self) -> frozenset[str]:
+        """Names of every relation the transaction touches."""
+        return self._relations
 
     def hard_formula(self) -> Formula:
         """The conjunction of the non-optional body atoms as a formula."""

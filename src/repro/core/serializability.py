@@ -73,17 +73,20 @@ def strict_plan(
 def semantic_plan(
     partition: "Partition",
     targets: Sequence["PendingTransaction"],
-    reorder_is_satisfiable: Callable[[Sequence["PendingTransaction"]], bool],
+    accept_reorder: Callable[[Sequence["PendingTransaction"]], bool],
 ) -> GroundingPlan:
     """Front-of-order plan with a satisfiability check, else strict fallback.
 
     Args:
         partition: the partition being grounded.
         targets: the transactions that must be grounded now.
-        reorder_is_satisfiable: callback receiving a candidate serialization
-            order (targets first, then the rest in arrival order) and
-            returning whether its composed body is satisfiable over the
-            current database.
+        accept_reorder: callback receiving a candidate serialization order
+            (targets first, then the rest in arrival order) and returning
+            whether its composed body is satisfiable over the current
+            database.  Called at most once, and only when the targets are
+            not already the head of the order; a caller that composes the
+            candidate to check it keeps that composition for the grounding
+            search when the plan comes back ``reordered``.
     """
     if not targets:
         return GroundingPlan((), tuple(partition.pending), False)
@@ -95,7 +98,7 @@ def semantic_plan(
         # Targets already form the prefix: nothing to reorder.
         return GroundingPlan(tuple(fronted), tuple(rest), False)
     candidate = fronted + rest
-    if reorder_is_satisfiable(candidate):
+    if accept_reorder(candidate):
         return GroundingPlan(tuple(fronted), tuple(rest), True)
     return strict_plan(partition, targets)
 
@@ -104,9 +107,9 @@ def grounding_plan(
     mode: SerializabilityMode,
     partition: "Partition",
     targets: Sequence["PendingTransaction"],
-    reorder_is_satisfiable: Callable[[Sequence["PendingTransaction"]], bool],
+    accept_reorder: Callable[[Sequence["PendingTransaction"]], bool],
 ) -> GroundingPlan:
     """Dispatch to :func:`strict_plan` or :func:`semantic_plan` by ``mode``."""
     if mode is SerializabilityMode.STRICT:
         return strict_plan(partition, targets)
-    return semantic_plan(partition, targets, reorder_is_satisfiable)
+    return semantic_plan(partition, targets, accept_reorder)

@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.core.composition import OrderComposition
 from repro.core.partition import Partition
 from repro.logic.formula import (
     Conjunction,
@@ -52,7 +53,7 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingResult, GroundingSearch
-from repro.solver.kernel import Program, Scope, compile_formula, conjoin
+from repro.solver.kernel import Program, compile_formula, conjoin
 from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig, dispatch_find_one
 
@@ -158,12 +159,11 @@ def compute_admission(
     search: GroundingSearch,
     database: Database,
     *,
-    composed: Formula | Program,
+    composition: OrderComposition,
     cached_solution: Substitution | None,
     witness_substitution: Substitution | None,
-    new_factor: Formula | None = None,
+    new_factor: Formula | Program | None = None,
     new_required: frozenset[Variable] = frozenset(),
-    base_required: frozenset[Variable] = frozenset(),
     enable_witness: bool = True,
     config: AdmissionSearchConfig | None = None,
 ) -> AdmissionProbe:
@@ -182,18 +182,20 @@ def compute_admission(
         search: the grounding search to run extensions/solves on (the
             cache's shared search inline; a throwaway one in a worker).
         database: the store ``search`` runs against (verification oracle).
-        composed: the partition's composed hard body, or its compiled
-            handle when the caller holds one (``Partition.composed_program``);
-            a formula is compiled here, at most once, and only when a miss
-            makes the composed body itself be verified or searched.
+        composition: the partition's resident composition.  Its composed
+            program is only asked for — and its factor programs only
+            compiled, each at most once — when a miss makes the composed
+            body itself be verified or searched.
         cached_solution: the partition's last known satisfying
             substitution (pre-witness fallback state).
         witness_substitution: the substitution of a structurally current,
             delta-valid witness, or ``None`` when no witness can serve.
-        new_factor: factor contributed by a transaction being admitted;
-            ``None`` (or ``TRUE``) when only re-validating.
+        new_factor: factor contributed by a transaction being admitted —
+            a formula, or its handle already compiled into the
+            composition's scope (requiring ``new_required``) when the
+            caller will keep it resident; ``None`` (or ``TRUE``) when only
+            re-validating.
         new_required: variables of the new factor that must be ground.
-        base_required: hard variables of the partition's pending entries.
         enable_witness: mirrors ``SolutionCache.enable_witness`` so the
             miss/fallback counters stay comparable with the fast path off.
         config: admission-search strategy selection; ``None`` (and the
@@ -219,21 +221,11 @@ def compute_admission(
         "nodes": 0,
     }
 
-    # One scope for everything this admission compiles: the new factor is
-    # searched up to twice and then conjoined with the composed body.
-    scope = composed.scope if isinstance(composed, Program) else Scope()
-
-    def composed_body() -> Program:
-        nonlocal composed
-        if not isinstance(composed, Program):
-            composed = search.compile(composed, scope=scope)
-        return composed
-
     def verify(solution: Substitution | None) -> bool:
         if solution is None:
             return False
         counters["verifications"] += 1
-        return composed_body().holds(database, solution)
+        return composition.program().holds(database, solution)
 
     def run_find(
         program: Program, initial: Substitution | None = None
@@ -293,11 +285,17 @@ def compute_admission(
             counters["fallback_searches"] += 1
         if verify(cached_solution):
             return probe(cached_solution)
-        result = solve(composed_body().requiring(base_required))
+        result = solve(composition.program(required=composition.required()))
         return probe(result.substitution if result.satisfiable else None)
 
+    # The new factor is searched up to twice and then conjoined with the
+    # composed body, so it lives in the composition's scope.
     required = frozenset(new_required)
-    factor = search.compile(new_factor, required=required, scope=scope)
+    factor = (
+        new_factor
+        if isinstance(new_factor, Program)
+        else search.compile(new_factor, required=required, scope=composition.scope)
+    )
     if witness_substitution is not None:
         extended = extend(witness_substitution, factor)
         if extended.satisfiable:
@@ -314,7 +312,12 @@ def compute_admission(
             if extended.satisfiable:
                 return probe(extended.substitution)
     # Cache miss: solve the whole composed body including the new factor.
-    result = solve(conjoin([composed_body(), factor], required=base_required | required))
+    result = solve(
+        conjoin(
+            [composition.program(), factor],
+            required=composition.required() | required,
+        )
+    )
     return probe(result.substitution if result.satisfiable else None)
 
 
@@ -667,7 +670,7 @@ class SolutionCache:
     def ensure(
         self,
         partition: Partition,
-        new_factor: Formula | None = None,
+        new_factor: Formula | Program | None = None,
         new_required: Iterable[Variable] = (),
     ) -> Substitution | None:
         """Ensure the partition (plus an optional new factor) is satisfiable.
@@ -682,7 +685,8 @@ class SolutionCache:
             partition: the partition whose invariant must hold.
             new_factor: factor contributed by a transaction being admitted
                 (its body rewritten against the partition's accumulated
-                updates); ``None`` when only re-validating.
+                updates), as a formula or compiled into the partition
+                composition's scope; ``None`` when only re-validating.
             new_required: variables of the new factor that must be ground.
 
         Returns:
@@ -696,20 +700,11 @@ class SolutionCache:
         probe = compute_admission(
             self.search,
             self.database,
-            # An admission rarely walks the composed body (the witness
-            # answers), so it gets the formula and compiles on a miss; a
-            # re-validation exists to walk it, and reuses the partition's
-            # compiled handle.
-            composed=(
-                partition.composed_program()
-                if revalidating
-                else partition.composed_formula()
-            ),
+            composition=partition.composition(),
             cached_solution=partition.cached_solution,
             witness_substitution=None if witness is None else witness.substitution,
             new_factor=new_factor,
             new_required=frozenset(new_required),
-            base_required=self._base_required(partition),
             enable_witness=self.enable_witness,
             config=self.search_config,
         )
@@ -750,12 +745,3 @@ class SolutionCache:
         self._local.last_method = probe.method
         self._local.last_exact = probe.exact
         self._local.last_exhausted_budget = probe.exhausted_budget
-
-    @staticmethod
-    def _base_required(partition: Partition) -> frozenset[Variable]:
-        """Hard variables of every pending transaction of the partition."""
-        if not partition.pending:
-            return frozenset()
-        return frozenset().union(
-            *(entry.renamed.hard_variables() for entry in partition.pending)
-        )

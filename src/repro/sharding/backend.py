@@ -274,7 +274,7 @@ def execute_payload(payload: PlanPayload) -> PlanResult:
     partition.cached_solution = payload.cached_solution
     wanted = set(payload.target_ids)
     targets = [entry for entry in payload.entries if entry.transaction_id in wanted]
-    plan, substitution, satisfied = compute_grounding_plan(
+    plan, _composition, substitution, satisfied = compute_grounding_plan(
         search, payload.serializability, partition, targets
     )
     return PlanResult(
@@ -414,21 +414,15 @@ def execute_admission(payload: AdmissionPayload) -> AdmissionResult:
     search = GroundingSearch(database)
     partition = Partition(payload.entries)
     partition.cached_solution = payload.cached_solution
-    new_factor = partition.composition().preview_factor(payload.renamed)
-    base_required: frozenset = frozenset()
-    if payload.entries:
-        base_required = frozenset().union(
-            *(entry.renamed.hard_variables() for entry in payload.entries)
-        )
+    composition = partition.composition()
     probe = compute_admission(
         search,
         database,
-        composed=partition.composed_formula(),
+        composition=composition,
         cached_solution=payload.cached_solution,
         witness_substitution=payload.witness_substitution,
-        new_factor=new_factor,
-        new_required=frozenset(payload.renamed.hard_variables()),
-        base_required=base_required,
+        new_factor=composition.preview_factor(payload.renamed),
+        new_required=payload.renamed.hard_variables(),
         enable_witness=payload.enable_witness,
         config=payload.search_config,
     )

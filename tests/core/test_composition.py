@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.core.composition import (
     CompositionReport,
+    OrderComposition,
     compose_pair,
     compose_sequence,
     rewrite_atom_against_updates,
@@ -12,10 +13,18 @@ from repro.core.composition import (
 from repro.core.parser import parse_transaction
 from repro.core.worlds import enumerate_possible_worlds
 from repro.logic.atoms import Atom
-from repro.logic.formula import AtomFormula, Conjunction, Disjunction, Negation, TRUE
+from repro.logic.formula import (
+    AtomFormula,
+    Conjunction,
+    Disjunction,
+    Negation,
+    TRUE,
+    conjunction,
+)
 from repro.logic.terms import Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
+from repro.solver.kernel import compile_formula
 
 # The three transactions of Figure 3 (a).
 T1 = parse_transaction("-B(M, 1, s1), +A(1, s1) :-1 B(M, 1, s1)")
@@ -140,3 +149,87 @@ class TestCompositionOptions:
             T3.transaction_id,
         )
         assert report.atom_count == len(compose_sequence([T1, T2, T3]).atoms())
+
+
+class TestOrderComposition:
+    """``OrderComposition`` ≡ ``compose_sequence``, factor by factor.
+
+    The composition unifies an atom only with the earlier updates on its
+    own relation (the log is bucketed); the sequences below interleave
+    relations, kinds and several updates per transaction, so a bucket
+    that lost the serialization order or leaked across relations shows.
+    """
+
+    MOVE = parse_transaction(
+        "-B(M, 1, s4), +A(1, s4), -A(2, s5), +B(M, 2, s5) :-1 B(M, 1, s4), A(2, s5)"
+    )
+    WISH = parse_transaction(
+        "-A(f6, s6), +B(P, f6, s6) :-1 A(f6, s6), [B(G, f6, s7)], [Adj(s6, s7)]"
+    )
+    SEQUENCES = [
+        [T1],
+        [T1, T2, T3],
+        [T3, T2, T1],
+        [T2, MOVE, T3, T1],
+        [MOVE, T1, WISH, T2, T3],
+        [WISH, T3, MOVE, T2],
+    ]
+
+    def test_formula_and_factors_match_compose_sequence(self):
+        for sequence in self.SEQUENCES:
+            composition = OrderComposition(sequence)
+            assert composition.formula() == compose_sequence(sequence)
+            assert len(composition) == len(sequence)
+            for index, factor in enumerate(composition.factors):
+                # Factor i alone: the body of i against everything before it.
+                whole = compose_sequence(sequence[: index + 1])
+                before = compose_sequence(sequence[:index])
+                assert (before & factor) == whole
+            assert composition.atom_count() == len(composition.formula().atoms())
+
+    def test_incremental_append_equals_batch_construction(self):
+        for sequence in self.SEQUENCES:
+            incremental = OrderComposition()
+            for transaction in sequence:
+                previewed = incremental.preview_factor(transaction)
+                assert incremental.append(transaction, previewed) == previewed
+            assert incremental.formula() == OrderComposition(sequence).formula()
+        assert OrderComposition().formula() is TRUE
+
+    def test_optional_factors_are_rewritten_in_context(self):
+        sequence = [T1, T2, self.WISH, T3]
+        composition = OrderComposition(sequence)
+        with_optional = compose_sequence(sequence[:3], include_optional=True)
+        hard_only = compose_sequence(sequence[:3])
+        optional = composition.optional_factors(2)
+        assert [f.transaction_id for f in optional] == [self.WISH.transaction_id] * 2
+        assert (hard_only & optional[0].formula & optional[1].formula).atoms() == (
+            with_optional.atoms()
+        )
+        # B(G, f6, s7) meets T2's earlier insert +B(D, f2, s2) — 'G' and 'D'
+        # clash, so it stays the plain atom and shares one program; nothing
+        # inserts into Adj either.
+        for factor in optional:
+            assert isinstance(factor.formula, AtomFormula)
+            assert factor.plain is factor.program
+        assert composition.optional_factors(0) == ()
+
+    def test_programs_are_slices_of_one_scope(self):
+        database = figure3_database(mickey_booked=True, flight2_seats=2)
+        search = GroundingSearch(database)
+        sequence = [T1, T2, T3]
+        composition = OrderComposition(sequence)
+        assert composition.program() is composition.program()
+        for start, stop in [(0, None), (0, 1), (1, None), (1, 2), (3, None)]:
+            sliced = composition.program(start, stop)
+            assert sliced.scope is composition.scope
+            expected = conjunction(composition.factors[start:stop])
+            ours = [r.substitution for r in search.find(sliced)]
+            theirs = [r.substitution for r in search.find(compile_formula(expected))]
+            assert ours == theirs
+        assert composition.required(1) == (
+            T2.hard_variables() | T3.hard_variables()
+        )
+        appended = composition.program()
+        composition.append(self.MOVE)
+        assert composition.program() is not appended

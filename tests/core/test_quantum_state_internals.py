@@ -51,6 +51,25 @@ class TestPartitioning:
         qdb.ground([result.transaction_id])
         assert len(qdb.state.partitions) == 0
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_size_high_water_marks_are_maintained(self, shards):
+        """``partitions.max_*`` move with every append (they used to rely on
+        a ``record_sizes`` sweep nothing called, and always reported 0)."""
+        qdb = QuantumDatabase(two_flight_db(), QuantumConfig(shards=shards))
+        for name in ("Mickey", "Goofy", "Donald"):
+            qdb.execute(ANY_SEAT.format(name=name, flight=100))
+        qdb.execute(ANY_SEAT.format(name="Pluto", flight=101))
+        report = qdb.statistics_report()
+        assert report["partitions.max_partition_size"] == 3
+        # Three single-atom hard bodies: rewriting adds equalities, not atoms.
+        assert report["partitions.max_composed_atoms"] == 3
+        # High-water marks: grounding shrinks the partition, not the marks.
+        qdb.ground_all()
+        report = qdb.statistics_report()
+        assert report["partitions.max_partition_size"] == 3
+        assert report["partitions.max_composed_atoms"] == 3
+        qdb.close()
+
 
 class TestSolutionCache:
     def test_extension_hit_on_compatible_arrival(self):
@@ -68,6 +87,23 @@ class TestSolutionCache:
         result = qdb.execute(ANY_SEAT.format(name="Pluto", flight=123))
         assert not result.committed
         assert qdb.state.cache.statistics.failures >= 1
+
+    def test_rejected_arrivals_leave_the_partition_scope_clean(self):
+        """A full flight keeps rejecting: the compiled factors of rejected
+        arrivals must not accumulate variables in the resident scope."""
+        qdb = QuantumDatabase(make_tiny_flight_db(seats=2))
+        qdb.execute(ANY_SEAT.format(name="Mickey", flight=123))
+        qdb.execute(ANY_SEAT.format(name="Goofy", flight=123))
+        partition = qdb.state.partitions.partitions[0]
+        for i in range(20):
+            assert not qdb.execute(ANY_SEAT.format(name=f"late{i}", flight=123)).committed
+        composition = partition.composition()
+        composition.program()  # compile what the partition holds
+        pending = {v for entry in partition for v in entry.renamed.variables()}
+        assert set(composition.scope.variables) == pending
+        # ... and the resident programs still decide admission correctly.
+        qdb.ground_all()
+        assert qdb.database.table("Bookings").rows()
 
     def test_cached_solution_revalidated_after_write(self):
         qdb = QuantumDatabase(make_tiny_flight_db(seats=3))

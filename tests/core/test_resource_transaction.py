@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.resource_transaction import ResourceTransaction
@@ -87,6 +90,25 @@ class TestIntrospection:
 
     def test_relations(self):
         assert mickey().relations() == {"Available", "Bookings", "Adjacent"}
+
+    def test_derived_views_are_kept_but_never_pickled(self):
+        """The views are computed once per (frozen) transaction; a shipped
+        plan / admission payload carries the fields only and the copy
+        derives its own."""
+        txn = mickey()
+        assert txn.hard_body is txn.hard_body
+        assert txn.optional_body is txn.optional_body
+        assert txn.variables() is txn.variables()
+        assert txn.hard_variables() is txn.hard_variables()
+        assert txn.relations() is txn.relations()
+        shipped = pickle.loads(pickle.dumps(txn))
+        assert vars(shipped).keys() == {f.name for f in dataclasses.fields(txn)}
+        assert shipped == txn and hash(shipped) == hash(txn)
+        assert shipped.hard_body == txn.hard_body
+        assert shipped.optional_body == txn.optional_body
+        assert shipped.variables() == txn.variables()
+        assert shipped.hard_variables() == txn.hard_variables()
+        assert shipped.relations() == txn.relations()
 
     def test_formulas(self):
         txn = mickey()
