@@ -86,7 +86,7 @@ from repro.core.quantum_database import CommitResult, QuantumConfig, QuantumData
 from repro.core.reads import ReadMode, ReadRequest
 from repro.core.resource_transaction import ResourceTransaction
 from repro.core.serializability import SerializabilityMode
-from repro.core.solution_cache import SolutionCacheStatistics, Witness
+from repro.core.solution_cache import Solution, SolutionCacheStatistics
 from repro.errors import (
     GroundingTimeout,
     ProtocolError,
@@ -159,10 +159,10 @@ __all__ = [
     "ShardBackend",
     "ShardedPartitionManager",
     "SignatureIndex",
+    "Solution",
     "SolutionCacheStatistics",
     "TenantBackpressure",
     "TransactionRejected",
-    "Witness",
     "WriteAheadLog",
     "WriteRejected",
     "__version__",

@@ -28,7 +28,6 @@ from repro.relational.planner import MYSQL_JOIN_LIMIT
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partition import Partition
     from repro.core.quantum_state import PendingTransaction
-    from repro.core.solution_cache import SolutionCache
 
 
 class GroundingStrategy(enum.Enum):
@@ -36,8 +35,9 @@ class GroundingStrategy(enum.Enum):
 
     ``OLDEST_FIRST`` / ``NEWEST_FIRST`` are the paper's arrival-time
     orders.  ``WITNESS_AWARE`` scores each candidate victim by how many
-    cached witness rows its update portion could invalidate (a delete atom
-    that unifies with a witnessed row is a potential invalidation) and
+    rows of the partition's solution footprint its update portion could
+    invalidate (a delete atom that unifies with a witnessed row is a
+    potential invalidation) and
     grounds the cheapest victims first, ties broken oldest-first.  Broadly
     quantified updates — "any seat" — unify with many witnessed rows and
     therefore stay pending, which keeps the flexible transactions able to
@@ -70,23 +70,15 @@ class GroundingPolicy:
         if self.k < 1:
             raise QuantumError("the grounding bound k must be at least 1")
 
-    def victims(
-        self,
-        partition: "Partition",
-        cache: "SolutionCache | None" = None,
-    ) -> list["PendingTransaction"]:
+    def victims(self, partition: "Partition") -> list["PendingTransaction"]:
         """Pending transactions that must be grounded to restore the bound.
 
         Returns the transactions to ground, in the order they should be
         grounded, so that at most ``k`` remain pending afterwards.  Empty
-        when the partition is already within bounds.
-
-        Args:
-            partition: the partition exceeding the bound.
-            cache: the solution cache, consulted by the ``WITNESS_AWARE``
-                strategy to score victims by the cached witness rows their
-                updates could invalidate.  Without a cache the strategy
-                degrades to oldest-first.
+        when the partition is already within bounds.  The ``WITNESS_AWARE``
+        strategy scores victims by the rows of the partition's solution
+        footprint their updates could invalidate; without a footprint
+        (``witness_cache=False``) it degrades to oldest-first.
         """
         excess = len(partition) - self.k
         if excess <= 0:
@@ -94,8 +86,8 @@ class GroundingPolicy:
         ordered = sorted(partition.pending, key=lambda entry: entry.sequence)
         if self.strategy is GroundingStrategy.NEWEST_FIRST:
             return list(reversed(ordered[-excess:]))
-        if self.strategy is GroundingStrategy.WITNESS_AWARE and cache is not None:
-            witness_rows = self._witnessed_rows(partition, cache)
+        if self.strategy is GroundingStrategy.WITNESS_AWARE:
+            witness_rows = self._witnessed_rows(partition)
             ordered.sort(
                 key=lambda entry: (
                     self._invalidation_cost(entry, witness_rows),
@@ -105,21 +97,19 @@ class GroundingPolicy:
         return ordered[:excess]
 
     @staticmethod
-    def _witnessed_rows(
-        partition: "Partition", cache: "SolutionCache"
-    ) -> list[Atom]:
-        """The rows the partition's own witness grounds on, as ground atoms.
+    def _witnessed_rows(partition: "Partition") -> list[Atom]:
+        """The rows the partition's own solution grounds on, as ground atoms.
 
-        Only the victim partition's witness can contribute: a row in
+        Only the victim partition's record can contribute: a row in
         *another* partition's footprint is a ground instance of that
         partition's atoms, so a victim's delete unifying with it would
         make the two partitions unifiable — contradicting the partition
-        independence invariant.  Scoring therefore stays O(one witness).
+        independence invariant.  Scoring therefore stays O(one footprint).
         """
-        witness = cache.witness_for(partition)
-        if witness is None:
+        solution = partition.solution
+        if solution is None or solution.footprint is None:
             return []
-        return [Atom.body(table, values) for table, values in witness.rows]
+        return [Atom.body(table, values) for table, values in solution.footprint.rows]
 
     @staticmethod
     def _invalidation_cost(

@@ -9,7 +9,7 @@ transaction that unifies with members of several partitions forces those
 partitions to be merged (the window-or-aisle example of the paper).
 
 This module defines :class:`Partition` — an ordered set of pending
-transactions with its composed body and cached solution — and
+transactions with its composed body and its one known solution — and
 :class:`PartitionManager`, which owns all partitions and implements the
 merge-on-overlap logic.
 """
@@ -25,12 +25,13 @@ from repro.core.composition import OrderComposition, compose_sequence
 from repro.errors import QuantumStateError
 from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
-from repro.logic.substitution import Substitution
+from repro.logic.terms import Variable
 from repro.logic.unification import unifiable
 from repro.solver.kernel import Program
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.quantum_state import PendingTransaction
+    from repro.core.solution_cache import Solution
 
 #: Monotone counter for partition identifiers.
 _partition_counter = itertools.count(1)
@@ -47,15 +48,20 @@ class Partition:
         partition_id: unique identifier (survives merges on the surviving
             partition).
         pending: pending transactions in serialization order.
-        cached_solution: a ground substitution satisfying the composed hard
-            body over the current extensional database, or ``None`` when it
-            must be recomputed.
+        solution: the partition's one known grounding of its composed hard
+            body (a :class:`~repro.core.solution_cache.Solution`), or
+            ``None``.  Written by the solution cache; the partition itself
+            only withdraws the record's footprint when its pending sequence
+            changes shape (:meth:`remove`, assignment to :attr:`pending`) —
+            the substitution then has to be re-verified before it is
+            trusted again.  An :meth:`append` extends the composed body by
+            a factor and leaves the record to the admission that caused it.
     """
 
     def __init__(self, pending: Iterable["PendingTransaction"] = ()) -> None:
         self.partition_id = next(_partition_counter)
         self._pending: list["PendingTransaction"] = list(pending)
-        self.cached_solution: Substitution | None = None
+        self.solution: "Solution | None" = None
         #: The resident composition of the arrival order (hard atoms only,
         #: with the factors' compiled programs); rebuilt lazily after
         #: structural changes (merges, groundings).
@@ -94,7 +100,13 @@ class Partition:
     @pending.setter
     def pending(self, entries: Iterable["PendingTransaction"]) -> None:
         self._pending = list(entries)
+        self._restructured()
+
+    def _restructured(self) -> None:
+        """The pending sequence changed other than by an append."""
         self._composition = None
+        if self.solution is not None:
+            self.solution = self.solution.unverified()
         if self.on_structural_change is not None:
             self.on_structural_change(self, None)
 
@@ -154,15 +166,6 @@ class Partition:
             )
         return self.composition().formula()
 
-    def composed_program(self) -> Program:
-        """The composed hard body as a compiled search handle.
-
-        A conjoin of the composition's resident factor programs, kept until
-        the next structural change — so repeated write validations of an
-        unchanged partition verify and re-solve one program.
-        """
-        return self.composition().program()
-
     def overlaps_atoms(
         self,
         atoms: Iterable[Atom],
@@ -221,9 +224,7 @@ class Partition:
     def remove(self, entry: "PendingTransaction") -> None:
         """Remove a pending transaction (after it has been grounded)."""
         self._pending.remove(entry)
-        self._composition = None
-        if self.on_structural_change is not None:
-            self.on_structural_change(self, None)
+        self._restructured()
 
     def assert_owned_by(self, shard_id: int) -> None:
         """Assert this partition may be mutated by ``shard_id``'s writer.
@@ -245,24 +246,11 @@ class Partition:
                 "the per-shard writer invariant is broken"
             )
 
-    def invalidate_solution(self) -> None:
-        """Drop the cached solution (after a write invalidated it)."""
-        self.cached_solution = None
-
-    def restrict_solution(self) -> None:
-        """Restrict the cached solution to the variables still pending.
-
-        Called after transactions are grounded and removed: the remaining
-        part of a consistent grounding for the full sequence is still a
-        consistent grounding for the remaining sequence (on the database
-        produced by executing the removed prefix), so the cache stays warm.
-        """
-        if self.cached_solution is None:
-            return
-        remaining = frozenset().union(
+    def variables(self) -> frozenset[Variable]:
+        """Every variable of every pending transaction."""
+        return frozenset().union(
             *(entry.renamed.variables() for entry in self._pending)
-        ) if self._pending else frozenset()
-        self.cached_solution = self.cached_solution.restrict(remaining)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -310,13 +298,6 @@ class PartitionManager:
     def __init__(self) -> None:
         self.partitions: list[Partition] = []
         self.statistics = PartitionStatistics()
-        #: Observer invoked with the ids of partitions absorbed by a merge,
-        #: right when they leave the manager.  The quantum state uses it to
-        #: drop exactly the dead partitions' cached witnesses — a precise,
-        #: merge-local cleanup that (unlike a full live-set sweep) stays
-        #: correct while per-shard admission lanes create partitions
-        #: concurrently.
-        self.on_partitions_absorbed: Callable[[Sequence[int]], None] | None = None
 
     # -- introspection -------------------------------------------------------
 
@@ -383,10 +364,10 @@ class PartitionManager:
         for other in absorbed:
             self.partitions.remove(other)
         self._on_partitions_merging(merged, absorbed)
-        if self.on_partitions_absorbed is not None:
-            self.on_partitions_absorbed([p.partition_id for p in absorbed])
+        # The absorbed partitions take their solutions with them; nothing
+        # is known about the merged sequence yet.
         merged.pending = entries
-        merged.invalidate_solution()
+        merged.solution = None
         self.statistics.merges += 1
         return merged, True
 

@@ -76,13 +76,15 @@ class QuantumConfig:
         read_mode: default read semantics (the paper's choice: COLLAPSE).
         ground_on_partner_arrival: ground an entangled pair as soon as both
             partners are in the system (Section 5.1's execution policy).
-        witness_cache: enable the per-partition witness store that powers the
-            incremental admission fast path.  Disabling it reproduces the
-            seed behaviour (every admission re-verifies the whole composed
-            body); accept/reject decisions are identical either way, only
-            the amount of re-search differs — the cache statistics (witness
-            hits / misses / invalidations / fallback searches) report the
-            difference.
+        witness_cache: let each partition's solution record carry the
+            footprint of rows it grounds on, which powers the incremental
+            admission fast path (a footprinted record is trusted until a
+            delta touches it).  Disabling it reproduces the seed behaviour
+            (the record is a bare substitution and every admission
+            re-verifies the whole composed body); accept/reject decisions
+            are identical either way, only the amount of re-search differs —
+            the cache statistics (witness hits / misses / invalidations /
+            fallback searches) report the difference.
         shards: number of partition shards (default 1: the plain
             exhaustive-scan partition manager).  With ``shards >= 2`` the
             database uses the :mod:`repro.sharding` subsystem: a
@@ -331,7 +333,7 @@ class QuantumDatabase:
                 deltas.append((table, row.values, False))
         # Inserts cannot invalidate a monotone witness, but keep the cache
         # informed so the invariant holds even for exotic formulas.
-        self.state.cache.notify_deltas(deltas)
+        self.state.cache.notify_deltas(deltas, self.state.partitions)
 
     # ------------------------------------------------------------------
     # Resource transactions
@@ -350,40 +352,12 @@ class QuantumDatabase:
         """
         if isinstance(transaction, str):
             transaction = parse_transaction(transaction, **parse_kwargs)
-        try:
-            entry = self.state.admit(transaction)
-        except TransactionRejected as exc:
-            return CommitResult(
-                transaction=transaction,
-                committed=False,
-                rejection_reason=str(exc),
-                method=self.state.cache.last_method,
-                exact=self.state.cache.last_exact,
-            )
-        # Capture the decision provenance before partner groundings below
-        # run further searches on this thread.
-        method = self.state.cache.last_method
-        exact = self.state.cache.last_exact
-        grounded: list[GroundedTransaction] = []
-        # Forced groundings triggered by the k bound have already fired via
-        # the on_grounded callback; collect the ones involving this call.
-        if self.state.is_pending(transaction.transaction_id):
-            self.pending_store.persist(transaction, entry.sequence)
-        else:
-            record = self.state.grounded_results.get(transaction.transaction_id)
-            if record is not None:
-                grounded.append(record)
-        match = self.entanglement.register(transaction)
-        if match is not None and self.config.ground_on_partner_arrival:
-            grounded.extend(self.state.ground(match.transaction_ids()))
-        return CommitResult(
-            transaction=transaction,
-            committed=True,
-            pending=self.state.is_pending(transaction.transaction_id),
-            grounded=tuple(grounded),
-            method=method,
-            exact=exact,
-        )
+        result, sequence = self._admit_for_batch(transaction)
+        if result.pending:
+            # A batch of one: its group write is this one row.
+            assert sequence is not None
+            self.pending_store.persist(transaction, sequence)
+        return result
 
     def commit_batch(
         self,
@@ -457,13 +431,14 @@ class QuantumDatabase:
         sequence: int | None = None,
         renamed: ResourceTransaction | None = None,
     ) -> tuple[CommitResult, int | None]:
-        """Admit one batch element (shared by the serial loop, the admission
-        lanes, and the epoch barriers).
+        """Admit one batch element (shared by :meth:`execute`, the serial
+        loop, the admission lanes, and the epoch barriers).
 
         Returns ``(result, sequence)`` — the sequence is ``None`` for a
-        rejected transaction.  Durability is *not* handled here: the caller
-        persists every still-pending admission in one group write at the
-        end of its batch.
+        rejected transaction.  The one place a ``CommitResult`` is stamped
+        with its decision's provenance, read off what ``admit`` hands back.
+        Durability is *not* handled here: the caller persists every
+        still-pending admission in one group write at the end of its batch.
         """
         try:
             entry = self.state.admit(transaction, sequence=sequence, renamed=renamed)
@@ -473,14 +448,14 @@ class QuantumDatabase:
                     transaction=transaction,
                     committed=False,
                     rejection_reason=str(exc),
-                    method=self.state.cache.last_method,
-                    exact=self.state.cache.last_exact,
+                    method=exc.method,
+                    exact=exc.exact,
                 ),
                 None,
             )
-        method = self.state.cache.last_method
-        exact = self.state.cache.last_exact
         grounded: list[GroundedTransaction] = []
+        # Forced groundings triggered by the k bound have already fired via
+        # the on_grounded callback; collect the one involving this call.
         if not self.state.is_pending(transaction.transaction_id):
             record = self.state.grounded_results.get(transaction.transaction_id)
             if record is not None:
@@ -494,8 +469,8 @@ class QuantumDatabase:
                 committed=True,
                 pending=self.state.is_pending(transaction.transaction_id),
                 grounded=tuple(grounded),
-                method=method,
-                exact=exact,
+                method=entry.method,
+                exact=entry.exact,
             ),
             entry.sequence,
         )
@@ -566,7 +541,7 @@ class QuantumDatabase:
         """Answer over one possible world without collapsing anything."""
         world = self.database.copy()
         for partition in self.state.partitions:
-            solution = self.state.cache.ensure(partition)
+            solution = self.state.cache.ensure(partition).substitution
             if solution is None:
                 continue
             for entry in partition:

@@ -21,7 +21,7 @@ solutions, and implements the operations of Section 3.2:
 Grounding is split into a read-only *plan* phase (:meth:`QuantumState.plan_grounding`
 — serializability planning plus the grounding search) and a mutating *apply*
 phase (:meth:`QuantumState.apply_grounding` — executing the chosen update
-portions and refreshing witnesses).  Because partitions are independent by
+portions and re-recording the solution).  Because partitions are independent by
 construction — no atom of one unifies with any atom of another, hence their
 ground-row footprints are disjoint — plans for *different* partitions
 commute: :meth:`QuantumState.ground` exploits this by planning independent
@@ -46,7 +46,7 @@ from repro.core.serializability import (
     SerializabilityMode,
     grounding_plan,
 )
-from repro.core.solution_cache import AdmissionProbe, SolutionCache, Witness
+from repro.core.solution_cache import AdmissionProbe, SolutionCache
 from repro.errors import (
     AdmissionSearchExhausted,
     GroundingTimeout,
@@ -80,11 +80,16 @@ class PendingTransaction:
             assumption behind composition).
         sequence: global arrival order (the serialization order within a
             partition follows this unless semantically reordered).
+        method: which search decided the admission (see
+            :class:`~repro.core.solution_cache.AdmissionProbe`).
+        exact: False only when the sampling estimator decided it.
     """
 
     original: ResourceTransaction
     renamed: ResourceTransaction
     sequence: int
+    method: str = "backtracking"
+    exact: bool = True
 
     @property
     def transaction_id(self) -> int:
@@ -462,9 +467,6 @@ class QuantumState:
         #: expiry the lane falls back to the inline search (same decision,
         #: by purity of :func:`~repro.core.solution_cache.compute_admission`).
         self._admission_ship_timeout_s = admission_ship_timeout_s
-        # Merges drop exactly the absorbed partitions' witnesses (precise,
-        # merge-local — safe while lanes create partitions concurrently).
-        self.partitions.on_partitions_absorbed = self._drop_absorbed_witnesses
 
     # ------------------------------------------------------------------
     # Introspection
@@ -505,8 +507,8 @@ class QuantumState:
         The incremental fast path: the transaction's body is rewritten
         against the partition's *incrementally maintained* accumulated
         updates (Theorem 3.5, one new factor — never a recomposition), and
-        while the partition holds a known-valid witness only that new factor
-        is searched, extending the witness.  On a witness miss the full
+        while the partition's solution record is footprinted only that new
+        factor is searched, extending the record.  Otherwise the full
         composed body is verified or re-solved (the ``LIMIT 1`` analogue).
         If no grounding exists the transaction is rejected.
 
@@ -521,58 +523,44 @@ class QuantumState:
                 renames for routing); omitted, the rename happens here.
 
         Returns:
-            The pending entry for the admitted transaction.
+            The pending entry for the admitted transaction; its ``method``
+            and ``exact`` say which search decided.
 
         Raises:
             TransactionRejected: if admitting the transaction would empty
-                the set of possible worlds.
+                the set of possible worlds (``method`` / ``exact`` on the
+                exception likewise).
         """
         if sequence is None:
             sequence = self.allocate_sequence()
         else:
             with self._sequence_lock:
                 self._next_sequence = max(self._next_sequence, sequence + 1)
-        entry = PendingTransaction(
-            original=transaction,
-            renamed=(
-                renamed
-                if renamed is not None
-                else transaction.rename_variables(f"@{transaction.transaction_id}")
-            ),
-            sequence=sequence,
-        )
-        atoms = tuple(entry.renamed.body) + tuple(entry.renamed.updates)
-        partition, merged = self.partitions.merged_for(atoms)
-        if merged:
-            # The merged pending sequence is new; no stored witness covers
-            # it (the absorbed partitions' witnesses were already dropped by
-            # the on_partitions_absorbed hook, inside the merge).
-            self.cache.drop_witness(partition.partition_id)
+        if renamed is None:
+            renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
+        atoms = tuple(renamed.body) + tuple(renamed.updates)
+        partition, _merged = self.partitions.merged_for(atoms)
         composition = partition.composition()
-        new_factor = composition.preview_factor(entry.renamed)
+        new_factor = composition.preview_factor(renamed)
         factor_program = None
-        # Fetch the (structurally current) witness before the append changes
-        # the partition's signature; it seeds the successor witness below.
-        base_witness = self.cache.witness_for(partition)
-        probe = self._ship_admission_search(partition, entry, base_witness)
+        probe = self._ship_admission_search(partition, transaction, renamed)
         if probe is not None:
-            # A worker ran the witness-extension search over a snapshot;
-            # apply its counters and decision exactly as if it ran inline.
+            # A worker ran the search over a snapshot; apply its counters
+            # and decision exactly as if it ran inline.
             self.cache.absorb_probe(probe)
-            solution = probe.substitution
         else:
             # Compiled once, into the partition's scope: searched now, kept
             # resident by the append below, conjoined by every later plan.
-            required = entry.renamed.hard_variables()
+            required = renamed.hard_variables()
             factor_program = compile_formula(
                 new_factor, required=required, scope=composition.scope
             )
-            # The witness-extension search reads the extensional store; hold
-            # the shared side of the store guard so a concurrent lane's
-            # grounding apply cannot mutate tables mid-search.
+            # The search reads the extensional store; hold the shared side
+            # of the store guard so a concurrent lane's grounding apply
+            # cannot mutate tables mid-search.
             with self.store_guard.read():
-                solution = self.cache.ensure(partition, factor_program, required)
-        if solution is None:
+                probe = self.cache.ensure(partition, factor_program, required)
+        if probe.substitution is None:
             if factor_program is not None:
                 # The rejected factor's variables must not stay numbered in
                 # the partition's scope.
@@ -580,9 +568,7 @@ class QuantumState:
             with self._statistics_lock:
                 self.statistics.rejected += 1
             self.partitions.drop_if_empty(partition)
-            if not partition.pending:
-                self.cache.drop_witness(partition.partition_id)
-            if self.cache.last_exhausted_budget:
+            if probe.exhausted_budget:
                 # The bounded search gave up undecided; reject conservatively
                 # but let the caller distinguish "budget ran out" from a
                 # proven unsatisfiability (retry with a larger budget, or
@@ -590,26 +576,31 @@ class QuantumState:
                 raise AdmissionSearchExhausted(
                     f"transaction #{transaction.transaction_id} rejected: the "
                     "admission search exhausted its node budget before "
-                    "deciding satisfiability"
+                    "deciding satisfiability",
+                    method=probe.method,
+                    exact=probe.exact,
                 )
             raise TransactionRejected(
                 f"transaction #{transaction.transaction_id} cannot be admitted: "
-                "no consistent grounding exists"
+                "no consistent grounding exists",
+                method=probe.method,
+                exact=probe.exact,
             )
-        used_witness = self.cache.last_used_witness
+        entry = PendingTransaction(
+            original=transaction,
+            renamed=renamed,
+            sequence=sequence,
+            method=probe.method,
+            exact=probe.exact,
+        )
         partition.append(entry, factor=new_factor, program=factor_program)
-        partition.cached_solution = solution
-        if used_witness and base_witness is not None:
-            # Fast path: the old factors keep their footprint (the extension
-            # never rebinds their variables); only the new factor's rows are
-            # added.
-            self.cache.store_witness(
-                partition, new_factor, solution, base=base_witness
-            )
-        else:
-            self.cache.store_witness(
-                partition, partition.composed_formula(), solution
-            )
+        # An extension of the footprinted record never rebinds the old
+        # factors' variables: they keep their rows, the new factor adds its.
+        self.cache.record(
+            partition,
+            probe.substitution,
+            extends=new_factor if probe.used_witness else None,
+        )
         with self._statistics_lock:
             self.statistics.admitted += 1
             pending = self.pending_count()
@@ -634,8 +625,8 @@ class QuantumState:
     def _ship_admission_search(
         self,
         partition: Partition,
-        entry: PendingTransaction,
-        base_witness: Witness | None,
+        transaction: ResourceTransaction,
+        renamed: ResourceTransaction,
     ) -> AdmissionProbe | None:
         """Run the admission search on the owning shard's worker process.
 
@@ -648,7 +639,7 @@ class QuantumState:
         are the same pure function.
 
         The payload is built under the shared side of the store guard (the
-        snapshot must be consistent with the witness state shipped with
+        snapshot must be consistent with the solution record shipped with
         it); the wait for the worker happens *outside* the guard, so other
         lanes' grounding applies proceed while this lane's search is on a
         worker — that overlap is the multi-core win.
@@ -668,10 +659,9 @@ class QuantumState:
         with self.store_guard.read():
             payload = build_admission_payload(
                 partition,
-                entry.renamed,
-                entry.transaction_id,
+                renamed,
+                transaction.transaction_id,
                 database=self.database,
-                witness=base_witness,
                 enable_witness=self.cache.enable_witness,
                 search_config=self.cache.search_config,
             )
@@ -685,7 +675,7 @@ class QuantumState:
         except GroundingTimeout:
             return None
         if (
-            result.transaction_id != entry.transaction_id
+            result.transaction_id != transaction.transaction_id
             or result.partition_id != partition.partition_id
             or result.pending_ids != partition.transaction_ids()
         ):
@@ -696,14 +686,9 @@ class QuantumState:
         self.cache.search.absorb_nodes(result.search_nodes)
         return result.probe
 
-    def _drop_absorbed_witnesses(self, partition_ids: Sequence[int]) -> None:
-        """Forget the witnesses of partitions a merge just absorbed."""
-        for partition_id in partition_ids:
-            self.cache.drop_witness(partition_id)
-
     def _enforce_bound(self, partition: Partition) -> None:
         """Force-ground transactions until the ``k`` bound is respected."""
-        victims = self.policy.victims(partition, cache=self.cache)
+        victims = self.policy.victims(partition)
         if not victims:
             return
         with self._statistics_lock:
@@ -981,12 +966,6 @@ class QuantumState:
                         (statement.table, row.values, is_delete) for row in applied
                     )
                 grounded_statements.append((entry, statements))
-        # This partition's witness is superseded below; dropping it first
-        # keeps the invalidation counter to genuine cross-partition hits.
-        self.cache.drop_witness(partition.partition_id)
-        # Row-level deltas invalidate exactly the witnesses they touch
-        # (normally none outside this partition, by independence).
-        self.cache.notify_deltas(deltas)
         # Optional-atom satisfaction is reported against the database state
         # that results from executing the grounded prefix: "sit next to
         # Goofy" is a property of the final seating, not of the intermediate
@@ -1004,17 +983,17 @@ class QuantumState:
                     forced=planned.forced,
                 )
             )
+        # The restructuring withdraws this partition's footprint, so the
+        # deltas below only count as invalidations where they touch *other*
+        # partitions' records (normally nowhere, by independence).
         partition.pending = list(plan.remaining_order)
-        partition.cached_solution = substitution
-        partition.restrict_solution()
-        if partition.pending and partition.cached_solution is not None:
+        self.cache.notify_deltas(deltas, self.partitions)
+        if len(partition):
             # The restriction of a consistent grounding for the full order is
             # a consistent grounding of the remaining sequence over the
             # database produced by executing the prefix (Theorem 3.5), so the
-            # successor witness can be stored without re-searching.
-            self.cache.store_witness(
-                partition, partition.composed_formula(), partition.cached_solution
-            )
+            # successor record is footprinted without re-searching.
+            self.cache.record(partition, substitution.restrict(partition.variables()))
         self.partitions.drop_if_empty(partition)
         for record in results:
             self.grounded_results[record.transaction_id] = record
@@ -1113,7 +1092,7 @@ class QuantumState:
         ]
         txn = self.database.begin()
         deltas: list[tuple[str, tuple, bool]] = []
-        touched: list[Partition] = []
+        rechecked: list[tuple[Partition, Substitution]] = []
         try:
             # Only blind single-row inserts/deletes reach this point
             # (_statement_atom above rejects Update and conditional Delete),
@@ -1124,47 +1103,34 @@ class QuantumState:
                 deltas.extend(
                     (statement.table, row.values, is_delete) for row in applied
                 )
-            new_solutions: dict[int, Substitution] = {}
             for partition in affected:
-                witness = self.cache.witness_for(partition)
-                if witness is not None and not witness.touched_by(deltas):
-                    # Fast path: the write provably misses every row the
-                    # witness grounds on, so the invariant survives without
-                    # re-walking the composed body.
-                    self.cache.statistics.witness_hits += 1
-                    continue
-                touched.append(partition)
-                if self.cache.enable_witness:
-                    self.cache.statistics.witness_misses += 1
-                    self.cache.statistics.fallback_searches += 1
-                body = partition.composed_program()
-                if self.cache.verify(body, partition.cached_solution):
-                    continue
-                result = self.cache.solve(
-                    body, required=partition.composition().required()
-                )
-                if not result.satisfiable:
-                    raise WriteRejected(
-                        "write rejected: it would invalidate pending "
-                        f"transactions {partition.transaction_ids()}"
+                # Trusted as is when the write's deltas miss the record's
+                # footprint; otherwise verified, or re-solved, against the
+                # store as the write leaves it.
+                probe = self.cache.ensure(partition, uncommitted=deltas)
+                if probe.substitution is None:
+                    # An exhausted budget rejects conservatively, exactly
+                    # as it does for an admission.
+                    reason = (
+                        "the search exhausted its node budget re-validating"
+                        if probe.exhausted_budget
+                        else "it would invalidate"
                     )
-                new_solutions[partition.partition_id] = result.substitution
+                    raise WriteRejected(
+                        f"write rejected: {reason} pending transactions "
+                        f"{partition.transaction_ids()}"
+                    )
+                if not probe.used_witness:
+                    rechecked.append((partition, probe.substitution))
         except Exception:
             if txn.is_active:
                 txn.abort()
             self.statistics.writes_rejected += 1
             raise
         txn.commit()
-        self.cache.notify_deltas(deltas)
-        for partition in affected:
-            if partition.partition_id in new_solutions:
-                partition.cached_solution = new_solutions[partition.partition_id]
-        for partition in touched:
-            # Every touched partition was re-validated (or re-solved) against
-            # the post-write store; refresh its witness accordingly.
-            self.cache.store_witness(
-                partition, partition.composed_formula(), partition.cached_solution
-            )
+        self.cache.notify_deltas(deltas, self.partitions)
+        for partition, substitution in rechecked:
+            self.cache.record(partition, substitution)
 
 
 def _statement_atom(statement: Statement) -> Atom:

@@ -1,4 +1,5 @@
-"""The solution cache: cached groundings (witnesses) for composed bodies.
+"""The solution cache: one known grounding per partition, and the one flow
+that verifies, extends or re-solves it.
 
 "The prototype maintains an in-memory cache of possible solutions (i.e.,
 value assignments) to the composed transaction bodies.  When a new resource
@@ -7,30 +8,44 @@ the cache can be extended to accommodate the new transaction.  If this is
 not possible, then we generate a LIMIT 1 SQL query corresponding to the body
 of the new composed transaction" (Section 4).
 
-The cache stores one :class:`Witness` per partition: the last satisfying
-substitution for the partition's composed hard body, together with the set
-of extensional rows that substitution grounds the body's atoms on.  The
-witness powers the *incremental admission fast path*:
+Exactly like the paper's prototype ("maintains a single solution in the
+cache for every composed transaction") there is one solution per partition,
+and it lives *on* the partition: :attr:`Partition.solution
+<repro.core.partition.Partition.solution>` is a :class:`Solution` record —
+a satisfying substitution of the composed hard body plus, optionally, the
+:class:`Footprint` of extensional rows it grounds the body's atoms on.  The
+record is in one of three states:
 
-* **admission** — while a partition's witness is known-valid, the expensive
-  re-verification of the whole composed body is skipped entirely and only
-  the newly arrived transaction's factor is searched (extending the
-  witness);
+* **none** — nothing known (a fresh or freshly merged partition);
+* **unverified** — a substitution without a footprint: it satisfied the body
+  once, but must be re-verified against the composed body before it is
+  trusted (after a delta touched its footprint, after a structural change,
+  and always with ``enable_witness=False`` — the seed behaviour);
+* **footprinted** — trusted without re-verification until a row-level delta
+  touches the footprint.
+
+Because the record is a field of the partition its lifetime *is* the
+partition's: a merged-away, emptied or rejected-empty partition takes its
+solution with it, and there is no side table to keep in sync.
+
+:func:`compute_admission` is the only verify → extend → solve flow.
+Admission, blind-write validation and peek reads all reach it through
+:meth:`SolutionCache.ensure`:
+
+* **admission** — a footprinted record is extended by searching only the
+  newly arrived transaction's factor; the composed body is not re-walked;
 * **precise invalidation** — blind writes and grounding executions report
   their row-level deltas through :meth:`SolutionCache.notify_deltas`; a
-  witness is dropped only when a delta actually touches one of the rows it
-  grounds on (deletes) or could flip a non-monotone factor (inserts under
-  negated relational atoms, which composed bodies do not produce — their
-  negations come from unification predicates and never mention the store);
-* **fallback** — on a witness miss the seed's verify → extend → solve flow
-  runs unchanged (the ``LIMIT 1`` analogue), so accept/reject decisions are
+  record loses its footprint only when a delta actually touches one of the
+  rows it grounds on (deletes) or could flip a non-monotone factor (inserts
+  under negated relational atoms, which composed bodies do not produce —
+  their negations come from unification predicates and never mention the
+  store);
+* **fallback** — without a trusted record the seed's verify → extend → solve
+  flow runs (the ``LIMIT 1`` analogue), so accept/reject decisions are
   identical with the fast path on or off; only the amount of re-search
   differs.  The hit/miss/invalidation/fallback counters let the benchmarks
   report exactly that difference.
-
-The cache keeps one witness per partition, exactly like the paper's
-prototype ("our current prototype ... maintains a single solution in the
-cache for every composed transaction").
 """
 
 from __future__ import annotations
@@ -38,10 +53,9 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.core.composition import OrderComposition
-from repro.core.partition import Partition
 from repro.logic.formula import (
     Conjunction,
     Disjunction,
@@ -53,9 +67,12 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingResult, GroundingSearch
-from repro.solver.kernel import Program, compile_formula, conjoin
+from repro.solver.kernel import Program, conjoin
 from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig, dispatch_find_one
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.partition import Partition
 
 #: A row-level delta: ``(table, positional row values, is_delete)``.
 Delta = tuple[str, tuple[Any, ...], bool]
@@ -80,6 +97,87 @@ def _has_negated_atoms(formula: Formula) -> bool:
 
 
 @dataclass(frozen=True)
+class Footprint:
+    """The extensional rows a satisfying substitution grounds a body on.
+
+    Attributes:
+        rows: ground instantiations of the composed body's atoms under the
+            substitution; the only extensional rows whose presence or
+            absence the body's truth value (under this fixed substitution)
+            can depend on.
+        relations: relations of atoms whose instantiation stayed non-ground
+            (auxiliary variables outside the required set); deltas on these
+            relations invalidate conservatively.
+        monotone: True when no relational atom occurs under a negation, in
+            which case inserts can never invalidate the solution.
+    """
+
+    rows: frozenset[RowKey]
+    relations: frozenset[str]
+    monotone: bool
+
+    @classmethod
+    def of(
+        cls,
+        formula: Formula,
+        substitution: Substitution,
+        base: "Footprint | None" = None,
+    ) -> "Footprint":
+        """The footprint of ``substitution`` on ``formula``, added to ``base``.
+
+        ``base`` carries the footprint of everything before ``formula`` when
+        the substitution extends one that was already footprinted: the old
+        factors keep their rows, since an extension never rebinds the old
+        variables.
+        """
+        rows: set[RowKey] = set(base.rows) if base is not None else set()
+        relations: set[str] = set(base.relations) if base is not None else set()
+        monotone = not _has_negated_atoms(formula) and (
+            base is None or base.monotone
+        )
+        for atom in formula.atoms():
+            instance = substitution.apply_atom(atom.as_body())
+            if instance.is_ground():
+                rows.add((instance.relation, instance.ground_values()))
+            else:
+                relations.add(instance.relation)
+        return cls(frozenset(rows), frozenset(relations), monotone)
+
+    def touched_by(self, deltas: Iterable[Delta]) -> bool:
+        """True if any delta could change the footprinted body's truth value."""
+        for table, values, is_delete in deltas:
+            if not is_delete and self.monotone:
+                continue
+            if (table, values) in self.rows or table in self.relations:
+                return True
+        return False
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A partition's one known grounding (see the module docstring).
+
+    Attributes:
+        substitution: ground substitution that satisfied the partition's
+            composed hard body when the record was written.
+        footprint: the rows it grounds on, or ``None`` when the
+            substitution must be re-verified against the composed body
+            before it is trusted.
+    """
+
+    substitution: Substitution
+    footprint: Footprint | None = None
+
+    def unverified(self) -> "Solution":
+        """The same substitution, no longer trusted without verification."""
+        return self if self.footprint is None else Solution(self.substitution)
+
+    def touched_by(self, deltas: Iterable[Delta]) -> bool:
+        """True if the record is footprinted and a delta touches the footprint."""
+        return self.footprint is not None and self.footprint.touched_by(deltas)
+
+
+@dataclass(frozen=True)
 class AdmissionProbe:
     """The outcome of one pure admission search, plus its cache counters.
 
@@ -94,21 +192,21 @@ class AdmissionProbe:
         substitution: ground substitution witnessing satisfiability of the
             composed body (plus the new factor when given), or ``None``
             when admission must reject.
-        used_witness: True when the decision came from extending a
-            known-valid witness (the fast path) — the writer uses this to
-            choose between an incremental and a full footprint for the
-            successor witness, exactly like ``last_used_witness``.
+        used_witness: True when the decision came from (extending) a
+            footprinted record — the fast path.  :meth:`SolutionCache.record`
+            then only adds the new factor's rows to the footprint instead
+            of re-deriving all of it.
         verifications: composed-body verifications performed.
-        extension_hits: successful witness/cached-solution extensions.
+        extension_hits: successful extensions of the record by a new factor.
         extension_misses: failed extensions.
         full_solves: full grounding searches over the composed body.
         failures: unsatisfiable full solves.
-        witness_hits: admissions answered from a known-valid witness.
-        witness_misses: admissions no witness could serve.
+        witness_hits: decisions answered from a footprinted record.
+        witness_misses: decisions no footprinted record could serve.
         fallback_searches: times the fast path fell back to composed-body
             work.
         method: which search decided the probe — ``"witness"`` (extension
-            of a known-valid witness), ``"fastpath"`` (a per-shape fast
+            of a footprinted record), ``"fastpath"`` (a per-shape fast
             path), ``"backtracking"`` / ``"bnb"`` (the general search
             under the configured strategy), or ``"sampled"`` (the opt-in
             approximate estimator).
@@ -142,41 +240,26 @@ class AdmissionProbe:
     nodes: int = 0
 
 
-def verify_solution(
-    database: Database, formula: Formula | Program, solution: Substitution | None
-) -> bool:
-    """True if ``solution`` still satisfies ``formula`` over ``database``.
-
-    The pure core of :meth:`SolutionCache.verify`: no counters, no cache
-    state — callable against a worker's snapshot store as well as the
-    writer's live one.  ``solution`` must bind every free variable of the
-    (simplified) body to a constant.
-    """
-    return compile_formula(formula).holds(database, solution)
-
-
 def compute_admission(
     search: GroundingSearch,
     database: Database,
     *,
     composition: OrderComposition,
-    cached_solution: Substitution | None,
-    witness_substitution: Substitution | None,
+    solution: Solution | None,
     new_factor: Formula | Program | None = None,
     new_required: frozenset[Variable] = frozenset(),
     enable_witness: bool = True,
     config: AdmissionSearchConfig | None = None,
 ) -> AdmissionProbe:
-    """The witness-extension admission search as a pure function.
+    """The verify → extend → solve flow, as a pure function.
 
-    This is :meth:`SolutionCache.ensure`'s find-or-extend-or-solve flow
-    factored out of the cache (mirroring how ``compute_grounding_plan``
-    was factored out of ``QuantumState`` for the process backend): it
+    The only implementation of it: :meth:`SolutionCache.ensure` runs it for
+    admissions, blind-write checks and peek reads, and a process-backend
+    worker runs it over a shipped snapshot (mirroring how
+    ``compute_grounding_plan`` was factored out of ``QuantumState``).  It
     reads only its arguments and the given store, mutates nothing, and
-    reports every counter through the returned :class:`AdmissionProbe`.
-    Running it inline over the live database and running it on a worker
-    over an order-preserving snapshot therefore produce bit-identical
-    decisions by construction — there is exactly one implementation.
+    reports every counter through the returned :class:`AdmissionProbe`, so
+    inline and shipped runs decide bit-identically by construction.
 
     Args:
         search: the grounding search to run extensions/solves on (the
@@ -186,10 +269,9 @@ def compute_admission(
             program is only asked for — and its factor programs only
             compiled, each at most once — when a miss makes the composed
             body itself be verified or searched.
-        cached_solution: the partition's last known satisfying
-            substitution (pre-witness fallback state).
-        witness_substitution: the substitution of a structurally current,
-            delta-valid witness, or ``None`` when no witness can serve.
+        solution: the partition's record.  Footprinted, its substitution
+            is trusted as is (the witness); unverified, it is verified
+            against the composed body first; ``None``, the body is solved.
         new_factor: factor contributed by a transaction being admitted —
             a formula, or its handle already compiled into the
             composition's scope (requiring ``new_required``) when the
@@ -237,12 +319,14 @@ def compute_admission(
             outcome["exhausted"] = True
         return result
 
-    def extend(base: Substitution | None, factor: Program) -> GroundingResult:
-        result = run_find(factor, initial=base or Substitution.empty())
+    def extend(base: Substitution, factor: Program | None) -> Substitution | None:
+        if factor is None:
+            return base
+        result = run_find(factor, initial=base)
         counters["extension_hits" if result.satisfiable else "extension_misses"] += 1
-        return result
+        return result.substitution if result.satisfiable else None
 
-    def solve(program: Program) -> GroundingResult:
+    def solve(program: Program) -> Substitution | None:
         counters["full_solves"] += 1
         if (
             config is not None
@@ -261,7 +345,8 @@ def compute_admission(
             result = run_find(program)
         if not result.satisfiable:
             counters["failures"] += 1
-        return result
+            return None
+        return result.substitution
 
     def probe(
         substitution: Substitution | None, *, used_witness: bool = False
@@ -276,87 +361,43 @@ def compute_admission(
             **counters,
         )
 
-    if new_factor is None or new_factor is TRUE:
-        if witness_substitution is not None:
-            counters["witness_hits"] += 1
-            return probe(witness_substitution, used_witness=True)
-        if enable_witness:
-            counters["witness_misses"] += 1
-            counters["fallback_searches"] += 1
-        if verify(cached_solution):
-            return probe(cached_solution)
-        result = solve(composition.program(required=composition.required()))
-        return probe(result.substitution if result.satisfiable else None)
-
+    known = None if solution is None else solution.substitution
+    trusted = solution is not None and solution.footprint is not None
+    required = frozenset(new_required)
     # The new factor is searched up to twice and then conjoined with the
     # composed body, so it lives in the composition's scope.
-    required = frozenset(new_required)
     factor = (
-        new_factor
+        None
+        if new_factor is None or new_factor is TRUE
+        else new_factor
         if isinstance(new_factor, Program)
         else search.compile(new_factor, required=required, scope=composition.scope)
     )
-    if witness_substitution is not None:
-        extended = extend(witness_substitution, factor)
-        if extended.satisfiable:
-            # Only a *successful* extension counts as a hit: the composed
-            # body was never re-walked.
+    if trusted:
+        # The fast path: the composed body is not re-walked.  Only a
+        # *successful* extension counts as a hit.
+        extended = extend(known, factor)
+        if extended is not None:
             counters["witness_hits"] += 1
-            return probe(extended.substitution, used_witness=True)
+            return probe(extended, used_witness=True)
     if enable_witness:
         counters["witness_misses"] += 1
         counters["fallback_searches"] += 1
-    if witness_substitution is None and cached_solution is not None:
-        if verify(cached_solution):
-            extended = extend(cached_solution, factor)
-            if extended.satisfiable:
-                return probe(extended.substitution)
+    if not trusted and verify(known):
+        extended = extend(known, factor)
+        if extended is not None:
+            return probe(extended)
     # Cache miss: solve the whole composed body including the new factor.
-    result = solve(
-        conjoin(
-            [composition.program(), factor],
-            required=composition.required() | required,
+    return probe(
+        solve(
+            composition.program(required=composition.required())
+            if factor is None
+            else conjoin(
+                [composition.program(), factor],
+                required=composition.required() | required,
+            )
         )
     )
-    return probe(result.substitution if result.satisfiable else None)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A cached satisfying substitution plus its extensional footprint.
-
-    Attributes:
-        substitution: ground substitution satisfying the partition's
-            composed hard body at the time the witness was stored.
-        pending_ids: the partition's pending transaction ids when stored —
-            a structural signature; the witness is only trusted while the
-            partition still contains exactly this sequence (merges and
-            groundings change it and thereby retire the witness).
-        rows: ground instantiations of the composed body's atoms under the
-            substitution; the only extensional rows whose presence or
-            absence the body's truth value (under this fixed substitution)
-            can depend on.
-        relations: relations of atoms whose instantiation stayed non-ground
-            (auxiliary variables outside the required set); deltas on these
-            relations invalidate conservatively.
-        monotone: True when no relational atom occurs under a negation, in
-            which case inserts can never invalidate the witness.
-    """
-
-    substitution: Substitution
-    pending_ids: tuple[int, ...]
-    rows: frozenset[RowKey]
-    relations: frozenset[str]
-    monotone: bool
-
-    def touched_by(self, deltas: Iterable[Delta]) -> bool:
-        """True if any delta could change the witnessed body's truth value."""
-        for table, values, is_delete in deltas:
-            if not is_delete and self.monotone:
-                continue
-            if (table, values) in self.rows or table in self.relations:
-                return True
-        return False
 
 
 @dataclass
@@ -368,13 +409,13 @@ class SolutionCacheStatistics:
     extension_misses: int = 0
     full_solves: int = 0
     failures: int = 0
-    #: Admissions / write checks answered from a known-valid witness
+    #: Admissions / write checks answered from a footprinted record
     #: (composed-body re-verification skipped entirely).
     witness_hits: int = 0
-    #: Admissions / write checks no witness could serve (absent, stale, or
-    #: present but its extension failed).
+    #: Admissions / write checks no footprinted record could serve (none,
+    #: unverified, touched by the write, or its extension failed).
     witness_misses: int = 0
-    #: Witnesses dropped because a row-level delta touched their footprint.
+    #: Records that lost their footprint because a row-level delta touched it.
     witness_invalidations: int = 0
     #: Times the fast path fell back to work over the full composed body
     #: (a verification or a full grounding search).
@@ -383,9 +424,10 @@ class SolutionCacheStatistics:
     #: probes) — the count of approximate decisions the cache has absorbed.
     sampled_admissions: int = 0
     #: Search nodes expanded deciding admissions (the sum of every absorbed
-    #: probe's ``nodes``).  Unlike the global ``search.nodes`` this excludes
-    #: grounding and serializability searches, so it is the number the
-    #: admission-strategy benchmark compares across strategies.
+    #: admission probe's ``nodes``; re-validations are not counted).  Unlike
+    #: the global ``search.nodes`` this excludes grounding and
+    #: serializability searches, so it is the number the admission-strategy
+    #: benchmark compares across strategies.
     admission_nodes: int = 0
 
     def composed_body_passes(self) -> int:
@@ -399,14 +441,18 @@ class SolutionCacheStatistics:
 
 
 class SolutionCache:
-    """Witness store plus find-or-extend-or-solve admission logic.
+    """Keeper of the partitions' :class:`Solution` records.
+
+    It holds no solution itself — each record is a field of its partition —
+    only the shared search, the counters, and the rules that move a record
+    between its states.
 
     Args:
         database: the extensional store searches run against.
-        enable_witness: when False the per-partition witness store is
-            disabled and every admission re-verifies the composed body from
-            scratch (the seed behaviour); accept/reject decisions are
-            unaffected.  Used by benchmarks to measure the fast path.
+        enable_witness: when False no record is ever footprinted, so every
+            admission re-verifies the composed body from scratch (the seed
+            behaviour); accept/reject decisions are unaffected.  Used by
+            benchmarks to measure the fast path.
         search_config: admission-search strategy passed to every
             :func:`compute_admission` this cache runs; ``None`` keeps the
             seed's plain backtracking search.
@@ -424,7 +470,6 @@ class SolutionCache:
         self.statistics = SolutionCacheStatistics()
         self.enable_witness = enable_witness
         self.search_config = search_config
-        self._witnesses: dict[int, Witness] = {}
         #: Per-lane statistics slices (lane id → counters).  While a thread
         #: runs inside :meth:`lane_scope` every counter lands in its lane's
         #: slice instead of the shared object, so concurrent admission lanes
@@ -442,44 +487,6 @@ class SolutionCache:
     def _stats(self) -> SolutionCacheStatistics:
         """The active statistics target: the lane slice, or the shared one."""
         return getattr(self._local, "stats", None) or self.statistics
-
-    @property
-    def last_used_witness(self) -> bool:
-        """True when the last :meth:`ensure` on *this thread* extended a
-        known-valid witness (the fast path).
-
-        Thread-local on purpose: admission reads the flag right after
-        ``ensure`` to decide between an incremental and a full footprint for
-        the successor witness, and with per-shard admission lanes two
-        concurrent admissions must never observe each other's flag (a
-        cross-read would store a witness with the wrong footprint — a
-        correctness bug, not a statistics blemish).
-        """
-        return getattr(self._local, "last_used_witness", False)
-
-    @last_used_witness.setter
-    def last_used_witness(self, value: bool) -> None:
-        self._local.last_used_witness = value
-
-    @property
-    def last_method(self) -> str:
-        """Which search decided the last :meth:`ensure` on *this thread*.
-
-        Thread-local for the same reason as :attr:`last_used_witness`: the
-        admission path reads it right after ``ensure`` to stamp the commit
-        result, and concurrent lanes must never see each other's value.
-        """
-        return getattr(self._local, "last_method", "backtracking")
-
-    @property
-    def last_exact(self) -> bool:
-        """False when the last decision on this thread came from sampling."""
-        return getattr(self._local, "last_exact", True)
-
-    @property
-    def last_exhausted_budget(self) -> bool:
-        """True when the last search on this thread ran out of node budget."""
-        return getattr(self._local, "last_exhausted_budget", False)
 
     def lane_statistics(self, lane_id: int) -> SolutionCacheStatistics:
         """The (lazily created) statistics slice of one admission lane."""
@@ -521,165 +528,72 @@ class SolutionCache:
             setattr(merged, field.name, total)
         return merged
 
-    # -- witness store -------------------------------------------------------
+    # -- the record's transitions ---------------------------------------------
 
-    def witness_for(self, partition: Partition) -> Witness | None:
-        """The partition's witness, if still structurally current."""
-        if not self.enable_witness:
-            return None
-        witness = self._witnesses.get(partition.partition_id)
-        if witness is None:
-            return None
-        if witness.pending_ids != partition.transaction_ids():
-            # The partition was merged or partially grounded since the
-            # witness was stored; retire it.
-            del self._witnesses[partition.partition_id]
-            return None
-        return witness
-
-    def store_witness(
+    def record(
         self,
         partition: Partition,
-        formula: Formula,
         substitution: Substitution,
         *,
-        base: Witness | None = None,
-    ) -> Witness | None:
-        """Record ``substitution`` as the partition's witness for ``formula``.
+        extends: Formula | None = None,
+    ) -> None:
+        """Make ``substitution`` the partition's solution, footprinted.
 
         Args:
-            partition: the partition the witness belongs to (its *current*
-                pending ids become the structural signature).
-            formula: the part of the composed body whose footprint must be
-                computed — the full composed body normally, or just the new
-                factor when ``base`` carries the footprint of everything
-                before it.
-            substitution: the satisfying substitution to cache.
-            base: witness whose footprint ``formula``'s extends (fast-path
-                extension: old factors keep their rows, since the extension
-                never rebinds the old variables).
+            partition: the partition, already in the structure (pending
+                sequence) the substitution satisfies.
+            substitution: a satisfying substitution of its composed body
+                over the current store.
+            extends: when the substitution extends the partition's
+                footprinted record by one new factor (the admission fast
+                path), that factor: only its rows are added to the
+                footprint.  Otherwise the whole composed body is walked.
         """
         if not self.enable_witness:
-            return None
-        rows: set[RowKey] = set()
-        relations: set[str] = set()
-        monotone = not _has_negated_atoms(formula)
-        if base is not None:
-            rows.update(base.rows)
-            relations.update(base.relations)
-            monotone = monotone and base.monotone
-        for atom in formula.atoms():
-            instance = substitution.apply_atom(atom.as_body())
-            if instance.is_ground():
-                rows.add((instance.relation, instance.ground_values()))
-            else:
-                relations.add(instance.relation)
-        witness = Witness(
-            substitution=substitution,
-            pending_ids=partition.transaction_ids(),
-            rows=frozenset(rows),
-            relations=frozenset(relations),
-            monotone=monotone,
-        )
-        self._witnesses[partition.partition_id] = witness
-        return witness
+            partition.solution = Solution(substitution)
+            return
+        base = partition.solution.footprint if partition.solution else None
+        if extends is not None and base is not None:
+            footprint = Footprint.of(extends, substitution, base)
+        else:
+            footprint = Footprint.of(partition.composed_formula(), substitution)
+        partition.solution = Solution(substitution, footprint)
 
-    def drop_witness(self, partition_id: int) -> None:
-        """Forget the witness of a partition (merge, emptying, rejection)."""
-        self._witnesses.pop(partition_id, None)
-
-    def witnesses(self) -> dict[int, Witness]:
-        """Snapshot of the stored witnesses (partition id → witness).
-
-        Introspection for tests and diagnostics; no staleness check is
-        applied (use :meth:`witness_for` for a structurally current one).
-        """
-        return dict(self._witnesses)
-
-    def retain(self, partition_ids: Iterable[int]) -> None:
-        """Drop every witness whose partition no longer exists.
-
-        Called after merges: the merged-away partitions disappear from the
-        manager, and without this their witnesses would linger in the store
-        (leaking memory and polluting the invalidation counter).
-        """
-        live = frozenset(partition_ids)
-        for partition_id in list(self._witnesses):
-            if partition_id not in live:
-                del self._witnesses[partition_id]
-
-    def notify_deltas(self, deltas: Sequence[Delta]) -> None:
-        """Invalidate witnesses whose footprint a committed delta touches.
+    def notify_deltas(
+        self, deltas: Sequence[Delta], partitions: Iterable[Partition]
+    ) -> None:
+        """Un-trust the records whose footprint a committed delta touches.
 
         Called after blind writes commit and after grounded update portions
-        execute.  Deltas that miss every witness's footprint leave the
-        witnesses valid — this is the precise invalidation that lets the
-        admission fast path skip re-verification most of the time.
+        execute.  Deltas that miss a record's footprint leave it trusted —
+        this is the precise invalidation that lets the admission fast path
+        skip re-verification most of the time.
         """
-        if not deltas or not self._witnesses:
+        if not deltas:
             return
-        for partition_id, witness in list(self._witnesses.items()):
-            if witness.touched_by(deltas):
-                del self._witnesses[partition_id]
+        for partition in list(partitions):
+            solution = partition.solution
+            if solution is not None and solution.touched_by(deltas):
+                partition.solution = solution.unverified()
                 self._stats.witness_invalidations += 1
 
-    # -- verification --------------------------------------------------------
-
-    def verify(
-        self, formula: Formula | Program, solution: Substitution | None
-    ) -> bool:
-        """True if ``solution`` still satisfies ``formula`` over the database.
-
-        Used after blind writes: the write may have removed the row the
-        cached solution grounded on.
-        """
-        if solution is None:
-            return False
-        self._stats.verifications += 1
-        return verify_solution(self.database, formula, solution)
-
-    # -- extension / solving --------------------------------------------------
-
-    def extend(
-        self,
-        base: Substitution | None,
-        new_factor: Formula | Program,
-        required: Iterable[Variable] | None,
-    ) -> GroundingResult:
-        """Extend ``base`` so that ``new_factor`` is also satisfied."""
-        initial = base or Substitution.empty()
-        result = self.search.find_one(new_factor, required=required, initial=initial)
-        if result.satisfiable:
-            self._stats.extension_hits += 1
-        else:
-            self._stats.extension_misses += 1
-        return result
-
-    def solve(
-        self, formula: Formula | Program, required: Iterable[Variable] | None = None
-    ) -> GroundingResult:
-        """Full grounding search over the composed body (cache miss path)."""
-        self._stats.full_solves += 1
-        result = self.search.find_one(formula, required=required)
-        if not result.satisfiable:
-            self._stats.failures += 1
-        return result
-
-    # -- admission flow --------------------------------------------------------
+    # -- the one flow -----------------------------------------------------------
 
     def ensure(
         self,
         partition: Partition,
         new_factor: Formula | Program | None = None,
         new_required: Iterable[Variable] = (),
-    ) -> Substitution | None:
+        *,
+        uncommitted: Sequence[Delta] | None = None,
+    ) -> AdmissionProbe:
         """Ensure the partition (plus an optional new factor) is satisfiable.
 
-        The fast path: when the partition has a structurally current witness
-        that no delta has touched, the composed body is *not* re-verified —
-        only ``new_factor`` is searched, extending the witness.  On a miss
-        the seed flow (verify cached solution → extend → full solve) runs,
-        so the fast path never changes which transactions are admitted.
+        The fast path: while the partition's record is footprinted the
+        composed body is *not* re-verified — only ``new_factor`` is
+        searched, extending the record.  Otherwise the seed flow (verify the
+        unverified record → extend → full solve) runs, so the fast path
+        never changes which transactions are admitted.
 
         Args:
             partition: the partition whose invariant must hold.
@@ -688,46 +602,53 @@ class SolutionCache:
                 updates), as a formula or compiled into the partition
                 composition's scope; ``None`` when only re-validating.
             new_required: variables of the new factor that must be ground.
+            uncommitted: the row-level deltas of a blind write that is
+                applied but not yet committed (the write check).  The
+                record is trusted only if they miss its footprint, and the
+                outcome is not recorded: the caller does that once the
+                write commits.
 
         Returns:
-            A ground substitution witnessing satisfiability of the composed
-            body (including the new factor when given), or ``None`` when the
-            invariant cannot be maintained — in which case the caller must
-            reject the transaction or write.
+            The probe: its ``substitution`` witnesses satisfiability of the
+            composed body (including the new factor when given) or is
+            ``None`` when the invariant cannot be maintained — in which
+            case the caller must reject the transaction or write.
         """
-        witness = self.witness_for(partition)
-        revalidating = new_factor is None or new_factor is TRUE
+        solution = partition.solution
+        if solution is not None and uncommitted and solution.touched_by(uncommitted):
+            solution = solution.unverified()
+        admitting = new_factor is not None and new_factor is not TRUE
         probe = compute_admission(
             self.search,
             self.database,
             composition=partition.composition(),
-            cached_solution=partition.cached_solution,
-            witness_substitution=None if witness is None else witness.substitution,
+            solution=solution,
             new_factor=new_factor,
             new_required=frozenset(new_required),
             enable_witness=self.enable_witness,
             config=self.search_config,
         )
-        self.absorb_probe(probe)
+        self.absorb_probe(probe, admitting=admitting)
         if (
-            revalidating
+            not admitting
+            and uncommitted is None
             and not probe.used_witness
             and probe.substitution is not None
         ):
-            # Re-validation refreshed or re-solved the whole composed body;
-            # cache it as the partition's witness (full footprint).
-            self.store_witness(
-                partition, partition.composed_formula(), probe.substitution
-            )
-        return probe.substitution
+            # Re-validation re-verified or re-solved the whole composed
+            # body over the committed store: the result is the record.
+            self.record(partition, probe.substitution)
+        return probe
 
-    def absorb_probe(self, probe: AdmissionProbe) -> None:
-        """Apply a probe's counters and witness flag to this cache.
+    def absorb_probe(self, probe: AdmissionProbe, *, admitting: bool = True) -> None:
+        """Apply a probe's counters to this cache.
 
         The writer-side half of a shipped admission search (and of the
         inline one — :meth:`ensure` funnels through here too, so counters
         are applied identically no matter where the search ran).  Lands in
         the active lane slice like any other counter update.
+        ``admission_nodes`` and ``sampled_admissions`` only count searches
+        that decided an arrival (``admitting``), not re-validations.
         """
         stats = self._stats
         stats.verifications += probe.verifications
@@ -738,10 +659,7 @@ class SolutionCache:
         stats.witness_hits += probe.witness_hits
         stats.witness_misses += probe.witness_misses
         stats.fallback_searches += probe.fallback_searches
-        stats.admission_nodes += probe.nodes
-        if probe.method == "sampled":
-            stats.sampled_admissions += 1
-        self.last_used_witness = probe.used_witness
-        self._local.last_method = probe.method
-        self._local.last_exact = probe.exact
-        self._local.last_exhausted_budget = probe.exhausted_budget
+        if admitting:
+            stats.admission_nodes += probe.nodes
+            if probe.method == "sampled":
+                stats.sampled_admissions += 1

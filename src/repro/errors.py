@@ -149,7 +149,18 @@ class InvalidTransactionError(QuantumError):
 
 
 class TransactionRejected(QuantumError):
-    """Admitting the transaction would empty the set of possible worlds."""
+    """Admitting the transaction would empty the set of possible worlds.
+
+    ``method`` and ``exact`` say which admission search decided the
+    rejection (the provenance a ``CommitResult`` carries).
+    """
+
+    def __init__(
+        self, message: str, *, method: str = "backtracking", exact: bool = True
+    ) -> None:
+        super().__init__(message)
+        self.method = method
+        self.exact = exact
 
 
 class AdmissionSearchExhausted(TransactionRejected):

@@ -13,8 +13,8 @@ phase must travel as data.  The lifecycle is:
 1. **Payload** — the writer snapshots exactly what the pure plan function
    (:func:`repro.core.quantum_state.compute_grounding_plan`) reads: the
    partition's pending entries (whose renamed transactions *are* the
-   composed body, factor by factor), its cached-solution witness state,
-   the target ids, the serializability mode, and the rows of every
+   composed body, factor by factor), its solution record, the target ids,
+   the serializability mode, and the rows of every
    relation the partition touches (in insertion order, with the same
    secondary indexes — row enumeration order is what makes the worker's
    backtracking search bit-identical to the writer's).  All of it is a
@@ -37,7 +37,7 @@ The same shape covers the *admission* hot path.  An admission is a
 witness-extension search (:func:`repro.core.solution_cache.compute_admission`)
 followed by a serial commit; the search is read-only and pure, so a lane
 can ship it to its shard's process pool as an :class:`AdmissionPayload`
-(the partition's pending entries, its witness state, the renamed arrival,
+(the partition's pending entries, its solution record, the renamed arrival,
 and the same order-preserving table snapshots) and apply the returned
 :class:`AdmissionResult` exactly as if the search had run inline.  The
 result echoes the shipped pending ids, so the writer can validate that
@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.partition import Partition
 from repro.core.serializability import SerializabilityMode
-from repro.core.solution_cache import AdmissionProbe, Witness, compute_admission
+from repro.core.solution_cache import AdmissionProbe, Solution, compute_admission
 from repro.errors import QuantumError
 from repro.logic.substitution import Substitution
 from repro.relational.database import Database
@@ -124,14 +124,13 @@ class PlanPayload:
         target_ids: ids of the transactions to ground now.
         serializability: STRICT or SEMANTIC.
         forced: whether this grounding was forced by the ``k`` bound.
-        cached_solution: the partition's witness state — the last known
-            satisfying substitution.  Shipped so the worker's rebuilt
-            partition is a complete snapshot of the writer's; note the
-            deterministic plan search does **not** consume it today (a
-            witness-seeded search would change which grounding is found
-            and break backend bit-identity), so it exists for
-            introspection and for a future plan path that can use it on
-            both backends symmetrically.
+        solution: the partition's solution record.  Shipped so the
+            worker's rebuilt partition is a complete snapshot of the
+            writer's; note the deterministic plan search does **not**
+            consume it today (a solution-seeded search would change which
+            grounding is found and break backend bit-identity), so it
+            exists for introspection and for a future plan path that can
+            use it on both backends symmetrically.
         tables: snapshots of every relation the partition touches.
     """
 
@@ -140,7 +139,7 @@ class PlanPayload:
     target_ids: tuple[int, ...]
     serializability: SerializabilityMode
     forced: bool
-    cached_solution: Substitution | None
+    solution: Solution | None
     tables: tuple[TableSnapshot, ...]
 
 
@@ -254,7 +253,7 @@ def build_payload(
         target_ids=tuple(entry.transaction_id for entry in targets),
         serializability=serializability,
         forced=forced,
-        cached_solution=partition.cached_solution,
+        solution=partition.solution,
         tables=snapshot_tables(database, partition.relations(), cache=snapshot_cache),
     )
 
@@ -271,7 +270,7 @@ def execute_payload(payload: PlanPayload) -> PlanResult:
     database = restore_database(payload.tables)
     search = GroundingSearch(database)
     partition = Partition(payload.entries)
-    partition.cached_solution = payload.cached_solution
+    partition.solution = payload.solution
     wanted = set(payload.target_ids)
     targets = [entry for entry in payload.entries if entry.transaction_id in wanted]
     plan, _composition, substitution, satisfied = compute_grounding_plan(
@@ -320,10 +319,8 @@ class AdmissionPayload:
             its sequence suffix — renaming must happen on the writer, where
             the sequence was allocated.
         transaction_id: the arrival's id (echoed back for validation).
-        cached_solution: the partition's last known satisfying substitution.
-        witness_substitution: the substitution of the partition's
-            structurally current witness, or ``None``; the worker extends
-            it exactly as the inline fast path would.
+        solution: the partition's solution record; the worker trusts,
+            verifies or extends it exactly as the inline flow would.
         enable_witness: the cache's fast-path switch, shipped so the
             worker's miss/fallback counters match the inline path's.
         tables: snapshots of every relation the partition or the arrival
@@ -338,8 +335,7 @@ class AdmissionPayload:
     entries: tuple["PendingTransaction", ...]
     renamed: "ResourceTransaction"
     transaction_id: int
-    cached_solution: Substitution | None
-    witness_substitution: Substitution | None
+    solution: Solution | None
     enable_witness: bool
     tables: tuple[TableSnapshot, ...]
     search_config: AdmissionSearchConfig | None = None
@@ -358,7 +354,7 @@ class AdmissionResult:
             snapshot and commit (it cannot on a lane — the lane owns the
             partition — but the check makes the invariant local), the
             result is discarded and the search reruns inline.
-        probe: the pure search outcome — decision substitution, witness
+        probe: the pure search outcome — decision substitution, fast-path
             flag, and cache counters, applied by the writer via
             ``SolutionCache.absorb_probe``.
         search_nodes: grounding-search nodes the worker expanded (folded
@@ -378,7 +374,6 @@ def build_admission_payload(
     transaction_id: int,
     *,
     database: Database,
-    witness: Witness | None,
     enable_witness: bool,
     search_config: AdmissionSearchConfig | None = None,
     snapshot_cache: dict[str, TableSnapshot] | None = None,
@@ -386,7 +381,7 @@ def build_admission_payload(
     """Assemble the picklable admission payload for one arrival (writer side).
 
     Must run under the store read guard: the snapshot has to be consistent
-    with the witness state shipped alongside it.
+    with the solution record shipped alongside it.
     """
     relations = set(partition.relations()) | set(renamed.relations())
     return AdmissionPayload(
@@ -394,8 +389,7 @@ def build_admission_payload(
         entries=partition.pending,
         renamed=renamed,
         transaction_id=transaction_id,
-        cached_solution=partition.cached_solution,
-        witness_substitution=None if witness is None else witness.substitution,
+        solution=partition.solution,
         enable_witness=enable_witness,
         tables=snapshot_tables(database, relations, cache=snapshot_cache),
         search_config=search_config,
@@ -412,15 +406,12 @@ def execute_admission(payload: AdmissionPayload) -> AdmissionResult:
     """
     database = restore_database(payload.tables)
     search = GroundingSearch(database)
-    partition = Partition(payload.entries)
-    partition.cached_solution = payload.cached_solution
-    composition = partition.composition()
+    composition = Partition(payload.entries).composition()
     probe = compute_admission(
         search,
         database,
         composition=composition,
-        cached_solution=payload.cached_solution,
-        witness_substitution=payload.witness_substitution,
+        solution=payload.solution,
         new_factor=composition.preview_factor(payload.renamed),
         new_required=payload.renamed.hard_variables(),
         enable_witness=payload.enable_witness,

@@ -4,8 +4,8 @@ The paper's central property — partitions contain no pairwise-unifiable
 atoms, so they are independent by construction — is exactly a sharding
 invariant.  :class:`ShardedPartitionManager` exploits it: partitions are
 split across N :class:`~repro.sharding.shard.Shard` workers (disjoint
-ownership keyed by partition id, which is also the witness-store key, so
-PR 1's cached witnesses hand off between shards for free), and the
+ownership keyed by partition id; a partition's solution record is a field
+of the partition, so it hands off between shards for free), and the
 :class:`~repro.sharding.signature.SignatureIndex` doubles as the router
 that sends an incoming transaction to the shard owning its matching
 partition.

@@ -3,9 +3,9 @@
 Partitions are independent by construction — no atom of one unifies with
 any atom of another — so the set of partitions can be split across worker
 shards without any cross-shard coordination on the hot path.  A
-:class:`Shard` owns a disjoint set of partitions (keyed by partition id,
-which is also what the per-partition witness store is keyed by, so witness
-state hands off between shards for free) and runs the read-only grounding
+:class:`Shard` owns a disjoint set of partitions (keyed by partition id;
+each partition carries its own solution record, so that state hands off
+between shards for free) and runs the read-only grounding
 *plan* phase for its partitions on its own executor.
 
 The executor is created lazily (guarded by a lock: concurrent first

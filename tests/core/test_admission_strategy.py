@@ -3,8 +3,9 @@
 Pins the whole provenance path of an admission decision: the strategy
 selected through ``QuantumConfig(search=AdmissionSearchConfig(...))``
 drives the pure ``compute_admission`` dispatch, the probe's
-``method``/``exact``/``exhausted_budget`` land on the thread-local cache
-state, the typed :class:`AdmissionSearchExhausted` outcome fires on
+``method``/``exact``/``exhausted_budget`` travel back with the admission
+(on the pending entry or on the rejection), the typed
+:class:`AdmissionSearchExhausted` outcome fires on
 budget exhaustion, and the wire-visible :class:`CommitResult` carries the
 provenance out — including over the framed TCP protocol's codec.
 """

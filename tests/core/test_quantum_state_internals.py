@@ -105,36 +105,44 @@ class TestSolutionCache:
         qdb.ground_all()
         assert qdb.database.table("Bookings").rows()
 
-    def test_cached_solution_revalidated_after_write(self):
+    def test_solution_revalidated_after_write(self):
         qdb = QuantumDatabase(make_tiny_flight_db(seats=3))
         qdb.execute(ANY_SEAT.format(name="Mickey", flight=123))
         partition = qdb.state.partitions.partitions[0]
-        cached_before = partition.cached_solution
-        assert cached_before is not None
-        # Delete the exact seat the cached solution used; the write passes
-        # (other seats remain) but the cache must be refreshed.
-        seat_value = [v for v in cached_before.as_valuation().values() if isinstance(v, str)][0]
+        before = partition.solution
+        assert before is not None
+        # Delete the exact seat the solution used; the write passes
+        # (other seats remain) but the record must be refreshed.
+        seat_value = [
+            v for v in before.substitution.as_valuation().values() if isinstance(v, str)
+        ][0]
         qdb.delete("Available", (123, seat_value))
-        assert partition.cached_solution is not None
-        assert qdb.state.cache.verify(
-            partition.composed_formula(), partition.cached_solution
+        assert partition.solution is not None
+        assert partition.solution.substitution != before.substitution
+        assert partition.composition().program().holds(
+            qdb.database, partition.solution.substitution
         )
 
 
-class TestWitnessCache:
-    """The per-partition witness store behind the admission fast path."""
+class TestSolutionRecord:
+    """The partition-resident solution record behind the admission fast path."""
 
     def _witness(self, qdb):
+        """The partition and the footprint of its record (``None`` unless
+        the record is trusted without re-verification)."""
         partition = qdb.state.partitions.partitions[0]
-        return partition, qdb.state.cache.witness_for(partition)
+        solution = partition.solution
+        return partition, None if solution is None else solution.footprint
 
-    def test_admission_stores_witness_with_footprint(self):
+    def test_admission_records_solution_with_footprint(self):
         qdb = QuantumDatabase(make_tiny_flight_db(seats=3))
         qdb.execute(ANY_SEAT.format(name="Mickey", flight=123))
         partition, witness = self._witness(qdb)
         assert witness is not None
-        assert witness.pending_ids == partition.transaction_ids()
-        assert witness.substitution == partition.cached_solution
+        # The record satisfies the composed body it is the solution of.
+        assert partition.composition().program().holds(
+            qdb.database, partition.solution.substitution
+        )
         # The footprint is the Available row the grounding sits on.
         assert any(table == "Available" for table, _values in witness.rows)
         assert witness.monotone
@@ -210,7 +218,7 @@ class TestWitnessCache:
         assert qdb.cache_statistics.witness_invalidations == invalidations_before
         assert self._witness(qdb)[1] is not None
 
-    def test_merge_retires_witnesses(self):
+    def test_merge_rerecords_over_the_merged_sequence(self):
         qdb = QuantumDatabase(two_flight_db())
         qdb.execute(ANY_SEAT.format(name="Mickey", flight=100))
         qdb.execute(ANY_SEAT.format(name="Goofy", flight=101))
@@ -219,9 +227,12 @@ class TestWitnessCache:
         )
         assert len(qdb.state.partitions) == 1
         partition, witness = self._witness(qdb)
-        # The post-merge witness covers exactly the merged pending sequence.
+        # The post-merge record covers exactly the merged pending sequence:
+        # one witnessed seat per pending transaction.
         assert witness is not None
-        assert witness.pending_ids == partition.transaction_ids()
+        assert len(witness.rows) == len(partition) == 3
+        bound = partition.solution.substitution.domain()
+        assert bound >= partition.composition().required()
 
     def test_grounding_keeps_other_partitions_witness(self):
         qdb = QuantumDatabase(two_flight_db())
@@ -246,7 +257,7 @@ class TestWitnessCache:
         assert stats.verifications >= 1
         partition, witness = self._witness(qdb)
         assert witness is None
-        assert partition.cached_solution is not None
+        assert partition.solution is not None
 
 
 class TestGroundingPolicy:

@@ -68,9 +68,9 @@ class TestVictimSelection:
         qdb.execute(pinned("pinned", "s7"))
         policy = qdb.config.policy()
         partition = qdb.state.partitions.partitions[0]
-        # The partition holds a current witness for the scorer to consult.
-        assert partition.partition_id in qdb.state.cache.witnesses()
-        victims = policy.victims(partition, cache=qdb.state.cache)
+        # The partition's record is footprinted for the scorer to consult.
+        assert partition.solution.footprint is not None
+        victims = policy.victims(partition)
         # Within bounds: no victims yet.
         assert victims == []
         third = qdb.execute(broad("late_broad"))
@@ -97,22 +97,25 @@ class TestVictimSelection:
         assert len(grounded) == 1
         assert grounded[0].transaction.updates[1].terms[0].value == "early_broad"
 
-    def test_without_cache_degrades_to_oldest_first(self):
+    def test_without_footprint_degrades_to_oldest_first(self):
         # Admit under a loose bound, then evaluate a tighter witness-aware
-        # policy by hand: without a cache it must pick the oldest victim.
+        # policy by hand: the footprint makes it pick the narrow (pinned)
+        # victim ...
         qdb = make_qdb(GroundingStrategy.WITNESS_AWARE, k=4)
         qdb.execute(broad("a"))
         qdb.execute(pinned("b", "s3"))
         partition = qdb.state.partitions.partitions[0]
         policy = GroundingPolicy(k=1, strategy=GroundingStrategy.WITNESS_AWARE)
-        no_cache = policy.victims(partition)
-        assert [v.sequence for v in no_cache] == [
-            min(e.sequence for e in partition.pending)
-        ]
-        # With the cache the same policy picks the narrow (pinned) victim.
-        with_cache = policy.victims(partition, cache=qdb.state.cache)
-        assert [v.sequence for v in with_cache] == [
+        footprinted = policy.victims(partition)
+        assert [v.sequence for v in footprinted] == [
             max(e.sequence for e in partition.pending)
+        ]
+        # ... and once the record is a bare substitution (as it always is
+        # with witness_cache=False) the same policy picks the oldest.
+        partition.solution = partition.solution.unverified()
+        bare = policy.victims(partition)
+        assert [v.sequence for v in bare] == [
+            min(e.sequence for e in partition.pending)
         ]
 
 

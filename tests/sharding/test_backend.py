@@ -265,7 +265,6 @@ class TestAdmissionShipping:
             renamed,
             incoming.transaction_id,
             database=qdb.database,
-            witness=qdb.state.cache.witness_for(partition),
             enable_witness=qdb.state.cache.enable_witness,
         )
         return incoming, renamed, payload
@@ -279,10 +278,9 @@ class TestAdmissionShipping:
         assert [e.transaction_id for e in back.entries] == list(
             partition.transaction_ids()
         )
-        witness = qdb.state.cache.witness_for(partition)
-        assert back.witness_substitution == (
-            None if witness is None else witness.substitution
-        )
+        # One record travels: the substitution and its footprint.
+        assert partition.solution.footprint is not None
+        assert back.solution == partition.solution
         # Every relation the partition or the arrival touches ships along.
         assert {s.name for s in back.tables} == {"Available", "Bookings"}
         qdb.close()
@@ -300,8 +298,8 @@ class TestAdmissionShipping:
         inline = state.cache.ensure(
             partition, new_factor, renamed.hard_variables()
         )
-        assert shipped.probe.substitution == inline
-        assert shipped.probe.used_witness == state.cache.last_used_witness
+        assert shipped.probe == inline
+        assert inline.used_witness
         qdb.close()
 
     def test_shipped_rejection_matches_inline(self):
@@ -318,12 +316,11 @@ class TestAdmissionShipping:
         shipped = execute_admission(payload)
         assert shipped.probe.substitution is None
         new_factor = partition.composition().preview_factor(renamed)
-        assert (
-            qdb.state.cache.ensure(
-                partition, new_factor, renamed.hard_variables()
-            )
-            is None
+        inline = qdb.state.cache.ensure(
+            partition, new_factor, renamed.hard_variables()
         )
+        assert inline.substitution is None
+        assert shipped.probe == inline
         qdb.close()
 
     def test_validation_mismatch_falls_back_inline(self):
