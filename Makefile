@@ -12,7 +12,8 @@
 #   make pairbench - paired, alternating runs of the repository benchmark
 #                   (bench/): working tree vs BASE on WORKLOAD, PAIRS pairs
 #   make profile  - one fixed-seed round of WORKLOAD's generated inputs under
-#                   phase timers (parse / admit / plan / apply) and cProfile
+#                   phase timers (parse / admit / plan / apply / persist) and
+#                   cProfile; book_tcp on the segmented engine
 #   make lint     - ruff lint (and format check on the gated paths)
 #   make bench    - the full benchmark suite (regenerates every figure/table)
 #
@@ -97,8 +98,9 @@ pairbench:
 	$(PYTHON) scripts/bench_pair.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # Where does a commit of WORKLOAD (book_batch, book_tcp, mixed_session)
-# spend its time?  The starting point of a hot-path issue; the claim
-# itself still comes from `make pairbench`.
+# spend its time, and how many store commits, WAL records and fsyncs
+# stand behind one booking?  The starting point of a hot-path issue; the
+# claim itself still comes from `make pairbench`.
 profile:
 	$(PYTHON) scripts/profile_workload.py --workload $(WORKLOAD)
 

@@ -15,10 +15,12 @@ them through an embedded ``QuantumDatabase`` twice:
 
 1. under coarse wall-clock **phase timers** — parse (text to
    transaction), admit (routing, composition, the admission search), plan
-   (serialization order plus the grounding search) and apply (executing a
-   plan: store transaction, witnesses, recomposition) — followed by the
-   search counters and a digest of the round's decisions, which two
-   checkouts must agree on when a change claims to keep them;
+   (serialization order plus the grounding search), apply (executing a
+   plan: store writes, witnesses, recomposition) and persist (inside
+   ``Transaction.commit``: the COMMIT record's append, flush and fsync) —
+   followed by the search counters, the store commits, WAL records and
+   fsyncs behind one booking, and a digest of the round's decisions, which
+   two checkouts must agree on when a change claims to keep them;
 2. under ``cProfile``.
 
 Both passes run on one thread, through the in-process API and with
@@ -26,9 +28,14 @@ admission lanes off: lanes run admissions on their own threads, where
 neither a wall clock (the threads wait for each other's interpreter lock)
 nor the calling thread's profiler (it sees only the waiting) can be read
 phase by phase, and inline admission runs the same code.  ``book_tcp`` is
-its bookings as single commits without the wire, ``mixed_session`` its
-operations without the session layer.  ``lookup_tcp`` and ``store_churn``
-spend their time in layers this script has no phases for and are refused.
+its bookings without the wire, on the segmented engine under the
+benchmark's pinned flush policy (``bench.settings.durability_config``, in a
+temporary directory): each turn of its closed-loop connections is admitted
+as one commit run, the way the server's writer drains it
+(``service.mean_commit_run`` reads 2.0 on the benchmark).  ``mixed_session``
+is its operations without the session layer, on the in-memory log it runs
+on there.  ``lookup_tcp`` and ``store_churn`` spend their time in layers
+this script has no phases for and are refused.
 
 cProfile inflates call-heavy code; use the profile to find candidates and
 ``make pairbench`` to measure them.
@@ -41,6 +48,7 @@ import cProfile
 import hashlib
 import pstats
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from contextlib import contextmanager, nullcontext
@@ -53,24 +61,27 @@ from bench import generator as gen  # noqa: E402
 from bench import settings  # noqa: E402
 from repro import Database, QuantumDatabase, parse_transaction  # noqa: E402
 from repro.core.quantum_state import QuantumState  # noqa: E402
+from repro.relational.transaction import Transaction  # noqa: E402
+from repro.storage import SegmentedWriteAheadLog  # noqa: E402
 from repro.workloads.flights import create_flight_tables  # noqa: E402
 
 WORKLOADS = ("book_batch", "book_tcp", "mixed_session")
-PHASES = ("parse", "admit", "plan", "apply")
+PHASES = ("parse", "admit", "plan", "apply", "persist")
 
 
 class PhaseTimers:
     """Wall-clock self time per phase (single-threaded, nesting-aware).
 
     A forced grounding runs inside an admission: its plan and apply time
-    is charged to plan and apply, not to admit a second time.
+    is charged to plan and apply, not to admit a second time; likewise a
+    store commit inside an apply is charged to persist alone.
     """
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
-        #: Set once the measured region is over (its clean-up still runs
-        #: through the wrapped methods).
+        #: Set outside the measured region (the set-up and the clean-up run
+        #: through the wrapped methods too).
         self.stopped = False
         self._nested: list[float] = []
 
@@ -100,28 +111,39 @@ class PhaseTimers:
 
     @contextmanager
     def installed(self):
-        """Time ``QuantumState.admit`` / ``plan_grounding`` / ``apply_grounding``."""
+        """Time ``QuantumState.admit`` / ``plan_grounding`` /
+        ``apply_grounding`` and ``Transaction.commit``."""
         targets = {
-            "admit": "admit",
-            "plan": "plan_grounding",
-            "apply": "apply_grounding",
+            "admit": (QuantumState, "admit"),
+            "plan": (QuantumState, "plan_grounding"),
+            "apply": (QuantumState, "apply_grounding"),
+            "persist": (Transaction, "commit"),
         }
-        originals = {attr: getattr(QuantumState, attr) for attr in targets.values()}
-        for name, attr in targets.items():
-            setattr(QuantumState, attr, self.wrap(name, originals[attr]))
+        originals = {
+            name: getattr(owner, attr) for name, (owner, attr) in targets.items()
+        }
+        for name, (owner, attr) in targets.items():
+            setattr(owner, attr, self.wrap(name, originals[name]))
         try:
             yield self
         finally:
-            for attr, original in originals.items():
-                setattr(QuantumState, attr, original)
+            for name, (owner, attr) in targets.items():
+                setattr(owner, attr, originals[name])
 
 
-def build(flights) -> QuantumDatabase:
+def build(flights, wal_directory: str | None = None) -> QuantumDatabase:
+    """The round's database; on the segmented engine when given a directory."""
     database = Database()
     create_flight_tables(database)
     qdb = QuantumDatabase(database, settings.quantum_config(lanes=False))
     qdb.load_rows("Available", gen.available_rows(flights))
     qdb.load_rows("Adjacent", gen.adjacent_rows(flights))
+    if wal_directory is not None:
+        engine = SegmentedWriteAheadLog(
+            wal_directory, settings.durability_config(wal_directory)
+        )
+        engine.adopt(database.wal)
+        database.wal = engine
     return qdb
 
 
@@ -148,13 +170,22 @@ def drive(workload: str, seed: int, timers: PhaseTimers | None = None):
         for connection, stream in enumerate(streams)
         if position < len(stream)
     ]
-    qdb = build(flights)
+    scratch = tempfile.TemporaryDirectory() if workload == "book_tcp" else None
+    if timers is not None:
+        timers.stopped = True
+    qdb = build(flights, scratch.name if scratch is not None else None)
+    if timers is not None:
+        timers.stopped = False
     failed = 0
     ids: dict[tuple[int, int], int] = {}
+    logged = len(qdb.database.wal)
+    fsyncs = qdb.statistics_report().get("durability.fsyncs", 0)
     start = time.perf_counter()
     try:
-        if workload == "book_batch":
-            size = settings.BATCH_SIZE
+        if workload != "mixed_session":
+            # ``book_batch`` in its batches, ``book_tcp`` in commit runs of
+            # one booking per connection.
+            size = settings.BATCH_SIZE if workload == "book_batch" else connections
             for first in range(0, len(operations), size):
                 batch = [
                     parse(op.booking, timers)
@@ -180,9 +211,14 @@ def drive(workload: str, seed: int, timers: PhaseTimers | None = None):
         if timers is not None:
             timers.stopped = True
         report = qdb.statistics_report()
+        report["wal.records"] = len(qdb.database.wal) - logged
+        report["wal.fsyncs"] = report.get("durability.fsyncs", 0) - fsyncs
         report["decisions"] = decisions_digest(qdb)
     finally:
         qdb.close()
+        if scratch is not None:
+            qdb.database.wal.close()
+            scratch.cleanup()
     return len(operations), failed, elapsed, report
 
 
@@ -241,7 +277,14 @@ def main(argv=None) -> int:
     print(
         f"{'other':8s} {'':7s} {elapsed - accounted:9.3f} {'':9s} "
         f"{100 * (elapsed - accounted) / elapsed:6.1f}%   "
-        "(batching, entanglement, persistence, reads, writes)"
+        "(batching, entanglement, pending rows, reads, writes)"
+    )
+    bookings = timers.calls["parse"]
+    print(
+        f"\nper booking ({bookings}): "
+        f"store commits {timers.calls['persist'] / bookings:.2f}, "
+        f"WAL records {report['wal.records'] / bookings:.2f}, "
+        f"fsyncs {report['wal.fsyncs'] / bookings:.2f}"
     )
     print(
         "\ncounters: "

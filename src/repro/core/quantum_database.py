@@ -273,6 +273,7 @@ class QuantumDatabase:
             policy=self.config.policy(),
             serializability=self.config.serializability,
             on_grounded=self._handle_grounded,
+            pending_store=self.pending_store,
             witness_cache=self.config.witness_cache,
             partitions=self.config.partition_manager(),
             admission_ship_timeout_s=self.config.admission_ship_timeout_s,
@@ -352,11 +353,13 @@ class QuantumDatabase:
         """
         if isinstance(transaction, str):
             transaction = parse_transaction(transaction, **parse_kwargs)
-        result, sequence = self._admit_for_batch(transaction)
-        if result.pending:
-            # A batch of one: its group write is this one row.
-            assert sequence is not None
-            self.pending_store.persist(transaction, sequence)
+        with self.database.unit as unit:
+            result, sequence = self._admit_for_batch(transaction)
+            if result.pending:
+                assert sequence is not None
+                self.pending_store.persist_many(
+                    ((transaction, sequence),), unit.transaction()
+                )
         return result
 
     def commit_batch(
@@ -374,10 +377,10 @@ class QuantumDatabase:
           composed body grows factor-by-factor, so the batch costs one
           composition pass per partition instead of one recomposition per
           transaction;
-        * durability is batched — every transaction still pending at the end
-          of the batch is persisted to the pending-transactions table in a
-          single store transaction (one WAL commit record for the whole
-          batch).
+        * durability is batched — the batch is one store transaction: the
+          updates of everything it grounded, the deletion of their
+          pending-table rows and the rows of every transaction still pending
+          at its end share one WAL commit record (and one fsync).
 
         With ``QuantumConfig(admission_lanes=True)`` on a sharded database
         the batch runs through the router-first concurrent admission
@@ -385,8 +388,8 @@ class QuantumDatabase:
         enqueue time, single-shard ones run on per-shard admission lanes,
         cross-shard ones act as epoch barriers — with decisions, partition
         contents and grounding valuations bit-identical to the serialized
-        loop for the same arrival order.  The durability write below stays
-        a single group commit either way.
+        loop for the same arrival order.  The lanes' groundings join the same
+        store transaction (their writes are serialised by the store guard).
 
         Returns:
             One :class:`CommitResult` per submitted transaction, in order.
@@ -398,28 +401,30 @@ class QuantumDatabase:
         results: list[CommitResult] = []
         admitted: list[tuple[ResourceTransaction, int]] = []
         controller = self.admission_controller() if len(parsed) > 1 else None
-        if controller is not None:
-            lane_results, sequences = controller.commit_many(parsed)
-            results = lane_results
-            admitted = [
+        with self.database.unit as unit:
+            if controller is not None:
+                results, sequences = controller.commit_many(parsed)
+                admitted = [
+                    (transaction, sequence)
+                    for transaction, sequence, result in zip(
+                        parsed, sequences, results
+                    )
+                    if result.committed
+                ]
+            else:
+                for transaction in parsed:
+                    result, sequence = self._admit_for_batch(transaction)
+                    results.append(result)
+                    if result.committed:
+                        assert sequence is not None
+                        admitted.append((transaction, sequence))
+            still_pending = [
                 (transaction, sequence)
-                for transaction, sequence, result in zip(
-                    parsed, sequences, results
-                )
-                if result.committed
+                for transaction, sequence in admitted
+                if self.state.is_pending(transaction.transaction_id)
             ]
-        else:
-            for transaction in parsed:
-                result, sequence = self._admit_for_batch(transaction)
-                results.append(result)
-                if result.committed:
-                    assert sequence is not None
-                    admitted.append((transaction, sequence))
-        self.pending_store.persist_many(
-            (transaction, sequence)
-            for transaction, sequence in admitted
-            if self.state.is_pending(transaction.transaction_id)
-        )
+            if still_pending:
+                self.pending_store.persist_many(still_pending, unit.transaction())
         self.state.statistics.batches += 1
         self.state.statistics.batch_transactions += len(parsed)
         return results
@@ -437,8 +442,11 @@ class QuantumDatabase:
         Returns ``(result, sequence)`` — the sequence is ``None`` for a
         rejected transaction.  The one place a ``CommitResult`` is stamped
         with its decision's provenance, read off what ``admit`` hands back.
-        Durability is *not* handled here: the caller persists every
-        still-pending admission in one group write at the end of its batch.
+        The caller owns the operation's store transaction (it has entered
+        ``database.unit``): groundings triggered here — by the ``k`` bound or
+        a partner's arrival — write through it, and the caller adds the rows
+        of the admissions still pending at the end of its batch before the
+        unit commits.
         """
         try:
             entry = self.state.admit(transaction, sequence=sequence, renamed=renamed)
@@ -531,7 +539,8 @@ class QuantumDatabase:
         if effective_mode is ReadMode.COLLAPSE:
             affected = self.state.affected_by_read(request.atoms)
             if affected:
-                self.state.ground([entry.transaction_id for entry in affected])
+                with self.database.unit:
+                    self.state.ground([entry.transaction_id for entry in affected])
             return self.database.execute(request.to_query()).bindings
         if effective_mode is ReadMode.PEEK:
             return self._peek(request)
@@ -590,9 +599,10 @@ class QuantumDatabase:
         :class:`~repro.errors.GroundingTimeout`); a hung worker then costs
         one exception instead of wedging the caller.
         """
-        return self.state.ground(
-            transaction_ids, executor=executor, timeout_s=timeout_s
-        )
+        with self.database.unit:
+            return self.state.ground(
+                transaction_ids, executor=executor, timeout_s=timeout_s
+            )
 
     def ground_all(
         self,
@@ -601,7 +611,8 @@ class QuantumDatabase:
         timeout_s: float | None = None,
     ) -> list[GroundedTransaction]:
         """Fix every pending transaction (e.g. at the end of a booking day)."""
-        return self.state.ground_all(executor=executor, timeout_s=timeout_s)
+        with self.database.unit:
+            return self.state.ground_all(executor=executor, timeout_s=timeout_s)
 
     def check_in(self, transaction_id: int) -> GroundedTransaction | None:
         """Collapse one transaction and return its assignment.
@@ -612,7 +623,8 @@ class QuantumDatabase:
         ids.
         """
         if self.state.is_pending(transaction_id):
-            self.state.ground([transaction_id])
+            with self.database.unit:
+                self.state.ground([transaction_id])
         return self.state.grounded_results.get(transaction_id)
 
     def assignment_of(self, transaction_id: int) -> dict[str, Any] | None:
@@ -678,10 +690,11 @@ class QuantumDatabase:
     def statistics_report(self) -> dict[str, Any]:
         """Every counter the system maintains, flattened for benchmarks.
 
-        Combines the quantum-state, solution-cache, partition and
-        grounding-search statistics into one ``section.counter`` → value
-        mapping, so experiment harnesses can diff configurations (e.g.
-        witness cache on vs. off) without reaching into internals.
+        Combines the quantum-state, solution-cache, partition,
+        grounding-search and store-transaction statistics into one
+        ``section.counter`` → value mapping, so experiment harnesses can diff
+        configurations (e.g. witness cache on vs. off) without reaching into
+        internals.
         """
         report: dict[str, Any] = {}
         # The cache section reconciles the per-lane witness-statistics
@@ -692,6 +705,9 @@ class QuantumDatabase:
             "cache": cache_statistics,
             "partitions": self.state.partitions.statistics,
             "search": self.state.cache.search.totals,
+            # Where the store transactions behind the operations end:
+            # commits, aborts and the WAL records they appended.
+            "store": self.database.statistics,
         }
         for section, stats in sections.items():
             for name, value in vars(stats).items():
@@ -803,17 +819,20 @@ class QuantumDatabase:
         """
         quantum = cls(database, config)
         restored = quantum.pending_store.restore()
-        for sequence, transaction in restored:
-            try:
-                quantum.state.admit(transaction, sequence=sequence)
-            except TransactionRejected as exc:
-                from repro.errors import QuantumRecoveryError
+        # Re-admission under a smaller ``k`` than the crashed instance ran
+        # with forces groundings; they are one store transaction too.
+        with database.unit:
+            for sequence, transaction in restored:
+                try:
+                    quantum.state.admit(transaction, sequence=sequence)
+                except TransactionRejected as exc:
+                    from repro.errors import QuantumRecoveryError
 
-                raise QuantumRecoveryError(
-                    f"pending transaction #{transaction.transaction_id} is no "
-                    f"longer satisfiable after recovery: {exc}"
-                ) from exc
-            quantum.entanglement.register(transaction)
+                    raise QuantumRecoveryError(
+                        f"pending transaction #{transaction.transaction_id} is "
+                        f"no longer satisfiable after recovery: {exc}"
+                    ) from exc
+                quantum.entanglement.register(transaction)
         return quantum
 
     # ------------------------------------------------------------------
@@ -821,8 +840,11 @@ class QuantumDatabase:
     # ------------------------------------------------------------------
 
     def _handle_grounded(self, record: GroundedTransaction) -> None:
-        """Housekeeping when a pending transaction gets grounded."""
-        self.pending_store.remove(record.transaction_id)
+        """Housekeeping when a pending transaction gets grounded.
+
+        In-memory only: the grounding's store transaction already deleted
+        the pending-table row.
+        """
         self.entanglement.withdraw(record.transaction)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

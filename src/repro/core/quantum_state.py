@@ -64,6 +64,7 @@ from repro.relational.dml import Delete, Insert, Statement
 from repro.solver.kernel import compile_formula, conjoin
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.recovery import PendingTransactionStore
     from repro.sharding.backend import PlanResult
     from repro.solver.grounding import GroundingSearch
     from repro.solver.strategy import AdmissionSearchConfig
@@ -426,6 +427,7 @@ class QuantumState:
         policy: GroundingPolicy | None = None,
         serializability: SerializabilityMode = SerializabilityMode.SEMANTIC,
         on_grounded: Callable[[GroundedTransaction], None] | None = None,
+        pending_store: "PendingTransactionStore | None" = None,
         witness_cache: bool = True,
         partitions: PartitionManager | None = None,
         admission_ship_timeout_s: float | None = 30.0,
@@ -447,9 +449,14 @@ class QuantumState:
         self.grounded_results: dict[int, GroundedTransaction] = {}
         self._next_sequence = 1
         #: Callback invoked for every grounded transaction (the quantum
-        #: database uses it to delete rows from the pending-transactions
-        #: table and to notify the application if desired).
+        #: database withdraws its entanglement registration, the session
+        #: layer notifies waiting clients).  It must not write to the store:
+        #: the grounding's transaction is already complete when it fires.
         self.on_grounded = on_grounded
+        #: The pending-transactions table, when the state backs a
+        #: :class:`~repro.core.quantum_database.QuantumDatabase`: a grounding
+        #: deletes the rows of what it fixes in its own store transaction.
+        self.pending_store = pending_store
         #: Readers-writer guard over the extensional store: per-lane
         #: witness-extension searches hold the shared side, store mutations
         #: (grounding applies, blind-write validation) the exclusive side.
@@ -956,16 +963,34 @@ class QuantumState:
         substitution = planned.substitution
         grounded_statements: list[tuple[PendingTransaction, list[Statement]]] = []
         deltas: list[tuple[str, tuple, bool]] = []
-        with self.database.begin() as txn:
-            for entry in plan.to_ground:
-                statements = entry.renamed.ground_updates(substitution)
-                for statement in statements:
-                    applied = txn.apply(statement)
-                    is_delete = isinstance(statement, Delete)
-                    deltas.extend(
-                        (statement.table, row.values, is_delete) for row in applied
+        # The grounded updates and the deletion of the grounded
+        # transactions' pending rows are one store transaction: that of the
+        # operation that caused the grounding, or this grounding's own when
+        # the state is driven directly.  A failed store write aborts it
+        # (whatever the operation wrote before goes with it, and the log
+        # keeps nothing of the operation); anything else commits with it.
+        unit = self.database.unit
+        with unit:
+            txn = unit.transaction()
+            try:
+                for entry in plan.to_ground:
+                    statements = entry.renamed.ground_updates(substitution)
+                    for statement in statements:
+                        applied = txn.apply(statement)
+                        is_delete = isinstance(statement, Delete)
+                        deltas.extend(
+                            (statement.table, row.values, is_delete)
+                            for row in applied
+                        )
+                    grounded_statements.append((entry, statements))
+                if self.pending_store is not None:
+                    self.pending_store.discard(
+                        [entry.transaction_id for entry in plan.to_ground], txn
                     )
-                grounded_statements.append((entry, statements))
+            except BaseException:
+                if txn.is_active:
+                    txn.abort()
+                raise
         # Optional-atom satisfaction is reported against the database state
         # that results from executing the grounded prefix: "sit next to
         # Goofy" is a property of the final seating, not of the intermediate

@@ -11,18 +11,29 @@ restores the in-memory quantum state to what it was before the crash based
 on the pending transactions table.  When a pending resource transaction is
 grounded and executed, it is removed from the pending transactions table."
 
-:class:`PendingTransactionStore` implements exactly that: it owns the
-special table inside the extensional store and (de)serialises transactions
-through the textual notation of :mod:`repro.core.parser`.
+:class:`PendingTransactionStore` owns that special table inside the
+extensional store and (de)serialises transactions through the textual
+notation of :mod:`repro.core.parser`.  It commits nothing itself (bar
+``clear``, a test helper): every insert and delete goes through a store
+transaction the caller hands in, and in the quantum layer that is always
+the *operation's* transaction
+(:attr:`Database.unit <repro.relational.database.Database.unit>`).
+:class:`~repro.core.quantum_database.QuantumDatabase` enters the unit
+around each mutating entry point and inserts, at its end, the rows of what
+is still pending (:meth:`PendingTransactionStore.persist_many`);
+:class:`~repro.core.quantum_state.QuantumState` deletes the rows of what a
+grounding fixes (:meth:`PendingTransactionStore.discard`) in the same
+transaction as the grounded updates.  Both halves of the paragraph above
+are therefore one event each: a commit is acknowledged only after the
+COMMIT record that carries its pending row, and "grounded and executed"
+and "removed from the pending transactions table" share a COMMIT record,
+so no crash can replay a store holding a booking *and* its pending row.
 
 Each row also records the transaction's global arrival **sequence**;
 :meth:`QuantumDatabase.recover <repro.core.quantum_database.QuantumDatabase.recover>`
 re-admits in that order and resumes sequence numbering past the persisted
 high-water mark, so a recovered server continues exactly where the crashed
-one stopped.  The table itself rides the relational WAL — batch persists
-(:meth:`PendingTransactionStore.persist_many`, used by ``commit_batch`` and
-the session layer's group commit) become durable under a single commit
-record, and WAL checkpoints snapshot it like any other table (see
+one stopped.  WAL checkpoints snapshot the table like any other (see
 ``docs/architecture.md``, "Durability, checkpoints and recovery").
 """
 
@@ -36,6 +47,7 @@ from repro.errors import QuantumRecoveryError
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import Column
+from repro.relational.transaction import Transaction
 
 #: Name of the special table holding serialized pending transactions.
 PENDING_TABLE = "__pending_transactions"
@@ -66,54 +78,47 @@ class PendingTransactionStore:
 
     # -- persistence ---------------------------------------------------------
 
-    def persist(self, transaction: ResourceTransaction, sequence: int) -> None:
-        """Serialise a newly admitted transaction (before its commit returns)."""
-        self.database.insert(
-            PENDING_TABLE,
-            (
-                transaction.transaction_id,
-                sequence,
-                transaction.client,
-                transaction.partner,
-                format_transaction(transaction),
-            ),
-        )
-
     def persist_many(
-        self, entries: Iterable[tuple[ResourceTransaction, int]]
+        self,
+        entries: Iterable[tuple[ResourceTransaction, int]],
+        txn: Transaction,
     ) -> None:
-        """Serialise a batch of admitted transactions in one store transaction.
+        """Serialise admitted ``(transaction, sequence)`` pairs through ``txn``.
 
-        Used by ``commit_batch``: the whole batch becomes durable atomically
-        with a single WAL commit record instead of one commit per
-        transaction.
+        They become durable with ``txn``'s COMMIT record — for a commit run,
+        atomically with everything else the run wrote.
         """
-        entries = list(entries)
-        if not entries:
-            return
-        with self.database.begin() as txn:
-            for transaction, sequence in entries:
-                txn.insert(
-                    PENDING_TABLE,
-                    (
-                        transaction.transaction_id,
-                        sequence,
-                        transaction.client,
-                        transaction.partner,
-                        format_transaction(transaction),
-                    ),
-                )
+        for transaction, sequence in entries:
+            txn.insert(
+                PENDING_TABLE,
+                (
+                    transaction.transaction_id,
+                    sequence,
+                    transaction.client,
+                    transaction.partner,
+                    format_transaction(transaction),
+                ),
+            )
 
-    def remove(self, transaction_id: int) -> None:
-        """Remove a grounded transaction from the table (no-op if absent)."""
-        row = self.table.get((transaction_id,))
-        if row is not None:
-            self.database.delete(PENDING_TABLE, row.values)
+    def discard(self, transaction_ids: Iterable[int], txn: Transaction) -> None:
+        """Delete grounded transactions' rows through ``txn``.
+
+        An id without a row is skipped: a transaction grounded inside the
+        operation that admitted it never got one.
+        """
+        get = self.table.get
+        for transaction_id in transaction_ids:
+            row = get((transaction_id,))
+            if row is not None:
+                txn.delete(PENDING_TABLE, row.values)
 
     def clear(self) -> None:
-        """Remove every entry (used by tests)."""
-        for row in list(self.table.rows()):
-            self.database.delete(PENDING_TABLE, row.values)
+        """Remove every entry in one store transaction (used by tests)."""
+        rows = list(self.table.rows())
+        if rows:
+            with self.database.begin() as txn:
+                for row in rows:
+                    txn.delete(PENDING_TABLE, row.values)
 
     # -- restore --------------------------------------------------------------
 

@@ -14,7 +14,11 @@ from repro.relational.query import ConjunctiveQuery, QueryResult
 from repro.relational.row import Row
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
-from repro.relational.transaction import Transaction
+from repro.relational.transaction import (
+    OperationUnit,
+    StoreStatistics,
+    Transaction,
+)
 from repro.relational.wal import WriteAheadLog
 
 
@@ -40,6 +44,11 @@ class Database:
         self.wal = WriteAheadLog()
         self._txn_ids = itertools.count(1)
         self._active_transactions: set[int] = set()
+        #: Commits, aborts and WAL records of this database's transactions.
+        self.statistics = StoreStatistics()
+        #: The one store transaction of the writer operation in progress
+        #: (see :class:`~repro.relational.transaction.OperationUnit`).
+        self.unit = OperationUnit(self)
 
     # -- catalog ------------------------------------------------------------
 

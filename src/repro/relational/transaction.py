@@ -2,12 +2,12 @@
 
 These are the *ordinary* (non-resource) transactions of the substrate: a
 unit of inserts/deletes/updates with atomicity (undo on abort) and
-durability (WAL records, commit marker).  The quantum middle tier uses them
-for three things:
-
-* installing the extensional effects of a grounded resource transaction,
-* persisting/removing entries of the pending-transactions table, and
-* running the baseline ("intelligent social") workloads.
+durability (WAL records, commit marker).  The quantum middle tier runs one
+per writer operation (:class:`OperationUnit`): the extensional effects of
+every resource transaction the operation grounds, the deletion of their
+pending-table rows and the insertion of the rows still pending at its end
+reach the log under one COMMIT record.  Blind writes and the baseline
+("intelligent social") workloads use plain transactions.
 
 Concurrency in the reproduction is logical rather than physical — the whole
 system runs single-threaded, as the paper's single-client experiments do —
@@ -18,6 +18,7 @@ commit/abort, undo in reverse order) rather than latching.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import TransactionError
@@ -35,6 +36,22 @@ class TransactionStatus(enum.Enum):
     ACTIVE = "ACTIVE"
     COMMITTED = "COMMITTED"
     ABORTED = "ABORTED"
+
+
+@dataclass
+class StoreStatistics:
+    """Counters of a database's transactions (``store.*`` in reports).
+
+    Attributes:
+        commits: transactions committed.
+        aborts: transactions aborted.
+        records: WAL records those transactions appended (BEGIN, one per
+            row written, COMMIT or ABORT).
+    """
+
+    commits: int = 0
+    aborts: int = 0
+    records: int = 0
 
 
 class Transaction:
@@ -146,6 +163,9 @@ class Transaction:
         self._require_active()
         self._wal.log_commit(self.transaction_id)
         self.status = TransactionStatus.COMMITTED
+        statistics = self.database.statistics
+        statistics.commits += 1
+        statistics.records += len(self._undo) + 2
         self._undo.clear()
         self.database._transaction_finished(self.transaction_id)
 
@@ -160,6 +180,9 @@ class Transaction:
                 table.insert(row.values)
         self._wal.log_abort(self.transaction_id)
         self.status = TransactionStatus.ABORTED
+        statistics = self.database.statistics
+        statistics.aborts += 1
+        statistics.records += len(self._undo) + 2
         self._undo.clear()
         self.database._transaction_finished(self.transaction_id)
 
@@ -182,3 +205,48 @@ class Transaction:
             f"<Transaction id={self.transaction_id} status={self.status.value} "
             f"ops={len(self._undo)}>"
         )
+
+
+class OperationUnit:
+    """One store transaction for a whole writer operation, begun lazily.
+
+    A database has exactly one (:attr:`Database.unit`); an operation that
+    may write enters it, everything beneath writes through
+    :meth:`transaction`, and leaving the outermost ``with`` commits — on
+    *every* exit path, because the caller's in-memory state has already
+    advanced past the writes and cannot be rolled back.  Only a failed
+    store write aborts: the writer that hit it aborts the transaction and
+    re-raises, and the exit then finds nothing active.  An operation that
+    never asks for the transaction appends no record and allocates nothing.
+
+    Entering is reentrant (a grounding enters the unit of the operation
+    that caused it, or is a unit of its own) but not concurrent: threads
+    that share a unit serialise their writes themselves (the admission
+    lanes do, under ``QuantumState.store_guard.write()``).
+    """
+
+    def __init__(self, database: "Database") -> None:
+        self._database = database
+        self._depth = 0
+        self._transaction: Transaction | None = None
+
+    def transaction(self) -> Transaction:
+        """The unit's transaction, begun on first use."""
+        transaction = self._transaction
+        if transaction is None or not transaction.is_active:
+            if not self._depth:
+                raise TransactionError("no operation unit is open")
+            transaction = self._transaction = self._database.begin()
+        return transaction
+
+    def __enter__(self) -> "OperationUnit":
+        self._depth += 1
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        self._depth -= 1
+        if not self._depth:
+            transaction, self._transaction = self._transaction, None
+            if transaction is not None and transaction.is_active:
+                transaction.commit()
+        return False

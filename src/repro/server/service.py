@@ -16,15 +16,16 @@ follows directly from the paper's model (see ``docs/architecture.md``):
 
 * **Group commit.**  When several commits are queued (concurrent clients),
   the writer drains them together and admits them via
-  :meth:`QuantumDatabase.commit_batch` — one durability write (and one WAL
-  group-commit flush) for the whole run instead of one per transaction.
-  With a segmented engine running a group-fsync window
-  (``DurabilityConfig(fsync=True, fsync_window_s=...)``) the whole drain
-  additionally shares one *deferred* ``os.fsync``: the run's commits are
-  appended and flushed inside the engine's ``sync_scope()`` and the
-  writer blocks once, at scope exit, until the covering sync lands —
-  only then are the submitters' futures resolved, so a client never sees
-  an acknowledgement for a commit that is not yet on stable storage.
+  :meth:`QuantumDatabase.commit_batch`, which is *one store transaction*:
+  the groundings the run forces, the deletion of their pending rows and
+  the rows of the run's still-pending admissions reach the log under one
+  COMMIT record and one fsync (deferred to the group-fsync window when
+  ``DurabilityConfig(fsync=True, fsync_window_s=...)`` runs one; the
+  COMMIT append then blocks until the covering sync lands).  The
+  submitters' futures are resolved only after that commit returned, so a
+  client never sees an acknowledgement — and, grounding notifications
+  being delivered through the loop, never a grounding — that is not yet
+  on stable storage.
 
 * **Concurrent grounding.**  Explicit grounding requests that span several
   partitions run their read-only *plan* phase (the grounding search) on the
@@ -47,9 +48,8 @@ import enum
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.parser import parse_transaction
 from repro.core.quantum_database import CommitResult, QuantumDatabase
@@ -206,9 +206,9 @@ class ServerConfig:
             log is recovery input (``repro.storage.recover``), so
             ``start()`` refuses to adopt over it — mirroring the
             ``wal_path`` refusal.  Mutually exclusive with ``wal_path``.
-            ``fsync_window_s`` adds the group-fsync commit window (the
-            writer loop batches each drain's sync wait through the
-            engine's ``sync_scope()``), and ``incremental_bases`` moves
+            ``fsync_window_s`` adds the group-fsync commit window (a
+            commit run is one store transaction, so it waits for one
+            covering sync), and ``incremental_bases`` moves
             base-checkpoint folds onto the compactor — see
             :class:`~repro.storage.DurabilityConfig`.
     """
@@ -356,7 +356,7 @@ class QuantumServer:
         self._last_checkpoint = time.monotonic()
         self._checkpoint_retries = 0
         # Chain the grounding notification hook in front of the database's
-        # own housekeeping (pending-table delete, entanglement withdrawal).
+        # own housekeeping (entanglement withdrawal).
         self._chained_on_grounded = qdb.state.on_grounded
         qdb.state.on_grounded = self._handle_grounded
         qdb.state.cache.search.observer = self._observe_search
@@ -784,11 +784,10 @@ class QuantumServer:
         if len(live) > self.statistics.max_commit_run:
             self.statistics.max_commit_run = len(live)
         try:
-            # The sync scope batches the run's deferred group fsync into
-            # one wait at scope exit; the futures below resolve only after
-            # it, so acknowledgement still implies stable storage.
-            with self._durability_sync_scope():
-                results = self.qdb.commit_batch([item.payload for item in live])
+            # One store transaction: commit_batch returns after its COMMIT
+            # record is stable, and the futures below resolve only then, so
+            # acknowledgement implies stable storage.
+            results = self.qdb.commit_batch([item.payload for item in live])
         except Exception as exc:  # pragma: no cover - defensive
             for item in live:
                 if not item.future.done():
@@ -817,18 +816,10 @@ class QuantumServer:
         if not item.future.cancelled():
             item.future.set_result(result)
 
-    def _durability_sync_scope(self) -> ContextManager[None]:
-        """The WAL's commit-sync batching scope (no-op without a window)."""
-        scope = getattr(self.qdb.database.wal, "sync_scope", None)
-        if scope is None:
-            return nullcontext()
-        return scope()
-
     def _dispatch(self, item: WorkItem) -> Any:
         if item.kind is WorkKind.BATCH:
             self.statistics.batch_commits += len(item.payload)
-            with self._durability_sync_scope():
-                return self.qdb.commit_batch(item.payload)
+            return self.qdb.commit_batch(item.payload)
         if item.kind is WorkKind.READ:
             self.statistics.reads += 1
             request, terms, mode, select, limit = item.payload
@@ -889,27 +880,25 @@ class QuantumServer:
         return bool(target(record))
 
     def _handle_grounded(self, record: GroundedTransaction) -> None:
-        # The synchronous housekeeping (pending-table delete, entanglement
-        # withdrawal) must run on the grounding thread, inside the store
-        # guard's exclusive section.
+        # The synchronous housekeeping (entanglement withdrawal) must run
+        # on the grounding thread, inside the store guard's exclusive
+        # section.
         if self._chained_on_grounded is not None:
             self._chained_on_grounded(record)
         if not self._grounding_waiters:
             return
-        # Waiter resolution touches asyncio futures, which are not
-        # thread-safe.  With admission lanes a forced grounding (the k
-        # bound) fires this callback on a lane thread — marshal the
-        # resolution onto the server's loop instead of resolving inline.
+        # Waiters are resolved by a callback on the server's loop, never
+        # inline: asyncio futures are not thread-safe (a forced grounding
+        # may fire this on a lane thread), and the loop runs no callback
+        # before the writer step that grounded the record has returned —
+        # that is, before the operation's store transaction is committed
+        # and synced — so a client cannot observe a grounding that a crash
+        # could still undo.
         loop = self._loop
         if loop is not None and not loop.is_closed():
-            try:
-                running = asyncio.get_running_loop()
-            except RuntimeError:
-                running = None
-            if running is not loop:
-                loop.call_soon_threadsafe(self._resolve_grounding_waiters, record)
-                return
-        self._resolve_grounding_waiters(record)
+            loop.call_soon_threadsafe(self._resolve_grounding_waiters, record)
+        else:
+            self._resolve_grounding_waiters(record)
 
     def _resolve_grounding_waiters(self, record: GroundedTransaction) -> None:
         """Resolve matching grounding futures (loop thread only)."""

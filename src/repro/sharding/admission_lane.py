@@ -349,7 +349,9 @@ class AdmissionController:
         writer in order: sequences are allocated up front in arrival order,
         single-shard arrivals run on their shard's lane, conflicts escalate
         down the ladder, and the final drain leaves the system quiescent
-        before the caller takes its single group-commit durability write.
+        before the caller adds the still-pending rows and commits the
+        batch's one store transaction (which the lanes' groundings already
+        wrote through, under the store guard's exclusive side).
 
         Raises:
             QuantumError: the controller was already closed.

@@ -36,9 +36,8 @@ import os
 import threading
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.wal import (
@@ -274,10 +273,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         self._synthesis_cutoff = 0
         #: Group-fsync window (``fsync_window_s > 0``): commit flushes
         #: defer their sync to the window's timer thread and block on a
-        #: ticket outside the writer lock; ``_deferred_sync`` carries the
-        #: per-thread ``sync_scope()`` state that batches those waits.
+        #: ticket outside the writer lock.
         self._sync_window: _GroupSyncWindow | None = None
-        self._deferred_sync = threading.local()
         if config.fsync and config.fsync_window_s > 0:
             self._sync_window = _GroupSyncWindow(self, config.fsync_window_s)
         os.makedirs(self.directory, exist_ok=True)
@@ -541,8 +538,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         and then blocks — outside the writer lock, so concurrent commits
         stack into the same window — until the deferred sync covering it
         lands; the record is therefore durable by the time the append
-        returns, exactly as with per-commit syncs.  Inside a
-        :meth:`sync_scope` the wait is batched to the scope exit instead.
+        returns, exactly as with per-commit syncs.
         """
         ticket: int | None = None
         with self._lock:
@@ -579,7 +575,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 self._txn_effects.pop(transaction_id, None)
                 ticket = self._flush_tail_locked(defer_sync=True)
         if ticket is not None:
-            self._settle_sync_ticket(ticket)
+            assert self._sync_window is not None
+            self._sync_window.await_ticket(ticket)
         return record
 
     def _flush_tail_locked(self, *, defer_sync: bool = False) -> int | None:
@@ -606,16 +603,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         window.complete_all()
         return None
 
-    def _settle_sync_ticket(self, ticket: int) -> None:
-        """Wait for a commit's covering sync, or defer into the scope."""
-        window = self._sync_window
-        assert window is not None
-        local = self._deferred_sync
-        if getattr(local, "depth", 0):
-            local.max_ticket = max(getattr(local, "max_ticket", 0), ticket)
-            return
-        window.await_ticket(ticket)
-
     def _sync_tail_for_window(self) -> None:
         """Issue one group sync covering every pending ticket (timer thread)."""
         window = self._sync_window
@@ -633,34 +620,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self.statistics.fsyncs += 1
             self.statistics.sync_windows += 1
             window.complete_all()
-
-    @contextmanager
-    def sync_scope(self) -> Iterator[None]:
-        """Batch this thread's commit-sync waits into one wait at exit.
-
-        Inside the scope, ``append(COMMIT/ABORT)`` records its sync ticket
-        instead of blocking; leaving the scope waits once for the highest
-        ticket, so a whole drained batch shares one group fsync (and one
-        window of latency) while every commit is still acknowledged only
-        after its covering sync.  Reentrant, per-thread; a no-op without a
-        group-fsync window.
-        """
-        if self._sync_window is None:
-            yield
-            return
-        local = self._deferred_sync
-        depth = getattr(local, "depth", 0)
-        if depth == 0:
-            local.max_ticket = 0
-        local.depth = depth + 1
-        try:
-            yield
-        finally:
-            local.depth = depth
-            if depth == 0:
-                ticket, local.max_ticket = local.max_ticket, 0
-                if ticket:
-                    self._sync_window.await_ticket(ticket)
 
     def flush(self) -> None:
         """Force the tail segment's durability point.

@@ -44,5 +44,16 @@ def test_a_miniature_round_runs_clean(workload, monkeypatch):
     assert count == 48 or workload == "mixed_session"
     assert timers.calls["plan"] == timers.calls["apply"] > 0
     assert report["state.admitted"] == 48
+    # The persist phase counts the store commits: one per writer operation.
+    assert report["wal.records"] > 2 * timers.calls["persist"] > 0
+    if workload == "book_tcp":
+        # The segmented engine under the benchmark's flush policy: every
+        # commit run of two bookings is one COMMIT record and one fsync.
+        assert report["durability.mode"] == "segmented"
+        assert timers.calls["persist"] == report["wal.fsyncs"] == 24
+    else:
+        assert report["wal.fsyncs"] == 0
+        assert timers.calls["persist"] == 1 or workload == "mixed_session"
     # The wrappers are gone again.
     assert profile_workload.QuantumState.admit.__name__ == "admit"
+    assert profile_workload.Transaction.commit.__name__ == "commit"

@@ -399,10 +399,23 @@ class TestFsyncWindowCrashPoints:
         engine = SegmentedWriteAheadLog(seg_dir, config)
         engine.adopt(database.wal)
         database.wal = engine
-        with engine.sync_scope():
-            database.insert("Seats", (1, "synced"))
-            database.insert("Notes", (10, "synced"))
-            engine.flush()  # the durability point: commits above are synced
+
+        def synced_unit():
+            with database.unit as unit:
+                unit.transaction().insert("Seats", (1, "synced"))
+                unit.transaction().insert("Notes", (10, "synced"))
+
+        # One unit, one ticket: its COMMIT blocks in the window until the
+        # explicit flush below — the durability point — covers it.
+        committer = threading.Thread(target=synced_unit, daemon=True)
+        committer.start()
+        deadline = time.monotonic() + 5.0
+        while not engine._sync_window.pending():
+            assert time.monotonic() < deadline, "the unit never flushed"
+            time.sleep(0.001)
+        engine.flush()
+        committer.join(timeout=5.0)
+        assert not committer.is_alive()
         expected = fingerprint(database)
         watermark = engine._tail.synced_size
         assert watermark == engine._tail.size

@@ -120,11 +120,16 @@ class TestPerCommitParity:
         assert engine.statistics.sync_windows == 0
         engine.close()
 
-    def test_sync_scope_is_a_noop_without_a_window(self, tmp_path):
+    def test_a_unit_is_one_sync_without_a_window(self, tmp_path):
         database, engine = make_engine(tmp_path, fsync_window_s=0.0)
-        with engine.sync_scope():
-            database.insert("Seats", (1, "a"))
+        before = engine.statistics.fsyncs
+        with database.unit as unit:
+            for i in range(6):
+                unit.transaction().insert("Seats", (i, "s"))
+        # One unit, one COMMIT record, one sync — however many rows.
+        assert engine.statistics.fsyncs == before + 1
         assert engine.statistics.sync_windows == 0
+        assert database.statistics.commits == 1
         engine.close()
 
 
@@ -169,16 +174,18 @@ class TestWindowedCommits:
         assert engine._tail.synced_size == engine._tail.size
         engine.close()
 
-    def test_sync_scope_batches_a_drained_run(self, tmp_path):
+    def test_a_unit_waits_for_one_ticket(self, tmp_path):
         database, engine = make_engine(tmp_path, fsync_window_s=0.05)
         before = engine.statistics.fsyncs
-        with engine.sync_scope():
+        tickets = engine._sync_window._requested
+        with database.unit as unit:
             for i in range(6):
-                database.insert("Seats", (i, "s"))
-        # One wait at scope exit covered the whole run; without the scope
-        # each commit would have paid its own window (6 waits, up to 6
-        # syncs).  Timer jitter can split the run across two windows.
-        assert engine.statistics.fsyncs - before <= 2
+                unit.transaction().insert("Seats", (i, "s"))
+        # A drained run is one unit: its one COMMIT append requested one
+        # ticket and waited for the one window sync that covered it (six
+        # autocommits would have paid six windows).
+        assert engine._sync_window._requested == tickets + 1
+        assert engine.statistics.fsyncs == before + 1
         assert engine._tail.synced_size == engine._tail.size
         engine.close()
 
@@ -231,11 +238,22 @@ class TestWindowedCommits:
 
     def test_close_covers_commits_still_in_their_window(self, tmp_path):
         database, engine = make_engine(tmp_path, fsync_window_s=30.0)
-        with engine.sync_scope():
-            database.insert("Seats", (3, "c"))
-            # Leave the scope through close(): the final sync covers the
-            # ticket, so the deferred wait returns instantly.
-            engine.close()
+
+        def commit_unit():
+            with database.unit as unit:
+                unit.transaction().insert("Seats", (3, "c"))
+
+        worker = threading.Thread(target=commit_unit, daemon=True)
+        worker.start()
+        deadline = time.monotonic() + 5.0
+        while not engine._sync_window.pending():
+            assert time.monotonic() < deadline, "commit never flushed"
+            time.sleep(0.001)
+        # close() is a durability point: its final sync covers the unit's
+        # ticket, so the committer never waits the 30s window out.
+        engine.close()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
         recovered = recover(
             tmp_path / "segments",
             make_schema,

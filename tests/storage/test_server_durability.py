@@ -11,6 +11,7 @@ mirroring the legacy ``wal_path`` contract exactly.
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -173,6 +174,104 @@ class TestSegmentedServer:
         recovered = recover(tmp_path / "segments", flight_schema)
         assert recovered.snapshot() == qdb.database.snapshot()
         recovered.wal.close()
+
+    @pytest.mark.parametrize("window_s", [0.0, 0.01], ids=["per-commit", "window"])
+    def test_nothing_is_acknowledged_before_its_commit_is_synced(
+        self, tmp_path, monkeypatch, window_s
+    ):
+        """No commit future, operation result or ``on_grounding`` future
+        resolves before the fsync covering its COMMIT record has returned."""
+        in_flight: list[asyncio.Future] = []
+        early: list[str] = []
+        syncs: list[int] = []
+        real_fsync = os.fsync
+
+        def spying_fsync(fd):
+            # Between an operation's appends and the return of this sync,
+            # nothing of the operation may be visible to a client.
+            early.extend(repr(f) for f in in_flight if f.done())
+            syncs.append(fd)
+            return real_fsync(fd)
+
+        async def scenario():
+            qdb = QuantumDatabase(build_flight_database(SPEC), QuantumConfig(k=2))
+            config = ServerConfig(
+                durability=segmented_config(
+                    tmp_path,
+                    fsync=True,
+                    fsync_window_s=window_s,
+                    segment_max_records=10_000,
+                )
+            )
+            async with QuantumServer(qdb, config) as server:
+                engine = qdb.database.wal
+                monkeypatch.setattr(os, "fsync", spying_fsync)
+
+                def fully_synced() -> bool:
+                    return engine._tail.synced_size == engine._tail.size
+
+                def watch(name: str) -> None:
+                    original = getattr(server, name)
+
+                    def watched(work):
+                        items = work if isinstance(work, list) else [work]
+                        in_flight[:] = [item.future for item in items] + [
+                            waiter for waiter in groundings if not waiter.done()
+                        ]
+                        try:
+                            return original(work)
+                        finally:
+                            del in_flight[:]
+                            # The futures were just resolved: everything
+                            # the operation appended is on stable storage.
+                            if not fully_synced():
+                                early.append(f"{name} resolved unsynced")
+
+                    setattr(server, name, watched)
+
+                resolve = server._resolve_grounding_waiters
+
+                def resolving(record):
+                    if not fully_synced() or qdb.database._active_transactions:
+                        early.append(f"grounding of #{record.transaction_id}")
+                    resolve(record)
+
+                server._resolve_grounding_waiters = resolving
+                watch("_process_commit_run")
+                watch("_process_item")
+                groundings: list[asyncio.Future] = []
+
+                async def client(name: str) -> list[int]:
+                    async with server.session(client=name) as session:
+                        ids = []
+                        for index in range(4):
+                            # k=2: every third booking of a flight forces
+                            # a grounding inside the commit run.
+                            groundings.append(session.on_grounding("Bookings"))
+                            result = await session.commit(
+                                booking(f"{name}{index}", 100)
+                            )
+                            assert result.committed
+                            ids.append(result.transaction_id)
+                        return ids
+
+                ids = await asyncio.gather(*(client(name) for name in "abc"))
+                async with server.session(client="reader") as session:
+                    groundings.append(session.on_grounding(ids[0][-1]))
+                    assert await session.read("Bookings", [None, 100, None])
+                    await session.check_in(ids[1][-1])
+                    await server.ground_all()
+                    await asyncio.gather(*groundings)
+                monkeypatch.undo()
+                return qdb, server.statistics_report()
+
+        qdb, report = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        assert early == []
+        assert report["state.forced_groundings"] > 0
+        assert report["server.grounding_futures_resolved"] >= 13
+        # Each committing operation was covered by (at least) one sync.
+        assert len(syncs) >= report["server.commit_runs"]
+        qdb.database.wal.close()
 
     def test_second_server_refuses_used_directory(self, tmp_path):
         async def scenario():
