@@ -2,28 +2,22 @@
 
 Runs the Figure 7 scalability workload (Random arrival order, entangled
 pairs, per-flight partitioning) through the quantum database at 1, 2 and 4
-partition shards, and — for the sharded points — on both shard backends
-(``thread`` and ``process``).  ``shards=1`` is the unsharded baseline:
-every admission scans every partition's atoms with pairwise unification
-inside ``merged_for``.  With ``shards >= 2`` the :mod:`repro.sharding`
-subsystem routes each admission through the signature index, scanning only
-the candidate partitions, and fans grounding plans out per shard — on the
-shard's thread pool, or shipped to its worker processes as pickled
-:class:`~repro.sharding.backend.PlanPayload` objects.
+partition shards.  ``shards=1`` is the unsharded baseline: every admission
+scans every partition's atoms with pairwise unification inside
+``merged_for``.  With ``shards >= 2`` the :mod:`repro.sharding` subsystem
+routes each admission through the signature index, scanning only the
+candidate partitions, and fans grounding plans out on the shards' thread
+pools.
 
 The acceptance criteria asserted here:
 
-* accept/reject decisions are identical at every shard count *and* on both
-  backends (the index is a conservative prefilter confirmed by the exact
-  scan; the process backend plans over an order-preserving snapshot);
+* accept/reject decisions are identical at every shard count, with lanes
+  on and off (the index is a conservative prefilter confirmed by the exact
+  scan);
 * the sharded runs spend **at least 5x fewer** pairwise unification calls
   in the overlap scans (in practice the reduction is 100x+ on this
   constant-pinned workload);
-* admission throughput measurably scales from 1 to 4 shards;
-* process-backend lane points genuinely ship their witness searches to
-  the worker pools (admission round trips and payload bytes > 0), and on
-  boxes with >= 4 cores the shipped lanes clear the same >= 1.5x
-  throughput bar as the thread lanes.
+* admission throughput measurably scales from 1 to 4 shards.
 
 Every run also appends its numbers to ``BENCH_admission.json`` at the
 repository root — throughput and scan counts per (shard count, backend)
@@ -51,31 +45,18 @@ from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
 #: Shard counts swept by the benchmark (1 = the unsharded baseline).
 SHARD_COUNTS = (1, 2, 4)
 
-#: Shard executor backends swept at every sharded point.  The unsharded
-#: baseline has no shards, recorded as backend "unsharded".
-BACKENDS = ("thread", "process")
-
-#: (shards, backend, lanes) sweep points, in reporting order.  The lane
+#: (shards, backend, lanes) sweep points, in reporting order.  The
+#: unsharded baseline has no shards, recorded as backend "unsharded";
+#: every sharded point runs on the thread backend, the only one.  The lane
 #: points run the same stream through ``commit_batch`` with
 #: ``admission_lanes=True`` — the router-first concurrent admission
 #: pipeline (per-shard admission writers, epoch barriers for cross-shard
 #: arrivals) — so CI gates lane-parallel admission throughput alongside
-#: the serialized sweep.  Process-backend lane points additionally ship
-#: each witness-extension search to the owning shard's worker pool as a
-#: pickled :class:`~repro.sharding.backend.AdmissionPayload`, so the gate
-#: also tracks the shipped-admission round-trip cost.
+#: the serialized sweep.
 SWEEP = (
     ((1, "unsharded", False),)
-    + tuple(
-        (shards, backend, False)
-        for shards in SHARD_COUNTS[1:]
-        for backend in BACKENDS
-    )
-    + tuple(
-        (shards, backend, True)
-        for backend in BACKENDS
-        for shards in SHARD_COUNTS[1:]
-    )
+    + tuple((shards, "thread", False) for shards in SHARD_COUNTS[1:])
+    + tuple((shards, "thread", True) for shards in SHARD_COUNTS[1:])
 )
 
 #: Where the perf trajectory lands (tracked in git, one file per repo).
@@ -93,7 +74,6 @@ def _run(
     spec: FlightDatabaseSpec,
     *,
     shards: int,
-    backend: str = "thread",
     lanes: bool = False,
     k: int = 4,
     seed: int = 0,
@@ -106,20 +86,12 @@ def _run(
     decisions are identical either way, which the test asserts.
     """
     workload = generate_workload(spec, ArrivalOrder.RANDOM, seed=seed)
-    config = QuantumConfig(
-        k=k,
-        shards=shards,
-        shard_backend=backend if backend != "unsharded" else "thread",
-        admission_lanes=lanes,
-    )
+    config = QuantumConfig(k=k, shards=shards, admission_lanes=lanes)
     qdb = QuantumDatabase(build_flight_database(spec), config)
     if lanes:
-        # Spawn lane threads and (for the process backend) fork the worker
-        # pools before the clock starts: pool spawn cost is a one-time setup
-        # tax, not admission throughput.
-        controller = qdb.admission_controller()
-        if controller is not None:
-            controller.warm()
+        # Spawn the lane threads before the clock starts: that is a
+        # one-time setup tax, not admission throughput.
+        qdb.admission_controller()
     start = time.perf_counter()
     if lanes:
         decisions = [
@@ -182,11 +154,6 @@ def _emit_json(
             / max(1e-9, baseline["admission_txn_per_s"]),
             2,
         ),
-        "process_lane_throughput_scaling_1_to_4": round(
-            results[(4, "process", True)]["admission_txn_per_s"]
-            / max(1e-9, baseline["admission_txn_per_s"]),
-            2,
-        ),
     }
     previous = read_results(path)
     for section in ("network", "durability", "search"):
@@ -202,18 +169,15 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
 
     def sweep():
         for shards, backend, lanes in SWEEP:
-            runs[(shards, backend, lanes)] = _run(
-                spec, shards=shards, backend=backend, lanes=lanes
-            )
+            runs[(shards, backend, lanes)] = _run(spec, shards=shards, lanes=lanes)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     decisions = {point: run[0] for point, run in runs.items()}
     # Identical accept/reject decisions on the same stream at every shard
-    # count, on both backends, and through the lane-parallel pipeline:
-    # routing is a pure fast path, the process backend plans over an
-    # order-preserving snapshot, and the admission lanes preserve the
-    # serialized writer's decisions per arrival sequence.
+    # count and through the lane-parallel pipeline: routing is a pure fast
+    # path, and the admission lanes preserve the serialized writer's
+    # decisions per arrival sequence.
     baseline_decisions = decisions[(1, "unsharded", False)]
     for point in SWEEP[1:]:
         assert decisions[point] == baseline_decisions, point
@@ -235,14 +199,6 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
             "scanned_partitions": stats["partitions.scanned_partitions"],
             "index_filtered": stats.get("partitions.index_filtered", 0),
             "merges": stats["partitions.merges"],
-            "plan_payload_bytes": stats.get("sharding.plan_payload_bytes", 0),
-            "worker_round_trips": stats.get("sharding.worker_round_trips", 0),
-            "admission_payload_bytes": stats.get(
-                "sharding.admission_payload_bytes", 0
-            ),
-            "admission_round_trips": stats.get(
-                "sharding.admission_round_trips", 0
-            ),
             "lane_dispatches": stats.get("admission.lane_dispatches", 0),
             "barrier_arrivals": stats.get("admission.barrier_arrivals", 0),
             "admission_s": round(admit_s, 4),
@@ -304,10 +260,9 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
     # (measured ~2.4x on multi-core boxes; the margin absorbs scheduler
     # noise).  On a 1-core box the lanes cannot overlap with the
     # dispatcher and the measured ratio sits at ~1.65x with a tail that
-    # brushes 1.5 (repeated runs land in 1.44-2.04), so — like the
-    # shipped-point criterion below — the strict bar applies where there
-    # are cores to schedule on and a lower-but-real bar pins the 1-core
-    # benefit without flaking on scheduler jitter.
+    # brushes 1.5 (repeated runs land in 1.44-2.04), so the strict bar
+    # applies where there are cores to schedule on and a lower-but-real
+    # bar pins the 1-core benefit without flaking on scheduler jitter.
     lane_throughput = results[(4, "thread", True)]["admission_txn_per_s"]
     lane_bar = 1.5 if (os.cpu_count() or 1) >= 2 else 1.25
     assert lane_throughput >= lane_bar * baseline_throughput, (
@@ -315,31 +270,3 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
         baseline_throughput,
         lane_bar,
     )
-    # PR 6 acceptance: process-backend lane points actually shipped their
-    # witness searches to the worker pools (round trips measured > 0, with
-    # real payload bytes behind them) — the point exists to price the IPC
-    # hop, so a silently-inline run must fail loudly.
-    for shards in SHARD_COUNTS[1:]:
-        shipped = results[(shards, "process", True)]
-        assert shipped["admission_round_trips"] > 0, shipped
-        assert shipped["admission_payload_bytes"] > 0, shipped
-        assert shipped["worker_round_trips"] >= shipped["admission_round_trips"]
-    # Shipped searches only pay off when there are cores to run them on.
-    # With >= 4 cores the 4-shard process lanes must clear the same >= 1.5x
-    # bar as the thread lanes; on the 1-2 core boxes CI also lands on, the
-    # per-admission IPC hop is pure overhead by construction and its
-    # wall-clock is bimodal (2x run-to-run swings are routine), so the
-    # gate instead pins a collapse floor — an order-of-magnitude slowdown
-    # (serialization storm, per-admission pool respawn) still fails, while
-    # scheduler noise does not.
-    process_lane = results[(4, "process", True)]["admission_txn_per_s"]
-    if (os.cpu_count() or 1) >= 4:
-        assert process_lane >= 1.5 * baseline_throughput, (
-            process_lane,
-            baseline_throughput,
-        )
-    else:
-        assert process_lane >= 0.1 * baseline_throughput, (
-            process_lane,
-            baseline_throughput,
-        )

@@ -14,12 +14,8 @@ path regressed:
   unsharded baseline point) dropped by more than the tolerance, default
   30%.  Lane-parallel sweep points (``lanes: true`` — the router-first
   concurrent admission pipeline) gate exactly like the serialized ones,
-  so CI catches concurrency regressions in the lane scheduler too; the
-  shipped-admission points (process backend with lanes on) gate with a
-  wider throughput band (see ``SHIPPED_TOLERANCE``) because their
-  per-admission IPC hop is timing-bimodal on small CI boxes, while their
-  decision counters keep gating strictly.  Normalizing within the run is
-  what makes the gate meaningful on
+  so CI catches concurrency regressions in the lane scheduler too.
+  Normalizing within the run is what makes the gate meaningful on
   CI runners whose absolute speed differs arbitrarily from the machine
   that produced the committed numbers; pass ``--absolute`` to compare raw
   txn/s instead when both files come from the same machine.
@@ -98,16 +94,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_admission.json"
 DEFAULT_TOLERANCE = 0.30
 
-#: Throughput tolerance for shipped-admission sweep points (process
-#: backend with lanes on).  Those points pay one worker round trip per
-#: admission, and on the 1-2 core boxes CI lands on that makes their
-#: wall-clock bimodal — run-to-run swings of 2x are routine while every
-#: other point stays within a few percent.  Their decisions and
-#: round-trip counters still gate strictly; only the throughput band
-#: widens, enough to absorb scheduler bimodality but not an
-#: order-of-magnitude collapse (e.g. a per-admission pool respawn).
-SHIPPED_TOLERANCE = 0.75
-
 #: Maximum tolerated relative p95 commit-latency growth on the network
 #: load points.  Latency tails over real sockets are noisier than bulk
 #: throughput (one delayed scheduling round lands whole-hog in the p95),
@@ -140,14 +126,6 @@ PAUSE_NOISE_FLOOR_MS = 5.0
 #: so this is a hard acceptance bar, not a noise band — a fresh run above
 #: it fails even against an identical baseline.
 SEARCH_NODES_RATIO_BOUND = 0.5
-
-
-def tolerance_for(key: tuple[int, str, bool], default: float) -> float:
-    """The throughput-drop tolerance applied to one sweep point."""
-    _shards, backend, lanes = key
-    if backend == "process" and lanes:
-        return max(default, SHIPPED_TOLERANCE)
-    return default
 
 
 def load_fresh(path: Path) -> dict:
@@ -417,11 +395,10 @@ def main(argv: list[str] | None = None) -> int:
             f"bench gate: {key} {label} {base_value:.2f} -> {fresh_value:.2f}"
             f" ({-drop:+.1%})"
         )
-        tolerance = tolerance_for(key, args.tolerance)
-        if drop > tolerance:
+        if drop > args.tolerance:
             failures.append(
                 f"{key}: {label} regressed {drop:.1%} "
-                f"(tolerance {tolerance:.0%})"
+                f"(tolerance {args.tolerance:.0%})"
             )
 
     # -- network load points (commit-latency percentiles over TCP) ----------

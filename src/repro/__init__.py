@@ -112,12 +112,7 @@ from repro.server import (
     SessionStatistics,
     serve,
 )
-from repro.sharding import (
-    Shard,
-    ShardBackend,
-    ShardedPartitionManager,
-    SignatureIndex,
-)
+from repro.sharding import Shard, ShardedPartitionManager, SignatureIndex
 from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
@@ -156,7 +151,6 @@ __all__ = [
     "SessionBackpressure",
     "SessionStatistics",
     "Shard",
-    "ShardBackend",
     "ShardedPartitionManager",
     "SignatureIndex",
     "Solution",

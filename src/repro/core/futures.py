@@ -2,18 +2,14 @@
 
 Two pieces live here:
 
-* :func:`collect_plan_futures` — every worker fan-out path (the sharded
-  manager's ``plan_on_shards``,
+* :func:`collect_plan_futures` — both grounding-plan fan-out paths (the
+  sharded manager's ``plan_on_shards`` and
   :meth:`repro.core.quantum_state.QuantumState.ground`'s plain-executor
-  path, and the admission lanes' shipped witness searches in
-  ``QuantumState._ship_admission_search``) collects its futures the same
-  way: sequential ``result(timeout)`` per future, cancel everything on
-  expiry, and raise :class:`~repro.errors.GroundingTimeout` before the
-  caller applied (or committed) anything.  Keeping the loop in one place
-  keeps the paths' timeout semantics (and their error message) from
-  drifting apart; the shipped-admission caller additionally catches the
-  timeout and falls back to the inline search, so there a hung worker
-  costs latency, never an error.
+  path) collect their futures the same way: sequential
+  ``result(timeout)`` per future, cancel everything on expiry, and raise
+  :class:`~repro.errors.GroundingTimeout` before the caller applied
+  anything.  Keeping the loop in one place keeps the two paths' timeout
+  semantics (and their error message) from drifting apart.
 
 * :class:`ReadWriteGuard` — the readers-writer lock the lane-parallel
   admission pipeline uses to protect the extensional store: concurrent

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sharding.admission_lane import AdmissionController
-    from repro.sharding.backend import ShardBackend
 
 from repro.core.entanglement import EntanglementRegistry
 from repro.core.grounding_policy import GroundingPolicy, GroundingStrategy
@@ -90,19 +89,17 @@ class QuantumConfig:
             database uses the :mod:`repro.sharding` subsystem: a
             signature-based routing index prefilters ``merged_for``
             candidates and partitions are owned by worker shards whose
-            executors the grounding plan phase fans out on.  Accept/reject
+            thread pools the grounding plan phase fans out on.  Accept/reject
             decisions are bit-identical to the unsharded path — only the
             scan work changes (the ``partitions.*`` counters report it).
-        shard_workers: worker count of each shard's plan executor.  On a
+        shard_workers: thread count of each shard's plan executor.  On a
             sharded database grounding plans always run on these (the
             session layer's shared ``executor_workers`` pool is bypassed).
-        shard_backend: executor strategy of the shards — ``"thread"``
-            (default) plans on per-shard thread pools sharing the writer's
-            heap; ``"process"`` ships each partition's composed body and
-            witness state to per-shard worker processes as picklable
-            payloads and runs the read-only grounding searches truly in
-            parallel (no GIL).  Decisions are bit-identical either way;
-            the ``sharding.*`` counters report the payload traffic.
+        shard_backend: the shard executor; only ``"thread"`` is accepted
+            (per-shard thread pools sharing the writer's heap).  The
+            process backend was removed: it never beat threads on any
+            measured workload.  Kept so configurations that name the
+            backend explicitly still build.
         admission_lanes: enable the router-first concurrent admission
             pipeline (:mod:`repro.sharding.admission_lane`): batched
             admissions are classified at enqueue time and single-shard
@@ -121,17 +118,6 @@ class QuantumConfig:
             lane queue before the typed
             :class:`~repro.errors.AdmissionLaneSaturated` fires (the
             controller then escalates the arrival to an epoch barrier).
-        admission_ship_timeout_s: with ``admission_lanes=True`` and
-            ``shard_backend="process"``, each lane ships its arrivals'
-            witness-extension searches to the owning shard's worker
-            process as picklable payloads (see
-            :class:`~repro.sharding.backend.AdmissionPayload`) — the
-            admission analogue of the grounding-plan shipping, and what
-            makes concurrent lanes scale on real cores instead of the
-            GIL.  This bounds the wait for each shipped result; on expiry
-            the lane reruns the search inline, so the decision is
-            unchanged (same pure search function) and a hung worker costs
-            latency, never correctness.  ``None`` waits indefinitely.
         search: the admission-search strategy
             (:class:`~repro.solver.strategy.AdmissionSearchConfig`).  The
             default reproduces the seed's plain backtracking search
@@ -140,9 +126,8 @@ class QuantumConfig:
             paths, and an explicit
             :class:`~repro.solver.strategy.SamplingConfig` opts huge
             partitions into the approximate estimator.  Dispatch lives
-            inside the pure ``compute_admission``, so inline admission,
-            thread lanes, and shipped process workers honor the strategy
-            bit-identically.
+            inside the pure ``compute_admission``, so inline admission and
+            thread lanes honor the strategy bit-identically.
         planner: join-planner settings for the underlying store.
     """
 
@@ -154,11 +139,10 @@ class QuantumConfig:
     witness_cache: bool = True
     shards: int = 1
     shard_workers: int = 1
-    shard_backend: "ShardBackend | str" = "thread"
+    shard_backend: str = "thread"
     admission_lanes: bool = False
     lane_queue_depth: int = 256
     lane_dispatch_timeout_s: float = 5.0
-    admission_ship_timeout_s: float | None = 30.0
     search: AdmissionSearchConfig = field(default_factory=AdmissionSearchConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
 
@@ -173,21 +157,11 @@ class QuantumConfig:
             raise QuantumError(
                 "QuantumConfig.lane_dispatch_timeout_s must be positive"
             )
-        if (
-            self.admission_ship_timeout_s is not None
-            and self.admission_ship_timeout_s <= 0
-        ):
+        if self.shard_backend != "thread":
             raise QuantumError(
-                "QuantumConfig.admission_ship_timeout_s must be positive "
-                "(or None to wait indefinitely)"
+                f"shard backend {self.shard_backend!r} was removed; threads "
+                "are the only shard executor (shard_backend='thread')"
             )
-        from repro.sharding.backend import ShardBackend
-
-        # Validate eagerly (a typo should fail at configuration time, not
-        # at first grounding) and normalise to the enum.
-        object.__setattr__(
-            self, "shard_backend", ShardBackend.coerce(self.shard_backend)
-        )
 
     def policy(self) -> GroundingPolicy:
         """The grounding policy implied by this configuration."""
@@ -199,17 +173,14 @@ class QuantumConfig:
         ``shards == 1`` keeps the plain exhaustive-scan manager;
         ``shards >= 2`` builds a
         :class:`~repro.sharding.ShardedPartitionManager` (signature-routed
-        admission, per-shard grounding-plan executors running on the
-        configured backend).
+        admission, per-shard grounding-plan thread pools).
         """
         if self.shards == 1:
             return None
         from repro.sharding import ShardedPartitionManager
 
         return ShardedPartitionManager(
-            self.shards,
-            workers_per_shard=self.shard_workers,
-            backend=self.shard_backend,
+            self.shards, workers_per_shard=self.shard_workers
         )
 
 
@@ -276,7 +247,6 @@ class QuantumDatabase:
             pending_store=self.pending_store,
             witness_cache=self.config.witness_cache,
             partitions=self.config.partition_manager(),
-            admission_ship_timeout_s=self.config.admission_ship_timeout_s,
             search_config=self.config.search,
         )
         # The lane-parallel admission controller (lazily created; only with
@@ -721,18 +691,6 @@ class QuantumDatabase:
             for name, value in vars(index.statistics).items():
                 report[f"routing.{name}"] = value
             report["routing.shards"] = self.state.partitions.shard_count
-        backend = getattr(self.state.partitions, "backend", None)
-        if backend is not None:
-            stats = self.state.partitions.statistics
-            report["sharding.backend"] = backend.value
-            report["sharding.plan_payload_bytes"] = stats.plan_payload_bytes
-            report["sharding.worker_round_trips"] = stats.worker_round_trips
-            report["sharding.admission_payload_bytes"] = (
-                stats.admission_payload_bytes
-            )
-            report["sharding.admission_round_trips"] = (
-                stats.admission_round_trips
-            )
         if self.config.admission_lanes and self.sharded:
             from repro.sharding.admission_lane import AdmissionStatistics
 

@@ -46,10 +46,9 @@ from repro.core.serializability import (
     SerializabilityMode,
     grounding_plan,
 )
-from repro.core.solution_cache import AdmissionProbe, SolutionCache
+from repro.core.solution_cache import SolutionCache
 from repro.errors import (
     AdmissionSearchExhausted,
-    GroundingTimeout,
     QuantumStateError,
     TransactionRejected,
     WriteRejected,
@@ -65,7 +64,6 @@ from repro.solver.kernel import compile_formula, conjoin
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.recovery import PendingTransactionStore
-    from repro.sharding.backend import PlanResult
     from repro.solver.grounding import GroundingSearch
     from repro.solver.strategy import AdmissionSearchConfig
 
@@ -202,10 +200,9 @@ def compute_grounding_plan(
 
     This is the whole read-only half of grounding as a module-level
     function of ``(search, serializability, partition, targets)`` — no
-    closures, no locks, no reference to a :class:`QuantumState` — so the
-    process shard backend can run it in a worker process against a shipped
-    snapshot (:mod:`repro.sharding.backend`) and get bit-identical results
-    to the in-process path.
+    closures, no locks, no reference to a :class:`QuantumState` — which is
+    what lets the plan differential suite replay it against the frozen
+    reference planner and a shard thread run it beside the writer.
 
     The chosen order is composed once.  While it is the arrival order (a
     strict plan, targets already at the head, a refused reorder) that
@@ -430,7 +427,6 @@ class QuantumState:
         pending_store: "PendingTransactionStore | None" = None,
         witness_cache: bool = True,
         partitions: PartitionManager | None = None,
-        admission_ship_timeout_s: float | None = 30.0,
         search_config: "AdmissionSearchConfig | None" = None,
     ) -> None:
         self.database = database
@@ -470,10 +466,6 @@ class QuantumState:
         #: Guards the state counters against lost updates when several
         #: admission lanes increment them concurrently.
         self._statistics_lock = threading.Lock()
-        #: Per-search bound on waiting for a shipped admission result; on
-        #: expiry the lane falls back to the inline search (same decision,
-        #: by purity of :func:`~repro.core.solution_cache.compute_admission`).
-        self._admission_ship_timeout_s = admission_ship_timeout_s
 
     # ------------------------------------------------------------------
     # Introspection
@@ -549,29 +541,21 @@ class QuantumState:
         partition, _merged = self.partitions.merged_for(atoms)
         composition = partition.composition()
         new_factor = composition.preview_factor(renamed)
-        factor_program = None
-        probe = self._ship_admission_search(partition, transaction, renamed)
-        if probe is not None:
-            # A worker ran the search over a snapshot; apply its counters
-            # and decision exactly as if it ran inline.
-            self.cache.absorb_probe(probe)
-        else:
-            # Compiled once, into the partition's scope: searched now, kept
-            # resident by the append below, conjoined by every later plan.
-            required = renamed.hard_variables()
-            factor_program = compile_formula(
-                new_factor, required=required, scope=composition.scope
-            )
-            # The search reads the extensional store; hold the shared side
-            # of the store guard so a concurrent lane's grounding apply
-            # cannot mutate tables mid-search.
-            with self.store_guard.read():
-                probe = self.cache.ensure(partition, factor_program, required)
+        # Compiled once, into the partition's scope: searched now, kept
+        # resident by the append below, conjoined by every later plan.
+        required = renamed.hard_variables()
+        factor_program = compile_formula(
+            new_factor, required=required, scope=composition.scope
+        )
+        # The search reads the extensional store; hold the shared side of
+        # the store guard so a concurrent lane's grounding apply cannot
+        # mutate tables mid-search.
+        with self.store_guard.read():
+            probe = self.cache.ensure(partition, factor_program, required)
         if probe.substitution is None:
-            if factor_program is not None:
-                # The rejected factor's variables must not stay numbered in
-                # the partition's scope.
-                composition.discard_programs()
+            # The rejected factor's variables must not stay numbered in the
+            # partition's scope.
+            composition.discard_programs()
             with self._statistics_lock:
                 self.statistics.rejected += 1
             self.partitions.drop_if_empty(partition)
@@ -628,70 +612,6 @@ class QuantumState:
             sequence = self._next_sequence
             self._next_sequence = sequence + 1
             return sequence
-
-    def _ship_admission_search(
-        self,
-        partition: Partition,
-        transaction: ResourceTransaction,
-        renamed: ResourceTransaction,
-    ) -> AdmissionProbe | None:
-        """Run the admission search on the owning shard's worker process.
-
-        Returns the worker's :class:`~repro.core.solution_cache.AdmissionProbe`
-        — or ``None`` whenever the inline path should run instead: the
-        manager has no ship target (unsharded, thread backend, or not on an
-        admission lane), the worker timed out, or the returned result fails
-        validation against the partition about to be committed to.  Falling
-        back is always sound because the shipped search and the inline one
-        are the same pure function.
-
-        The payload is built under the shared side of the store guard (the
-        snapshot must be consistent with the solution record shipped with
-        it); the wait for the worker happens *outside* the guard, so other
-        lanes' grounding applies proceed while this lane's search is on a
-        worker — that overlap is the multi-core win.
-        """
-        target = getattr(self.partitions, "admission_ship_target", None)
-        if target is None:
-            return None
-        shard = target(partition)
-        if shard is None:
-            return None
-        from repro.sharding.backend import (
-            admit_in_worker,
-            build_admission_payload,
-            dump_payload,
-        )
-
-        with self.store_guard.read():
-            payload = build_admission_payload(
-                partition,
-                renamed,
-                transaction.transaction_id,
-                database=self.database,
-                enable_witness=self.cache.enable_witness,
-                search_config=self.cache.search_config,
-            )
-        blob = dump_payload(payload)
-        self.partitions.record_admission_ship(len(blob))
-        future = shard.submit(admit_in_worker, blob)
-        try:
-            result = collect_plan_futures(
-                [future], self._admission_ship_timeout_s, what="admission search"
-            )[0]
-        except GroundingTimeout:
-            return None
-        if (
-            result.transaction_id != transaction.transaction_id
-            or result.partition_id != partition.partition_id
-            or result.pending_ids != partition.transaction_ids()
-        ):
-            # The partition is no longer the one the worker searched (it
-            # cannot restructure under lane ownership, but the check makes
-            # that invariant local and cheap); rerun inline.
-            return None
-        self.cache.search.absorb_nodes(result.search_nodes)
-        return result.probe
 
     def _enforce_bound(self, partition: Partition) -> None:
         """Force-ground transactions until the ``k`` bound is respected."""
@@ -758,29 +678,18 @@ class QuantumState:
             and len(groups) > 1
         ):
             # Sharded execution: each partition's read-only plan runs on
-            # the executor of the shard that owns it — in-process for the
-            # thread backend, via a pickled PlanPayload round-trip for the
-            # process backend — while the mutating apply phase stays
-            # serial, in deterministic group order.
+            # the thread pool of the shard that owns it, while the mutating
+            # apply phase stays serial, in deterministic group order.  Every
+            # plan is collected before the first apply, so an unsatisfiable
+            # group raises with no group grounded.
             planned = plan_on_shards(
                 groups,
                 lambda partition, entries: self.plan_grounding(
                     partition, entries, forced=forced
                 ),
-                payload_builder=self._build_plan_payload(forced),
                 timeout_s=timeout_s,
             )
-            # Resolve every shipped PlanResult before applying any plan:
-            # resolution raises on an unsatisfiable result, and both
-            # backends must fail *before* the first apply so no group is
-            # grounded when a later one violates the invariant.
-            resolved = [
-                plan
-                if isinstance(plan, PlannedGrounding)
-                else self._resolve_plan_result(group[0], plan)
-                for group, plan in zip(groups, planned)
-            ]
-            for plan in resolved:
+            for plan in planned:
                 results.extend(self.apply_grounding(plan))
         elif executor is not None and len(groups) > 1:
             # Per-future timeout (matching the sharded path), not a single
@@ -803,74 +712,6 @@ class QuantumState:
                     self._ground_in_partition(partition, entries, forced=forced)
                 )
         return results
-
-    def _build_plan_payload(self, forced: bool) -> Callable[..., Any]:
-        """Payload factory for the process shard backend's plan shipping.
-
-        Returns a callable the sharded partition manager invokes per group
-        to obtain the picklable :class:`~repro.sharding.backend.PlanPayload`
-        it ships to the owning worker process.  Only consulted when the
-        manager's backend is process-based.  One table-snapshot cache is
-        shared across the groups of the call: partitions of the same
-        fan-out typically touch the same relations, so each table is
-        walked once rather than once per group.
-        """
-        snapshot_cache: dict[str, Any] = {}
-
-        def build(
-            partition: Partition, targets: Sequence[PendingTransaction]
-        ):
-            from repro.sharding.backend import build_payload
-
-            return build_payload(
-                partition,
-                targets,
-                database=self.database,
-                serializability=self.serializability,
-                forced=forced,
-                snapshot_cache=snapshot_cache,
-            )
-
-        return build
-
-    def _resolve_plan_result(
-        self, partition: Partition, result: "PlanResult"
-    ) -> PlannedGrounding:
-        """Rehydrate a worker process's picklable plan into local objects.
-
-        The worker plans over shipped copies of the pending entries; the
-        writer maps the returned transaction ids back onto *its* entry
-        objects, so the apply phase mutates the real partition.
-        """
-        self.cache.search.absorb_nodes(result.search_nodes)
-        if not result.satisfiable:
-            raise QuantumStateError(
-                "quantum database invariant violated: no grounding exists for "
-                f"partition #{partition.partition_id}"
-            )
-        by_id = {entry.transaction_id: entry for entry in partition.pending}
-        plan = GroundingPlan(
-            to_ground=tuple(by_id[i] for i in result.to_ground_ids),
-            remaining_order=tuple(by_id[i] for i in result.remaining_ids),
-            reordered=result.reordered,
-        )
-        assert result.substitution is not None
-        return PlannedGrounding(
-            partition=partition,
-            plan=plan,
-            # The worker composed its own copy of the order; the apply phase
-            # reads the optional atoms' programs from the writer's.
-            composition=(
-                OrderComposition(
-                    entry.renamed for entry in plan.to_ground + plan.remaining_order
-                )
-                if plan.reordered
-                else partition.composition()
-            ),
-            substitution=result.substitution,
-            satisfied_atoms=dict(result.satisfied_atoms),
-            forced=result.forced,
-        )
 
     def ground_all(
         self,

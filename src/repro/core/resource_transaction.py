@@ -54,8 +54,8 @@ class ResourceTransaction:
     :meth:`variables`, :meth:`hard_variables`, :meth:`relations`) are
     computed on first use and kept on the instance — admission, planning
     and witness maintenance read them many times per transaction.  Like a
-    term's remembered hash they are never pickled: a shipped plan or
-    admission payload carries the six fields only.
+    term's remembered hash they are never pickled or copied: a pickle or a
+    ``copy`` carries the six fields only.
     """
 
     body: tuple[Atom, ...]

@@ -182,11 +182,10 @@ class AdmissionProbe:
     """The outcome of one pure admission search, plus its cache counters.
 
     :func:`compute_admission` returns one of these instead of mutating a
-    :class:`SolutionCache` directly, which is what lets the identical
-    search run on a process-pool worker against a snapshot store: the
-    probe is picklable, carries no object references into the writer's
-    heap, and the writer applies it with :meth:`SolutionCache.absorb_probe`
-    exactly as if the search had run inline.
+    :class:`SolutionCache` directly: the search stays a pure function of
+    its arguments, and the cache applies the counters afterwards with
+    :meth:`SolutionCache.absorb_probe`, into the lane slice of whichever
+    thread ran it.
 
     Attributes:
         substitution: ground substitution witnessing satisfiability of the
@@ -254,16 +253,16 @@ def compute_admission(
     """The verify → extend → solve flow, as a pure function.
 
     The only implementation of it: :meth:`SolutionCache.ensure` runs it for
-    admissions, blind-write checks and peek reads, and a process-backend
-    worker runs it over a shipped snapshot (mirroring how
+    admissions, blind-write checks and peek reads (mirroring how
     ``compute_grounding_plan`` was factored out of ``QuantumState``).  It
     reads only its arguments and the given store, mutates nothing, and
     reports every counter through the returned :class:`AdmissionProbe`, so
-    inline and shipped runs decide bit-identically by construction.
+    an admission lane and the serialized writer decide bit-identically by
+    construction.
 
     Args:
         search: the grounding search to run extensions/solves on (the
-            cache's shared search inline; a throwaway one in a worker).
+            cache's shared search).
         database: the store ``search`` runs against (verification oracle).
         composition: the partition's resident composition.  Its composed
             program is only asked for — and its factor programs only
@@ -283,8 +282,8 @@ def compute_admission(
         config: admission-search strategy selection; ``None`` (and the
             default config) reproduce the seed's plain backtracking search
             byte-for-byte.  Dispatch happens *here*, inside the pure
-            function, so inline admission, thread lanes, and shipped
-            process workers honor the strategy bit-identically.
+            function, so inline admission and thread lanes honor the
+            strategy bit-identically.
     """
     counters = {
         "verifications": 0,
@@ -643,10 +642,8 @@ class SolutionCache:
     def absorb_probe(self, probe: AdmissionProbe, *, admitting: bool = True) -> None:
         """Apply a probe's counters to this cache.
 
-        The writer-side half of a shipped admission search (and of the
-        inline one — :meth:`ensure` funnels through here too, so counters
-        are applied identically no matter where the search ran).  Lands in
-        the active lane slice like any other counter update.
+        :meth:`ensure` funnels every search through here.  Lands in the
+        active lane slice like any other counter update.
         ``admission_nodes`` and ``sampled_admissions`` only count searches
         that decided an arrival (``admitting``), not re-validations.
         """

@@ -188,12 +188,12 @@ class GroundingTimeout(QuantumError):
     """A fanned-out grounding plan future did not finish within the bound.
 
     Raised by :meth:`repro.core.quantum_state.QuantumState.ground` when a
-    plan running on a shard executor (thread or process worker) exceeds the
-    configured timeout.  The plan phase is read-only and the timeout fires
-    *before* any apply phase runs, so the database state is unchanged: the
-    targeted transactions stay pending and can be grounded again.  The
-    server uses this (``ServerConfig(grounding_timeout_s=...)``) so a hung
-    worker cannot wedge the single writer.
+    plan running on a shard's or the session layer's thread pool exceeds
+    the configured timeout.  The plan phase is read-only and the timeout
+    fires *before* any apply phase runs, so the database state is
+    unchanged: the targeted transactions stay pending and can be grounded
+    again.  The server uses this (``ServerConfig(grounding_timeout_s=...)``)
+    so a hung plan cannot wedge the single writer.
     """
 
 

@@ -48,7 +48,7 @@ import asyncio
 import signal as signal_module
 import socket as socket_module
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantum_database import QuantumDatabase

@@ -177,8 +177,8 @@ class ServerConfig:
             :class:`~repro.errors.TenantBackpressure`.  Sessions without a
             tenant are exempt.  ``None`` (default) disables the cap.
         grounding_timeout_s: bound on waiting for each fanned-out grounding
-            plan future (shard executors — thread or process — and the
-            server's own pool alike).  ``None`` (default) waits forever.
+            plan future (the shards' thread pools and the server's own
+            pool alike).  ``None`` (default) waits forever.
             With a bound, a hung or slow worker resolves the submitter's
             future with a typed :class:`~repro.errors.GroundingTimeout`
             instead of wedging the single writer; the plan phase is
@@ -474,8 +474,8 @@ class QuantumServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
         # Release the sharded database's lazily started shard executors as
-        # well — joining thread pools and process pools alike (the queue
-        # was already drained, so no plan future is outstanding); they
+        # well — joining their thread pools (the queue was already
+        # drained, so no plan future is outstanding); they
         # restart lazily if the database outlives the server and fans
         # grounding plans out again.
         self.qdb.close()

@@ -9,15 +9,7 @@ partitions (see ``docs/architecture.md``, "Sharded partition execution"):
   maintained incrementally on admit/ground/merge and falling back to the
   exhaustive scan when imprecise (decisions are bit-identical either way);
 * :class:`~repro.sharding.shard.Shard` — a worker owning a disjoint set of
-  partitions plus the executor the grounding plan phase fans out on
-  (a thread pool or a process pool, selected by
-  :class:`~repro.sharding.backend.ShardBackend`);
-* :mod:`repro.sharding.backend` — the executor strategies and the process
-  backend's picklable work shipping: grounding plans
-  (:class:`~repro.sharding.backend.PlanPayload` →
-  :class:`~repro.sharding.backend.PlanResult`) and admission searches
-  (:class:`~repro.sharding.backend.AdmissionPayload` →
-  :class:`~repro.sharding.backend.AdmissionResult`);
+  partitions plus the thread pool the grounding plan phase fans out on;
 * :class:`~repro.sharding.manager.ShardedPartitionManager` — the drop-in
   :class:`~repro.core.partition.PartitionManager` that routes admissions
   through the index, serializes the rare cross-shard merge, and keeps the
@@ -29,9 +21,9 @@ partitions (see ``docs/architecture.md``, "Sharded partition execution"):
   epoch barriers (decisions bit-identical to the serialized writer; see
   ``docs/architecture.md``, "Concurrent admission").
 
-Enable it with ``QuantumConfig(shards=N)``; pick the executor strategy
-with ``QuantumConfig(shard_backend="thread" | "process")``; turn on
-lane-parallel admission with ``QuantumConfig(admission_lanes=True)``.
+Enable it with ``QuantumConfig(shards=N)``; turn on lane-parallel
+admission with ``QuantumConfig(admission_lanes=True)``.  Threads are the
+only shard executor.
 """
 
 from repro.sharding.admission_lane import (
@@ -39,14 +31,6 @@ from repro.sharding.admission_lane import (
     AdmissionLane,
     AdmissionStatistics,
     ConflictRung,
-)
-from repro.sharding.backend import (
-    AdmissionPayload,
-    AdmissionResult,
-    PlanPayload,
-    PlanResult,
-    ShardBackend,
-    TableSnapshot,
 )
 from repro.sharding.manager import (
     PendingRef,
@@ -60,19 +44,13 @@ from repro.sharding.signature import SignatureIndex, SignatureIndexStatistics
 __all__ = [
     "AdmissionController",
     "AdmissionLane",
-    "AdmissionPayload",
-    "AdmissionResult",
     "AdmissionStatistics",
     "ConflictRung",
     "PendingRef",
     "PendingTable",
-    "PlanPayload",
-    "PlanResult",
     "Shard",
-    "ShardBackend",
     "ShardedPartitionManager",
     "ShardedPartitionStatistics",
     "SignatureIndex",
     "SignatureIndexStatistics",
-    "TableSnapshot",
 ]

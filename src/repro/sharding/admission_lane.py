@@ -320,19 +320,6 @@ class AdmissionController:
         """True once the lanes were shut down."""
         return self._closed
 
-    def warm(self) -> None:
-        """Pre-start every shard executor the lanes will ship work to.
-
-        On the process backend each lane ships its witness-extension
-        searches to its shard's worker pool
-        (:meth:`~repro.core.quantum_state.QuantumState._ship_admission_search`);
-        without warming, the first arrival of each lane pays the worker
-        spawn.  Benchmarks call this before their timing window; ordinary
-        use can skip it (the pools start lazily).
-        """
-        for shard in self.manager.shards:
-            shard.warm()
-
     @property
     def lanes(self) -> tuple[AdmissionLane, ...]:
         """The per-shard admission lanes (index == shard id)."""

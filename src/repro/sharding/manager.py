@@ -43,7 +43,6 @@ from repro.core.futures import collect_plan_futures
 from repro.core.partition import Partition, PartitionManager, PartitionStatistics
 from repro.errors import QuantumError
 from repro.logic.atoms import Atom
-from repro.sharding.backend import ShardBackend, dump_payload, plan_in_worker
 from repro.sharding.shard import Shard
 from repro.sharding.signature import SignatureIndex
 
@@ -150,25 +149,12 @@ class ShardedPartitionStatistics(PartitionStatistics):
         routed_cross_shard: overlap queries whose candidates spanned shards.
         cross_shard_merges: merges that combined partitions owned by
             different shards (serialized on the merge lock).
-        plan_payload_bytes: pickled plan-payload bytes shipped to worker
-            processes (0 on the thread backend, which submits closures).
-        worker_round_trips: payloads shipped to (and results received from)
-            worker processes — grounding plans and admission searches
-            combined.
-        admission_payload_bytes: pickled admission-payload bytes shipped to
-            worker processes by the lane-parallel admission pipeline.
-        admission_round_trips: admission searches shipped to worker
-            processes (a subset of ``worker_round_trips``).
     """
 
     index_filtered: int = 0
     routed_single_shard: int = 0
     routed_cross_shard: int = 0
     cross_shard_merges: int = 0
-    plan_payload_bytes: int = 0
-    worker_round_trips: int = 0
-    admission_payload_bytes: int = 0
-    admission_round_trips: int = 0
 
 
 class ShardedPartitionManager(PartitionManager):
@@ -176,29 +162,17 @@ class ShardedPartitionManager(PartitionManager):
 
     Args:
         shards: number of worker shards (≥ 1).
-        workers_per_shard: worker count of each shard's plan executor.
-        backend: shard executor strategy — ``"thread"`` (default) runs
-            plans on per-shard thread pools, ``"process"`` ships them to
-            per-shard process pools as pickled payloads (see
-            :mod:`repro.sharding.backend`).
+        workers_per_shard: thread count of each shard's plan executor.
     """
 
-    def __init__(
-        self,
-        shards: int = 1,
-        *,
-        workers_per_shard: int = 1,
-        backend: ShardBackend | str = ShardBackend.THREAD,
-    ) -> None:
+    def __init__(self, shards: int = 1, *, workers_per_shard: int = 1) -> None:
         if shards < 1:
             raise QuantumError("a sharded partition manager needs at least 1 shard")
         super().__init__()
         self.statistics: ShardedPartitionStatistics = ShardedPartitionStatistics()
         self.index = SignatureIndex()
-        self.backend = ShardBackend.coerce(backend)
         self.shards: tuple[Shard, ...] = tuple(
-            Shard(shard_id, workers=workers_per_shard, backend=self.backend)
-            for shard_id in range(shards)
+            Shard(shard_id, workers=workers_per_shard) for shard_id in range(shards)
         )
         self.pending_table = PendingTable()
         #: partition id → owning shard (disjoint by construction).  The
@@ -367,82 +341,34 @@ class ShardedPartitionManager(PartitionManager):
         groups: Sequence[tuple[Partition, Sequence["PendingTransaction"]]],
         plan: Callable[[Partition, Sequence["PendingTransaction"]], Any],
         *,
-        payload_builder: Callable[
-            [Partition, Sequence["PendingTransaction"]], Any
-        ] | None = None,
         timeout_s: float | None = None,
     ) -> list[Any]:
         """Fan the read-only grounding plan phase out per owning shard.
 
-        Each group runs on the executor of the shard owning its partition
-        (unowned partitions fall back to the home shard); results come back
-        in group order, so the caller's serial apply phase is deterministic.
-        Partition independence makes the concurrent plans commute — see
-        ``docs/architecture.md`` ("Shard backends").
-
-        On the thread backend each group is submitted as ``plan(partition,
-        entries)`` — a plain closure sharing the writer's heap.  On the
-        process backend ``payload_builder`` assembles a picklable
-        :class:`~repro.sharding.backend.PlanPayload` per group; the manager
-        serializes it, ships it to the owning shard's worker process, and
-        returns the workers' :class:`~repro.sharding.backend.PlanResult`
-        objects (the caller rehydrates them against its own entries).
+        Each group runs as ``plan(partition, entries)`` on the thread pool
+        of the shard owning its partition (unowned partitions fall back to
+        the home shard); results come back in group order, so the caller's
+        serial apply phase is deterministic.  Partition independence makes
+        the concurrent plans commute — see ``docs/architecture.md``
+        ("Shard executors").
 
         Args:
             groups: ``(partition, entries)`` pairs to plan.
-            plan: in-process plan callable (thread backend).
-            payload_builder: payload factory (process backend); when the
-                backend is process-based and this is omitted, the thread
-                path is used (``plan`` must then be process-agnostic).
+            plan: the plan callable, run on the shard's thread.
             timeout_s: per-future bound on collecting a plan result; on
                 expiry every remaining future is cancelled (already-running
-                workers finish and are discarded) and a
+                plans finish and are discarded) and a
                 :class:`~repro.errors.GroundingTimeout` is raised before
                 the caller applied anything.
 
         Raises:
             GroundingTimeout: a plan future missed the ``timeout_s`` bound.
         """
-        ship = self.backend is ShardBackend.PROCESS and payload_builder is not None
         futures = []
         for partition, entries in groups:
             shard = self._owner.get(partition.partition_id) or self._home_shard()
-            if ship:
-                blob = dump_payload(payload_builder(partition, entries))
-                self.statistics.plan_payload_bytes += len(blob)
-                self.statistics.worker_round_trips += 1
-                futures.append(shard.submit(plan_in_worker, blob))
-            else:
-                futures.append(shard.submit(plan, partition, entries))
+            futures.append(shard.submit(plan, partition, entries))
         return collect_plan_futures(futures, timeout_s, what="shard plan")
-
-    # -- shipped admission searches ------------------------------------------
-
-    def admission_ship_target(self, partition: Partition) -> Shard | None:
-        """The shard an admission lane should ship this search to, if any.
-
-        Shipping happens only on the process backend and only from inside a
-        lane scope: the lane owns the partition (so nothing can restructure
-        it between snapshot and commit), and the per-shard pools are what
-        turn concurrent lanes into actual multi-core search work.  Outside
-        a lane — the serialized writer, recovery, the lanes-off sweep
-        points — the inline search is strictly cheaper, so ``None`` keeps
-        those paths byte-for-byte unchanged.
-        """
-        if self.backend is not ShardBackend.PROCESS:
-            return None
-        lane = self._lane_shard_id()
-        if lane is None:
-            return None
-        owner = self._owner.get(partition.partition_id)
-        return owner if owner is not None else self.shards[lane]
-
-    def record_admission_ship(self, payload_bytes: int) -> None:
-        """Count one shipped admission search (concurrent-lane safe)."""
-        with self.routing_lock:
-            self.statistics.admission_payload_bytes += payload_bytes
-            self.statistics.admission_round_trips += 1
-            self.statistics.worker_round_trips += 1
 
     def close(self) -> None:
         """Shut down every shard's executor (idempotent)."""

@@ -6,38 +6,20 @@ shards without any cross-shard coordination on the hot path.  A
 :class:`Shard` owns a disjoint set of partitions (keyed by partition id;
 each partition carries its own solution record, so that state hands off
 between shards for free) and runs the read-only grounding
-*plan* phase for its partitions on its own executor.
+*plan* phase for its partitions on its own
+:class:`~concurrent.futures.ThreadPoolExecutor`: plans share the writer's
+heap and are submitted as plain closures (the GIL serializes the actual
+search work).
 
-The executor is created lazily (guarded by a lock: concurrent first
-submissions must not race two executors into existence and leak one) and
-comes in two flavours, selected by
-:class:`~repro.sharding.backend.ShardBackend`:
-
-* ``THREAD`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; plans
-  share the writer's heap and are submitted as plain closures, but the GIL
-  serializes the actual search work.
-* ``PROCESS`` — a :class:`~concurrent.futures.ProcessPoolExecutor`; plans
-  arrive as pickled :class:`~repro.sharding.backend.PlanPayload` bytes and
-  run truly in parallel (see :mod:`repro.sharding.backend` for the payload
-  lifecycle).
-
-Ownership is tracked purely by partition id and work is submitted as
-``submit(fn, *args)`` either way — nothing on the interface exposes the
-executor type.
+The executor is created lazily, guarded by a lock: concurrent first
+submissions must not race two executors into existence and leak one.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Iterator
-
-from repro.sharding.backend import ShardBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partition import Partition
@@ -49,25 +31,16 @@ class Shard:
     Attributes:
         shard_id: position of the shard in the manager's shard ring.
         partitions: the owned partitions, keyed by partition id.
-        backend: the executor strategy (thread pool or process pool).
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        *,
-        workers: int = 1,
-        backend: ShardBackend | str = ShardBackend.THREAD,
-    ) -> None:
+    def __init__(self, shard_id: int, *, workers: int = 1) -> None:
         self.shard_id = shard_id
-        self.backend = ShardBackend.coerce(backend)
         self.partitions: dict[int, "Partition"] = {}
         self._workers = max(1, workers)
-        self._executor: Executor | None = None
+        self._executor: ThreadPoolExecutor | None = None
         #: Guards lazy executor creation *and* close: without it two
         #: concurrent first submissions could each observe ``None`` and
-        #: create two executors, leaking one (and, for the process
-        #: backend, its worker processes).
+        #: create two executors, leaking one and its threads.
         self._executor_lock = threading.Lock()
 
     # -- ownership -----------------------------------------------------------
@@ -114,42 +87,19 @@ class Shard:
                 executor = self._executor
         return executor.submit(fn, *args)
 
-    def _create_executor(self) -> Executor:
-        """Build the backend's executor (callers hold the creation lock)."""
-        if self.backend is ShardBackend.PROCESS:
-            return ProcessPoolExecutor(max_workers=self._workers)
+    def _create_executor(self) -> ThreadPoolExecutor:
+        """Build the shard's thread pool (callers hold the creation lock)."""
         return ThreadPoolExecutor(
             max_workers=self._workers,
             thread_name_prefix=f"repro-shard-{self.shard_id}",
         )
 
-    def warm(self) -> None:
-        """Start the executor now and, for process pools, spawn its workers.
-
-        Idempotent.  The lane-parallel admission pipeline ships witness
-        searches to the process pool on its hot path; without warming, the
-        first shipped admission of each shard would pay the worker-process
-        spawn inside the latency-sensitive window (and inside benchmark
-        timing sections).  One trivial round-trip per worker forces the
-        pool to its full size up front.
-        """
-        from repro.sharding.backend import worker_ready
-
-        if self.backend is not ShardBackend.PROCESS:
-            with self._executor_lock:
-                if self._executor is None:
-                    self._executor = self._create_executor()
-            return
-        futures = [self.submit(worker_ready) for _ in range(self._workers)]
-        for future in futures:
-            future.result()
-
     def close(self) -> None:
         """Shut the shard's executor down (idempotent; ownership survives).
 
-        Joins the workers — threads or processes — before returning, so a
-        closed shard never leaks a pool; the executor restarts lazily on
-        the next :meth:`submit`.
+        Joins the worker threads before returning, so a closed shard never
+        leaks a pool; the executor restarts lazily on the next
+        :meth:`submit`.
         """
         with self._executor_lock:
             executor, self._executor = self._executor, None
@@ -158,6 +108,6 @@ class Shard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Shard #{self.shard_id} backend={self.backend.value} "
-            f"partitions={len(self.partitions)} pending={self.pending_count()}>"
+            f"<Shard #{self.shard_id} partitions={len(self.partitions)} "
+            f"pending={self.pending_count()}>"
         )

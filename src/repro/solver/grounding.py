@@ -147,17 +147,6 @@ class GroundingSearch:
         """
         return compile_formula(formula, required=required, scope=scope)
 
-    def absorb_nodes(self, nodes: int) -> None:
-        """Fold search work performed on this instance's behalf elsewhere.
-
-        The process shard backend runs plan searches in worker processes
-        against shipped snapshots; the workers report their node counts
-        back and the writer folds them in here, so ``totals.nodes`` stays
-        comparable across backends.
-        """
-        with self._totals_lock:
-            self.totals.nodes += nodes
-
     def exists(
         self, formula: Formula | Program, *, initial: Substitution | None = None
     ) -> bool:

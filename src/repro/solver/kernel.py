@@ -260,10 +260,9 @@ class Program:
 
     Obtained from :func:`compile_formula` / :func:`conjoin` (or
     ``GroundingSearch.compile``) and accepted wherever the search API
-    takes a formula.  Programs are never pickled — plan and admission
-    payloads ship formulas and workers compile on arrival — and are held
-    by the plan or partition they were compiled for, so there is no
-    process-wide cache to bound or invalidate.
+    takes a formula.  Programs are never pickled, and are held by the plan
+    or partition they were compiled for, so there is no process-wide cache
+    to bound or invalidate.
     """
 
     __slots__ = (

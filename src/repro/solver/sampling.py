@@ -25,8 +25,7 @@ estimator never engages without an explicit
 
 Determinism: a fresh ``random.Random(seed)`` per call plus the store's
 insertion-order-preserving row enumeration make decisions identical
-across runs and across execution modes (inline, thread lanes, shipped
-``AdmissionPayload`` workers).
+across runs and across execution modes (inline, thread lanes).
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ frozen, validated config nested in ``QuantumConfig`` (following the
 
 and the single dispatch point every execution mode funnels through:
 :func:`dispatch_find_one` runs inside the pure ``compute_admission``, so
-inline admission, thread lanes and process-shipped ``AdmissionPayload``
-workers all honor the same strategy bit-identically.
+inline admission and thread lanes honor the same strategy
+bit-identically.
 
 Both strategies run the one search kernel (:mod:`repro.solver.kernel`),
 so the first solution — and therefore every accept/reject decision — is
@@ -55,7 +55,7 @@ class SamplingConfig:
             but never a false accept.
         seed: RNG seed; a fresh ``random.Random(seed)`` per admission
             keeps decisions deterministic across runs and across
-            execution modes (inline, lanes, shipped workers).
+            execution modes (inline, lanes).
     """
 
     threshold: int = 12
@@ -147,8 +147,8 @@ def dispatch_find_one(
     config) is byte-for-byte the legacy ``search.find_one`` call.
 
     This is deliberately the *only* place a strategy is picked: it runs
-    inside the pure ``compute_admission``, so the inline writer, thread
-    lanes and process-shipped workers cannot diverge.
+    inside the pure ``compute_admission``, so the inline writer and the
+    thread lanes cannot diverge.
     """
     from repro.solver.fastpath import find_one_fastpath
 

@@ -194,18 +194,26 @@ def mixed_trace(config: QuantumConfig, *, seed: int = 7, length: int = 90) -> di
     return fingerprint(qdb, decisions)
 
 
-# -- scenario 3: commit_batch through process-backend admission lanes --------
+# -- scenario 3: commit_batch through admission lanes ------------------------
 
 LANE_FLIGHTS = 4
 
 
 def lanes_trace(seed: int) -> dict:
-    """Batches over per-shard lanes whose searches ship to worker processes
-    (the record travels in ``AdmissionPayload`` / ``PlanPayload``)."""
+    """Batches over per-shard admission lanes (thread executors).
+
+    Until the process shard backend was removed these scenarios ran on it
+    as ``lanes-process-{0,1}``.  That backend folded a worker's
+    ``search.nodes`` back into the writer's totals but not its
+    ``searches`` / ``backtracks`` / ``rows_examined`` / ``choice_points``,
+    so those four goldens under-reported the search work.  They are the
+    only values re-recorded for the thread backend; decisions, valuations,
+    the store and every other counter are the process-era goldens.
+    """
     rng = random.Random(seed)
     qdb = QuantumDatabase(
         config=QuantumConfig(
-            k=3, shards=2, admission_lanes=True, shard_backend="process"
+            k=3, shards=2, admission_lanes=True, shard_backend="thread"
         )
     )
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
@@ -249,8 +257,8 @@ SCENARIOS = {
     "mixed-default": lambda: mixed_trace(QuantumConfig(k=4)),
     "mixed-witness-off": lambda: mixed_trace(QuantumConfig(k=4, witness_cache=False)),
     "mixed-sharded": lambda: mixed_trace(QuantumConfig(k=4, shards=2)),
-    "lanes-process-0": lambda: lanes_trace(0),
-    "lanes-process-1": lambda: lanes_trace(1),
+    "lanes-thread-0": lambda: lanes_trace(0),
+    "lanes-thread-1": lambda: lanes_trace(1),
 }
 
 

@@ -126,31 +126,6 @@ def test_throughput_drop_within_tolerance_passes(tmp_path):
     assert run_gate(tmp_path, fresh, baseline) == 0
 
 
-def test_shipped_point_gets_wider_tolerance(tmp_path, capsys):
-    # Process-backend lane points pay an IPC hop per admission and are
-    # timing-bimodal on small boxes: a 60% drop (far beyond the default
-    # 30%) stays within SHIPPED_TOLERANCE and must pass...
-    fresh = payload(standard_points() + [point(4, "process", True, 40.0)])
-    baseline = payload(standard_points() + [point(4, "process", True, 100.0)])
-    assert run_gate(tmp_path, fresh, baseline) == 0
-    assert "OK (4 admission points" in capsys.readouterr().out
-    # ...while an order-of-magnitude collapse still fails.
-    collapsed = payload(standard_points() + [point(4, "process", True, 10.0)])
-    assert run_gate(tmp_path, collapsed, baseline) == 1
-    assert "regressed" in capsys.readouterr().out
-
-
-def test_shipped_point_decisions_still_gate_strictly(tmp_path, capsys):
-    # The wider throughput band never loosens decision gating.
-    fresh = payload(
-        standard_points()
-        + [point(4, "process", True, 100.0, admitted=99, rejected=21)]
-    )
-    baseline = payload(standard_points() + [point(4, "process", True, 100.0)])
-    assert run_gate(tmp_path, fresh, baseline) == 1
-    assert "decisions diverged" in capsys.readouterr().out
-
-
 def test_missing_anchor_fails(tmp_path, capsys):
     without_anchor = payload([point(4, "thread", False, 200.0)])
     assert run_gate(tmp_path, without_anchor, payload(standard_points())) == 1

@@ -15,7 +15,6 @@ import asyncio
 import json
 import os
 import signal
-import struct
 
 import pytest
 

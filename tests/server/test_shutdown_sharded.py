@@ -4,7 +4,7 @@
 drain the admission queue — completing any grounding whose plans are in
 flight on the shard executors and any commit batch whose admissions are in
 flight on the per-shard admission lanes — then join those executors
-(thread pools, process pools and lane workers alike) and fold the WAL into
+(shard thread pools and lane workers alike) and fold the WAL into
 a checkpoint, all without deadlocking.  Every test runs under
 ``asyncio.wait_for`` so an ordering bug fails loudly instead of hanging
 the suite.
@@ -32,7 +32,9 @@ from repro import (
 from repro.errors import GroundingTimeout, QuantumError, SessionBackpressure
 from repro.relational.wal import LogRecordType
 
-BACKENDS = ("thread", "process")
+#: Threads are the only shard backend; the one-value parameter keeps the
+#: test ids of the process-backend era.
+BACKENDS = ("thread",)
 
 
 def make_qdb(*, backend, shards=2, k=16, flights=6, seats=3, lanes=False):
@@ -81,7 +83,7 @@ def test_close_while_plans_in_flight(backend):
         grounded = await ground_task
         assert len(grounded) == 6
         assert qdb.pending_count == 0
-        # Executors were joined (thread and process pools alike) ...
+        # Executors were joined ...
         assert not any(shard.started for shard in qdb.state.partitions.shards)
         # ... the WAL was folded into a checkpoint ...
         records = list(qdb.database.wal.records())

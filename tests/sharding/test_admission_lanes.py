@@ -294,45 +294,3 @@ class TestControllerLifecycle:
         assert merged.witness_hits == cache.statistics.witness_hits + lane_hits
         qdb.close()
 
-
-class TestShippedAdmissionOnLanes:
-    """Process-backend lanes ship each witness search to the owning
-    shard's worker pool; thread lanes and serialized admissions never do."""
-
-    def test_process_lanes_ship_and_match_serialized_decisions(self):
-        shipped = make_qdb(shards=2, lanes=True, shard_backend="process")
-        plain = make_qdb(shards=2, lanes=False)
-        stream = [booking(f"u{i}", i % 4 + 1) for i in range(10)]
-        shipped_decisions = [r.committed for r in shipped.commit_batch(stream)]
-        plain_decisions = [plain.execute(t).committed for t in stream]
-        assert shipped_decisions == plain_decisions
-        report = shipped.statistics_report()
-        assert report["sharding.admission_round_trips"] > 0
-        assert report["sharding.admission_payload_bytes"] > 0
-        # Admission ships are a subset of all worker round trips.
-        assert (
-            report["sharding.worker_round_trips"]
-            >= report["sharding.admission_round_trips"]
-        )
-        assert plain.statistics_report()["sharding.admission_round_trips"] == 0
-        shipped.close()
-        plain.close()
-
-    def test_thread_lanes_never_ship(self):
-        qdb = make_qdb(shards=2, lanes=True)  # thread backend
-        results = qdb.commit_batch([booking(f"t{i}", i % 3 + 1) for i in range(6)])
-        assert len(results) == 6
-        report = qdb.statistics_report()
-        assert report["sharding.admission_round_trips"] == 0
-        assert report["sharding.admission_payload_bytes"] == 0
-        qdb.close()
-
-    def test_controller_warm_prespawns_pools(self):
-        qdb = make_qdb(shards=2, lanes=True, shard_backend="process")
-        controller = qdb.admission_controller()
-        assert controller is not None
-        shards = qdb.state.partitions.shards
-        assert not any(shard.started for shard in shards)
-        controller.warm()
-        assert all(shard.started for shard in shards)
-        qdb.close()

@@ -18,9 +18,8 @@ This harness attacks that claim with seeded randomness on three axes:
   lane workers randomizes interleavings, and a seeded injector forces
   extra epoch barriers at arbitrary stream positions (escalation must
   never change outcomes, so *any* barrier placement must be invisible);
-* **backends** — both shard executor strategies (``thread`` and
-  ``process``), since the grounding fan-out at barriers and at the final
-  ``ground_all`` runs on them.
+* **shard counts** — the grounding fan-out at barriers and at the final
+  ``ground_all`` runs on the shards' thread pools, at 2 and 4 shards.
 
 Across the parametrizations below the harness replays well over 200
 seeded streams per run (each compared fingerprint-by-fingerprint against
@@ -39,10 +38,6 @@ from repro import QuantumConfig, QuantumDatabase, parse_transaction
 #: Thread-backend sweep: 3 cross-shard ratios x 60 seeds = 180 streams.
 THREAD_RATIOS = (0.0, 0.15, 0.4)
 THREAD_SEEDS = 60
-#: Process-backend sweep: 2 ratios x 12 seeds = 24 streams (worker pools
-#: make each stream pricier; the backend only differs at plan fan-out).
-PROCESS_RATIOS = (0.0, 0.3)
-PROCESS_SEEDS = 12
 
 FLIGHTS = 4
 SEATS = 3
@@ -224,26 +219,6 @@ def test_linearization_thread_backend(cross_ratio):
         )
 
 
-@pytest.mark.parametrize("cross_ratio", PROCESS_RATIOS)
-def test_linearization_process_backend(cross_ratio):
-    """Same property on the process shard backend (plan shipping)."""
-    for seed in range(PROCESS_SEEDS):
-        transactions = seeded_stream(seed + 1000, cross_ratio=cross_ratio)
-        reference = run_stream(
-            transactions, shards=2, lanes=False, backend="process"
-        )
-        observed = run_stream(
-            transactions,
-            shards=2,
-            lanes=True,
-            backend="process",
-            scheduler=(jitter_scheduler(seed), barrier_injector(seed)),
-        )
-        assert_linearized(
-            reference, observed, (cross_ratio, seed, "process")
-        )
-
-
 def every_nth_cross_shard_stream(seed, n, *, length=14):
     """Seeded stream where every ``n``-th arrival is a wildcard barrier."""
     rng = random.Random(seed)
@@ -261,19 +236,20 @@ def every_nth_cross_shard_stream(seed, n, *, length=14):
     return transactions
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# Threads are the only shard backend; the one-value parameter keeps the
+# test ids of the process-backend era.
+@pytest.mark.parametrize("backend", ["thread"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_epoch_barriers_every_nth_arrival(n, backend):
     """Property: streams with a cross-shard arrival every Nth position make
-    identical decisions at shards=1/2/4 (lanes on) and on both backends.
+    identical decisions at shards=1/2/4 (lanes on).
 
     This is the epoch-barrier stress shape: lanes repeatedly fill with
     single-shard work and are drained by the periodic wildcard, so the
     barrier lifecycle (fill → drain → serialized merge → refill) runs many
     times per stream.
     """
-    seeds = range(6) if backend == "thread" else range(3)
-    for seed in seeds:
+    for seed in range(6):
         transactions = every_nth_cross_shard_stream(seed, n)
         reference = run_stream(
             transactions, shards=1, lanes=False, backend="thread"

@@ -5,11 +5,8 @@ streams — mixing constant-pinned and wildcard transactions, so merges
 (including cross-shard ones) and the wildcard routing path all occur — the
 ``SignatureIndex``-routed ``merged_for`` must make decisions bit-identical
 to the exhaustive pairwise-unification scan: same accept/reject outcomes,
-same partition contents, same merge events, same groundings.  The property
-is asserted on *both* shard backends: the thread pool (plans share the
-writer's heap) and the process pool (plans travel as pickled payloads and
-run against an order-preserving snapshot) must be indistinguishable from
-the unsharded path.
+same partition contents, same merge events, same groundings — including
+the groundings planned on the shards' thread pools.
 """
 
 from __future__ import annotations
@@ -80,7 +77,9 @@ def partition_fingerprint(manager):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shards", [2, 3])
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# Threads are the only shard backend; the one-value parameter keeps the
+# test ids of the process-backend era.
+@pytest.mark.parametrize("backend", ["thread"])
 def test_sharded_stream_equivalent_to_exhaustive(seed, shards, backend):
     """Same decisions, partitions, merges and groundings at every step."""
     plain = make_qdb(1)

@@ -8,8 +8,7 @@ the linearization harness's seeded stream generator and full fingerprint
 valuations, final store state) to prove ``strategy="bnb"`` — per-shape fast
 paths, cost bounds and trail-based undo included — is bit-identical to the
 seed backtracking searcher over randomized arrival streams, on the
-serialized writer, on lane-parallel admission, and on the process shard
-backend where the config rides the shipped admission payload.
+serialized writer and on lane-parallel admission.
 """
 
 from __future__ import annotations
@@ -58,21 +57,6 @@ def test_bnb_matches_backtracking_under_lane_parallelism():
             scheduler=(jitter_scheduler(seed), barrier_injector(seed)),
         )
         assert_linearized(reference, observed, ("lanes+bnb", seed))
-
-
-def test_bnb_matches_backtracking_on_process_backend():
-    """The search config travels inside the shipped admission payload, so
-    process-pool workers must reach the same decisions as the in-process
-    backtracking reference."""
-    for seed in range(3):
-        transactions = seeded_stream(seed + 2000, cross_ratio=0.3)
-        reference = run_stream(
-            transactions, shards=2, lanes=False, backend="thread"
-        )
-        observed = run_stream(
-            transactions, shards=2, lanes=False, backend="process", search=BNB
-        )
-        assert_linearized(reference, observed, ("process+bnb", seed))
 
 
 def test_budgeted_bnb_stays_equivalent_when_budget_is_generous():

@@ -1,17 +1,21 @@
 """Unit tests for the sharded partition manager.
 
 Ownership must stay disjoint, routing must follow the signature index,
-cross-shard merges must reassign ownership (serialized path), and the
-shared pending table must track every structural change.
+cross-shard merges must reassign ownership (serialized path), the shared
+pending table must track every structural change, and the per-shard
+thread pools must plan, time out and shut down cleanly.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import QuantumConfig, QuantumDatabase
-from repro.errors import QuantumError
-from repro.sharding import ShardedPartitionManager
+from repro.errors import GroundingTimeout, QuantumError, QuantumStateError
+from repro.sharding import Shard, ShardedPartitionManager
 
 FLIGHTS = range(1, 7)
 
@@ -60,6 +64,20 @@ class TestConfig:
             QuantumConfig(shard_workers=0)
         with pytest.raises(QuantumError):
             ShardedPartitionManager(0)
+
+    def test_only_the_thread_backend_builds(self):
+        """The process backend was removed; naming it is a typed error,
+        while the benchmark's pinned configuration still builds."""
+        with pytest.raises(QuantumError, match="was removed"):
+            QuantumConfig(shard_backend="process")
+        with pytest.raises(QuantumError, match="was removed"):
+            QuantumConfig(shards=2, shard_backend="gpu")
+        config = QuantumConfig(
+            k=4, shards=4, shard_backend="thread", admission_lanes=True
+        )
+        qdb = QuantumDatabase(config=config)
+        assert qdb.state.partitions.shard_count == 4
+        qdb.close()
 
 
 class TestOwnership:
@@ -197,6 +215,139 @@ class TestShardPlanFanout:
         qdb = make_qdb(2)
         qdb.close()
         qdb.close()
+
+    def test_close_joins_the_pool_and_restarts_lazily(self):
+        qdb = make_qdb(2)
+        for flight in (1, 2, 3, 4):
+            assert qdb.execute(pinned(f"u{flight}", flight)).committed
+        qdb.ground_all()
+        shards = qdb.state.partitions.shards
+        assert any(shard.started for shard in shards)
+        qdb.close()
+        assert not any(shard.started for shard in shards)
+        # close() is idempotent and the executors restart lazily.
+        qdb.close()
+        for flight in (5, 6):
+            assert qdb.execute(pinned(f"v{flight}", flight)).committed
+        assert len(qdb.ground_all()) == 2
+        assert any(shard.started for shard in shards)
+        qdb.close()
+
+    def test_unsatisfiable_later_group_applies_nothing(self):
+        """A later group's failed plan must fail *before* any earlier
+        group's plan is applied: every plan is collected first."""
+        qdb = make_qdb(2)
+        for flight in (1, 2, 3, 4):
+            assert qdb.execute(pinned(f"u{flight}", flight)).committed
+        original = qdb.state.plan_grounding
+        last = qdb.state.partitions.partitions[-1]
+
+        def sabotage_last(partition, targets, *, forced=False):
+            if partition is last:
+                raise QuantumStateError("no grounding exists (injected)")
+            return original(partition, targets, forced=forced)
+
+        qdb.state.plan_grounding = sabotage_last
+        before = qdb.pending_count
+        assert before >= 2  # multiple groups, so there is an "earlier" one
+        with pytest.raises(QuantumStateError, match="no grounding exists"):
+            qdb.ground_all()
+        assert qdb.pending_count == before
+        qdb.state.plan_grounding = original
+        assert len(qdb.ground_all()) == before
+        qdb.close()
+
+
+class TestPlanTimeouts:
+    def _manager_with_group(self):
+        qdb = make_qdb(2)
+        assert qdb.execute(pinned("alice", 1)).committed
+        manager = qdb.state.partitions
+        partition = manager.partitions[0]
+        return qdb, manager, [(partition, list(partition.pending))]
+
+    def test_plan_on_shards_times_out(self):
+        qdb, manager, groups = self._manager_with_group()
+
+        def slow_plan(partition, entries):
+            time.sleep(0.5)
+            return "late"
+
+        with pytest.raises(GroundingTimeout):
+            manager.plan_on_shards(groups, slow_plan, timeout_s=0.02)
+        qdb.close()
+
+    def test_plan_on_shards_without_timeout_waits(self):
+        qdb, manager, groups = self._manager_with_group()
+
+        def plan(partition, entries):
+            return len(entries)
+
+        assert manager.plan_on_shards(groups, plan) == [1]
+        qdb.close()
+
+    def test_timeout_leaves_state_unchanged(self):
+        """A timed-out ground() applies nothing: everything stays pending."""
+        qdb = make_qdb(2)
+        for flight in (1, 2):
+            assert qdb.execute(pinned(f"u{flight}", flight)).committed
+        original = qdb.state.plan_grounding
+
+        def slow_plan_grounding(partition, targets, *, forced=False):
+            time.sleep(0.5)
+            return original(partition, targets, forced=forced)
+
+        qdb.state.plan_grounding = slow_plan_grounding
+        before = qdb.pending_count
+        with pytest.raises(GroundingTimeout):
+            qdb.ground_all(timeout_s=0.02)
+        assert qdb.pending_count == before
+        qdb.state.plan_grounding = original
+        grounded = qdb.ground_all()
+        assert len(grounded) == before
+        qdb.close()
+
+
+class TestExecutorRace:
+    def test_concurrent_first_submits_create_exactly_one_executor(self):
+        """Regression: two racing first submissions must not leak a pool.
+
+        The unguarded lazy initialisation let both threads observe
+        ``_executor is None`` and each build an executor, leaking one;
+        creation is now serialized on a lock.
+        """
+        shard = Shard(0)
+        created = []
+        original = Shard._create_executor
+
+        def counting_create(self):
+            created.append(threading.get_ident())
+            time.sleep(0.05)  # widen the race window
+            return original(self)
+
+        Shard._create_executor = counting_create
+        try:
+            barrier = threading.Barrier(8)
+            futures = []
+            futures_lock = threading.Lock()
+
+            def submit():
+                barrier.wait(timeout=5)
+                future = shard.submit(sum, (1, 2))
+                with futures_lock:
+                    futures.append(future)
+
+            threads = [threading.Thread(target=submit) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert len(created) == 1, f"{len(created)} executors created"
+            assert [future.result(timeout=5) for future in futures] == [3] * 8
+        finally:
+            Shard._create_executor = original
+            shard.close()
+        assert not shard.started
 
 
 class TestStatisticsReport:
