@@ -11,7 +11,7 @@ commit spends its time.  This script answers it from one command::
 It generates the round's inputs exactly as the benchmark does
 (``bench.generator`` and the pinned sizes and configuration of
 ``bench.settings``; nothing under ``bench/`` is edited or run) and drives
-them through an embedded ``QuantumDatabase`` twice:
+them through an embedded ``QuantumDatabase`` twice, then restarts it:
 
 1. under coarse wall-clock **phase timers** — parse (text to
    transaction), admit (routing, composition, the admission search), plan
@@ -21,7 +21,14 @@ them through an embedded ``QuantumDatabase`` twice:
    followed by the search counters, the store commits, WAL records and
    fsyncs behind one booking, and a digest of the round's decisions, which
    two checkouts must agree on when a change claims to keep them;
-2. under ``cProfile``.
+2. under ``cProfile``;
+3. then one cold **restart** from a copy of the first pass's log, taken
+   before its final ``ground_all`` (as the benchmark takes its crash
+   copies), split the same way: engine open (reading and decoding the log)
+   and replay (redoing it into the tables), with the restore of checkpoint
+   records on its own line, then the quantum state's decode (pending rows
+   to transactions), rebuild (routing them into partitions), solve (one
+   search per partition) and ``k`` bound steps.
 
 Both passes run on one thread, through the in-process API and with
 admission lanes off: lanes run admissions on their own threads, where
@@ -32,7 +39,10 @@ its bookings without the wire, on the segmented engine under the
 benchmark's pinned flush policy (``bench.settings.durability_config``, in a
 temporary directory): each turn of its closed-loop connections is admitted
 as one commit run, the way the server's writer drains it
-(``service.mean_commit_run`` reads 2.0 on the benchmark).  ``mixed_session``
+(``service.mean_commit_run`` reads 2.0 on the benchmark).  Its log starts
+with a base checkpoint of the loaded flights, taken before the round, so
+that its restart restores a snapshot as the benchmark's does (the server's
+record-count checkpoints are not replayed here).  ``mixed_session``
 is its operations without the session layer, on the in-memory log it runs
 on there.  ``lookup_tcp`` and ``store_churn`` spend their time in layers
 this script has no phases for and are refused.
@@ -46,7 +56,9 @@ from __future__ import annotations
 import argparse
 import cProfile
 import hashlib
+import os
 import pstats
+import shutil
 import sys
 import tempfile
 import time
@@ -59,14 +71,46 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from bench import generator as gen  # noqa: E402
 from bench import settings  # noqa: E402
-from repro import Database, QuantumDatabase, parse_transaction  # noqa: E402
+from repro import (  # noqa: E402
+    Database,
+    QuantumDatabase,
+    WriteAheadLog,
+    parse_transaction,
+)
 from repro.core.quantum_state import QuantumState  # noqa: E402
+from repro.core.recovery import PendingTransactionStore  # noqa: E402
+from repro.core.solution_cache import SolutionCache  # noqa: E402
+from repro.relational import recovery as relational_recovery  # noqa: E402
 from repro.relational.transaction import Transaction  # noqa: E402
 from repro.storage import SegmentedWriteAheadLog  # noqa: E402
 from repro.workloads.flights import create_flight_tables  # noqa: E402
 
 WORKLOADS = ("book_batch", "book_tcp", "mixed_session")
 PHASES = ("parse", "admit", "plan", "apply", "persist")
+RESTART_PHASES = (
+    "open",
+    "replay",
+    "checkpoint",
+    "decode",
+    "rebuild",
+    "solve",
+    "k bound",
+)
+ROUND_TARGETS = {
+    "admit": (QuantumState, "admit"),
+    "plan": (QuantumState, "plan_grounding"),
+    "apply": (QuantumState, "apply_grounding"),
+    "persist": (Transaction, "commit"),
+}
+#: The restart's phases but ``open``, which :func:`restart` times itself.
+RESTART_TARGETS = {
+    "replay": (relational_recovery, "replay_into"),
+    "checkpoint": (relational_recovery, "apply_checkpoint_record"),
+    "decode": (PendingTransactionStore, "restore"),
+    "rebuild": (QuantumState, "rebuild"),
+    "solve": (SolutionCache, "ensure"),
+    "k bound": (QuantumState, "enforce_bounds"),
+}
 
 
 class PhaseTimers:
@@ -110,15 +154,11 @@ class PhaseTimers:
         return timed
 
     @contextmanager
-    def installed(self):
-        """Time ``QuantumState.admit`` / ``plan_grounding`` /
+    def installed(self, targets=None):
+        """Time each ``phase: (owner, attribute)`` of ``targets`` — by
+        default the round's: ``QuantumState.admit`` / ``plan_grounding`` /
         ``apply_grounding`` and ``Transaction.commit``."""
-        targets = {
-            "admit": (QuantumState, "admit"),
-            "plan": (QuantumState, "plan_grounding"),
-            "apply": (QuantumState, "apply_grounding"),
-            "persist": (Transaction, "commit"),
-        }
+        targets = targets or ROUND_TARGETS
         originals = {
             name: getattr(owner, attr) for name, (owner, attr) in targets.items()
         }
@@ -132,7 +172,8 @@ class PhaseTimers:
 
 
 def build(flights, wal_directory: str | None = None) -> QuantumDatabase:
-    """The round's database; on the segmented engine when given a directory."""
+    """The round's database; on the segmented engine when given a directory
+    (and then with a base checkpoint of the loaded flights)."""
     database = Database()
     create_flight_tables(database)
     qdb = QuantumDatabase(database, settings.quantum_config(lanes=False))
@@ -144,7 +185,54 @@ def build(flights, wal_directory: str | None = None) -> QuantumDatabase:
         )
         engine.adopt(database.wal)
         database.wal = engine
+        qdb.checkpoint()
     return qdb
+
+
+def flight_schema() -> Database:
+    """The round's tables, empty: what a restart replays its log into."""
+    database = Database()
+    create_flight_tables(database)
+    PendingTransactionStore(database)
+    return database
+
+
+def copy_log(qdb: QuantumDatabase, scratch) -> str | Path:
+    """The round's log as a crash would leave it: the dumped in-memory log,
+    or a copy of the segment directory (the engine stays open)."""
+    if scratch is None:
+        return qdb.database.wal.dump()
+    copy = Path(scratch.name) / "copy"
+    shutil.copytree(Path(scratch.name) / "live", copy)
+    return copy
+
+
+def restart(log: str | Path, timers: PhaseTimers) -> dict[str, float]:
+    """One cold restart from ``log`` (see :func:`copy_log`), timed by phase."""
+    with timers.installed(RESTART_TARGETS):
+        start = time.perf_counter()
+        with timers.phase("open"):
+            if isinstance(log, Path):
+                directory = str(log)
+                wal = SegmentedWriteAheadLog(
+                    directory, settings.durability_config(directory)
+                )
+            else:
+                wal = WriteAheadLog.load(log)
+        database = relational_recovery.recover_database(flight_schema, wal)
+        qdb = QuantumDatabase.recover(database, settings.quantum_config(lanes=False))
+        seconds = time.perf_counter() - start
+    try:
+        return {
+            "restart.seconds": seconds,
+            "restart.pending": qdb.pending_count,
+            "restart.partitions": len(qdb.state.partitions),
+            "restart.searches": qdb.statistics_report()["search.searches"],
+        }
+    finally:
+        qdb.close()
+        if isinstance(log, Path):
+            wal.close()
 
 
 def parse(booking: gen.Booking, timers: PhaseTimers | None):
@@ -154,8 +242,17 @@ def parse(booking: gen.Booking, timers: PhaseTimers | None):
         )
 
 
-def drive(workload: str, seed: int, timers: PhaseTimers | None = None):
-    """One round of ``workload``: ``(operations, failed, seconds, counters)``."""
+def drive(
+    workload: str,
+    seed: int,
+    timers: PhaseTimers | None = None,
+    restart_timers: PhaseTimers | None = None,
+):
+    """One round of ``workload``: ``(operations, failed, seconds, counters)``.
+
+    With ``restart_timers`` the counters also hold a :func:`restart` from a
+    copy of the round's log, taken before the final ``ground_all``.
+    """
     flights = gen.flight_numbers(settings.SIZES[workload]["flights"])
     if workload == "mixed_session":
         streams = gen.mixed_streams(seed, flights, settings.CONNECTIONS)
@@ -173,7 +270,7 @@ def drive(workload: str, seed: int, timers: PhaseTimers | None = None):
     scratch = tempfile.TemporaryDirectory() if workload == "book_tcp" else None
     if timers is not None:
         timers.stopped = True
-    qdb = build(flights, scratch.name if scratch is not None else None)
+    qdb = build(flights, os.path.join(scratch.name, "live") if scratch else None)
     if timers is not None:
         timers.stopped = False
     failed = 0
@@ -213,7 +310,10 @@ def drive(workload: str, seed: int, timers: PhaseTimers | None = None):
         report = qdb.statistics_report()
         report["wal.records"] = len(qdb.database.wal) - logged
         report["wal.fsyncs"] = report.get("durability.fsyncs", 0) - fsyncs
+        log = copy_log(qdb, scratch) if restart_timers is not None else None
         report["decisions"] = decisions_digest(qdb)
+        if log is not None:
+            report.update(restart(log, restart_timers))
     finally:
         qdb.close()
         if scratch is not None:
@@ -258,9 +358,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also dump the raw profile to this file")
     args = parser.parse_args(argv)
 
-    timers = PhaseTimers()
+    timers, restart_timers = PhaseTimers(), PhaseTimers()
     with timers.installed():
-        count, failed, elapsed, report = drive(args.workload, args.seed, timers)
+        count, failed, elapsed, report = drive(
+            args.workload, args.seed, timers, restart_timers
+        )
     print(
         f"{args.workload} seed {args.seed}: {count} operations in {elapsed:.3f} s "
         f"({count / elapsed:.0f}/s), {failed} failed"
@@ -310,7 +412,26 @@ def main(argv=None) -> int:
         profiler.dump_stats(args.out)
     print(f"\ncProfile, top {args.top} by {args.sort}:")
     pstats.Stats(profiler).sort_stats(args.sort).print_stats(args.top)
+    print_restart(report, restart_timers)
     return 1 if failed else 0
+
+
+def print_restart(report: dict, timers: PhaseTimers) -> None:
+    seconds = report["restart.seconds"]
+    print(
+        f"\nrestart from a copy of the round's log: {1000 * seconds:.1f} ms, "
+        f"{report['restart.pending']} pending in "
+        f"{report['restart.partitions']} partitions, "
+        f"{report['restart.searches']} searches"
+    )
+    print(f"{'phase':10s} {'ms':>8s} {'share':>7s}")
+    for phase in (*RESTART_PHASES, "other"):
+        spent = (
+            seconds - sum(timers.seconds.values())
+            if phase == "other"
+            else timers.seconds[phase]
+        )
+        print(f"{phase:10s} {1000 * spent:8.2f} {100 * spent / seconds:6.1f}%")
 
 
 if __name__ == "__main__":

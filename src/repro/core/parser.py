@@ -21,8 +21,9 @@ Syntax summary:
   identifier is always a variable regardless of case.
 
 :func:`format_transaction` produces text that :func:`parse_transaction`
-round-trips exactly; the pending-transactions table uses this for
-durability.
+round-trips exactly.  The notation is the human-facing and the wire form;
+the pending-transactions table stores the JSON form of
+:mod:`repro.core.recovery` and still parses rows written in this notation.
 """
 
 from __future__ import annotations

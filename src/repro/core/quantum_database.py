@@ -50,7 +50,10 @@ from repro.core.parser import parse_transaction
 from repro.core.quantum_state import GroundedTransaction, QuantumState
 from repro.core.reads import ReadMode, ReadRequest
 from repro.core.recovery import PendingTransactionStore
-from repro.core.resource_transaction import ResourceTransaction
+from repro.core.resource_transaction import (
+    ResourceTransaction,
+    reserve_transaction_ids,
+)
 from repro.core.serializability import SerializabilityMode
 from repro.core.worlds import enumerate_possible_worlds
 from repro.errors import QuantumError, TransactionRejected
@@ -766,31 +769,35 @@ class QuantumDatabase:
 
         ``database`` is the extensional store as restored by the relational
         recovery path (WAL replay); the pending-transactions table it
-        contains drives the reconstruction: every persisted transaction is
-        re-admitted in its original sequence order, rebuilding partitions,
-        composed bodies and the solution cache.
+        contains drives the reconstruction, and each step happens once:
+
+        1. decode every persisted row (:meth:`PendingTransactionStore.restore`);
+        2. rebuild the partitions by routing the transactions in their
+           original sequence order, then solve each partition once
+           (:meth:`QuantumState.rebuild`);
+        3. register the entangled ones and enforce the ``k`` bound — a
+           restart under a smaller ``k`` than the crashed instance ran with
+           forces groundings, which are one store transaction too.
+
+        Sequence numbering and transaction ids resume past the highest
+        restored ones, so new arrivals never collide with recovered ones.
 
         Raises:
-            QuantumRecoveryError: if a persisted transaction cannot be
-                restored or can no longer be satisfied (which would indicate
-                the crash interrupted an atomicity guarantee).
+            QuantumRecoveryError: if a persisted row cannot be restored or a
+                rebuilt partition has no grounding (which would indicate the
+                crash interrupted an atomicity guarantee).
         """
         quantum = cls(database, config)
         restored = quantum.pending_store.restore()
-        # Re-admission under a smaller ``k`` than the crashed instance ran
-        # with forces groundings; they are one store transaction too.
         with database.unit:
-            for sequence, transaction in restored:
-                try:
-                    quantum.state.admit(transaction, sequence=sequence)
-                except TransactionRejected as exc:
-                    from repro.errors import QuantumRecoveryError
-
-                    raise QuantumRecoveryError(
-                        f"pending transaction #{transaction.transaction_id} is "
-                        f"no longer satisfiable after recovery: {exc}"
-                    ) from exc
+            quantum.state.rebuild(restored)
+            for _sequence, transaction in restored:
                 quantum.entanglement.register(transaction)
+            quantum.state.enforce_bounds()
+        if restored:
+            reserve_transaction_ids(
+                max(transaction.transaction_id for _sequence, transaction in restored)
+            )
         return quantum
 
     # ------------------------------------------------------------------

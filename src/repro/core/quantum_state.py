@@ -49,6 +49,7 @@ from repro.core.serializability import (
 from repro.core.solution_cache import SolutionCache
 from repro.errors import (
     AdmissionSearchExhausted,
+    QuantumRecoveryError,
     QuantumStateError,
     TransactionRejected,
     WriteRejected,
@@ -515,8 +516,8 @@ class QuantumState:
             transaction: the resource transaction to admit.
             sequence: arrival sequence to record for the transaction.
                 Normally omitted (the state assigns the next number); the
-                recovery path passes the persisted sequence so the rebuilt
-                state resumes numbering where the crashed instance stopped.
+                admission lanes pass the sequence they allocated in arrival
+                order before dispatching.
             renamed: the ``@<id>``-renamed copy of the transaction when the
                 caller already computed one (the admission dispatcher
                 renames for routing); omitted, the rename happens here.
@@ -612,6 +613,44 @@ class QuantumState:
             sequence = self._next_sequence
             self._next_sequence = sequence + 1
             return sequence
+
+    def rebuild(self, restored: Sequence[tuple[int, ResourceTransaction]]) -> None:
+        """Restore the pending transactions of a crashed instance.
+
+        Recovery's quantum half, on an empty state: each ``(sequence,
+        transaction)`` pair, in sequence order, is routed into the partition
+        its atoms overlap and appended — no factor is compiled and nothing
+        is searched per transaction, since every one of them was admitted
+        before the crash.  Then each rebuilt partition is solved once, which
+        records its solution.  Sequence numbering resumes past the highest
+        restored sequence.  The ``k`` bound is left to
+        :meth:`enforce_bounds`.
+
+        Raises:
+            QuantumRecoveryError: if a rebuilt partition has no grounding
+                (the crash interrupted an atomicity guarantee).
+        """
+        for sequence, transaction in restored:
+            renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
+            partition, _merged = self.partitions.merged_for(
+                renamed.body + renamed.updates
+            )
+            partition.append(PendingTransaction(transaction, renamed, sequence))
+            self._next_sequence = max(self._next_sequence, sequence + 1)
+        self.statistics.max_pending = max(
+            self.statistics.max_pending, self.pending_count()
+        )
+        for partition in list(self.partitions):
+            if self.cache.ensure(partition).substitution is None:
+                raise QuantumRecoveryError(
+                    f"pending transactions {list(partition.transaction_ids())} "
+                    "have no consistent grounding after recovery"
+                )
+
+    def enforce_bounds(self) -> None:
+        """Force-ground every partition down to the ``k`` bound."""
+        for partition in list(self.partitions):
+            self._enforce_bound(partition)
 
     def _enforce_bound(self, partition: Partition) -> None:
         """Force-ground transactions until the ``k`` bound is respected."""

@@ -35,6 +35,17 @@ from repro.relational.dml import Delete, Insert, Statement
 _txn_counter = itertools.count(1)
 
 
+def reserve_transaction_ids(through: int) -> None:
+    """Make every identifier auto-assigned from now on exceed ``through``.
+
+    Recovery calls it with the highest restored id: a restarted process
+    must not hand a new transaction the id (and with it the ``@<id>``
+    variable suffix and the pending-table key) of a recovered one.
+    """
+    global _txn_counter
+    _txn_counter = itertools.count(max(next(_txn_counter), through + 1))
+
+
 @dataclass(frozen=True)
 class ResourceTransaction:
     """An immutable resource transaction ``U :-1 B``.
@@ -165,8 +176,15 @@ class ResourceTransaction:
     # -- transformation ------------------------------------------------------
 
     def rename_variables(self, suffix: str) -> "ResourceTransaction":
-        """Copy with every variable renamed (for namespace separation)."""
-        return ResourceTransaction(
+        """Copy with every variable renamed (for namespace separation).
+
+        The copy is not validated again.  Appending a suffix renames
+        variables injectively, which preserves every rule
+        :meth:`_validate` checks: the atoms keep their kinds, CHOOSE stays
+        1, and an update variable still occurs in the body.
+        """
+        copy = object.__new__(ResourceTransaction)
+        copy.__dict__.update(
             body=tuple(a.rename_variables(suffix) for a in self.body),
             updates=tuple(a.rename_variables(suffix) for a in self.updates),
             choose=self.choose,
@@ -174,6 +192,7 @@ class ResourceTransaction:
             client=self.client,
             partner=self.partner,
         )
+        return copy
 
     def ground_updates(
         self, grounding: Substitution | Mapping[str, Any]

@@ -84,6 +84,25 @@ class Atom:
         """Build a ``-relation(...)`` update atom."""
         return cls(relation, tuple(terms), AtomKind.DELETE)
 
+    @classmethod
+    def unchecked(
+        cls,
+        relation: str,
+        terms: tuple[Term, ...],
+        kind: AtomKind = AtomKind.BODY,
+        optional: bool = False,
+    ) -> "Atom":
+        """Build an atom without ``__post_init__``'s checks and coercion.
+
+        For callers that guarantee what those would establish: a non-empty
+        relation, a tuple of terms, and OPTIONAL only on a body atom.
+        """
+        atom = object.__new__(cls)
+        atom.__dict__.update(
+            relation=relation, terms=terms, kind=kind, optional=optional
+        )
+        return atom
+
     # -- introspection ------------------------------------------------------
 
     @property
@@ -127,12 +146,14 @@ class Atom:
 
         Used to keep the variable namespaces of distinct transactions
         disjoint before composition (the proof of Lemma 3.4 assumes
-        ``Var1 ∩ Var2 = ∅``).
+        ``Var1 ∩ Var2 = ∅``).  The copy is built :meth:`unchecked`: its
+        relation, kind and optional flag are this atom's, already checked,
+        and its terms are terms.
         """
         terms = tuple(
             t.rename(suffix) if isinstance(t, Variable) else t for t in self.terms
         )
-        return Atom(self.relation, terms, self.kind, self.optional)
+        return Atom.unchecked(self.relation, terms, self.kind, self.optional)
 
     # -- presentation -------------------------------------------------------
 

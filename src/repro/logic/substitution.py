@@ -108,8 +108,12 @@ class Substitution:
         return current
 
     def apply_atom(self, atom: Atom) -> Atom:
-        """Apply the substitution to every term of ``atom``."""
-        return Atom(
+        """Apply the substitution to every term of ``atom``.
+
+        Built :meth:`Atom.unchecked`: ``atom`` was checked, and every
+        binding is a term (the constructor coerced it).
+        """
+        return Atom.unchecked(
             atom.relation,
             tuple(self.apply_term(t) for t in atom.terms),
             atom.kind,

@@ -15,6 +15,17 @@ from typing import Any, Mapping, Sequence
 from repro.errors import SchemaError, UnknownColumnError
 from repro.relational.datatypes import DataType
 
+#: Per data type, the exact value types :meth:`Column.validate` returns
+#: unchanged (no coercion, no error).  A subclass, an ``int`` for a FLOAT
+#: column or a ``bool`` for an INTEGER one is not among them.
+_EXACT_TYPES: dict[DataType, frozenset[type]] = {
+    DataType.INTEGER: frozenset((int,)),
+    DataType.FLOAT: frozenset((float,)),
+    DataType.TEXT: frozenset((str,)),
+    DataType.BOOLEAN: frozenset((bool,)),
+    DataType.ANY: frozenset((int, float, str, bool)),
+}
+
 
 @dataclass(frozen=True)
 class Column:
@@ -70,6 +81,11 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise SchemaError(f"table {name!r} has duplicate column names: {names}")
         self._positions: dict[str, int] = {c.name: i for i, c in enumerate(self.columns)}
+        #: Per column, the value types that pass it unchanged.
+        self._exact_types: tuple[frozenset[type], ...] = tuple(
+            _EXACT_TYPES[c.datatype] | ({type(None)} if c.nullable else set())
+            for c in self.columns
+        )
 
         key_names = tuple(key) if key else tuple(names)
         for k in key_names:
@@ -110,12 +126,20 @@ class TableSchema:
     # -- validation ---------------------------------------------------------
 
     def validate_values(self, values: Sequence[Any]) -> tuple[Any, ...]:
-        """Validate a positional value tuple against the schema."""
+        """Validate a positional value tuple against the schema.
+
+        One exact type test per value decides the common case; a value it
+        does not decide goes through :meth:`Column.validate`, which coerces
+        or raises.
+        """
         if len(values) != self.arity:
             raise SchemaError(
                 f"table {self.name!r} expects {self.arity} values, got {len(values)}"
             )
-        return tuple(col.validate(v) for col, v in zip(self.columns, values))
+        for exact, value in zip(self._exact_types, values):
+            if type(value) not in exact:
+                return tuple(col.validate(v) for col, v in zip(self.columns, values))
+        return tuple(values)
 
     def values_from_mapping(self, mapping: Mapping[str, Any]) -> tuple[Any, ...]:
         """Build a positional value tuple from a column-name mapping."""

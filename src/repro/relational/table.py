@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import KeyViolationError, MissingRowError, SchemaError
 from repro.relational.index import HashIndex

@@ -36,9 +36,11 @@ def test_nested_phases_are_charged_once():
 @pytest.mark.parametrize("workload", profile_workload.WORKLOADS)
 def test_a_miniature_round_runs_clean(workload, monkeypatch):
     monkeypatch.setitem(profile_workload.settings.SIZES, workload, {"flights": 4})
-    timers = profile_workload.PhaseTimers()
+    timers, restart = profile_workload.PhaseTimers(), profile_workload.PhaseTimers()
     with timers.installed():
-        count, failed, _elapsed, report = profile_workload.drive(workload, 1, timers)
+        count, failed, _elapsed, report = profile_workload.drive(
+            workload, 1, timers, restart
+        )
     assert failed == 0
     assert timers.calls["parse"] == timers.calls["admit"] == 48
     assert count == 48 or workload == "mixed_session"
@@ -54,6 +56,21 @@ def test_a_miniature_round_runs_clean(workload, monkeypatch):
     else:
         assert report["wal.fsyncs"] == 0
         assert timers.calls["persist"] == 1 or workload == "mixed_session"
+    # The restart from the round's log: every phase ran once (a checkpoint
+    # is restored only from book_tcp's segmented log, the in-memory logs
+    # hold none), one search per rebuilt partition, and the phases fit
+    # inside the whole.
+    assert report["restart.pending"] > 0
+    assert 0 < report["restart.searches"] <= report["restart.partitions"]
+    once = {"open", "replay", "decode", "rebuild", "k bound"}
+    if workload == "book_tcp":
+        once.add("checkpoint")
+    assert restart.calls == dict.fromkeys(once, 1) | {
+        "solve": report["restart.partitions"]
+    }
+    assert sum(restart.seconds.values()) <= report["restart.seconds"]
     # The wrappers are gone again.
     assert profile_workload.QuantumState.admit.__name__ == "admit"
     assert profile_workload.Transaction.commit.__name__ == "commit"
+    assert profile_workload.QuantumState.rebuild.__name__ == "rebuild"
+    assert profile_workload.relational_recovery.replay_into.__name__ == "replay_into"
