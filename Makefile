@@ -65,12 +65,12 @@ docs:
 loadtest:
 	PYTHONPATH=src $(PYTHON) scripts/load_client.py --clients 64
 
-# Durability engine benchmark: twin churn workloads (legacy monolithic
-# log vs. segmented WAL), checkpoint-pause comparison, compaction reclaim
-# and a timed cold recovery — merged into BENCH_admission.json under
-# "durability" for the gate.  Depends on smoke because both emitters
-# read-modify-write the same JSON file (`make -j` must not interleave
-# them).
+# Durability engine benchmark: a churn workload on the segmented WAL
+# (checked against an in-memory twin's replayed log), delta vs. base
+# checkpoint pauses, compaction reclaim and a timed cold recovery —
+# merged into BENCH_admission.json under "durability" for the gate.
+# Depends on smoke because both emitters read-modify-write the same JSON
+# file (`make -j` must not interleave them).
 recoverbench: smoke
 	$(PYTEST) -q benchmarks/test_recovery.py -m recovery
 

@@ -36,9 +36,9 @@ path regressed:
   gate with the same anchor normalization as the latency points and fail
   beyond ``DURABILITY_TOLERANCE`` (50%); additionally the fresh run must
   show compaction actually reclaiming bytes and its delta checkpoint
-  pause staying below the legacy full-snapshot fold it replaces — the
-  two structural claims of the segmented engine, gated so they cannot
-  silently rot.  Two more structural claims gate on every fresh point
+  pause staying below the engine's own full-snapshot base pause
+  (``base_pause_ms``) — the two structural claims of the segmented
+  engine, gated so they cannot silently rot.  Two more structural claims gate on every fresh point
   that carries the fields, baseline or not: the group-fsync window must
   keep windowed ``fsyncs_per_commit`` below 1, and with incremental
   bases the writer must fold at most the first base
@@ -113,10 +113,10 @@ DURABILITY_TOLERANCE = 0.50
 #: scheduling slice anywhere can multiply it — a purely relative band
 #: flaps on loaded boxes no matter which run is committed as the
 #: baseline.  The effective floor is the larger of this constant and
-#: half the same run's legacy full-snapshot pause: the engine's claim is
-#: the pause staying materially below the fold it replaced, so only a
+#: half the same run's full-snapshot base pause: the engine's claim is
+#: the delta pause staying materially below a full fold, so only a
 #: fresh pause that has lost most of that advantage re-arms the band
-#: (and one that reaches the fold fails the structural delta-below-legacy
+#: (and one that reaches the fold fails the structural delta-below-base
 #: check regardless).
 PAUSE_NOISE_FLOOR_MS = 5.0
 
@@ -545,22 +545,22 @@ def main(argv: list[str] | None = None) -> int:
         compared_dur += 1
         # The engine's structural claims hold in every fresh run: sealed
         # segments keep getting reclaimed, and the delta checkpoint pause
-        # stays below the legacy full-snapshot fold it replaced.
+        # stays below the full-snapshot base pause of the same run.
         if float(fresh_result.get("bytes_reclaimed", 0)) <= 0:
             failures.append(
                 f"durability {key}: compaction reclaimed no bytes"
             )
         delta_pause = fresh_result.get("max_delta_pause_ms")
-        legacy_pause = fresh_result.get("legacy_pause_ms")
+        fold_pause = fresh_result.get("base_pause_ms")
         if (
             delta_pause is not None
-            and legacy_pause is not None
-            and float(delta_pause) >= float(legacy_pause)
+            and fold_pause is not None
+            and float(delta_pause) >= float(fold_pause)
         ):
             failures.append(
                 f"durability {key}: delta checkpoint pause "
-                f"{float(delta_pause):.2f}ms is not below the legacy "
-                f"full-snapshot pause {float(legacy_pause):.2f}ms"
+                f"{float(delta_pause):.2f}ms is not below the "
+                f"full-snapshot base pause {float(fold_pause):.2f}ms"
             )
         for field, label in (
             ("recovery_ms", "recovery time"),
@@ -584,8 +584,8 @@ def main(argv: list[str] | None = None) -> int:
                 raw_fresh = fresh_result.get(field)
                 if field == "max_delta_pause_ms" and raw_fresh is not None:
                     floor = PAUSE_NOISE_FLOOR_MS
-                    if legacy_pause is not None:
-                        floor = max(floor, 0.5 * float(legacy_pause))
+                    if fold_pause is not None:
+                        floor = max(floor, 0.5 * float(fold_pause))
                     if float(raw_fresh) <= floor:
                         print(
                             f"bench gate: note — durability {key} {label} "

@@ -99,7 +99,7 @@ from repro.errors import (
 )
 from repro.relational.database import Database
 from repro.relational.planner import PlannerConfig
-from repro.relational.wal import FileWalSink, WriteAheadLog
+from repro.relational.wal import WriteAheadLog
 from repro.server import (
     AdmissionResult,
     CheckpointPolicy,
@@ -126,7 +126,6 @@ __all__ = [
     "Database",
     "DurabilityConfig",
     "EntangledResourceTransaction",
-    "FileWalSink",
     "GroundingPolicy",
     "GroundingStrategy",
     "GroundingTimeout",

@@ -705,25 +705,11 @@ class QuantumDatabase:
             )
             for name, value in vars(admission).items():
                 report[f"admission.{name}"] = value
-        # Durability: segmented engines report their own counters
-        # (segments sealed, compactions, bytes reclaimed, checkpoint
-        # pauses, fsyncs); the legacy monolithic log reports its
-        # checkpoint pause and — when a FileWalSink is attached — the
-        # group-commit flush/fsync counts that used to be invisible.
-        wal = self.database.wal
-        durability = getattr(wal, "durability_statistics", None)
-        if callable(durability):
-            for name, value in durability().items():
-                report[f"durability.{name}"] = value
-        else:
-            report["durability.mode"] = "legacy"
-            report["durability.checkpoint_pause_ms"] = getattr(
-                wal, "max_checkpoint_pause_ms", 0.0
-            )
-            sink = getattr(wal, "sink", None)
-            if sink is not None and hasattr(sink, "flushes"):
-                report["durability.flushes"] = sink.flushes
-                report["durability.fsyncs"] = getattr(sink, "fsyncs", 0)
+        # Durability: the log reports what it is — "memory" with its
+        # checkpoint pause, or the segmented engine's counters (segments
+        # sealed, compactions, bytes reclaimed, checkpoint pauses, fsyncs).
+        for name, value in self.database.wal.durability_statistics().items():
+            report[f"durability.{name}"] = value
         return report
 
     def coordination_report(self) -> dict[str, float]:

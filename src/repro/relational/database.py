@@ -159,9 +159,9 @@ class Database:
     def checkpoint(self) -> None:
         """Checkpoint the WAL, bounding recovery replay work.
 
-        With the monolithic log (and for the segmented engine's periodic
+        With the in-memory log (and for the segmented engine's periodic
         base checkpoints) this folds the log into one record holding a full
-        snapshot — an O(store) pause.  When the attached log asks for a
+        snapshot — an O(store) pause.  When the log asks for a
         delta checkpoint instead (:meth:`WriteAheadLog.wants_delta_checkpoint`,
         true for :class:`repro.storage.SegmentedWriteAheadLog` between base
         checkpoints), no snapshot is built at all: the log folds only its

@@ -84,9 +84,9 @@ def replay_into(database: Database, wal: WriteAheadLog) -> None:
 def apply_checkpoint_record(database: Database, record: LogRecord) -> None:
     """Apply one checkpoint-lineage record to ``database``.
 
-    Shared between the monolithic replay above and the segmented engine's
-    :func:`repro.storage.recover` (which replays the lineage it selected
-    from the manifest before redoing the tail).
+    Called by :func:`replay_into` for every checkpoint-family record, on
+    the in-memory log and on the segmented engine alike (whose records
+    hold the lineage it selected from the manifest, then the tail).
     """
     if record.record_type in SNAPSHOT_CHECKPOINT_TYPES:
         if record.snapshot is None:

@@ -5,34 +5,37 @@ by serialising them into a pending-transactions table before commit (paper,
 Section 4, "Recovery").  That table lives in the ordinary relational store,
 so the store itself needs a recovery story: this module provides a minimal
 physiological WAL — ordered records of row-level inserts and deletes tagged
-with transaction ids and commit/abort markers — plus a pluggable "stable
-storage" sink that recovery replays.
+with transaction ids and commit/abort markers — that recovery replays
+(:func:`repro.relational.recovery.replay_into`).
 
-Three properties matter to the session layer built on top
-(:mod:`repro.server`, see ``docs/architecture.md``):
+:class:`WriteAheadLog` keeps its records in memory; it is the log of an
+embedded store, and :meth:`~WriteAheadLog.dump` / :meth:`~WriteAheadLog.load`
+carry it through JSON lines.  The one file-backed log is the segmented
+engine, :class:`repro.storage.SegmentedWriteAheadLog`, a subclass that
+frames the same records into sealed segments.  Two properties matter to
+the session layer built on top (:mod:`repro.server`, see
+``docs/architecture.md``):
 
 * **Thread/loop-safety** — every mutation of the log happens under one
   internal lock, because the asyncio writer task and the grounding
   executor's apply phase may touch the log from different threads (never
   concurrently for the same record, but interleaved across records).
-* **Group commit** — when a durable sink is attached, buffered records are
-  flushed once per COMMIT/ABORT marker, so a batch persisted in a single
-  store transaction costs a single durability flush regardless of how many
-  rows it wrote.
 * **Checkpoints** — :meth:`WriteAheadLog.checkpoint` folds the whole log
   into one CHECKPOINT record carrying a database snapshot, bounding the
   recovery replay work for long-running servers (graceful shutdown calls
-  it; see :meth:`repro.relational.database.Database.checkpoint`).
+  it; see :meth:`repro.relational.database.Database.checkpoint`).  Logs
+  written as JSON lines by older versions, CHECKPOINT records included,
+  still recover through :meth:`WriteAheadLog.load` and
+  :func:`~repro.relational.recovery.recover_database`.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import RecoveryError
 
@@ -40,7 +43,7 @@ from repro.errors import RecoveryError
 class LogRecordType(enum.Enum):
     """Kinds of WAL records.
 
-    ``CHECKPOINT`` is the legacy monolithic fold (one record carrying a full
+    ``CHECKPOINT`` is the in-memory log's fold (one record carrying a full
     snapshot, the rest of the log discarded).  The segmented durability
     engine (:mod:`repro.storage`) instead writes a *checkpoint lineage*:
     a periodic ``CHECKPOINT_BASE`` (full snapshot) chained with
@@ -59,7 +62,7 @@ class LogRecordType(enum.Enum):
     CHECKPOINT_DELTA = "CHECKPOINT_DELTA"
 
 
-#: Record types that restore a full snapshot during replay.  The legacy
+#: Record types that restore a full snapshot during replay.  The in-memory
 #: fold and the segmented engine's base checkpoints replay identically.
 SNAPSHOT_CHECKPOINT_TYPES = frozenset(
     (LogRecordType.CHECKPOINT, LogRecordType.CHECKPOINT_BASE)
@@ -155,125 +158,28 @@ class LogRecord:
             raise RecoveryError(f"malformed log record: {line!r}") from exc
 
 
-class WalSink:
-    """Stable-storage interface for WAL records.
-
-    The in-memory log is the source of truth for replay within a process;
-    a sink makes the records survive the process.  Implementations must
-    support appending a serialized record, flushing buffered appends (the
-    durability point), and atomically resetting to a new record sequence
-    (used by :meth:`WriteAheadLog.checkpoint`).
-    """
-
-    def append(self, line: str) -> None:
-        """Buffer one serialized record."""
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Make all buffered records durable."""
-        raise NotImplementedError
-
-    def reset(self, lines: Iterable[str]) -> None:
-        """Replace the sink's contents with ``lines`` (checkpoint/truncate)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release resources (no-op by default)."""
-
-
-class FileWalSink(WalSink):
-    """A JSON-lines file sink.
-
-    Args:
-        path: file to append records to (created if missing).
-        fsync: when True, :meth:`flush` additionally calls ``os.fsync`` so
-            the group-commit durability point survives OS crashes, not just
-            process crashes.  Off by default — the reproduction's tests
-            simulate crashes at process granularity.
-
-    Attributes:
-        flushes: group-commit flushes performed (one per COMMIT/ABORT
-            marker when attached to a :class:`WriteAheadLog`).
-        fsyncs: ``os.fsync`` calls performed (``fsync=True`` only).  Both
-            counters surface as ``durability.flushes`` / ``durability.fsyncs``
-            in ``statistics_report()``.
-    """
-
-    def __init__(self, path: str | os.PathLike, *, fsync: bool = False) -> None:
-        self.path = os.fspath(path)
-        self.fsync = fsync
-        self.flushes = 0
-        self.fsyncs = 0
-        self._file = open(self.path, "a", encoding="utf-8")
-
-    def append(self, line: str) -> None:
-        self._file.write(line + "\n")
-
-    def flush(self) -> None:
-        self._file.flush()
-        self.flushes += 1
-        if self.fsync:
-            os.fsync(self._file.fileno())
-            self.fsyncs += 1
-
-    def reset(self, lines: Iterable[str]) -> None:
-        self._file.close()
-        self._file = open(self.path, "w", encoding="utf-8")
-        for line in lines:
-            self._file.write(line + "\n")
-        self.flush()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def read_text(self) -> str:
-        """The sink's current contents (for :meth:`WriteAheadLog.load`)."""
-        with open(self.path, "r", encoding="utf-8") as handle:
-            return handle.read()
-
-
 class WriteAheadLog:
-    """An append-only write-ahead log with optional stable storage.
+    """An append-only, in-memory write-ahead log.
 
     The log survives "crashes" simulated by discarding the
     :class:`~repro.relational.database.Database` object while keeping the
-    log; :func:`repro.relational.recovery.recover_database` then rebuilds the
-    store.  Attach a :class:`WalSink` to also survive process crashes; the
-    sink is flushed once per COMMIT/ABORT marker (group commit), so batched
-    store transactions amortise the durability write.
+    log (or its :meth:`dump`); :func:`repro.relational.recovery.recover_database`
+    then rebuilds the store.  To survive the process, swap in the segmented
+    engine (:class:`repro.storage.SegmentedWriteAheadLog`, see its
+    ``adopt``).
 
     All methods are safe to call from multiple threads: the session layer's
     writer loop and its grounding executor both produce records (never for
     the same store transaction at the same time, but interleaved).
     """
 
-    def __init__(self, sink: WalSink | None = None) -> None:
+    def __init__(self) -> None:
         self._records: list[LogRecord] = []
         self._next_lsn = 1
         self._lock = threading.Lock()
-        self._sink = sink
         #: Longest observed checkpoint pause in milliseconds (see
         #: :meth:`note_checkpoint_pause`).
         self.max_checkpoint_pause_ms = 0.0
-
-    # -- stable storage -----------------------------------------------------
-
-    @property
-    def sink(self) -> WalSink | None:
-        """The attached stable-storage sink, if any."""
-        return self._sink
-
-    def attach_sink(self, sink: WalSink) -> None:
-        """Attach stable storage, seeding it with the current records."""
-        with self._lock:
-            self._sink = sink
-            sink.reset(record.to_json() for record in self._records)
-
-    def flush(self) -> None:
-        """Force the durability point (normally reached per commit marker)."""
-        with self._lock:
-            if self._sink is not None:
-                self._sink.flush()
 
     # -- append -------------------------------------------------------------
 
@@ -297,12 +203,6 @@ class WriteAheadLog:
             )
             self._next_lsn += 1
             self._records.append(record)
-            if self._sink is not None:
-                self._sink.append(record.to_json())
-                # Group commit: one durability flush per transaction outcome
-                # marker, covering every record buffered since the last one.
-                if record_type in (LogRecordType.COMMIT, LogRecordType.ABORT):
-                    self._sink.flush()
             return record
 
     def log_begin(self, transaction_id: int) -> LogRecord:
@@ -359,9 +259,9 @@ class WriteAheadLog:
         return "\n".join(record.to_json() for record in self.records())
 
     @classmethod
-    def load(cls, text: str, sink: WalSink | None = None) -> "WriteAheadLog":
-        """Rebuild a log from :meth:`dump` output (or a sink's contents)."""
-        log = cls(sink)
+    def load(cls, text: str) -> "WriteAheadLog":
+        """Rebuild a log from :meth:`dump` output (or an old JSON-lines log)."""
+        log = cls()
         records = [
             LogRecord.from_json(line) for line in text.splitlines() if line.strip()
         ]
@@ -370,12 +270,12 @@ class WriteAheadLog:
         log._next_lsn = (records[-1].lsn if records else 0) + 1
         return log
 
-    # -- truncation / checkpoints -------------------------------------------
+    # -- checkpoints ----------------------------------------------------------
 
     def wants_delta_checkpoint(self) -> bool:
         """True when the log would rather take a delta checkpoint.
 
-        The monolithic log only knows full-snapshot folds, so this is
+        The in-memory log only knows full-snapshot folds, so this is
         always False here.  :class:`repro.storage.SegmentedWriteAheadLog`
         overrides it: once a base snapshot exists (and until the configured
         base cadence is due again) it answers True, and
@@ -389,7 +289,7 @@ class WriteAheadLog:
         """Write a delta checkpoint (segmented engine only)."""
         raise NotImplementedError(
             "delta checkpoints need the segmented durability engine "
-            "(repro.storage); the monolithic WriteAheadLog only folds full "
+            "(repro.storage); the in-memory WriteAheadLog only folds full "
             "snapshots"
         )
 
@@ -398,19 +298,19 @@ class WriteAheadLog:
 
         :meth:`Database.checkpoint` measures the wall time of the whole
         operation — including building the snapshot, the dominant cost for
-        full checkpoints — and reports it here.  The monolithic log keeps
+        full checkpoints — and reports it here.  The in-memory log keeps
         only the maximum; the segmented engine additionally splits base
         from delta pauses for the recovery benchmark's pause-bound gate.
         """
         if pause_ms > self.max_checkpoint_pause_ms:
             self.max_checkpoint_pause_ms = pause_ms
 
-    def truncate(self) -> None:
-        """Discard all records (used after a full snapshot)."""
-        with self._lock:
-            self._records.clear()
-            if self._sink is not None:
-                self._sink.reset(())
+    def durability_statistics(self) -> dict[str, Any]:
+        """Flat ``durability.*`` counters for ``statistics_report()``."""
+        return {
+            "mode": "memory",
+            "checkpoint_pause_ms": self.max_checkpoint_pause_ms,
+        }
 
     def checkpoint(
         self, snapshot: Mapping[str, Sequence[Sequence[Any]]]
@@ -434,6 +334,4 @@ class WriteAheadLog:
             )
             self._next_lsn += 1
             self._records = [record]
-            if self._sink is not None:
-                self._sink.reset((record.to_json(),))
             return record

@@ -29,7 +29,7 @@ Design points (see ``docs/architecture.md``, "The network layer"):
   accepting connections, refuse new requests with a ``draining`` error
   frame, let in-flight requests complete, shut the session layer down
   (which drains the admission queue and lanes and checkpoints the WAL —
-  a full-snapshot fold on the legacy log; on the segmented engine a
+  a full-snapshot fold on the in-memory log; on the segmented engine a
   base/delta lineage record plus one final compaction sweep before the
   compactor thread is joined), then push a ``goodbye`` frame and close
   every socket.

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +62,6 @@ from repro.errors import (
     TenantBackpressure,
     TransactionError,
 )
-from repro.relational.wal import FileWalSink
 from repro.server.session import GroundingTarget, Session
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
@@ -189,23 +187,17 @@ class ServerConfig:
             only on graceful shutdown.
         checkpoint_on_shutdown: fold the WAL into a snapshot checkpoint
             during graceful shutdown, bounding later recovery work.
-        wal_path: when set, attach a durable JSON-lines WAL sink at this
-            path on startup (group-commit flushed).  The path must be fresh
-            or empty: an existing log is recovery input, so ``start()``
-            refuses to overwrite it.
-        wal_fsync: additionally ``fsync`` the sink at each durability point.
-        durability: selects the durability engine.  ``None`` (and
-            ``mode="legacy"``) keep today's behavior: the monolithic
-            ``wal_path`` log with full-snapshot checkpoint folds.  With
-            ``DurabilityConfig(mode="segmented", directory=...)`` the
-            server attaches a :class:`~repro.storage.SegmentedWriteAheadLog`
-            on startup (segments + manifest under the directory, delta
-            checkpoints between periodic base snapshots, a background
-            compactor with the same lifecycle discipline as the admission
-            lanes).  The directory must be fresh: an existing segmented
-            log is recovery input (``repro.storage.recover``), so
-            ``start()`` refuses to adopt over it — mirroring the
-            ``wal_path`` refusal.  Mutually exclusive with ``wal_path``.
+        durability: makes the store durable.  ``None`` keeps the
+            database's log as it is — in memory unless the database
+            already runs on the segmented engine.  With
+            ``DurabilityConfig(directory=...)`` the server attaches a
+            :class:`~repro.storage.SegmentedWriteAheadLog` on startup
+            (segments + manifest under the directory, delta checkpoints
+            between periodic base snapshots, a background compactor with
+            the same lifecycle discipline as the admission lanes).  The
+            directory must be fresh: an existing segmented log is
+            recovery input (``repro.storage.recover``), so ``start()``
+            refuses to adopt over it.
             ``fsync_window_s`` adds the group-fsync commit window (a
             commit run is one store transaction, so it waits for one
             covering sync), and ``incremental_bases`` moves
@@ -221,8 +213,6 @@ class ServerConfig:
     grounding_timeout_s: float | None = None
     checkpoint_policy: CheckpointPolicy | None = None
     checkpoint_on_shutdown: bool = True
-    wal_path: str | None = None
-    wal_fsync: bool = False
     durability: DurabilityConfig | None = None
 
     def __post_init__(self) -> None:
@@ -240,16 +230,6 @@ class ServerConfig:
             raise QuantumError(
                 "ServerConfig.grounding_timeout_s must be positive (or None "
                 "to wait without bound)"
-            )
-        if (
-            self.durability is not None
-            and self.durability.segmented
-            and self.wal_path is not None
-        ):
-            raise QuantumError(
-                "ServerConfig.wal_path is the legacy monolithic log; a "
-                "segmented DurabilityConfig brings its own directory — "
-                "configure one or the other, not both"
             )
 
 
@@ -348,7 +328,6 @@ class QuantumServer:
         #: asyncio futures must only be resolved from their loop's thread.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._grounding_waiters: list[tuple[GroundingTarget, asyncio.Future]] = []
-        self._sink: FileWalSink | None = None
         # Periodic-checkpoint bookkeeping (see CheckpointPolicy): WAL length
         # and wall clock at the last checkpoint (or at startup), plus the
         # bounded retry budget armed when a due checkpoint gets refused.
@@ -377,30 +356,13 @@ class QuantumServer:
         """
         if self._started:
             return self
-        if self.config.wal_path is not None:
-            # Attaching seeds the sink from the in-memory log, so a durable
-            # log from a previous (crashed) run must be recovered — never
-            # silently truncated — before a server may reuse its path.
-            try:
-                existing = os.path.getsize(self.config.wal_path)
-            except OSError:
-                existing = 0
-            if existing:
-                raise QuantumError(
-                    f"WAL file {self.config.wal_path!r} already holds records; "
-                    "recover from it (WriteAheadLog.load + recover_database + "
-                    "QuantumDatabase.recover) or point the server at a fresh "
-                    "path instead of overwriting the durable log"
-                )
         durability = self.config.durability
-        segmented = durability is not None and durability.segmented
-        if segmented and not isinstance(
+        if durability is not None and not isinstance(
             self.qdb.database.wal, SegmentedWriteAheadLog
         ):
-            # Same refusal discipline as wal_path above: adopting seeds the
-            # segments from the in-memory log, so a directory that already
-            # holds a durable segmented log is recovery input, never
-            # something to write over.
+            # Adopting seeds the segments from the in-memory log, so a
+            # directory that already holds a durable segmented log is
+            # recovery input, never something to write over.
             engine = SegmentedWriteAheadLog(durability.directory, durability)
             try:
                 engine.adopt(self.qdb.database.wal)
@@ -418,12 +380,7 @@ class QuantumServer:
             max_workers=self.config.executor_workers,
             thread_name_prefix="repro-grounding",
         )
-        if self.config.wal_path is not None:
-            self._sink = FileWalSink(
-                self.config.wal_path, fsync=self.config.wal_fsync
-            )
-            self.qdb.database.wal.attach_sink(self._sink)
-        if segmented and durability.compaction:
+        if durability is not None and durability.compaction:
             wal = self.qdb.database.wal
             assert isinstance(wal, SegmentedWriteAheadLog)
             wal.start_compactor()
@@ -461,14 +418,16 @@ class QuantumServer:
         self._grounding_waiters.clear()
         if self.config.checkpoint_on_shutdown:
             self.qdb.checkpoint()
-        self.qdb.database.wal.flush()
         wal = self.qdb.database.wal
         if isinstance(wal, SegmentedWriteAheadLog):
-            # One deterministic final sweep (the shutdown checkpoint just
-            # superseded the pre-checkpoint segments), then stop the
-            # compactor thread with the same join discipline as the
-            # executors below.  The engine itself stays open: the database
-            # outlives the server, exactly like the legacy sink.
+            # A durability point, one deterministic final sweep (the
+            # shutdown checkpoint just superseded the pre-checkpoint
+            # segments), then stop the compactor thread with the same join
+            # discipline as the executors below.  The engine itself stays
+            # open: the database outlives the server, and post-shutdown
+            # synchronous mutations must keep landing in the durable log
+            # for recovery to stay complete.
+            wal.flush()
             wal.compact_now()
             wal.stop_compactor()
         if self._executor is not None:
@@ -479,9 +438,6 @@ class QuantumServer:
         # restart lazily if the database outlives the server and fans
         # grounding plans out again.
         self.qdb.close()
-        # The sink stays attached (and open): the database outlives the
-        # server, and post-shutdown synchronous mutations must keep landing
-        # in the durable log for recovery to stay complete.
         # Un-hook: the database outlives the server and must not funnel
         # future groundings/searches through a dead instance.
         if self.qdb.state.on_grounded == self._handle_grounded:
@@ -930,8 +886,8 @@ class QuantumServer:
         for name, value in vars(self.statistics).items():
             report[f"server.{name}"] = value
         report["server.sessions_open"] = self.session_count
-        # The durability section is the database's (engine counters or the
-        # legacy sink's); the deferred-checkpoint counter is server-side
+        # The durability section is the database's (the log's own
+        # counters); the deferred-checkpoint counter is server-side
         # bookkeeping, folded in here where the rest of the section lives.
         report["durability.checkpoint_deferred"] = (
             self.statistics.checkpoints_deferred

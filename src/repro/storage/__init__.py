@@ -7,20 +7,27 @@ periodic full-snapshot ``CHECKPOINT_BASE`` chained with churn-sized
 ``CHECKPOINT_DELTA`` records), and a background compactor that rewrites
 sealed segments without ever blocking the writer.  See
 ``docs/architecture.md`` ("Durability engine") for the design and the
-pause-bound argument.
+pause-bound argument.  It is the only file-backed log: a store without it
+keeps the in-memory :class:`~repro.relational.wal.WriteAheadLog`.
 
 Quickstart::
 
     from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
-    config = DurabilityConfig(mode="segmented", directory="wal-dir")
-    db.wal = SegmentedWriteAheadLog("wal-dir", config)   # fresh store
+    config = DurabilityConfig(directory="wal-dir")
+    engine = SegmentedWriteAheadLog("wal-dir", config)   # fresh store
+    engine.adopt(db.wal)
+    db.wal = engine
     ...
     db2 = recover("wal-dir", make_schema)                # after a crash
 
-or, for a server, pass the config instead of ``wal_path``::
+or, for a server, pass the config::
 
-    ServerConfig(durability=DurabilityConfig(mode="segmented", directory="wal-dir"))
+    ServerConfig(durability=DurabilityConfig(directory="wal-dir"))
+
+A JSON-lines log written by the single-file log of older versions still
+recovers: ``recover_database(make_schema, WriteAheadLog.load(text))``,
+then ``QuantumDatabase.recover``.
 """
 
 from repro.storage.compactor import Compactor

@@ -1,4 +1,4 @@
-"""Configuration of the durability engine (segmented vs. legacy)."""
+"""Configuration of the durability engine."""
 
 from __future__ import annotations
 
@@ -6,28 +6,25 @@ from dataclasses import dataclass
 
 from repro.errors import DurabilityError
 
-#: Durability modes selectable through :class:`DurabilityConfig`.
-MODES = ("segmented", "legacy")
-
 
 @dataclass(frozen=True)
 class DurabilityConfig:
     """How the store makes its write-ahead log durable.
 
-    ``mode="legacy"`` keeps the monolithic JSON-lines log (one file, one
-    full-snapshot CHECKPOINT fold) — byte-compatible with every log
-    written before the segmented engine existed, so old on-disk logs stay
-    recoverable.  ``mode="segmented"`` switches to the log-structured
-    engine (:class:`repro.storage.SegmentedWriteAheadLog`): CRC-framed
-    records in sealed segments under ``directory``, a manifest with
-    atomic rename-based updates, delta checkpoints whose pause is
-    proportional to churn rather than store size, and background
-    compaction of sealed segments.
+    There is one file-backed engine, the log-structured
+    :class:`repro.storage.SegmentedWriteAheadLog`: CRC-framed records in
+    sealed segments under ``directory``, a manifest with atomic
+    rename-based updates, delta checkpoints whose pause is proportional to
+    churn rather than store size, and background compaction of sealed
+    segments.  A JSON-lines log written by the single-file log of older
+    versions still recovers: ``WriteAheadLog.load`` its text, then
+    ``recover_database`` and ``QuantumDatabase.recover``.
 
     Attributes:
-        mode: ``"segmented"`` or ``"legacy"``.
-        directory: segment/manifest directory (segmented mode only; the
-            directory is created if missing).
+        mode: always ``"segmented"``, the default; any other value raises
+            :class:`~repro.errors.DurabilityError`.
+        directory: segment/manifest directory (required; created if
+            missing).
         segment_max_bytes: seal the live segment once it reaches this many
             bytes of framed records.
         segment_max_records: seal the live segment once it holds this many
@@ -38,12 +35,11 @@ class DurabilityConfig:
             replay on recovery.
         fsync: ``os.fsync`` the live segment at every group-commit flush
             (and the manifest at every update), so durability survives OS
-            crashes, not just process crashes.  Off by default, matching
-            :class:`~repro.relational.wal.FileWalSink`.
-        fsync_window_s: group-fsync commit window (segmented mode, needs
-            ``fsync=True``).  ``0`` (the default) keeps per-commit syncs:
-            every commit flush is its own ``os.fsync``, byte-for-byte
-            today's behavior.  A positive window defers the sync: commits
+            crashes, not just process crashes.  Off by default.
+        fsync_window_s: group-fsync commit window (needs ``fsync=True``).
+            ``0`` (the default) keeps per-commit syncs: every commit
+            flush is its own ``os.fsync``.  A positive window defers the
+            sync: commits
             append and flush immediately but share one ``os.fsync`` issued
             when the window (measured from the first uncovered commit)
             expires, and commit acknowledgement blocks until the covering
@@ -66,7 +62,7 @@ class DurabilityConfig:
             explicitly at every seal and checkpoint).
     """
 
-    mode: str = "legacy"
+    mode: str = "segmented"
     directory: str | None = None
     segment_max_bytes: int = 256 * 1024
     segment_max_records: int = 512
@@ -78,19 +74,17 @@ class DurabilityConfig:
     compaction_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        if self.mode != "segmented":
             raise DurabilityError(
-                f"unknown durability mode {self.mode!r}; expected one of {MODES}"
+                f"unknown durability mode {self.mode!r}; the segmented engine "
+                "is the only file-backed log.  A JSON-lines log of the "
+                "single-file log that older versions wrote recovers through "
+                "WriteAheadLog.load + recover_database + QuantumDatabase.recover"
             )
-        if self.mode == "segmented" and not self.directory:
+        if not self.directory:
             raise DurabilityError(
-                "DurabilityConfig(mode='segmented') needs a directory for "
-                "its segments and manifest"
-            )
-        if self.mode == "legacy" and self.directory:
-            raise DurabilityError(
-                "DurabilityConfig(mode='legacy') uses a single log file "
-                "(ServerConfig.wal_path), not a segment directory"
+                "DurabilityConfig needs a directory for its segments and "
+                "manifest"
             )
         if self.segment_max_bytes < 1 or self.segment_max_records < 1:
             raise DurabilityError(
@@ -110,18 +104,3 @@ class DurabilityConfig:
                 "fsync_window_s only defers syncs that fsync=True would "
                 "issue; enable fsync to use a group-fsync window"
             )
-        if self.fsync_window_s > 0 and self.mode != "segmented":
-            raise DurabilityError(
-                "fsync_window_s is a segmented-engine knob; the legacy "
-                "sink syncs per flush"
-            )
-        if self.incremental_bases and self.mode != "segmented":
-            raise DurabilityError(
-                "incremental_bases needs mode='segmented' (the compactor "
-                "synthesizes the bases)"
-            )
-
-    @property
-    def segmented(self) -> bool:
-        """True in segmented mode."""
-        return self.mode == "segmented"

@@ -3,9 +3,10 @@
 :class:`SegmentedWriteAheadLog` is a drop-in
 :class:`~repro.relational.wal.WriteAheadLog`: transactions, recovery and
 the server stack talk to it through the same interface (``append``,
-``records``, ``flush``, ``checkpoint``), so the switch between legacy and
-segmented durability is one :class:`~repro.storage.config.DurabilityConfig`
-knob.  What changes underneath:
+``records``, ``checkpoint``), so a store becomes durable by swapping its
+in-memory log for the engine (``adopt``), and a server by one
+:class:`~repro.storage.config.DurabilityConfig`.  It is the only
+file-backed log.  What it adds underneath:
 
 * **Segments, not one file.**  Records are CRC-framed into an append-only
   tail segment; when the tail reaches ``segment_max_bytes`` /
@@ -45,7 +46,6 @@ from repro.relational.wal import (
     SNAPSHOT_CHECKPOINT_TYPES,
     LogRecord,
     LogRecordType,
-    WalSink,
     WriteAheadLog,
 )
 from repro.storage.config import DurabilityConfig
@@ -75,8 +75,7 @@ class DurabilityStatistics:
         checkpoint_pause_ms: longest observed checkpoint pause (any kind).
         base_pause_ms: longest full-snapshot checkpoint pause.
         delta_pause_ms: longest delta checkpoint pause — the number the
-            recovery benchmark gates against the legacy full-snapshot
-            pause.
+            recovery benchmark gates against ``base_pause_ms``.
         torn_tail_truncations: torn trailing records truncated at open.
         sync_windows: deferred group fsyncs issued by the window thread
             (``fsync_window_s > 0``); each one covers every commit that
@@ -238,11 +237,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     ) -> None:
         super().__init__()
         if config is None:
-            config = DurabilityConfig(mode="segmented", directory=os.fspath(directory))
-        if not config.segmented:
-            raise DurabilityError(
-                "SegmentedWriteAheadLog needs DurabilityConfig(mode='segmented')"
-            )
+            config = DurabilityConfig(directory=os.fspath(directory))
         self.config = config
         self.directory = os.fspath(directory)
         self.statistics = DurabilityStatistics()
@@ -691,7 +686,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     ) -> LogRecord:
         """Write a CHECKPOINT_BASE record starting a fresh lineage.
 
-        Unlike the monolithic fold, nothing is rewritten or truncated
+        Unlike the in-memory fold, nothing is discarded on disk
         here: the base record is appended to the tail and the manifest's
         lineage pointers advance; dropping the superseded records on disk
         is the background compactor's job.
@@ -788,39 +783,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             stats.delta_pause_ms = max(stats.delta_pause_ms, pause_ms)
         else:
             stats.base_pause_ms = max(stats.base_pause_ms, pause_ms)
-
-    def truncate(self) -> None:
-        """Discard all records and start over with a fresh segment chain."""
-        with self._lock:
-            self._records = []
-            self._lineage_length = 0
-            self._dirty = {}
-            self._txn_effects = {}
-            self._has_base = False
-            self._deltas_since_base = 0
-            self._synthesis_due = False
-            self._compaction_attempts = {}
-            self._compaction_quarantine = set()
-            if self._sync_window is not None:
-                # The records any pending ticket covered are being
-                # discarded — release the waiters rather than sync bytes
-                # about to be deleted.
-                self._sync_window.complete_all()
-            self._tail.close()
-            for entry in self._manifest.segments:
-                os.remove(self._path(entry.name))
-            self._manifest.segments = []
-            self._manifest.checkpoint_lsn = 0
-            self._manifest.base_lsn = 0
-            self._manifest.compacted_through_lsn = 0
-            self._create_tail_locked()
-            self._manifest.save(self.directory, fsync=self.config.fsync)
-
-    def attach_sink(self, sink: WalSink) -> None:
-        raise DurabilityError(
-            "the segmented engine IS the stable storage; WalSinks only "
-            "attach to the monolithic WriteAheadLog"
-        )
 
     # -- compaction ------------------------------------------------------------
 
@@ -1101,9 +1063,9 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 or self._lineage_length < 1
                 or self._records[0].lsn != lineage[0].lsn
             ):
-                # The lineage was replaced under us (truncate() or an
-                # explicit writer-side base); the freshly written file was
-                # never referenced by the manifest — drop it.
+                # The lineage was replaced under us (an explicit
+                # writer-side base); the freshly written file was never
+                # referenced by the manifest — drop it.
                 os.remove(path)
                 self._synthesis_due = False
                 return False

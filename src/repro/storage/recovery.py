@@ -5,7 +5,7 @@ Replay order (the manifest drives all of it):
 1. **Manifest** — atomically-updated source of the live segment chain;
    a leftover ``MANIFEST.tmp`` from an interrupted update is discarded,
    orphan segment files from an interrupted compaction are removed.
-2. **Base** — the newest surviving ``CHECKPOINT_BASE`` (or legacy
+2. **Base** — the newest surviving ``CHECKPOINT_BASE`` (or in-memory
    ``CHECKPOINT``) snapshot is restored.  A base synthesized off the
    writer (``incremental_bases``) reuses the LSN of the newest delta it
    folded, so until compaction drops that delta's old record both can
@@ -19,8 +19,9 @@ Replay order (the manifest drives all of it):
    damage there is real corruption, not a crash artifact).
 
 All of 1–4 happen when :class:`SegmentedWriteAheadLog` opens the
-directory; :func:`recover` wraps that in the same shape as the legacy
-:func:`repro.relational.recovery.recover_database` path.
+directory; :func:`recover` hands the opened engine to
+:func:`repro.relational.recovery.recover_database`, the one replay every
+log goes through.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def recover(
             survived the crash.
         schema_factory: callable returning a fresh :class:`Database` with
             all schemas declared but no data (schemas are catalog
-            metadata, exactly as in the legacy recovery path).
+            metadata, exactly as for ``recover_database``).
         config: engine configuration override (thresholds, fsync); the
             default opens the directory with standard parameters.
 

@@ -20,9 +20,11 @@ import pytest
 
 from repro.core.quantum_database import QuantumDatabase
 from repro.core.recovery import PendingTransactionStore
+from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database, replay_into
-from repro.relational.wal import FileWalSink, LogRecordType, WriteAheadLog
+from repro.relational.wal import LogRecordType, WriteAheadLog
+from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
 
 def make_schema() -> Database:
@@ -235,21 +237,31 @@ class TestCheckpoint:
         assert recovered.pending_count == 1
         assert recovered.state.is_pending(result.transaction_id)
 
-    def test_group_commit_flushes_sink_per_commit_marker(self, tmp_path):
-        # FileWalSink counts its own flushes now (surfaced as
-        # durability.flushes in statistics_report).
-        sink = FileWalSink(tmp_path / "wal.jsonl")
+    def test_group_commit_flushes_engine_once_per_commit_marker(self, tmp_path):
+        directory = str(tmp_path / "segments")
         database = make_schema()
-        database.wal.attach_sink(sink)
-        flushes_after_attach = sink.flushes
+        engine = SegmentedWriteAheadLog(
+            directory,
+            DurabilityConfig(directory=directory, segment_max_records=10_000),
+        )
+        engine.adopt(database.wal)
+        database.wal = engine
+        flushes_before = engine.statistics.flushes
         with database.begin() as txn:
             txn.insert("Seats", (1, "1A"))
             txn.insert("Seats", (1, "1B"))
             txn.insert("Seats", (1, "1C"))
         # One durability flush for the whole transaction, not one per row.
-        assert sink.flushes == flushes_after_attach + 1
-        reloaded = WriteAheadLog.load(sink.read_text())
-        assert len(reloaded) == len(database.wal)
+        assert engine.statistics.flushes == flushes_before + 1
+        engine.close()
+        reopened = recover(directory, make_schema)
+        assert len(reopened.wal) == len(engine)
+        assert set(reopened.table("Seats").snapshot()) == {
+            (1, "1A"),
+            (1, "1B"),
+            (1, "1C"),
+        }
+        reopened.wal.close()
 
     def test_checkpoint_refuses_while_transactions_active(self):
         from repro.errors import TransactionError
@@ -263,3 +275,97 @@ class TestCheckpoint:
         database.checkpoint()  # fine once nothing is in flight
         recovered = crash_and_recover(database, through_json=True)
         assert len(recovered.table("Seats")) == 0  # the abort was honoured
+
+
+#: A log file as the single-file JSON-lines log of older versions left it
+#: after a crash: the file was rewritten to one CHECKPOINT record at the
+#: last checkpoint and appended to since — one committed transaction (a
+#: grounded booking plus a new pending row), then one that never reached
+#: its COMMIT.  Pending rows hold the textual notation.
+OLD_LOG = "\n".join(
+    [
+        '{"lsn": 7, "type": "CHECKPOINT", "txn": 0, "table": null, '
+        '"values": null, "snapshot": {"Available": [[7, "1A"], [7, "1B"], '
+        '[7, "1C"], [7, "1D"]], "Bookings": [], "__pending_transactions": '
+        '[[41, 1, "Mickey", null, "-Available(7, ?s), '
+        "+Bookings('Mickey', 7, ?s) :-1 Available(7, ?s)\"]]}}",
+        '{"lsn": 8, "type": "BEGIN", "txn": 5, "table": null, "values": null}',
+        '{"lsn": 9, "type": "DELETE", "txn": 5, "table": "Available", '
+        '"values": [7, "1D"]}',
+        '{"lsn": 10, "type": "INSERT", "txn": 5, "table": "Bookings", '
+        '"values": ["Minnie", 7, "1D"]}',
+        '{"lsn": 11, "type": "INSERT", "txn": 5, "table": '
+        '"__pending_transactions", "values": [42, 2, "Goofy", null, '
+        "\"-Available(7, ?s), +Bookings('Goofy', 7, ?s) :-1 Available(7, ?s)\"]}",
+        '{"lsn": 12, "type": "COMMIT", "txn": 5, "table": null, "values": null}',
+        '{"lsn": 13, "type": "BEGIN", "txn": 6, "table": null, "values": null}',
+        '{"lsn": 14, "type": "INSERT", "txn": 6, "table": '
+        '"__pending_transactions", "values": [43, 3, "Donald", null, '
+        "\"-Available(7, ?s), +Bookings('Donald', 7, ?s) :-1 Available(7, ?s)\"]}",
+        '{"lsn": 15, "type": "DELETE", "txn": 6, "table": "Available", '
+        '"values": [7, "1A"]}',
+    ]
+) + "\n"
+
+
+class TestOldLogCompatibility:
+    """Logs of the removed single-file log still recover, in memory."""
+
+    def test_old_json_lines_log_recovers_tables_and_pending_set(self, tmp_path):
+        path = tmp_path / "old.wal"
+        path.write_text(OLD_LOG, encoding="utf-8")
+        schema = TestQuantumPendingRoundTrip().quantum_schema
+        wal = WriteAheadLog.load(path.read_text(encoding="utf-8"))
+        assert [r.record_type for r in wal.records()][0] is LogRecordType.CHECKPOINT
+
+        store = recover_database(schema, wal)
+        assert set(store.table("Available").snapshot()) == {
+            (7, "1A"),
+            (7, "1B"),
+            (7, "1C"),
+        }
+        assert set(store.table("Bookings").snapshot()) == {("Minnie", 7, "1D")}
+        recovered = QuantumDatabase.recover(store)
+        assert recovered.pending_store.pending_ids() == {41, 42}
+        restored = {
+            entry.transaction_id: (entry.sequence, entry.original.client)
+            for entry in recovered.state.pending_transactions()
+        }
+        assert restored == {41: (1, "Mickey"), 42: (2, "Goofy")}
+
+        # The recovered store keeps appending after the old log's LSNs and
+        # grounds both pending bookings into the seats still available.
+        recovered.ground_all()
+        assert recovered.pending_count == 0
+        bookings = {row[0]: row[2] for row in recovered.table("Bookings").snapshot()}
+        assert bookings.keys() == {"Minnie", "Mickey", "Goofy"}
+        assert {bookings["Mickey"], bookings["Goofy"]} <= {"1A", "1B", "1C"}
+        assert min(r.lsn for r in recovered.database.wal.records()) >= 7
+
+    def test_old_log_before_first_checkpoint_replays_from_empty(self):
+        # Before its first checkpoint the old file was a plain record
+        # stream; an aborted transaction replays as nothing.
+        lines = [
+            '{"lsn": 1, "type": "BEGIN", "txn": 1, "table": null, "values": null}',
+            '{"lsn": 2, "type": "INSERT", "txn": 1, "table": "Seats", '
+            '"values": [1, "1A"]}',
+            '{"lsn": 3, "type": "COMMIT", "txn": 1, "table": null, "values": null}',
+            '{"lsn": 4, "type": "BEGIN", "txn": 2, "table": null, "values": null}',
+            '{"lsn": 5, "type": "INSERT", "txn": 2, "table": "Seats", '
+            '"values": [1, "1B"]}',
+            '{"lsn": 6, "type": "ABORT", "txn": 2, "table": null, "values": null}',
+        ]
+        wal = WriteAheadLog.load("\n".join(lines) + "\n")
+        recovered = recover_database(make_schema, wal)
+        assert recovered.table("Seats").snapshot() == [(1, "1A")]
+        recovered.insert("Seats", (1, "1C"))
+        assert min(r.lsn for r in recovered.wal.records() if r.lsn > 6) == 7
+
+    def test_old_log_with_torn_last_line_is_refused(self):
+        torn = OLD_LOG.rstrip("\n")[:-20]
+        with pytest.raises(RecoveryError, match="malformed log record"):
+            WriteAheadLog.load(torn)
+
+    def test_legacy_durability_mode_is_refused(self):
+        with pytest.raises(DurabilityError, match="WriteAheadLog.load"):
+            DurabilityConfig(mode="legacy")

@@ -365,7 +365,7 @@ def dur_point(
     checkpoints: int = 7,
     recovery_ms: float = 40.0,
     delta_pause_ms: float = 1.5,
-    legacy_pause_ms: float = 30.0,
+    base_pause_ms: float = 30.0,
     bytes_reclaimed: int = 500_000,
 ) -> dict:
     return {
@@ -374,8 +374,7 @@ def dur_point(
         "checkpoints": checkpoints,
         "recovery_ms": recovery_ms,
         "max_delta_pause_ms": delta_pause_ms,
-        "base_pause_ms": legacy_pause_ms,
-        "legacy_pause_ms": legacy_pause_ms,
+        "base_pause_ms": base_pause_ms,
         "bytes_reclaimed": bytes_reclaimed,
         "segments_sealed": 10,
         "compactions": 8,
@@ -423,7 +422,7 @@ def test_durability_recovery_time_growth_beyond_tolerance_fails(tmp_path, capsys
 
 
 def test_durability_pause_growth_beyond_tolerance_fails(tmp_path, capsys):
-    # The fresh pause clears the noise floor (half the 30ms legacy fold),
+    # The fresh pause clears the noise floor (half the 30ms base fold),
     # so the relative band applies — and +67% fails it.
     fresh = with_durability(
         payload(standard_points()), [dur_point(delta_pause_ms=20.0)]
@@ -449,18 +448,18 @@ def test_durability_subfloor_pause_growth_is_noise(tmp_path, capsys):
     assert "scheduling-noise floor" in capsys.readouterr().out
 
 
-def test_durability_pause_floor_scales_with_legacy_fold(tmp_path, capsys):
-    # The floor is half the same run's legacy full-snapshot pause: a
+def test_durability_pause_floor_scales_with_base_fold(tmp_path, capsys):
+    # The floor is half the same run's full-snapshot base pause: a
     # pause that still undercuts the fold 2.5x keeps the engine's
     # pause-proportional-to-churn claim, however it compares to a
     # baseline recorded on a quieter box.
     fresh = with_durability(
         payload(standard_points()),
-        [dur_point(delta_pause_ms=40.0, legacy_pause_ms=100.0)],
+        [dur_point(delta_pause_ms=40.0, base_pause_ms=100.0)],
     )
     baseline = with_durability(
         payload(standard_points()),
-        [dur_point(delta_pause_ms=10.0, legacy_pause_ms=100.0)],
+        [dur_point(delta_pause_ms=10.0, base_pause_ms=100.0)],
     )
     assert run_gate(tmp_path, fresh, baseline) == 0
     assert "scheduling-noise floor" in capsys.readouterr().out
@@ -484,8 +483,8 @@ def test_durability_pause_floor_is_raw_not_normalized(tmp_path, capsys):
 
 
 def test_durability_pause_above_floor_reengages_band(tmp_path, capsys):
-    # Drifting back toward the legacy full-snapshot fold clears the floor
-    # and the band fails it, even while still below the legacy pause.
+    # Drifting back toward the full-snapshot base fold clears the floor
+    # and the band fails it, even while still below the base pause.
     fresh = with_durability(
         payload(standard_points()), [dur_point(delta_pause_ms=20.0)]
     )
@@ -522,15 +521,15 @@ def test_durability_normalized_by_machine_speed(tmp_path):
     assert run_gate(tmp_path, fresh, baseline) == 0
 
 
-def test_durability_delta_pause_must_beat_legacy_fold(tmp_path, capsys):
+def test_durability_delta_pause_must_beat_base_fold(tmp_path, capsys):
     # Even with an identical baseline, a fresh run whose delta pause
-    # reaches the legacy full-snapshot pause fails: the engine's whole
+    # reaches the full-snapshot base pause fails: the engine's whole
     # point is the pause being proportional to churn, not store size.
-    degenerate = dur_point(delta_pause_ms=30.0, legacy_pause_ms=30.0)
+    degenerate = dur_point(delta_pause_ms=30.0, base_pause_ms=30.0)
     fresh = with_durability(payload(standard_points()), [degenerate])
     baseline = with_durability(payload(standard_points()), [degenerate])
     assert run_gate(tmp_path, fresh, baseline) == 1
-    assert "not below the legacy full-snapshot pause" in capsys.readouterr().out
+    assert "not below the full-snapshot base pause" in capsys.readouterr().out
 
 
 def test_durability_zero_reclaim_fails(tmp_path, capsys):

@@ -22,9 +22,10 @@ from repro.core.parser import parse_transaction
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.recovery import PendingTransactionStore
 from repro.errors import QuantumError
-from repro.relational.recovery import recover_database
-from repro.relational.wal import FileWalSink, LogRecordType, WriteAheadLog
+from repro.relational.database import Database
+from repro.relational.wal import LogRecordType
 from repro.server import QuantumServer, ServerConfig
+from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
 from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
@@ -45,6 +46,24 @@ def booking(name: str, flight: int | None = None) -> str:
         f"-Available({pin}, ?s), +Bookings('{name}', {pin}, ?s)"
         f" :-1 Available({pin}, ?s)"
     )
+
+
+def notes_schema() -> Database:
+    database = Database()
+    database.create_table("Notes", ["id", "note"], key=["id"])
+    return database
+
+
+def used_segment_directory(tmp_path) -> DurabilityConfig:
+    """A segment directory already holding a durable log (one committed row)."""
+    config = DurabilityConfig(directory=str(tmp_path / "segments"))
+    database = notes_schema()
+    engine = SegmentedWriteAheadLog(config.directory, config)
+    engine.adopt(database.wal)
+    database.wal = engine
+    database.insert("Notes", (1, "durable"))
+    engine.close()
+    return config
 
 
 def record_admission_order(qdb: QuantumDatabase) -> list:
@@ -319,66 +338,63 @@ class TestShutdownAndRecovery:
 
         asyncio.run(main())
 
-    def test_start_refuses_to_overwrite_existing_wal_file(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text('{"lsn": 1, "type": "COMMIT", "txn": 1, '
-                        '"table": null, "values": null}\n')
+    def test_start_refuses_a_directory_holding_a_log(self, tmp_path):
+        config = used_segment_directory(tmp_path)
 
         async def main():
-            server = QuantumServer(make_qdb(), ServerConfig(wal_path=str(path)))
-            with pytest.raises(QuantumError):
+            qdb = make_qdb()
+            server = QuantumServer(qdb, ServerConfig(durability=config))
+            with pytest.raises(QuantumError, match="already holds a durable log"):
                 await server.start()
+            # The database keeps its own log; nothing was adopted.
+            assert not isinstance(qdb.database.wal, SegmentedWriteAheadLog)
 
         asyncio.run(main())
         # The durable log is untouched by the refused start.
-        assert "COMMIT" in path.read_text()
+        survived = recover(config.directory, notes_schema)
+        assert survived.table("Notes").snapshot() == [(1, "durable")]
+        survived.wal.close()
 
-    def test_shutdown_checkpoints_wal(self, tmp_path):
+    def test_shutdown_checkpoints_wal(self):
         async def main():
             qdb = make_qdb()
-            config = ServerConfig(wal_path=str(tmp_path / "wal.jsonl"))
-            async with QuantumServer(qdb, config) as server:
+            async with QuantumServer(qdb) as server:
                 async with server.session() as session:
                     await session.commit(booking("Mickey"))
             records = qdb.database.wal.records()
             assert [r.record_type for r in records] == [LogRecordType.CHECKPOINT]
             assert records[0].snapshot is not None
-            return str(tmp_path / "wal.jsonl")
 
-        path = asyncio.run(main())
-        # The durable sink holds exactly the checkpoint record too.
-        sink_log = WriteAheadLog.load(FileWalSink(path).read_text())
-        assert [r.record_type for r in sink_log.records()] == [
-            LogRecordType.CHECKPOINT
-        ]
+        asyncio.run(main())
 
     def test_recovery_from_checkpointed_wal(self, tmp_path):
-        path = str(tmp_path / "wal.jsonl")
+        directory = str(tmp_path / "segments")
 
         async def main():
             qdb = make_qdb()
-            config = ServerConfig(wal_path=path)
+            config = ServerConfig(durability=DurabilityConfig(directory=directory))
             async with QuantumServer(qdb, config) as server:
                 async with server.session() as session:
                     results = [
                         await session.commit(booking(f"u{i}")) for i in range(3)
                     ]
+            qdb.database.wal.close()
             return qdb, {r.transaction_id for r in results}
 
         old_qdb, committed_ids = asyncio.run(main())
         pending_before = old_qdb.pending_store.pending_ids()
         assert pending_before  # still in superposition at shutdown
 
-        # "Crash": rebuild everything from the durable sink alone.  The
-        # schema factory declares the catalog (including the pending table);
-        # the checkpoint snapshot then replaces every table's contents.
+        # "Crash": rebuild everything from the segment directory alone.
+        # The schema factory declares the catalog (including the pending
+        # table); the checkpoint snapshot then replaces every table's
+        # contents.
         def schema_factory():
             database = build_flight_database(SPEC)
             PendingTransactionStore(database)
             return database
 
-        survived = WriteAheadLog.load(FileWalSink(path).read_text())
-        database = recover_database(schema_factory, survived)
+        database = recover(directory, schema_factory)
         recovered = QuantumDatabase.recover(database, QuantumConfig(k=4))
         assert recovered.pending_store.pending_ids() == pending_before
         assert {
@@ -391,6 +407,7 @@ class TestShutdownAndRecovery:
         # And the recovered state still grounds consistently.
         recovered.ground_all()
         assert recovered.pending_count == 0
+        recovered.database.wal.close()
 
 
 class TestServerStatistics:
@@ -422,12 +439,11 @@ class TestServerStatistics:
 
 class TestStartupValidation:
     def test_failed_start_leaves_server_unstarted_and_retryable(self, tmp_path):
-        path = tmp_path / "wal.jsonl"
-        path.write_text('{"lsn": 1, "type": "COMMIT", "txn": 1, '
-                        '"table": null, "values": null}\n')
+        used = used_segment_directory(tmp_path)
 
         async def main():
-            server = QuantumServer(make_qdb(), ServerConfig(wal_path=str(path)))
+            qdb = make_qdb()
+            server = QuantumServer(qdb, ServerConfig(durability=used))
             with pytest.raises(QuantumError):
                 await server.start()
             # Nothing half-started: a session cannot enqueue unprocessable
@@ -435,12 +451,15 @@ class TestStartupValidation:
             with pytest.raises(QuantumError):
                 await server.session().commit(booking("nobody"))
             # A retry with a fixed configuration succeeds.
-            server.config = ServerConfig()
+            fresh = DurabilityConfig(directory=str(tmp_path / "fresh"))
+            server.config = ServerConfig(durability=fresh)
             await server.start()
             try:
                 result = await server.session().commit(booking("works"))
                 assert result.committed
             finally:
                 await server.shutdown()
+            assert isinstance(qdb.database.wal, SegmentedWriteAheadLog)
+            qdb.database.wal.close()
 
         asyncio.run(main())

@@ -1,12 +1,14 @@
-"""Crash-point recovery: the segmented engine vs. legacy monolithic replay.
+"""Crash-point recovery: the segmented engine vs. in-memory log replay.
 
 A seeded workload script (mixed auto-commit writes, multi-op
 transactions, aborts and checkpoints — seeded like
 ``tests/sharding/test_concurrent_admission_harness.py``) is applied to
-twin stores: one on the legacy monolithic :class:`FileWalSink` log, one
-on the segmented engine.  A "crash" keeps only the on-disk state; both
-sides are then recovered and must agree row-for-row — including after
-every crash point the segmented engine has that the legacy log does not:
+twin stores: one on the in-memory :class:`WriteAheadLog`, one on the
+segmented engine.  A "crash" keeps only the twin's dumped JSON lines and
+the engine's on-disk state; both sides are then recovered — through the
+one replay, :func:`recover_database` — and must agree row-for-row,
+including after every crash point the segmented engine has that the
+in-memory log does not:
 
 * a torn tail record (truncated / CRC-corrupted / garbage-suffixed);
 * a manifest swap interrupted mid-rename (``MANIFEST.tmp`` left behind);
@@ -28,7 +30,7 @@ import pytest
 from repro.errors import RecoveryError
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database
-from repro.relational.wal import FileWalSink, WriteAheadLog
+from repro.relational.wal import WriteAheadLog
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.storage.manifest import MANIFEST_TMP_NAME, Manifest
 from repro.storage.segment import SEGMENT_SUFFIX, encode_frame, segment_file_name
@@ -128,9 +130,7 @@ def fingerprint(database: Database) -> dict:
 def build_twins(tmp_path, seed: int, **engine_overrides):
     """Twin stores after the same seeded workload; crash = stop using them."""
     script = generate_script(seed)
-    legacy = make_schema()
-    sink = FileWalSink(tmp_path / "legacy.wal")
-    legacy.wal.attach_sink(sink)
+    twin = make_schema()
     seg_dir = tmp_path / "segments"
     config = DurabilityConfig(
         mode="segmented",
@@ -141,14 +141,14 @@ def build_twins(tmp_path, seed: int, **engine_overrides):
     engine = SegmentedWriteAheadLog(seg_dir, config)
     engine.adopt(segmented.wal)
     segmented.wal = engine
-    apply_script(legacy, script)
+    apply_script(twin, script)
     apply_script(segmented, script)
-    return legacy, sink, segmented, engine, seg_dir
+    return twin, segmented, engine, seg_dir
 
 
-def recover_legacy(sink: FileWalSink) -> Database:
-    """The reference: replay the monolithic JSON-lines log."""
-    return recover_database(make_schema, WriteAheadLog.load(sink.read_text()))
+def recover_twin(twin: Database) -> Database:
+    """The reference: replay the in-memory twin's log from its JSON lines."""
+    return recover_database(make_schema, WriteAheadLog.load(twin.wal.dump()))
 
 
 def tail_file(seg_dir) -> str:
@@ -157,8 +157,9 @@ def tail_file(seg_dir) -> str:
     return os.path.join(str(seg_dir), manifest.tail.name)
 
 
-def start_torn_transaction(legacy: Database, segmented: Database, seg_dir):
-    """Leave both logs with a flushed, never-committed trailing write.
+def start_torn_transaction(twin: Database, segmented: Database, seg_dir):
+    """Leave both logs with a never-committed trailing write (flushed to
+    the segmented tail).
 
     Returns the open transactions (kept alive so nothing auto-finishes)
     after making sure the segmented tail segment holds at least one torn
@@ -166,11 +167,11 @@ def start_torn_transaction(legacy: Database, segmented: Database, seg_dir):
     uncommitted row is added so in-place damage has a frame to hit.
     """
     txns = []
-    for database in (legacy, segmented):
+    for database in (twin, segmented):
         txn = database.begin()
         txn.insert("Notes", (999_001, "torn"))
-        database.wal.flush()
         txns.append(txn)
+    segmented.wal.flush()
     extra = itertools.count(999_002)
     while os.path.getsize(tail_file(seg_dir)) == 0:
         txns[1].insert("Notes", (next(extra), "torn"))
@@ -181,27 +182,27 @@ def start_torn_transaction(legacy: Database, segmented: Database, seg_dir):
 class TestCleanCrash:
     @pytest.mark.parametrize("compact", [False, True], ids=["raw", "compacted"])
     @pytest.mark.parametrize("seed", CRASH_SEEDS)
-    def test_recovery_matches_legacy_replay(self, tmp_path, seed, compact):
-        legacy, sink, segmented, engine, seg_dir = build_twins(tmp_path, seed)
+    def test_recovery_matches_twin_replay(self, tmp_path, seed, compact):
+        twin, segmented, engine, seg_dir = build_twins(tmp_path, seed)
         if compact:
             engine.compact_now()
         expected = fingerprint(segmented)
         recovered = recover(seg_dir, make_schema)
-        reference = recover_legacy(sink)
+        reference = recover_twin(twin)
         assert fingerprint(recovered) == expected
         assert fingerprint(recovered) == fingerprint(reference)
         assert recovered.wal.committed_transaction_ids() >= set()
         recovered.wal.close()
 
     def test_recovered_store_keeps_working_and_recovering(self, tmp_path):
-        legacy, sink, _segmented, _engine, seg_dir = build_twins(tmp_path, 4)
+        twin, _segmented, _engine, seg_dir = build_twins(tmp_path, 4)
         recovered = recover(seg_dir, make_schema)
         extra = generate_script(99, ops=30, start=10_000)
         apply_script(recovered, extra)
-        apply_script(legacy, extra)
+        apply_script(twin, extra)
         second = recover(seg_dir, make_schema)
         assert fingerprint(second) == fingerprint(recovered)
-        assert fingerprint(second) == fingerprint(recover_legacy(sink))
+        assert fingerprint(second) == fingerprint(recover_twin(twin))
         second.wal.close()
         recovered.wal.close()
 
@@ -209,10 +210,10 @@ class TestCleanCrash:
 class TestTornTail:
     @pytest.mark.parametrize("damage", sorted(TAIL_DAMAGE))
     @pytest.mark.parametrize("seed", TORN_SEEDS)
-    def test_torn_tail_truncated_to_legacy_state(self, tmp_path, seed, damage):
-        legacy, sink, segmented, _engine, seg_dir = build_twins(tmp_path, seed)
+    def test_torn_tail_truncated_to_twin_state(self, tmp_path, seed, damage):
+        twin, segmented, _engine, seg_dir = build_twins(tmp_path, seed)
         expected = fingerprint(segmented)  # torn txn must contribute nothing
-        start_torn_transaction(legacy, segmented, seg_dir)
+        start_torn_transaction(twin, segmented, seg_dir)
         path = tail_file(seg_dir)
         with open(path, "rb") as handle:
             data = handle.read()
@@ -222,24 +223,24 @@ class TestTornTail:
         with pytest.warns(RuntimeWarning, match="torn tail"):
             recovered = recover(seg_dir, make_schema)
         assert fingerprint(recovered) == expected
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         assert recovered.wal.statistics.torn_tail_truncations == 1
         recovered.wal.close()
 
 
 class TestManifestCrashPoints:
     def test_interrupted_manifest_swap_is_discarded(self, tmp_path):
-        legacy, sink, segmented, _engine, seg_dir = build_twins(tmp_path, 0)
+        twin, segmented, _engine, seg_dir = build_twins(tmp_path, 0)
         tmp = seg_dir / MANIFEST_TMP_NAME
         tmp.write_text('{"format": 1, "segments": [  ... the rename never ran')
         recovered = recover(seg_dir, make_schema)
         assert not tmp.exists()
         assert fingerprint(recovered) == fingerprint(segmented)
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
     def test_compactor_killed_before_swap_drops_orphan_generation(self, tmp_path):
-        legacy, sink, segmented, _engine, seg_dir = build_twins(tmp_path, 1)
+        twin, segmented, _engine, seg_dir = build_twins(tmp_path, 1)
         manifest = Manifest.load(str(seg_dir))
         entry = next(e for e in manifest.segments if e.sealed)
         orphan = seg_dir / segment_file_name(entry.index, entry.generation + 1)
@@ -247,11 +248,11 @@ class TestManifestCrashPoints:
         recovered = recover(seg_dir, make_schema)
         assert not orphan.exists()
         assert fingerprint(recovered) == fingerprint(segmented)
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
     def test_compactor_killed_after_swap_drops_stale_generation(self, tmp_path):
-        legacy, sink, segmented, engine, seg_dir = build_twins(tmp_path, 2)
+        twin, segmented, engine, seg_dir = build_twins(tmp_path, 2)
         def on_disk():
             return {
                 name
@@ -269,13 +270,13 @@ class TestManifestCrashPoints:
         recovered = recover(seg_dir, make_schema)
         assert not stale.exists()
         assert fingerprint(recovered) == fingerprint(segmented)
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
 
 class TestSealedCorruption:
     def test_sealed_segment_corruption_is_fatal(self, tmp_path):
-        _legacy, _sink, _segmented, _engine, seg_dir = build_twins(tmp_path, 5)
+        _twin, _segmented, _engine, seg_dir = build_twins(tmp_path, 5)
         manifest = Manifest.load(str(seg_dir))
         entry = next(e for e in manifest.segments if e.sealed)
         path = seg_dir / entry.name
@@ -287,12 +288,12 @@ class TestSealedCorruption:
 
 
 class TestIncrementalBaseCleanCrash:
-    """The incremental-base lineage recovers row-identically to legacy."""
+    """The incremental-base lineage recovers row-identically to the twin."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["raw", "compacted"])
     @pytest.mark.parametrize("seed", (0, 3, 5))
-    def test_recovery_matches_legacy_replay(self, tmp_path, seed, compact):
-        legacy, sink, segmented, engine, seg_dir = build_twins(
+    def test_recovery_matches_twin_replay(self, tmp_path, seed, compact):
+        twin, segmented, engine, seg_dir = build_twins(
             tmp_path, seed, incremental_bases=True, base_interval=2
         )
         if compact:
@@ -301,7 +302,7 @@ class TestIncrementalBaseCleanCrash:
         expected = fingerprint(segmented)
         recovered = recover(seg_dir, make_schema)
         assert fingerprint(recovered) == expected
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
 
@@ -317,7 +318,7 @@ class TestSynthesizedBaseCrashPoints:
         # The compactor wrote the synthesized base's segment file but died
         # before the manifest save: the file is an orphan, the old lineage
         # stays authoritative.
-        legacy, sink, segmented, _engine, seg_dir = self._twins(tmp_path, 0)
+        twin, segmented, _engine, seg_dir = self._twins(tmp_path, 0)
         manifest = Manifest.load(str(seg_dir))
         orphan = seg_dir / segment_file_name(manifest.next_segment_index)
         orphan.write_bytes(
@@ -326,7 +327,7 @@ class TestSynthesizedBaseCrashPoints:
         recovered = recover(seg_dir, make_schema)
         assert not orphan.exists()
         assert fingerprint(recovered) == fingerprint(segmented)
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
     def test_crash_before_manifest_swap_leaves_old_lineage(
@@ -335,7 +336,7 @@ class TestSynthesizedBaseCrashPoints:
         # Same crash point, but hit for real: the manifest save inside the
         # synthesis pass fails, the pass propagates the error, and the
         # freshly written base file stays on disk unreferenced.
-        legacy, sink, segmented, engine, seg_dir = self._twins(tmp_path, 3)
+        twin, segmented, engine, seg_dir = self._twins(tmp_path, 3)
         expected = fingerprint(segmented)
         names_before = set(os.listdir(seg_dir))
         real_save = Manifest.save
@@ -354,19 +355,19 @@ class TestSynthesizedBaseCrashPoints:
         for name in orphans:
             assert not (seg_dir / name).exists()
         assert fingerprint(recovered) == expected
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
     def test_crash_after_install_keeps_duplicate_lsn_delta(self, tmp_path):
         # One pass installs the synthesized base and then the process dies
         # before any old segment is compacted away: the delta sharing the
         # base's LSN is still on disk and replay must prefer the base.
-        legacy, sink, segmented, engine, seg_dir = self._twins(tmp_path, 5)
+        twin, segmented, engine, seg_dir = self._twins(tmp_path, 5)
         assert engine.compact_once()
         assert engine.statistics.bases_synthesized == 1
         recovered = recover(seg_dir, make_schema)
         assert fingerprint(recovered) == fingerprint(segmented)
-        assert fingerprint(recovered) == fingerprint(recover_legacy(sink))
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 
 

@@ -61,13 +61,19 @@ class TestWindowConfig:
                 mode="segmented", directory=str(tmp_path), fsync_window_s=0.01
             )
 
-    def test_window_is_segmented_only(self):
-        with pytest.raises(DurabilityError, match="segmented"):
-            DurabilityConfig(mode="legacy", fsync=True, fsync_window_s=0.01)
+    def test_window_defaults_to_per_commit_syncs(self, tmp_path):
+        config = DurabilityConfig(directory=str(tmp_path), fsync=True)
+        assert config.fsync_window_s == 0.0
 
-    def test_incremental_bases_is_segmented_only(self):
-        with pytest.raises(DurabilityError, match="segmented"):
-            DurabilityConfig(mode="legacy", incremental_bases=True)
+    def test_window_with_fsync_accepted(self, tmp_path):
+        config = DurabilityConfig(
+            directory=str(tmp_path),
+            fsync=True,
+            fsync_window_s=0.01,
+            incremental_bases=True,
+        )
+        assert config.fsync_window_s == 0.01
+        assert config.incremental_bases
 
 
 class TestSegmentWriterClose:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
-from repro.relational.wal import FileWalSink, LogRecordType
+from repro.relational.wal import LogRecordType
 from repro.storage import (
     DurabilityConfig,
     SegmentedWriteAheadLog,
@@ -81,13 +81,21 @@ class TestConfig:
         with pytest.raises(DurabilityError):
             DurabilityConfig(mode="segmented")
 
-    def test_legacy_rejects_directory(self, tmp_path):
-        with pytest.raises(DurabilityError):
+    def test_mode_defaults_to_segmented(self, tmp_path):
+        config = DurabilityConfig(directory=str(tmp_path))
+        assert config.mode == "segmented"
+
+    def test_legacy_mode_rejected_with_directory(self, tmp_path):
+        # A directory does not make the removed single-file mode valid; the
+        # refusal points at the in-memory load path for its old files.
+        with pytest.raises(DurabilityError, match="WriteAheadLog.load"):
             DurabilityConfig(mode="legacy", directory=str(tmp_path))
 
-    def test_engine_rejects_legacy_config(self, tmp_path):
-        with pytest.raises(DurabilityError):
-            SegmentedWriteAheadLog(tmp_path / "d", DurabilityConfig(mode="legacy"))
+    def test_memory_mode_is_reported_not_configured(self, tmp_path):
+        # statistics_report() names an in-memory log "memory", but that is
+        # the absence of a DurabilityConfig, not one of its modes.
+        with pytest.raises(DurabilityError, match="unknown durability mode"):
+            DurabilityConfig(mode="memory", directory=str(tmp_path))
 
 
 class TestSealing:
@@ -274,12 +282,6 @@ class TestLifecycle:
         engine.close()
         engine.close()
 
-    def test_attach_sink_refused(self, tmp_path):
-        _database, engine = make_engine(tmp_path)
-        with pytest.raises(DurabilityError):
-            engine.attach_sink(FileWalSink(tmp_path / "x.wal"))
-        engine.close()
-
     def test_adopt_refuses_nonempty_engine(self, tmp_path):
         database, engine = make_engine(tmp_path)
         database.insert("Seats", (1, "a"))
@@ -287,18 +289,6 @@ class TestLifecycle:
         with pytest.raises(DurabilityError):
             engine.adopt(other.wal)
         engine.close()
-
-    def test_truncate_restarts_chain(self, tmp_path):
-        database, engine = make_engine(tmp_path, segment_max_records=4)
-        for i in range(10):
-            database.insert("Seats", (i, f"s{i}"))
-        engine.truncate()
-        assert len(engine) == 0
-        database.insert("Seats", (50, "after"))
-        engine.close()
-        recovered = recover(tmp_path / "segments", make_schema)
-        assert recovered.snapshot()["Seats"] == [(50, "after")]
-        recovered.wal.close()
 
     def test_directory_artifacts(self, tmp_path):
         _database, engine = make_engine(tmp_path)
@@ -310,20 +300,25 @@ class TestLifecycle:
 
 
 class TestStatisticsReport:
-    def test_legacy_report_exposes_sink_flushes(self, tmp_path):
+    def test_memory_report_exposes_checkpoint_pause(self):
         from repro.core.quantum_database import QuantumDatabase
 
         database = make_schema()
-        sink = FileWalSink(tmp_path / "wal.jsonl")
-        database.wal.attach_sink(sink)
         qdb = QuantumDatabase(database)
         database.insert("Seats", (1, "a"))
         qdb.checkpoint()
         report = qdb.statistics_report()
-        assert report["durability.mode"] == "legacy"
-        assert report["durability.flushes"] >= 1
-        assert report["durability.fsyncs"] == 0
-        assert report["durability.checkpoint_pause_ms"] > 0
+        durability = {
+            key: value
+            for key, value in report.items()
+            if key.startswith("durability.")
+        }
+        assert durability.keys() == {
+            "durability.mode",
+            "durability.checkpoint_pause_ms",
+        }
+        assert durability["durability.mode"] == "memory"
+        assert durability["durability.checkpoint_pause_ms"] > 0
 
     def test_segmented_report_exposes_engine_counters(self, tmp_path):
         from repro.core.quantum_database import QuantumDatabase

@@ -4,8 +4,7 @@
 swap the store onto a :class:`SegmentedWriteAheadLog` at startup, run the
 background compactor with the server's lifecycle discipline, fold the
 drain-boundary/shutdown checkpoints into the base/delta lineage, and
-refuse to write over a directory that already holds a durable log —
-mirroring the legacy ``wal_path`` contract exactly.
+refuse to write over a directory that already holds a durable log.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import pytest
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.recovery import PendingTransactionStore
 from repro.errors import QuantumError
+from repro.relational.wal import WriteAheadLog
 from repro.server import CheckpointPolicy, QuantumServer, ServerConfig
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
@@ -48,20 +48,22 @@ def segmented_config(tmp_path, **overrides) -> DurabilityConfig:
     )
 
 
-class TestConfig:
-    def test_wal_path_and_segmented_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(QuantumError):
-            ServerConfig(
-                wal_path=str(tmp_path / "legacy.wal"),
-                durability=segmented_config(tmp_path),
-            )
+class TestInMemoryServer:
+    def test_default_config_keeps_the_in_memory_log(self):
+        async def scenario():
+            qdb = make_qdb()
+            log = qdb.database.wal
+            async with QuantumServer(qdb, ServerConfig()) as server:
+                async with server.session(client="mickey") as session:
+                    await session.commit(booking("u0", 100))
+                report = server.statistics_report()
+            # No DurabilityConfig: the store keeps the log it was built with.
+            assert qdb.database.wal is log
+            assert type(log) is WriteAheadLog
+            assert report["durability.mode"] == "memory"
+            assert "durability.fsyncs" not in report
 
-    def test_legacy_durability_config_is_allowed_with_wal_path(self, tmp_path):
-        config = ServerConfig(
-            wal_path=str(tmp_path / "legacy.wal"),
-            durability=DurabilityConfig(mode="legacy"),
-        )
-        assert config.durability is not None and not config.durability.segmented
+        asyncio.run(scenario())
 
 
 class TestSegmentedServer:
