@@ -21,7 +21,7 @@
 #
 # Set REPRO_BENCH_SCALE=paper for the paper-sized benchmark parameters.
 # The smoke pass refreshes BENCH_admission.json (admission throughput and
-# merged_for scan counts per (shard count, backend, lanes) point),
+# merged_for scan counts per (shard count, backend) point),
 # tracking the admission-path perf trajectory across PRs.  Only the
 # baseline chain (`make smoke recoverbench searchbench`) writes that
 # committed file; `make bench`, a plain `pytest` and paper-scale runs

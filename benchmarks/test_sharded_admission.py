@@ -11,9 +11,8 @@ pools.
 
 The acceptance criteria asserted here:
 
-* accept/reject decisions are identical at every shard count, with lanes
-  on and off (the index is a conservative prefilter confirmed by the exact
-  scan);
+* accept/reject decisions are identical at every shard count (the index
+  is a conservative prefilter confirmed by the exact scan);
 * the sharded runs spend **at least 5x fewer** pairwise unification calls
   in the overlap scans (in practice the reduction is 100x+ on this
   constant-pinned workload);
@@ -28,7 +27,6 @@ point — so the admission-path perf trajectory is tracked across PRs by
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -45,18 +43,11 @@ from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
 #: Shard counts swept by the benchmark (1 = the unsharded baseline).
 SHARD_COUNTS = (1, 2, 4)
 
-#: (shards, backend, lanes) sweep points, in reporting order.  The
-#: unsharded baseline has no shards, recorded as backend "unsharded";
-#: every sharded point runs on the thread backend, the only one.  The lane
-#: points run the same stream through ``commit_batch`` with
-#: ``admission_lanes=True`` — the router-first concurrent admission
-#: pipeline (per-shard admission writers, epoch barriers for cross-shard
-#: arrivals) — so CI gates lane-parallel admission throughput alongside
-#: the serialized sweep.
-SWEEP = (
-    ((1, "unsharded", False),)
-    + tuple((shards, "thread", False) for shards in SHARD_COUNTS[1:])
-    + tuple((shards, "thread", True) for shards in SHARD_COUNTS[1:])
+#: (shards, backend) sweep points, in reporting order.  The unsharded
+#: baseline has no shards, recorded as backend "unsharded"; every sharded
+#: point runs on the thread backend, the only one.
+SWEEP = ((1, "unsharded"),) + tuple(
+    (shards, "thread") for shards in SHARD_COUNTS[1:]
 )
 
 #: Where the perf trajectory lands (tracked in git, one file per repo).
@@ -70,35 +61,17 @@ def _spec(smoke: bool) -> FlightDatabaseSpec:
     return FlightDatabaseSpec(num_flights=16, rows_per_flight=4)
 
 
-def _run(
-    spec: FlightDatabaseSpec,
-    *,
-    shards: int,
-    lanes: bool = False,
-    k: int = 4,
-    seed: int = 0,
-):
+def _run(spec: FlightDatabaseSpec, *, shards: int, k: int = 4, seed: int = 0):
     """One sweep point; returns (decisions, statistics, admit_s, total_s).
 
-    Serialized points admit via per-call ``execute``; lane points admit the
-    whole stream via ``commit_batch`` (the pipeline's entry point — the
-    session layer's drain loop batches exactly like this).  Accept/reject
-    decisions are identical either way, which the test asserts.
+    Every point admits via per-call ``execute``, so accept/reject decisions
+    must be identical across shard counts, which the test asserts.
     """
     workload = generate_workload(spec, ArrivalOrder.RANDOM, seed=seed)
-    config = QuantumConfig(k=k, shards=shards, admission_lanes=lanes)
+    config = QuantumConfig(k=k, shards=shards)
     qdb = QuantumDatabase(build_flight_database(spec), config)
-    if lanes:
-        # Spawn the lane threads before the clock starts: that is a
-        # one-time setup tax, not admission throughput.
-        qdb.admission_controller()
     start = time.perf_counter()
-    if lanes:
-        decisions = [
-            r.committed for r in qdb.commit_batch(list(workload.transactions))
-        ]
-    else:
-        decisions = [qdb.execute(t).committed for t in workload.transactions]
+    decisions = [qdb.execute(t).committed for t in workload.transactions]
     admit_elapsed = time.perf_counter() - start
     qdb.ground_all()
     total_elapsed = time.perf_counter() - start
@@ -123,7 +96,7 @@ def _emit_json(
     ``"search"`` section) are preserved, so the emitters can run in any
     order across pytest sessions.
     """
-    baseline = results[(1, "unsharded", False)]
+    baseline = results[(1, "unsharded")]
     sharded = [r for key, r in results.items() if key[0] > 1]
     # Label "smoke" only when _spec actually shrank to the smoke workload:
     # REPRO_BENCH_SCALE=paper wins over -m smoke there, and the label must
@@ -145,12 +118,7 @@ def _emit_json(
             1,
         ),
         "throughput_scaling_1_to_4": round(
-            results[(4, "thread", False)]["admission_txn_per_s"]
-            / max(1e-9, baseline["admission_txn_per_s"]),
-            2,
-        ),
-        "lane_throughput_scaling_1_to_4": round(
-            results[(4, "thread", True)]["admission_txn_per_s"]
+            results[(4, "thread")]["admission_txn_per_s"]
             / max(1e-9, baseline["admission_txn_per_s"]),
             2,
         ),
@@ -168,30 +136,27 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
     runs: dict[tuple, tuple] = {}
 
     def sweep():
-        for shards, backend, lanes in SWEEP:
-            runs[(shards, backend, lanes)] = _run(spec, shards=shards, lanes=lanes)
+        for shards, backend in SWEEP:
+            runs[(shards, backend)] = _run(spec, shards=shards)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     decisions = {point: run[0] for point, run in runs.items()}
     # Identical accept/reject decisions on the same stream at every shard
-    # count and through the lane-parallel pipeline: routing is a pure fast
-    # path, and the admission lanes preserve the serialized writer's
-    # decisions per arrival sequence.
-    baseline_decisions = decisions[(1, "unsharded", False)]
+    # count: routing is a pure fast path.
+    baseline_decisions = decisions[(1, "unsharded")]
     for point in SWEEP[1:]:
         assert decisions[point] == baseline_decisions, point
 
     results: dict[tuple, dict] = {}
     rows = []
     for point in SWEEP:
-        shards, backend, lanes = point
+        shards, backend = point
         dec, stats, admit_s, total_s = runs[point]
         throughput = len(dec) / admit_s if admit_s else 0.0
         results[point] = {
             "shards": shards,
             "backend": backend,
-            "lanes": lanes,
             "transactions": len(dec),
             "admitted": stats["state.admitted"],
             "rejected": stats["state.rejected"],
@@ -199,8 +164,6 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
             "scanned_partitions": stats["partitions.scanned_partitions"],
             "index_filtered": stats.get("partitions.index_filtered", 0),
             "merges": stats["partitions.merges"],
-            "lane_dispatches": stats.get("admission.lane_dispatches", 0),
-            "barrier_arrivals": stats.get("admission.barrier_arrivals", 0),
             "admission_s": round(admit_s, 4),
             "total_s": round(total_s, 4),
             "admission_txn_per_s": round(throughput, 1),
@@ -208,7 +171,7 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
         rows.append(
             [
                 shards,
-                backend + ("+lanes" if lanes else ""),
+                backend,
                 len(dec),
                 stats["partitions.unification_checks"],
                 stats.get("partitions.index_filtered", 0),
@@ -237,7 +200,7 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
 
     # The headline criteria: at least 5x fewer pairwise unification calls
     # with routing on, and admission throughput that scales 1 -> 4 shards.
-    baseline_checks = results[(1, "unsharded", False)]["unification_checks"]
+    baseline_checks = results[(1, "unsharded")]["unification_checks"]
     for point in SWEEP[1:]:
         assert results[point]["unification_checks"] * 5 <= baseline_checks, (
             point,
@@ -247,26 +210,11 @@ def test_sharded_admission(benchmark, smoke_run, bench_json):
     # Wall-clock comparison, so keep it noise-tolerant: the measured gap is
     # ~2x, and the best sharded run (not a single fixed point) must beat
     # the unsharded baseline.
-    baseline_throughput = results[(1, "unsharded", False)]["admission_txn_per_s"]
+    baseline_throughput = results[(1, "unsharded")]["admission_txn_per_s"]
     best_sharded = max(
         results[point]["admission_txn_per_s"] for point in SWEEP[1:]
     )
     assert best_sharded > baseline_throughput, (
         best_sharded,
-        results[(1, "unsharded", False)],
-    )
-    # PR 5 acceptance: lane-parallel admission at 4 shards beats the
-    # serialized writer by >= 1.5x on this low-cross-shard workload
-    # (measured ~2.4x on multi-core boxes; the margin absorbs scheduler
-    # noise).  On a 1-core box the lanes cannot overlap with the
-    # dispatcher and the measured ratio sits at ~1.65x with a tail that
-    # brushes 1.5 (repeated runs land in 1.44-2.04), so the strict bar
-    # applies where there are cores to schedule on and a lower-but-real
-    # bar pins the 1-core benefit without flaking on scheduler jitter.
-    lane_throughput = results[(4, "thread", True)]["admission_txn_per_s"]
-    lane_bar = 1.5 if (os.cpu_count() or 1) >= 2 else 1.25
-    assert lane_throughput >= lane_bar * baseline_throughput, (
-        lane_throughput,
-        baseline_throughput,
-        lane_bar,
+        results[(1, "unsharded")],
     )

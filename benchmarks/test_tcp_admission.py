@@ -21,8 +21,8 @@ harness directly for the thousand-client point::
 This file is named ``test_tcp_admission`` (not ``test_network_...``) so
 it sorts — and therefore runs — *after* ``test_sharded_admission``:
 driving thousands of socket round trips immediately before the sharded
-benchmark's timed regions measurably depresses its lane-scaling ratio
-on small boxes, and pytest's collection order is the one deterministic
+benchmark's timed regions measurably depresses its scaling ratio on
+small boxes, and pytest's collection order is the one deterministic
 lever.
 """
 

@@ -12,10 +12,9 @@ path regressed:
 * **throughput regression** — a sweep point's *normalized* admission
   throughput (its ``admission_txn_per_s`` relative to the same run's
   unsharded baseline point) dropped by more than the tolerance, default
-  30%.  Lane-parallel sweep points (``lanes: true`` — the router-first
-  concurrent admission pipeline) gate exactly like the serialized ones,
-  so CI catches concurrency regressions in the lane scheduler too.
-  Normalizing within the run is what makes the gate meaningful on
+  30%.  A point is identified by ``(shards, backend)``; rows of the
+  retired admission-lane sweep (``"lanes": true``) in older baselines are
+  ignored.  Normalizing within the run is what makes the gate meaningful on
   CI runners whose absolute speed differs arbitrarily from the machine
   that produced the committed numbers; pass ``--absolute`` to compare raw
   txn/s instead when both files come from the same machine.
@@ -150,33 +149,32 @@ def load_baseline(explicit: str | None) -> dict | None:
     return json.loads(shown.stdout)
 
 
-def point_key(result: dict) -> tuple[int, str, bool]:
-    """Identity of one sweep point: ``(shards, backend, lanes)``.
+def point_key(result: dict) -> tuple[int, str]:
+    """Identity of one sweep point: ``(shards, backend)``.
 
     Baselines written before the backend dimension existed default to the
-    backend their shard count implied; baselines written before the
-    lane-parallel admission pipeline default to ``lanes=False`` — so lane
-    rows gate independently of their serialized siblings.
+    backend their shard count implied.
     """
     shards = int(result["shards"])
     default = "unsharded" if shards == 1 else "thread"
-    return (
-        shards,
-        str(result.get("backend", default)),
-        bool(result.get("lanes", False)),
-    )
+    return shards, str(result.get("backend", default))
 
 
-def indexed(payload: dict) -> dict[tuple[int, str, bool], dict]:
-    return {point_key(result): result for result in payload.get("results", [])}
+def indexed(payload: dict) -> dict[tuple[int, str], dict]:
+    """The sweep points by key, without the retired lane rows."""
+    return {
+        point_key(result): result
+        for result in payload.get("results", [])
+        if not result.get("lanes", False)
+    }
 
 
 #: Sweep point every other point's throughput is normalized against.
-ANCHOR_KEY = (1, "unsharded", False)
+ANCHOR_KEY = (1, "unsharded")
 
 
 def normalized_throughput(
-    points: dict[tuple[int, str, bool], dict], key: tuple[int, str, bool]
+    points: dict[tuple[int, str], dict], key: tuple[int, str]
 ) -> float | None:
     """A point's admission throughput relative to its run's anchor point."""
     baseline = points.get(ANCHOR_KEY)
@@ -200,7 +198,7 @@ def network_points(payload: dict) -> dict[int, dict]:
 
 
 def normalized_ms(
-    value: float | None, points: dict[tuple[int, str, bool], dict]
+    value: float | None, points: dict[tuple[int, str], dict]
 ) -> float | None:
     """A millisecond quantity scaled by the run's anchor throughput.
 
@@ -221,7 +219,7 @@ def normalized_ms(
 
 
 def normalized_latency(
-    result: dict, points: dict[tuple[int, str, bool], dict]
+    result: dict, points: dict[tuple[int, str], dict]
 ) -> float | None:
     """p95 commit latency scaled by the run's anchor throughput."""
     return normalized_ms(result.get("p95_ms"), points)
@@ -256,12 +254,12 @@ def search_points(payload: dict) -> dict[tuple[int, int], dict]:
 
 
 def missing_anchor(
-    points: dict[tuple[int, str, bool], dict], label: str
+    points: dict[tuple[int, str], dict], label: str
 ) -> str | None:
     """A failure message when a non-empty run lacks a usable anchor point.
 
-    Normalized gating divides every point by the run's ``(1, "unsharded",
-    False)`` throughput; without that anchor every comparison would be
+    Normalized gating divides every point by the run's ``(1,
+    "unsharded")`` throughput; without that anchor every comparison would be
     silently skipped, which is indistinguishable from "everything passed".
     An empty results list is fine (nothing to normalize), as is gating in
     ``--absolute`` mode (the caller skips this check).

@@ -30,11 +30,9 @@ them through an embedded ``QuantumDatabase`` twice, then restarts it:
    to transactions), rebuild (routing them into partitions), solve (one
    search per partition) and ``k`` bound steps.
 
-Both passes run on one thread, through the in-process API and with
-admission lanes off: lanes run admissions on their own threads, where
-neither a wall clock (the threads wait for each other's interpreter lock)
-nor the calling thread's profiler (it sees only the waiting) can be read
-phase by phase, and inline admission runs the same code.  ``book_tcp`` is
+Both passes run on one thread, through the in-process API, under the
+benchmark's pinned ``QuantumConfig``: admission is serial, so the profile
+of ``book_batch`` is the code its benchmark runs.  ``book_tcp`` is
 its bookings without the wire, on the segmented engine under the
 benchmark's pinned flush policy (``bench.settings.durability_config``, in a
 temporary directory): each turn of its closed-loop connections is admitted
@@ -176,7 +174,7 @@ def build(flights, wal_directory: str | None = None) -> QuantumDatabase:
     (and then with a base checkpoint of the loaded flights)."""
     database = Database()
     create_flight_tables(database)
-    qdb = QuantumDatabase(database, settings.quantum_config(lanes=False))
+    qdb = QuantumDatabase(database, settings.quantum_config())
     qdb.load_rows("Available", gen.available_rows(flights))
     qdb.load_rows("Adjacent", gen.adjacent_rows(flights))
     if wal_directory is not None:
@@ -220,7 +218,7 @@ def restart(log: str | Path, timers: PhaseTimers) -> dict[str, float]:
             else:
                 wal = WriteAheadLog.load(log)
         database = relational_recovery.recover_database(flight_schema, wal)
-        qdb = QuantumDatabase.recover(database, settings.quantum_config(lanes=False))
+        qdb = QuantumDatabase.recover(database, settings.quantum_config())
         seconds = time.perf_counter() - start
     try:
         return {

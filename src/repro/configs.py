@@ -31,8 +31,8 @@ repro.errors.QuantumError: unknown admission search strategy 'quantum-annealing'
 The full set, by origin:
 
 * :class:`QuantumConfig` (:mod:`repro.core.quantum_database`) — the
-  quantum database itself: ``k`` bound, serializability, sharding, lanes,
-  the witness cache, and the admission-search strategy.
+  quantum database itself: ``k`` bound, serializability, sharding, the
+  witness cache, and the admission-search strategy.
 * :class:`AdmissionSearchConfig` / :class:`SamplingConfig`
   (:mod:`repro.solver.strategy`) — which admission search runs and under
   what bounds; sampling is a strict opt-in.

@@ -1,4 +1,4 @@
-"""Shared concurrency utilities for the grounding and admission paths.
+"""Shared concurrency utilities for the grounding-plan fan-out.
 
 Two pieces live here:
 
@@ -11,14 +11,14 @@ Two pieces live here:
   anything.  Keeping the loop in one place keeps the two paths' timeout
   semantics (and their error message) from drifting apart.
 
-* :class:`ReadWriteGuard` — the readers-writer lock the lane-parallel
-  admission pipeline uses to protect the extensional store: concurrent
-  per-lane witness-extension *searches* take the shared (read) side, while
-  store *mutations* (forced-grounding applies, blind-write validation)
-  take the exclusive (write) side.  Partition independence already makes
-  the searched row sets disjoint; the guard exists because CPython dict
-  and list internals still must not be structurally mutated mid-iteration
-  by another thread.
+* :class:`ReadWriteGuard` — the readers-writer lock over the extensional
+  store: fanned-out grounding *plans* take the shared (read) side while
+  they search, the writer's store *mutations* (grounding applies,
+  blind-write validation) the exclusive (write) side.  Partition
+  independence already makes the searched row sets disjoint; the guard
+  exists because CPython dict and list internals still must not be
+  structurally mutated mid-iteration by another thread — above all by the
+  writer moving on while a plan whose future timed out is still running.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ class ReadWriteGuard:
       optional-atom satisfaction probes inside a grounding apply never
       self-deadlock.
 
-    The guard is intentionally simple (no writer preference): admission
-    searches vastly outnumber store mutations, writers are short, and the
-    per-shard lanes that contend on it are bounded in number.
+    The guard is intentionally simple (no writer preference): there is one
+    writer, and the readers are the plans of one fan-out.
     """
 
     def __init__(self) -> None:

@@ -17,12 +17,10 @@ merge-on-overlap logic.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.core.composition import OrderComposition, compose_sequence
-from repro.errors import QuantumStateError
 from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
 from repro.logic.terms import Variable
@@ -35,10 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Monotone counter for partition identifiers.
 _partition_counter = itertools.count(1)
-#: Serializes high-water-mark updates of :class:`PartitionStatistics` (a
-#: lock on the statistics object itself would leak into ``vars()``-based
-#: reports).
-_high_water_lock = threading.Lock()
 
 
 class Partition:
@@ -78,13 +72,6 @@ class Partition:
         self.on_structural_change: (
             Callable[["Partition", "PendingTransaction | None"], None] | None
         ) = None
-        #: Shard currently owning this partition (``None`` when unsharded or
-        #: unowned).  Maintained by :meth:`repro.sharding.shard.Shard.own` /
-        #: ``disown``; the lane-parallel admission pipeline asserts against
-        #: it (:meth:`assert_owned_by`) so a routing bug that would let two
-        #: lane writers mutate the same partition fails loudly instead of
-        #: corrupting the pending sequence.
-        self.owner_shard_id: int | None = None
 
     @property
     def pending(self) -> tuple["PendingTransaction", ...]:
@@ -226,26 +213,6 @@ class Partition:
         self._pending.remove(entry)
         self._restructured()
 
-    def assert_owned_by(self, shard_id: int) -> None:
-        """Assert this partition may be mutated by ``shard_id``'s writer.
-
-        The per-shard admission lanes call this before touching a
-        partition: single-shard routing plus the epoch-barrier discipline
-        must guarantee that every partition a lane mutates is owned by that
-        lane's shard.  A violation is an internal invariant breach (it
-        would mean two lane writers could race on one pending sequence),
-        so it raises rather than returning a flag.
-
-        Raises:
-            QuantumStateError: the partition is owned by a different shard.
-        """
-        if self.owner_shard_id is not None and self.owner_shard_id != shard_id:
-            raise QuantumStateError(
-                f"partition #{self.partition_id} is owned by shard "
-                f"#{self.owner_shard_id} but was routed to shard #{shard_id}; "
-                "the per-shard writer invariant is broken"
-            )
-
     def variables(self) -> frozenset[Variable]:
         """Every variable of every pending transaction."""
         return frozenset().union(
@@ -280,16 +247,11 @@ class PartitionStatistics:
     scanned_partitions: int = 0
 
     def record_size(self, size: int, atoms: int) -> None:
-        """Raise the two high-water marks to a partition's new size.
-
-        Called on every append, from concurrent admission lanes too: the
-        unlocked comparison only filters, a new maximum is stored under
-        the lock.
-        """
-        if size > self.max_partition_size or atoms > self.max_composed_atoms:
-            with _high_water_lock:
-                self.max_partition_size = max(self.max_partition_size, size)
-                self.max_composed_atoms = max(self.max_composed_atoms, atoms)
+        """Raise the two high-water marks to a partition's new size."""
+        if size > self.max_partition_size:
+            self.max_partition_size = size
+        if atoms > self.max_composed_atoms:
+            self.max_composed_atoms = atoms
 
 
 class PartitionManager:

@@ -36,13 +36,9 @@ the admission flow, the witness-cache fast path and the session model.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sharding.admission_lane import AdmissionController
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.entanglement import EntanglementRegistry
 from repro.core.grounding_policy import GroundingPolicy, GroundingStrategy
@@ -103,24 +99,12 @@ class QuantumConfig:
             process backend was removed: it never beat threads on any
             measured workload.  Kept so configurations that name the
             backend explicitly still build.
-        admission_lanes: enable the router-first concurrent admission
-            pipeline (:mod:`repro.sharding.admission_lane`): batched
-            admissions are classified at enqueue time and single-shard
-            arrivals run on per-shard admission lanes — one writer per
-            shard instead of one global writer — while cross-shard
-            arrivals act as epoch barriers that drain every lane and run
-            serialized.  Decisions, partition contents and grounding
-            valuations are bit-identical to the serialized writer for
-            every arrival sequence (the linearization harness in
-            ``tests/sharding`` proves it over seeded streams); only the
-            scheduling changes.  Requires ``shards >= 2`` to have any
-            effect; the ``admission.*`` counters report lane traffic.
-        lane_queue_depth: bound of each admission lane's queue; dispatches
-            beyond it wait (backpressure) up to the dispatch timeout.
-        lane_dispatch_timeout_s: how long a dispatch may wait on a full
-            lane queue before the typed
-            :class:`~repro.errors.AdmissionLaneSaturated` fires (the
-            controller then escalates the arrival to an epoch barrier).
+        admission_lanes: accepted and ignored.  Admission is serial:
+            ``commit_batch`` admits every batch in one loop on the writer
+            (``docs/architecture.md``, "Why admission is serial").  Kept
+            only because the repository benchmark's ``book_batch``
+            configuration (``bench/settings.py``) still passes
+            ``admission_lanes=True``.
         search: the admission-search strategy
             (:class:`~repro.solver.strategy.AdmissionSearchConfig`).  The
             default reproduces the seed's plain backtracking search
@@ -129,8 +113,7 @@ class QuantumConfig:
             paths, and an explicit
             :class:`~repro.solver.strategy.SamplingConfig` opts huge
             partitions into the approximate estimator.  Dispatch lives
-            inside the pure ``compute_admission``, so inline admission and
-            thread lanes honor the strategy bit-identically.
+            inside the pure ``compute_admission``.
         planner: join-planner settings for the underlying store.
     """
 
@@ -144,8 +127,6 @@ class QuantumConfig:
     shard_workers: int = 1
     shard_backend: str = "thread"
     admission_lanes: bool = False
-    lane_queue_depth: int = 256
-    lane_dispatch_timeout_s: float = 5.0
     search: AdmissionSearchConfig = field(default_factory=AdmissionSearchConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
 
@@ -154,12 +135,6 @@ class QuantumConfig:
             raise QuantumError("QuantumConfig.shards must be at least 1")
         if self.shard_workers < 1:
             raise QuantumError("QuantumConfig.shard_workers must be at least 1")
-        if self.lane_queue_depth < 1:
-            raise QuantumError("QuantumConfig.lane_queue_depth must be at least 1")
-        if self.lane_dispatch_timeout_s <= 0:
-            raise QuantumError(
-                "QuantumConfig.lane_dispatch_timeout_s must be positive"
-            )
         if self.shard_backend != "thread":
             raise QuantumError(
                 f"shard backend {self.shard_backend!r} was removed; threads "
@@ -252,10 +227,6 @@ class QuantumDatabase:
             partitions=self.config.partition_manager(),
             search_config=self.config.search,
         )
-        # The lane-parallel admission controller (lazily created; only with
-        # admission_lanes=True on a sharded database).
-        self._admission: "AdmissionController | None" = None
-        self._admission_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Schema and extensional passthrough
@@ -355,14 +326,8 @@ class QuantumDatabase:
           pending-table rows and the rows of every transaction still pending
           at its end share one WAL commit record (and one fsync).
 
-        With ``QuantumConfig(admission_lanes=True)`` on a sharded database
-        the batch runs through the router-first concurrent admission
-        pipeline instead of the serialized loop: arrivals are classified at
-        enqueue time, single-shard ones run on per-shard admission lanes,
-        cross-shard ones act as epoch barriers — with decisions, partition
-        contents and grounding valuations bit-identical to the serialized
-        loop for the same arrival order.  The lanes' groundings join the same
-        store transaction (their writes are serialised by the store guard).
+        Every batch is admitted in this one loop, in order, on the calling
+        thread: admission is serial.
 
         Returns:
             One :class:`CommitResult` per submitted transaction, in order.
@@ -373,24 +338,13 @@ class QuantumDatabase:
         ]
         results: list[CommitResult] = []
         admitted: list[tuple[ResourceTransaction, int]] = []
-        controller = self.admission_controller() if len(parsed) > 1 else None
         with self.database.unit as unit:
-            if controller is not None:
-                results, sequences = controller.commit_many(parsed)
-                admitted = [
-                    (transaction, sequence)
-                    for transaction, sequence, result in zip(
-                        parsed, sequences, results
-                    )
-                    if result.committed
-                ]
-            else:
-                for transaction in parsed:
-                    result, sequence = self._admit_for_batch(transaction)
-                    results.append(result)
-                    if result.committed:
-                        assert sequence is not None
-                        admitted.append((transaction, sequence))
+            for transaction in parsed:
+                result, sequence = self._admit_for_batch(transaction)
+                results.append(result)
+                if result.committed:
+                    assert sequence is not None
+                    admitted.append((transaction, sequence))
             still_pending = [
                 (transaction, sequence)
                 for transaction, sequence in admitted
@@ -403,14 +357,10 @@ class QuantumDatabase:
         return results
 
     def _admit_for_batch(
-        self,
-        transaction: ResourceTransaction,
-        *,
-        sequence: int | None = None,
-        renamed: ResourceTransaction | None = None,
+        self, transaction: ResourceTransaction
     ) -> tuple[CommitResult, int | None]:
-        """Admit one batch element (shared by :meth:`execute`, the serial
-        loop, the admission lanes, and the epoch barriers).
+        """Admit one batch element (shared by :meth:`execute` and
+        :meth:`commit_batch`).
 
         Returns ``(result, sequence)`` — the sequence is ``None`` for a
         rejected transaction.  The one place a ``CommitResult`` is stamped
@@ -422,7 +372,7 @@ class QuantumDatabase:
         unit commits.
         """
         try:
-            entry = self.state.admit(transaction, sequence=sequence, renamed=renamed)
+            entry = self.state.admit(transaction)
         except TransactionRejected as exc:
             return (
                 CommitResult(
@@ -455,30 +405,6 @@ class QuantumDatabase:
             ),
             entry.sequence,
         )
-
-    def admission_controller(self) -> "AdmissionController | None":
-        """The lane-parallel admission controller (created on first use).
-
-        ``None`` unless ``QuantumConfig(admission_lanes=True)`` *and* the
-        database is sharded.  A controller closed by :meth:`close` is
-        replaced lazily, mirroring the shard executors' restart-on-use
-        behaviour.
-        """
-        if not (self.config.admission_lanes and self.sharded):
-            return None
-        with self._admission_lock:
-            controller = self._admission
-            if controller is None or controller.closed:
-                from repro.sharding.admission_lane import AdmissionController
-
-                controller = AdmissionController(
-                    self,
-                    self.state.partitions,
-                    queue_depth=self.config.lane_queue_depth,
-                    dispatch_timeout_s=self.config.lane_dispatch_timeout_s,
-                )
-                self._admission = controller
-            return controller
 
     # ------------------------------------------------------------------
     # Reads
@@ -620,21 +546,13 @@ class QuantumDatabase:
         return self.config.shards > 1
 
     def close(self) -> None:
-        """Release executor resources (lanes and shard workers), if any.
+        """Join the shard executors, if any.
 
-        Idempotent and optional — the admission lanes and shard executors
-        are created lazily and a database that never used them holds no
-        threads — but benchmarks and servers that cycle through many
-        databases should call it.  Closing lanes first lets them finish
-        anything still queued (no admission is abandoned half-way), then
-        the shard executors are joined.
+        Idempotent and optional — the shard executors are created lazily
+        and a database that never used them holds no threads — but
+        benchmarks and servers that cycle through many databases should
+        call it.
         """
-        with self._admission_lock:
-            controller = self._admission
-        if controller is not None:
-            # Kept (closed) for statistics reporting; admission_controller()
-            # replaces a closed controller lazily on the next batch.
-            controller.close()
         close = getattr(self.state.partitions, "close", None)
         if close is not None:
             close()
@@ -646,19 +564,8 @@ class QuantumDatabase:
 
     @property
     def cache_statistics(self):
-        """The solution cache's counters (witness hits, fallbacks, ...).
-
-        On the serial paths this is the live shared counter object (tests
-        hold it across operations and watch it move).  Once admission
-        lanes have recorded into per-lane slices, the live object alone
-        would undercount nearly all witness traffic, so a reconciled
-        snapshot (shared + every lane slice) is returned instead —
-        matching ``statistics_report()``'s ``cache.*`` section.
-        """
-        cache = self.state.cache
-        if cache.has_lane_statistics():
-            return cache.merged_statistics()
-        return cache.statistics
+        """The solution cache's live counters (witness hits, fallbacks, ...)."""
+        return self.state.cache.statistics
 
     def statistics_report(self) -> dict[str, Any]:
         """Every counter the system maintains, flattened for benchmarks.
@@ -670,9 +577,7 @@ class QuantumDatabase:
         internals.
         """
         report: dict[str, Any] = {}
-        # The cache section reconciles the per-lane witness-statistics
-        # slices with the shared counters (exact under concurrent lanes).
-        cache_statistics = self.state.cache.merged_statistics()
+        cache_statistics = self.state.cache.statistics
         sections = {
             "state": self.state.statistics,
             "cache": cache_statistics,
@@ -694,17 +599,6 @@ class QuantumDatabase:
             for name, value in vars(index.statistics).items():
                 report[f"routing.{name}"] = value
             report["routing.shards"] = self.state.partitions.shard_count
-        if self.config.admission_lanes and self.sharded:
-            from repro.sharding.admission_lane import AdmissionStatistics
-
-            controller = self._admission
-            admission = (
-                controller.statistics
-                if controller is not None
-                else AdmissionStatistics(lanes=self.config.shards)
-            )
-            for name, value in vars(admission).items():
-                report[f"admission.{name}"] = value
         # Durability: the log reports what it is — "memory" with its
         # checkpoint pause, or the segmented engine's counters (segments
         # sealed, compactions, bytes reclaimed, checkpoint pauses, fsyncs).

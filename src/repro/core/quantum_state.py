@@ -31,7 +31,6 @@ See ``docs/architecture.md`` ("Concurrent grounding") for the full argument.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -454,19 +453,14 @@ class QuantumState:
         #: :class:`~repro.core.quantum_database.QuantumDatabase`: a grounding
         #: deletes the rows of what it fixes in its own store transaction.
         self.pending_store = pending_store
-        #: Readers-writer guard over the extensional store: per-lane
-        #: witness-extension searches hold the shared side, store mutations
-        #: (grounding applies, blind-write validation) the exclusive side.
-        #: Uncontended on the serial paths; what makes the lane-parallel
-        #: admission pipeline memory-safe (see ``repro.sharding.admission_lane``).
+        #: Readers-writer guard over the extensional store.  The grounding
+        #: plans that ``ground`` fans out hold the shared side while they
+        #: search; the writer's store mutations (grounding applies,
+        #: blind-write validation) hold the exclusive side.  A plan whose
+        #: future timed out keeps running on its pool thread after the
+        #: writer moved on, and the guard keeps the writer from changing
+        #: tables under it.
         self.store_guard = ReadWriteGuard()
-        #: Serializes arrival-sequence allocation (the admission controller
-        #: allocates sequences up front, in arrival order, before handing
-        #: work to concurrent lanes).
-        self._sequence_lock = threading.Lock()
-        #: Guards the state counters against lost updates when several
-        #: admission lanes increment them concurrently.
-        self._statistics_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -495,13 +489,7 @@ class QuantumState:
     # Admission (new resource transactions)
     # ------------------------------------------------------------------
 
-    def admit(
-        self,
-        transaction: ResourceTransaction,
-        *,
-        sequence: int | None = None,
-        renamed: ResourceTransaction | None = None,
-    ) -> PendingTransaction:
+    def admit(self, transaction: ResourceTransaction) -> PendingTransaction:
         """Admit a resource transaction, keeping the possible worlds non-empty.
 
         The incremental fast path: the transaction's body is rewritten
@@ -512,16 +500,6 @@ class QuantumState:
         composed body is verified or re-solved (the ``LIMIT 1`` analogue).
         If no grounding exists the transaction is rejected.
 
-        Args:
-            transaction: the resource transaction to admit.
-            sequence: arrival sequence to record for the transaction.
-                Normally omitted (the state assigns the next number); the
-                admission lanes pass the sequence they allocated in arrival
-                order before dispatching.
-            renamed: the ``@<id>``-renamed copy of the transaction when the
-                caller already computed one (the admission dispatcher
-                renames for routing); omitted, the rename happens here.
-
         Returns:
             The pending entry for the admitted transaction; its ``method``
             and ``exact`` say which search decided.
@@ -531,13 +509,8 @@ class QuantumState:
                 the set of possible worlds (``method`` / ``exact`` on the
                 exception likewise).
         """
-        if sequence is None:
-            sequence = self.allocate_sequence()
-        else:
-            with self._sequence_lock:
-                self._next_sequence = max(self._next_sequence, sequence + 1)
-        if renamed is None:
-            renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
+        sequence = self.allocate_sequence()
+        renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
         atoms = tuple(renamed.body) + tuple(renamed.updates)
         partition, _merged = self.partitions.merged_for(atoms)
         composition = partition.composition()
@@ -548,17 +521,14 @@ class QuantumState:
         factor_program = compile_formula(
             new_factor, required=required, scope=composition.scope
         )
-        # The search reads the extensional store; hold the shared side of
-        # the store guard so a concurrent lane's grounding apply cannot
-        # mutate tables mid-search.
-        with self.store_guard.read():
-            probe = self.cache.ensure(partition, factor_program, required)
+        # Searched without the store guard: admission runs on the writer,
+        # the only thread that changes the store.
+        probe = self.cache.ensure(partition, factor_program, required)
         if probe.substitution is None:
             # The rejected factor's variables must not stay numbered in the
             # partition's scope.
             composition.discard_programs()
-            with self._statistics_lock:
-                self.statistics.rejected += 1
+            self.statistics.rejected += 1
             self.partitions.drop_if_empty(partition)
             if probe.exhausted_budget:
                 # The bounded search gave up undecided; reject conservatively
@@ -593,26 +563,18 @@ class QuantumState:
             probe.substitution,
             extends=new_factor if probe.used_witness else None,
         )
-        with self._statistics_lock:
-            self.statistics.admitted += 1
-            pending = self.pending_count()
-            if pending > self.statistics.max_pending:
-                self.statistics.max_pending = pending
+        self.statistics.admitted += 1
+        pending = self.pending_count()
+        if pending > self.statistics.max_pending:
+            self.statistics.max_pending = pending
         self._enforce_bound(partition)
         return entry
 
     def allocate_sequence(self) -> int:
-        """Reserve and return the next arrival sequence number.
-
-        The lane-parallel admission controller allocates sequences in
-        arrival order *before* dispatching work to concurrent lanes, so the
-        serialization-order key is identical to the serial writer's no
-        matter how the lanes interleave.
-        """
-        with self._sequence_lock:
-            sequence = self._next_sequence
-            self._next_sequence = sequence + 1
-            return sequence
+        """Reserve and return the next arrival sequence number."""
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        return sequence
 
     def rebuild(self, restored: Sequence[tuple[int, ResourceTransaction]]) -> None:
         """Restore the pending transactions of a crashed instance.
@@ -657,8 +619,7 @@ class QuantumState:
         victims = self.policy.victims(partition)
         if not victims:
             return
-        with self._statistics_lock:
-            self.statistics.forced_groundings += len(victims)
+        self.statistics.forced_groundings += len(victims)
         self.ground(
             [v.transaction_id for v in victims],
             forced=True,
@@ -803,11 +764,10 @@ class QuantumState:
         self, planned: "PlannedGrounding"
     ) -> list[GroundedTransaction]:
         """The mutating half of grounding: execute a plan's update portions."""
-        # Counted here, not in the (possibly concurrent) plan phase; the
-        # lock keeps the counter exact when lane writers apply concurrently.
+        # Counted here, on the writer, not in the (possibly fanned-out)
+        # plan phase.
         if planned.plan.reordered:
-            with self._statistics_lock:
-                self.statistics.semantic_reorders += 1
+            self.statistics.semantic_reorders += 1
         return self._execute_grounding(planned)
 
     def _ground_in_partition(
@@ -826,12 +786,10 @@ class QuantumState:
     ) -> list[GroundedTransaction]:
         """Apply the update portions of the grounded prefix to the database.
 
-        Runs under the exclusive side of the store guard: a lane-triggered
-        forced grounding mutates the shared extensional store, and every
-        concurrent witness-extension search (shared side) must be excluded
-        while the tables change shape.  Partition independence already makes
-        the *row sets* disjoint; the guard protects the Python-level table
-        structures.
+        Runs under the exclusive side of the store guard, so no fanned-out
+        plan (shared side) searches the tables while they change shape.
+        Partition independence already makes the *row sets* disjoint; the
+        guard protects the Python-level table structures.
         """
         with self.store_guard.write():
             return self._execute_grounding_locked(planned)

@@ -50,10 +50,8 @@ Admission, blind-write validation and peek reads all reach it through
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.composition import OrderComposition
 from repro.logic.formula import (
@@ -184,8 +182,7 @@ class AdmissionProbe:
     :func:`compute_admission` returns one of these instead of mutating a
     :class:`SolutionCache` directly: the search stays a pure function of
     its arguments, and the cache applies the counters afterwards with
-    :meth:`SolutionCache.absorb_probe`, into the lane slice of whichever
-    thread ran it.
+    :meth:`SolutionCache.absorb_probe`.
 
     Attributes:
         substitution: ground substitution witnessing satisfiability of the
@@ -256,9 +253,7 @@ def compute_admission(
     admissions, blind-write checks and peek reads (mirroring how
     ``compute_grounding_plan`` was factored out of ``QuantumState``).  It
     reads only its arguments and the given store, mutates nothing, and
-    reports every counter through the returned :class:`AdmissionProbe`, so
-    an admission lane and the serialized writer decide bit-identically by
-    construction.
+    reports every counter through the returned :class:`AdmissionProbe`.
 
     Args:
         search: the grounding search to run extensions/solves on (the
@@ -282,8 +277,8 @@ def compute_admission(
         config: admission-search strategy selection; ``None`` (and the
             default config) reproduce the seed's plain backtracking search
             byte-for-byte.  Dispatch happens *here*, inside the pure
-            function, so inline admission and thread lanes honor the
-            strategy bit-identically.
+            function, so admission, the write check and peek reads honor
+            the strategy alike.
     """
     counters = {
         "verifications": 0,
@@ -469,63 +464,6 @@ class SolutionCache:
         self.statistics = SolutionCacheStatistics()
         self.enable_witness = enable_witness
         self.search_config = search_config
-        #: Per-lane statistics slices (lane id → counters).  While a thread
-        #: runs inside :meth:`lane_scope` every counter lands in its lane's
-        #: slice instead of the shared object, so concurrent admission lanes
-        #: never lose increments to read-modify-write races;
-        #: :meth:`merged_statistics` reconciles the slices for reporting.
-        self._lane_statistics: dict[int, SolutionCacheStatistics] = {}
-        #: Guards lane-slice creation against a concurrent merge snapshot
-        #: (a report must never iterate the dict mid-resize).
-        self._lane_statistics_lock = threading.Lock()
-        self._local = threading.local()
-
-    # -- per-lane accounting -------------------------------------------------
-
-    @property
-    def _stats(self) -> SolutionCacheStatistics:
-        """The active statistics target: the lane slice, or the shared one."""
-        return getattr(self._local, "stats", None) or self.statistics
-
-    def lane_statistics(self, lane_id: int) -> SolutionCacheStatistics:
-        """The (lazily created) statistics slice of one admission lane."""
-        with self._lane_statistics_lock:
-            slice_ = self._lane_statistics.get(lane_id)
-            if slice_ is None:
-                slice_ = self._lane_statistics[lane_id] = SolutionCacheStatistics()
-            return slice_
-
-    def has_lane_statistics(self) -> bool:
-        """True once any admission lane recorded into a per-lane slice."""
-        with self._lane_statistics_lock:
-            return bool(self._lane_statistics)
-
-    @contextmanager
-    def lane_scope(self, lane_id: int) -> Iterator[SolutionCacheStatistics]:
-        """Route this thread's cache counters into a lane's slice."""
-        previous = getattr(self._local, "stats", None)
-        slice_ = self.lane_statistics(lane_id)
-        self._local.stats = slice_
-        try:
-            yield slice_
-        finally:
-            self._local.stats = previous
-
-    def merged_statistics(self) -> SolutionCacheStatistics:
-        """The shared counters plus every lane slice, reconciled.
-
-        This is what reports should read: with admission lanes active the
-        witness hits/misses of concurrent admissions accumulate in per-lane
-        slices (exact, no lost updates) and only the sum describes the
-        whole cache.
-        """
-        merged = SolutionCacheStatistics()
-        with self._lane_statistics_lock:
-            sources = [self.statistics, *self._lane_statistics.values()]
-        for field in fields(SolutionCacheStatistics):
-            total = sum(getattr(source, field.name) for source in sources)
-            setattr(merged, field.name, total)
-        return merged
 
     # -- the record's transitions ---------------------------------------------
 
@@ -574,7 +512,7 @@ class SolutionCache:
             solution = partition.solution
             if solution is not None and solution.touched_by(deltas):
                 partition.solution = solution.unverified()
-                self._stats.witness_invalidations += 1
+                self.statistics.witness_invalidations += 1
 
     # -- the one flow -----------------------------------------------------------
 
@@ -642,12 +580,11 @@ class SolutionCache:
     def absorb_probe(self, probe: AdmissionProbe, *, admitting: bool = True) -> None:
         """Apply a probe's counters to this cache.
 
-        :meth:`ensure` funnels every search through here.  Lands in the
-        active lane slice like any other counter update.
+        :meth:`ensure` funnels every search through here.
         ``admission_nodes`` and ``sampled_admissions`` only count searches
         that decided an arrival (``admitting``), not re-validations.
         """
-        stats = self._stats
+        stats = self.statistics
         stats.verifications += probe.verifications
         stats.extension_hits += probe.extension_hits
         stats.extension_misses += probe.extension_misses

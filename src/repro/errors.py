@@ -197,20 +197,6 @@ class GroundingTimeout(QuantumError):
     """
 
 
-class AdmissionLaneSaturated(QuantumError):
-    """A lane dispatch timed out because the target lane's queue stayed full.
-
-    Raised by :meth:`repro.sharding.admission_lane.AdmissionLane.put` when a
-    bounded lane queue did not open up within the dispatch timeout.  The
-    dispatcher never holds the routing lock while waiting on a full queue
-    (the wait happens strictly outside it), so a saturated lane slows only
-    its own arrivals — routing, the other lanes, and the signature index
-    stay live.  The admission controller treats the error as an escalation
-    rung: it drains every lane and runs the arrival serialized instead of
-    failing the submission.
-    """
-
-
 class SessionBackpressure(QuantumError):
     """A session exceeded its per-session queue quota.
 

@@ -220,9 +220,8 @@ class OperationUnit:
     never asks for the transaction appends no record and allocates nothing.
 
     Entering is reentrant (a grounding enters the unit of the operation
-    that caused it, or is a unit of its own) but not concurrent: threads
-    that share a unit serialise their writes themselves (the admission
-    lanes do, under ``QuantumState.store_guard.write()``).
+    that caused it, or is a unit of its own) but not concurrent: only the
+    writer enters it, and every write beneath it runs on that thread.
     """
 
     def __init__(self, database: "Database") -> None:

@@ -3,8 +3,8 @@
 This module puts :class:`~repro.server.service.QuantumServer` on the wire.
 Each TCP connection is adapted to one ordinary
 :class:`~repro.server.session.Session`, so every decision path — the
-single-writer admission queue, group-commit drains, admission lanes,
-cancellation semantics — is reused *unchanged*: the network layer parses
+single-writer admission queue, group-commit drains, cancellation
+semantics — is reused *unchanged*: the network layer parses
 frames and marshals results, nothing more.  Decisions over TCP are
 therefore identical to in-process sessions fed the same admission order
 (pinned by ``tests/server/test_net_identity.py``).
@@ -28,7 +28,7 @@ Design points (see ``docs/architecture.md``, "The network layer"):
 * **Graceful drain.**  On SIGTERM (or :meth:`NetworkServer.drain`): stop
   accepting connections, refuse new requests with a ``draining`` error
   frame, let in-flight requests complete, shut the session layer down
-  (which drains the admission queue and lanes and checkpoints the WAL —
+  (which drains the admission queue and checkpoints the WAL —
   a full-snapshot fold on the in-memory log; on the segmented engine a
   base/delta lineage record plus one final compaction sweep before the
   compactor thread is joined), then push a ``goodbye`` frame and close
@@ -525,8 +525,8 @@ class NetworkServer:
         1. Stop accepting TCP connections.
         2. Refuse new requests with a ``draining`` error frame while the
            in-flight ones complete (bounded by ``drain_timeout_s``).
-        3. Shut the session layer down: the admission queue and lanes
-           drain, grounding futures resolve, and the WAL folds into a
+        3. Shut the session layer down: the admission queue drains,
+           grounding futures resolve, and the WAL folds into a
            snapshot checkpoint.
         4. Push a ``goodbye`` frame to every connection, then close all
            sockets.

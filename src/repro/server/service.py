@@ -193,8 +193,8 @@ class ServerConfig:
             ``DurabilityConfig(directory=...)`` the server attaches a
             :class:`~repro.storage.SegmentedWriteAheadLog` on startup
             (segments + manifest under the directory, delta checkpoints
-            between periodic base snapshots, a background compactor with
-            the same lifecycle discipline as the admission lanes).  The
+            between periodic base snapshots, a background compactor
+            thread joined on shutdown).  The
             directory must be fresh: an existing segmented log is
             recovery input (``repro.storage.recover``), so ``start()``
             refuses to adopt over it.
@@ -324,8 +324,8 @@ class QuantumServer:
         self._closed = False
         self._started = False
         #: The server's event loop (set by start()); grounding notifications
-        #: fired from admission-lane threads are marshalled onto it, since
-        #: asyncio futures must only be resolved from their loop's thread.
+        #: are marshalled onto it, since asyncio futures must only be
+        #: resolved from their loop's thread.
         self._loop: asyncio.AbstractEventLoop | None = None
         self._grounding_waiters: list[tuple[GroundingTarget, asyncio.Future]] = []
         # Periodic-checkpoint bookkeeping (see CheckpointPolicy): WAL length
@@ -844,12 +844,12 @@ class QuantumServer:
         if not self._grounding_waiters:
             return
         # Waiters are resolved by a callback on the server's loop, never
-        # inline: asyncio futures are not thread-safe (a forced grounding
-        # may fire this on a lane thread), and the loop runs no callback
-        # before the writer step that grounded the record has returned —
-        # that is, before the operation's store transaction is committed
-        # and synced — so a client cannot observe a grounding that a crash
-        # could still undo.
+        # inline: asyncio futures are not thread-safe (a database driven
+        # directly may ground on another thread), and the loop runs no
+        # callback before the writer step that grounded the record has
+        # returned — that is, before the operation's store transaction is
+        # committed and synced — so a client cannot observe a grounding
+        # that a crash could still undo.
         loop = self._loop
         if loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(self._resolve_grounding_waiters, record)

@@ -12,26 +12,16 @@ partitions (see ``docs/architecture.md``, "Sharded partition execution"):
   partitions plus the thread pool the grounding plan phase fans out on;
 * :class:`~repro.sharding.manager.ShardedPartitionManager` — the drop-in
   :class:`~repro.core.partition.PartitionManager` that routes admissions
-  through the index, serializes the rare cross-shard merge, and keeps the
-  shared :class:`~repro.sharding.manager.PendingTable` for global
-  ``k``-bound accounting;
-* :mod:`repro.sharding.admission_lane` — the router-first concurrent
-  admission pipeline: per-shard :class:`AdmissionLane` writers dispatched
-  over a deterministic conflict ladder, with cross-shard arrivals as
-  epoch barriers (decisions bit-identical to the serialized writer; see
-  ``docs/architecture.md``, "Concurrent admission").
+  through the index, merges across shards, and keeps the shared
+  :class:`~repro.sharding.manager.PendingTable` for global ``k``-bound
+  accounting.
 
-Enable it with ``QuantumConfig(shards=N)``; turn on lane-parallel
-admission with ``QuantumConfig(admission_lanes=True)``.  Threads are the
-only shard executor.
+Enable it with ``QuantumConfig(shards=N)``.  Admission itself stays serial
+on the writer; the shards' thread pools only run the read-only grounding
+plans (``docs/architecture.md``, "Why admission is serial").  Threads are
+the only shard executor.
 """
 
-from repro.sharding.admission_lane import (
-    AdmissionController,
-    AdmissionLane,
-    AdmissionStatistics,
-    ConflictRung,
-)
 from repro.sharding.manager import (
     PendingRef,
     PendingTable,
@@ -42,10 +32,6 @@ from repro.sharding.shard import Shard
 from repro.sharding.signature import SignatureIndex, SignatureIndexStatistics
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionLane",
-    "AdmissionStatistics",
-    "ConflictRung",
     "PendingRef",
     "PendingTable",
     "Shard",

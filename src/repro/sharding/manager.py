@@ -20,24 +20,23 @@ candidate partition instead of all of them, and the read-only grounding
 *plan* phase fans out per shard (:meth:`plan_on_shards`).
 
 Cross-shard merges — a transaction whose atoms unify with partitions owned
-by different shards, the rare case — go through one designated
-serialization point (today that is trivially satisfied: all admission runs
-on the single writer; the explicit merge lock makes the invariant a stated
-contract for the planned per-shard admission pipeline rather than an
-accident of the current threading); the surviving partition stays with its
-current owner and the absorbed partitions' shards simply release
-ownership.  A shared
-:class:`PendingTable` keeps the global pending-transaction accounting (the
-``k``-bound bookkeeping and O(1) ``find``) in one place regardless of how
-many shards exist.
+by different shards, the rare case — keep the surviving partition with its
+current owner, and the absorbed partitions' shards simply release
+ownership.  A shared :class:`PendingTable` keeps the global
+pending-transaction accounting (the ``k``-bound bookkeeping and O(1)
+``find``) in one place regardless of how many shards exist.
+
+Only the writer — the one thread that admits, grounds and applies — reads
+or mutates the index, the ownership map, the pending table and the
+partition list.  The shard pools run nothing but
+``QuantumState.plan_grounding``, which reads partitions and the store and
+never the manager, so none of this state takes a lock.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.futures import collect_plan_futures
 from repro.core.partition import Partition, PartitionManager, PartitionStatistics
@@ -70,10 +69,10 @@ class PendingRef:
 class PendingTable:
     """Shared pending-transactions table for global ``k``-bound accounting.
 
-    Every shard reads and writes the same table (mutations happen on the
-    single admission writer, so no lock is needed on the hot path); it
-    answers "where is transaction X?" and "how much is pending, globally
-    and per shard?" in O(1) without touching any partition.
+    Every shard's partitions post to the same table (only the writer
+    touches it); it answers "where is transaction X?" and "how much is
+    pending, globally and per shard?" in O(1) without touching any
+    partition.
     """
 
     def __init__(self) -> None:
@@ -145,10 +144,10 @@ class ShardedPartitionStatistics(PartitionStatistics):
         index_filtered: partitions skipped by the signature index without a
             single unification probe (the saved scan work).
         routed_single_shard: overlap queries whose candidates all lived on
-            one shard (or were empty) — the common, lock-free case.
+            one shard (or were empty) — the common case.
         routed_cross_shard: overlap queries whose candidates spanned shards.
         cross_shard_merges: merges that combined partitions owned by
-            different shards (serialized on the merge lock).
+            different shards.
     """
 
     index_filtered: int = 0
@@ -179,46 +178,6 @@ class ShardedPartitionManager(PartitionManager):
         #: partition object itself is resolved through the owner's
         #: ``partitions`` dict, so there is exactly one ownership source.
         self._owner: dict[int, Shard] = {}
-        #: The designated serialization point for ownership hand-off during
-        #: cross-shard merges; cross-shard arrivals only run at epoch
-        #: barriers (all lanes drained), so the lock is uncontended — it
-        #: keeps the hand-off invariant an explicit contract.
-        self._merge_lock = threading.Lock()
-        #: The routing lock: guards the signature index, the ownership map,
-        #: the shared pending table and the partition list against the
-        #: concurrent per-shard admission lanes.  Reentrant because locked
-        #: entry points (``merged_for``) fire structural-change hooks that
-        #: re-enter it.  Critical sections are short — classification and
-        #: bookkeeping only, never a grounding search, and *never* a wait on
-        #: a full lane queue (see ``AdmissionLane.put``).
-        self.routing_lock = threading.RLock()
-        #: Thread-local lane context: while an admission lane processes an
-        #: arrival, fresh partitions are created on (and asserted against)
-        #: the lane's own shard instead of the global least-loaded one.
-        self._lane_local = threading.local()
-
-    # -- lane context --------------------------------------------------------
-
-    @contextmanager
-    def lane_scope(self, shard_id: int) -> Iterator[None]:
-        """Mark the calling thread as shard ``shard_id``'s admission lane.
-
-        While active, a fresh partition created by ``merged_for`` is
-        assigned to the lane's own shard (keeping the per-shard writer
-        invariant: a lane only ever mutates partitions its shard owns), and
-        every partition ``merged_for`` returns is asserted to be owned by
-        that shard (:meth:`~repro.core.partition.Partition.assert_owned_by`).
-        """
-        previous = getattr(self._lane_local, "shard_id", None)
-        self._lane_local.shard_id = shard_id
-        try:
-            yield
-        finally:
-            self._lane_local.shard_id = previous
-
-    def _lane_shard_id(self) -> int | None:
-        """The shard id of the admission lane running on this thread."""
-        return getattr(self._lane_local, "shard_id", None)
 
     # -- introspection -------------------------------------------------------
 
@@ -240,25 +199,23 @@ class ShardedPartitionManager(PartitionManager):
 
     def pending_count(self) -> int:
         """Total pending transactions (from the shared pending table)."""
-        with self.routing_lock:
-            return self.pending_table.total()
+        return self.pending_table.total()
 
     def find(
         self, transaction_id: int
     ) -> tuple[Partition, "PendingTransaction"] | None:
         """Locate a pending transaction via the shared pending table."""
-        with self.routing_lock:
-            ref = self.pending_table.get(transaction_id)
-            if ref is None:
-                return None
-            partition = self._partition_by_id(ref.partition_id)
-            if partition is not None:
-                for entry in partition:
-                    if entry.transaction_id == transaction_id:
-                        return partition, entry
-            # The table should always be current (it is maintained from the
-            # partitions' own structural-change hooks); scan as a safety net.
-            return super().find(transaction_id)
+        ref = self.pending_table.get(transaction_id)
+        if ref is None:
+            return None
+        partition = self._partition_by_id(ref.partition_id)
+        if partition is not None:
+            for entry in partition:
+                if entry.transaction_id == transaction_id:
+                    return partition, entry
+        # The table should always be current (it is maintained from the
+        # partitions' own structural-change hooks); scan as a safety net.
+        return super().find(transaction_id)
 
     # -- routing -------------------------------------------------------------
 
@@ -270,16 +227,15 @@ class ShardedPartitionManager(PartitionManager):
         index's candidate set.  An empty candidate set routes to the shard
         that would receive the next fresh partition.
         """
-        with self.routing_lock:
-            candidates = self.index.candidates(atoms)
-            owners = {
-                self._owner[pid].shard_id for pid in candidates if pid in self._owner
-            }
-            if not owners:
-                return self._home_shard(), candidates
-            if len(owners) == 1:
-                return self.shards[owners.pop()], candidates
-            return None, candidates
+        candidates = self.index.candidates(atoms)
+        owners = {
+            self._owner[pid].shard_id for pid in candidates if pid in self._owner
+        }
+        if not owners:
+            return self._home_shard(), candidates
+        if len(owners) == 1:
+            return self.shards[owners.pop()], candidates
+        return None, candidates
 
     def _home_shard(self) -> Shard:
         """The shard a fresh partition would be assigned to (least loaded)."""
@@ -296,43 +252,19 @@ class ShardedPartitionManager(PartitionManager):
         survives a merge — matches the exhaustive scan exactly, without
         walking the whole partition list.
         """
-        with self.routing_lock:
-            shard, candidates = self.route(atoms)
-            self.statistics.index_filtered += len(self.partitions) - len(candidates)
-            if shard is None:
-                self.statistics.routed_cross_shard += 1
-            else:
-                self.statistics.routed_single_shard += 1
-            scanned = [
-                partition
-                for pid in sorted(candidates)
-                if (partition := self._partition_by_id(pid)) is not None
-            ]
-            self.statistics.scanned_partitions += len(scanned)
-            return [p for p in scanned if p.overlaps_atoms(atoms, self.statistics)]
-
-    def merged_for(self, atoms: Sequence[Atom]) -> tuple[Partition, bool]:
-        """Locked ``merged_for``: routing state mutates atomically.
-
-        The whole merge-or-create step runs under the routing lock (the
-        structural-change hooks it fires re-enter the reentrant lock), so
-        concurrent admission lanes observe the index, ownership map and
-        pending table in a consistent state.  Inside a lane scope the
-        resulting partition is additionally asserted to belong to the
-        lane's shard — the per-shard writer invariant the router-first
-        dispatch is supposed to guarantee.
-        """
-        with self.routing_lock:
-            partition, merged = super().merged_for(atoms)
-            lane = self._lane_shard_id()
-            if lane is not None:
-                partition.assert_owned_by(lane)
-            return partition, merged
-
-    def drop_if_empty(self, partition: Partition) -> None:
-        """Locked partition-list removal (see base class)."""
-        with self.routing_lock:
-            super().drop_if_empty(partition)
+        shard, candidates = self.route(atoms)
+        self.statistics.index_filtered += len(self.partitions) - len(candidates)
+        if shard is None:
+            self.statistics.routed_cross_shard += 1
+        else:
+            self.statistics.routed_single_shard += 1
+        scanned = [
+            partition
+            for pid in sorted(candidates)
+            if (partition := self._partition_by_id(pid)) is not None
+        ]
+        self.statistics.scanned_partitions += len(scanned)
+        return [p for p in scanned if p.overlaps_atoms(atoms, self.statistics)]
 
     # -- shard-parallel grounding plans --------------------------------------
 
@@ -378,17 +310,11 @@ class ShardedPartitionManager(PartitionManager):
     # -- lifecycle hooks (called by the base manager) ------------------------
 
     def _on_partition_created(self, partition: Partition) -> None:
-        with self.routing_lock:
-            lane = self._lane_shard_id()
-            # Inside a lane scope the fresh partition joins the lane's own
-            # shard — the dispatcher already picked the home lane at enqueue
-            # time, and assigning anywhere else would hand another shard a
-            # partition this lane is about to mutate.
-            shard = self.shards[lane] if lane is not None else self._home_shard()
-            shard.own(partition)
-            self._owner[partition.partition_id] = shard
-            self.index.add(partition)
-            partition.on_structural_change = self._handle_structural_change
+        shard = self._home_shard()
+        shard.own(partition)
+        self._owner[partition.partition_id] = shard
+        self.index.add(partition)
+        partition.on_structural_change = self._handle_structural_change
 
     def _on_partitions_merging(
         self, merged: Partition, absorbed: Sequence[Partition]
@@ -400,12 +326,9 @@ class ShardedPartitionManager(PartitionManager):
         }
         if len(shards_involved) > 1:
             self.statistics.cross_shard_merges += 1
-        # Ownership hand-off happens at one serialization point (trivially
-        # so today — admission is single-writer); the surviving partition
-        # stays with its current owner.
-        with self._merge_lock:
-            for partition in absorbed:
-                self._forget(partition)
+        # The surviving partition stays with its current owner.
+        for partition in absorbed:
+            self._forget(partition)
         # The caller assigns the merged pending sequence next, which fires
         # the structural-change hook and re-derives the merged partition's
         # signature and pending-table rows.
@@ -414,25 +337,18 @@ class ShardedPartitionManager(PartitionManager):
         self._forget(partition)
 
     def _forget(self, partition: Partition) -> None:
-        with self.routing_lock:
-            pid = partition.partition_id
-            shard = self._owner.pop(pid, None)
-            if shard is not None:
-                shard.disown(pid)
-            self.index.discard(pid)
-            self.pending_table.drop_partition(pid)
-            if partition.on_structural_change == self._handle_structural_change:
-                partition.on_structural_change = None
+        pid = partition.partition_id
+        shard = self._owner.pop(pid, None)
+        if shard is not None:
+            shard.disown(pid)
+        self.index.discard(pid)
+        self.pending_table.drop_partition(pid)
+        if partition.on_structural_change == self._handle_structural_change:
+            partition.on_structural_change = None
 
     # -- incremental maintenance (called by the partitions themselves) -------
 
     def _handle_structural_change(
-        self, partition: Partition, entry: "PendingTransaction | None"
-    ) -> None:
-        with self.routing_lock:
-            self._handle_structural_change_locked(partition, entry)
-
-    def _handle_structural_change_locked(
         self, partition: Partition, entry: "PendingTransaction | None"
     ) -> None:
         shard = self._owner.get(partition.partition_id)

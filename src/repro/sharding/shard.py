@@ -46,15 +46,12 @@ class Shard:
     # -- ownership -----------------------------------------------------------
 
     def own(self, partition: "Partition") -> None:
-        """Take ownership of a partition (tagging it for lane assertions)."""
+        """Take ownership of a partition."""
         self.partitions[partition.partition_id] = partition
-        partition.owner_shard_id = self.shard_id
 
     def disown(self, partition_id: int) -> None:
         """Release ownership of a partition (merge or drop)."""
-        partition = self.partitions.pop(partition_id, None)
-        if partition is not None:
-            partition.owner_shard_id = None
+        self.partitions.pop(partition_id, None)
 
     def owns(self, partition_id: int) -> bool:
         """True when this shard owns the partition."""

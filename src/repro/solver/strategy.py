@@ -8,10 +8,8 @@ frozen, validated config nested in ``QuantumConfig`` (following the
 >>> config.strategy, config.fastpath_enabled
 ('bnb', True)
 
-and the single dispatch point every execution mode funnels through:
-:func:`dispatch_find_one` runs inside the pure ``compute_admission``, so
-inline admission and thread lanes honor the same strategy
-bit-identically.
+and the single dispatch point every admission search funnels through:
+:func:`dispatch_find_one` runs inside the pure ``compute_admission``.
 
 Both strategies run the one search kernel (:mod:`repro.solver.kernel`),
 so the first solution — and therefore every accept/reject decision — is
@@ -54,8 +52,7 @@ class SamplingConfig:
             complete grounding, so sampling can produce false negatives
             but never a false accept.
         seed: RNG seed; a fresh ``random.Random(seed)`` per admission
-            keeps decisions deterministic across runs and across
-            execution modes (inline, lanes).
+            keeps decisions deterministic across runs.
     """
 
     threshold: int = 12
@@ -147,8 +144,8 @@ def dispatch_find_one(
     config) is byte-for-byte the legacy ``search.find_one`` call.
 
     This is deliberately the *only* place a strategy is picked: it runs
-    inside the pure ``compute_admission``, so the inline writer and the
-    thread lanes cannot diverge.
+    inside the pure ``compute_admission``, so admission, the write check
+    and peek reads cannot diverge.
     """
     from repro.solver.fastpath import find_one_fastpath
 

@@ -1,9 +1,7 @@
 """The background compactor: reclaims sealed segments, never blocks writes.
 
-Same lifecycle discipline as the admission lanes
-(:class:`repro.sharding.admission_lane.AdmissionLane`): one daemon worker
-thread, started eagerly, stopped by an explicit ``close()`` that joins
-the thread.  The worker sleeps on an event that the engine sets whenever
+One daemon worker thread, started eagerly, stopped by an explicit
+``close()`` that joins the thread.  The worker sleeps on an event that the engine sets whenever
 a segment is sealed or a checkpoint lands (plus a periodic wake-up as a
 backstop), then runs :meth:`SegmentedWriteAheadLog.compact_once` until no
 sealed segment is eligible.  All file rewriting happens off the writer's

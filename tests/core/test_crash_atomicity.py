@@ -18,8 +18,8 @@ either pair:
 
 * **The cut suite** (``TestEveryCommitBoundary``): seeded mixed streams
   (bookings, blind writes, collapse reads, check-ins) are driven through
-  ``execute``, through ``commit_batch`` in runs, and through the admission
-  lanes; the dumped log is cut at *every* COMMIT-record boundary, recovered
+  ``execute`` and through ``commit_batch`` in runs, unsharded and on two
+  shards; the dumped log is cut at *every* COMMIT-record boundary, recovered
   and grounded.  At every cut the recovered store and pending set are the
   live ones of the operation that wrote that COMMIT (so an operation is one
   transaction, and no acknowledged commit is lost), and after
@@ -229,7 +229,7 @@ MODES = {
     "execute": (1, QuantumConfig()),
     "runs-of-2": (2, QuantumConfig()),
     "runs-of-5": (5, QuantumConfig()),
-    "lanes": (5, QuantumConfig(shards=2, admission_lanes=True)),
+    "sharded-runs-of-5": (5, QuantumConfig(shards=2)),
 }
 
 

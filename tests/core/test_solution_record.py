@@ -194,42 +194,39 @@ def mixed_trace(config: QuantumConfig, *, seed: int = 7, length: int = 90) -> di
     return fingerprint(qdb, decisions)
 
 
-# -- scenario 3: commit_batch through admission lanes ------------------------
+# -- scenario 3: commit_batch on a sharded database ---------------------------
 
-LANE_FLIGHTS = 4
+BATCH_FLIGHTS = 4
 
 
-def lanes_trace(seed: int) -> dict:
-    """Batches over per-shard admission lanes (thread executors).
+def batch_trace(seed: int) -> dict:
+    """Batches through ``commit_batch`` on two shards, with blind deletes.
 
-    Until the process shard backend was removed these scenarios ran on it
-    as ``lanes-process-{0,1}``.  That backend folded a worker's
+    The goldens were recorded with these batches admitted on per-shard
+    admission lanes, hence the ``lanes-thread-{0,1}`` keys; since the lanes
+    were deleted the same batches run through the serial batch loop and
+    must match them bit for bit.  (Before that, the process shard backend
+    ran them as ``lanes-process-{0,1}``; it folded a worker's
     ``search.nodes`` back into the writer's totals but not its
     ``searches`` / ``backtracks`` / ``rows_examined`` / ``choice_points``,
-    so those four goldens under-reported the search work.  They are the
-    only values re-recorded for the thread backend; decisions, valuations,
-    the store and every other counter are the process-era goldens.
+    so those four goldens were re-recorded for threads.)
     """
     rng = random.Random(seed)
-    qdb = QuantumDatabase(
-        config=QuantumConfig(
-            k=3, shards=2, admission_lanes=True, shard_backend="thread"
-        )
-    )
+    qdb = QuantumDatabase(config=QuantumConfig(k=3, shards=2))
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
         "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
     )
     qdb.load_rows(
         "Available",
-        [(f, f"s{i}") for f in range(1, LANE_FLIGHTS + 1) for i in range(4)],
+        [(f, f"s{i}") for f in range(1, BATCH_FLIGHTS + 1) for i in range(4)],
     )
     decisions: list = []
     user = 0
     for _batch in range(3):
         batch = []
         for _ in range(8):
-            flight = None if rng.random() < 0.15 else rng.randrange(1, LANE_FLIGHTS + 1)
+            flight = None if rng.random() < 0.15 else rng.randrange(1, BATCH_FLIGHTS + 1)
             batch.append(booking(f"p{user}", flight, None))
             user += 1
         for result in qdb.commit_batch(batch):
@@ -237,7 +234,7 @@ def lanes_trace(seed: int) -> dict:
                 [result.committed, result.pending, result.method, result.exact,
                  len(result.grounded)]
             )
-        flight = rng.randrange(1, LANE_FLIGHTS + 1)
+        flight = rng.randrange(1, BATCH_FLIGHTS + 1)
         try:
             qdb.delete("Available", (flight, (available(qdb, flight) or ["s0"])[0]))
             decisions.append(["delete", "ok"])
@@ -257,8 +254,8 @@ SCENARIOS = {
     "mixed-default": lambda: mixed_trace(QuantumConfig(k=4)),
     "mixed-witness-off": lambda: mixed_trace(QuantumConfig(k=4, witness_cache=False)),
     "mixed-sharded": lambda: mixed_trace(QuantumConfig(k=4, shards=2)),
-    "lanes-thread-0": lambda: lanes_trace(0),
-    "lanes-thread-1": lambda: lanes_trace(1),
+    "lanes-thread-0": lambda: batch_trace(0),
+    "lanes-thread-1": lambda: batch_trace(1),
 }
 
 
@@ -326,7 +323,7 @@ def assert_only_live_partitions_survive(qdb: QuantumDatabase, created: list) -> 
     keyed = {
         name
         for name, value in vars(qdb.state.cache).items()
-        if isinstance(value, (dict, list, set)) and name != "_lane_statistics"
+        if isinstance(value, (dict, list, set))
     }
     assert not keyed
 

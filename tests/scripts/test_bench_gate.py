@@ -31,7 +31,6 @@ WORKLOAD = {"num_flights": 10, "transactions": 120}
 def point(
     shards: int,
     backend: str,
-    lanes: bool,
     txn_per_s: float,
     *,
     admitted: int = 100,
@@ -40,7 +39,6 @@ def point(
     return {
         "shards": shards,
         "backend": backend,
-        "lanes": lanes,
         "transactions": admitted + rejected,
         "admitted": admitted,
         "rejected": rejected,
@@ -60,9 +58,9 @@ def payload(
 
 def standard_points(anchor: float = 100.0, sharded: float = 200.0) -> list[dict]:
     return [
-        point(1, "unsharded", False, anchor),
-        point(4, "thread", False, sharded),
-        point(4, "thread", True, sharded * 1.1),
+        point(1, "unsharded", anchor),
+        point(2, "thread", sharded * 0.9),
+        point(4, "thread", sharded),
     ]
 
 
@@ -107,7 +105,7 @@ def test_workload_mismatch_fails(tmp_path, capsys):
 
 def test_decision_divergence_fails(tmp_path, capsys):
     fresh_points = standard_points()
-    fresh_points[1] = point(4, "thread", False, 200.0, admitted=99, rejected=21)
+    fresh_points[2] = point(4, "thread", 200.0, admitted=99, rejected=21)
     assert run_gate(tmp_path, payload(fresh_points), payload(standard_points())) == 1
     assert "decisions diverged" in capsys.readouterr().out
 
@@ -127,7 +125,7 @@ def test_throughput_drop_within_tolerance_passes(tmp_path):
 
 
 def test_missing_anchor_fails(tmp_path, capsys):
-    without_anchor = payload([point(4, "thread", False, 200.0)])
+    without_anchor = payload([point(4, "thread", 200.0)])
     assert run_gate(tmp_path, without_anchor, payload(standard_points())) == 1
     assert "anchor" in capsys.readouterr().out
 
@@ -136,14 +134,14 @@ def test_missing_anchor_fails(tmp_path, capsys):
 
 def test_zero_throughput_anchor_fails(tmp_path, capsys):
     broken = payload(
-        [point(1, "unsharded", False, 0.0), point(4, "thread", False, 200.0)]
+        [point(1, "unsharded", 0.0), point(4, "thread", 200.0)]
     )
     assert run_gate(tmp_path, payload(standard_points()), broken) == 1
     assert "non-positive" in capsys.readouterr().out
 
 
 def test_absolute_mode_skips_anchor_check(tmp_path):
-    without_anchor = payload([point(4, "thread", False, 200.0)])
+    without_anchor = payload([point(4, "thread", 200.0)])
     assert run_gate(tmp_path, without_anchor, without_anchor, "--absolute") == 0
 
 
@@ -167,10 +165,10 @@ def test_missing_fresh_file_fails(tmp_path, capsys):
 
 def test_require_points_rejects_disjoint_grids(tmp_path, capsys):
     fresh = payload(
-        [point(1, "unsharded", False, 100.0), point(2, "thread", False, 150.0)]
+        [point(1, "unsharded", 100.0), point(2, "thread", 150.0)]
     )
     baseline = payload(
-        [point(1, "unsharded", False, 100.0), point(4, "process", False, 150.0)]
+        [point(1, "unsharded", 100.0), point(4, "process", 150.0)]
     )
     # One shared point (the anchor): --require-points 2 must fail...
     assert run_gate(tmp_path, fresh, baseline, "--require-points", "2") == 1
@@ -179,9 +177,18 @@ def test_require_points_rejects_disjoint_grids(tmp_path, capsys):
     assert run_gate(tmp_path, fresh, baseline, "--require-points", "1") == 0
 
 
+def test_retired_lane_rows_are_ignored(tmp_path, capsys):
+    """An older baseline's lane rows share ``(shards, backend)`` with the
+    serialized rows; they must neither replace them nor gate."""
+    lane_row = {**point(4, "thread", 50.0, admitted=1, rejected=0), "lanes": True}
+    baseline = payload(standard_points() + [lane_row])
+    assert run_gate(tmp_path, payload(standard_points()), baseline) == 0
+    assert "OK (3 admission points" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("side", ["fresh", "baseline"])
 def test_one_sided_points_never_fail(tmp_path, side, capsys):
-    extra = standard_points() + [point(2, "process", True, 150.0)]
+    extra = standard_points() + [point(2, "process", 150.0)]
     fresh, baseline = (extra, standard_points())
     if side == "baseline":
         fresh, baseline = baseline, fresh
@@ -342,11 +349,11 @@ def test_absolute_mode_compares_raw_network_numbers(tmp_path, capsys):
     # No anchors anywhere: --absolute still gates the network points on
     # their raw milliseconds and txn/s.
     fresh = with_network(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [net_point(64, p95_ms=50.0)],
     )
     baseline = with_network(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [net_point(64, p95_ms=20.0)],
     )
     assert run_gate(tmp_path, fresh, baseline, "--absolute") == 1
@@ -560,11 +567,11 @@ def test_durability_points_count_toward_require_points(tmp_path):
 
 def test_durability_absolute_mode_compares_raw_milliseconds(tmp_path, capsys):
     fresh = with_durability(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [dur_point(recovery_ms=100.0)],
     )
     baseline = with_durability(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [dur_point(recovery_ms=40.0)],
     )
     assert run_gate(tmp_path, fresh, baseline, "--absolute") == 1
@@ -779,11 +786,11 @@ def test_search_points_count_toward_require_points(tmp_path):
 
 def test_search_absolute_mode_compares_raw_milliseconds(tmp_path, capsys):
     fresh = with_search(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [search_point(sampled_admission_ms=40.0)],
     )
     baseline = with_search(
-        payload([point(4, "thread", False, 200.0)]),
+        payload([point(4, "thread", 200.0)]),
         [search_point(sampled_admission_ms=15.0)],
     )
     assert run_gate(tmp_path, fresh, baseline, "--absolute") == 1

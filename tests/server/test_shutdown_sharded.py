@@ -2,18 +2,17 @@
 
 ``QuantumServer.shutdown()`` on a ``shards=N`` database must (in order)
 drain the admission queue — completing any grounding whose plans are in
-flight on the shard executors and any commit batch whose admissions are in
-flight on the per-shard admission lanes — then join those executors
-(shard thread pools and lane workers alike) and fold the WAL into
-a checkpoint, all without deadlocking.  Every test runs under
-``asyncio.wait_for`` so an ordering bug fails loudly instead of hanging
-the suite.
+flight on the shard executors and any commit run already drained — then
+join those executors and fold the WAL into a checkpoint, all without
+deadlocking.  Every test runs under ``asyncio.wait_for`` so an ordering
+bug fails loudly instead of hanging the suite.
 
-The lane-parallel regression tests at the bottom pin that
-``SessionBackpressure`` and ``GroundingTimeout`` semantics are unchanged
-when the drain loop admits through per-shard lanes, and that a shutdown
-racing a lane-parallel drain leaves no orphaned pending entries (every
-pending transaction durable, every durable row pending).
+The tests at the bottom pin that a hung grounding plan resolves its
+submitter with ``GroundingTimeout`` without wedging the writer, that
+``SessionBackpressure`` is the unsharded one, that a shutdown racing a
+drain leaves no orphaned pending entries (every pending transaction
+durable, every durable row pending), and that the sharded drain decides
+exactly like the unsharded one.
 """
 
 from __future__ import annotations
@@ -37,11 +36,9 @@ from repro.relational.wal import LogRecordType
 BACKENDS = ("thread",)
 
 
-def make_qdb(*, backend, shards=2, k=16, flights=6, seats=3, lanes=False):
+def make_qdb(*, backend, shards=2, k=16, flights=6, seats=3):
     qdb = QuantumDatabase(
-        config=QuantumConfig(
-            k=k, shards=shards, shard_backend=backend, admission_lanes=lanes
-        )
+        config=QuantumConfig(k=k, shards=shards, shard_backend=backend)
     )
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
@@ -116,15 +113,12 @@ def test_shutdown_idempotent_after_grounding(backend):
     asyncio.run(asyncio.wait_for(main(), timeout=60))
 
 
-@pytest.mark.parametrize("lanes", [False, True])
-def test_grounding_timeout_resolves_submitter_without_wedging_writer(lanes):
+def test_grounding_timeout_resolves_submitter_without_wedging_writer():
     """A hung plan resolves the submitter with GroundingTimeout; the writer
-    keeps serving later work and shutdown still completes.  Identical with
-    the admission lanes on: explicit grounds run at writer serialization
-    points, outside the lanes, and the timeout path is untouched."""
+    keeps serving later work and shutdown still completes."""
 
     async def main():
-        qdb = make_qdb(backend="thread", lanes=lanes)
+        qdb = make_qdb(backend="thread")
         server = await QuantumServer(
             qdb, ServerConfig(grounding_timeout_s=0.05)
         ).start()
@@ -178,12 +172,12 @@ def state_pending_ids(qdb):
     )
 
 
-def test_backpressure_semantics_unchanged_with_lanes():
-    """SessionBackpressure fires at enqueue time, before any lane sees the
-    work — the quota accounting must be byte-for-byte the unsharded one."""
+def test_backpressure_semantics_unchanged_when_sharded():
+    """SessionBackpressure fires at enqueue time, before the writer sees
+    the work — the quota accounting is the unsharded one."""
 
     async def main():
-        qdb = make_qdb(backend="thread", lanes=True)
+        qdb = make_qdb(backend="thread")
         config = ServerConfig(session_quota=2)
         async with QuantumServer(qdb, config) as server:
             session = server.session(client="flooder")
@@ -196,8 +190,6 @@ def test_backpressure_semantics_unchanged_with_lanes():
                 r for r in results if isinstance(r, SessionBackpressure)
             ]
             accepted = [r for r in results if not isinstance(r, Exception)]
-            # The quota refused the overflow before it reached the queue
-            # (and hence before any lane), exactly as without lanes.
             assert len(refused) == 2
             assert len(accepted) == 2
             assert server.statistics.backpressure_rejections == 2
@@ -209,14 +201,16 @@ def test_backpressure_semantics_unchanged_with_lanes():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_close_while_lanes_draining_leaves_no_orphans(backend):
-    """Shutdown racing a lane-parallel drain: the in-flight commit batch
-    completes on its lanes, the single group-commit durability write runs,
-    and afterwards the pending store and the in-memory pending set agree
-    exactly — no orphaned entry on either side."""
+def test_close_while_draining_leaves_no_orphans(backend):
+    """Shutdown racing a drain: the commit runs already queued complete
+    (with the groundings the ``k`` bound forces inside them), each run's
+    single group-commit durability write runs, and afterwards the pending
+    store and the in-memory pending set agree exactly — no orphaned entry
+    on either side."""
 
     async def main():
-        qdb = make_qdb(backend=backend, lanes=True, flights=6, seats=3)
+        # k=2 with three bookings per flight: the runs force groundings.
+        qdb = make_qdb(backend=backend, k=2, flights=6, seats=3)
         server = await QuantumServer(qdb).start()
         sessions = [server.session(client=f"c{i}") for i in range(3)]
         futures = []
@@ -227,9 +221,9 @@ def test_close_while_lanes_draining_leaves_no_orphans(backend):
                     session.commit(booking(f"u{i}", (i % 6) + 1))
                 )
             )
-        # Let the writer start draining (the commit run fans out onto the
-        # admission lanes), then shut down immediately: the sentinel lands
-        # behind the batch, which must complete — lanes included — first.
+        # Let the writer start draining, then shut down immediately: the
+        # sentinel lands behind the queued commits, which must complete
+        # first.
         await asyncio.sleep(0)
         await server.shutdown()
         results = await asyncio.gather(*futures, return_exceptions=True)
@@ -237,11 +231,12 @@ def test_close_while_lanes_draining_leaves_no_orphans(backend):
             r for r in results if not isinstance(r, BaseException)
         ]
         assert commits, "at least the first drained run must have committed"
+        assert qdb.statistics.forced_groundings > 0
         # No orphans in either direction: everything pending in memory is
         # durable, everything durable is still pending.
+        assert state_pending_ids(qdb)
         assert pending_store_ids(qdb) == state_pending_ids(qdb)
-        # Lane workers and shard executors were all released.
-        assert qdb._admission is None or qdb._admission.closed
+        # The shard executors were released.
         assert not any(shard.started for shard in qdb.state.partitions.shards)
         # The WAL was folded into a checkpoint as usual.
         records = list(qdb.database.wal.records())
@@ -251,17 +246,17 @@ def test_close_while_lanes_draining_leaves_no_orphans(backend):
     asyncio.run(asyncio.wait_for(main(), timeout=60))
 
 
-def test_lane_parallel_drain_matches_serialized_decisions():
-    """The server's group-commit drain admits through the lanes; decisions
-    and session-visible results must match the lanes-off server bit for
-    bit on the same arrival order."""
+def test_sharded_drain_matches_unsharded_decisions():
+    """The server's group-commit drain admits each run through
+    ``commit_batch``; on four shards its decisions and session-visible
+    results match the unsharded server's on the same arrival order."""
 
-    async def run_server(lanes):
-        qdb = make_qdb(backend="thread", lanes=lanes, flights=5, seats=3, k=4)
+    async def run_server(shards):
+        qdb = make_qdb(backend="thread", shards=shards, flights=5, seats=3, k=4)
         decisions = []
         async with QuantumServer(qdb) as server:
             async with server.session(client="driver") as session:
-                # Submit in bursts so the writer drains real batches.
+                # Submit in bursts so the writer drains real runs.
                 for burst in range(4):
                     futures = [
                         asyncio.ensure_future(
@@ -272,20 +267,18 @@ def test_lane_parallel_drain_matches_serialized_decisions():
                         for i in range(6)
                     ]
                     for result in await asyncio.gather(*futures):
-                        decisions.append(result.committed)
-        report = qdb.statistics_report()
+                        decisions.append(
+                            (result.committed, result.pending, len(result.grounded))
+                        )
+            runs = server.statistics.commit_runs
         qdb.close()
-        return decisions, report
+        return decisions, runs
 
     async def main():
-        serial_decisions, _serial_report = await run_server(False)
-        lane_decisions, lane_report = await run_server(True)
-        assert lane_decisions == serial_decisions
-        # The lane pipeline actually ran (this is not a vacuous pass).
-        assert lane_report["admission.batches"] >= 1
-        assert (
-            lane_report["admission.lane_dispatches"]
-            + lane_report["admission.barrier_arrivals"]
-        ) > 0
+        unsharded, _runs = await run_server(1)
+        sharded, runs = await run_server(4)
+        assert sharded == unsharded
+        # The drain batched commits (this is not a vacuous pass).
+        assert runs < len(sharded)
 
     asyncio.run(asyncio.wait_for(main(), timeout=60))

@@ -2,34 +2,147 @@
 
 The admission-search redesign promises that the strategy selected through
 ``QuantumConfig(search=AdmissionSearchConfig(...))`` changes *how fast* an
-admission decision is reached, never *what* is decided.  This suite reuses
-the linearization harness's seeded stream generator and full fingerprint
-(decisions, partition contents, pending set, invariant counters, grounding
-valuations, final store state) to prove ``strategy="bnb"`` — per-shape fast
-paths, cost bounds and trail-based undo included — is bit-identical to the
-seed backtracking searcher over randomized arrival streams, on the
-serialized writer and on lane-parallel admission.
+admission decision is reached, never *what* is decided.  This suite runs
+seeded arrival streams (pinned bookings, flight-agnostic wildcards that
+merge partitions across shards, entangled pairs, overbooked flights) on a
+sharded database and compares a full fingerprint — decisions, partition
+contents, pending set, invariant counters, grounding valuations, final
+store state — to prove ``strategy="bnb"`` (per-shape fast paths, cost
+bounds and trail-based undo included) is bit-identical to the seed
+backtracking searcher.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from test_concurrent_admission_harness import (
-    assert_linearized,
-    barrier_injector,
-    jitter_scheduler,
-    run_stream,
-    seeded_stream,
-)
-
+from repro import QuantumConfig, QuantumDatabase, parse_transaction
 from repro.solver.strategy import AdmissionSearchConfig
 
 BNB = AdmissionSearchConfig(strategy="bnb")
 
-#: Serialized-writer sweep: 3 cross-shard ratios x 25 seeds = 75 streams.
+#: 3 cross-shard ratios x 25 seeds = 75 streams.
 RATIOS = (0.0, 0.15, 0.4)
 SEEDS = 25
+
+FLIGHTS = 4
+SEATS = 3
+
+
+def make_qdb(*, shards, k=3, search=None):
+    kwargs = {} if search is None else {"search": search}
+    qdb = QuantumDatabase(config=QuantumConfig(k=k, shards=shards, **kwargs))
+    qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
+    qdb.create_table(
+        "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
+    )
+    qdb.load_rows(
+        "Available",
+        [(f, f"s{i}") for f in range(1, FLIGHTS + 1) for i in range(SEATS)],
+    )
+    return qdb
+
+
+def pinned(user, flight):
+    return (
+        f"-Available({flight}, ?s), +Bookings('{user}', {flight}, ?s)"
+        f" :-1 Available({flight}, ?s)"
+    )
+
+
+def wildcard(user):
+    return (
+        f"-Available(?f, ?s), +Bookings('{user}', ?f, ?s)"
+        " :-1 Available(?f, ?s)"
+    )
+
+
+def seeded_stream(seed, *, length=14, cross_ratio=0.15, partner_ratio=0.2):
+    """One seeded arrival stream (parsed transactions, arrival order).
+
+    ``cross_ratio`` of arrivals are wildcards (their atoms unify with
+    partitions on every shard); ``partner_ratio`` of draws emit an
+    entangled pair pinned to one flight; the rest are pinned single
+    bookings.  Overbooking relative to ``k`` and the seat supply produces
+    rejections and forced groundings.
+    """
+    rng = random.Random(seed)
+    specs: list[tuple[str, str, str | None]] = []
+    index = 0
+    while len(specs) < length:
+        user = f"u{seed}_{index}"
+        index += 1
+        roll = rng.random()
+        if roll < cross_ratio:
+            specs.append((wildcard(user), user, None))
+        elif roll < cross_ratio + partner_ratio:
+            flight = rng.randrange(1, FLIGHTS + 1)
+            first, second = f"{user}a", f"{user}b"
+            specs.append((pinned(first, flight), first, second))
+            specs.append((pinned(second, flight), second, first))
+        else:
+            flight = rng.randrange(1, FLIGHTS + 1)
+            specs.append((pinned(user, flight), user, None))
+    specs = specs[:length]
+    rng.shuffle(specs)
+    return [
+        parse_transaction(text, client=client, partner=partner)
+        for text, client, partner in specs
+    ]
+
+
+def run_stream(transactions, *, shards, search=None):
+    """Run one stream through ``commit_batch`` and fingerprint everything
+    observable: decisions, partition contents, the pending set, the
+    admitted / rejected / merges / pending invariants, every grounding
+    valuation (admission-time and final) and the final store."""
+    qdb = make_qdb(shards=shards, search=search)
+    results = qdb.commit_batch(transactions)
+    decisions = [r.committed for r in results]
+    partitions = sorted(
+        p.transaction_ids() for p in qdb.state.partitions.partitions
+    )
+    pending = sorted(
+        e.transaction_id for e in qdb.state.pending_transactions()
+    )
+    report = qdb.statistics_report()
+    invariants = {
+        "admitted": report["state.admitted"],
+        "rejected": report["state.rejected"],
+        "merges": report["partitions.merges"],
+        "pending": qdb.pending_count,
+    }
+    qdb.ground_all()
+    valuations = {
+        tid: record.valuation
+        for tid, record in qdb.state.grounded_results.items()
+    }
+    store = {
+        name: sorted(tuple(row.values) for row in qdb.table(name))
+        for name in ("Available", "Bookings")
+    }
+    qdb.close()
+    return {
+        "decisions": decisions,
+        "partitions": partitions,
+        "pending": pending,
+        "invariants": invariants,
+        "valuations": valuations,
+        "store": store,
+    }
+
+
+def assert_identical(reference, observed, context):
+    """Every fingerprint facet must match the reference run exactly."""
+    for facet in ("decisions", "partitions", "pending", "invariants"):
+        assert observed[facet] == reference[facet], (context, facet)
+    assert observed["valuations"] == reference["valuations"], (
+        context,
+        "valuations",
+    )
+    assert observed["store"] == reference["store"], (context, "store")
 
 
 @pytest.mark.parametrize("cross_ratio", RATIOS)
@@ -37,26 +150,9 @@ def test_bnb_matches_backtracking_on_serialized_writer(cross_ratio):
     """Same stream, same decisions and state — only the searcher differs."""
     for seed in range(SEEDS):
         transactions = seeded_stream(seed, cross_ratio=cross_ratio)
-        reference = run_stream(transactions, shards=4, lanes=False)
-        observed = run_stream(transactions, shards=4, lanes=False, search=BNB)
-        assert_linearized(reference, observed, (cross_ratio, seed, "bnb"))
-
-
-def test_bnb_matches_backtracking_under_lane_parallelism():
-    """Strategy equivalence composes with the lane scheduler: jittered,
-    barrier-injected lane runs under bnb still reproduce the serialized
-    backtracking writer exactly."""
-    for seed in range(8):
-        transactions = seeded_stream(seed + 300, cross_ratio=0.2)
-        reference = run_stream(transactions, shards=4, lanes=False)
-        observed = run_stream(
-            transactions,
-            shards=4,
-            lanes=True,
-            search=BNB,
-            scheduler=(jitter_scheduler(seed), barrier_injector(seed)),
-        )
-        assert_linearized(reference, observed, ("lanes+bnb", seed))
+        reference = run_stream(transactions, shards=4)
+        observed = run_stream(transactions, shards=4, search=BNB)
+        assert_identical(reference, observed, (cross_ratio, seed, "bnb"))
 
 
 def test_budgeted_bnb_stays_equivalent_when_budget_is_generous():
@@ -65,8 +161,6 @@ def test_budgeted_bnb_stays_equivalent_when_budget_is_generous():
     budgeted = AdmissionSearchConfig(strategy="bnb", node_budget=100_000)
     for seed in range(6):
         transactions = seeded_stream(seed + 4000, cross_ratio=0.15)
-        reference = run_stream(transactions, shards=4, lanes=False)
-        observed = run_stream(
-            transactions, shards=4, lanes=False, search=budgeted
-        )
-        assert_linearized(reference, observed, ("budgeted-bnb", seed))
+        reference = run_stream(transactions, shards=4)
+        observed = run_stream(transactions, shards=4, search=budgeted)
+        assert_identical(reference, observed, ("budgeted-bnb", seed))
