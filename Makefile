@@ -20,9 +20,9 @@
 #   make bench    - the full benchmark suite (regenerates every figure/table)
 #
 # Set REPRO_BENCH_SCALE=paper for the paper-sized benchmark parameters.
-# The smoke pass refreshes BENCH_admission.json (admission throughput and
-# merged_for scan counts per (shard count, backend) point),
-# tracking the admission-path perf trajectory across PRs.  Only the
+# The smoke pass refreshes BENCH_admission.json's anchor point (admission
+# throughput and merged_for scan counts on the Figure 7 workload), which
+# the gate normalizes every other section by.  Only the
 # baseline chain (`make smoke recoverbench searchbench`) writes that
 # committed file; `make bench`, a plain `pytest` and paper-scale runs
 # write the gitignored BENCH_admission.full.json instead (see
@@ -30,8 +30,9 @@
 # the baseline by accident.  `make gate`
 # fails the build if it regressed against the committed baseline
 # (BENCH_GATE_TOLERANCE overrides the default 30% throughput tolerance;
-# decision divergence always fails), if the baseline's workload scale or
-# parameters don't match the fresh run, or if a run lacks the unsharded
+# decision divergence and more anchor scan work always fail), if the
+# baseline's workload scale or
+# parameters don't match the fresh run, or if a run lacks the
 # normalization anchor.  The gate's own exit-code semantics are pinned by
 # tests/scripts/test_bench_gate.py, which `make test` picks up with the
 # rest of tests/.  CI runs `make lint` + `make check`, then reruns the

@@ -1,23 +1,30 @@
 #!/usr/bin/env python
 """Perf-regression gate over the committed ``BENCH_admission.json``.
 
-``make smoke`` regenerates ``BENCH_admission.json`` from the sharded
-admission benchmark; this script compares the fresh file against the
-baseline committed at ``HEAD`` and fails (exit code 1) when the admission
-path regressed:
+``make smoke`` regenerates ``BENCH_admission.json`` from the admission
+benchmark (``benchmarks/test_sharded_admission.py``); this script compares
+the fresh file against the baseline committed at ``HEAD`` and fails (exit
+code 1) when the admission path regressed:
 
-* **decision divergence** — a sweep point's admitted/rejected/transaction
-  counts differ from the baseline's.  Decisions are deterministic, so any
-  divergence is a correctness bug, never noise; this always fails.
-* **throughput regression** — a sweep point's *normalized* admission
-  throughput (its ``admission_txn_per_s`` relative to the same run's
-  unsharded baseline point) dropped by more than the tolerance, default
-  30%.  A point is identified by ``(shards, backend)``; rows of the
-  retired admission-lane sweep (``"lanes": true``) in older baselines are
-  ignored.  Normalizing within the run is what makes the gate meaningful on
-  CI runners whose absolute speed differs arbitrarily from the machine
-  that produced the committed numbers; pass ``--absolute`` to compare raw
-  txn/s instead when both files come from the same machine.
+* **decision divergence** — an admission point's admitted/rejected/
+  transaction counts differ from the baseline's.  Decisions are
+  deterministic, so any divergence is a correctness bug, never noise; this
+  always fails.
+* **the anchor** — a fresh run records one admission point, the anchor
+  ``(1, "unsharded")`` (points are identified by ``(shards, backend)``;
+  older baselines also carry shard-sweep rows, reported as no longer
+  swept, and lane rows, ``"lanes": true``, ignored).  Its
+  ``admission_txn_per_s`` is the machine-speed proxy every other section
+  is normalized by, which is what makes the gate meaningful on CI runners
+  whose absolute speed differs arbitrarily from the machine that produced
+  the committed numbers.  Normalized by itself it is always 1, so its
+  throughput gates only under ``--absolute`` (raw txn/s, for two files
+  from the same machine), against the tolerance, default 30%.  What gates
+  the admission path in every mode is its overlap-scan work: the point's
+  ``unification_checks`` and ``scanned_partitions`` are deterministic
+  (same workload, same routing), so either one rising above the
+  baseline's fails with no tolerance — routing that fell back to scanning
+  partitions the signature index used to rule out shows there first.
 
 * **latency regression** — the ``"network"`` section (emitted by the TCP
   load benchmark) carries commit-latency percentiles per concurrent-client
@@ -169,21 +176,8 @@ def indexed(payload: dict) -> dict[tuple[int, str], dict]:
     }
 
 
-#: Sweep point every other point's throughput is normalized against.
+#: Admission point every other section's numbers are normalized against.
 ANCHOR_KEY = (1, "unsharded")
-
-
-def normalized_throughput(
-    points: dict[tuple[int, str], dict], key: tuple[int, str]
-) -> float | None:
-    """A point's admission throughput relative to its run's anchor point."""
-    baseline = points.get(ANCHOR_KEY)
-    if baseline is None or key not in points:
-        return None
-    denominator = float(baseline["admission_txn_per_s"])
-    if denominator <= 0:
-        return None
-    return float(points[key]["admission_txn_per_s"]) / denominator
 
 
 def network_points(payload: dict) -> dict[int, dict]:
@@ -258,9 +252,9 @@ def missing_anchor(
 ) -> str | None:
     """A failure message when a non-empty run lacks a usable anchor point.
 
-    Normalized gating divides every point by the run's ``(1,
-    "unsharded")`` throughput; without that anchor every comparison would be
-    silently skipped, which is indistinguishable from "everything passed".
+    Normalized gating divides the other sections' numbers by the run's
+    ``(1, "unsharded")`` throughput; without that anchor every comparison
+    would be silently skipped, which is indistinguishable from "everything passed".
     An empty results list is fine (nothing to normalize), as is gating in
     ``--absolute`` mode (the caller skips this check).
     """
@@ -354,8 +348,8 @@ def main(argv: list[str] | None = None) -> int:
         if anchor_failures:
             for message in anchor_failures:
                 print(
-                    f"bench gate: FAIL — {message}; normalized throughput "
-                    "gating would silently skip every point"
+                    f"bench gate: FAIL — {message}; normalized gating would "
+                    "silently skip every point"
                 )
             return 1
     shared = sorted(set(fresh_points) & set(base_points))
@@ -376,26 +370,38 @@ def main(argv: list[str] | None = None) -> int:
                     f"{key}: decisions diverged — {field} "
                     f"{base_result.get(field)} -> {fresh_result.get(field)}"
                 )
-        if args.absolute:
-            base_value = float(base_result["admission_txn_per_s"])
-            fresh_value = float(fresh_result["admission_txn_per_s"])
-        else:
-            base_norm = normalized_throughput(base_points, key)
-            fresh_norm = normalized_throughput(fresh_points, key)
-            if base_norm is None or fresh_norm is None:
+        # Overlap-scan work is as deterministic as the decisions: more of it
+        # fails, less is reported (baselines without the counters skip).
+        for field in ("unification_checks", "scanned_partitions"):
+            base_count = base_result.get(field)
+            fresh_count = fresh_result.get(field)
+            if base_count is None or fresh_count is None:
                 continue
-            base_value, fresh_value = base_norm, fresh_norm
+            if int(fresh_count) > int(base_count):
+                failures.append(
+                    f"{key}: overlap-scan work grew — {field} "
+                    f"{base_count} -> {fresh_count}"
+                )
+            elif int(fresh_count) < int(base_count):
+                print(
+                    f"bench gate: note — {key} {field} "
+                    f"{base_count} -> {fresh_count}"
+                )
+        # Normalized, an admission point is divided by the anchor — itself.
+        if not args.absolute:
+            continue
+        base_value = float(base_result["admission_txn_per_s"])
+        fresh_value = float(fresh_result["admission_txn_per_s"])
         if base_value <= 0:
             continue
         drop = 1.0 - fresh_value / base_value
-        label = "txn/s" if args.absolute else "normalized throughput"
         print(
-            f"bench gate: {key} {label} {base_value:.2f} -> {fresh_value:.2f}"
+            f"bench gate: {key} txn/s {base_value:.2f} -> {fresh_value:.2f}"
             f" ({-drop:+.1%})"
         )
         if drop > args.tolerance:
             failures.append(
-                f"{key}: {label} regressed {drop:.1%} "
+                f"{key}: txn/s regressed {drop:.1%} "
                 f"(tolerance {args.tolerance:.0%})"
             )
 
@@ -434,8 +440,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{base_result.get(field)} -> {fresh_result.get(field)}"
                 )
         compared_net += 1
-        # Throughput: same normalization and tolerance as the admission
-        # sweep (the anchor is the run's unsharded in-process point).
+        # Throughput: normalized by the run's anchor (its in-process
+        # admission point), with the standard tolerance.
         if args.absolute:
             base_tp = float(base_result["throughput_txn_per_s"])
             fresh_tp = float(fresh_result["throughput_txn_per_s"])

@@ -58,9 +58,9 @@ subpackages are:
 * :mod:`repro.core` — the quantum database middle tier (the paper's
   contribution);
 * :mod:`repro.server` — the asyncio session layer for concurrent clients;
-* :mod:`repro.sharding` — sharded partition execution: the signature-based
-  routing index (``QuantumConfig(shards=N)``), worker shards and the
-  cross-shard merge path;
+* :mod:`repro.sharding` — names the repository benchmark still wraps
+  (the partition manager and the admission entry point under their old
+  sharded names); nothing is sharded any more;
 * :mod:`repro.relational` — the extensional store substrate (replacing the
   paper's MySQL), including the WAL with group commit and checkpoints;
 * :mod:`repro.logic` — terms, atoms, unification and composed-body
@@ -88,7 +88,6 @@ from repro.core.resource_transaction import ResourceTransaction
 from repro.core.serializability import SerializabilityMode
 from repro.core.solution_cache import Solution, SolutionCacheStatistics
 from repro.errors import (
-    GroundingTimeout,
     ProtocolError,
     QuantumError,
     ReproError,
@@ -112,7 +111,7 @@ from repro.server import (
     SessionStatistics,
     serve,
 )
-from repro.sharding import Shard, ShardedPartitionManager, SignatureIndex
+from repro.core.signature import SignatureIndex
 from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
@@ -128,7 +127,6 @@ __all__ = [
     "EntangledResourceTransaction",
     "GroundingPolicy",
     "GroundingStrategy",
-    "GroundingTimeout",
     "NetClient",
     "NetConfig",
     "NetworkServer",
@@ -149,8 +147,6 @@ __all__ = [
     "Session",
     "SessionBackpressure",
     "SessionStatistics",
-    "Shard",
-    "ShardedPartitionManager",
     "SignatureIndex",
     "Solution",
     "SolutionCacheStatistics",

@@ -15,7 +15,7 @@ know the package layout; this module flattens it::
     )
 
     qdb_config = QuantumConfig(
-        shards=4,
+        k=8,
         search=AdmissionSearchConfig(strategy="bnb"),
     )
 
@@ -31,14 +31,14 @@ repro.errors.QuantumError: unknown admission search strategy 'quantum-annealing'
 The full set, by origin:
 
 * :class:`QuantumConfig` (:mod:`repro.core.quantum_database`) — the
-  quantum database itself: ``k`` bound, serializability, sharding, the
-  witness cache, and the admission-search strategy.
+  quantum database itself: ``k`` bound, serializability, the witness
+  cache, and the admission-search strategy.
 * :class:`AdmissionSearchConfig` / :class:`SamplingConfig`
   (:mod:`repro.solver.strategy`) — which admission search runs and under
   what bounds; sampling is a strict opt-in.
 * :class:`ServerConfig` / :class:`CheckpointPolicy`
   (:mod:`repro.server.service`) — the asyncio session layer: queue and
-  quota bounds, executor workers, background checkpoint cadence.
+  quota bounds, background checkpoint cadence, durability.
 * :class:`NetConfig` (:mod:`repro.server.net`) — the framed TCP listener:
   bind address, frame size bound, drain timeout.
 * :class:`DurabilityConfig` (:mod:`repro.storage`) — the log-structured

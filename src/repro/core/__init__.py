@@ -8,8 +8,8 @@ which wraps a :class:`~repro.relational.database.Database` and adds:
   a blind-write ``FOLLOWED BY`` block;
 * **deferred value assignment** — committed transactions stay *pending*; the
   system maintains the invariant that a consistent grounding exists for all
-  of them (:mod:`.quantum_state`, :mod:`.composition`, :mod:`.partition`,
-  :mod:`.solution_cache`);
+  of them (:mod:`.quantum_state`, :mod:`.composition`, :mod:`.partition`
+  with its routing index :mod:`.signature`, :mod:`.solution_cache`);
 * **read-induced collapse** and blind-write admission checks
   (:mod:`.reads`, :mod:`.writes`);
 * **grounding policies** (the ``k`` bound, oldest-first forced grounding)

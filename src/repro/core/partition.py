@@ -10,17 +10,19 @@ partitions to be merged (the window-or-aisle example of the paper).
 
 This module defines :class:`Partition` — an ordered set of pending
 transactions with its composed body and its one known solution — and
-:class:`PartitionManager`, which owns all partitions and implements the
-merge-on-overlap logic.
+:class:`PartitionManager`, which owns all partitions, routes every overlap
+query through the :class:`~repro.core.signature.SignatureIndex` and
+implements the merge-on-overlap logic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.composition import OrderComposition, compose_sequence
+from repro.core.signature import SignatureIndex
 from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
 from repro.logic.terms import Variable
@@ -66,8 +68,8 @@ class Partition:
         #: Observer invoked after every structural change to the pending
         #: sequence.  Receives the partition and, for an append, the entry
         #: just added (``None`` for removals and whole-sequence assignment,
-        #: which require a full re-scan).  The sharded partition manager uses
-        #: this to keep its signature index and pending table current even
+        #: which require a full re-scan).  The partition manager uses this
+        #: to keep its signature index and transaction map current even
         #: though admission and grounding mutate partitions directly.
         self.on_structural_change: (
             Callable[["Partition", "PendingTransaction | None"], None] | None
@@ -233,11 +235,13 @@ class PartitionStatistics:
         merges: merge-on-overlap events (two or more partitions combined).
         max_partition_size: largest pending sequence ever observed.
         max_composed_atoms: widest composed body ever observed.
-        unification_checks: pairwise ``unifiable`` probes spent in overlap
-            scans (``merged_for``, write validation, read routing) — the
-            admission-path cost the signature index prefilters away.
-        scanned_partitions: partitions whose atoms were exactly scanned by
-            an overlap query.
+        unification_checks: pairwise ``unifiable`` probes spent confirming
+            the signature index's candidates (``merged_for``, write
+            validation, read routing).
+        scanned_partitions: candidate partitions whose atoms were exactly
+            scanned by an overlap query.
+        index_filtered: partitions the signature index ruled out of an
+            overlap query without a single unification probe.
     """
 
     merges: int = 0
@@ -245,6 +249,7 @@ class PartitionStatistics:
     max_composed_atoms: int = 0
     unification_checks: int = 0
     scanned_partitions: int = 0
+    index_filtered: int = 0
 
     def record_size(self, size: int, atoms: int) -> None:
         """Raise the two high-water marks to a partition's new size."""
@@ -255,11 +260,26 @@ class PartitionStatistics:
 
 
 class PartitionManager:
-    """Owns all partitions and implements merge-on-overlap admission."""
+    """Owns all partitions and implements merge-on-overlap admission.
+
+    Every overlap query is routed through the :class:`SignatureIndex`, and
+    each candidate it returns is confirmed by the exact pairwise-unification
+    test, so the answer is the exhaustive scan's.  A transaction-id map
+    answers :meth:`find` and :meth:`pending_count` in O(1).  The partitions'
+    structural-change hook keeps both current, since admission and grounding
+    mutate partitions directly.  Only the writer touches any of it.
+    """
 
     def __init__(self) -> None:
         self.partitions: list[Partition] = []
         self.statistics = PartitionStatistics()
+        self.index = SignatureIndex()
+        #: partition id → partition (resolves the index's candidates).
+        self._by_id: dict[int, Partition] = {}
+        #: transaction id → the partition holding it and its pending entry.
+        self._located: dict[int, tuple[Partition, "PendingTransaction"]] = {}
+        #: partition id → the transaction ids mapped to it.
+        self._members: dict[int, set[int]] = {}
 
     # -- introspection -------------------------------------------------------
 
@@ -271,15 +291,11 @@ class PartitionManager:
 
     def pending_count(self) -> int:
         """Total number of pending transactions across partitions."""
-        return sum(len(p) for p in self.partitions)
+        return len(self._located)
 
     def find(self, transaction_id: int) -> tuple[Partition, "PendingTransaction"] | None:
         """Locate a pending transaction by id."""
-        for partition in self.partitions:
-            for entry in partition:
-                if entry.transaction_id == transaction_id:
-                    return partition, entry
-        return None
+        return self._located.get(transaction_id)
 
     def partition_of(self, transaction_id: int) -> Partition | None:
         """The partition containing ``transaction_id``, if any."""
@@ -291,15 +307,19 @@ class PartitionManager:
     def overlapping_partitions(self, atoms: Sequence[Atom]) -> list[Partition]:
         """Partitions whose atoms unify with any of ``atoms``.
 
-        The base implementation is the exhaustive pairwise-unification scan
-        of the paper; :class:`~repro.sharding.ShardedPartitionManager`
-        overrides it with a signature-index prefilter that scans only the
-        candidate partitions (bit-identical results — the index is
-        conservative and every candidate is still exactly confirmed).
+        Candidates come from the signature index and are visited in
+        ascending partition-id order, which *is* partition-list order
+        (partitions enter the list in id order and removals preserve it), so
+        the result — including which partition survives a merge — is the
+        exhaustive scan's, without walking the whole partition list.
         """
-        self.statistics.scanned_partitions += len(self.partitions)
+        candidates = self.index.candidates(atoms)
+        self.statistics.index_filtered += len(self.partitions) - len(candidates)
+        self.statistics.scanned_partitions += len(candidates)
         return [
-            p for p in self.partitions if p.overlaps_atoms(atoms, self.statistics)
+            partition
+            for pid in sorted(candidates)
+            if (partition := self._by_id[pid]).overlaps_atoms(atoms, self.statistics)
         ]
 
     def merged_for(self, atoms: Sequence[Atom]) -> tuple[Partition, bool]:
@@ -314,8 +334,10 @@ class PartitionManager:
         if not overlapping:
             partition = Partition()
             partition.statistics = self.statistics
+            partition.on_structural_change = self._track
             self.partitions.append(partition)
-            self._on_partition_created(partition)
+            self._by_id[partition.partition_id] = partition
+            self._members[partition.partition_id] = set()
             return partition, False
         if len(overlapping) == 1:
             return overlapping[0], False
@@ -325,9 +347,10 @@ class PartitionManager:
         entries.sort(key=lambda e: e.sequence)
         for other in absorbed:
             self.partitions.remove(other)
-        self._on_partitions_merging(merged, absorbed)
+            self._forget(other)
         # The absorbed partitions take their solutions with them; nothing
-        # is known about the merged sequence yet.
+        # is known about the merged sequence yet.  The assignment fires the
+        # hook, which maps the absorbed transactions to ``merged``.
         merged.pending = entries
         merged.solution = None
         self.statistics.merges += 1
@@ -335,23 +358,55 @@ class PartitionManager:
 
     def drop_if_empty(self, partition: Partition) -> None:
         """Remove ``partition`` from the manager when it has no pending txns."""
-        if not partition.pending and partition in self.partitions:
+        pid = partition.partition_id
+        if not partition.pending and self._by_id.get(pid) is partition:
             self.partitions.remove(partition)
-            self._on_partition_dropped(partition)
+            self._forget(partition)
 
-    # -- subclass hooks ------------------------------------------------------
+    @staticmethod
+    def plan_on_shards(
+        groups: Sequence[tuple[Partition, Sequence["PendingTransaction"]]],
+        plan: Callable[[Partition, Sequence["PendingTransaction"]], Any],
+    ) -> list[Any]:
+        """``plan(partition, entries)`` for each group, in group order.
 
-    def _on_partition_created(self, partition: Partition) -> None:
-        """Called after a fresh partition joined the manager (no-op here)."""
-
-    def _on_partitions_merging(
-        self, merged: Partition, absorbed: Sequence[Partition]
-    ) -> None:
-        """Called while ``absorbed`` partitions fold into ``merged``.
-
-        Runs after the absorbed partitions left the partition list but
-        before the merged pending sequence is assigned (no-op here).
+        Kept only because the repository benchmark's traced pass
+        (``bench/spans.py``) wraps ``ShardedPartitionManager.plan_on_shards``
+        by name and raises if it is missing.  Nothing in ``repro`` calls it:
+        :meth:`QuantumState.ground <repro.core.quantum_state.QuantumState.ground>`
+        plans its groups itself.
         """
+        return [plan(partition, entries) for partition, entries in groups]
 
-    def _on_partition_dropped(self, partition: Partition) -> None:
-        """Called after an emptied partition left the manager (no-op here)."""
+    # -- incremental maintenance (called by the partitions themselves) -------
+
+    def _track(self, partition: Partition, entry: "PendingTransaction | None") -> None:
+        """The structural-change hook: keep the index and the map current."""
+        if entry is not None:
+            # Append: signatures only grow, so post just the new entry.
+            self.index.extend(partition, entry)
+            self._locate(partition, entry)
+            return
+        # Removal or whole-sequence assignment: re-derive both views.
+        self.index.refresh(partition)
+        self._unlocate(partition)
+        for member in partition:
+            self._locate(partition, member)
+
+    def _locate(self, partition: Partition, entry: "PendingTransaction") -> None:
+        self._located[entry.transaction_id] = (partition, entry)
+        self._members[partition.partition_id].add(entry.transaction_id)
+
+    def _unlocate(self, partition: Partition) -> None:
+        for transaction_id in self._members[partition.partition_id]:
+            del self._located[transaction_id]
+        self._members[partition.partition_id] = set()
+
+    def _forget(self, partition: Partition) -> None:
+        """Release a partition that left the list (merged away or emptied)."""
+        self._unlocate(partition)
+        pid = partition.partition_id
+        del self._members[pid]
+        del self._by_id[pid]
+        self.index.discard(pid)
+        partition.on_structural_change = None

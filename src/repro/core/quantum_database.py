@@ -36,7 +36,6 @@ the admission flow, the witness-cache fast path and the session model.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -83,28 +82,17 @@ class QuantumConfig:
             are identical either way, only the amount of re-search differs —
             the cache statistics (witness hits / misses / invalidations /
             fallback searches) report the difference.
-        shards: number of partition shards (default 1: the plain
-            exhaustive-scan partition manager).  With ``shards >= 2`` the
-            database uses the :mod:`repro.sharding` subsystem: a
-            signature-based routing index prefilters ``merged_for``
-            candidates and partitions are owned by worker shards whose
-            thread pools the grounding plan phase fans out on.  Accept/reject
-            decisions are bit-identical to the unsharded path — only the
-            scan work changes (the ``partitions.*`` counters report it).
-        shard_workers: thread count of each shard's plan executor.  On a
-            sharded database grounding plans always run on these (the
-            session layer's shared ``executor_workers`` pool is bypassed).
-        shard_backend: the shard executor; only ``"thread"`` is accepted
-            (per-shard thread pools sharing the writer's heap).  The
-            process backend was removed: it never beat threads on any
-            measured workload.  Kept so configurations that name the
-            backend explicitly still build.
+        shards: accepted and ignored (at least 1).  Every database has one
+            partition manager, which routes admissions through the
+            signature index and grounds on the writer
+            (``docs/architecture.md``, "One partition manager, one
+            writer").  Kept, like ``shard_backend`` and
+            ``admission_lanes``, only because the repository benchmark's
+            configuration (``bench/settings.py``) still passes it.
+        shard_backend: accepted and ignored; only ``"thread"`` is valid.
         admission_lanes: accepted and ignored.  Admission is serial:
             ``commit_batch`` admits every batch in one loop on the writer
-            (``docs/architecture.md``, "Why admission is serial").  Kept
-            only because the repository benchmark's ``book_batch``
-            configuration (``bench/settings.py``) still passes
-            ``admission_lanes=True``.
+            (``docs/architecture.md``, "Why admission is serial").
         search: the admission-search strategy
             (:class:`~repro.solver.strategy.AdmissionSearchConfig`).  The
             default reproduces the seed's plain backtracking search
@@ -124,7 +112,6 @@ class QuantumConfig:
     ground_on_partner_arrival: bool = True
     witness_cache: bool = True
     shards: int = 1
-    shard_workers: int = 1
     shard_backend: str = "thread"
     admission_lanes: bool = False
     search: AdmissionSearchConfig = field(default_factory=AdmissionSearchConfig)
@@ -133,33 +120,15 @@ class QuantumConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise QuantumError("QuantumConfig.shards must be at least 1")
-        if self.shard_workers < 1:
-            raise QuantumError("QuantumConfig.shard_workers must be at least 1")
         if self.shard_backend != "thread":
             raise QuantumError(
-                f"shard backend {self.shard_backend!r} was removed; threads "
-                "are the only shard executor (shard_backend='thread')"
+                f"shard backend {self.shard_backend!r} was removed; the only "
+                "accepted value is shard_backend='thread', which is ignored"
             )
 
     def policy(self) -> GroundingPolicy:
         """The grounding policy implied by this configuration."""
         return GroundingPolicy(k=self.k, strategy=self.strategy)
-
-    def partition_manager(self):
-        """The partition manager implied by this configuration.
-
-        ``shards == 1`` keeps the plain exhaustive-scan manager;
-        ``shards >= 2`` builds a
-        :class:`~repro.sharding.ShardedPartitionManager` (signature-routed
-        admission, per-shard grounding-plan thread pools).
-        """
-        if self.shards == 1:
-            return None
-        from repro.sharding import ShardedPartitionManager
-
-        return ShardedPartitionManager(
-            self.shards, workers_per_shard=self.shard_workers
-        )
 
 
 @dataclass
@@ -224,7 +193,6 @@ class QuantumDatabase:
             on_grounded=self._handle_grounded,
             pending_store=self.pending_store,
             witness_cache=self.config.witness_cache,
-            partitions=self.config.partition_manager(),
             search_config=self.config.search,
         )
 
@@ -481,37 +449,20 @@ class QuantumDatabase:
     # Explicit grounding
     # ------------------------------------------------------------------
 
-    def ground(
-        self,
-        transaction_ids: Iterable[int],
-        *,
-        executor: Executor | None = None,
-        timeout_s: float | None = None,
-    ) -> list[GroundedTransaction]:
+    def ground(self, transaction_ids: Iterable[int]) -> list[GroundedTransaction]:
         """Fix the value assignments of specific pending transactions.
 
-        When ``executor`` is given and the ids span several partitions, the
-        read-only grounding searches run concurrently on it (partition
-        independence makes the plans commute); the mutating apply phase
-        stays serial.  The session layer passes its executor here.
-        ``timeout_s`` bounds the wait on each fanned-out plan future (see
-        :class:`~repro.errors.GroundingTimeout`); a hung worker then costs
-        one exception instead of wedging the caller.
+        All or nothing: every partition involved is planned before any
+        plan is applied (:meth:`QuantumState.ground
+        <repro.core.quantum_state.QuantumState.ground>`).
         """
         with self.database.unit:
-            return self.state.ground(
-                transaction_ids, executor=executor, timeout_s=timeout_s
-            )
+            return self.state.ground(transaction_ids)
 
-    def ground_all(
-        self,
-        *,
-        executor: Executor | None = None,
-        timeout_s: float | None = None,
-    ) -> list[GroundedTransaction]:
+    def ground_all(self) -> list[GroundedTransaction]:
         """Fix every pending transaction (e.g. at the end of a booking day)."""
         with self.database.unit:
-            return self.state.ground_all(executor=executor, timeout_s=timeout_s)
+            return self.state.ground_all()
 
     def check_in(self, transaction_id: int) -> GroundedTransaction | None:
         """Collapse one transaction and return its assignment.
@@ -540,22 +491,12 @@ class QuantumDatabase:
         """Number of committed transactions still awaiting grounding."""
         return self.state.pending_count()
 
-    @property
-    def sharded(self) -> bool:
-        """True when partition execution is sharded (``shards >= 2``)."""
-        return self.config.shards > 1
-
     def close(self) -> None:
-        """Join the shard executors, if any.
+        """Do nothing: a quantum database holds no thread or pool to release.
 
-        Idempotent and optional — the shard executors are created lazily
-        and a database that never used them holds no threads — but
-        benchmarks and servers that cycle through many databases should
-        call it.
+        Kept because the repository benchmark (``bench/workloads.py``)
+        calls it.  The store's log is closed through ``database.wal``.
         """
-        close = getattr(self.state.partitions, "close", None)
-        if close is not None:
-            close()
 
     @property
     def statistics(self):
@@ -594,11 +535,8 @@ class QuantumDatabase:
             cache_statistics.composed_body_passes()
         )
         report["search.searches"] = self.state.cache.search.searches
-        index = getattr(self.state.partitions, "index", None)
-        if index is not None:
-            for name, value in vars(index.statistics).items():
-                report[f"routing.{name}"] = value
-            report["routing.shards"] = self.state.partitions.shard_count
+        for name, value in vars(self.state.partitions.index.statistics).items():
+            report[f"routing.{name}"] = value
         # Durability: the log reports what it is — "memory" with its
         # checkpoint pause, or the segmented engine's counters (segments
         # sealed, compactions, bytes reclaimed, checkpoint pauses, fsyncs).

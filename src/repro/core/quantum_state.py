@@ -24,19 +24,18 @@ phase (:meth:`QuantumState.apply_grounding` — executing the chosen update
 portions and re-recording the solution).  Because partitions are independent by
 construction — no atom of one unifies with any atom of another, hence their
 ground-row footprints are disjoint — plans for *different* partitions
-commute: :meth:`QuantumState.ground` exploits this by planning independent
-partitions concurrently on an executor before applying the plans serially.
-See ``docs/architecture.md`` ("Concurrent grounding") for the full argument.
+commute: :meth:`QuantumState.ground` plans every partition it touches before
+it applies any plan, so a grounding is all-or-nothing.  Everything runs on
+the writer; see ``docs/architecture.md`` ("One partition manager, one
+writer").
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.composition import OptionalFactor, OrderComposition
-from repro.core.futures import ReadWriteGuard, collect_plan_futures
 from repro.core.grounding_policy import GroundingPolicy
 from repro.core.partition import Partition, PartitionManager
 from repro.core.resource_transaction import ResourceTransaction
@@ -157,8 +156,8 @@ class PlannedGrounding:
 
     Produced by :meth:`QuantumState.plan_grounding`, consumed by
     :meth:`QuantumState.apply_grounding`.  Plans for different partitions
-    commute (disjoint row footprints), so the session layer computes them
-    concurrently and applies them in any order.
+    commute (disjoint row footprints), so :meth:`QuantumState.ground`
+    computes all of them before it applies the first.
 
     Attributes:
         partition: the partition being grounded.
@@ -200,9 +199,9 @@ def compute_grounding_plan(
 
     This is the whole read-only half of grounding as a module-level
     function of ``(search, serializability, partition, targets)`` — no
-    closures, no locks, no reference to a :class:`QuantumState` — which is
-    what lets the plan differential suite replay it against the frozen
-    reference planner and a shard thread run it beside the writer.
+    closures, no reference to a :class:`QuantumState` — which is what lets
+    the plan differential suite replay it against the frozen reference
+    planner.
 
     The chosen order is composed once.  While it is the arrival order (a
     strict plan, targets already at the head, a refused reorder) that
@@ -426,18 +425,12 @@ class QuantumState:
         on_grounded: Callable[[GroundedTransaction], None] | None = None,
         pending_store: "PendingTransactionStore | None" = None,
         witness_cache: bool = True,
-        partitions: PartitionManager | None = None,
         search_config: "AdmissionSearchConfig | None" = None,
     ) -> None:
         self.database = database
         self.policy = policy or GroundingPolicy()
         self.serializability = serializability
-        #: The partition manager: the plain exhaustive-scan one by default,
-        #: or an injected :class:`~repro.sharding.ShardedPartitionManager`
-        #: (``QuantumConfig(shards=N)``) that routes admissions through the
-        #: signature index and fans grounding plans out per shard.  Both
-        #: produce bit-identical accept/reject decisions.
-        self.partitions = partitions if partitions is not None else PartitionManager()
+        self.partitions = PartitionManager()
         self.cache = SolutionCache(
             database, enable_witness=witness_cache, search_config=search_config
         )
@@ -453,14 +446,6 @@ class QuantumState:
         #: :class:`~repro.core.quantum_database.QuantumDatabase`: a grounding
         #: deletes the rows of what it fixes in its own store transaction.
         self.pending_store = pending_store
-        #: Readers-writer guard over the extensional store.  The grounding
-        #: plans that ``ground`` fans out hold the shared side while they
-        #: search; the writer's store mutations (grounding applies,
-        #: blind-write validation) hold the exclusive side.  A plan whose
-        #: future timed out keeps running on its pool thread after the
-        #: writer moved on, and the guard keeps the writer from changing
-        #: tables under it.
-        self.store_guard = ReadWriteGuard()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -521,8 +506,6 @@ class QuantumState:
         factor_program = compile_formula(
             new_factor, required=required, scope=composition.scope
         )
-        # Searched without the store guard: admission runs on the writer,
-        # the only thread that changes the store.
         probe = self.cache.ensure(partition, factor_program, required)
         if probe.substitution is None:
             # The rejected factor's variables must not stay numbered in the
@@ -634,8 +617,6 @@ class QuantumState:
         transaction_ids: Iterable[int],
         *,
         forced: bool = False,
-        executor: Executor | None = None,
-        timeout_s: float | None = None,
     ) -> list[GroundedTransaction]:
         """Fix value assignments for the given pending transactions.
 
@@ -644,23 +625,16 @@ class QuantumState:
         (already grounded) are silently skipped, which makes the call
         idempotent.
 
+        Every group is planned before the first plan is applied, and the
+        plans are applied in group order.  Partitions are independent by
+        construction — their atoms cannot unify, so the rows their plans
+        ground on are disjoint — so a plan stays valid whatever the other
+        groups apply before it, and a group that cannot be planned raises
+        with no group grounded.
+
         Args:
             transaction_ids: the pending transactions to ground.
             forced: mark the resulting records as forced by the ``k`` bound.
-            executor: optional executor on which the read-only *plan* phase
-                (serializability planning + grounding search) runs
-                concurrently when more than one partition is involved.
-                Partitions are independent by construction — their atoms
-                cannot unify, so the rows their plans ground on are
-                disjoint — which makes the plans valid regardless of the
-                order the (serial) apply phase later executes them in.
-            timeout_s: optional per-plan bound on how long to wait for a
-                fanned-out plan future.  Applies to the sharded and
-                executor paths only (inline plans run on the caller's
-                thread).  On expiry a
-                :class:`~repro.errors.GroundingTimeout` is raised *before*
-                any apply phase ran, so the database state is unchanged —
-                every targeted transaction simply stays pending.
         """
         grouped: dict[int, tuple[Partition, list[PendingTransaction]]] = {}
         for transaction_id in transaction_ids:
@@ -669,59 +643,19 @@ class QuantumState:
                 continue
             partition, entry = located
             grouped.setdefault(partition.partition_id, (partition, []))[1].append(entry)
-        groups = list(grouped.values())
+        planned = [
+            self.plan_grounding(partition, entries, forced=forced)
+            for partition, entries in grouped.values()
+        ]
         results: list[GroundedTransaction] = []
-        plan_on_shards = getattr(self.partitions, "plan_on_shards", None)
-        if (
-            plan_on_shards is not None
-            and getattr(self.partitions, "shard_count", 1) > 1
-            and len(groups) > 1
-        ):
-            # Sharded execution: each partition's read-only plan runs on
-            # the thread pool of the shard that owns it, while the mutating
-            # apply phase stays serial, in deterministic group order.  Every
-            # plan is collected before the first apply, so an unsatisfiable
-            # group raises with no group grounded.
-            planned = plan_on_shards(
-                groups,
-                lambda partition, entries: self.plan_grounding(
-                    partition, entries, forced=forced
-                ),
-                timeout_s=timeout_s,
-            )
-            for plan in planned:
-                results.extend(self.apply_grounding(plan))
-        elif executor is not None and len(groups) > 1:
-            # Per-future timeout (matching the sharded path), not a single
-            # cumulative deadline over the whole batch: a slow-but-healthy
-            # fan-out must not be misreported as a hung worker.
-            futures = [
-                executor.submit(
-                    self.plan_grounding, partition, entries, forced=forced
-                )
-                for partition, entries in groups
-            ]
-            planned = collect_plan_futures(
-                futures, timeout_s, what="grounding plan"
-            )
-            for plan in planned:
-                results.extend(self.apply_grounding(plan))
-        else:
-            for partition, entries in groups:
-                results.extend(
-                    self._ground_in_partition(partition, entries, forced=forced)
-                )
+        for plan in planned:
+            results.extend(self.apply_grounding(plan))
         return results
 
-    def ground_all(
-        self,
-        *,
-        executor: Executor | None = None,
-        timeout_s: float | None = None,
-    ) -> list[GroundedTransaction]:
+    def ground_all(self) -> list[GroundedTransaction]:
         """Ground every pending transaction (used at workload end)."""
         ids = [entry.transaction_id for entry in self.pending_transactions()]
-        return self.ground(ids, executor=executor, timeout_s=timeout_s)
+        return self.ground(ids)
 
     def plan_grounding(
         self,
@@ -733,19 +667,16 @@ class QuantumState:
         """The read-only half of grounding: pick an order and a substitution.
 
         Runs the serializability planner and the preference-maximising
-        grounding search (:func:`compute_grounding_plan`), mutating no
-        shared state (the search's own counters are lock-guarded) — safe
-        to run concurrently for *different* partitions while no writes are
-        in flight (the single-writer session loop guarantees that).
+        grounding search (:func:`compute_grounding_plan`), changing nothing
+        but the search's work counters.
 
         Raises:
             QuantumStateError: if no grounding exists, i.e. the quantum
                 database invariant was somehow violated.
         """
-        with self.store_guard.read():
-            plan, composition, substitution, satisfied_atoms = compute_grounding_plan(
-                self.cache.search, self.serializability, partition, targets
-            )
+        plan, composition, substitution, satisfied_atoms = compute_grounding_plan(
+            self.cache.search, self.serializability, partition, targets
+        )
         if substitution is None:
             raise QuantumStateError(
                 "quantum database invariant violated: no grounding exists for "
@@ -764,40 +695,9 @@ class QuantumState:
         self, planned: "PlannedGrounding"
     ) -> list[GroundedTransaction]:
         """The mutating half of grounding: execute a plan's update portions."""
-        # Counted here, on the writer, not in the (possibly fanned-out)
-        # plan phase.
-        if planned.plan.reordered:
-            self.statistics.semantic_reorders += 1
-        return self._execute_grounding(planned)
-
-    def _ground_in_partition(
-        self,
-        partition: Partition,
-        targets: Sequence[PendingTransaction],
-        *,
-        forced: bool,
-    ) -> list[GroundedTransaction]:
-        return self.apply_grounding(
-            self.plan_grounding(partition, targets, forced=forced)
-        )
-
-    def _execute_grounding(
-        self, planned: PlannedGrounding
-    ) -> list[GroundedTransaction]:
-        """Apply the update portions of the grounded prefix to the database.
-
-        Runs under the exclusive side of the store guard, so no fanned-out
-        plan (shared side) searches the tables while they change shape.
-        Partition independence already makes the *row sets* disjoint; the
-        guard protects the Python-level table structures.
-        """
-        with self.store_guard.write():
-            return self._execute_grounding_locked(planned)
-
-    def _execute_grounding_locked(
-        self, planned: PlannedGrounding
-    ) -> list[GroundedTransaction]:
         partition, plan = planned.partition, planned.plan
+        if plan.reordered:
+            self.statistics.semantic_reorders += 1
         substitution = planned.substitution
         grounded_statements: list[tuple[PendingTransaction, list[Statement]]] = []
         deltas: list[tuple[str, tuple, bool]] = []
@@ -904,9 +804,9 @@ class QuantumState:
         fixed before the read can be answered.
 
         The scan is restricted to partitions whose atoms overlap the read
-        (via the partition manager, so the sharded signature index
-        prefilters it): an update that unifies with a read atom makes its
-        whole partition overlap, hence the restriction loses nothing.
+        (via the partition manager, so the signature index prefilters it):
+        an update that unifies with a read atom makes its whole partition
+        overlap, hence the restriction loses nothing.
         """
         candidates = self.partitions.overlapping_partitions(atoms)
         entries = [entry for partition in candidates for entry in partition]
@@ -935,16 +835,6 @@ class QuantumState:
         Raises:
             WriteRejected: if the write would empty the set of possible
                 worlds.
-        """
-        with self.store_guard.write():
-            self._validate_write_locked(statements)
-
-    def _validate_write_locked(self, statements: Sequence[Statement]) -> None:
-        """The write check proper, under the exclusive store guard.
-
-        Blind writes interleave store mutation with re-validation searches,
-        so the whole check holds the write side (the guard lets the holder
-        read its own exclusive state; see :class:`ReadWriteGuard`).
         """
         self.statistics.writes_checked += 1
         write_atoms = [_statement_atom(s) for s in statements]

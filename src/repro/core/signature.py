@@ -1,12 +1,13 @@
 """The signature-based routing index over partition atoms.
 
 ``PartitionManager.merged_for`` decides which partition an incoming
-resource transaction belongs to by pairwise unification against *every*
-atom of *every* partition — measured at ~36% of the admission path on the
-Figure 7 workload, and growing with the pending count.  Almost all of that
-work answers "no": on constant-pinned workloads (each booking names its
-flight) a transaction can only ever unify with the one partition holding
-the same constants.
+resource transaction belongs to by pairwise unification.  Against *every*
+atom of *every* partition that scan measured ~36% of the admission path on
+the Figure 7 workload, growing with the pending count — and almost all of
+that work answers "no": on constant-pinned workloads (each booking names
+its flight) a transaction can only ever unify with the one partition
+holding the same constants.  The partition manager therefore routes every
+overlap query through this index and scans only its candidates.
 
 :class:`SignatureIndex` turns that observation into a conservative
 prefilter.  For every partition it records, per ``(relation, arity)`` and
@@ -169,8 +170,8 @@ class SignatureIndex:
         Conservative: a superset of the partitions the exhaustive
         pairwise-unification scan would report (imprecise partitions are
         always included).  The caller confirms each candidate with the
-        exact scan, so routing decisions stay bit-identical to the
-        unindexed path.
+        exact scan, so routing decisions stay bit-identical to an
+        exhaustive scan.
         """
         self.statistics.probes += 1
         found: set[int] = set()

@@ -16,10 +16,9 @@ frames the same records into sealed segments.  Two properties matter to
 the session layer built on top (:mod:`repro.server`, see
 ``docs/architecture.md``):
 
-* **Thread/loop-safety** — every mutation of the log happens under one
-  internal lock, because the asyncio writer task and the grounding
-  executor's apply phase may touch the log from different threads (never
-  concurrently for the same record, but interleaved across records).
+* **Thread-safety** — every mutation of the log happens under one
+  internal lock, because the segmented engine's compactor and fsync-window
+  threads touch the log beside the thread that appends to it.
 * **Checkpoints** — :meth:`WriteAheadLog.checkpoint` folds the whole log
   into one CHECKPOINT record carrying a database snapshot, bounding the
   recovery replay work for long-running servers (graceful shutdown calls
@@ -168,9 +167,8 @@ class WriteAheadLog:
     engine (:class:`repro.storage.SegmentedWriteAheadLog`, see its
     ``adopt``).
 
-    All methods are safe to call from multiple threads: the session layer's
-    writer loop and its grounding executor both produce records (never for
-    the same store transaction at the same time, but interleaved).
+    All methods are safe to call from multiple threads: the segmented
+    engine, a subclass, runs background threads beside the writer.
     """
 
     def __init__(self) -> None:

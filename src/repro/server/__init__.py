@@ -8,9 +8,8 @@ critical section short.  This package turns that into a serving layer:
 * :class:`QuantumServer` — owns the single-writer admission queue (every
   mutation of the shared database flows through one audited entry point),
   a group-commit drain (concurrent clients' commits share one durability
-  write), a thread-pool executor on which multi-partition grounding plans
-  run concurrently, and graceful shutdown (drain, WAL flush, snapshot
-  checkpoint).
+  write), and graceful shutdown (drain, WAL flush, snapshot checkpoint).
+  The writer runs every admission and every grounding itself.
 * :class:`Session` — one client's transaction stream: ``await
   session.commit(tx)`` for the admission guarantee, ``commit_batch`` to
   pipeline, ``read`` with isolated results, and ``on_grounding`` futures

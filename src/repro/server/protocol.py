@@ -44,7 +44,6 @@ from typing import Any, Iterator, Mapping
 from repro.errors import (
     FrameCorrupt,
     FrameTooLarge,
-    GroundingTimeout,
     InvalidTransactionError,
     ParseError,
     ProtocolError,
@@ -204,7 +203,6 @@ class FrameDecoder:
 ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
     (TenantBackpressure, "tenant_backpressure"),
     (SessionBackpressure, "session_backpressure"),
-    (GroundingTimeout, "grounding_timeout"),
     (ParseError, "parse_error"),
     (InvalidTransactionError, "invalid_transaction"),
     (FrameTooLarge, "frame_too_large"),

@@ -1,4 +1,4 @@
-"""The asyncio quantum-database server: sessions, queue, writer, executor.
+"""The asyncio quantum-database server: sessions, queue, writer.
 
 This module is the concurrency boundary of the reproduction: every mutation
 of the shared :class:`~repro.core.quantum_database.QuantumDatabase` flows
@@ -27,13 +27,13 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   being delivered through the loop, never a grounding — that is not yet
   on stable storage.
 
-* **Concurrent grounding.**  Explicit grounding requests that span several
-  partitions run their read-only *plan* phase (the grounding search) on the
-  server's executor; partition independence (disjoint unifiable atoms ⇒
-  disjoint row footprints) makes the plans commute, so the mutating apply
-  phase can stay serial.  On a free-threaded build the searches truly run
-  in parallel; under the GIL they interleave — the architecture boundary is
-  identical either way.
+* **Grounding on the writer.**  Explicit grounding requests — however
+  many partitions they span — are planned and applied by the writer, like
+  everything else: every partition a request touches is planned before
+  any plan is applied, so a request is all-or-nothing.  The server starts
+  no thread of its own; the only other threads in the process are the
+  durability engine's compactor and fsync window, which never touch the
+  quantum state.
 
 * **Graceful shutdown.**  ``shutdown()`` stops accepting work, drains the
   queue (every already-enqueued item completes), resolves still-waiting
@@ -46,7 +46,6 @@ from __future__ import annotations
 import asyncio
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -154,11 +153,6 @@ class ServerConfig:
         max_batch: upper bound on how many queued items the writer drains
             per cycle; contiguous commit items within a drain are admitted
             as one group commit.
-        executor_workers: thread count of the grounding-plan executor.
-            Only used for unsharded databases: with
-            ``QuantumConfig(shards >= 2)`` grounding plans run on the
-            owning shards' own executors (``QuantumConfig.shard_workers``
-            threads each) and this pool is bypassed.
         queue_depth: admission queue capacity; enqueues beyond it apply
             backpressure (the session's coroutine waits).
         session_quota: per-session cap on queued-but-unprocessed items.
@@ -174,14 +168,6 @@ class ServerConfig:
             the admission queue: beyond the quota, submissions get a typed
             :class:`~repro.errors.TenantBackpressure`.  Sessions without a
             tenant are exempt.  ``None`` (default) disables the cap.
-        grounding_timeout_s: bound on waiting for each fanned-out grounding
-            plan future (the shards' thread pools and the server's own
-            pool alike).  ``None`` (default) waits forever.
-            With a bound, a hung or slow worker resolves the submitter's
-            future with a typed :class:`~repro.errors.GroundingTimeout`
-            instead of wedging the single writer; the plan phase is
-            read-only, so the database state is unchanged and the targeted
-            transactions simply stay pending.
         checkpoint_policy: periodic WAL checkpointing for long-running
             servers (see :class:`CheckpointPolicy`); ``None`` checkpoints
             only on graceful shutdown.
@@ -206,11 +192,9 @@ class ServerConfig:
     """
 
     max_batch: int = 64
-    executor_workers: int = 2
     queue_depth: int = 1024
     session_quota: int | None = None
     tenant_quota: int | None = None
-    grounding_timeout_s: float | None = None
     checkpoint_policy: CheckpointPolicy | None = None
     checkpoint_on_shutdown: bool = True
     durability: DurabilityConfig | None = None
@@ -225,11 +209,6 @@ class ServerConfig:
             raise QuantumError(
                 "ServerConfig.tenant_quota must be at least 1 (or None): a "
                 "zero quota would reject every submission forever"
-            )
-        if self.grounding_timeout_s is not None and self.grounding_timeout_s <= 0:
-            raise QuantumError(
-                "ServerConfig.grounding_timeout_s must be positive (or None "
-                "to wait without bound)"
             )
 
 
@@ -302,9 +281,8 @@ class QuantumServer:
             async with server.session(client="mickey") as session:
                 result = await session.commit(request)
 
-    All sessions share the server's event loop; the server owns a writer
-    task (the single mutation point) and a thread-pool executor for the
-    read-only grounding plan phase.
+    All sessions share the server's event loop; the server owns one writer
+    task, the single mutation point.
     """
 
     def __init__(
@@ -315,7 +293,6 @@ class QuantumServer:
         self.statistics = ServerStatistics()
         self._queue: asyncio.Queue[WorkItem | object] | None = None
         self._writer_task: asyncio.Task | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._sessions: dict[int, Session] = {}
         self._session_ids = 0
         #: Queued-but-unprocessed items per tenant (the tenant-quota rung
@@ -348,7 +325,7 @@ class QuantumServer:
         return self._closed
 
     async def start(self) -> "QuantumServer":
-        """Start the writer task and executor (idempotent).
+        """Start the writer task (idempotent).
 
         Validation happens before any resource is created, so a failed
         start leaves the server fully un-started (a retry with a fixed
@@ -376,10 +353,6 @@ class QuantumServer:
                 ) from None
             self.qdb.database.wal = engine
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="repro-grounding",
-        )
         if durability is not None and durability.compaction:
             wal = self.qdb.database.wal
             assert isinstance(wal, SegmentedWriteAheadLog)
@@ -422,22 +395,13 @@ class QuantumServer:
         if isinstance(wal, SegmentedWriteAheadLog):
             # A durability point, one deterministic final sweep (the
             # shutdown checkpoint just superseded the pre-checkpoint
-            # segments), then stop the compactor thread with the same join
-            # discipline as the executors below.  The engine itself stays
-            # open: the database outlives the server, and post-shutdown
-            # synchronous mutations must keep landing in the durable log
-            # for recovery to stay complete.
+            # segments), then stop (and join) the compactor thread.  The
+            # engine itself stays open: the database outlives the server,
+            # and post-shutdown synchronous mutations must keep landing in
+            # the durable log for recovery to stay complete.
             wal.flush()
             wal.compact_now()
             wal.stop_compactor()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        # Release the sharded database's lazily started shard executors as
-        # well — joining their thread pools (the queue was already
-        # drained, so no plan future is outstanding); they
-        # restart lazily if the database outlives the server and fans
-        # grounding plans out again.
-        self.qdb.close()
         # Un-hook: the database outlives the server and must not funnel
         # future groundings/searches through a dead instance.
         if self.qdb.state.on_grounded == self._handle_grounded:
@@ -608,8 +572,7 @@ class QuantumServer:
     async def ground_all(self) -> list[GroundedTransaction]:
         """Ground every pending transaction (e.g. end of the booking day).
 
-        Runs at a writer serialization point; the grounding searches for
-        independent partitions are planned concurrently on the executor.
+        Runs at a writer serialization point, all or nothing.
         """
         return await self._enqueue(WorkKind.GROUND_ALL, None)
 
@@ -797,17 +760,10 @@ class QuantumServer:
             return None
         if item.kind is WorkKind.GROUND:
             self.statistics.grounds += 1
-            return self.qdb.ground(
-                item.payload,
-                executor=self._executor,
-                timeout_s=self.config.grounding_timeout_s,
-            )
+            return self.qdb.ground(item.payload)
         if item.kind is WorkKind.GROUND_ALL:
             self.statistics.grounds += 1
-            return self.qdb.ground_all(
-                executor=self._executor,
-                timeout_s=self.config.grounding_timeout_s,
-            )
+            return self.qdb.ground_all()
         raise QuantumError(f"unknown work item kind {item.kind!r}")
 
     # -- grounding notifications --------------------------------------------
@@ -836,9 +792,6 @@ class QuantumServer:
         return bool(target(record))
 
     def _handle_grounded(self, record: GroundedTransaction) -> None:
-        # The synchronous housekeeping (entanglement withdrawal) must run
-        # on the grounding thread, inside the store guard's exclusive
-        # section.
         if self._chained_on_grounded is not None:
             self._chained_on_grounded(record)
         if not self._grounding_waiters:

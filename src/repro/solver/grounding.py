@@ -30,7 +30,6 @@ solution cache and ultimately uses to execute the pending update portions.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -100,14 +99,10 @@ class GroundingResult:
 class GroundingSearch:
     """Grounding search over a relational database.
 
-    Searches are *reentrant*: all per-search state (slots, trail, node
-    budget, work counters) lives in a per-call :class:`~repro.solver.kernel.Run`,
-    so several searches may run concurrently on the same instance — the
-    session layer's grounding planner fans the plan phase for independent
-    partitions out to an executor (see ``docs/architecture.md``,
-    "Concurrent grounding").  The shared ``totals`` accumulator is guarded
-    by a lock; the database itself must not be mutated while searches are
-    in flight (the single-writer admission loop guarantees that).
+    All per-search state (slots, trail, node budget, work counters) lives
+    in a per-call :class:`~repro.solver.kernel.Run`; only the ``totals``
+    accumulator is shared, and only the writer — the one thread that
+    admits, grounds and writes — searches, so it takes no lock.
 
     Every method that takes a formula also takes a compiled
     :class:`~repro.solver.kernel.Program` (from :meth:`compile`): callers
@@ -122,13 +117,11 @@ class GroundingSearch:
         #: Number of searches started (``find`` / ``find_one`` calls whose
         #: body did not simplify to FALSE).
         self.searches = 0
-        #: Optional callback invoked (under the totals lock) after every
-        #: search completes, with the searched program (its ``formula``
-        #: property is the simplified body) and its work counters.  The
-        #: session layer uses it to stream per-server search statistics
-        #: without polling.
+        #: Optional callback invoked after every search completes, with the
+        #: searched program (its ``formula`` property is the simplified
+        #: body) and its work counters.  The session layer uses it to stream
+        #: per-server search statistics without polling.
         self.observer: Callable[[Program, GroundingStatistics], None] | None = None
-        self._totals_lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------
 
@@ -274,7 +267,7 @@ class GroundingSearch:
             self._record(program, run, stats)
 
     def _record(self, program: Program, run: Run, stats: GroundingStatistics) -> None:
-        """Fold one finished search into the shared totals (one lock trip)."""
+        """Fold one finished search into the shared totals."""
         if run.bnb:
             stats.undo_depth = max(stats.undo_depth, run.max_depth)
         self.absorb_statistics(stats, formula=program, count_search=True)
@@ -295,10 +288,8 @@ class GroundingSearch:
         per-search observer fires too, and ``count_search`` increments
         :attr:`searches`.
         """
-        with self._totals_lock:
-            if count_search:
-                self.searches += 1
-            self.totals.add(stats)
-            observer = self.observer
-            if formula is not None and observer is not None:
-                observer(formula, stats)
+        if count_search:
+            self.searches += 1
+        self.totals.add(stats)
+        if formula is not None and self.observer is not None:
+            self.observer(formula, stats)

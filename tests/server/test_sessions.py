@@ -238,7 +238,7 @@ class TestConcurrentEquivalence:
         # are identical per session, and partitions are disjoint flights.)
         assert fast == slow
 
-    def test_executor_ground_all_matches_serial(self):
+    def test_server_ground_all_matches_serial(self):
         transactions = self.workload_transactions()
 
         async def main():
@@ -255,7 +255,7 @@ class TestConcurrentEquivalence:
         decisions, grounded, inline = asyncio.run(main())
         accepted = {tid for tid, ok in decisions.items() if ok}
         # Every accepted transaction ends up grounded (inline partner/k-bound
-        # groundings plus the executor-planned ground_all), none twice.
+        # groundings plus the server's ground_all), none twice.
         assert inline == accepted
         assert grounded <= accepted
 

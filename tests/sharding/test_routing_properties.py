@@ -1,12 +1,14 @@
-"""Property tests: signature-routed admission ≡ exhaustive-scan admission.
+"""Property tests: signature-routed partitioning ≡ the exhaustive scan.
 
-The acceptance property of the sharding subsystem: over seeded arrival
-streams — mixing constant-pinned and wildcard transactions, so merges
-(including cross-shard ones) and the wildcard routing path all occur — the
-``SignatureIndex``-routed ``merged_for`` must make decisions bit-identical
-to the exhaustive pairwise-unification scan: same accept/reject outcomes,
-same partition contents, same merge events, same groundings — including
-the groundings planned on the shards' thread pools.
+:class:`~repro.core.partition.PartitionManager` answers every overlap query
+from the signature index, confirming each candidate by exact unification.
+The reference is the exhaustive pairwise-unification scan over every atom
+of every partition — the paper's independence test, kept as
+:class:`~reference_scan.ExhaustiveScan`.  Over seeded streams mixing constant-pinned,
+wildcard and unhashable-constant (imprecise) transactions, with
+groundings interleaved, both must give the same overlap sets, partition
+contents, merge events and groundings; and after every step the manager's
+transaction map must equal a full scan of its partitions.
 """
 
 from __future__ import annotations
@@ -15,21 +17,21 @@ import random
 
 import pytest
 
+from repro import QuantumConfig, QuantumDatabase, parse_transaction
 from repro.core.partition import PartitionManager
 from repro.core.quantum_state import PendingTransaction
 from repro.core.resource_transaction import ResourceTransaction
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
-from repro import QuantumConfig, QuantumDatabase, parse_transaction
-from repro.sharding import ShardedPartitionManager
+from reference_scan import ExhaustiveScan
 
-SEEDS = [0, 1, 2, 3, 4]
+SEEDS = range(10)
 
 
-def make_qdb(shards, *, k=4, flights=5, seats=3, backend="thread"):
-    qdb = QuantumDatabase(
-        config=QuantumConfig(k=k, shards=shards, shard_backend=backend)
-    )
+def make_qdb(*, reference=False, k=4, flights=5, seats=3):
+    qdb = QuantumDatabase(config=QuantumConfig(k=k))
+    if reference:
+        qdb.state.partitions = ExhaustiveScan()
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
         "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
@@ -75,97 +77,153 @@ def partition_fingerprint(manager):
     return {p.transaction_ids() for p in manager.partitions}
 
 
+def assert_map_is_a_full_scan(manager):
+    """The transaction map holds exactly what the partitions hold."""
+    scanned = {
+        entry.transaction_id: (partition, entry)
+        for partition in manager.partitions
+        for entry in partition
+    }
+    assert manager.pending_count() == len(scanned)
+    for transaction_id, located in scanned.items():
+        found = manager.find(transaction_id)
+        assert found is not None
+        assert found[0] is located[0] and found[1] is located[1]
+    # ... and the index holds exactly the live partitions.
+    assert len(manager.index) == len(manager.partitions)
+    assert all(p.partition_id in manager.index for p in manager.partitions)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shards", [2, 3])
-# Threads are the only shard backend; the one-value parameter keeps the
-# test ids of the process-backend era.
-@pytest.mark.parametrize("backend", ["thread"])
-def test_sharded_stream_equivalent_to_exhaustive(seed, shards, backend):
+def test_stream_equivalent_to_exhaustive_scan(seed):
     """Same decisions, partitions, merges and groundings at every step."""
-    plain = make_qdb(1)
-    sharded = make_qdb(shards, backend=backend)
+    reference = make_qdb(reference=True)
+    routed = make_qdb()
     # Parse once and feed the *same* transaction objects to both databases,
     # so transaction ids (and hence partition fingerprints) are comparable.
     for text in seeded_stream(seed):
         transaction = parse_transaction(text)
-        plain_result = plain.execute(transaction)
-        sharded_result = sharded.execute(transaction)
-        assert plain_result.committed == sharded_result.committed
-        assert partition_fingerprint(plain.state.partitions) == (
-            partition_fingerprint(sharded.state.partitions)
+        reference_result = reference.execute(transaction)
+        routed_result = routed.execute(transaction)
+        assert reference_result.committed == routed_result.committed
+        assert {g.transaction_id: g.valuation for g in reference_result.grounded} == {
+            g.transaction_id: g.valuation for g in routed_result.grounded
+        }
+        assert partition_fingerprint(reference.state.partitions) == (
+            partition_fingerprint(routed.state.partitions)
         )
-        assert plain.state.partitions.statistics.merges == (
-            sharded.state.partitions.statistics.merges
+        assert reference.state.partitions.statistics.merges == (
+            routed.state.partitions.statistics.merges
         )
-        assert plain.pending_count == sharded.pending_count
-    plain_grounded = {
-        g.transaction_id: g.valuation for g in plain.ground_all()
-    }
-    sharded_grounded = {
-        g.transaction_id: g.valuation for g in sharded.ground_all()
-    }
-    assert plain_grounded == sharded_grounded
-    sharded.close()
+        assert_map_is_a_full_scan(routed.state.partitions)
+    reference_grounded = {g.transaction_id: g.valuation for g in reference.ground_all()}
+    routed_grounded = {g.transaction_id: g.valuation for g in routed.ground_all()}
+    assert reference_grounded == routed_grounded
+    assert_map_is_a_full_scan(routed.state.partitions)
+    assert routed.pending_count == 0
+    assert routed.table("Bookings").snapshot() == reference.table("Bookings").snapshot()
+
+
+def synthetic_transaction(rng, user):
+    """A pinned, wildcard or unhashable-constant booking transaction.
+
+    Its ``Bookings`` update names ``user``, a constant no other transaction
+    has: after a merge only the absorbed partition's own postings can route
+    a read of that row to the merged partition.
+    """
+    roll = rng.random()
+    flight = rng.randrange(1, 7)
+    if roll < 0.15:
+        terms = [Variable("f"), Variable("s")]
+    elif roll < 0.25:
+        # Unhashable constant: exercises the index's imprecise fallback.
+        terms = [Constant([flight]), Variable("s")]
+    else:
+        terms = [Constant(flight), Variable("s")]
+    return ResourceTransaction(
+        body=(Atom.body("Available", list(terms)),),
+        updates=(
+            Atom.delete("Available", list(terms)),
+            Atom.insert("Bookings", [Constant(user), *terms]),
+        ),
+    )
+
+
+def read_of(user):
+    """The atoms of a read of ``user``'s booking."""
+    return (Atom.body("Bookings", [Constant(user), Variable("f"), Variable("s")]),)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_merged_for_matches_exhaustive_scan_stepwise(seed):
-    """Manager-level equivalence, including the wildcard-fallback path.
+def test_manager_matches_exhaustive_scan_stepwise(seed):
+    """Manager-level equivalence with no solver involved.
 
-    Drives a plain :class:`PartitionManager` and a 3-shard
-    :class:`ShardedPartitionManager` with the *same* synthetic entry
-    stream (no solver involved) and checks every ``merged_for`` answer:
-    same merge flag, same resulting pending sets — even for atoms carrying
-    unhashable constants, which force the index's imprecise fallback.
+    Drives the reference and the manager with the *same* synthetic stream —
+    arrivals (including unhashable constants, which force the index's
+    imprecise fallback) interleaved with removals that stand in for
+    groundings — and checks every overlap answer (arrivals and reads of an
+    earlier user's booking), merge flag and resulting partition, and the
+    manager's transaction map after every step.
     """
     rng = random.Random(seed)
-    plain = PartitionManager()
-    sharded = ShardedPartitionManager(3)
+    reference = ExhaustiveScan()
+    routed = PartitionManager()
     sequence = 0
-    for step in range(40):
-        sequence += 1
-        roll = rng.random()
-        flight = rng.randrange(1, 7)
-        if roll < 0.15:
-            terms = [Variable("f"), Variable("s")]
-        elif roll < 0.25:
-            # Unhashable constant: exercises the imprecise fallback.
-            terms = [Constant([flight]), Variable("s")]
-        else:
-            terms = [Constant(flight), Variable("s")]
-        body = [Atom.body("Available", list(terms))]
-        updates = [Atom.delete("Available", list(terms))]
-        txn = ResourceTransaction(body=tuple(body), updates=tuple(updates))
-        renamed = txn.rename_variables(f"@{txn.transaction_id}")
-        atoms = tuple(renamed.body) + tuple(renamed.updates)
-
-        results = []
-        for manager in (plain, sharded):
-            partition, merged = manager.merged_for(atoms)
-            entry = PendingTransaction(
-                original=txn, renamed=renamed, sequence=sequence
+    for step in range(60):
+        if sequence:
+            probe = read_of(f"u{rng.randrange(1, sequence + 1)}")
+            expected, observed = (
+                [p.transaction_ids() for p in manager.overlapping_partitions(probe)]
+                for manager in (reference, routed)
             )
-            partition.append(entry)
-            results.append((merged, partition.transaction_ids()))
-        assert results[0] == results[1], f"diverged at step {step}"
-        assert partition_fingerprint(plain) == partition_fingerprint(sharded)
-    assert plain.statistics.merges == sharded.statistics.merges
-    # The stream contained unhashable constants, so the sharded run must
+            assert expected == observed, f"read overlap diverged at step {step}"
+        if routed.pending_count() and rng.random() < 0.25:
+            # A grounding: remove one pending entry from both managers.
+            transaction_id = rng.choice(
+                [entry.transaction_id for p in routed for entry in p]
+            )
+            for manager in (reference, routed):
+                partition, entry = manager.find(transaction_id)
+                partition.remove(entry)
+                manager.drop_if_empty(partition)
+        else:
+            sequence += 1
+            transaction = synthetic_transaction(rng, f"u{sequence}")
+            renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
+            atoms = tuple(renamed.body) + tuple(renamed.updates)
+            overlaps = [
+                [p.transaction_ids() for p in manager.overlapping_partitions(atoms)]
+                for manager in (reference, routed)
+            ]
+            assert overlaps[0] == overlaps[1], f"overlap diverged at step {step}"
+            results = []
+            for manager in (reference, routed):
+                partition, merged = manager.merged_for(atoms)
+                partition.append(PendingTransaction(transaction, renamed, sequence))
+                results.append((merged, partition.transaction_ids()))
+            assert results[0] == results[1], f"diverged at step {step}"
+        assert partition_fingerprint(reference) == partition_fingerprint(routed)
+        assert_map_is_a_full_scan(routed)
+    assert reference.statistics.merges == routed.statistics.merges
+    # The stream contained unhashable constants, so the routed run must
     # have exercised the imprecise fallback at least once.
-    assert sharded.index.statistics.imprecise_probes > 0
-    sharded.close()
+    assert routed.index.statistics.imprecise_probes > 0
+    # The index only ever saves scan work.
+    assert routed.statistics.unification_checks <= (
+        reference.statistics.unification_checks
+    )
 
 
-def test_cross_shard_merge_preserves_equivalence():
-    """The targeted cross-shard case: pinned partitions on different shards
-    merged by a wildcard arrival behave exactly like the unsharded scan."""
-    plain = make_qdb(1)
-    sharded = make_qdb(2)
+def test_three_way_merge_matches_exhaustive_scan():
+    """Pinned partitions merged by a wildcard arrival behave exactly like
+    the exhaustive scan, and a pinned follow-up routes into the result."""
+    reference = make_qdb(reference=True)
+    routed = make_qdb()
     stream = [
         "-Available(1, ?s), +Bookings('a', 1, ?s) :-1 Available(1, ?s)",
         "-Available(2, ?s), +Bookings('b', 2, ?s) :-1 Available(2, ?s)",
         "-Available(3, ?s), +Bookings('c', 3, ?s) :-1 Available(3, ?s)",
-        # Wildcard: unifies with all three → three-way (cross-shard) merge.
+        # Wildcard: unifies with all three → three-way merge.
         "-Available(?f, ?s), +Bookings('d', ?f, ?s) :-1 Available(?f, ?s)",
         # Pinned follow-up lands in the merged partition on both sides.
         "-Available(2, ?s), +Bookings('e', 2, ?s) :-1 Available(2, ?s)",
@@ -173,12 +231,12 @@ def test_cross_shard_merge_preserves_equivalence():
     for text in stream:
         transaction = parse_transaction(text)
         assert (
-            plain.execute(transaction).committed
-            == sharded.execute(transaction).committed
+            reference.execute(transaction).committed
+            == routed.execute(transaction).committed
         )
-    assert partition_fingerprint(plain.state.partitions) == (
-        partition_fingerprint(sharded.state.partitions)
+    assert partition_fingerprint(reference.state.partitions) == (
+        partition_fingerprint(routed.state.partitions)
     )
-    assert sharded.state.partitions.statistics.cross_shard_merges >= 1
-    assert len(plain.state.partitions) == len(sharded.state.partitions) == 1
-    sharded.close()
+    assert len(reference.state.partitions) == len(routed.state.partitions) == 1
+    assert routed.state.partitions.statistics.merges == 1
+    assert_map_is_a_full_scan(routed.state.partitions)

@@ -4,12 +4,15 @@ The admission-search redesign promises that the strategy selected through
 ``QuantumConfig(search=AdmissionSearchConfig(...))`` changes *how fast* an
 admission decision is reached, never *what* is decided.  This suite runs
 seeded arrival streams (pinned bookings, flight-agnostic wildcards that
-merge partitions across shards, entangled pairs, overbooked flights) on a
-sharded database and compares a full fingerprint — decisions, partition
-contents, pending set, invariant counters, grounding valuations, final
-store state — to prove ``strategy="bnb"`` (per-shape fast paths, cost
-bounds and trail-based undo included) is bit-identical to the seed
-backtracking searcher.
+merge partitions, entangled pairs, overbooked flights) and compares a full
+fingerprint — decisions, partition contents, pending set, invariant
+counters, grounding valuations, final store state — to prove
+``strategy="bnb"`` (per-shape fast paths, cost bounds and trail-based undo
+included) is bit-identical to the seed backtracking searcher.
+
+``run_stream(..., reference=True)`` routes through the exhaustive scan
+instead of the signature index; ``test_serial_admission.py`` holds index
+routing to it on the same streams.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import pytest
 
 from repro import QuantumConfig, QuantumDatabase, parse_transaction
 from repro.solver.strategy import AdmissionSearchConfig
+from reference_scan import ExhaustiveScan
 
 BNB = AdmissionSearchConfig(strategy="bnb")
 
-#: 3 cross-shard ratios x 25 seeds = 75 streams.
+#: 3 wildcard ratios x 25 seeds = 75 streams.
 RATIOS = (0.0, 0.15, 0.4)
 SEEDS = 25
 
@@ -31,9 +35,11 @@ FLIGHTS = 4
 SEATS = 3
 
 
-def make_qdb(*, shards, k=3, search=None):
+def make_qdb(*, k=3, search=None, reference=False):
     kwargs = {} if search is None else {"search": search}
-    qdb = QuantumDatabase(config=QuantumConfig(k=k, shards=shards, **kwargs))
+    qdb = QuantumDatabase(config=QuantumConfig(k=k, **kwargs))
+    if reference:
+        qdb.state.partitions = ExhaustiveScan()
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
         "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
@@ -63,7 +69,7 @@ def seeded_stream(seed, *, length=14, cross_ratio=0.15, partner_ratio=0.2):
     """One seeded arrival stream (parsed transactions, arrival order).
 
     ``cross_ratio`` of arrivals are wildcards (their atoms unify with
-    partitions on every shard); ``partner_ratio`` of draws emit an
+    every flight's partition); ``partner_ratio`` of draws emit an
     entangled pair pinned to one flight; the rest are pinned single
     bookings.  Overbooking relative to ``k`` and the seat supply produces
     rejections and forced groundings.
@@ -93,12 +99,12 @@ def seeded_stream(seed, *, length=14, cross_ratio=0.15, partner_ratio=0.2):
     ]
 
 
-def run_stream(transactions, *, shards, search=None):
+def run_stream(transactions, *, k=3, search=None, reference=False):
     """Run one stream through ``commit_batch`` and fingerprint everything
     observable: decisions, partition contents, the pending set, the
     admitted / rejected / merges / pending invariants, every grounding
     valuation (admission-time and final) and the final store."""
-    qdb = make_qdb(shards=shards, search=search)
+    qdb = make_qdb(k=k, search=search, reference=reference)
     results = qdb.commit_batch(transactions)
     decisions = [r.committed for r in results]
     partitions = sorted(
@@ -123,7 +129,6 @@ def run_stream(transactions, *, shards, search=None):
         name: sorted(tuple(row.values) for row in qdb.table(name))
         for name in ("Available", "Bookings")
     }
-    qdb.close()
     return {
         "decisions": decisions,
         "partitions": partitions,
@@ -150,8 +155,8 @@ def test_bnb_matches_backtracking_on_serialized_writer(cross_ratio):
     """Same stream, same decisions and state — only the searcher differs."""
     for seed in range(SEEDS):
         transactions = seeded_stream(seed, cross_ratio=cross_ratio)
-        reference = run_stream(transactions, shards=4)
-        observed = run_stream(transactions, shards=4, search=BNB)
+        reference = run_stream(transactions)
+        observed = run_stream(transactions, search=BNB)
         assert_identical(reference, observed, (cross_ratio, seed, "bnb"))
 
 
@@ -161,6 +166,6 @@ def test_budgeted_bnb_stays_equivalent_when_budget_is_generous():
     budgeted = AdmissionSearchConfig(strategy="bnb", node_budget=100_000)
     for seed in range(6):
         transactions = seeded_stream(seed + 4000, cross_ratio=0.15)
-        reference = run_stream(transactions, shards=4)
-        observed = run_stream(transactions, shards=4, search=budgeted)
+        reference = run_stream(transactions)
+        observed = run_stream(transactions, search=budgeted)
         assert_identical(reference, observed, ("budgeted-bnb", seed))

@@ -1,38 +1,33 @@
-"""Admission is serial: one batch loop, sharded or not.
+"""Admission is serial, and index routing decides what the exhaustive scan does.
 
 ``QuantumDatabase.commit_batch`` admits every batch in one loop on the
-writer; the shards only route admissions and run grounding plans.
+writer, routing every overlap query through the partition manager's
+signature index.
 
-* **Sharded batches.**  Over seeded streams — pinned bookings,
-  flight-agnostic wildcards that merge partitions across shards, entangled
-  pairs grounded on their partner's arrival, overbooked flights — a
-  sharded ``commit_batch`` decides, partitions and grounds exactly like the
-  unsharded one, and how a stream is cut into batches changes nothing.
-* **The plan fan-out** is the one place other threads still run: under a
-  tiny switch interval, ``ground_all`` fanned out on the shards' pools
-  grounds exactly what the unsharded inline ``ground_all`` grounds, and
-  the shared search totals lose no update.
-* **What is left of the lanes is inert.**  Two names of the deleted lane
-  pipeline stay, only for the repository benchmark:
-  ``QuantumConfig.admission_lanes`` (``bench/settings.py`` passes
-  ``admission_lanes=True`` for ``book_batch``) and
-  ``repro.sharding.admission_lane.AdmissionController.commit_many``
-  (``bench/spans.py`` wraps it by name).  The flag changes nothing
-  observable, the lane tuning fields are gone, and every span target of
-  the traced pass still resolves.
+* **Batches.**  Over seeded streams — pinned bookings, flight-agnostic
+  wildcards that merge partitions, entangled pairs grounded on their
+  partner's arrival, overbooked flights that force groundings and
+  rejections — ``commit_batch`` decides, partitions and grounds exactly as
+  it does when every overlap query is answered by the exhaustive
+  pairwise-unification scan (:class:`~reference_scan.ExhaustiveScan`), and
+  how a stream is cut into batches changes nothing.
+* **What is left of the lanes and shards is names.**  They stay only for
+  the repository benchmark: ``QuantumConfig.admission_lanes``, ``shards``
+  and ``shard_backend`` (``bench/settings.py``; their inertness is
+  ``test_compat_contract.py``), and ``AdmissionController.commit_many`` and
+  ``ShardedPartitionManager.merged_for`` / ``plan_on_shards``
+  (``bench/spans.py`` wraps them by name).  The lane tuning fields are
+  gone, and every span target of the traced pass still resolves.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import sys
 
 import pytest
 
-from bench import generator as gen
 from bench import spans
-from bench.workloads import build_flights
 from repro import QuantumConfig, parse_transaction
 from test_search_strategy_equivalence import (
     assert_identical,
@@ -43,26 +38,27 @@ from test_search_strategy_equivalence import (
     wildcard,
 )
 
-FLIGHTS = gen.flight_numbers(6)
-BATCH = 16
+# -- batches ----------------------------------------------------------------------
 
 
-# -- sharded batches ----------------------------------------------------------
+def assert_matches_exhaustive_scan(transactions, context, *, k=3):
+    """Index-routed ``commit_batch`` ≡ the same stream on the exhaustive scan."""
+    reference = run_stream(transactions, k=k, reference=True)
+    observed = run_stream(transactions, k=k)
+    assert_identical(reference, observed, context)
 
 
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("cross_ratio", [0.0, 0.15, 0.4])
-def test_sharded_batch_matches_unsharded(cross_ratio, shards):
+def test_routed_batch_matches_exhaustive_scan(cross_ratio, k):
     for seed in range(20):
         transactions = seeded_stream(seed, cross_ratio=cross_ratio)
-        reference = run_stream(transactions, shards=1)
-        observed = run_stream(transactions, shards=shards)
-        assert_identical(reference, observed, (cross_ratio, seed, shards))
+        assert_matches_exhaustive_scan(transactions, (cross_ratio, seed, k), k=k)
 
 
 def every_nth_wildcard_stream(seed, n, *, length=14):
     """Pinned bookings with a flight-agnostic one at every ``n``-th
-    position: each wildcard merges partitions owned by different shards."""
+    position: each wildcard merges the pinned partitions."""
     rng = random.Random(seed)
     transactions = []
     for index in range(length):
@@ -76,21 +72,19 @@ def every_nth_wildcard_stream(seed, n, *, length=14):
     return transactions
 
 
-@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_cross_shard_merge_every_nth_arrival(n, shards):
+def test_wildcard_merge_every_nth_arrival(n, k):
     for seed in range(6):
         transactions = every_nth_wildcard_stream(seed, n)
-        reference = run_stream(transactions, shards=1)
-        observed = run_stream(transactions, shards=shards)
-        assert_identical(reference, observed, (n, seed, shards))
+        assert_matches_exhaustive_scan(transactions, (n, seed, k), k=k)
 
 
-def test_duplicate_partner_keys_match_the_unsharded_loop():
+def test_duplicate_partner_keys_match_the_exhaustive_scan():
     """The entanglement registry keeps one waiting entry per (client,
     partner) key, so which duplicate a reverse partner matches depends on
-    registration order: T3 must match T2, the last registered, on every
-    shard count."""
+    registration order: T3 must match T2, the last registered, under
+    either routing."""
     specs = [
         (pinned("A1", 1), "A", "B"),
         (pinned("A2", 2), "A", "B"),
@@ -102,11 +96,7 @@ def test_duplicate_partner_keys_match_the_unsharded_loop():
         parse_transaction(text, client=client, partner=partner)
         for text, client, partner in specs
     ]
-    reference = run_stream(transactions, shards=1)
-    for shards in (2, 4):
-        assert_identical(
-            reference, run_stream(transactions, shards=shards), shards
-        )
+    assert_matches_exhaustive_scan(transactions, "duplicate partners")
 
 
 def test_entangled_pairs_ground_on_partner_arrival():
@@ -115,27 +105,24 @@ def test_entangled_pairs_ground_on_partner_arrival():
         a, b = f"pa{flight}", f"pb{flight}"
         transactions.append(parse_transaction(pinned(a, flight), client=a, partner=b))
         transactions.append(parse_transaction(pinned(b, flight), client=b, partner=a))
-    qdb = make_qdb(shards=4, k=8)
+    qdb = make_qdb(k=8)
     results = qdb.commit_batch(transactions)
-    qdb.close()
     # The second partner of each pair grounds both within the batch.
     assert [len(r.grounded) for r in results] == [0, 2] * 4
     assert qdb.pending_count == 0
-    assert_identical(
-        run_stream(transactions, shards=1), run_stream(transactions, shards=4),
-        "pairs",
-    )
+    assert_matches_exhaustive_scan(transactions, "pairs")
 
 
 @pytest.mark.parametrize("batch", [1, 5, 14])
 def test_batch_boundaries_change_nothing(batch):
     """``commit_batch`` is ``execute`` per element, in order, whatever the
-    cut: one batch per transaction, runs of five, the whole stream."""
+    cut: one batch per transaction, runs of five, the whole stream.  The
+    reference runs ``execute`` on the exhaustive scan."""
     transactions = seeded_stream(99, cross_ratio=0.2)
-    reference = make_qdb(shards=4)
+    reference = make_qdb(reference=True)
     expected = [reference.execute(t).committed for t in transactions]
     reference.ground_all()
-    qdb = make_qdb(shards=4)
+    qdb = make_qdb()
     decisions = []
     for start in range(0, len(transactions), batch):
         decisions.extend(
@@ -144,103 +131,9 @@ def test_batch_boundaries_change_nothing(batch):
     qdb.ground_all()
     assert decisions == expected
     assert qdb.table("Bookings").snapshot() == reference.table("Bookings").snapshot()
-    for db in (qdb, reference):
-        db.close()
-
-
-# -- the grounding-plan fan-out -------------------------------------------------
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_plan_fan_out_loses_no_update(shards):
-    """Many partitions planned at once on the shard pools, with the
-    interpreter switching threads as often as it can: the groundings and
-    the shared ``search.*`` totals equal the unsharded inline run's."""
-    transactions = [
-        parse_transaction(pinned(f"f{flight}_{i}", flight), client=f"f{flight}_{i}")
-        for i in range(2)
-        for flight in range(1, 5)
-    ]
-
-    def ground(shard_count):
-        qdb = make_qdb(shards=shard_count, k=8)
-        qdb.commit_batch(transactions)
-        before = qdb.statistics_report()
-        grounded = {g.transaction_id: g.valuation for g in qdb.ground_all()}
-        after = qdb.statistics_report()
-        qdb.close()
-        moved = {
-            key: after[key] - before[key]
-            for key in ("search.searches", "search.nodes", "state.grounded")
-        }
-        return grounded, moved
-
-    reference = ground(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _round in range(5):
-            assert ground(shards) == reference
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # -- what is left of the lanes ----------------------------------------------------
-
-
-def book_batch_run(seed: int, *, lanes: bool):
-    """A small ``book_batch`` round under the benchmark's pinned config."""
-    (stream,) = gen.booking_streams(seed, FLIGHTS, 1)
-    qdb = build_flights(FLIGHTS, lanes=lanes)
-    results = []
-    for start in range(0, len(stream), BATCH):
-        batch = [op.booking for op in stream[start : start + BATCH]]
-        parsed = [
-            parse_transaction(b.text, client=b.client, partner=b.partner)
-            for b in batch
-        ]
-        for result in qdb.commit_batch(parsed):
-            results.append(
-                (
-                    result.transaction.client,
-                    result.committed,
-                    result.pending,
-                    result.method,
-                    result.exact,
-                    sorted(
-                        (record.transaction.client, sorted(record.valuation.items()))
-                        for record in result.grounded
-                    ),
-                )
-            )
-    report = qdb.statistics_report()
-    qdb.ground_all()
-    valuations = sorted(
-        (record.transaction.client, sorted(record.valuation.items()))
-        for record in qdb.state.grounded_results.values()
-    )
-    qdb.close()
-    return results, valuations, report
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3, 7])
-def test_admission_lanes_flag_changes_nothing(seed):
-    serial_results, serial_valuations, serial_report = book_batch_run(
-        seed, lanes=False
-    )
-    lane_results, lane_valuations, lane_report = book_batch_run(seed, lanes=True)
-    assert lane_results == serial_results
-    assert lane_valuations == serial_valuations
-    assert lane_report.keys() == serial_report.keys()
-    assert not any(key.startswith("admission.") for key in lane_report)
-    counters = ("state.", "cache.", "search.", "partitions.", "store.")
-    assert {
-        key: value for key, value in lane_report.items() if key.startswith(counters)
-    } == {
-        key: value
-        for key, value in serial_report.items()
-        if key.startswith(counters)
-    }
 
 
 @pytest.mark.parametrize(

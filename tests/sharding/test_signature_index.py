@@ -13,9 +13,9 @@ import random
 from repro.core.partition import Partition
 from repro.core.quantum_state import PendingTransaction
 from repro.core.resource_transaction import ResourceTransaction
+from repro.core.signature import SignatureIndex
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
-from repro.sharding import SignatureIndex
 
 
 def make_entry(body, updates, sequence):
