@@ -11,13 +11,10 @@ its own base pause.  The run then compacts the sealed segments
 store row-for-row against the in-memory twin's log replayed from its
 JSON lines (``WriteAheadLog.load`` + ``recover_database``).
 
-The segmented twin runs with ``incremental_bases``: the writer folds the
-full store exactly once (the first base) and later bases are synthesized
-off-writer by the compaction pass, so ``writer_base_folds`` must stay at
-1 while ``bases_synthesized`` is positive.  A second, windowed mini-run
-(``fsync=True`` with a group-fsync window) measures ``fsyncs_per_commit``
-under concurrent committers — structurally below 1, since commits share
-deferred group syncs.
+The writer folds the full store exactly once (the first base) and later
+bases are synthesized off-writer by the compaction pass, so
+``writer_base_folds`` must stay at 1 while ``bases_synthesized`` is
+positive.
 
 Results land in the ``"durability"`` section of ``BENCH_admission.json``
 (read-modify-write, like the ``"network"`` section) where
@@ -25,8 +22,7 @@ Results land in the ``"durability"`` section of ``BENCH_admission.json``
 checkpoint pause — normalized by the run's anchor admission throughput, a
 machine-speed proxy — must not grow beyond tolerance, compaction must
 keep reclaiming bytes, the delta pause must stay below the engine's
-full-snapshot base pause, windowed fsyncs-per-commit must stay below 1, and
-the writer must never fold a second base.  Run via ``make recoverbench``
+full-snapshot base pause, and the writer must never fold a second base.  Run via ``make recoverbench``
 (part of ``make check``); not smoke-marked, so ``make smoke`` keeps its
 budget.
 """
@@ -34,7 +30,6 @@ budget.
 from __future__ import annotations
 
 import gc
-import threading
 import time
 from pathlib import Path
 
@@ -45,7 +40,7 @@ from benchmarks.conftest import BENCH_SCALE, report
 from repro.experiments.report import format_table
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database
-from repro.relational.wal import LogRecordType, WriteAheadLog
+from repro.relational.wal import WriteAheadLog
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
 
@@ -93,54 +88,6 @@ def fingerprint(database: Database) -> dict:
     }
 
 
-#: Windowed mini-run shape: concurrent committers sharing group syncs.
-WINDOWED_THREADS = 4
-WINDOWED_COMMITS_EACH = 25
-WINDOWED_WINDOW_S = 0.01
-
-
-def _measure_windowed_fsyncs(directory) -> tuple[float, int]:
-    """Commits-per-fsync under a group-fsync window.
-
-    A small engine-level run — ``WINDOWED_THREADS`` committers, each
-    appending ``WINDOWED_COMMITS_EACH`` single-insert transactions against
-    a windowed ``fsync=True`` engine — returning ``(fsyncs_per_commit,
-    commits)`` from the engine's own counters, read before ``close()``
-    adds its final eager sync.
-    """
-    config = DurabilityConfig(
-        mode="segmented",
-        directory=str(directory),
-        fsync=True,
-        fsync_window_s=WINDOWED_WINDOW_S,
-        segment_max_records=10_000,
-    )
-    database = make_schema()
-    engine = SegmentedWriteAheadLog(directory, config)
-    engine.adopt(database.wal)
-    database.wal = engine
-
-    def committer(base: int) -> None:
-        for i in range(WINDOWED_COMMITS_EACH):
-            txn = base + i
-            engine.append(LogRecordType.BEGIN, txn)
-            engine.append(LogRecordType.INSERT, txn, "Rows", _row(txn))
-            engine.append(LogRecordType.COMMIT, txn)
-
-    workers = [
-        threading.Thread(target=committer, args=(1_000_000 * (t + 1),))
-        for t in range(WINDOWED_THREADS)
-    ]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    commits = WINDOWED_THREADS * WINDOWED_COMMITS_EACH
-    fsyncs = engine.statistics.fsyncs
-    engine.close()
-    return fsyncs / commits, commits
-
-
 def _emit_durability_json(path: Path, result: dict) -> None:
     """Merge the durability section into the results file.
 
@@ -162,14 +109,13 @@ def test_recovery_and_checkpoint_pause(tmp_path, bench_json):
     twin = make_schema()
 
     # Segmented twin: one writer-folded base checkpoint, then deltas for
-    # every round; the base the cadence would re-fold mid-run is
-    # synthesized by the compaction pass instead (incremental_bases).
+    # every round; the base due mid-run is synthesized by the compaction
+    # pass.
     seg_dir = tmp_path / "segments"
     config = DurabilityConfig(
         mode="segmented",
         directory=str(seg_dir),
         base_interval=rounds // 2,
-        incremental_bases=True,
     )
     segmented = make_schema()
     engine = SegmentedWriteAheadLog(seg_dir, config)
@@ -196,11 +142,6 @@ def test_recovery_and_checkpoint_pause(tmp_path, bench_json):
     assert stats.bases_synthesized >= 1, "no base was synthesized"
     assert stats.checkpoints_base == 1, "the writer folded a second base"
     engine.close()
-
-    fsyncs_per_commit, windowed_commits = _measure_windowed_fsyncs(
-        tmp_path / "windowed"
-    )
-    assert fsyncs_per_commit < 1.0, fsyncs_per_commit
 
     # A cold restart starts from a collected heap: otherwise whether a
     # full collection of the workload's garbage lands inside the timed
@@ -233,13 +174,11 @@ def test_recovery_and_checkpoint_pause(tmp_path, bench_json):
         "compactions": compaction_passes,
         "writer_base_folds": stats.checkpoints_base,
         "bases_synthesized": stats.bases_synthesized,
-        "fsyncs_per_commit": round(fsyncs_per_commit, 4),
-        "windowed_commits": windowed_commits,
     }
     report(
         "Durability engine (segmented WAL: delta vs. base checkpoints)",
         format_table(
-            ["store rows", "churn", "delta pause ms", "base pause ms", "recovery ms", "bytes reclaimed", "fsyncs/commit"],
+            ["store rows", "churn", "delta pause ms", "base pause ms", "recovery ms", "bytes reclaimed"],
             [
                 [
                     rows,
@@ -248,7 +187,6 @@ def test_recovery_and_checkpoint_pause(tmp_path, bench_json):
                     result["base_pause_ms"],
                     result["recovery_ms"],
                     result["bytes_reclaimed"],
-                    result["fsyncs_per_commit"],
                 ]
             ],
         ),

@@ -44,10 +44,9 @@ code 1) when the admission path regressed:
   show compaction actually reclaiming bytes and its delta checkpoint
   pause staying below the engine's own full-snapshot base pause
   (``base_pause_ms``) — the two structural claims of the segmented
-  engine, gated so they cannot silently rot.  Two more structural claims gate on every fresh point
-  that carries the fields, baseline or not: the group-fsync window must
-  keep windowed ``fsyncs_per_commit`` below 1, and with incremental
-  bases the writer must fold at most the first base
+  engine, gated so they cannot silently rot.  One more structural claim
+  gates on every fresh point that carries the fields, baseline or not:
+  the writer must fold at most the first base
   (``writer_base_folds <= 1``) while the compaction pass synthesized at
   least one (``bases_synthesized >= 1``).
 
@@ -509,23 +508,15 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
     compared_dur = 0
-    # Structural claims of the group-fsync window and incremental bases:
-    # they hold on every fresh point carrying the fields, baseline or not
-    # (older baselines without the fields gate nothing here).
+    # Structural claim of synthesized bases: it holds on every fresh point
+    # carrying the fields, baseline or not (older baselines without the
+    # fields gate nothing here).
     for key, fresh_result in sorted(fresh_dur.items()):
-        fsyncs_per_commit = fresh_result.get("fsyncs_per_commit")
-        if fsyncs_per_commit is not None and float(fsyncs_per_commit) >= 1.0:
-            failures.append(
-                f"durability {key}: windowed fsyncs-per-commit "
-                f"{float(fsyncs_per_commit):.3f} is not below 1 — the "
-                "group-fsync window stopped batching commits"
-            )
         writer_folds = fresh_result.get("writer_base_folds")
         if writer_folds is not None and float(writer_folds) > 1:
             failures.append(
                 f"durability {key}: the writer folded {writer_folds} full "
-                "bases — with incremental bases only the first fold may "
-                "run on the writer"
+                "bases — only the first fold may run on the writer"
             )
         synthesized = fresh_result.get("bases_synthesized")
         if (

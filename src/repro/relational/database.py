@@ -159,12 +159,12 @@ class Database:
     def checkpoint(self) -> None:
         """Checkpoint the WAL, bounding recovery replay work.
 
-        With the in-memory log (and for the segmented engine's periodic
-        base checkpoints) this folds the log into one record holding a full
+        With the in-memory log (and for the segmented engine's first base
+        checkpoint) this folds the log into one record holding a full
         snapshot — an O(store) pause.  When the log asks for a
         delta checkpoint instead (:meth:`WriteAheadLog.wants_delta_checkpoint`,
-        true for :class:`repro.storage.SegmentedWriteAheadLog` between base
-        checkpoints), no snapshot is built at all: the log folds only its
+        true for :class:`repro.storage.SegmentedWriteAheadLog` once it has
+        a base), no snapshot is built at all: the log folds only its
         internally tracked dirty set, so the pause is proportional to the
         churn since the previous checkpoint, not to store size.  Either way
         the observed pause is reported to the log for the durability

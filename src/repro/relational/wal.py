@@ -17,8 +17,8 @@ the session layer built on top (:mod:`repro.server`, see
 ``docs/architecture.md``):
 
 * **Thread-safety** — every mutation of the log happens under one
-  internal lock, because the segmented engine's compactor and fsync-window
-  threads touch the log beside the thread that appends to it.
+  internal lock, because the segmented engine's compactor thread touches
+  the log beside the thread that appends to it.
 * **Checkpoints** — :meth:`WriteAheadLog.checkpoint` folds the whole log
   into one CHECKPOINT record carrying a database snapshot, bounding the
   recovery replay work for long-running servers (graceful shutdown calls
@@ -168,7 +168,7 @@ class WriteAheadLog:
     ``adopt``).
 
     All methods are safe to call from multiple threads: the segmented
-    engine, a subclass, runs background threads beside the writer.
+    engine, a subclass, runs its compactor thread beside the writer.
     """
 
     def __init__(self) -> None:

@@ -19,9 +19,8 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   :meth:`QuantumDatabase.commit_batch`, which is *one store transaction*:
   the groundings the run forces, the deletion of their pending rows and
   the rows of the run's still-pending admissions reach the log under one
-  COMMIT record and one fsync (deferred to the group-fsync window when
-  ``DurabilityConfig(fsync=True, fsync_window_s=...)`` runs one; the
-  COMMIT append then blocks until the covering sync lands).  The
+  COMMIT record and, with ``DurabilityConfig(fsync=True)``, one fsync
+  issued by the COMMIT append itself.  The
   submitters' futures are resolved only after that commit returned, so a
   client never sees an acknowledgement — and, grounding notifications
   being delivered through the loop, never a grounding — that is not yet
@@ -31,9 +30,8 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   many partitions they span — are planned and applied by the writer, like
   everything else: every partition a request touches is planned before
   any plan is applied, so a request is all-or-nothing.  The server starts
-  no thread of its own; the only other threads in the process are the
-  durability engine's compactor and fsync window, which never touch the
-  quantum state.
+  no thread of its own; the only other thread in the process is the
+  durability engine's compactor, which never touches the quantum state.
 
 * **Graceful shutdown.**  ``shutdown()`` stops accepting work, drains the
   queue (every already-enqueued item completes), resolves still-waiting
@@ -178,16 +176,13 @@ class ServerConfig:
             already runs on the segmented engine.  With
             ``DurabilityConfig(directory=...)`` the server attaches a
             :class:`~repro.storage.SegmentedWriteAheadLog` on startup
-            (segments + manifest under the directory, delta checkpoints
-            between periodic base snapshots, a background compactor
-            thread joined on shutdown).  The
+            (segments + manifest under the directory, one base snapshot
+            and delta checkpoints after it) and runs its compactor, the
+            one storage thread, which synthesizes later bases off the
+            writer and is joined on shutdown.  The
             directory must be fresh: an existing segmented log is
             recovery input (``repro.storage.recover``), so ``start()``
-            refuses to adopt over it.
-            ``fsync_window_s`` adds the group-fsync commit window (a
-            commit run is one store transaction, so it waits for one
-            covering sync), and ``incremental_bases`` moves
-            base-checkpoint folds onto the compactor — see
+            refuses to adopt over it.  See
             :class:`~repro.storage.DurabilityConfig`.
     """
 
@@ -334,29 +329,26 @@ class QuantumServer:
         if self._started:
             return self
         durability = self.config.durability
-        if durability is not None and not isinstance(
-            self.qdb.database.wal, SegmentedWriteAheadLog
-        ):
-            # Adopting seeds the segments from the in-memory log, so a
-            # directory that already holds a durable segmented log is
-            # recovery input, never something to write over.
-            engine = SegmentedWriteAheadLog(durability.directory, durability)
-            try:
-                engine.adopt(self.qdb.database.wal)
-            except DurabilityError:
-                engine.close()
-                raise QuantumError(
-                    f"segment directory {durability.directory!r} already "
-                    "holds a durable log; recover from it "
-                    "(repro.storage.recover + QuantumDatabase.recover) or "
-                    "point the server at a fresh directory"
-                ) from None
-            self.qdb.database.wal = engine
-        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        if durability is not None and durability.compaction:
+        if durability is not None:
             wal = self.qdb.database.wal
-            assert isinstance(wal, SegmentedWriteAheadLog)
+            if not isinstance(wal, SegmentedWriteAheadLog):
+                # Adopting seeds the segments from the in-memory log, so a
+                # directory that already holds a durable segmented log is
+                # recovery input, never something to write over.
+                engine = SegmentedWriteAheadLog(durability.directory, durability)
+                try:
+                    engine.adopt(wal)
+                except DurabilityError:
+                    engine.close()
+                    raise QuantumError(
+                        f"segment directory {durability.directory!r} already "
+                        "holds a durable log; recover from it "
+                        "(repro.storage.recover + QuantumDatabase.recover) or "
+                        "point the server at a fresh directory"
+                    ) from None
+                self.qdb.database.wal = wal = engine
             wal.start_compactor()
+        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._loop = asyncio.get_running_loop()
         self._writer_task = self._loop.create_task(
             self._writer_loop(), name="repro-admission-writer"

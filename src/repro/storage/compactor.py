@@ -7,11 +7,11 @@ backstop), then runs :meth:`SegmentedWriteAheadLog.compact_once` until no
 sealed segment is eligible.  All file rewriting happens off the writer's
 lock — the single point of contact is the atomic manifest swap.
 
-The same thread also performs off-writer base synthesis
-(``DurabilityConfig(incremental_bases=True)``): when the delta chain
-reaches ``base_interval`` the engine arms a fold and the next compaction
-pass merges the previous base with the sealed deltas into a synthesized
-``CHECKPOINT_BASE``, so the writer never builds another full snapshot.
+The same passes build every base checkpoint after the first: when the
+delta chain reaches ``base_interval`` the engine arms a fold and the next
+compaction pass merges the previous base with the sealed deltas into a
+synthesized ``CHECKPOINT_BASE``, so the writer never builds another full
+snapshot.  It is the durability engine's only thread.
 
 A segment whose compaction keeps failing (a corrupt sealed file, say) is
 quarantined by the engine after a bounded number of attempts
@@ -24,6 +24,10 @@ from __future__ import annotations
 
 import threading
 
+#: Idle wake-up period of the worker, in seconds; seals and checkpoints
+#: wake it at once.
+IDLE_WAKE_S = 0.05
+
 
 class Compactor:
     """Worker thread driving an engine's sealed-segment compaction.
@@ -32,13 +36,10 @@ class Compactor:
         engine: the :class:`~repro.storage.engine.SegmentedWriteAheadLog`
             to compact (the compactor registers itself as the engine's
             trigger target).
-        interval_s: idle wake-up period; explicit triggers (seal,
-            checkpoint) wake the worker immediately.
     """
 
-    def __init__(self, engine, *, interval_s: float = 0.05) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self._interval_s = interval_s
         self._wake = threading.Event()
         self._stop = threading.Event()
         #: Last unexpected exception from a compaction pass (the thread
@@ -57,7 +58,7 @@ class Compactor:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            self._wake.wait(self._interval_s)
+            self._wake.wait(IDLE_WAKE_S)
             self._wake.clear()
             if self._stop.is_set():
                 return

@@ -6,6 +6,17 @@ from dataclasses import dataclass
 
 from repro.errors import DurabilityError
 
+#: Fields that accept one value only, with why.  They stay because the
+#: benchmark's pinned settings still pass them.
+_SINGLE_VALUED = {
+    "fsync_window_s": (0, "every commit flush syncs on the writer"),
+    "incremental_bases": (
+        True,
+        "later base checkpoints are built only by compaction passes",
+    ),
+    "compaction": (True, "a durable server always runs the compactor"),
+}
+
 
 @dataclass(frozen=True)
 class DurabilityConfig:
@@ -20,6 +31,15 @@ class DurabilityConfig:
     versions still recovers: ``WriteAheadLog.load`` its text, then
     ``recover_database`` and ``QuantumDatabase.recover``.
 
+    The writer folds a full-store snapshot once, for the first base
+    checkpoint; every later checkpoint is a delta.  Later bases are built
+    only by compaction passes — the server's compactor,
+    :meth:`~repro.storage.SegmentedWriteAheadLog.start_compactor` or
+    :meth:`~repro.storage.SegmentedWriteAheadLog.compact_now` — which
+    fold the previous base with the sealed delta chain.  An engine that
+    is never compacted keeps its delta chain, and that chain still
+    recovers correctly.
+
     Attributes:
         mode: always ``"segmented"``, the default; any other value raises
             :class:`~repro.errors.DurabilityError`.
@@ -29,37 +49,17 @@ class DurabilityConfig:
             bytes of framed records.
         segment_max_records: seal the live segment once it holds this many
             records.
-        base_interval: number of delta checkpoints taken between full
-            ``CHECKPOINT_BASE`` snapshots.  Larger values keep checkpoint
-            pauses small for longer at the cost of a longer delta chain to
-            replay on recovery.
-        fsync: ``os.fsync`` the live segment at every group-commit flush
-            (and the manifest at every update), so durability survives OS
-            crashes, not just process crashes.  Off by default.
-        fsync_window_s: group-fsync commit window (needs ``fsync=True``).
-            ``0`` (the default) keeps per-commit syncs: every commit
-            flush is its own ``os.fsync``.  A positive window defers the
-            sync: commits
-            append and flush immediately but share one ``os.fsync`` issued
-            when the window (measured from the first uncovered commit)
-            expires, and commit acknowledgement blocks until the covering
-            sync lands — durability semantics are unchanged while
-            fsyncs-per-commit drops well below 1 under load.
-        incremental_bases: synthesize base checkpoints off the writer.
-            When enabled, every checkpoint after the first base is a delta
-            (``wants_delta_checkpoint()`` stays true), and once
-            ``base_interval`` deltas have accrued the *compactor* folds
-            the previous ``CHECKPOINT_BASE`` with the sealed delta chain
-            into a fresh synthesized base, installed by an atomic manifest
-            swap — no full-store snapshot fold ever runs on the writer
-            after the first base, so the worst-case checkpoint pause is
-            capped by churn too.
-        compaction: run the background compactor thread while a server
-            owns the engine (synchronous ``compact_now()`` remains
-            available either way).
-        compaction_interval_s: how often the idle compactor wakes to look
-            for reclaimable sealed segments (it is also triggered
-            explicitly at every seal and checkpoint).
+        base_interval: delta checkpoints after which the next compaction
+            pass synthesizes a fresh base.  Larger values mean fewer folds
+            at the cost of a longer delta chain to replay on recovery.
+        fsync: ``os.fsync`` the live segment at every commit flush (and
+            the manifest and its directory at every update), so
+            durability survives OS crashes, not just process crashes.
+            Off by default.
+        fsync_window_s: accepts only ``0``; any other value raises
+            :class:`~repro.errors.DurabilityError`.
+        incremental_bases: accepts only ``True``, the default.
+        compaction: accepts only ``True``, the default.
     """
 
     mode: str = "segmented"
@@ -69,9 +69,8 @@ class DurabilityConfig:
     base_interval: int = 8
     fsync: bool = False
     fsync_window_s: float = 0.0
-    incremental_bases: bool = False
+    incremental_bases: bool = True
     compaction: bool = True
-    compaction_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.mode != "segmented":
@@ -81,6 +80,13 @@ class DurabilityConfig:
                 "single-file log that older versions wrote recovers through "
                 "WriteAheadLog.load + recover_database + QuantumDatabase.recover"
             )
+        for name, (pinned, reason) in _SINGLE_VALUED.items():
+            value = getattr(self, name)
+            if value != pinned:
+                raise DurabilityError(
+                    f"DurabilityConfig.{name} accepts only {pinned!r}, not "
+                    f"{value!r}: {reason}"
+                )
         if not self.directory:
             raise DurabilityError(
                 "DurabilityConfig needs a directory for its segments and "
@@ -94,13 +100,4 @@ class DurabilityConfig:
             raise DurabilityError(
                 "base_interval must be at least 1 (delta checkpoints between "
                 "base snapshots)"
-            )
-        if self.compaction_interval_s <= 0:
-            raise DurabilityError("compaction_interval_s must be positive")
-        if self.fsync_window_s < 0:
-            raise DurabilityError("fsync_window_s must be zero or positive")
-        if self.fsync_window_s > 0 and not self.fsync:
-            raise DurabilityError(
-                "fsync_window_s only defers syncs that fsync=True would "
-                "issue; enable fsync to use a group-fsync window"
             )

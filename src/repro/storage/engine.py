@@ -13,9 +13,9 @@ file-backed log.  What it adds underneath:
   ``segment_max_records`` it is sealed and a fresh tail opened.  A
   manifest (atomic rename updates) records the chain.
 
-* **Checkpoint lineage, not a monolithic fold.**  A periodic
-  ``CHECKPOINT_BASE`` carries a full snapshot; between bases,
-  ``CHECKPOINT_DELTA`` records carry only the *net* row changes since the
+* **Checkpoint lineage, not a monolithic fold.**  The first checkpoint
+  is a ``CHECKPOINT_BASE`` carrying a full snapshot; every later one is a
+  ``CHECKPOINT_DELTA`` carrying only the *net* row changes since the
   previous checkpoint, tracked incrementally as transactions commit — so
   the checkpoint pause is proportional to churn, not store size (see
   :meth:`~repro.relational.database.Database.checkpoint`).
@@ -23,7 +23,8 @@ file-backed log.  What it adds underneath:
 * **Compaction, not truncation.**  Sealed segments full of records
   superseded by the checkpoint lineage are rewritten (or deleted) by the
   background compactor without ever blocking the writer; the manifest
-  swap makes each rewrite atomic.
+  swap makes each rewrite atomic.  The same passes synthesize later
+  bases from the previous base and the sealed delta chain.
 
 In-memory, ``_records`` always equals *checkpoint lineage + live tail*,
 which is exactly the replay order
@@ -77,11 +78,8 @@ class DurabilityStatistics:
         delta_pause_ms: longest delta checkpoint pause — the number the
             recovery benchmark gates against ``base_pause_ms``.
         torn_tail_truncations: torn trailing records truncated at open.
-        sync_windows: deferred group fsyncs issued by the window thread
-            (``fsync_window_s > 0``); each one covers every commit that
-            flushed since the previous sync.
-        bases_synthesized: base checkpoints folded off the writer by the
-            compactor (``incremental_bases=True``).
+        bases_synthesized: base checkpoints folded off the writer by
+            compaction passes.
         base_synthesis_ms: longest off-writer base fold observed (never a
             writer pause — reported to show the background cost).
         compaction_errors: failed compaction passes (corrupt sealed
@@ -101,7 +99,6 @@ class DurabilityStatistics:
     base_pause_ms: float = 0.0
     delta_pause_ms: float = 0.0
     torn_tail_truncations: int = 0
-    sync_windows: int = 0
     bases_synthesized: int = 0
     base_synthesis_ms: float = 0.0
     compaction_errors: int = 0
@@ -112,105 +109,6 @@ class DurabilityStatistics:
 #: segment that keeps failing (CRC damage, undecodable records) would
 #: otherwise pin the background compactor in a hot retry loop.
 _COMPACTION_ATTEMPT_LIMIT = 3
-
-
-class _GroupSyncWindow:
-    """Coordinates deferred commit fsyncs into timed group syncs.
-
-    Commit flushes ``request()`` a ticket under the writer lock and then
-    ``await_ticket()`` it *outside* the lock; a timer thread issues one
-    ``os.fsync`` on the tail once ``window_s`` has elapsed since the first
-    uncovered request, covering every ticket issued so far.  Paths that
-    sync the tail themselves (seals, checkpoints, explicit ``flush()``,
-    ``close()``) call ``complete_all()`` — every pending ticket points
-    into the tail they just synced, because sealing is itself such a path.
-    """
-
-    def __init__(self, engine: "SegmentedWriteAheadLog", window_s: float) -> None:
-        self._engine = engine
-        self._window_s = window_s
-        self._cond = threading.Condition()
-        self._requested = 0
-        self._completed = 0
-        self._window_opened: float | None = None
-        self._error: BaseException | None = None
-        self._stopped = False
-        self._thread = threading.Thread(
-            target=self._run,
-            name="repro-wal-group-sync",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def request(self) -> int:
-        """Register a flush awaiting its covering sync; returns its ticket."""
-        with self._cond:
-            self._requested += 1
-            if self._window_opened is None:
-                self._window_opened = time.monotonic()
-            self._cond.notify_all()
-            return self._requested
-
-    def pending(self) -> bool:
-        with self._cond:
-            return self._completed < self._requested
-
-    def complete_all(self) -> None:
-        """Mark every ticket covered (the caller just synced the tail)."""
-        with self._cond:
-            self._completed = self._requested
-            self._window_opened = None
-            self._cond.notify_all()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cond:
-            self._error = exc
-            self._cond.notify_all()
-
-    def await_ticket(self, ticket: int) -> None:
-        """Block until the sync covering ``ticket`` has landed."""
-        with self._cond:
-            while self._completed < ticket:
-                if self._error is not None:
-                    raise DurabilityError(
-                        "group fsync failed; commits in the window are not "
-                        "durable"
-                    ) from self._error
-                if self._stopped:
-                    raise DurabilityError(
-                        "segmented engine closed while a commit awaited its "
-                        "group fsync"
-                    )
-                self._cond.wait()
-
-    def stop(self) -> None:
-        """Stop the timer thread (idempotent; release any stuck waiter)."""
-        with self._cond:
-            if self._stopped:
-                return
-            self._stopped = True
-            self._cond.notify_all()
-        self._thread.join()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stopped and (
-                    self._completed >= self._requested or self._error is not None
-                ):
-                    self._cond.wait()
-                if self._stopped:
-                    return
-                assert self._window_opened is not None
-                deadline = self._window_opened + self._window_s
-                while not self._stopped:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                if self._stopped:
-                    return
-            self._engine._sync_tail_for_window()
 
 
 class SegmentedWriteAheadLog(WriteAheadLog):
@@ -260,26 +158,14 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         #: the quarantine of segments that keep failing.
         self._compaction_attempts: dict[str, int] = {}
         self._compaction_quarantine: set[str] = set()
-        #: Off-writer base synthesis (``incremental_bases``): armed by
-        #: ``checkpoint_delta`` once the chain reaches ``base_interval``,
-        #: executed by the compactor.  ``_synthesis_cutoff`` is the LSN of
-        #: the newest delta sealed at arming time — the fold's horizon.
+        #: Off-writer base synthesis: armed by ``checkpoint_delta`` once
+        #: the chain reaches ``base_interval``, executed by the next
+        #: compaction pass.  ``_synthesis_cutoff`` is the LSN of the
+        #: newest delta sealed at arming time — the fold's horizon.
         self._synthesis_due = False
         self._synthesis_cutoff = 0
-        #: Group-fsync window (``fsync_window_s > 0``): commit flushes
-        #: defer their sync to the window's timer thread and block on a
-        #: ticket outside the writer lock.
-        self._sync_window: _GroupSyncWindow | None = None
-        if config.fsync and config.fsync_window_s > 0:
-            self._sync_window = _GroupSyncWindow(self, config.fsync_window_s)
         os.makedirs(self.directory, exist_ok=True)
         self._open_or_recover()
-
-    @property
-    def _tail_fsync(self) -> bool:
-        # With a group window the engine drives tail syncs itself; the
-        # writer must not sync on every flush.
-        return self.config.fsync and self._sync_window is None
 
     # -- open / recovery scan ----------------------------------------------
 
@@ -317,7 +203,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._create_tail_locked()
         else:
             tail = manifest.segments[-1]
-            self._tail = SegmentWriter(self._path(tail.name), fsync=self._tail_fsync)
+            self._tail = SegmentWriter(self._path(tail.name), fsync=self.config.fsync)
             self._tail.records = tail.records
         self._manifest.save(self.directory, fsync=self.config.fsync)
 
@@ -529,13 +415,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     ) -> LogRecord:
         """Append a record (framed into the tail segment) and return it.
 
-        With a group-fsync window, a COMMIT/ABORT append flushes the tail
-        and then blocks — outside the writer lock, so concurrent commits
-        stack into the same window — until the deferred sync covering it
-        lands; the record is therefore durable by the time the append
-        returns, exactly as with per-commit syncs.
+        A COMMIT/ABORT append flushes the tail (and syncs it with
+        ``fsync=True``) before it returns, so a committed record is
+        durable by the time the append returns.
         """
-        ticket: int | None = None
         with self._lock:
             if self._closed:
                 raise DurabilityError(
@@ -565,64 +448,21 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             elif record_type is LogRecordType.COMMIT:
                 for effect in self._txn_effects.pop(transaction_id, ()):
                     self._fold_effect(*effect)
-                ticket = self._flush_tail_locked(defer_sync=True)
+                self._flush_tail_locked()
             elif record_type is LogRecordType.ABORT:
                 self._txn_effects.pop(transaction_id, None)
-                ticket = self._flush_tail_locked(defer_sync=True)
-        if ticket is not None:
-            assert self._sync_window is not None
-            self._sync_window.await_ticket(ticket)
+                self._flush_tail_locked()
         return record
 
-    def _flush_tail_locked(self, *, defer_sync: bool = False) -> int | None:
-        """Flush the tail; returns a sync ticket when the sync is deferred.
-
-        With a group-fsync window, commit flushes (``defer_sync=True``)
-        hand their ``os.fsync`` to the window thread and return a ticket
-        the caller must await *outside* the writer lock.  Every other
-        flush — checkpoints, seals, explicit :meth:`flush`, ``adopt`` —
-        syncs eagerly, so manifest pointer advances never reference
-        unsynced records.
-        """
+    def _flush_tail_locked(self) -> None:
+        """Flush the tail (and ``os.fsync`` it with ``fsync=True``)."""
         self._tail.flush()
         self.statistics.flushes += 1
-        window = self._sync_window
-        if window is None:
-            if self.config.fsync:
-                self.statistics.fsyncs += 1
-            return None
-        if defer_sync:
-            return window.request()
-        self._tail.sync()
-        self.statistics.fsyncs += 1
-        window.complete_all()
-        return None
-
-    def _sync_tail_for_window(self) -> None:
-        """Issue one group sync covering every pending ticket (timer thread)."""
-        window = self._sync_window
-        assert window is not None
-        with self._lock:
-            if self._closed or not window.pending():
-                # close() (or an eager sync path) already covered the
-                # outstanding tickets.
-                return
-            try:
-                self._tail.sync()
-            except OSError as exc:  # pragma: no cover - disk failure path
-                window.fail(exc)
-                return
+        if self.config.fsync:
             self.statistics.fsyncs += 1
-            self.statistics.sync_windows += 1
-            window.complete_all()
 
     def flush(self) -> None:
-        """Force the tail segment's durability point.
-
-        In windowed mode this syncs immediately and releases every pending
-        commit waiter — an explicit flush is a durability point (the
-        server calls it at shutdown).
-        """
+        """Force the tail segment's durability point (called at shutdown)."""
         with self._lock:
             if not self._closed:
                 self._flush_tail_locked()
@@ -633,7 +473,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         index = self._manifest.next_segment_index
         self._manifest.next_segment_index += 1
         entry = LogSegment(index=index, name=segment_file_name(index))
-        self._tail = SegmentWriter(self._path(entry.name), fsync=self._tail_fsync)
+        self._tail = SegmentWriter(self._path(entry.name), fsync=self.config.fsync)
         self._manifest.segments.append(entry)
 
     def _seal_tail_locked(self) -> None:
@@ -647,14 +487,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         new one — both recoverable.
         """
         self._tail.flush()
-        window = self._sync_window
-        if window is not None:
-            # A sealed segment must be durable before the manifest marks
-            # it sealed, and every pending commit ticket points into this
-            # tail — sync it now and release the waiters.
-            self._tail.sync()
-            self.statistics.fsyncs += 1
-            window.complete_all()
         entry = self._manifest.tail
         entry.sealed = True
         entry.records = self._tail.records
@@ -668,18 +500,13 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     # -- checkpoints ----------------------------------------------------------
 
     def wants_delta_checkpoint(self) -> bool:
-        """True between base checkpoints (see ``DurabilityConfig.base_interval``).
+        """True once a base exists: every later checkpoint is a delta.
 
-        With ``incremental_bases`` every checkpoint after the first base
-        is a delta — the compactor synthesizes the bases off the writer,
-        so the writer never builds another full snapshot.
+        Compaction passes synthesize the later bases off the writer, so
+        the writer never builds another full snapshot.
         """
         with self._lock:
-            if not self._has_base:
-                return False
-            if self.config.incremental_bases:
-                return True
-            return self._deltas_since_base < self.config.base_interval
+            return self._has_base
 
     def checkpoint(
         self, snapshot: Mapping[str, Sequence[Sequence[Any]]]
@@ -755,8 +582,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._deltas_since_base += 1
             self._manifest.checkpoint_lsn = record.lsn
             if (
-                self.config.incremental_bases
-                and not self._synthesis_due
+                not self._synthesis_due
                 and self._deltas_since_base >= self.config.base_interval
             ):
                 # Arm the off-writer base fold: seal the tail so the whole
@@ -796,9 +622,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         from repro.storage.compactor import Compactor
 
         if self._compactor is None:
-            self._compactor = Compactor(
-                self, interval_s=self.config.compaction_interval_s
-            )
+            self._compactor = Compactor(self)
         return self._compactor
 
     def stop_compactor(self) -> None:
@@ -850,9 +674,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     def compact_once(self) -> bool:
         """Compact (or re-certify) one sealed segment; True if work was done.
 
-        A due base synthesis (``incremental_bases``) runs first — it
-        supersedes the delta chain the pass would otherwise be compacting
-        around.  The expensive part — reading the sealed file and writing
+        A due base synthesis runs first — it supersedes the delta chain
+        the pass would otherwise be compacting around.  The expensive part — reading the sealed file and writing
         its replacement — happens without the writer lock; only the
         manifest swap is under it.  The rewritten file is a *new
         generation* (new name): a crash before the swap leaves it as an
@@ -1125,7 +948,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 "base_pause_ms": stats.base_pause_ms,
                 "delta_pause_ms": stats.delta_pause_ms,
                 "torn_tail_truncations": stats.torn_tail_truncations,
-                "sync_windows": stats.sync_windows,
                 "bases_synthesized": stats.bases_synthesized,
                 "base_synthesis_ms": stats.base_synthesis_ms,
                 "compaction_errors": stats.compaction_errors,
@@ -1136,26 +958,14 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             }
 
     def close(self) -> None:
-        """Stop the compactor, sync and close the tail (idempotent).
-
-        With a group-fsync window the close is itself a durability point:
-        one final sync covers every commit still waiting on its window
-        before the tail file closes and the timer thread stops.
-        """
+        """Stop the compactor, sync and close the tail (idempotent)."""
         self.stop_compactor()
-        window = self._sync_window
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            if window is not None:
-                self._tail.sync()
-                self.statistics.fsyncs += 1
-                window.complete_all()
             tail = self._manifest.tail
             tail.records = self._tail.records
             tail.size = self._tail.size
             self._tail.close()
             self._manifest.save(self.directory, fsync=self.config.fsync)
-        if window is not None:
-            window.stop()

@@ -5,7 +5,8 @@ checkpoint lineage positions (latest base snapshot and latest checkpoint
 of any kind) and the compaction watermark.  Every update is written to a
 temporary file, flushed, and atomically renamed over the old manifest
 (``os.replace``), so a crash at any instant leaves either the old or the
-new manifest — never a half-written one.  A leftover ``MANIFEST.tmp`` is
+new manifest — never a half-written one; with ``fsync`` the directory is
+synced after the rename, so the new manifest also survives an OS crash.  A leftover ``MANIFEST.tmp`` is
 simply discarded at the next open: the rename that would have made it
 authoritative never happened.
 
@@ -13,7 +14,7 @@ Segment *files* not named by the manifest are orphans — a compactor
 killed between writing its rewritten file and the manifest swap (the new
 file is the orphan), or killed between the swap and deleting the old
 file (the old file is the orphan).  The engine deletes them at open.
-A base synthesized off the writer (``incremental_bases``) follows the
+A base synthesized off the writer by a compaction pass follows the
 same discipline: its single-record segment is written first and spliced
 into the *front* of the chain by one manifest save — a crash before that
 save leaves the file as a cleanable orphan and the old lineage
@@ -107,6 +108,13 @@ class Manifest:
         Write-temp / flush / rename: a crash before the ``os.replace``
         leaves the old manifest authoritative (plus a harmless ``.tmp``);
         a crash after it leaves the new one.  There is no in-between.
+
+        With ``fsync`` the directory is synced after the rename too: until
+        then an OS crash can undo the rename, and recovery would trust
+        the old manifest and delete the newer tail segment, with the
+        acknowledged commits in it, as an orphan.  The same sync makes
+        every segment file created or swapped in since the last save
+        durable in the directory.
         """
         directory = os.fspath(directory)
         tmp_path = os.path.join(directory, MANIFEST_TMP_NAME)
@@ -118,6 +126,12 @@ class Manifest:
             if fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp_path, final_path)
+        if fsync:
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "Manifest | None":

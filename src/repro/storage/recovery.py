@@ -7,7 +7,7 @@ Replay order (the manifest drives all of it):
    orphan segment files from an interrupted compaction are removed.
 2. **Base** — the newest surviving ``CHECKPOINT_BASE`` (or in-memory
    ``CHECKPOINT``) snapshot is restored.  A base synthesized off the
-   writer (``incremental_bases``) reuses the LSN of the newest delta it
+   writer by a compaction pass reuses the LSN of the newest delta it
    folded, so until compaction drops that delta's old record both can
    coexist on disk — the superseded delta is filtered out here.
 3. **Delta chain** — every ``CHECKPOINT_DELTA`` after that base is

@@ -168,8 +168,8 @@ class SegmentWriter:
         self.records = 0  # caller seeds this from its recovery scan
         #: Byte offset covered by the last ``os.fsync`` — bytes past this
         #: watermark are flushed to the OS at best and may be lost in a
-        #: machine crash (group-fsync windows rely on exactly that being
-        #: the only exposure).
+        #: machine crash.  With ``fsync=True`` every flush advances it to
+        #: ``size``.
         self.synced_size = self.size
 
     def append(self, payload: bytes) -> None:
@@ -183,12 +183,6 @@ class SegmentWriter:
         if self.fsync:
             os.fsync(self._file.fileno())
             self.synced_size = self.size
-
-    def sync(self) -> None:
-        """Flush and ``os.fsync`` unconditionally (group-window syncs)."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self.synced_size = self.size
 
     def close(self) -> None:
         if not self._file.closed:

@@ -617,67 +617,56 @@ def test_durability_absolute_mode_compares_raw_milliseconds(tmp_path, capsys):
     assert "recovery time grew" in capsys.readouterr().out
 
 
-def windowed_dur_point(**overrides) -> dict:
-    """A durability point carrying the window/incremental-base fields."""
+def synthesis_dur_point(**overrides) -> dict:
+    """A durability point carrying the synthesized-base fields."""
     return {
         **dur_point(),
         "writer_base_folds": 1,
         "bases_synthesized": 2,
-        "fsyncs_per_commit": 0.31,
-        "windowed_commits": 100,
         **overrides,
     }
 
 
-def test_durability_windowed_fields_clean_pass(tmp_path):
-    fresh = with_durability(payload(anchor_points()), [windowed_dur_point()])
+def test_durability_synthesis_fields_clean_pass(tmp_path):
+    fresh = with_durability(payload(anchor_points()), [synthesis_dur_point()])
     baseline = with_durability(payload(anchor_points()), [dur_point()])
     assert run_gate(tmp_path, fresh, baseline) == 0
 
 
-def test_durability_fsyncs_per_commit_at_one_fails(tmp_path, capsys):
-    fresh = with_durability(
-        payload(anchor_points()), [windowed_dur_point(fsyncs_per_commit=1.0)]
-    )
-    baseline = with_durability(payload(anchor_points()), [windowed_dur_point()])
-    assert run_gate(tmp_path, fresh, baseline) == 1
-    assert "fsyncs-per-commit" in capsys.readouterr().out
-
-
 def test_durability_second_writer_fold_fails(tmp_path, capsys):
     fresh = with_durability(
-        payload(anchor_points()), [windowed_dur_point(writer_base_folds=2)]
+        payload(anchor_points()), [synthesis_dur_point(writer_base_folds=2)]
     )
-    baseline = with_durability(payload(anchor_points()), [windowed_dur_point()])
+    baseline = with_durability(payload(anchor_points()), [synthesis_dur_point()])
     assert run_gate(tmp_path, fresh, baseline) == 1
     assert "only the first fold may run on the writer" in capsys.readouterr().out
 
 
 def test_durability_missing_synthesized_base_fails(tmp_path, capsys):
     fresh = with_durability(
-        payload(anchor_points()), [windowed_dur_point(bases_synthesized=0)]
+        payload(anchor_points()), [synthesis_dur_point(bases_synthesized=0)]
     )
-    baseline = with_durability(payload(anchor_points()), [windowed_dur_point()])
+    baseline = with_durability(payload(anchor_points()), [synthesis_dur_point()])
     assert run_gate(tmp_path, fresh, baseline) == 1
     assert "no base was synthesized" in capsys.readouterr().out
 
 
 def test_durability_structural_claims_gate_without_baseline(tmp_path, capsys):
     # Like the search structural claims, these hold on every fresh run —
-    # even against a pre-window baseline with no durability section.
+    # even against a baseline with no durability section.
     fresh = with_durability(
-        payload(anchor_points()), [windowed_dur_point(fsyncs_per_commit=1.4)]
+        payload(anchor_points()), [synthesis_dur_point(writer_base_folds=2)]
     )
     baseline = payload(anchor_points())
     assert run_gate(tmp_path, fresh, baseline) == 1
-    assert "group-fsync window stopped batching" in capsys.readouterr().out
+    assert "only the first fold may run on the writer" in capsys.readouterr().out
 
 
 def test_durability_legacy_points_without_fields_still_pass(tmp_path):
-    # Old-format points (no window fields) must keep gating exactly as
+    # Old-format points (no synthesis fields) must keep gating exactly as
     # before: the structural claims only arm when the fields are present.
     fresh = with_durability(payload(anchor_points()), [dur_point()])
-    baseline = with_durability(payload(anchor_points()), [windowed_dur_point()])
+    baseline = with_durability(payload(anchor_points()), [synthesis_dur_point()])
     assert run_gate(tmp_path, fresh, baseline) == 0
 
 

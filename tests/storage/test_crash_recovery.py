@@ -13,7 +13,9 @@ in-memory log does not:
 * a torn tail record (truncated / CRC-corrupted / garbage-suffixed);
 * a manifest swap interrupted mid-rename (``MANIFEST.tmp`` left behind);
 * a compactor killed mid-rewrite (orphan generation before the swap) or
-  mid-cleanup (superseded generation after the swap).
+  mid-cleanup (superseded generation after the swap);
+* an open transaction's unsynced bytes past the tail's synced watermark
+  (``fsync=True``), lost or torn.
 
 Corruption inside a *sealed* segment is not a torn write and must be
 fatal rather than silently healed.
@@ -24,6 +26,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import shutil
+import warnings
 
 import pytest
 
@@ -288,13 +292,13 @@ class TestSealedCorruption:
 
 
 class TestIncrementalBaseCleanCrash:
-    """The incremental-base lineage recovers row-identically to the twin."""
+    """A chain with synthesized bases recovers row-identically to the twin."""
 
     @pytest.mark.parametrize("compact", [False, True], ids=["raw", "compacted"])
     @pytest.mark.parametrize("seed", (0, 3, 5))
     def test_recovery_matches_twin_replay(self, tmp_path, seed, compact):
         twin, segmented, engine, seg_dir = build_twins(
-            tmp_path, seed, incremental_bases=True, base_interval=2
+            tmp_path, seed, base_interval=2
         )
         if compact:
             assert engine.compact_now() > 0
@@ -311,7 +315,7 @@ class TestSynthesizedBaseCrashPoints:
 
     def _twins(self, tmp_path, seed):
         return build_twins(
-            tmp_path, seed, incremental_bases=True, base_interval=2
+            tmp_path, seed, base_interval=2
         )
 
     def test_fabricated_orphan_base_is_dropped(self, tmp_path):
@@ -371,118 +375,73 @@ class TestSynthesizedBaseCrashPoints:
         recovered.wal.close()
 
 
-class TestFsyncWindowCrashPoints:
-    """Crashing inside a group-fsync window: covered commits always
-    survive; commits still awaiting their sync may be lost but never
-    corrupt the log."""
+class TestSyncedWatermarkCrashPoints:
+    """With ``fsync=True`` every acknowledged commit lies under the synced
+    watermark; the bytes of a still-open transaction past it may be lost
+    or torn by a crash, but never tear an acknowledged commit."""
 
     def _crashed_copy(self, tmp_path):
-        """A windowed store copied mid-window.
+        """A copy taken while an open transaction sits past the watermark.
 
-        Returns ``(crash_dir, expected, watermark, cleanup)``: the copy
-        holds every synced commit plus one flushed-but-unsynced commit
-        (``Seats (2, 'unsynced')``) past the ``watermark`` byte offset;
-        ``expected`` is the fingerprint at the last durability point.
+        Returns ``(crash_dir, expected, watermark)``: ``expected`` is the
+        fingerprint at the last acknowledged commit, ``watermark`` the
+        synced byte offset of the tail at that point.
         """
-        import shutil
-        import threading
-        import time
-
         seg_dir = tmp_path / "segments"
         config = DurabilityConfig(
             mode="segmented",
             directory=str(seg_dir),
             fsync=True,
-            fsync_window_s=30.0,
             segment_max_records=10_000,
         )
         database = make_schema()
         engine = SegmentedWriteAheadLog(seg_dir, config)
         engine.adopt(database.wal)
         database.wal = engine
-
-        def synced_unit():
-            with database.unit as unit:
-                unit.transaction().insert("Seats", (1, "synced"))
-                unit.transaction().insert("Notes", (10, "synced"))
-
-        # One unit, one ticket: its COMMIT blocks in the window until the
-        # explicit flush below — the durability point — covers it.
-        committer = threading.Thread(target=synced_unit, daemon=True)
-        committer.start()
-        deadline = time.monotonic() + 5.0
-        while not engine._sync_window.pending():
-            assert time.monotonic() < deadline, "the unit never flushed"
-            time.sleep(0.001)
-        engine.flush()
-        committer.join(timeout=5.0)
-        assert not committer.is_alive()
+        with database.unit as unit:
+            unit.transaction().insert("Seats", (1, "synced"))
+            unit.transaction().insert("Notes", (10, "synced"))
         expected = fingerprint(database)
         watermark = engine._tail.synced_size
         assert watermark == engine._tail.size
-
-        def in_window_commit():
-            database.insert("Seats", (2, "unsynced"))
-
-        worker = threading.Thread(target=in_window_commit, daemon=True)
-        worker.start()
-        deadline = time.monotonic() + 5.0
-        while not engine._sync_window.pending():
-            assert time.monotonic() < deadline, "in-window commit never flushed"
-            time.sleep(0.001)
+        # The open transaction's records reached the OS, but no sync.
+        txn = database.begin()
+        txn.insert("Seats", (2, "unsynced"))
+        txn.insert("Notes", (20, "unsynced"))
+        engine._tail._file.flush()
+        assert engine._tail.synced_size == watermark < engine._tail.size
         crash_dir = tmp_path / "crashed"
         shutil.copytree(seg_dir, crash_dir)
+        txn.abort()
+        engine.close()
+        return crash_dir, expected, watermark
 
-        def cleanup():
-            engine.flush()  # release the blocked committer
-            worker.join(timeout=5.0)
-            engine.close()
-
-        return crash_dir, expected, watermark, cleanup
-
-    def test_sync_covered_state_survives_exactly(self, tmp_path):
-        crash_dir, expected, watermark, cleanup = self._crashed_copy(tmp_path)
-        try:
-            # The crash loses precisely the unsynced suffix: what is left
-            # is a clean log ending at the watermark — no torn record.
-            path = tail_file(crash_dir)
-            with open(path, "r+b") as handle:
-                handle.truncate(watermark)
-            recovered = recover(crash_dir, make_schema)
-            assert fingerprint(recovered) == expected
-            assert recovered.wal.statistics.torn_tail_truncations == 0
-            recovered.wal.close()
-        finally:
-            cleanup()
+    def test_state_at_the_watermark_survives_exactly(self, tmp_path):
+        crash_dir, expected, watermark = self._crashed_copy(tmp_path)
+        # The crash loses precisely the unsynced suffix: what is left is a
+        # clean log ending at the watermark — no torn record.
+        with open(tail_file(crash_dir), "r+b") as handle:
+            handle.truncate(watermark)
+        recovered = recover(crash_dir, make_schema)
+        assert fingerprint(recovered) == expected
+        assert recovered.wal.statistics.torn_tail_truncations == 0
+        recovered.wal.close()
 
     @pytest.mark.parametrize("damage", sorted(TAIL_DAMAGE))
-    def test_damage_in_unsynced_window_never_tears_synced_commits(
+    def test_damage_past_the_watermark_never_tears_acknowledged_commits(
         self, tmp_path, damage
     ):
-        import warnings
-
-        crash_dir, expected, watermark, cleanup = self._crashed_copy(tmp_path)
-        try:
-            path = tail_file(crash_dir)
-            with open(path, "rb") as handle:
-                data = handle.read()
-            assert len(data) > watermark  # damage lands in the unsynced part
-            with open(path, "wb") as handle:
-                handle.write(TAIL_DAMAGE[damage](data))
-            with warnings.catch_warnings():
-                # Depending on where the damage fell the tail may or may
-                # not be torn; both are legitimate crash shapes here.
-                warnings.simplefilter("ignore", RuntimeWarning)
-                recovered = recover(crash_dir, make_schema)
-            got = fingerprint(recovered)
-            # The in-window commit may survive (append-style damage after
-            # its complete COMMIT frame) or be lost (damage inside its
-            # frames) — never anything in between, and every sync-covered
-            # commit is intact.
-            in_window_row = (2, "unsynced")
-            seats = [row for row in got["Seats"] if row != in_window_row]
-            assert seats == expected["Seats"]
-            assert got["Notes"] == expected["Notes"]
-            recovered.wal.close()
-        finally:
-            cleanup()
+        crash_dir, expected, watermark = self._crashed_copy(tmp_path)
+        path = tail_file(crash_dir)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert len(data) > watermark  # damage lands in the unsynced part
+        with open(path, "wb") as handle:
+            handle.write(TAIL_DAMAGE[damage](data))
+        with warnings.catch_warnings():
+            # Depending on where the damage fell the tail may or may not
+            # be torn; both are legitimate crash shapes here.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            recovered = recover(crash_dir, make_schema)
+        assert fingerprint(recovered) == expected
+        recovered.wal.close()

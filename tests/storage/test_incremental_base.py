@@ -1,13 +1,14 @@
-"""Incremental base checkpoints (``DurabilityConfig.incremental_bases``).
+"""Incremental base checkpoints: the engine's only way to build a base.
 
-With incremental bases the writer folds a full-store snapshot exactly
-once — the first base.  Every later checkpoint is a delta, and when the
-delta chain reaches ``base_interval`` the *compactor* synthesizes the
-next ``CHECKPOINT_BASE`` off the writer lock by merging the previous
-base with the sealed delta chain, installing it with one manifest swap.
-The synthesized base reuses the LSN of the newest delta it folded, so
-these tests also pin the duplicate-LSN discipline: the superseded delta
-must lose to the base at replay and at compaction.
+The writer folds a full-store snapshot exactly once — the first base.
+Every later checkpoint is a delta, and when the delta chain reaches
+``base_interval`` a compaction pass (the compactor thread or an explicit
+``compact_now()``) synthesizes the next ``CHECKPOINT_BASE`` off the
+writer lock by merging the previous base with the sealed delta chain,
+installing it with one manifest swap.  The synthesized base reuses the
+LSN of the newest delta it folded, so these tests also pin the
+duplicate-LSN discipline: the superseded delta must lose to the base at
+replay and at compaction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ def make_engine(tmp_path, **overrides) -> tuple[Database, SegmentedWriteAheadLog
     config = DurabilityConfig(
         mode="segmented",
         directory=directory,
-        incremental_bases=True,
         **{"segment_max_records": 8, "base_interval": 2, **overrides},
     )
     database = make_schema()
@@ -63,31 +63,43 @@ class TestWriterNeverFoldsAgain:
         database.snapshot = counting_snapshot
         churn_and_checkpoint(database, 6)
         # One full fold (the first base); the other five checkpoints are
-        # deltas even though base_interval=2 — the cadence that would have
-        # forced bases 3 and 5 now arms off-writer synthesis instead.
+        # deltas even though base_interval=2 — reaching it only arms an
+        # off-writer synthesis.
         assert folds == 1
         assert engine.statistics.checkpoints_base == 1
         assert engine.statistics.checkpoints_delta == 5
         assert engine.wants_delta_checkpoint()
         engine.close()
 
-    def test_cadence_without_incremental_is_unchanged(self, tmp_path):
-        # Control: the plain engine still folds a base every base_interval
-        # deltas on the writer (see test_segmented_wal cadence test).
-        directory = str(tmp_path / "segments")
-        config = DurabilityConfig(
-            mode="segmented",
-            directory=directory,
-            segment_max_records=8,
-            base_interval=2,
-        )
-        database = make_schema()
-        engine = SegmentedWriteAheadLog(directory, config)
-        engine.adopt(database.wal)
-        database.wal = engine
-        churn_and_checkpoint(database, 6)
-        assert engine.statistics.checkpoints_base == 2
+    def test_reaching_the_interval_arms_once(self, tmp_path):
+        # The delta that reaches base_interval seals the tail (the chain
+        # must be in sealed segments for the fold) and fixes the horizon;
+        # later deltas neither move it nor seal again while it is armed.
+        database, engine = make_engine(tmp_path, segment_max_records=10_000)
+        churn_and_checkpoint(database, 2)  # base + 1 delta
+        assert not engine._synthesis_due
+        sealed = engine.statistics.segments_sealed
+        churn_and_checkpoint(database, 1, start=100)  # delta 2 = interval
+        assert engine._synthesis_due
+        horizon = engine._synthesis_cutoff
+        assert horizon == engine.records()[-1].lsn
+        assert engine.statistics.segments_sealed == sealed + 1
+        churn_and_checkpoint(database, 2, start=200)
+        assert engine._synthesis_cutoff == horizon
+        assert engine.statistics.segments_sealed == sealed + 1
         engine.close()
+
+    def test_uncompacted_delta_chain_recovers(self, tmp_path):
+        # Without a compaction pass no later base is ever built: the
+        # whole delta chain stays, and recovery replays it.
+        database, engine = make_engine(tmp_path)
+        churn_and_checkpoint(database, 6)
+        assert engine.statistics.bases_synthesized == 0
+        assert engine._synthesis_due
+        engine.close()
+        recovered = recover(tmp_path / "segments", make_schema)
+        assert recovered.snapshot() == database.snapshot()
+        recovered.wal.close()
 
 
 class TestSynthesizedBases:
@@ -178,7 +190,6 @@ class TestSynthesizedBases:
                 directory=str(directory),
                 segment_max_records=8,
                 base_interval=2,
-                incremental_bases=True,
             ),
         )
         engine2 = recovered.wal

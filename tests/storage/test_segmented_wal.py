@@ -1,14 +1,16 @@
 """Unit tests for the segmented durability engine.
 
 Covers the mechanics the crash harness (``test_crash_recovery``) builds
-on: CRC framing, seal thresholds, the dirty-set algebra behind delta
-checkpoints, the base/delta cadence, compaction's drop rule, and the
-engine's lifecycle/configuration contract.
+on: CRC framing, seal thresholds, commit syncs and the synced watermark,
+the manifest's durable rename, the dirty-set algebra behind delta
+checkpoints, the one-base-then-deltas cadence, compaction's drop rule,
+and the engine's lifecycle/configuration contract.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 
 import pytest
 
@@ -20,7 +22,8 @@ from repro.storage import (
     SegmentedWriteAheadLog,
     recover,
 )
-from repro.storage.segment import encode_frame, scan_frames
+from repro.storage.manifest import Manifest
+from repro.storage.segment import SegmentWriter, encode_frame, scan_frames
 
 
 def make_schema() -> Database:
@@ -73,9 +76,62 @@ class TestFraming:
 
 
 class TestConfig:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DurabilityError):
-            DurabilityConfig(mode="ring-buffer")
+    @pytest.mark.parametrize(
+        ("overrides", "error", "match"),
+        [
+            pytest.param(
+                {"mode": "ring-buffer"},
+                DurabilityError,
+                "unknown durability mode",
+                id="mode",
+            ),
+            pytest.param(
+                {"fsync": True, "fsync_window_s": 0.01},
+                DurabilityError,
+                "fsync_window_s",
+                id="fsync_window_s",
+            ),
+            pytest.param(
+                {"incremental_bases": False},
+                DurabilityError,
+                "incremental_bases",
+                id="incremental_bases",
+            ),
+            pytest.param(
+                {"compaction": False},
+                DurabilityError,
+                "compaction",
+                id="compaction",
+            ),
+            pytest.param(
+                {"compaction_interval_s": 0.05},
+                TypeError,
+                "compaction_interval_s",
+                id="compaction_interval_s",
+            ),
+        ],
+    )
+    def test_unsupported_settings_rejected(self, tmp_path, overrides, error, match):
+        with pytest.raises(error, match=match):
+            DurabilityConfig(directory=str(tmp_path), **overrides)
+
+    @pytest.mark.parametrize(
+        "field", ["segment_max_bytes", "segment_max_records", "base_interval"]
+    )
+    def test_sizes_below_one_rejected(self, tmp_path, field):
+        with pytest.raises(DurabilityError, match=field):
+            DurabilityConfig(directory=str(tmp_path), **{field: 0})
+
+    def test_benchmark_pins_are_the_defaults(self, tmp_path):
+        pinned = DurabilityConfig(
+            mode="segmented",
+            directory=str(tmp_path),
+            fsync=True,
+            fsync_window_s=0,
+            incremental_bases=True,
+            compaction=True,
+        )
+        assert pinned == DurabilityConfig(directory=str(tmp_path), fsync=True)
 
     def test_segmented_requires_directory(self):
         with pytest.raises(DurabilityError):
@@ -127,24 +183,175 @@ class TestSealing:
         recovered.wal.close()
 
 
+@pytest.fixture
+def fsync_spy(monkeypatch):
+    calls: list[int] = []
+    real_fsync = os.fsync
+
+    def spying_fsync(fd):
+        calls.append(fd)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spying_fsync)
+    return calls
+
+
+class TestSegmentWriterClose:
+    """Regression: close() used to flush without ever fsyncing."""
+
+    def test_close_syncs_final_records_when_fsync_set(self, tmp_path, fsync_spy):
+        writer = SegmentWriter(tmp_path / "seg.walseg", fsync=True)
+        writer.append(b"written after the last flush")
+        fsync_spy.clear()
+        writer.close()
+        assert fsync_spy, "close() must fsync the final records"
+        assert writer.synced_size == writer.size
+
+    def test_close_without_fsync_never_syncs(self, tmp_path, fsync_spy):
+        writer = SegmentWriter(tmp_path / "seg.walseg", fsync=False)
+        writer.append(b"page-cache durability only")
+        fsync_spy.clear()
+        writer.close()
+        assert not fsync_spy
+
+    def test_flush_advances_the_synced_watermark(self, tmp_path):
+        writer = SegmentWriter(tmp_path / "seg.walseg", fsync=True)
+        writer.append(b"record")
+        assert writer.synced_size < writer.size
+        writer.flush()
+        assert writer.synced_size == writer.size
+        writer.close()
+
+
+class TestCommitSyncs:
+    def test_every_commit_is_one_sync(self, tmp_path):
+        database, engine = make_engine(
+            tmp_path, fsync=True, segment_max_records=10_000
+        )
+        before = engine.statistics.fsyncs
+        for i in range(5):
+            database.insert("Seats", (i, "s"))
+            # Acknowledged means synced: nothing of the commit is past the
+            # watermark when the insert returns.
+            assert engine._tail.synced_size == engine._tail.size
+        assert engine.statistics.fsyncs == before + 5
+        engine.close()
+
+    def test_a_unit_is_one_sync(self, tmp_path):
+        database, engine = make_engine(
+            tmp_path, fsync=True, segment_max_records=10_000
+        )
+        before = engine.statistics.fsyncs
+        with database.unit as unit:
+            for i in range(6):
+                unit.transaction().insert("Seats", (i, "s"))
+        # One unit, one COMMIT record, one sync — however many rows.
+        assert engine.statistics.fsyncs == before + 1
+        assert database.statistics.commits == 1
+        engine.close()
+
+
+class TestManifestDurability:
+    @pytest.mark.parametrize("fsync", [True, False], ids=["fsync", "no-fsync"])
+    def test_save_syncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        events: list[str] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spying_fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            events.append("sync-directory" if is_dir else "sync-file")
+            return real_fsync(fd)
+
+        def spying_replace(src, dst):
+            events.append("replace")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spying_fsync)
+        monkeypatch.setattr(os, "replace", spying_replace)
+        Manifest().save(tmp_path, fsync=fsync)
+        if fsync:
+            assert events == ["sync-file", "replace", "sync-directory"]
+        else:
+            assert events == ["replace"]
+        assert Manifest.load(tmp_path) == Manifest()
+
+    @staticmethod
+    def directory_syncs(monkeypatch, engine) -> list[set[str]]:
+        """Spy: the files in the engine's directory at each directory fsync."""
+        seen: list[set[str]] = []
+        real_fsync = os.fsync
+
+        def spying_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                seen.append(set(os.listdir(engine.directory)))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spying_fsync)
+        return seen
+
+    def test_seal_makes_the_new_tail_durable_in_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        database, engine = make_engine(tmp_path, fsync=True, segment_max_records=4)
+        seen = self.directory_syncs(monkeypatch, engine)
+        for i in range(3):
+            database.insert("Seats", (i, "s"))  # 9 records: two seals
+        assert engine.statistics.segments_sealed == 2
+        tail = engine._manifest.tail.name
+        assert any(tail in names for names in seen)
+        engine.close()
+
+    def test_compaction_swap_syncs_the_directory(self, tmp_path, monkeypatch):
+        database, engine = make_engine(tmp_path, fsync=True, segment_max_records=6)
+        for i in range(5):
+            database.insert("Seats", (i, "s"))
+        database.checkpoint()
+        for i in range(5, 7):
+            database.insert("Seats", (i, "s"))  # survives in a rewrite
+        seen = self.directory_syncs(monkeypatch, engine)
+        assert engine.compact_now() > 0
+        rewritten = {
+            entry.name for entry in engine._manifest.segments if entry.generation
+        }
+        assert rewritten, "compaction should have rewritten a segment"
+        assert any(rewritten <= names for names in seen)
+        engine.close()
+
+    def test_engine_without_fsync_never_syncs(self, tmp_path, fsync_spy):
+        database, engine = make_engine(tmp_path, segment_max_records=4)
+        for i in range(10):
+            database.insert("Seats", (i, "s"))
+            database.checkpoint()
+        engine.compact_now()
+        engine.close()
+        assert fsync_spy == []
+
+
 class TestDeltaCheckpoints:
     def test_cadence_base_then_deltas(self, tmp_path):
         database, engine = make_engine(tmp_path, base_interval=2)
         assert not engine.wants_delta_checkpoint()  # no base yet
         database.insert("Seats", (1, "a"))
-        database.checkpoint()  # base
+        database.checkpoint()  # the one base the writer folds
         assert engine.statistics.checkpoints_base == 1
-        for i in range(2):
+        for i in range(5):  # well past base_interval=2
             database.insert("Seats", (10 + i, "d"))
             assert engine.wants_delta_checkpoint()
             database.checkpoint()
-        assert engine.statistics.checkpoints_delta == 2
-        # base_interval=2 deltas taken: the next checkpoint is a base again.
-        assert not engine.wants_delta_checkpoint()
-        database.insert("Seats", (99, "z"))
-        database.checkpoint()
-        assert engine.statistics.checkpoints_base == 2
+        assert engine.statistics.checkpoints_delta == 5
+        assert engine.statistics.checkpoints_base == 1
+        # Reaching base_interval armed a synthesis; a compaction pass
+        # builds the next base off the writer.
+        assert engine.statistics.bases_synthesized == 0
+        assert engine.compact_now() > 0
+        assert engine.statistics.bases_synthesized >= 1
+        assert engine.statistics.checkpoints_base == 1
         engine.close()
+        recovered = recover(tmp_path / "segments", make_schema)
+        assert recovered.snapshot() == database.snapshot()
+        recovered.wal.close()
 
     def test_delta_payload_is_net_churn(self, tmp_path):
         database, engine = make_engine(tmp_path)
@@ -297,6 +504,32 @@ class TestLifecycle:
         assert "MANIFEST" in names
         assert any(name.endswith(".walseg") for name in names)
         assert "MANIFEST.tmp" not in names
+
+
+class TestClosedEngineGuards:
+    """append/checkpoint/checkpoint_delta on a closed engine raise typed errors."""
+
+    def test_append_on_closed_engine(self, tmp_path):
+        database, engine = make_engine(tmp_path)
+        database.insert("Seats", (1, "a"))
+        engine.close()
+        with pytest.raises(DurabilityError, match="closed"):
+            engine.append(LogRecordType.BEGIN, 99)
+
+    def test_checkpoint_on_closed_engine(self, tmp_path):
+        database, engine = make_engine(tmp_path)
+        database.insert("Seats", (1, "a"))
+        engine.close()
+        with pytest.raises(DurabilityError, match="closed"):
+            engine.checkpoint(database.snapshot())
+
+    def test_checkpoint_delta_on_closed_engine(self, tmp_path):
+        database, engine = make_engine(tmp_path)
+        database.insert("Seats", (1, "a"))
+        database.checkpoint()  # a base exists, so only the guard can raise
+        engine.close()
+        with pytest.raises(DurabilityError, match="closed"):
+            engine.checkpoint_delta()
 
 
 class TestStatisticsReport:

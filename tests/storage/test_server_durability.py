@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 
 import pytest
 
@@ -93,6 +94,32 @@ class TestSegmentedServer:
         engine = asyncio.run(scenario())
         engine.close()
 
+    def test_a_durable_server_runs_one_storage_thread(self, tmp_path):
+        # Threads of engines other tests left running are not this server's.
+        earlier = set(threading.enumerate())
+
+        def storage_threads() -> list[str]:
+            return [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-wal-") and thread not in earlier
+            ]
+
+        async def scenario():
+            qdb = make_qdb()
+            config = ServerConfig(
+                durability=segmented_config(tmp_path, fsync=True)
+            )
+            async with QuantumServer(qdb, config) as server:
+                async with server.session(client="mickey") as session:
+                    await session.commit(booking("u0", 100))
+                assert storage_threads() == ["repro-wal-compactor"]
+            assert storage_threads() == []  # joined at shutdown
+            return qdb.database.wal
+
+        engine = asyncio.run(scenario())
+        engine.close()
+
     def test_policy_checkpoints_become_deltas_between_bases(self, tmp_path):
         async def scenario():
             qdb = make_qdb()
@@ -113,6 +140,51 @@ class TestSegmentedServer:
         assert engine.statistics.checkpoints_base == 1
         assert engine.statistics.checkpoints_delta >= 1
         assert engine.statistics.delta_pause_ms > 0
+        engine.close()
+
+    def test_later_bases_are_synthesized_by_the_compactor(self, tmp_path):
+        async def scenario():
+            qdb = make_qdb()
+            config = ServerConfig(
+                durability=segmented_config(tmp_path, base_interval=2),
+                checkpoint_policy=CheckpointPolicy(max_wal_records=1),
+            )
+            async with QuantumServer(qdb, config) as server:
+                async with server.session(client="mickey") as session:
+                    for index in range(8):
+                        await session.commit(booking(f"u{index}", 100 + index % 2))
+            return qdb
+
+        qdb = asyncio.run(scenario())
+        engine = qdb.database.wal
+        # The writer folded one base; every later base came off the writer
+        # (the running compactor, or the shutdown sweep at the latest).
+        assert engine.statistics.checkpoints_base == 1
+        assert engine.statistics.checkpoints_delta >= 2
+        assert engine.statistics.bases_synthesized >= 1
+        engine.close()
+        recovered = QuantumDatabase.recover(
+            recover(tmp_path / "segments", flight_schema), qdb.config
+        )
+        assert recovered.database.snapshot() == qdb.database.snapshot()
+        recovered.database.wal.close()
+
+    def test_server_runs_the_compactor_of_an_attached_engine(self, tmp_path):
+        async def scenario():
+            qdb = make_qdb()
+            durability = segmented_config(tmp_path)
+            engine = SegmentedWriteAheadLog(durability.directory, durability)
+            engine.adopt(qdb.database.wal)
+            qdb.database.wal = engine
+            async with QuantumServer(qdb, ServerConfig(durability=durability)):
+                # No second adoption: the server keeps the attached engine
+                # and starts its compactor.
+                assert qdb.database.wal is engine
+                assert engine._compactor is not None
+            assert engine._compactor is None  # joined at shutdown
+            return engine
+
+        engine = asyncio.run(scenario())
         engine.close()
 
     def test_shutdown_compacts_and_directory_recovers(self, tmp_path):
@@ -140,46 +212,8 @@ class TestSegmentedServer:
         assert recovered.pending_count == qdb.pending_count
         recovered.database.wal.close()
 
-    def test_fsync_window_batches_drained_commits(self, tmp_path):
-        async def scenario():
-            qdb = make_qdb()
-            config = ServerConfig(
-                durability=segmented_config(
-                    tmp_path,
-                    fsync=True,
-                    fsync_window_s=0.01,
-                    segment_max_records=10_000,
-                )
-            )
-            async with QuantumServer(qdb, config) as server:
-
-                async def client(name: str, count: int) -> None:
-                    async with server.session(client=name) as session:
-                        for index in range(count):
-                            await session.commit(
-                                booking(f"{name}-{index}", 100 + index % 2)
-                            )
-
-                await asyncio.gather(*(client(f"c{i}", 3) for i in range(4)))
-                # Report taken before shutdown: its checkpoint and final
-                # sweep add their own (eager) syncs.
-                return qdb, server.statistics_report()
-
-        qdb, report = asyncio.run(scenario())
-        commits = 12
-        # Concurrent sessions stack into shared drain runs and shared sync
-        # windows: acknowledged commits cost well under one fsync each.
-        assert report["durability.fsyncs"] < commits
-        assert report["durability.sync_windows"] >= 1
-        engine = qdb.database.wal
-        engine.close()
-        recovered = recover(tmp_path / "segments", flight_schema)
-        assert recovered.snapshot() == qdb.database.snapshot()
-        recovered.wal.close()
-
-    @pytest.mark.parametrize("window_s", [0.0, 0.01], ids=["per-commit", "window"])
     def test_nothing_is_acknowledged_before_its_commit_is_synced(
-        self, tmp_path, monkeypatch, window_s
+        self, tmp_path, monkeypatch
     ):
         """No commit future, operation result or ``on_grounding`` future
         resolves before the fsync covering its COMMIT record has returned."""
@@ -201,7 +235,6 @@ class TestSegmentedServer:
                 durability=segmented_config(
                     tmp_path,
                     fsync=True,
-                    fsync_window_s=window_s,
                     segment_max_records=10_000,
                 )
             )
