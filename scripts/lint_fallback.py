@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "scripts")
+DEFAULT_PATHS = ("src", "tests", "scripts")
 SKIPPED_DIRECTORIES = {"__pycache__", ".git", "build", "dist"}
 
 

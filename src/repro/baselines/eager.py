@@ -7,10 +7,9 @@ quantum database but grounds them immediately at submission time, choosing
 a grounding that satisfies as many optional atoms as possible *right now*
 and executing the update portion on the spot.
 
-This baseline is used by the ablation benchmarks to isolate the benefit of
-deferral itself (as opposed to the benefit of declaring preferences): the
-eager client knows the user's preferences but cannot wait for the partner
-to arrive.
+This baseline isolates the benefit of deferral itself (as opposed to the
+benefit of declaring preferences): the eager client knows the user's
+preferences but cannot wait for the partner to arrive.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ class QuantumConfig:
             paths, and an explicit
             :class:`~repro.solver.strategy.SamplingConfig` opts huge
             partitions into the approximate estimator.  Dispatch lives
-            inside the pure ``compute_admission``.
+            inside ``SolutionCache.ensure``.
         planner: join-planner settings for the underlying store.
     """
 

@@ -64,9 +64,7 @@ class ResourceTransaction:
     The derived views (:attr:`hard_body`, :attr:`optional_body`,
     :meth:`variables`, :meth:`hard_variables`, :meth:`relations`) are
     computed on first use and kept on the instance — admission, planning
-    and witness maintenance read them many times per transaction.  Like a
-    term's remembered hash they are never pickled or copied: a pickle or a
-    ``copy`` carries the six fields only.
+    and witness maintenance read them many times per transaction.
     """
 
     body: tuple[Atom, ...]
@@ -115,9 +113,6 @@ class ResourceTransaction:
             )
 
     # -- introspection -------------------------------------------------------
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @cached_property
     def hard_body(self) -> tuple[Atom, ...]:

@@ -28,9 +28,8 @@ Because the record is a field of the partition its lifetime *is* the
 partition's: a merged-away, emptied or rejected-empty partition takes its
 solution with it, and there is no side table to keep in sync.
 
-:func:`compute_admission` is the only verify → extend → solve flow.
-Admission, blind-write validation and peek reads all reach it through
-:meth:`SolutionCache.ensure`:
+:meth:`SolutionCache.ensure` is the only verify → extend → solve flow.
+Admission, blind-write validation and peek reads all run it:
 
 * **admission** — a footprinted record is extended by searching only the
   newly arrived transaction's factor; the composed body is not re-walked;
@@ -44,8 +43,8 @@ Admission, blind-write validation and peek reads all reach it through
 * **fallback** — without a trusted record the seed's verify → extend → solve
   flow runs (the ``LIMIT 1`` analogue), so accept/reject decisions are
   identical with the fast path on or off; only the amount of re-search
-  differs.  The hit/miss/invalidation/fallback counters let the benchmarks
-  report exactly that difference.
+  differs.  The hit/miss/invalidation/fallback counters report exactly
+  that difference.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.composition import OrderComposition
 from repro.logic.formula import (
     Conjunction,
     Disjunction,
@@ -64,7 +62,7 @@ from repro.logic.formula import (
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.relational.database import Database
-from repro.solver.grounding import GroundingResult, GroundingSearch
+from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Program, conjoin
 from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig, dispatch_find_one
@@ -177,12 +175,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class AdmissionProbe:
-    """The outcome of one pure admission search, plus its cache counters.
-
-    :func:`compute_admission` returns one of these instead of mutating a
-    :class:`SolutionCache` directly: the search stays a pure function of
-    its arguments, and the cache applies the counters afterwards with
-    :meth:`SolutionCache.absorb_probe`.
+    """The outcome of one :meth:`SolutionCache.ensure`.
 
     Attributes:
         substitution: ground substitution witnessing satisfiability of the
@@ -192,15 +185,6 @@ class AdmissionProbe:
             footprinted record — the fast path.  :meth:`SolutionCache.record`
             then only adds the new factor's rows to the footprint instead
             of re-deriving all of it.
-        verifications: composed-body verifications performed.
-        extension_hits: successful extensions of the record by a new factor.
-        extension_misses: failed extensions.
-        full_solves: full grounding searches over the composed body.
-        failures: unsatisfiable full solves.
-        witness_hits: decisions answered from a footprinted record.
-        witness_misses: decisions no footprinted record could serve.
-        fallback_searches: times the fast path fell back to composed-body
-            work.
         method: which search decided the probe — ``"witness"`` (extension
             of a footprinted record), ``"fastpath"`` (a per-shape fast
             path), ``"backtracking"`` / ``"bnb"`` (the general search
@@ -213,185 +197,13 @@ class AdmissionProbe:
         exhausted_budget: the configured ``node_budget`` ran out before
             the search decided; admission turns a rejection with this flag
             into the typed ``AdmissionSearchExhausted`` outcome.
-        nodes: search nodes expanded by the searches this probe ran — the
-            cost of *deciding the admission*, isolated from the grounding
-            and serializability searches that share the global
-            ``search.nodes`` counter.  The strategy benchmark gates the
-            bnb/backtracking ratio of this number.
     """
 
     substitution: Substitution | None
     used_witness: bool = False
-    verifications: int = 0
-    extension_hits: int = 0
-    extension_misses: int = 0
-    full_solves: int = 0
-    failures: int = 0
-    witness_hits: int = 0
-    witness_misses: int = 0
-    fallback_searches: int = 0
     method: str = "backtracking"
     exact: bool = True
     exhausted_budget: bool = False
-    nodes: int = 0
-
-
-def compute_admission(
-    search: GroundingSearch,
-    database: Database,
-    *,
-    composition: OrderComposition,
-    solution: Solution | None,
-    new_factor: Formula | Program | None = None,
-    new_required: frozenset[Variable] = frozenset(),
-    enable_witness: bool = True,
-    config: AdmissionSearchConfig | None = None,
-) -> AdmissionProbe:
-    """The verify → extend → solve flow, as a pure function.
-
-    The only implementation of it: :meth:`SolutionCache.ensure` runs it for
-    admissions, blind-write checks and peek reads (mirroring how
-    ``compute_grounding_plan`` was factored out of ``QuantumState``).  It
-    reads only its arguments and the given store, mutates nothing, and
-    reports every counter through the returned :class:`AdmissionProbe`.
-
-    Args:
-        search: the grounding search to run extensions/solves on (the
-            cache's shared search).
-        database: the store ``search`` runs against (verification oracle).
-        composition: the partition's resident composition.  Its composed
-            program is only asked for — and its factor programs only
-            compiled, each at most once — when a miss makes the composed
-            body itself be verified or searched.
-        solution: the partition's record.  Footprinted, its substitution
-            is trusted as is (the witness); unverified, it is verified
-            against the composed body first; ``None``, the body is solved.
-        new_factor: factor contributed by a transaction being admitted —
-            a formula, or its handle already compiled into the
-            composition's scope (requiring ``new_required``) when the
-            caller will keep it resident; ``None`` (or ``TRUE``) when only
-            re-validating.
-        new_required: variables of the new factor that must be ground.
-        enable_witness: mirrors ``SolutionCache.enable_witness`` so the
-            miss/fallback counters stay comparable with the fast path off.
-        config: admission-search strategy selection; ``None`` (and the
-            default config) reproduce the seed's plain backtracking search
-            byte-for-byte.  Dispatch happens *here*, inside the pure
-            function, so admission, the write check and peek reads honor
-            the strategy alike.
-    """
-    counters = {
-        "verifications": 0,
-        "extension_hits": 0,
-        "extension_misses": 0,
-        "full_solves": 0,
-        "failures": 0,
-        "witness_hits": 0,
-        "witness_misses": 0,
-        "fallback_searches": 0,
-    }
-    outcome = {
-        "method": config.strategy if config is not None else "backtracking",
-        "exact": True,
-        "exhausted": False,
-        "nodes": 0,
-    }
-
-    def verify(solution: Substitution | None) -> bool:
-        if solution is None:
-            return False
-        counters["verifications"] += 1
-        return composition.program().holds(database, solution)
-
-    def run_find(
-        program: Program, initial: Substitution | None = None
-    ) -> GroundingResult:
-        result, method = dispatch_find_one(search, config, program, initial=initial)
-        outcome["method"] = method
-        outcome["nodes"] += result.statistics.nodes
-        if result.statistics.exhausted_budget:
-            outcome["exhausted"] = True
-        return result
-
-    def extend(base: Substitution, factor: Program | None) -> Substitution | None:
-        if factor is None:
-            return base
-        result = run_find(factor, initial=base)
-        counters["extension_hits" if result.satisfiable else "extension_misses"] += 1
-        return result.substitution if result.satisfiable else None
-
-    def solve(program: Program) -> Substitution | None:
-        counters["full_solves"] += 1
-        if (
-            config is not None
-            and config.sampling is not None
-            and relational_atom_count(program.formula) >= config.sampling.threshold
-        ):
-            # The partition is above the exact-search threshold and the
-            # caller explicitly opted into estimation: bounded seeded
-            # descents instead of an exhaustive walk.  An accept still
-            # carries a genuine witness; the decision is just not exact.
-            result = sample_find_one(search, program, sampling=config.sampling)
-            outcome["method"] = "sampled"
-            outcome["exact"] = False
-            outcome["nodes"] += result.statistics.nodes
-        else:
-            result = run_find(program)
-        if not result.satisfiable:
-            counters["failures"] += 1
-            return None
-        return result.substitution
-
-    def probe(
-        substitution: Substitution | None, *, used_witness: bool = False
-    ) -> AdmissionProbe:
-        return AdmissionProbe(
-            substitution=substitution,
-            used_witness=used_witness,
-            method="witness" if used_witness else outcome["method"],
-            exact=outcome["exact"],
-            exhausted_budget=outcome["exhausted"],
-            nodes=outcome["nodes"],
-            **counters,
-        )
-
-    known = None if solution is None else solution.substitution
-    trusted = solution is not None and solution.footprint is not None
-    required = frozenset(new_required)
-    # The new factor is searched up to twice and then conjoined with the
-    # composed body, so it lives in the composition's scope.
-    factor = (
-        None
-        if new_factor is None or new_factor is TRUE
-        else new_factor
-        if isinstance(new_factor, Program)
-        else search.compile(new_factor, required=required, scope=composition.scope)
-    )
-    if trusted:
-        # The fast path: the composed body is not re-walked.  Only a
-        # *successful* extension counts as a hit.
-        extended = extend(known, factor)
-        if extended is not None:
-            counters["witness_hits"] += 1
-            return probe(extended, used_witness=True)
-    if enable_witness:
-        counters["witness_misses"] += 1
-        counters["fallback_searches"] += 1
-    if not trusted and verify(known):
-        extended = extend(known, factor)
-        if extended is not None:
-            return probe(extended)
-    # Cache miss: solve the whole composed body including the new factor.
-    return probe(
-        solve(
-            composition.program(required=composition.required())
-            if factor is None
-            else conjoin(
-                [composition.program(), factor],
-                required=composition.required() | required,
-            )
-        )
-    )
 
 
 @dataclass
@@ -415,21 +227,20 @@ class SolutionCacheStatistics:
     #: (a verification or a full grounding search).
     fallback_searches: int = 0
     #: Admissions decided by the opt-in sampling estimator (``exact=False``
-    #: probes) — the count of approximate decisions the cache has absorbed.
+    #: probes) — the count of approximate decisions the cache has made.
     sampled_admissions: int = 0
-    #: Search nodes expanded deciding admissions (the sum of every absorbed
-    #: admission probe's ``nodes``; re-validations are not counted).  Unlike
-    #: the global ``search.nodes`` this excludes grounding and
-    #: serializability searches, so it is the number the admission-strategy
-    #: benchmark compares across strategies.
+    #: Search nodes expanded deciding admissions (re-validations are not
+    #: counted).  Unlike the global ``search.nodes`` this excludes grounding
+    #: and serializability searches, so it is the number to compare across
+    #: admission-search strategies.
     admission_nodes: int = 0
 
     def composed_body_passes(self) -> int:
         """Operations that walked the whole composed body (verify + solve).
 
         This is the cost metric the admission fast path exists to reduce;
-        the Figure 7 fast-path benchmark asserts the witness cache cuts it
-        by at least 2x.
+        ``tests/core/test_work_bounds.py`` holds the witness cache to at
+        least a 2x cut on the Figure 7 workload.
         """
         return self.verifications + self.full_solves
 
@@ -445,11 +256,11 @@ class SolutionCache:
         database: the extensional store searches run against.
         enable_witness: when False no record is ever footprinted, so every
             admission re-verifies the composed body from scratch (the seed
-            behaviour); accept/reject decisions are unaffected.  Used by
-            benchmarks to measure the fast path.
-        search_config: admission-search strategy passed to every
-            :func:`compute_admission` this cache runs; ``None`` keeps the
-            seed's plain backtracking search.
+            behaviour); accept/reject decisions are unaffected.  Used to
+            measure the fast path.
+        search_config: admission-search strategy every :meth:`ensure`
+            dispatches its searches under; ``None`` keeps the seed's plain
+            backtracking search.
     """
 
     def __init__(
@@ -551,49 +362,109 @@ class SolutionCache:
             ``None`` when the invariant cannot be maintained — in which
             case the caller must reject the transaction or write.
         """
+        stats = self.statistics
+        config = self.search_config
+        composition = partition.composition()
         solution = partition.solution
         if solution is not None and uncommitted and solution.touched_by(uncommitted):
             solution = solution.unverified()
         admitting = new_factor is not None and new_factor is not TRUE
-        probe = compute_admission(
-            self.search,
-            self.database,
-            composition=partition.composition(),
-            solution=solution,
-            new_factor=new_factor,
-            new_required=frozenset(new_required),
-            enable_witness=self.enable_witness,
-            config=self.search_config,
+        required = frozenset(new_required)
+        # The new factor is searched up to twice and then conjoined with the
+        # composed body, so it lives in the composition's scope.
+        factor = (
+            None
+            if not admitting
+            else new_factor
+            if isinstance(new_factor, Program)
+            else self.search.compile(
+                new_factor, required=required, scope=composition.scope
+            )
         )
-        self.absorb_probe(probe, admitting=admitting)
-        if (
-            not admitting
-            and uncommitted is None
-            and not probe.used_witness
-            and probe.substitution is not None
-        ):
+        method = config.strategy if config is not None else "backtracking"
+        exact = True
+        exhausted = False
+        nodes = 0
+
+        def run_find(program: Program, initial: Substitution | None = None):
+            nonlocal method, exhausted, nodes
+            result, method = dispatch_find_one(
+                self.search, config, program, initial=initial
+            )
+            nodes += result.statistics.nodes
+            exhausted = exhausted or result.statistics.exhausted_budget
+            return result
+
+        def extend(base: Substitution) -> Substitution | None:
+            if factor is None:
+                return base
+            result = run_find(factor, initial=base)
+            if result.satisfiable:
+                stats.extension_hits += 1
+                return result.substitution
+            stats.extension_misses += 1
+            return None
+
+        known = None if solution is None else solution.substitution
+        trusted = solution is not None and solution.footprint is not None
+        substitution = None
+        if trusted:
+            # The fast path: the composed body is not re-walked.  Only a
+            # *successful* extension counts as a hit.
+            substitution = extend(known)
+        used_witness = substitution is not None
+        if used_witness:
+            stats.witness_hits += 1
+            method = "witness"
+        else:
+            if self.enable_witness:
+                stats.witness_misses += 1
+                stats.fallback_searches += 1
+            if not trusted and known is not None:
+                stats.verifications += 1
+                if composition.program().holds(self.database, known):
+                    substitution = extend(known)
+        if substitution is None:
+            # Cache miss: solve the whole composed body including the new
+            # factor (the ``LIMIT 1`` analogue).
+            program = (
+                composition.program(required=composition.required())
+                if factor is None
+                else conjoin(
+                    [composition.program(), factor],
+                    required=composition.required() | required,
+                )
+            )
+            stats.full_solves += 1
+            if (
+                config is not None
+                and config.sampling is not None
+                and relational_atom_count(program.formula) >= config.sampling.threshold
+            ):
+                # The partition is above the exact-search threshold and the
+                # caller explicitly opted into estimation: bounded seeded
+                # descents instead of an exhaustive walk.  An accept still
+                # carries a genuine witness; the decision is just not exact.
+                result = sample_find_one(
+                    self.search, program, sampling=config.sampling
+                )
+                method = "sampled"
+                exact = False
+                nodes += result.statistics.nodes
+            else:
+                result = run_find(program)
+            if result.satisfiable:
+                substitution = result.substitution
+            else:
+                stats.failures += 1
+        if admitting:
+            # Only searches that decided an arrival count here, not
+            # re-validations.
+            stats.admission_nodes += nodes
+            if method == "sampled":
+                stats.sampled_admissions += 1
+        elif uncommitted is None and not used_witness and substitution is not None:
             # Re-validation re-verified or re-solved the whole composed
             # body over the committed store: the result is the record.
-            self.record(partition, probe.substitution)
-        return probe
-
-    def absorb_probe(self, probe: AdmissionProbe, *, admitting: bool = True) -> None:
-        """Apply a probe's counters to this cache.
-
-        :meth:`ensure` funnels every search through here.
-        ``admission_nodes`` and ``sampled_admissions`` only count searches
-        that decided an arrival (``admitting``), not re-validations.
-        """
-        stats = self.statistics
-        stats.verifications += probe.verifications
-        stats.extension_hits += probe.extension_hits
-        stats.extension_misses += probe.extension_misses
-        stats.full_solves += probe.full_solves
-        stats.failures += probe.failures
-        stats.witness_hits += probe.witness_hits
-        stats.witness_misses += probe.witness_misses
-        stats.fallback_searches += probe.fallback_searches
-        if admitting:
-            stats.admission_nodes += probe.nodes
-            if probe.method == "sampled":
-                stats.sampled_admissions += 1
+            self.record(partition, substitution)
+        return AdmissionProbe(substitution, used_witness, method, exact, exhausted)

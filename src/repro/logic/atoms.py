@@ -54,16 +54,13 @@ class Atom:
         object.__setattr__(self, "terms", coerced)
 
     def __hash__(self) -> int:
-        # Kept after first use (see ``Variable``); rebuilt on unpickling.
+        # Kept after first use (see ``Variable``).
         try:
             return self._hash  # type: ignore[attr-defined]
         except AttributeError:
             return _remember_hash(
                 self, (self.relation, self.terms, self.kind, self.optional)
             )
-
-    def __reduce__(self):
-        return Atom, (self.relation, self.terms, self.kind, self.optional)
 
     # -- constructors -------------------------------------------------------
 

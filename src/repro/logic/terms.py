@@ -36,8 +36,7 @@ class Variable:
     ``__hash__`` would return) is kept after its first use instead of
     re-hashing the field tuple on every dict or set probe — on first use
     rather than at construction, because read paths build terms they
-    never hash.  It is never pickled: string hashes differ between
-    processes.
+    never hash.
     """
 
     name: str
@@ -51,9 +50,6 @@ class Variable:
             return self._hash  # type: ignore[attr-defined]
         except AttributeError:
             return _remember_hash(self, (self.name,))
-
-    def __reduce__(self):
-        return Variable, (self.name,)
 
     def __repr__(self) -> str:
         return self.name
@@ -78,9 +74,6 @@ class Constant:
             return self._hash  # type: ignore[attr-defined]
         except AttributeError:
             return _remember_hash(self, (self.value,))
-
-    def __reduce__(self):
-        return Constant, (self.value,)
 
     def __repr__(self) -> str:
         return repr(self.value)

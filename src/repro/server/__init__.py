@@ -19,8 +19,8 @@ Because the writer admits strictly in queue order through the ordinary
 synchronous path, accept/reject decisions are identical to calling
 :meth:`~repro.core.quantum_database.QuantumDatabase.execute` in the same
 arrival order — concurrency never changes semantics, only interleaving.
-See ``docs/architecture.md`` for the full design and
-``benchmarks/test_concurrent_sessions.py`` for the throughput experiment.
+See ``docs/architecture.md`` for the full design; the repository
+benchmark's ``mixed_session`` workload measures its throughput.
 
 Quickstart::
 

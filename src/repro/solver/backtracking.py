@@ -3,8 +3,8 @@
 A textbook chronological backtracking solver with the standard dynamic
 heuristics (minimum remaining values, degree tie-break, optional
 least-constraining-value ordering) and forward checking.  Used by the
-calendar-scheduling example and by the ablation benchmarks; the quantum
-database's own grounding path lives in :mod:`repro.solver.grounding`.
+calendar-scheduling workload and example; the quantum database's own
+grounding path lives in :mod:`repro.solver.grounding`.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ solution found, and with it every admission decision and cached witness,
 is bit-identical to plain backtracking.  Only the node count differs:
 deterministic propagation (equalities, conjunction splicing, negation
 deferral) is folded into its parent, and ``nodes`` counts actual branch
-descents, which the ``make searchbench`` benchmark holds to ≤ 0.5x the
-backtracking count on the Figure 7 workload.
+descents, which ``tests/core/test_work_bounds.py`` holds to ≤ 0.5x the
+backtracking count (``cache.admission_nodes``) on the Figure 7 workload.
 
 A ``node_budget`` caps the descent count; exhausting it abandons the
 search with ``statistics.exhausted_budget`` set, which admission surfaces

@@ -9,7 +9,7 @@ frozen, validated config nested in ``QuantumConfig`` (following the
 ('bnb', True)
 
 and the single dispatch point every admission search funnels through:
-:func:`dispatch_find_one` runs inside the pure ``compute_admission``.
+:func:`dispatch_find_one` runs inside ``SolutionCache.ensure``.
 
 Both strategies run the one search kernel (:mod:`repro.solver.kernel`),
 so the first solution — and therefore every accept/reject decision — is
@@ -144,8 +144,8 @@ def dispatch_find_one(
     config) is byte-for-byte the legacy ``search.find_one`` call.
 
     This is deliberately the *only* place a strategy is picked: it runs
-    inside the pure ``compute_admission``, so admission, the write check
-    and peek reads cannot diverge.
+    inside ``SolutionCache.ensure``, so admission, the write check and
+    peek reads cannot diverge.
     """
     from repro.solver.fastpath import find_one_fastpath
 

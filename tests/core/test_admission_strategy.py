@@ -2,7 +2,7 @@
 
 Pins the whole provenance path of an admission decision: the strategy
 selected through ``QuantumConfig(search=AdmissionSearchConfig(...))``
-drives the pure ``compute_admission`` dispatch, the probe's
+drives the dispatch inside ``SolutionCache.ensure``, the probe's
 ``method``/``exact``/``exhausted_budget`` travel back with the admission
 (on the pending entry or on the rejection), the typed
 :class:`AdmissionSearchExhausted` outcome fires on

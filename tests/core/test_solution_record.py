@@ -2,7 +2,6 @@
 
 A partition's one known grounding lives on the partition
 (:attr:`~repro.core.partition.Partition.solution`) and one flow —
-:func:`~repro.core.solution_cache.compute_admission` behind
 :meth:`~repro.core.solution_cache.SolutionCache.ensure` — verifies, extends
 or re-solves it for admission, blind-write validation and peek reads.
 

@@ -1,8 +1,8 @@
 """Tests for the experiment harnesses (tiny parameterisations).
 
 These tests check the *shape* of each reproduced figure/table on very small
-workloads: who wins, which direction the trends go.  The benchmark suite
-(`benchmarks/`) runs the same harnesses at larger, paper-shaped sizes.
+workloads: who wins, which direction the trends go.
+``test_paper_shapes.py`` runs the same harnesses at their default sizes.
 """
 
 from __future__ import annotations

@@ -74,3 +74,39 @@ def test_a_miniature_round_runs_clean(workload, monkeypatch):
     assert profile_workload.Transaction.commit.__name__ == "commit"
     assert profile_workload.QuantumState.rebuild.__name__ == "rebuild"
     assert profile_workload.relational_recovery.replay_into.__name__ == "replay_into"
+
+
+def test_stopped_timers_charge_nothing():
+    timers = profile_workload.PhaseTimers()
+    timers.stopped = True
+    with timers.phase("admit"):
+        pass
+    assert timers.seconds == {} and timers.calls == {}
+
+
+def test_wrappers_are_removed_when_the_round_raises():
+    timers = profile_workload.PhaseTimers()
+    with pytest.raises(RuntimeError):
+        with timers.installed():
+            assert profile_workload.QuantumState.admit.__name__ == "timed"
+            raise RuntimeError
+    assert profile_workload.QuantumState.admit.__name__ == "admit"
+    assert profile_workload.Transaction.commit.__name__ == "commit"
+
+
+@pytest.mark.parametrize("workload", ["lookup_tcp", "store_churn"])
+def test_workloads_without_phases_are_refused(workload, capsys):
+    with pytest.raises(SystemExit) as raised:
+        profile_workload.main(["--workload", workload])
+    assert raised.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_decisions_digest_is_reproducible_and_seed_dependent(monkeypatch):
+    monkeypatch.setitem(profile_workload.settings.SIZES, "book_batch", {"flights": 4})
+    digests = [
+        profile_workload.drive("book_batch", seed)[3]["decisions"] for seed in (1, 1, 2)
+    ]
+    assert digests[0] == digests[1] != digests[2]
+    satisfied, _, digest = digests[0].partition("/")
+    assert int(satisfied) > 0 and len(digest) == 12

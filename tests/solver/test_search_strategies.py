@@ -376,7 +376,7 @@ class TestSampling:
 
     def test_dispatch_never_samples(self, db):
         # dispatch_find_one is the exact-search dispatcher; sampling engages
-        # only at compute_admission's full-solve step, behind the explicit
+        # only at SolutionCache.ensure's full-solve step, behind the explicit
         # SamplingConfig opt-in.
         config = AdmissionSearchConfig(
             strategy="bnb", sampling=SamplingConfig(threshold=1, samples=2, seed=0)

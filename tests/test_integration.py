@@ -51,7 +51,7 @@ class TestEndToEndScenario:
     def test_quantum_never_loses_to_is_on_reverse_order(self):
         # At this tiny scale the IS heuristic can occasionally tie; the
         # strict gap (the paper's Figure 6 / Table 2 claim) is asserted at
-        # benchmark scale in benchmarks/test_table2_coordination_vs_k.py.
+        # the default experiment sizes in tests/experiments/test_paper_shapes.py.
         spec = FlightDatabaseSpec(num_flights=1, rows_per_flight=4)
         workload = generate_workload(spec, ArrivalOrder.REVERSE_ORDER, seed=3)
         quantum = run_quantum_entangled(workload, k=12)
