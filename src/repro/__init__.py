@@ -37,9 +37,9 @@ The two synchronous entry points applications start from:
   (STRICT/SEMANTIC), ``read_mode`` (COLLAPSE/PEEK/EXPOSE_ALL),
   ``ground_on_partner_arrival``, ``witness_cache`` (the fast-path
   toggle; decisions are identical either way) and ``search`` (the
-  :class:`AdmissionSearchConfig` strategy selector — backtracking,
-  branch-and-bound with per-shape fast paths, or opt-in sampling;
-  every config type is also re-exported from :mod:`repro.configs`)::
+  :class:`AdmissionSearchConfig`: a node budget for the one exact
+  admission search, and opt-in sampling; every config type is also
+  re-exported from :mod:`repro.configs`)::
 
       qdb = QuantumDatabase(config=QuantumConfig(k=8, witness_cache=True))
 

@@ -16,26 +16,26 @@ know the package layout; this module flattens it::
 
     qdb_config = QuantumConfig(
         k=8,
-        search=AdmissionSearchConfig(strategy="bnb"),
+        search=AdmissionSearchConfig(node_budget=10_000),
     )
 
 Every config validates eagerly in ``__post_init__`` — a typo fails at
 construction time, not at first use:
 
 >>> from repro.configs import AdmissionSearchConfig
->>> AdmissionSearchConfig(strategy="quantum-annealing")
+>>> AdmissionSearchConfig(node_budget=True)
 Traceback (most recent call last):
     ...
-repro.errors.QuantumError: unknown admission search strategy 'quantum-annealing' (expected one of ('backtracking', 'bnb'))
+repro.errors.QuantumError: node_budget must be a positive int or None, got True
 
 The full set, by origin:
 
 * :class:`QuantumConfig` (:mod:`repro.core.quantum_database`) — the
   quantum database itself: ``k`` bound, serializability, the witness
-  cache, and the admission-search strategy.
+  cache, and the admission search's bounds.
 * :class:`AdmissionSearchConfig` / :class:`SamplingConfig`
-  (:mod:`repro.solver.strategy`) — which admission search runs and under
-  what bounds; sampling is a strict opt-in.
+  (:mod:`repro.solver.strategy`) — the node budget of the one exact
+  admission search, and the sampling estimator, a strict opt-in.
 * :class:`ServerConfig` / :class:`CheckpointPolicy`
   (:mod:`repro.server.service`) — the asyncio session layer: queue and
   quota bounds, background checkpoint cadence, durability.

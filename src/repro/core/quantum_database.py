@@ -93,14 +93,13 @@ class QuantumConfig:
         admission_lanes: accepted and ignored.  Admission is serial:
             ``commit_batch`` admits every batch in one loop on the writer
             (``docs/architecture.md``, "Why admission is serial").
-        search: the admission-search strategy
-            (:class:`~repro.solver.strategy.AdmissionSearchConfig`).  The
-            default reproduces the seed's plain backtracking search
-            byte-for-byte; ``strategy="bnb"`` switches every admission to
-            the trail-based branch-and-bound searcher with per-shape fast
-            paths, and an explicit
+        search: the admission search's bounds
+            (:class:`~repro.solver.strategy.AdmissionSearchConfig`).
+            Admission runs one exact search, the seed's backtracking
+            search byte-for-byte; ``node_budget`` caps it (running out is
+            a typed rejection), and an explicit
             :class:`~repro.solver.strategy.SamplingConfig` opts huge
-            partitions into the approximate estimator.  Dispatch lives
+            partitions into the approximate estimator.  Both are applied
             inside ``SolutionCache.ensure``.
         planner: join-planner settings for the underlying store.
     """
@@ -118,6 +117,7 @@ class QuantumConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
 
     def __post_init__(self) -> None:
+        self.policy()  # validates k: a bad bound fails here, not mid-admission
         if self.shards < 1:
             raise QuantumError("QuantumConfig.shards must be at least 1")
         if self.shard_backend != "thread":
@@ -149,8 +149,7 @@ class CommitResult:
             this submission (partner pairs, forced groundings).
         rejection_reason: populated when ``committed`` is False.
         method: which admission search decided this submission —
-            ``"witness"``, ``"fastpath"``, ``"backtracking"``, ``"bnb"``,
-            or ``"sampled"`` (see
+            ``"witness"``, ``"backtracking"`` or ``"sampled"`` (see
             :class:`~repro.core.solution_cache.AdmissionProbe`).
         exact: False only when the decision came from the opt-in sampling
             estimator; an approximate accept still carries a genuine

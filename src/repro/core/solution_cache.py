@@ -65,7 +65,7 @@ from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Program, conjoin
 from repro.solver.sampling import relational_atom_count, sample_find_one
-from repro.solver.strategy import AdmissionSearchConfig, dispatch_find_one
+from repro.solver.strategy import AdmissionSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partition import Partition
@@ -186,10 +186,9 @@ class AdmissionProbe:
             then only adds the new factor's rows to the footprint instead
             of re-deriving all of it.
         method: which search decided the probe — ``"witness"`` (extension
-            of a footprinted record), ``"fastpath"`` (a per-shape fast
-            path), ``"backtracking"`` / ``"bnb"`` (the general search
-            under the configured strategy), or ``"sampled"`` (the opt-in
-            approximate estimator).
+            of a footprinted record), ``"backtracking"`` (the exact
+            search: verification, extension or full solve), or
+            ``"sampled"`` (the opt-in approximate estimator).
         exact: False only when the decision came from the sampling
             estimator — a sampled accept carries a genuine witness but the
             search was not exhaustive, and a sampled reject may be a false
@@ -232,7 +231,7 @@ class SolutionCacheStatistics:
     #: Search nodes expanded deciding admissions (re-validations are not
     #: counted).  Unlike the global ``search.nodes`` this excludes grounding
     #: and serializability searches, so it is the number to compare across
-    #: admission-search strategies.
+    #: admission-search configurations.
     admission_nodes: int = 0
 
     def composed_body_passes(self) -> int:
@@ -258,9 +257,9 @@ class SolutionCache:
             admission re-verifies the composed body from scratch (the seed
             behaviour); accept/reject decisions are unaffected.  Used to
             measure the fast path.
-        search_config: admission-search strategy every :meth:`ensure`
-            dispatches its searches under; ``None`` keeps the seed's plain
-            backtracking search.
+        search_config: the node budget and sampling opt-in every
+            :meth:`ensure` searches under; ``None`` is the default config
+            (unbounded exact search, no sampling).
     """
 
     def __init__(
@@ -274,7 +273,9 @@ class SolutionCache:
         self.search = GroundingSearch(database)
         self.statistics = SolutionCacheStatistics()
         self.enable_witness = enable_witness
-        self.search_config = search_config
+        self.search_config = (
+            search_config if search_config is not None else AdmissionSearchConfig()
+        )
 
     # -- the record's transitions ---------------------------------------------
 
@@ -381,15 +382,15 @@ class SolutionCache:
                 new_factor, required=required, scope=composition.scope
             )
         )
-        method = config.strategy if config is not None else "backtracking"
+        method = "backtracking"
         exact = True
         exhausted = False
         nodes = 0
 
         def run_find(program: Program, initial: Substitution | None = None):
-            nonlocal method, exhausted, nodes
-            result, method = dispatch_find_one(
-                self.search, config, program, initial=initial
+            nonlocal exhausted, nodes
+            result = self.search.find_one(
+                program, initial=initial, node_budget=config.node_budget
             )
             nodes += result.statistics.nodes
             exhausted = exhausted or result.statistics.exhausted_budget
@@ -437,8 +438,7 @@ class SolutionCache:
             )
             stats.full_solves += 1
             if (
-                config is not None
-                and config.sampling is not None
+                config.sampling is not None
                 and relational_atom_count(program.formula) >= config.sampling.threshold
             ):
                 # The partition is above the exact-search threshold and the

@@ -56,7 +56,7 @@ class RemoteCommitResult:
     rejection_reason: str | None
     grounded: tuple[dict[str, Any], ...] = ()
     #: Which admission search decided the submission ("witness",
-    #: "fastpath", "backtracking", "bnb", or "sampled").
+    #: "backtracking" or "sampled").
     method: str = "backtracking"
     #: False when the decision came from the opt-in sampling estimator.
     exact: bool = True

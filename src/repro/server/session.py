@@ -68,7 +68,7 @@ class AdmissionResult:
         rejection_reason: populated when ``committed`` is False.
         session_sequence: this session's submission counter for the commit.
         method: which admission search decided the submission (``"witness"``,
-            ``"fastpath"``, ``"backtracking"``, ``"bnb"``, ``"sampled"``).
+            ``"backtracking"`` or ``"sampled"``).
         exact: False only when the decision came from the opt-in sampling
             estimator (approximate admission).
     """

@@ -50,10 +50,6 @@ class GroundingStatistics:
     backtracks: int = 0
     nodes: int = 0
     exhausted_budget: bool = False
-    #: Subtrees the branch-and-bound strategy proved dead and skipped.
-    prunes: int = 0
-    #: Searches answered by a per-shape fast path before the general search.
-    fastpath_hits: int = 0
     #: Greedy descents performed by the sampling admission estimator.
     samples: int = 0
     #: High-water mark of the undo trail (deepest destructive binding stack).
@@ -66,8 +62,6 @@ class GroundingStatistics:
         self.backtracks += other.backtracks
         self.nodes += other.nodes
         self.exhausted_budget = self.exhausted_budget or other.exhausted_budget
-        self.prunes += other.prunes
-        self.fastpath_hits += other.fastpath_hits
         self.samples += other.samples
         # A high-water mark, not a flow: the deepest trail any search saw.
         self.undo_depth = max(self.undo_depth, other.undo_depth)
@@ -153,9 +147,6 @@ class GroundingSearch:
         required: Iterable[Variable] | None = None,
         initial: Substitution | None = None,
         node_budget: int | None = None,
-        strategy: str = "backtracking",
-        prune: bool = True,
-        statistics: GroundingStatistics | None = None,
     ) -> GroundingResult:
         """Find one grounding of ``formula``.
 
@@ -170,21 +161,13 @@ class GroundingSearch:
                 search gives up (reported as unsatisfiable with
                 ``statistics.exhausted_budget`` set), which callers use for
                 best-effort preference maximisation.
-            strategy: ``"backtracking"`` or ``"bnb"`` node accounting (and,
-                under bnb with ``prune``, the two structural prunes); the
-                first solution is the same under either.
-            prune: run the bnb prunes (the shape fast paths turn them off).
-            statistics: accumulator to count into (a fresh one by default).
         """
-        stats = statistics if statistics is not None else GroundingStatistics()
+        stats = GroundingStatistics()
         program = compile_formula(formula, required=required)
         if program.is_false:
             # A trivially false body never starts a search.
             return GroundingResult(Substitution.empty(), False, stats)
-        run = Run(
-            program, self.database, initial, stats, node_budget,
-            strategy=strategy, prune=prune,
-        )  # fmt: skip
+        run = Run(program, self.database, initial, stats, node_budget)
         leaves = run.solutions()
         try:
             for _leaf in leaves:
@@ -192,7 +175,7 @@ class GroundingSearch:
                     return GroundingResult(run.snapshot(), True, stats)
         finally:
             leaves.close()
-            self._record(program, run, stats)
+            self.absorb_statistics(stats, formula=program, count_search=True)
         # Unsatisfiable (or budget-exhausted): the result still carries the
         # real work counters, so callers can see ``exhausted_budget``.
         return GroundingResult(Substitution.empty(), False, stats)
@@ -264,13 +247,7 @@ class GroundingSearch:
         finally:
             # Runs both on exhaustion and when the caller closes the
             # generator early, so the totals always include this search.
-            self._record(program, run, stats)
-
-    def _record(self, program: Program, run: Run, stats: GroundingStatistics) -> None:
-        """Fold one finished search into the shared totals."""
-        if run.bnb:
-            stats.undo_depth = max(stats.undo_depth, run.max_depth)
-        self.absorb_statistics(stats, formula=program, count_search=True)
+            self.absorb_statistics(stats, formula=program, count_search=True)
 
     def absorb_statistics(
         self,
@@ -281,8 +258,8 @@ class GroundingSearch:
     ) -> None:
         """Fold a complete search's counters into the shared totals.
 
-        Every entry point reports through here — :meth:`find` and
-        :meth:`find_one` under either strategy, and the sampling estimator,
+        Every entry point reports through here — :meth:`find`,
+        :meth:`find_one` and the sampling estimator,
         which drives the kernel's step primitives itself — so ``totals``
         stays the single source of truth.  With ``formula`` given the
         per-search observer fires too, and ``count_search`` increments

@@ -2,9 +2,8 @@
 
 Every grounding search in the repository — the ``LIMIT 1`` admission
 probe, the preference-maximising search on partner arrival, forced
-groundings, possible-world enumeration, both admission strategies, the
-shape fast paths and the sampling estimator — is one traversal over one
-compiled representation:
+groundings, possible-world enumeration and the sampling estimator — is
+one traversal over one compiled representation:
 
 * :func:`compile_formula` turns a :class:`~repro.logic.formula.Formula`
   into an immutable :class:`Program`: ``simplify()`` runs once, variables
@@ -37,15 +36,14 @@ interpreter step for step:
   chased); until then it is deferred and re-checked after every binding
   step, and a negation that still touches an unbound variable at a leaf
   rejects the candidate;
-* ``nodes`` counts every interpreter step under ``"backtracking"`` and
-  branch descents only under ``"bnb"`` (where the two sound prunes of the
-  branch-and-bound strategy run at each choice point).  An exhausted
-  budget skips the over-budget step under backtracking and abandons the
-  enclosing choice point under bnb, exactly as the two seed traversals
-  did, so budget exhaustion points — which decide groundings — agree.
+* ``nodes`` counts every interpreter step: the root, each deterministic
+  part processed, each branch or row descended into;
+* an exhausted budget skips the over-budget step while its siblings are
+  still tried (and counted), exactly as the seed interpreter did, so
+  budget exhaustion points — which decide groundings — agree.
 
-``tests/solver/test_kernel_differential.py`` holds the seed interpreters
-as oracles and checks sequences and counters against them.
+``tests/solver/test_kernel_differential.py`` holds the seed interpreter
+as an oracle and checks sequences and counters against it.
 """
 
 from __future__ import annotations
@@ -323,15 +321,6 @@ class Program:
             self.scope, self.root, required, formula=self._formula, sources=self._sources
         )
 
-    def shape(self) -> str | None:
-        """``"conjunctive"``, ``"existential"`` or ``None`` (see fastpath)."""
-        root = self.root
-        if _is_conjunctive(root):
-            return "conjunctive"
-        if root.kind == DISJ and all(_is_conjunctive(part) for part in root.parts):
-            return "existential"
-        return None
-
     def holds(self, database: Database, solution: Substitution | None) -> bool:
         """True if ``solution`` grounds every free variable and satisfies the body."""
         if solution is None:
@@ -346,14 +335,6 @@ class Program:
         if self._holds is None:
             self._holds = _evaluator(self.root)
         return self._holds(val, database)
-
-
-def _is_conjunctive(node: _Node) -> bool:
-    if node.kind in (ATOM, EQ):
-        return True
-    if node.kind == CONJ:
-        return all(part.kind in (ATOM, EQ) for part in node.parts)
-    return node is _TRUE_NODE
 
 
 def compile_formula(
@@ -417,7 +398,7 @@ class Run:
     """
 
     __slots__ = (
-        "program", "database", "initial", "stats", "budget", "bnb", "prune",
+        "program", "database", "initial", "stats", "budget",
         "val", "ref", "trail", "max_depth", "_extra",
     )  # fmt: skip
 
@@ -428,17 +409,12 @@ class Run:
         initial: Substitution | None = None,
         stats: Any = None,
         node_budget: int | None = None,
-        *,
-        strategy: str = "backtracking",
-        prune: bool = True,
     ) -> None:
         self.program = program
         self.database = database
         self.initial = initial
         self.stats = stats
         self.budget = node_budget
-        self.bnb = strategy == "bnb"
-        self.prune = prune and self.bnb
         self.val: list[Any] = [_UNBOUND] * program.nslots
         self.ref: list[int] = [-1] * program.nslots
         self.trail: list[int] = []
@@ -733,67 +709,6 @@ class Run:
                 return False
         return True
 
-    # -- the bnb prunes ---------------------------------------------------------
-
-    def should_prune(self, chosen: _Node, rest: list[_Node]) -> bool:
-        """True when the subtree under this choice point has no solution.
-
-        *Forward check*: an unexpanded atom with no candidate row under
-        the current bindings can never match (bindings only tighten and
-        the store is immutable during a search).  The chosen part is
-        about to be enumerated anyway, so only the others are probed.
-        *Required reachability*: a required variable whose representative
-        is unbound and is mentioned by no remaining part can never become
-        ground, so every completion fails the final close step.
-        """
-        for node in rest:
-            if node.kind == ATOM and not self._has_candidate(node):
-                return True
-        val, ref = self.val, self.ref
-        unbound: set[int] | None = None
-        for slot in self.program.required:
-            target = ref[slot]
-            while target >= 0:
-                slot = target
-                target = ref[slot]
-            if val[slot] is _UNBOUND:
-                if unbound is None:
-                    unbound = set()
-                unbound.add(slot)
-        if unbound is None:
-            return False
-        for node in (chosen, *rest):
-            for slot in node.slots:
-                target = ref[slot]
-                while target >= 0:
-                    slot = target
-                    target = ref[slot]
-                unbound.discard(slot)
-            if not unbound:
-                return False
-        return True
-
-    def _has_candidate(self, node: _Node) -> bool:
-        database = self.database
-        relation = node.atom.relation
-        if not database.has_table(relation):
-            return False
-        table = database.table(relation)
-        if len(node.template) != table.schema.arity:
-            # Malformed atom: let the real expansion raise, never prune.
-            return True
-        val = self.val
-        values = list(node.template)
-        mask = node.mask
-        for position, slot in node.positions:
-            value = val[self.walk(slot)]
-            if value is not _UNBOUND:
-                values[position] = value
-                mask |= 1 << position
-        for _row in _lookup(table, mask, values):
-            return True
-        return False
-
     # -- the traversal ----------------------------------------------------------
 
     def solutions(self) -> Iterator[None]:
@@ -807,11 +722,9 @@ class Run:
         """
         stats = self.stats
         budget = self.budget
-        bnb = self.bnb
-        prune = self.prune
         trail = self.trail
         nodes = stats.nodes
-        rows_examined = choice_points = backtracks = prunes = 0
+        rows_examined = choice_points = backtracks = 0
         # One frame per open choice point:
         # (alternatives, binders | None, rest, deferred, trail mark).
         stack: list[tuple] = []
@@ -825,11 +738,10 @@ class Run:
                     # One interpreter step: charge it, run the deterministic
                     # parts at the front, arrive at a leaf or a choice point.
                     descending = False
-                    if not bnb:
-                        nodes += 1
-                        if budget is not None and nodes > budget:
-                            stats.exhausted_budget = True
-                            continue
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        stats.exhausted_budget = True
+                        continue
                     if scan:
                         failed = False
                         index = 0
@@ -866,12 +778,11 @@ class Run:
                                 backtracks += 1
                                 failed = True
                                 break
-                            if not bnb:
-                                nodes += 1
-                                if budget is not None and nodes > budget:
-                                    stats.exhausted_budget = True
-                                    failed = True
-                                    break
+                            nodes += 1
+                            if budget is not None and nodes > budget:
+                                stats.exhausted_budget = True
+                                failed = True
+                                break
                         if failed:
                             continue
                     if not parts:
@@ -880,16 +791,12 @@ class Run:
                             stats.rows_examined += rows_examined
                             stats.choice_points += choice_points
                             stats.backtracks += backtracks
-                            stats.prunes += prunes
-                            rows_examined = choice_points = backtracks = prunes = 0
+                            rows_examined = choice_points = backtracks = 0
                             yield
                         continue
                     index = self.select(parts)
                     node = parts[index]
                     rest = parts[:index] + parts[index + 1 :]
-                    if prune and self.should_prune(node, rest):
-                        prunes += 1
-                        continue
                     choice_points += 1
                     if node.kind == ATOM:
                         rows, binders = self.candidates(node)
@@ -934,13 +841,6 @@ class Run:
                     # row of this frame: nothing to scan, nothing mutated.
                     parts = rest
                     scan = False
-                if bnb:
-                    nodes += 1
-                    if budget is not None and nodes > budget:
-                        # Branch-and-bound abandons the whole choice point.
-                        stats.exhausted_budget = True
-                        stack.pop()
-                        continue
                 descending = True
         finally:
             depth = len(trail)
@@ -950,7 +850,6 @@ class Run:
             stats.rows_examined += rows_examined
             stats.choice_points += choice_points
             stats.backtracks += backtracks
-            stats.prunes += prunes
 
 
 def _lookup(table: Any, mask: int, values: list[Any]) -> Iterable[Any]:

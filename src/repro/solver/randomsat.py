@@ -4,11 +4,12 @@ Section 6 of the paper argues that resource-allocation satisfiability
 problems are usually comfortably under-constrained (many free seats, few
 pending transactions) and only become hard near a critical
 constraints-to-variables ratio, citing the classic SAT phase-transition
-result.  The ablation benchmark sweeps the clause/variable ratio of random
-3-SAT instances through the critical region (≈ 4.27 for 3-SAT) and measures
-DPLL effort and the satisfiable fraction, reproducing the easy-hard-easy
-pattern that motivates the paper's "switch to aggressive fixing when the
-problem gets hard" strategy.
+result.  The phase-transition shape test
+(``tests/experiments/test_paper_shapes.py``) sweeps the clause/variable
+ratio of random 3-SAT instances through the critical region (≈ 4.27 for
+3-SAT) and measures DPLL effort and the satisfiable fraction, reproducing
+the easy-hard-easy pattern that motivates the paper's "switch to
+aggressive fixing when the problem gets hard" strategy.
 """
 
 from __future__ import annotations

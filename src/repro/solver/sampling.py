@@ -141,7 +141,7 @@ def sample_find_one(
     Returns a satisfiable result carrying a *genuine* grounding when any
     descent completes, an (approximate) unsatisfiable result when all
     ``sampling.samples`` descents fail.  Work lands in ``search``'s
-    shared totals like every other strategy's.
+    shared totals like every other search's.
     """
     program = search.compile(formula, required=required)
     stats = GroundingStatistics()

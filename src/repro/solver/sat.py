@@ -7,7 +7,8 @@ instances near the critical clause/variable ratio are hard, and a quantum
 database could detect the approach of the hard region and switch to a more
 aggressive fixing phase.  This module provides the propositional machinery
 (CNF formulas and a DPLL solver with unit propagation and pure-literal
-elimination) used by the phase-transition ablation benchmark and by tests.
+elimination) used by the phase-transition shape test
+(``tests/experiments/test_paper_shapes.py``) and by tests.
 """
 
 from __future__ import annotations

@@ -284,9 +284,40 @@ class TestGroundingPolicy:
         assert not qdb.state.is_pending(third.transaction_id)
         assert qdb.state.is_pending(first.transaction_id)
 
+    def test_oldest_first_grounds_the_broad_transaction_instead(self):
+        """Oldest first is by arrival alone: a constant-pinned booking that
+        arrived later does not jump the queue, the oldest broad one goes."""
+        pinned = (
+            "-Available(123, '1H'), +Bookings('Pinned', 123, '1H')"
+            " :-1 Available(123, '1H')"
+        )
+        qdb = QuantumDatabase(make_tiny_flight_db(seats=12), QuantumConfig(k=2))
+        early = qdb.execute(ANY_SEAT.format(name="Early", flight=123))
+        middle = qdb.execute(pinned)
+        late = qdb.execute(ANY_SEAT.format(name="Late", flight=123))
+        assert qdb.pending_count == 2
+        assert qdb.state.grounded_results[early.transaction_id].forced
+        assert qdb.state.is_pending(middle.transaction_id)
+        assert qdb.state.is_pending(late.transaction_id)
+
+    def test_the_paper_orders_are_the_only_orders(self):
+        assert [strategy.name for strategy in GroundingStrategy] == [
+            "OLDEST_FIRST",
+            "NEWEST_FIRST",
+        ]
+
     def test_invalid_k(self):
         with pytest.raises(QuantumError):
             GroundingPolicy(k=0)
+
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_non_int_k_fails_at_construction(self, k):
+        """Regression: ``k=1.5`` was accepted, then broke the second booking
+        with a raw ``TypeError`` from slicing the victim list."""
+        with pytest.raises(QuantumError):
+            GroundingPolicy(k=k)
+        with pytest.raises(QuantumError):
+            QuantumConfig(k=k)
 
     def test_victims_empty_within_bound(self):
         qdb = QuantumDatabase(make_tiny_flight_db(), QuantumConfig(k=5))

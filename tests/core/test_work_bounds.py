@@ -12,8 +12,6 @@ on a clock, so it holds on any machine:
   unification check per transaction;
 * the witness cache — at least 2x fewer composed-body passes, at
   identical decisions with the cache on, off and through ``commit_batch``;
-* ``bnb`` — identical decisions at no more than half the admission-search
-  nodes of backtracking, some of them answered by per-shape fast paths;
 * sampling — on an oversized partition exactly the over-capacity arrivals
   are decided by the estimator, and each says so (``exact is False``).
 """
@@ -45,7 +43,6 @@ STREAMS = [
 VARIANTS = {
     "default": QuantumConfig(k=K),
     "cache off": QuantumConfig(k=K, witness_cache=False),
-    "bnb": QuantumConfig(k=K, search=AdmissionSearchConfig(strategy="bnb")),
 }
 
 streams = pytest.mark.parametrize(
@@ -68,12 +65,13 @@ def run(order: ArrivalOrder, seed: int, variant: str, *, batch: bool = False):
 
 @streams
 def test_every_admission_path_decides_alike(order, seed):
-    # The cache is a pure fast path, commit_batch a pure batching of the
-    # same admissions and bnb an exact strategy: none changes a decision.
-    decisions, _ = run(order, seed, "default")
+    # The cache is a pure fast path and commit_batch a pure batching of the
+    # same admissions: neither changes a decision.
+    decisions, stats = run(order, seed, "default")
     assert run(order, seed, "cache off")[0] == decisions
     assert run(order, seed, "default", batch=True)[0] == decisions
-    assert run(order, seed, "bnb")[0] == decisions
+    # The exact search never samples without the opt-in.
+    assert stats["search.samples"] == 0
 
 
 @streams
@@ -91,23 +89,6 @@ def test_witness_cache_halves_composed_body_passes(order, seed):
     assert passes_on * 2 <= passes_off, (passes_on, passes_off)
 
 
-@streams
-def test_bnb_halves_admission_nodes_at_identical_decisions(order, seed):
-    bt_decisions, bt_stats = run(order, seed, "default")
-    bnb_decisions, bnb_stats = run(order, seed, "bnb")
-    assert bnb_decisions == bt_decisions
-    # ``cache.admission_nodes`` counts only the searches deciding an
-    # admission; the global ``search.nodes`` is dominated by grounding
-    # searches the strategy never touches.
-    bt_nodes = bt_stats["cache.admission_nodes"]
-    bnb_nodes = bnb_stats["cache.admission_nodes"]
-    assert bnb_nodes / max(1, bt_nodes) <= 0.5, (bnb_nodes, bt_nodes)
-    assert bnb_stats["search.fastpath_hits"] > 0
-    # Neither exact strategy samples without opting in.
-    assert bt_stats["search.samples"] == 0
-    assert bnb_stats["search.samples"] == 0
-
-
 def test_oversized_partition_samples_exactly_the_overbooked_arrivals():
     """Bookings pile onto one flight until the estimator engages.
 
@@ -118,7 +99,6 @@ def test_oversized_partition_samples_exactly_the_overbooked_arrivals():
     """
     seats, overbook, k, threshold = 10, 4, 16, 4
     search = AdmissionSearchConfig(
-        strategy="bnb",
         sampling=SamplingConfig(threshold=threshold, samples=16, seed=7),
     )
     qdb = QuantumDatabase(

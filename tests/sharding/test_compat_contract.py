@@ -6,8 +6,8 @@ those three knobs are accepted and ignored.  So on a seeded ``book_batch``
 stream, the plain ``QuantumConfig(k=4)`` must give identical commit
 results, valuations and ``statistics_report()`` keys and values, and the
 server's group-commit drain must decide the same on either.  The knobs that
-were deleted with the shard pools and the grounding executor are a
-``TypeError``.
+were deleted with the shard pools, the grounding executor and the second
+admission search are a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from bench import generator as gen
 from bench import settings
 from repro import (
+    AdmissionSearchConfig,
     Database,
     QuantumConfig,
     QuantumDatabase,
@@ -101,13 +102,16 @@ def test_default_config_is_the_benchmark_config(name, seed):
     assert not [key for key in report if "shard" in key]
 
 
-#: The knobs deleted with the shard pools, the server's grounding executor
-#: and the plan timeout.  Spelled as words, so that a search of the tree
-#: for the deleted names finds only the history.
+#: The knobs deleted with the shard pools, the server's grounding executor,
+#: the plan timeout, and the admission search's strategy selector and shape
+#: shortcuts.  Spelled as words, so that a search of the tree for the
+#: deleted names finds only the history.
 DELETED = [
     (QuantumConfig, ("shard", "workers"), 2),
     (ServerConfig, ("executor", "workers"), 2),
     (ServerConfig, ("grounding", "timeout", "s"), 1),
+    (AdmissionSearchConfig, ("strategy",), "backtracking"),
+    (AdmissionSearchConfig, ("fast" "path",), True),
 ]
 
 

@@ -29,7 +29,7 @@ import pytest
 
 from bench import spans
 from repro import QuantumConfig, parse_transaction
-from test_search_strategy_equivalence import (
+from test_seeded_streams import (
     assert_identical,
     make_qdb,
     pinned,

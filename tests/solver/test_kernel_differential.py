@@ -6,8 +6,8 @@ chains, negated equalities / conjunctions / atoms, nested disjunctions,
 ``TRUE`` / ``FALSE`` — and crosses them with ``initial``, ``required``,
 ``limit`` and ``node_budget``.  For every case the kernel must produce the
 identical *sequence* of substitutions (binding for binding, in the same
-order) and identical work counters as the seed interpreters preserved in
-``reference_search.py``, under both strategies.
+order) and identical work counters as the seed interpreter preserved in
+``reference_search.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import random
 
 import pytest
 
-from reference_search import ReferenceSearch, TrailBindings, TrailSearch
-from reference_search import find_one_bnb as reference_find_one_bnb
+from reference_search import ReferenceSearch
 from reference_search import verify_solution as reference_verify_solution
 from repro.logic.atoms import Atom
 from repro.logic.formula import (
@@ -215,8 +214,8 @@ def _bindings(substitution: Substitution) -> list:
     return list(substitution.items())
 
 
-def _counters(stats: GroundingStatistics, extra=()) -> dict:
-    return {name: getattr(stats, name) for name in (*COUNTERS, *extra)}
+def _counters(stats: GroundingStatistics) -> dict:
+    return {name: getattr(stats, name) for name in COUNTERS}
 
 
 def _assert_same_find(db, formula, initial, required, limit, budget):
@@ -244,37 +243,25 @@ def _assert_same_find(db, formula, initial, required, limit, budget):
     assert _counters(search.totals) == _counters(reference.totals)
 
 
-def _reference_leaves(db, formula, initial, required, budget, *, bnb: bool):
+def _reference_leaves(db, formula, initial, budget):
     """Every leaf the seed traversal reaches, before the close step."""
     stats = GroundingStatistics()
     simplified = formula.simplify()
     if simplified is FALSE:
-        return [], stats, 0
-    if not bnb:
-        leaves = ReferenceSearch(db)._search(
-            [simplified], initial or Substitution.empty(), [], stats, budget
-        )
-        return [_bindings(leaf) for leaf in leaves], stats, 0
-    required_vars = (
-        frozenset(required) if required is not None else simplified.free_variables()
+        return [], stats
+    leaves = ReferenceSearch(db)._search(
+        [simplified], initial or Substitution.empty(), [], stats, budget
     )
-    bindings = TrailBindings(initial)
-    engine = TrailSearch(db, bindings, stats, budget, required_vars)
-    leaves = [_bindings(leaf) for leaf in engine.search([simplified], [])]
-    return leaves, stats, bindings.trail.max_depth
+    return [_bindings(leaf) for leaf in leaves], stats
 
 
-def _kernel_leaves(db, formula, initial, required, budget, *, bnb: bool):
+def _kernel_leaves(db, formula, initial, required, budget):
     stats = GroundingStatistics()
     program = compile_formula(formula, required=required)
     if program.is_false:
-        return [], stats, 0
-    run = Run(
-        program, db, initial, stats, budget,
-        strategy="bnb" if bnb else "backtracking",
-    )  # fmt: skip
-    leaves = [_bindings(run.snapshot()) for _leaf in run.solutions()]
-    return leaves, stats, run.max_depth
+        return [], stats
+    run = Run(program, db, initial, stats, budget)
+    return [_bindings(run.snapshot()) for _leaf in run.solutions()], stats
 
 
 # -- the differential suite ---------------------------------------------------
@@ -285,40 +272,39 @@ def test_find_matches_seed_interpreter(db, seed):
     _assert_same_find(db, *_case(seed))
 
 
-@pytest.mark.parametrize("bnb", [False, True], ids=["backtracking", "bnb"])
 @pytest.mark.parametrize("seed", range(400))
-def test_leaf_sequence_matches_seed_traversal(db, seed, bnb):
+def test_leaf_sequence_matches_seed_traversal(db, seed):
     formula, initial, required, _limit, budget = _case(seed)
-    expected, expected_stats, expected_depth = _reference_leaves(
-        db, formula, initial, required, budget, bnb=bnb
-    )
-    actual, actual_stats, actual_depth = _kernel_leaves(
-        db, formula, initial, required, budget, bnb=bnb
-    )
+    expected, expected_stats = _reference_leaves(db, formula, initial, budget)
+    actual, actual_stats = _kernel_leaves(db, formula, initial, required, budget)
     assert actual == expected
-    extra = ("prunes",) if bnb else ()
-    assert _counters(actual_stats, extra) == _counters(expected_stats, extra)
-    if bnb:
-        assert actual_depth == expected_depth
+    assert _counters(actual_stats) == _counters(expected_stats)
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_find_one_bnb_matches_seed_trail_search(db, seed):
+def test_find_one_matches_seed_interpreter(db, seed):
+    """``find_one``, the admission entry point, ≡ the seed ``find`` with
+    ``limit=1``: the same first grounding (or none) at the same work."""
     formula, initial, required, _limit, budget = _case(seed)
     reference = ReferenceSearch(db)
-    expected = reference_find_one_bnb(
-        reference, formula, required=required, initial=initial, node_budget=budget
-    )
+    expected_stats = GroundingStatistics()
+    expected = list(
+        reference.find(
+            formula, required=required, initial=initial, limit=1,
+            node_budget=budget, statistics=expected_stats,
+        )
+    )  # fmt: skip
     search = GroundingSearch(db)
     actual = search.find_one(
-        formula, required=required, initial=initial, node_budget=budget, strategy="bnb"
+        formula, required=required, initial=initial, node_budget=budget
     )
-    assert actual.satisfiable == expected.satisfiable
-    assert _bindings(actual.substitution) == _bindings(expected.substitution)
-    extra = ("prunes", "undo_depth")
-    assert _counters(actual.statistics, extra) == _counters(expected.statistics, extra)
+    assert actual.satisfiable == bool(expected)
+    assert _bindings(actual.substitution) == (
+        _bindings(expected[0].substitution) if expected else []
+    )
+    assert _counters(actual.statistics) == _counters(expected_stats)
     assert search.searches == reference.searches
-    assert _counters(search.totals, extra) == _counters(reference.totals, extra)
+    assert _counters(search.totals) == _counters(reference.totals)
 
 
 @pytest.mark.parametrize("seed", range(150))
@@ -421,12 +407,11 @@ def test_leaf_negation_short_circuits_like_evaluate(db):
     assert seats == [seat for seat in SEATS if seat != "1B"]
 
 
-@pytest.mark.parametrize("strategy", ["backtracking", "bnb"])
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 8])
-def test_budget_exhaustion_point_matches(db, strategy, budget):
+def test_budget_exhaustion_point_matches(db, budget):
     """Where the budget runs out decides groundings (COMBINED_NODE_BUDGET):
     the exhausted flag, and every counter past the exhaustion point, agree
-    with the seed traversal of the same strategy."""
+    with the seed traversal."""
     formula = Conjunction(
         (
             _available(A, B),
@@ -435,11 +420,10 @@ def test_budget_exhaustion_point_matches(db, strategy, budget):
             Negation(Equality(C, Constant("1A"))),
         )
     )
-    bnb = strategy == "bnb"
-    expected, expected_stats, _ = _reference_leaves(db, formula, None, None, budget, bnb=bnb)
-    actual, actual_stats, _ = _kernel_leaves(db, formula, None, None, budget, bnb=bnb)
+    expected, expected_stats = _reference_leaves(db, formula, None, budget)
+    actual, actual_stats = _kernel_leaves(db, formula, None, None, budget)
     assert actual == expected
-    assert _counters(actual_stats, ("prunes",)) == _counters(expected_stats, ("prunes",))
-    unbounded, _stats, _ = _kernel_leaves(db, formula, None, None, None, bnb=bnb)
+    assert _counters(actual_stats) == _counters(expected_stats)
+    unbounded, _stats = _kernel_leaves(db, formula, None, None, None)
     assert unbounded and (actual_stats.exhausted_budget or actual == unbounded)
-    assert _kernel_leaves(db, formula, None, None, 1, bnb=bnb)[1].exhausted_budget
+    assert _kernel_leaves(db, formula, None, None, 1)[1].exhausted_budget

@@ -1,9 +1,8 @@
-"""Tests for the pluggable admission-search subsystem.
+"""Tests for the admission-search configuration and the search it bounds.
 
-Covers the redesigned :class:`AdmissionSearchConfig` API, the kernel's
-undoable binding store, the branch-and-bound searcher's decision equivalence with plain
-backtracking, the per-shape fast paths, the opt-in sampling estimator's
-determinism, and the typed node-budget outcome.
+Covers the :class:`AdmissionSearchConfig` API, the kernel's undoable
+binding store, ``find_one``'s initial substitution and node budget, and
+the opt-in sampling estimator's determinism.
 """
 
 from __future__ import annotations
@@ -12,28 +11,16 @@ import pytest
 
 from repro.errors import QuantumError
 from repro.logic.atoms import Atom
-from repro.logic.formula import (
-    AtomFormula,
-    Equality,
-    Negation,
-    conjunction,
-    disjunction,
-)
+from repro.logic.formula import AtomFormula, conjunction
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
-from repro.solver.bnb import find_one_bnb
-from repro.solver.fastpath import find_one_fastpath
 from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Run, compile_formula
 from repro.solver.sampling import sample_find_one
-from repro.solver.strategy import (
-    AdmissionSearchConfig,
-    SamplingConfig,
-    dispatch_find_one,
-)
+from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
 
-F, S, S2, P, W = (Variable(n) for n in ("f", "s", "s2", "p", "w"))
+F, S, S2 = (Variable(n) for n in ("f", "s", "s2"))
 
 
 def atom(relation, terms):
@@ -66,22 +53,10 @@ def db() -> Database:
 class TestConfigValidation:
     def test_default_is_seed_behaviour(self):
         config = AdmissionSearchConfig()
-        assert config.strategy == "backtracking"
         assert config.node_budget is None
         assert config.sampling is None
-        assert not config.fastpath_enabled
 
-    def test_fastpath_defaults_follow_strategy(self):
-        assert AdmissionSearchConfig(strategy="bnb").fastpath_enabled
-        assert not AdmissionSearchConfig(strategy="backtracking").fastpath_enabled
-        assert AdmissionSearchConfig(strategy="backtracking", fastpath=True).fastpath_enabled
-        assert not AdmissionSearchConfig(strategy="bnb", fastpath=False).fastpath_enabled
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(QuantumError):
-            AdmissionSearchConfig(strategy="simulated-annealing")
-
-    @pytest.mark.parametrize("budget", [0, -1, 1.5, "10"])
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, "10", True])
     def test_bad_node_budget_rejected(self, budget):
         with pytest.raises(QuantumError):
             AdmissionSearchConfig(node_budget=budget)
@@ -96,10 +71,16 @@ class TestConfigValidation:
         with pytest.raises(QuantumError):
             SamplingConfig(seed=True)
 
+    @pytest.mark.parametrize("field", ["threshold", "samples"])
+    def test_bool_sampling_count_rejected(self, field):
+        # ``True`` is an ``int`` to ``isinstance``, but not a count.
+        with pytest.raises(QuantumError):
+            SamplingConfig(**{field: True})
+
     def test_frozen(self):
         config = AdmissionSearchConfig()
         with pytest.raises(Exception):
-            config.strategy = "bnb"
+            config.node_budget = 5
 
 
 # ---------------------------------------------------------------------------
@@ -163,90 +144,25 @@ class TestTrail:
 
 
 # ---------------------------------------------------------------------------
-# BnB equivalence: identical decisions, never more nodes
+# find_one: initial substitution and node budget
 # ---------------------------------------------------------------------------
 
 
-def _shapes(db):
-    return [
-        atom("Available", [F, S]),
-        atom("Available", [2, S]),
-        conjunction(
-            [
-                atom("Bookings", ["Goofy", F, S2]),
-                atom("Adjacent", [F, S, S2]),
-                atom("Available", [F, S]),
-            ]
-        ),
-        conjunction([atom("Available", [F, S]), Equality(S, Constant("1C"))]),
-        conjunction(
-            [
-                atom("Available", [1, S]),
-                atom("Available", [1, S2]),
-                Negation(Equality(S, S2)),
-            ]
-        ),
-        conjunction(
-            [
-                atom("Available", [1, S2]),
-                disjunction([atom("Available", [2, S]), Equality(S, S2)]),
-            ]
-        ),
-    ]
-
-
-class TestBnbEquivalence:
-    def test_decisions_and_substitutions_match_backtracking(self, db):
-        for formula in _shapes(db):
-            required = formula.free_variables()
-            bt = GroundingSearch(db).find_one(formula, required=required)
-            bnb = find_one_bnb(GroundingSearch(db), formula, required=required)
-            assert bt.satisfiable == bnb.satisfiable, formula
-            if bt.satisfiable:
-                assert bt.substitution.restrict(required) == bnb.substitution.restrict(
-                    required
-                ), formula
-
-    def test_never_expands_more_nodes(self, db):
-        for formula in _shapes(db):
-            required = formula.free_variables()
-            bt_search = GroundingSearch(db)
-            bt_search.find_one(formula, required=required)
-            bnb_search = GroundingSearch(db)
-            find_one_bnb(bnb_search, formula, required=required)
-            assert bnb_search.totals.nodes <= bt_search.totals.nodes, formula
-
+class TestFindOne:
     def test_initial_substitution_respected(self, db):
         initial = Substitution({S: Constant("1B")})
-        result = find_one_bnb(
-            GroundingSearch(db), atom("Available", [1, S]), initial=initial
+        result = GroundingSearch(db).find_one(
+            atom("Available", [1, S]), initial=initial
         )
         assert result.satisfiable and result.valuation()["s"] == "1B"
         conflicting = Substitution({S: Constant("9Z")})
-        assert not find_one_bnb(
-            GroundingSearch(db), atom("Available", [1, S]), initial=conflicting
+        assert not GroundingSearch(db).find_one(
+            atom("Available", [1, S]), initial=conflicting
         ).satisfiable
-
-    def test_prune_counter_moves_on_forward_check(self, db):
-        # Joining with an empty relation prunes before enumerating seats.
-        search = GroundingSearch(db)
-        formula = conjunction([atom("Available", [1, S]), atom("Bookings", [P, 2, S])])
-        result = find_one_bnb(search, formula)
-        assert not result.satisfiable
-        assert search.totals.prunes >= 1
-
-    def test_undo_depth_reported(self, db):
-        search = GroundingSearch(db)
-        formula = conjunction(
-            [atom("Available", [F, S]), atom("Adjacent", [F, S, S2])]
-        )
-        result = find_one_bnb(search, formula)
-        assert result.satisfiable
-        assert search.totals.undo_depth >= 2
 
     def test_node_budget_sets_exhausted_flag(self, db):
         search = GroundingSearch(db)
-        # Needs several descents to solve; a budget of one node cannot.
+        # Needs several steps to solve; a budget of one node cannot.
         formula = conjunction(
             [
                 atom("Available", [F, S]),
@@ -254,76 +170,11 @@ class TestBnbEquivalence:
                 atom("Available", [F, S2]),
             ]
         )
-        result = find_one_bnb(search, formula, node_budget=1)
+        result = search.find_one(formula, node_budget=1)
         assert not result.satisfiable
         assert result.statistics.exhausted_budget
         # Unbounded, the same formula is satisfiable.
-        assert find_one_bnb(GroundingSearch(db), formula).satisfiable
-
-
-# ---------------------------------------------------------------------------
-# Per-shape fast paths
-# ---------------------------------------------------------------------------
-
-
-class TestFastpath:
-    def test_conjunctive_shape_hits_and_matches(self, db):
-        formula = conjunction(
-            [
-                atom("Bookings", ["Goofy", F, S2]),
-                atom("Adjacent", [F, S, S2]),
-                atom("Available", [F, S]),
-            ]
-        )
-        required = formula.free_variables()
-        search = GroundingSearch(db)
-        fast = find_one_fastpath(search, formula, required=required)
-        assert fast is not None and fast.satisfiable
-        assert search.totals.fastpath_hits == 1
-        bt = GroundingSearch(db).find_one(formula, required=required)
-        assert fast.substitution.restrict(required) == bt.substitution.restrict(
-            required
-        )
-
-    def test_existential_shape_hits(self, db):
-        formula = disjunction(
-            [atom("Available", [2, S]), atom("Available", [1, S])]
-        )
-        search = GroundingSearch(db)
-        fast = find_one_fastpath(search, formula, required=[S])
-        assert fast is not None and fast.satisfiable
-        assert fast.valuation()["s"] in {"1A", "1B", "1C"}
-
-    def test_negation_shape_declines(self, db):
-        formula = conjunction(
-            [atom("Available", [1, S]), Negation(Equality(S, Constant("1A")))]
-        )
-        search = GroundingSearch(db)
-        assert find_one_fastpath(search, formula, required=[S]) is None
-        assert search.totals.fastpath_hits == 0
-
-    def test_dispatch_prefers_fastpath_under_bnb(self, db):
-        config = AdmissionSearchConfig(strategy="bnb")
-        result, method = dispatch_find_one(
-            GroundingSearch(db), config, atom("Available", [1, S]), required=[S]
-        )
-        assert result.satisfiable and method == "fastpath"
-
-    def test_dispatch_falls_through_to_bnb(self, db):
-        config = AdmissionSearchConfig(strategy="bnb")
-        formula = conjunction(
-            [atom("Available", [1, S]), Negation(Equality(S, Constant("1A")))]
-        )
-        result, method = dispatch_find_one(
-            GroundingSearch(db), config, formula, required=[S]
-        )
-        assert result.satisfiable and method == "bnb"
-
-    def test_dispatch_none_config_is_backtracking(self, db):
-        result, method = dispatch_find_one(
-            GroundingSearch(db), None, atom("Available", [1, S]), required=[S]
-        )
-        assert result.satisfiable and method == "backtracking"
+        assert GroundingSearch(db).find_one(formula).satisfiable
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +224,3 @@ class TestSampling:
             sampling=SamplingConfig(threshold=1, samples=6, seed=0),
         )
         assert search.totals.samples == 6
-
-    def test_dispatch_never_samples(self, db):
-        # dispatch_find_one is the exact-search dispatcher; sampling engages
-        # only at SolutionCache.ensure's full-solve step, behind the explicit
-        # SamplingConfig opt-in.
-        config = AdmissionSearchConfig(
-            strategy="bnb", sampling=SamplingConfig(threshold=1, samples=2, seed=0)
-        )
-        search = GroundingSearch(db)
-        _result, method = dispatch_find_one(
-            search, config, atom("Available", [1, S]), required=[S]
-        )
-        assert method in {"fastpath", "bnb"}
-        assert search.totals.samples == 0
