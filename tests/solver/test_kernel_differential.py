@@ -272,7 +272,7 @@ def test_find_matches_seed_interpreter(db, seed):
     _assert_same_find(db, *_case(seed))
 
 
-@pytest.mark.parametrize("seed", range(400))
+@pytest.mark.parametrize("seed", range(800))
 def test_leaf_sequence_matches_seed_traversal(db, seed):
     formula, initial, required, _limit, budget = _case(seed)
     expected, expected_stats = _reference_leaves(db, formula, initial, budget)
@@ -281,7 +281,7 @@ def test_leaf_sequence_matches_seed_traversal(db, seed):
     assert _counters(actual_stats) == _counters(expected_stats)
 
 
-@pytest.mark.parametrize("seed", range(200))
+@pytest.mark.parametrize("seed", range(400))
 def test_find_one_matches_seed_interpreter(db, seed):
     """``find_one``, the admission entry point, ≡ the seed ``find`` with
     ``limit=1``: the same first grounding (or none) at the same work."""
@@ -407,11 +407,12 @@ def test_leaf_negation_short_circuits_like_evaluate(db):
     assert seats == [seat for seat in SEATS if seat != "1B"]
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 6, 8, 13, 21, 28, 29, 30, 34, 55])
 def test_budget_exhaustion_point_matches(db, budget):
     """Where the budget runs out decides groundings (COMBINED_NODE_BUDGET):
     the exhausted flag, and every counter past the exhaustion point, agree
-    with the seed traversal."""
+    with the seed traversal — on both sides of the 29 nodes the unbounded
+    traversal takes."""
     formula = Conjunction(
         (
             _available(A, B),
@@ -424,6 +425,7 @@ def test_budget_exhaustion_point_matches(db, budget):
     actual, actual_stats = _kernel_leaves(db, formula, None, None, budget)
     assert actual == expected
     assert _counters(actual_stats) == _counters(expected_stats)
-    unbounded, _stats = _kernel_leaves(db, formula, None, None, None)
+    unbounded, unbounded_stats = _kernel_leaves(db, formula, None, None, None)
+    assert unbounded_stats.nodes == 29
     assert unbounded and (actual_stats.exhausted_budget or actual == unbounded)
     assert _kernel_leaves(db, formula, None, None, 1)[1].exhausted_budget
