@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
@@ -71,6 +72,10 @@ SNAPSHOT_CHECKPOINT_TYPES = frozenset(
 CHECKPOINT_TYPES = frozenset(
     (*SNAPSHOT_CHECKPOINT_TYPES, LogRecordType.CHECKPOINT_DELTA)
 )
+
+
+#: The head of every :meth:`LogRecord.to_json` line: its LSN and kind.
+_JSON_HEAD = re.compile(rb'\{"lsn": (\d+), "type": "([A-Z_]+)"')
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,20 @@ class LogRecord:
                 for name, ops in self.delta.items()
             }
         return json.dumps(payload)
+
+    @classmethod
+    def head_from_json(cls, payload: bytes) -> tuple[int, LogRecordType]:
+        """``(lsn, record_type)`` of a UTF-8 :meth:`to_json` line.
+
+        Reads only the line's first two keys, which :meth:`to_json`
+        always writes first, so a record is classified without decoding
+        its row values or snapshot.
+        """
+        head = _JSON_HEAD.match(payload)
+        try:
+            return int(head[1]), LogRecordType(head[2].decode("ascii"))
+        except (TypeError, ValueError) as exc:  # no head, or an unknown kind
+            raise RecoveryError(f"malformed log record: {payload[:80]!r}") from exc
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":

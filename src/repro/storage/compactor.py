@@ -4,8 +4,11 @@ One daemon worker thread, started eagerly, stopped by an explicit
 ``close()`` that joins the thread.  The worker sleeps on an event that the engine sets whenever
 a segment is sealed or a checkpoint lands (plus a periodic wake-up as a
 backstop), then runs :meth:`SegmentedWriteAheadLog.compact_once` until no
-sealed segment is eligible.  All file rewriting happens off the writer's
-lock — the single point of contact is the atomic manifest swap.
+sealed segment is eligible.  A pass decides from the segments' in-memory
+summaries: it unlinks fully superseded segments unread, leaves the ones
+it keeps whole alone, and reads and rewrites only the mixed ones.  All
+file work happens off the writer's lock — the single point of contact is
+one atomic manifest swap per pass.
 
 The same passes build every base checkpoint after the first: when the
 delta chain reaches ``base_interval`` the engine arms a fold and the next
@@ -13,8 +16,8 @@ compaction pass merges the previous base with the sealed deltas into a
 synthesized ``CHECKPOINT_BASE``, so the writer never builds another full
 snapshot.  It is the durability engine's only thread.
 
-A segment whose compaction keeps failing (a corrupt sealed file, say) is
-quarantined by the engine after a bounded number of attempts
+A mixed segment whose compaction keeps failing (a corrupt sealed file,
+say) is quarantined by the engine after a bounded number of attempts
 (``compaction_errors`` / ``last_compaction_error`` in
 ``durability_statistics()``) — the worker records the error and moves on
 rather than re-reading the same damaged file in a hot loop.

@@ -22,9 +22,11 @@ file-backed log.  What it adds underneath:
 
 * **Compaction, not truncation.**  Sealed segments full of records
   superseded by the checkpoint lineage are rewritten (or deleted) by the
-  background compactor without ever blocking the writer; the manifest
-  swap makes each rewrite atomic.  The same passes synthesize later
-  bases from the previous base and the sealed delta chain.
+  background compactor without ever blocking the writer; it decides from
+  in-memory segment summaries and reads only the segments it rewrites,
+  and one manifest swap per pass makes the pass atomic.  The same passes
+  synthesize later bases from the previous base and the sealed delta
+  chain.
 
 In-memory, ``_records`` always equals *checkpoint lineage + live tail*,
 which is exactly the replay order
@@ -86,6 +88,13 @@ class DurabilityStatistics:
             segments, fold failures); see ``last_compaction_error``.
         last_compaction_error: description of the most recent compaction
             failure, or ``None``.
+        compaction_bytes_read: bytes of sealed segments the compactor read
+            (only segments it rewrites: the rest it decides from their
+            summaries).
+        manifest_saves_writer: manifest saves by the writer side (open,
+            seals, checkpoints, close).
+        manifest_saves_compactor: manifest saves by compaction passes (at
+            most one per pass, none for a pass that changed no segment).
     """
 
     segments_sealed: int = 0
@@ -103,6 +112,9 @@ class DurabilityStatistics:
     base_synthesis_ms: float = 0.0
     compaction_errors: int = 0
     last_compaction_error: str | None = None
+    compaction_bytes_read: int = 0
+    manifest_saves_writer: int = 0
+    manifest_saves_compactor: int = 0
 
 
 #: Compaction attempts on one segment before it is quarantined.  A sealed
@@ -187,7 +199,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 os.remove(self._path(name))
             self._manifest = Manifest()
             self._create_tail_locked()
-            self._manifest.save(self.directory, fsync=self.config.fsync)
+            self._save_manifest_locked()
             return
         self._manifest = manifest
         all_records: list[LogRecord] = []
@@ -205,7 +217,15 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             tail = manifest.segments[-1]
             self._tail = SegmentWriter(self._path(tail.name), fsync=self.config.fsync)
             self._tail.records = tail.records
+        self._save_manifest_locked()
+
+    def _save_manifest_locked(self, *, compactor: bool = False) -> None:
+        """Persist the manifest (caller holds ``_lock``) and count the save."""
         self._manifest.save(self.directory, fsync=self.config.fsync)
+        if compactor:
+            self.statistics.manifest_saves_compactor += 1
+        else:
+            self.statistics.manifest_saves_writer += 1
 
     def _segment_files_on_disk(self) -> set[str]:
         return {
@@ -215,7 +235,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         }
 
     def _scan_segment(self, entry: LogSegment) -> list[LogRecord]:
-        """Read and verify one segment, truncating a torn tail record."""
+        """Read and verify one segment, truncating a torn tail record.
+
+        Also builds the segment's in-memory summary from the records.
+        """
         path = self._path(entry.name)
         try:
             with open(path, "rb") as handle:
@@ -247,6 +270,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             LogRecord.from_json(payload.decode("utf-8"))
             for payload in scan.payloads
         ]
+        for record in records:
+            entry.note(record.lsn, record.record_type)
         entry.records = len(records)
         entry.size = scan.clean_length
         return records
@@ -399,6 +424,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     def _write_record_locked(self, record: LogRecord) -> None:
         """Frame ``record`` into the tail, sealing it when thresholds hit."""
         self._tail.append(record.to_json().encode("utf-8"))
+        self._manifest.tail.note(record.lsn, record.record_type)
         if (
             self._tail.size >= self.config.segment_max_bytes
             or self._tail.records >= self.config.segment_max_records
@@ -493,7 +519,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         entry.size = self._tail.size
         self._tail.close()
         self._create_tail_locked()
-        self._manifest.save(self.directory, fsync=self.config.fsync)
+        self._save_manifest_locked()
         self.statistics.segments_sealed += 1
         self._trigger_compaction()
 
@@ -540,7 +566,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._synthesis_due = False
             self._manifest.checkpoint_lsn = record.lsn
             self._manifest.base_lsn = record.lsn
-            self._manifest.save(self.directory, fsync=self.config.fsync)
+            self._save_manifest_locked()
             self.statistics.checkpoints_base += 1
         self._trigger_compaction()
         return record
@@ -594,9 +620,9 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 if self._tail.records > 0:
                     self._seal_tail_locked()
                 else:
-                    self._manifest.save(self.directory, fsync=self.config.fsync)
+                    self._save_manifest_locked()
             else:
-                self._manifest.save(self.directory, fsync=self.config.fsync)
+                self._save_manifest_locked()
             self.statistics.checkpoints_delta += 1
         self._trigger_compaction()
         return record
@@ -631,26 +657,54 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         if compactor is not None:
             compactor.close()
 
+    @staticmethod
     def _keep_in_compaction(
-        self, record: LogRecord, base_lsn: int, checkpoint_lsn: int
+        lsn: int,
+        record_type: LogRecordType | None,
+        base_lsn: int,
+        checkpoint_lsn: int,
     ) -> bool:
         """Drop rule: superseded by the lineage as of the given pointers.
 
+        ``record_type`` is the record's kind; ``None`` stands for any raw
+        (non-checkpoint) record, which the rule treats alike.
         Checkpoint-family records survive from the current base onwards
         (older lineages are fully superseded); raw records survive only
         past the newest checkpoint.  The pointers are read once under the
-        lock — if a newer checkpoint lands mid-rewrite we merely keep a
-        few extra records, never drop a needed one (the lineage only
-        moves forward).
+        lock — if a newer checkpoint lands mid-pass we merely keep a few
+        extra records, never drop a needed one (the lineage only moves
+        forward).
         """
-        if record.record_type in CHECKPOINT_TYPES:
-            if record.record_type is LogRecordType.CHECKPOINT_DELTA:
+        if record_type in CHECKPOINT_TYPES:
+            if record_type is LogRecordType.CHECKPOINT_DELTA:
                 # A synthesized base reuses its newest folded delta's LSN;
                 # that delta is superseded the moment the base lands, so
                 # deltas survive only strictly past the base.
-                return record.lsn > base_lsn
-            return record.lsn >= base_lsn
-        return record.lsn > checkpoint_lsn
+                return lsn > base_lsn
+            return lsn >= base_lsn
+        return lsn > checkpoint_lsn
+
+    def _summary_verdict(
+        self, entry: LogSegment, base_lsn: int, checkpoint_lsn: int
+    ) -> bool | None:
+        """The drop rule over a segment's summary, without reading it.
+
+        True: every record is kept.  False: none is.  None: the segment is
+        mixed and must be read.  Raw records are in LSN order and the rule
+        keeps a suffix of them, so their first and last LSN decide.
+        """
+        samples = list(entry.checkpoints)
+        if entry.raw_last_lsn:
+            samples += [(entry.raw_first_lsn, None), (entry.raw_last_lsn, None)]
+        kept = [
+            self._keep_in_compaction(lsn, record_type, base_lsn, checkpoint_lsn)
+            for lsn, record_type in samples
+        ]
+        if not any(kept):
+            return False
+        if all(kept):
+            return True
+        return None
 
     def _note_compaction_failure(self, name: str, exc: BaseException) -> None:
         """Count a failed pass on ``name``; quarantine after the limit.
@@ -672,15 +726,22 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 self._compaction_quarantine.add(name)
 
     def compact_once(self) -> bool:
-        """Compact (or re-certify) one sealed segment; True if work was done.
+        """Run one compaction pass; True if work was done.
 
-        A due base synthesis runs first — it supersedes the delta chain
-        the pass would otherwise be compacting around.  The expensive part — reading the sealed file and writing
-        its replacement — happens without the writer lock; only the
-        manifest swap is under it.  The rewritten file is a *new
-        generation* (new name): a crash before the swap leaves it as an
-        orphan, a crash after the swap leaves the superseded original as
-        an orphan, and the open-time cleanup removes either.
+        A due base synthesis runs first, as a pass of its own — it
+        supersedes the delta chain the pass would otherwise be compacting
+        around.  Otherwise the pass takes every sealed segment not yet
+        compacted at the current checkpoint and decides from its summary:
+        a segment the drop rule empties is unlinked unread, one it keeps
+        whole is neither read nor written (only its ``compacted_at_lsn``
+        hint advances), and only a mixed one is read and its kept frames
+        copied into a *new generation* (new name), off the writer lock.
+        All decisions are installed under one ``_lock`` acquisition with
+        at most one manifest save — none if no segment changed — and the
+        superseded files are unlinked only after that save: a crash
+        before it leaves the rewrites as orphans, a crash after it leaves
+        the superseded files as orphans, and the open-time cleanup
+        removes either.
         """
         with self._compaction_lock:
             try:
@@ -701,91 +762,99 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                     return False
                 checkpoint_lsn = self._manifest.checkpoint_lsn
                 base_lsn = self._manifest.base_lsn
-                candidate = next(
+                candidates = [
+                    entry
+                    for entry in self._manifest.segments[:-1]
+                    if entry.sealed
+                    and entry.compacted_at_lsn < checkpoint_lsn
+                    and entry.name not in self._compaction_quarantine
+                ]
+            if not candidates:
+                return False
+            dropped: list[LogSegment] = []
+            rewrites: list[tuple[LogSegment, LogSegment]] = []
+            for entry in candidates:
+                verdict = self._summary_verdict(entry, base_lsn, checkpoint_lsn)
+                if verdict is False:
+                    dropped.append(entry)
+                elif verdict is None:
+                    # A failure here installs nothing: the generations
+                    # already written are orphans, and the next pass
+                    # writes them again under the same names.
+                    rewritten = self._rewrite_mixed(entry, base_lsn, checkpoint_lsn)
+                    rewrites.append((entry, rewritten))
+            superseded = [entry.name for entry in dropped] + [
+                entry.name for entry, _rewritten in rewrites
+            ]
+            with self._lock:
+                for entry in candidates:
+                    entry.compacted_at_lsn = checkpoint_lsn
+                segments = self._manifest.segments
+                for entry in dropped:
+                    segments.remove(entry)
+                    self.statistics.bytes_reclaimed += entry.size
+                for entry, rewritten in rewrites:
+                    segments[segments.index(entry)] = rewritten
+                    self.statistics.bytes_reclaimed += entry.size - rewritten.size
+                self.statistics.compactions += len(superseded)
+                self._manifest.compacted_through_lsn = min(
                     (
-                        entry
+                        entry.compacted_at_lsn
                         for entry in self._manifest.segments[:-1]
                         if entry.sealed
-                        and entry.compacted_at_lsn < checkpoint_lsn
-                        and entry.name not in self._compaction_quarantine
                     ),
-                    None,
+                    default=checkpoint_lsn,
                 )
-                if candidate is None:
-                    return False
-                old_name = candidate.name
-                old_generation = candidate.generation
-            try:
-                return self._compact_candidate(
-                    candidate, old_name, old_generation, base_lsn, checkpoint_lsn
-                )
-            except Exception as exc:
-                self._note_compaction_failure(old_name, exc)
-                raise
+                if superseded:
+                    self._save_manifest_locked(compactor=True)
+            for name in superseded:
+                os.remove(self._path(name))
+            return True
 
-    def _compact_candidate(
-        self,
-        candidate: LogSegment,
-        old_name: str,
-        old_generation: int,
-        base_lsn: int,
-        checkpoint_lsn: int,
-    ) -> bool:
-        old_path = self._path(old_name)
-        with open(old_path, "rb") as handle:
-            data = handle.read()
-        scan = scan_frames(data)
-        if scan.damage is not None:
-            raise RecoveryError(
-                f"sealed segment {old_name!r} is corrupt: {scan.damage}"
-            )
-        records = [
-            LogRecord.from_json(payload.decode("utf-8"))
-            for payload in scan.payloads
-        ]
-        kept = [
-            record
-            for record in records
-            if self._keep_in_compaction(record, base_lsn, checkpoint_lsn)
-        ]
-        new_name = None
-        new_size = 0
-        if kept and len(kept) < len(records):
-            new_name = segment_file_name(candidate.index, old_generation + 1)
-            with open(self._path(new_name), "wb") as handle:
-                for record in kept:
-                    frame = encode_frame(record.to_json().encode("utf-8"))
+    def _rewrite_mixed(
+        self, entry: LogSegment, base_lsn: int, checkpoint_lsn: int
+    ) -> LogSegment:
+        """Copy a mixed segment's kept frames into its next generation.
+
+        Returns the new file's manifest entry, summary included, not yet
+        installed.  A read or decode failure counts against the segment
+        (see :meth:`_note_compaction_failure`).
+        """
+        try:
+            with open(self._path(entry.name), "rb") as handle:
+                data = handle.read()
+            self.statistics.compaction_bytes_read += len(data)
+            scan = scan_frames(data)
+            if scan.damage is not None:
+                raise RecoveryError(
+                    f"sealed segment {entry.name!r} is corrupt: {scan.damage}"
+                )
+            heads = [LogRecord.head_from_json(payload) for payload in scan.payloads]
+        except Exception as exc:
+            self._note_compaction_failure(entry.name, exc)
+            raise
+        rewritten = LogSegment(
+            index=entry.index,
+            generation=entry.generation + 1,
+            sealed=True,
+            compacted_at_lsn=checkpoint_lsn,
+        )
+        with open(self._path(rewritten.name), "wb") as handle:
+            for (lsn, record_type), payload in zip(heads, scan.payloads):
+                if self._keep_in_compaction(
+                    lsn, record_type, base_lsn, checkpoint_lsn
+                ):
+                    # The frame as read, byte for byte: the CRC check
+                    # above covered it, and nothing is re-encoded.
+                    frame = encode_frame(payload)
                     handle.write(frame)
-                    new_size += len(frame)
-                handle.flush()
-                if self.config.fsync:
-                    os.fsync(handle.fileno())
-        with self._lock:
-            candidate.compacted_at_lsn = checkpoint_lsn
-            if not kept:
-                self._manifest.segments.remove(candidate)
-                self.statistics.compactions += 1
-                self.statistics.bytes_reclaimed += len(data)
-            elif new_name is not None:
-                candidate.name = new_name
-                candidate.generation = old_generation + 1
-                candidate.records = len(kept)
-                candidate.size = new_size
-                self.statistics.compactions += 1
-                self.statistics.bytes_reclaimed += len(data) - new_size
-            sealed = [
-                entry
-                for entry in self._manifest.segments[:-1]
-                if entry.sealed
-            ]
-            self._manifest.compacted_through_lsn = min(
-                (entry.compacted_at_lsn for entry in sealed),
-                default=checkpoint_lsn,
-            )
-            self._manifest.save(self.directory, fsync=self.config.fsync)
-        if not kept or new_name is not None:
-            os.remove(old_path)
-        return True
+                    rewritten.size += len(frame)
+                    rewritten.records += 1
+                    rewritten.note(lsn, record_type)
+            handle.flush()
+            if self.config.fsync:
+                os.fsync(handle.fileno())
+        return rewritten
 
     @staticmethod
     def _fold_lineage(
@@ -900,6 +969,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 size=len(frame),
                 compacted_at_lsn=checkpoint_lsn,
             )
+            entry.note(base.lsn, base.record_type)
             self._manifest.segments.insert(0, entry)
             self._manifest.base_lsn = base.lsn
             remaining = [
@@ -912,7 +982,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._lineage_length = 1 + len(remaining)
             self._deltas_since_base = len(remaining)
             self._synthesis_due = False
-            self._manifest.save(self.directory, fsync=self.config.fsync)
+            self._save_manifest_locked(compactor=True)
             self.statistics.bases_synthesized += 1
             self.statistics.base_synthesis_ms = max(
                 self.statistics.base_synthesis_ms,
@@ -952,6 +1022,9 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 "base_synthesis_ms": stats.base_synthesis_ms,
                 "compaction_errors": stats.compaction_errors,
                 "last_compaction_error": stats.last_compaction_error,
+                "compaction_bytes_read": stats.compaction_bytes_read,
+                "manifest_saves_writer": stats.manifest_saves_writer,
+                "manifest_saves_compactor": stats.manifest_saves_compactor,
                 "segments_quarantined": len(self._compaction_quarantine),
                 "checkpoint_lsn": self._manifest.checkpoint_lsn,
                 "compacted_through_lsn": self._manifest.compacted_through_lsn,
@@ -968,4 +1041,4 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             tail.records = self._tail.records
             tail.size = self._tail.size
             self._tail.close()
-            self._manifest.save(self.directory, fsync=self.config.fsync)
+            self._save_manifest_locked()

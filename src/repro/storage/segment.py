@@ -23,6 +23,8 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
+from repro.relational.wal import CHECKPOINT_TYPES, LogRecordType
+
 SEGMENT_SUFFIX = ".walseg"
 
 _HEADER = struct.Struct(">II")
@@ -40,7 +42,7 @@ def segment_file_name(index: int, generation: int = 0) -> str:
 
 @dataclass
 class LogSegment:
-    """One segment's manifest entry (metadata, not file contents).
+    """One segment's manifest entry plus its in-memory summary.
 
     Attributes:
         index: position in the log's segment chain (monotonic, never
@@ -54,6 +56,19 @@ class LogSegment:
         compacted_at_lsn: the checkpoint LSN this segment was last
             compacted against (sealed segments only); the compactor skips
             segments already compacted at the current checkpoint.
+        raw_first_lsn: LSN of the segment's first raw (non-checkpoint)
+            record, 0 if it holds none.
+        raw_last_lsn: LSN of its last raw record, 0 if it holds none.
+        checkpoints: ``(lsn, record_type)`` of each checkpoint-family
+            record in it, in order.
+
+    The last three are the segment's *summary*: enough for the compactor
+    to decide from memory whether a segment is kept whole, dropped whole
+    or must be read and rewritten (records in a segment are in LSN order,
+    and the drop rule treats every raw record alike).  The summary is not
+    part of the manifest file: the writer keeps the tail's up to date as
+    it appends, compaction sets it for the files it writes, and the open
+    scan rebuilds it from the records it decodes anyway.
     """
 
     index: int
@@ -63,10 +78,24 @@ class LogSegment:
     records: int = 0
     size: int = 0
     compacted_at_lsn: int = 0
+    raw_first_lsn: int = field(default=0, compare=False, repr=False)
+    raw_last_lsn: int = field(default=0, compare=False, repr=False)
+    checkpoints: list[tuple[int, LogRecordType]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
             self.name = segment_file_name(self.index, self.generation)
+
+    def note(self, lsn: int, record_type: LogRecordType) -> None:
+        """Add one record, appended after every record already noted."""
+        if record_type in CHECKPOINT_TYPES:
+            self.checkpoints.append((lsn, record_type))
+        else:
+            if not self.raw_first_lsn:
+                self.raw_first_lsn = lsn
+            self.raw_last_lsn = lsn
 
     def to_payload(self) -> dict:
         return {

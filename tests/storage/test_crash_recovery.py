@@ -13,7 +13,8 @@ in-memory log does not:
 * a torn tail record (truncated / CRC-corrupted / garbage-suffixed);
 * a manifest swap interrupted mid-rename (``MANIFEST.tmp`` left behind);
 * a compactor killed mid-rewrite (orphan generation before the swap) or
-  mid-cleanup (superseded generation after the swap);
+  mid-cleanup (superseded generation after the swap), and a compaction
+  pass killed on either side of its one manifest save;
 * an open transaction's unsynced bytes past the tail's synced watermark
   (``fsync=True``), lost or torn.
 
@@ -274,6 +275,80 @@ class TestManifestCrashPoints:
         recovered = recover(seg_dir, make_schema)
         assert not stale.exists()
         assert fingerprint(recovered) == fingerprint(segmented)
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
+        recovered.wal.close()
+
+
+class TestCompactionPassCrashPoints:
+    """A compaction pass installs every decision with one manifest save and
+    unlinks the superseded files only after it; a crash on either side of
+    that save recovers to the same rows."""
+
+    def _twins_with_pending_pass(self, tmp_path, seed):
+        twin, segmented, engine, seg_dir = build_twins(tmp_path, seed)
+        if engine._synthesis_due:
+            assert engine.compact_once()  # the base fold is a pass of its own
+        assert not engine._synthesis_due
+        return twin, segmented, engine, seg_dir
+
+    @staticmethod
+    def _segment_files(seg_dir) -> set[str]:
+        return {
+            name for name in os.listdir(seg_dir) if name.endswith(SEGMENT_SUFFIX)
+        }
+
+    @pytest.mark.parametrize("seed", (0, 1, 6))
+    def test_killed_before_the_save_keeps_the_old_manifest(
+        self, tmp_path, monkeypatch, seed
+    ):
+        twin, segmented, engine, seg_dir = self._twins_with_pending_pass(
+            tmp_path, seed
+        )
+        expected = fingerprint(segmented)
+        before = Manifest.load(str(seg_dir))
+
+        def crashing_save(self, directory, *, fsync=True):
+            raise OSError("lost the disk before the rename")
+
+        monkeypatch.setattr(Manifest, "save", crashing_save)
+        with pytest.raises(OSError):
+            engine.compact_once()
+        monkeypatch.undo()
+        # The old manifest is authoritative and names only files that
+        # still exist: nothing was unlinked before the save.
+        assert Manifest.load(str(seg_dir)) == before
+        assert before.segment_names() <= self._segment_files(seg_dir)
+        # Simulated crash: the wedged engine is abandoned, not closed.
+        recovered = recover(seg_dir, make_schema)
+        assert self._segment_files(seg_dir) == before.segment_names() | {
+            recovered.wal._manifest.tail.name
+        }
+        assert fingerprint(recovered) == expected
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
+        recovered.wal.close()
+
+    @pytest.mark.parametrize("seed", (0, 1, 6))
+    def test_killed_after_the_save_leaves_orphans_removed_at_open(
+        self, tmp_path, monkeypatch, seed
+    ):
+        twin, segmented, engine, seg_dir = self._twins_with_pending_pass(
+            tmp_path, seed
+        )
+        expected = fingerprint(segmented)
+
+        def crashing_remove(path):
+            raise OSError("killed before the first unlink")
+
+        monkeypatch.setattr(os, "remove", crashing_remove)
+        with pytest.raises(OSError):
+            engine.compact_once()
+        monkeypatch.undo()
+        saved = Manifest.load(str(seg_dir))
+        orphans = self._segment_files(seg_dir) - saved.segment_names()
+        assert orphans, "the pass should have superseded some files"
+        recovered = recover(seg_dir, make_schema)
+        assert not orphans & self._segment_files(seg_dir)
+        assert fingerprint(recovered) == expected
         assert fingerprint(recovered) == fingerprint(recover_twin(twin))
         recovered.wal.close()
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
-from repro.relational.wal import LogRecordType
+from repro.relational.wal import CHECKPOINT_TYPES, LogRecord, LogRecordType
 from repro.storage import (
     DurabilityConfig,
     SegmentedWriteAheadLog,
@@ -575,30 +575,68 @@ class TestStatisticsReport:
         engine.close()
 
 
-def corrupt_first_sealed_segment(tmp_path, engine) -> str:
-    """Flip a payload byte in the oldest sealed segment; returns its name."""
-    entry = engine._manifest.segments[0]
-    assert entry.sealed
-    path = tmp_path / "segments" / entry.name
+def corrupt_segment(tmp_path, name: str) -> str:
+    """Flip a payload byte in segment file ``name``; returns the name."""
+    path = tmp_path / "segments" / name
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
-    return entry.name
+    return name
+
+
+def decoded_segment(tmp_path, name: str) -> list:
+    """The records of segment file ``name``, read and decoded."""
+    data = (tmp_path / "segments" / name).read_bytes()
+    return [
+        LogRecord.from_json(payload.decode("utf-8"))
+        for payload in scan_frames(data).payloads
+    ]
+
+
+def engine_with_mixed_segment(tmp_path):
+    """An engine whose chain holds a sealed *mixed* segment.
+
+    One delta checkpoint after the base (``base_interval=2``, so no
+    synthesis is armed) lands in a segment that also holds raw records
+    it supersedes: compaction must read that segment to rewrite it.
+    Returns ``(database, engine, name of the mixed segment)``.
+    """
+    database, engine = make_engine(tmp_path, segment_max_records=6)
+    for i in range(30):
+        database.insert("Seats", (i, f"s{i}"))
+    database.checkpoint()  # base
+    database.insert("Seats", (100, "before the delta"))
+    database.checkpoint()  # delta, kept: it is past the base
+    for i in range(101, 105):
+        database.insert("Seats", (i, "after the delta"))
+    checkpoint_lsn = engine._manifest.checkpoint_lsn
+    for entry in engine._manifest.segments[:-1]:
+        records = decoded_segment(tmp_path, entry.name)
+        kinds = {record.record_type for record in records}
+        if LogRecordType.CHECKPOINT_DELTA in kinds and any(
+            record.lsn < checkpoint_lsn
+            and record.record_type not in CHECKPOINT_TYPES
+            for record in records
+        ):
+            return database, engine, entry.name
+    raise AssertionError("no sealed segment mixes the delta with raw records")
 
 
 class TestCompactionQuarantine:
-    """A corrupt sealed segment must not pin compaction in a retry loop."""
+    """A corrupt sealed segment must not pin compaction in a retry loop.
+
+    The damaged segment is a mixed one — a kept delta beside superseded
+    raw records — so compaction has to read it; a segment it keeps or
+    drops whole is decided without reading it.
+    """
 
     def test_failing_segment_is_quarantined_after_bounded_attempts(
         self, tmp_path
     ):
         from repro.storage.engine import _COMPACTION_ATTEMPT_LIMIT
 
-        database, engine = make_engine(tmp_path, segment_max_records=6)
-        for i in range(30):
-            database.insert("Seats", (i, f"s{i}"))
-        database.checkpoint()  # every sealed raw segment becomes eligible
-        bad_name = corrupt_first_sealed_segment(tmp_path, engine)
+        _database, engine, mixed = engine_with_mixed_segment(tmp_path)
+        bad_name = corrupt_segment(tmp_path, mixed)
         for _ in range(_COMPACTION_ATTEMPT_LIMIT):
             with pytest.raises(RecoveryError):
                 engine.compact_now()
@@ -617,11 +655,8 @@ class TestCompactionQuarantine:
 
         from repro.storage.engine import _COMPACTION_ATTEMPT_LIMIT
 
-        database, engine = make_engine(tmp_path, segment_max_records=6)
-        for i in range(30):
-            database.insert("Seats", (i, f"s{i}"))
-        database.checkpoint()
-        corrupt_first_sealed_segment(tmp_path, engine)
+        _database, engine, mixed = engine_with_mixed_segment(tmp_path)
+        corrupt_segment(tmp_path, mixed)
         compactor = engine.start_compactor()
         deadline = time.monotonic() + 5.0
         while engine.statistics.compaction_errors < _COMPACTION_ATTEMPT_LIMIT:
@@ -632,3 +667,30 @@ class TestCompactionQuarantine:
         assert compactor.last_error is not None
         engine.stop_compactor()
         engine.close()
+
+    def test_superseded_corrupt_segment_is_reclaimed_unread(self, tmp_path):
+        # The oldest sealed segment holds only raw records the base
+        # supersedes: its summary says "drop", so compaction unlinks it
+        # without reading it and its damage is never an error.
+        database, engine = make_engine(tmp_path, segment_max_records=6)
+        for i in range(30):
+            database.insert("Seats", (i, f"s{i}"))
+        database.checkpoint()
+        entry = engine._manifest.segments[0]
+        assert entry.sealed
+        assert all(
+            record.record_type not in CHECKPOINT_TYPES
+            for record in decoded_segment(tmp_path, entry.name)
+        )
+        bad_name = corrupt_segment(tmp_path, entry.name)
+        assert engine.compact_now() > 0
+        stats = engine.durability_statistics()
+        assert stats["compaction_errors"] == 0
+        assert stats["segments_quarantined"] == 0
+        assert stats["bytes_reclaimed"] > 0
+        assert bad_name not in engine._manifest.segment_names()
+        assert not (tmp_path / "segments" / bad_name).exists()
+        engine.close()
+        recovered = recover(tmp_path / "segments", make_schema)
+        assert recovered.snapshot() == database.snapshot()
+        recovered.wal.close()
