@@ -16,7 +16,8 @@ them through an embedded ``QuantumDatabase`` twice, then restarts it:
 1. under coarse wall-clock **phase timers** — parse (text to
    transaction), admit (routing, composition, the admission search), plan
    (serialization order plus the grounding search), apply (executing a
-   plan: store writes, witnesses, recomposition) and persist (inside
+   plan: store writes, the successor composition, index retraction, delta
+   notification and the successor's witness) and persist (inside
    ``Transaction.commit``: the COMMIT record's append, flush and fsync) —
    followed by the search counters, the store commits, WAL records and
    fsyncs behind one booking, and a digest of the round's decisions, which

@@ -55,6 +55,56 @@ from repro.logic.unification import unification_predicate
 from repro.solver.kernel import Program, Scope, compile_formula, conjoin
 
 
+#: One rewrite part of a body atom: ``(owner, kind, predicate)`` — the index
+#: of the entry that owns the update, its kind (INSERT or DELETE) and the
+#: unification predicate ϕ(atom, update), never FALSE.
+RewritePart = tuple[int, AtomKind, Formula]
+
+#: A body atom (as a plain body atom) with its rewrite parts, in order.
+AtomRewrite = tuple[Atom, tuple[RewritePart, ...]]
+
+
+def rewrite_parts(
+    atom: Atom, updates: Iterable[tuple[int, Atom]]
+) -> AtomRewrite:
+    """The rewrite of one later body atom against tagged earlier updates.
+
+    ``updates`` are ``(owner, update)`` pairs in serialization order.  Every
+    update that unifies with the atom contributes one part tagged with its
+    owner, so a composition can later drop the parts of a grounded prefix
+    (:meth:`OrderComposition.successor`) without unifying again.
+    """
+    # Unification reads relation and terms only, so the updates are unified
+    # as they are; the atom itself is copied only to shed an OPTIONAL flag.
+    body = atom if atom.kind is AtomKind.BODY and not atom.optional else atom.as_body()
+    parts: list[RewritePart] = []
+    for owner, update in updates:
+        kind = update.kind
+        if kind is AtomKind.BODY:
+            continue
+        predicate = unification_predicate(body, update)
+        if predicate is not FALSE:
+            parts.append((owner, kind, predicate))
+    return body, tuple(parts)
+
+
+def rewritten_atom(rewrite: AtomRewrite) -> Formula:
+    """The factor ``(b ∨ ⋁_i ϕ(b, i)) ∧ ⋀_d ¬ϕ(b, d)`` of one atom's rewrite."""
+    body, parts = rewrite
+    alternatives: list[Formula] = [AtomFormula(body)]
+    exclusions: list[Formula] = []
+    for _owner, kind, predicate in parts:
+        if kind is AtomKind.INSERT:
+            alternatives.append(predicate)
+        else:
+            exclusions.append(Negation(predicate))
+    # (A lone alternative is the disjunction of itself.)
+    factor = disjunction(alternatives) if len(alternatives) > 1 else alternatives[0]
+    if exclusions:
+        factor = conjunction([factor, *exclusions])
+    return factor
+
+
 def rewrite_atom_against_updates(atom: Atom, updates: Iterable[Atom]) -> Formula:
     """Rewrite one later body atom against one earlier update portion.
 
@@ -62,24 +112,7 @@ def rewrite_atom_against_updates(atom: Atom, updates: Iterable[Atom]) -> Formula
     module docstring.  When the update portion shares no relation with the
     atom the factor collapses back to the plain atom.
     """
-    # Unification reads relation and terms only, so the updates are unified
-    # as they are; the atom itself is copied only to shed an OPTIONAL flag.
-    body = atom if atom.kind is AtomKind.BODY and not atom.optional else atom.as_body()
-    alternatives: list[Formula] = [AtomFormula(body)]
-    exclusions: list[Formula] = []
-    for update in updates:
-        predicate = unification_predicate(body, update)
-        if predicate is FALSE:
-            continue
-        if update.kind is AtomKind.INSERT:
-            alternatives.append(predicate)
-        elif update.kind is AtomKind.DELETE:
-            exclusions.append(Negation(predicate))
-    # (A lone alternative is the disjunction of itself.)
-    factor = disjunction(alternatives) if len(alternatives) > 1 else alternatives[0]
-    if exclusions:
-        factor = conjunction([factor, *exclusions])
-    return factor
+    return rewritten_atom(rewrite_parts(atom, ((0, update) for update in updates)))
 
 
 def rewrite_body_against_updates(
@@ -169,6 +202,13 @@ def composed_body(
     return compose_sequence(transactions, include_optional=include_optional)
 
 
+def _entry_factor(rewrites: Sequence[AtomRewrite]) -> Formula:
+    """An entry's factor: its hard atoms' rewrites, conjoined."""
+    rewritten = [rewritten_atom(rewrite) for rewrite in rewrites]
+    # (Each part is simplified already; a lone one is the conjunction.)
+    return rewritten[0] if len(rewritten) == 1 else conjunction(rewritten)
+
+
 @dataclass(frozen=True)
 class OptionalFactor:
     """One OPTIONAL atom of an entry, rewritten in its serialization context.
@@ -213,11 +253,16 @@ class OrderComposition:
 
     The update log is bucketed by relation: an atom is only ever unified
     with the earlier updates on its own relation, in serialization order,
-    which yields exactly the factor a scan over every update would.
+    which yields exactly the factor a scan over every update would.  Each
+    factor is kept as the parts it was built from — per hard atom, one
+    ``(owner, kind, predicate)`` part per earlier update it unifies with —
+    so that :meth:`successor` can drop a grounded prefix's parts without
+    unifying again.
 
-    A partition keeps the composition of its arrival order resident and
-    extends it by one factor per admission; a semantic reorder builds one
-    for the fronted order.  The composed formula is identical (same
+    A partition keeps the composition of its pending order resident: it
+    extends it by one factor per admission, and a grounding replaces it by
+    the successor of the order it was planned on (a semantic reorder builds
+    one for the fronted order).  The composed formula is identical (same
     factors, same order) to :func:`compose_sequence` of the underlying
     sequence; the unit tests assert this equivalence.
 
@@ -232,6 +277,11 @@ class OrderComposition:
         #: caller, like everywhere else in the quantum state), in order.
         self.transactions: list[ResourceTransaction] = []
         self.factors: list[Formula] = []
+        #: Per entry, its hard atoms' rewrites: the parts a factor is built
+        #: from, each tagged with the entry that owns its update.
+        self._rewrites: list[tuple[AtomRewrite, ...]] = []
+        #: Per entry, the relational atoms of its factor.
+        self._atom_counts: list[int] = []
         self._programs: list[Program | None] = []
         self._optionals: list[tuple[OptionalFactor, ...] | None] = []
         #: relation -> ``(index of the owning entry, update atom)``, in order.
@@ -239,34 +289,37 @@ class OrderComposition:
         self._atoms = 0
         self._formula: Formula | None = None
         self._program: Program | None = None
+        #: The last :meth:`preview_factor`: ``(position, transaction,
+        #: factor, rewrites)``, so that :meth:`append` unifies nothing again.
+        self._preview: (
+            tuple[int, ResourceTransaction, Formula, tuple[AtomRewrite, ...]] | None
+        ) = None
         for transaction in transactions:
             self.append(transaction)
 
     def __len__(self) -> int:
         return len(self.factors)
 
-    def _rewrite(self, atom: Atom, before: int) -> Formula:
-        """``atom`` rewritten against the updates of entries ``0 .. before-1``."""
-        return rewrite_atom_against_updates(
-            atom,
-            [
-                update
-                for index, update in self._updates.get(atom.relation, ())
-                if index < before
-            ],
-        )
+    def _rewrite(self, atom: Atom, before: int) -> AtomRewrite:
+        """``atom``'s rewrite against the updates of entries ``0 .. before-1``."""
+        bucket = self._updates.get(atom.relation, ())
+        if before < len(self.factors):
+            bucket = [tagged for tagged in bucket if tagged[0] < before]
+        return rewrite_parts(atom, bucket)
 
     def preview_factor(self, transaction: ResourceTransaction) -> Formula:
         """The factor ``transaction`` would contribute, without appending it.
 
         This is the transaction's hard body rewritten against the updates
         accumulated so far — exactly what admission needs for its
-        extend-or-solve check before committing to the append.
+        extend-or-solve check before committing to the append.  The tagged
+        parts the factor was built from are kept for :meth:`append`.
         """
         before = len(self.factors)
-        rewritten = [self._rewrite(atom, before) for atom in transaction.hard_body]
-        # (Each part is simplified already; a lone one is the conjunction.)
-        return rewritten[0] if len(rewritten) == 1 else conjunction(rewritten)
+        rewrites = tuple(self._rewrite(atom, before) for atom in transaction.hard_body)
+        factor = _entry_factor(rewrites)
+        self._preview = (before, transaction, factor, rewrites)
+        return factor
 
     def append(
         self,
@@ -287,18 +340,81 @@ class OrderComposition:
         Returns:
             The factor contributed by ``transaction``.
         """
-        if factor is None:
-            factor = self.preview_factor(transaction)
+        preview = self._preview
+        if (
+            preview is None
+            or preview[0] != len(self.factors)
+            or preview[1] is not transaction
+            or (factor is not None and factor is not preview[2])
+        ):
+            previewed = self.preview_factor(transaction)
+            factor = previewed if factor is None else factor
+            preview = self._preview
+        else:
+            factor = preview[2]
+        self._preview = None
+        self._push(transaction, factor, preview[3], program, len(factor.atoms()))
+        return factor
+
+    def _push(
+        self,
+        transaction: ResourceTransaction,
+        factor: Formula,
+        rewrites: tuple[AtomRewrite, ...],
+        program: Program | None,
+        atoms: int,
+    ) -> None:
+        """Record the next entry: its factor, parts and updates."""
         index = len(self.factors)
         self.transactions.append(transaction)
         self.factors.append(factor)
+        self._rewrites.append(rewrites)
+        self._atom_counts.append(atoms)
         self._programs.append(program)
         self._optionals.append(None)
         for update in transaction.updates:
             self._updates.setdefault(update.relation, []).append((index, update))
-        self._atoms += len(factor.atoms())
+        self._atoms += atoms
         self._formula = self._program = None
-        return factor
+
+    def successor(self, count: int) -> "OrderComposition":
+        """The composition of entries ``count ..``, after a grounded prefix.
+
+        Theorem 3.5 run on a prefix removal: once entries ``0 .. count-1``
+        are grounded, each remaining factor only loses the parts their
+        updates contributed.  Those parts are dropped and the owners of the
+        rest renumbered — nothing is unified again, and a factor that loses
+        nothing is kept as it is.  The result equals
+        ``OrderComposition(self.transactions[count:])``: same factors,
+        formula, atom count and update buckets.
+
+        Its :class:`~repro.solver.kernel.Scope` is fresh and its programs
+        compile on first use, exactly as after a recomposition: every
+        remaining factor that lost a part is a new formula, and a kept scope
+        would size every search's slot arrays by the grounded entries'
+        variables (the reason :meth:`discard_programs` exists).
+        """
+        successor = OrderComposition()
+        for index in range(count, len(self.factors)):
+            rewrites = self._rewrites[index]
+            factor = self.factors[index]
+            atoms = self._atom_counts[index]
+            dropped = False
+            renumbered = []
+            for body, parts in rewrites:
+                kept = []
+                for owner, kind, predicate in parts:
+                    if owner < count:
+                        dropped = True
+                    else:
+                        kept.append((owner - count, kind, predicate))
+                renumbered.append((body, tuple(kept)))
+            rewrites = tuple(renumbered)
+            if dropped:
+                factor = _entry_factor(rewrites)
+                atoms = len(factor.atoms())
+            successor._push(self.transactions[index], factor, rewrites, None, atoms)
+        return successor
 
     def discard_programs(self) -> None:
         """Forget every compiled program, and with them the scope.
@@ -389,7 +505,7 @@ class OrderComposition:
             transaction = self.transactions[index]
             built = []
             for atom in transaction.optional_body:
-                formula = self._rewrite(atom, index)
+                formula = rewritten_atom(self._rewrite(atom, index))
                 program = compile_formula(formula, scope=self.scope)
                 plain = (
                     program

@@ -31,7 +31,7 @@ from repro.solver.kernel import Program
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.quantum_state import PendingTransaction
-    from repro.core.solution_cache import Solution
+    from repro.core.solution_cache import Delta, Solution
 
 #: Monotone counter for partition identifiers.
 _partition_counter = itertools.count(1)
@@ -48,32 +48,69 @@ class Partition:
             body (a :class:`~repro.core.solution_cache.Solution`), or
             ``None``.  Written by the solution cache; the partition itself
             only withdraws the record's footprint when its pending sequence
-            changes shape (:meth:`remove`, assignment to :attr:`pending`) —
-            the substitution then has to be re-verified before it is
-            trusted again.  An :meth:`append` extends the composed body by
-            a factor and leaves the record to the admission that caused it.
+            changes shape (:meth:`remove`, :meth:`ground_prefix`,
+            assignment to :attr:`pending`) — the substitution then has to
+            be re-verified before it is trusted again.  An :meth:`append`
+            extends the composed body by a factor and leaves the record to
+            the admission that caused it.
     """
 
     def __init__(self, pending: Iterable["PendingTransaction"] = ()) -> None:
         self.partition_id = next(_partition_counter)
         self._pending: list["PendingTransaction"] = list(pending)
-        self.solution: "Solution | None" = None
-        #: The resident composition of the arrival order (hard atoms only,
-        #: with the factors' compiled programs); rebuilt lazily after
-        #: structural changes (merges, groundings).
+        #: The owning manager's set of partitions whose record is *loose* —
+        #: a footprint its signature index cannot route deltas to (see
+        #: :attr:`solution`); ``None`` for a free-standing partition.
+        self.loose: set[int] | None = None
+        self._solution: "Solution | None" = None
+        #: The resident composition of the pending sequence (hard atoms
+        #: only, with the factors' compiled programs).  Extended by
+        #: appends, replaced by its successor after a grounding, and
+        #: rebuilt lazily after any other structural change (a merge).
         self._composition: OrderComposition | None = None
         #: The owning manager's counters, whose high-water marks
         #: :meth:`append` maintains (``None`` for a free-standing partition).
         self.statistics: PartitionStatistics | None = None
         #: Observer invoked after every structural change to the pending
-        #: sequence.  Receives the partition and, for an append, the entry
-        #: just added (``None`` for removals and whole-sequence assignment,
-        #: which require a full re-scan).  The partition manager uses this
-        #: to keep its signature index and transaction map current even
-        #: though admission and grounding mutate partitions directly.
+        #: sequence, as ``(partition, appended, removed)``: the entry an
+        #: append added, or the entries a grounding or removal took out;
+        #: both ``None`` for a whole-sequence assignment, which requires a
+        #: full re-scan.  The partition manager uses this to keep its
+        #: signature index and transaction map current even though
+        #: admission and grounding mutate partitions directly.
         self.on_structural_change: (
-            Callable[["Partition", "PendingTransaction | None"], None] | None
+            Callable[
+                [
+                    "Partition",
+                    "PendingTransaction | None",
+                    "Sequence[PendingTransaction] | None",
+                ],
+                None,
+            ]
+            | None
         ) = None
+
+    @property
+    def solution(self) -> "Solution | None":
+        """The partition's one known grounding (see the class docstring).
+
+        Writing it keeps the manager's :attr:`loose` set current: a
+        footprint with non-ground ``relations`` or a non-monotone body
+        cannot be found through the rows of a delta, so delta
+        notification visits such records unconditionally.
+        """
+        return self._solution
+
+    @solution.setter
+    def solution(self, solution: "Solution | None") -> None:
+        self._solution = solution
+        loose = self.loose
+        if loose is not None:
+            footprint = solution.footprint if solution is not None else None
+            if footprint is not None and footprint.loose:
+                loose.add(self.partition_id)
+            else:
+                loose.discard(self.partition_id)
 
     @property
     def pending(self) -> tuple["PendingTransaction", ...]:
@@ -89,15 +126,15 @@ class Partition:
     @pending.setter
     def pending(self, entries: Iterable["PendingTransaction"]) -> None:
         self._pending = list(entries)
-        self._restructured()
-
-    def _restructured(self) -> None:
-        """The pending sequence changed other than by an append."""
         self._composition = None
+        self._restructured(None)
+
+    def _restructured(self, removed: Sequence["PendingTransaction"] | None) -> None:
+        """The pending sequence changed other than by an append."""
         if self.solution is not None:
             self.solution = self.solution.unverified()
         if self.on_structural_change is not None:
-            self.on_structural_change(self, None)
+            self.on_structural_change(self, None, removed)
 
     # -- introspection -------------------------------------------------------
 
@@ -131,13 +168,15 @@ class Partition:
         return frozenset(names)
 
     def composition(self) -> OrderComposition:
-        """The resident composition of the pending sequence, in arrival order.
+        """The resident composition of the pending sequence, in order.
 
-        Built lazily (one pass over the pending list) after structural
-        changes; kept up to date factor-by-factor by :meth:`append`, so the
-        steady-state admission path never recomposes from scratch.  It is
-        the single source of the composed formula, its compiled program
-        and — whenever a grounding keeps the arrival order — of the plan's
+        Kept up to date factor-by-factor by :meth:`append` and carried
+        across groundings as the planned order's successor
+        (:meth:`ground_prefix`), so neither admission nor grounding
+        recomposes from scratch; built lazily (one pass over the pending
+        list) only for a new partition, after a merge or a :meth:`remove`.
+        It is the single source of the composed formula, its compiled
+        program and — whenever a grounding keeps the order — of the plan's
         prefix, suffix and optional programs.
         """
         if self._composition is None:
@@ -166,18 +205,18 @@ class Partition:
         paper: transactions that cannot unify anywhere can never interact.
 
         Args:
-            atoms: the probe atoms (body view is taken of both sides).
+            atoms: the probe atoms (unification reads only relation and
+                terms, so body and update atoms are compared as they are).
             statistics: when given, every pairwise unification attempt is
                 counted into ``statistics.unification_checks`` — the scan
                 work the signature index exists to avoid.
         """
         own = self.atoms()
         for atom in atoms:
-            probe = atom.as_body()
             for other in own:
                 if statistics is not None:
                     statistics.unification_checks += 1
-                if unifiable(probe, other.as_body()):
+                if unifiable(atom, other):
                     return True
         return False
 
@@ -208,12 +247,34 @@ class Partition:
                 len(self._pending), self.composition().atom_count()
             )
         if self.on_structural_change is not None:
-            self.on_structural_change(self, entry)
+            self.on_structural_change(self, entry, None)
+
+    def ground_prefix(self, composition: OrderComposition, count: int) -> None:
+        """The first ``count`` entries of ``composition`` were grounded.
+
+        ``composition`` is the order the grounding was planned on: every
+        pending entry, possibly reordered.  The rest stay pending in that
+        order, and the successor of the composition (Theorem 3.5 on a
+        prefix removal, :meth:`OrderComposition.successor`) becomes the
+        resident one.  Only the grounded entries are withdrawn from the
+        manager's index and map.
+        """
+        if len(composition) != len(self._pending):
+            raise ValueError(
+                f"a composition of {len(composition)} entries does not order "
+                f"the {len(self._pending)} pending in partition #{self.partition_id}"
+            )
+        by_transaction = {id(entry.renamed): entry for entry in self._pending}
+        ordered = [by_transaction[id(t)] for t in composition.transactions]
+        self._pending = ordered[count:]
+        self._composition = composition.successor(count)
+        self._restructured(ordered[:count])
 
     def remove(self, entry: "PendingTransaction") -> None:
         """Remove a pending transaction (after it has been grounded)."""
         self._pending.remove(entry)
-        self._restructured()
+        self._composition = None
+        self._restructured((entry,))
 
     def variables(self) -> frozenset[Variable]:
         """Every variable of every pending transaction."""
@@ -280,6 +341,10 @@ class PartitionManager:
         self._located: dict[int, tuple[Partition, "PendingTransaction"]] = {}
         #: partition id → the transaction ids mapped to it.
         self._members: dict[int, set[int]] = {}
+        #: ids of partitions whose record is loose (see
+        #: :attr:`Partition.solution`): delta notification visits them
+        #: whatever rows the deltas name.
+        self._loose: set[int] = set()
 
     # -- introspection -------------------------------------------------------
 
@@ -334,6 +399,7 @@ class PartitionManager:
         if not overlapping:
             partition = Partition()
             partition.statistics = self.statistics
+            partition.loose = self._loose
             partition.on_structural_change = self._track
             self.partitions.append(partition)
             self._by_id[partition.partition_id] = partition
@@ -363,6 +429,21 @@ class PartitionManager:
             self.partitions.remove(partition)
             self._forget(partition)
 
+    def delta_candidates(self, deltas: Iterable["Delta"]) -> list[Partition]:
+        """The partitions whose record a row-level delta could touch.
+
+        A footprint row is a ground instance of one of its partition's
+        atoms, so reading each delta row as a ground atom, the signature
+        index returns every partition that can hold it; the loose records
+        (non-ground footprint relations, non-monotone bodies) are added
+        whatever the rows.  In partition-list (ascending id) order.
+        """
+        found = self.index.row_candidates(
+            (table, values) for table, values, _is_delete in deltas
+        )
+        found |= self._loose
+        return [self._by_id[pid] for pid in sorted(found)]
+
     @staticmethod
     def plan_on_shards(
         groups: Sequence[tuple[Partition, Sequence["PendingTransaction"]]],
@@ -380,14 +461,27 @@ class PartitionManager:
 
     # -- incremental maintenance (called by the partitions themselves) -------
 
-    def _track(self, partition: Partition, entry: "PendingTransaction | None") -> None:
+    def _track(
+        self,
+        partition: Partition,
+        appended: "PendingTransaction | None",
+        removed: "Sequence[PendingTransaction] | None",
+    ) -> None:
         """The structural-change hook: keep the index and the map current."""
-        if entry is not None:
+        if appended is not None:
             # Append: signatures only grow, so post just the new entry.
-            self.index.extend(partition, entry)
-            self._locate(partition, entry)
+            self.index.extend(partition, appended)
+            self._locate(partition, appended)
             return
-        # Removal or whole-sequence assignment: re-derive both views.
+        if removed is not None:
+            # A grounded prefix or a removal: retract just those entries.
+            self.index.retract(partition, removed)
+            members = self._members[partition.partition_id]
+            for entry in removed:
+                del self._located[entry.transaction_id]
+                members.discard(entry.transaction_id)
+            return
+        # Whole-sequence assignment (a merge): re-derive both views.
         self.index.refresh(partition)
         self._unlocate(partition)
         for member in partition:
@@ -409,4 +503,6 @@ class PartitionManager:
         del self._members[pid]
         del self._by_id[pid]
         self.index.discard(pid)
+        self._loose.discard(pid)
+        partition.loose = None
         partition.on_structural_change = None

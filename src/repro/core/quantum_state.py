@@ -602,11 +602,12 @@ class QuantumState:
         victims = self.policy.victims(partition)
         if not victims:
             return
-        self.statistics.forced_groundings += len(victims)
         self.ground(
             [v.transaction_id for v in victims],
             forced=True,
         )
+        # Counted once applied: a grounding whose store unit aborts raised.
+        self.statistics.forced_groundings += len(victims)
 
     # ------------------------------------------------------------------
     # Grounding
@@ -696,8 +697,6 @@ class QuantumState:
     ) -> list[GroundedTransaction]:
         """The mutating half of grounding: execute a plan's update portions."""
         partition, plan = planned.partition, planned.plan
-        if plan.reordered:
-            self.statistics.semantic_reorders += 1
         substitution = planned.substitution
         grounded_statements: list[tuple[PendingTransaction, list[Statement]]] = []
         deltas: list[tuple[str, tuple, bool]] = []
@@ -729,6 +728,8 @@ class QuantumState:
                 if txn.is_active:
                     txn.abort()
                 raise
+        if plan.reordered:
+            self.statistics.semantic_reorders += 1
         # Optional-atom satisfaction is reported against the database state
         # that results from executing the grounded prefix: "sit next to
         # Goofy" is a property of the final seating, not of the intermediate
@@ -746,10 +747,12 @@ class QuantumState:
                     forced=planned.forced,
                 )
             )
+        # The plan's composition orders ``to_ground + remaining_order``; its
+        # successor is the remaining order's, with nothing unified again.
         # The restructuring withdraws this partition's footprint, so the
         # deltas below only count as invalidations where they touch *other*
         # partitions' records (normally nowhere, by independence).
-        partition.pending = list(plan.remaining_order)
+        partition.ground_prefix(planned.composition, len(plan.to_ground))
         self.cache.notify_deltas(deltas, self.partitions)
         if len(partition):
             # The restriction of a consistent grounding for the full order is
@@ -814,7 +817,7 @@ class QuantumState:
         affected: list[PendingTransaction] = []
         for entry in entries:
             for update in entry.renamed.updates:
-                if any(unifiable(update.as_body(), atom.as_body()) for atom in atoms):
+                if any(unifiable(update, atom) for atom in atoms):
                     affected.append(entry)
                     break
         return affected

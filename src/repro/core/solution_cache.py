@@ -60,7 +60,7 @@ from repro.logic.formula import (
     TRUE,
 )
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Variable
+from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Program, conjoin
@@ -68,7 +68,7 @@ from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.partition import Partition
+    from repro.core.partition import Partition, PartitionManager
 
 #: A row-level delta: ``(table, positional row values, is_delete)``.
 Delta = tuple[str, tuple[Any, ...], bool]
@@ -131,13 +131,23 @@ class Footprint:
         monotone = not _has_negated_atoms(formula) and (
             base is None or base.monotone
         )
+        # An atom's instance under the substitution, read off its terms: a
+        # row when every term became a constant.
+        apply_term = substitution.apply_term
         for atom in formula.atoms():
-            instance = substitution.apply_atom(atom.as_body())
-            if instance.is_ground():
-                rows.add((instance.relation, instance.ground_values()))
+            terms = [apply_term(term) for term in atom.terms]
+            if all(isinstance(term, Constant) for term in terms):
+                rows.add((atom.relation, tuple(term.value for term in terms)))
             else:
-                relations.add(instance.relation)
+                relations.add(atom.relation)
         return cls(frozenset(rows), frozenset(relations), monotone)
+
+    @property
+    def loose(self) -> bool:
+        """True when a delta can touch the footprint without naming one of
+        its rows: some atom stayed non-ground, or the body is non-monotone.
+        Delta notification cannot route such a footprint by rows."""
+        return bool(self.relations) or not self.monotone
 
     def touched_by(self, deltas: Iterable[Delta]) -> bool:
         """True if any delta could change the footprinted body's truth value."""
@@ -309,18 +319,21 @@ class SolutionCache:
         partition.solution = Solution(substitution, footprint)
 
     def notify_deltas(
-        self, deltas: Sequence[Delta], partitions: Iterable[Partition]
+        self, deltas: Sequence[Delta], partitions: PartitionManager
     ) -> None:
         """Un-trust the records whose footprint a committed delta touches.
 
-        Called after blind writes commit and after grounded update portions
-        execute.  Deltas that miss a record's footprint leave it trusted —
-        this is the precise invalidation that lets the admission fast path
-        skip re-verification most of the time.
+        Called after blind writes commit, after grounded update portions
+        execute and after a bulk load.  Deltas that miss a record's
+        footprint leave it trusted — this is the precise invalidation that
+        lets the admission fast path skip re-verification most of the time.
+        Only the partitions the deltas' rows route to, plus the loose
+        records, are examined (:meth:`PartitionManager.delta_candidates
+        <repro.core.partition.PartitionManager.delta_candidates>`).
         """
         if not deltas:
             return
-        for partition in list(partitions):
+        for partition in partitions.delta_candidates(deltas):
             solution = partition.solution
             if solution is not None and solution.touched_by(deltas):
                 partition.solution = solution.unverified()

@@ -385,3 +385,56 @@ class TestDurabilityAndRecovery:
     def test_pending_table_exists(self):
         qdb = QuantumDatabase(make_tiny_flight_db())
         assert qdb.database.has_table(PENDING_TABLE)
+
+
+class TestCountersCountAppliedGroundings:
+    """``state.forced_groundings`` and ``state.semantic_reorders`` count a
+    grounding once its store unit went through, not when it was planned."""
+
+    SPEC = FlightDatabaseSpec(num_flights=1, rows_per_flight=2)
+
+    def booking(self, name: str) -> str:
+        flight = self.SPEC.flight_numbers()[0]
+        return (
+            f"-Available({flight}, ?s), +Bookings('{name}', {flight}, ?s)"
+            f" :-1 Available({flight}, ?s)"
+        )
+
+    @staticmethod
+    def fail_store_writes(monkeypatch) -> None:
+        from repro.relational.transaction import Transaction
+
+        def failing(self, statement):
+            raise RuntimeError("injected store failure")
+
+        monkeypatch.setattr(Transaction, "apply", failing)
+
+    def test_a_failed_forced_grounding_is_not_counted(self, monkeypatch):
+        qdb = QuantumDatabase(build_flight_database(self.SPEC), QuantumConfig(k=1))
+        assert qdb.execute(self.booking("a")).committed
+        with monkeypatch.context() as patch:
+            self.fail_store_writes(patch)
+            with pytest.raises(RuntimeError, match="injected"):
+                qdb.execute(self.booking("b"))
+        stats = qdb.statistics_report()
+        assert stats["state.grounded"] == 0
+        assert stats["state.forced_groundings"] == 0
+        # The same grounding, applied, is counted once.
+        qdb.state.enforce_bounds()
+        stats = qdb.statistics_report()
+        assert stats["state.grounded"] == stats["state.forced_groundings"] == 1
+
+    def test_a_failed_reordered_grounding_is_not_counted(self, monkeypatch):
+        qdb = QuantumDatabase(build_flight_database(self.SPEC), QuantumConfig(k=8))
+        assert qdb.execute(self.booking("a")).committed
+        second = qdb.execute(self.booking("b"))
+        with monkeypatch.context() as patch:
+            self.fail_store_writes(patch)
+            with pytest.raises(RuntimeError, match="injected"):
+                qdb.check_in(second.transaction_id)
+        stats = qdb.statistics_report()
+        assert stats["state.grounded"] == 0
+        assert stats["state.semantic_reorders"] == 0
+        assert qdb.check_in(second.transaction_id) is not None
+        stats = qdb.statistics_report()
+        assert stats["state.grounded"] == stats["state.semantic_reorders"] == 1
