@@ -123,7 +123,7 @@ class SignatureIndex:
     # -- maintenance ---------------------------------------------------------
 
     def add(self, partition: "Partition") -> None:
-        """Index a partition from scratch (its current atoms)."""
+        """Index a partition not indexed yet, from its current atoms."""
         pid = partition.partition_id
         self._keys.setdefault(pid, {})
         self._count_atoms(pid, partition.atoms(), 1)
