@@ -7,7 +7,8 @@ would have been the offsite slot, the write simply succeeds and the offsite
 collapses onto another slot at read time — no rescheduling cascade.
 
 The example also cross-checks the grounding the quantum database picks
-against an independent CSP formulation of the same placement problem.
+against the possible worlds of the same request over a fresh calendar:
+the chosen placement must be one of them.
 
 Run with::
 
@@ -17,11 +18,10 @@ Run with::
 from __future__ import annotations
 
 from repro import QuantumConfig, QuantumDatabase
-from repro.solver.backtracking import BacktrackingSolver
+from repro.core.worlds import enumerate_possible_worlds
 from repro.workloads.calendar import (
     CalendarSpec,
     build_calendar_database,
-    calendar_csp,
     make_meeting_request,
 )
 
@@ -55,15 +55,15 @@ def main() -> None:
     print(f"\noffsite landed on day {day}, slot {slot}")
     assert (day, slot) != (3, 3), "the offsite must have avoided the CEO slot"
 
-    print("\n== Cross-check against an independent CSP formulation ==")
+    print("\n== Cross-check against the request's possible worlds ==")
     fresh = build_calendar_database(spec, busy=[("Mickey", 3, 3), ("CEO", 3, 3)])
-    problem = calendar_csp(fresh, [("offsite", "Mickey", "Donald")])
-    solver = BacktrackingSolver()
-    solutions = list(solver.solutions(problem))
-    assert {"offsite": (day, slot)} in solutions, "quantum grounding must be a CSP solution"
-    print(
-        f"CSP agrees: ({day}, {slot}) is one of {len(solutions)} feasible placements"
+    worlds = enumerate_possible_worlds(
+        fresh, [make_meeting_request("offsite", "Mickey", "Donald")]
     )
+    valuations = [dict(world.groundings[0][1]) for world in worlds]
+    placements = {(valuation["day"], valuation["slot"]) for valuation in valuations}
+    assert (day, slot) in placements, "the grounding must be a possible world"
+    print(f"agreed: ({day}, {slot}) is one of {len(placements)} possible placements")
 
 
 if __name__ == "__main__":

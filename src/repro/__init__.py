@@ -38,8 +38,8 @@ The two synchronous entry points applications start from:
   ``ground_on_partner_arrival``, ``witness_cache`` (the fast-path
   toggle; decisions are identical either way) and ``search`` (the
   :class:`AdmissionSearchConfig`: a node budget for the one exact
-  admission search, and opt-in sampling; every config type is also
-  re-exported from :mod:`repro.configs`)::
+  admission search; every config type is also re-exported from
+  :mod:`repro.configs`)::
 
       qdb = QuantumDatabase(config=QuantumConfig(k=8, witness_cache=True))
 
@@ -65,7 +65,7 @@ subpackages are:
   paper's MySQL), including the WAL with group commit and checkpoints;
 * :mod:`repro.logic` — terms, atoms, unification and composed-body
   formulas;
-* :mod:`repro.solver` — grounding search, CSP and SAT machinery;
+* :mod:`repro.solver` — the grounding search kernel and its node budget;
 * :mod:`repro.baselines` — the paper's "intelligent social" baseline and an
   eager-assignment baseline;
 * :mod:`repro.workloads` — flight databases, arrival orders, and the
@@ -112,7 +112,7 @@ from repro.server import (
     serve,
 )
 from repro.core.signature import SignatureIndex
-from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
+from repro.solver.strategy import AdmissionSearchConfig
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
 __version__ = "0.2.0"
@@ -140,7 +140,6 @@ __all__ = [
     "ReadRequest",
     "ReproError",
     "ResourceTransaction",
-    "SamplingConfig",
     "SegmentedWriteAheadLog",
     "SerializabilityMode",
     "ServerConfig",

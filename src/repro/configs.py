@@ -33,9 +33,8 @@ The full set, by origin:
 * :class:`QuantumConfig` (:mod:`repro.core.quantum_database`) — the
   quantum database itself: ``k`` bound, serializability, the witness
   cache, and the admission search's bounds.
-* :class:`AdmissionSearchConfig` / :class:`SamplingConfig`
-  (:mod:`repro.solver.strategy`) — the node budget of the one exact
-  admission search, and the sampling estimator, a strict opt-in.
+* :class:`AdmissionSearchConfig` (:mod:`repro.solver.strategy`) — the
+  node budget of the one exact admission search.
 * :class:`ServerConfig` / :class:`CheckpointPolicy`
   (:mod:`repro.server.service`) — the asyncio session layer: queue and
   quota bounds, background checkpoint cadence, durability.
@@ -53,7 +52,7 @@ from repro.core.quantum_database import QuantumConfig
 from repro.relational.planner import PlannerConfig
 from repro.server.net import NetConfig
 from repro.server.service import CheckpointPolicy, ServerConfig
-from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
+from repro.solver.strategy import AdmissionSearchConfig
 from repro.storage import DurabilityConfig
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "NetConfig",
     "PlannerConfig",
     "QuantumConfig",
-    "SamplingConfig",
     "ServerConfig",
 ]

@@ -97,10 +97,7 @@ class QuantumConfig:
             (:class:`~repro.solver.strategy.AdmissionSearchConfig`).
             Admission runs one exact search, the seed's backtracking
             search byte-for-byte; ``node_budget`` caps it (running out is
-            a typed rejection), and an explicit
-            :class:`~repro.solver.strategy.SamplingConfig` opts huge
-            partitions into the approximate estimator.  Both are applied
-            inside ``SolutionCache.ensure``.
+            a typed rejection), applied inside ``SolutionCache.ensure``.
         planner: join-planner settings for the underlying store.
     """
 
@@ -149,11 +146,8 @@ class CommitResult:
             this submission (partner pairs, forced groundings).
         rejection_reason: populated when ``committed`` is False.
         method: which admission search decided this submission —
-            ``"witness"``, ``"backtracking"`` or ``"sampled"`` (see
+            ``"witness"`` or ``"backtracking"`` (see
             :class:`~repro.core.solution_cache.AdmissionProbe`).
-        exact: False only when the decision came from the opt-in sampling
-            estimator; an approximate accept still carries a genuine
-            witness, an approximate reject may be a false negative.
     """
 
     transaction: ResourceTransaction
@@ -162,7 +156,6 @@ class CommitResult:
     grounded: tuple[GroundedTransaction, ...] = ()
     rejection_reason: str | None = None
     method: str = "backtracking"
-    exact: bool = True
 
     @property
     def transaction_id(self) -> int:
@@ -347,7 +340,6 @@ class QuantumDatabase:
                     committed=False,
                     rejection_reason=str(exc),
                     method=exc.method,
-                    exact=exc.exact,
                 ),
                 None,
             )
@@ -368,7 +360,6 @@ class QuantumDatabase:
                 pending=self.state.is_pending(transaction.transaction_id),
                 grounded=tuple(grounded),
                 method=entry.method,
-                exact=entry.exact,
             ),
             entry.sequence,
         )

@@ -80,14 +80,12 @@ class PendingTransaction:
             partition follows this unless semantically reordered).
         method: which search decided the admission (see
             :class:`~repro.core.solution_cache.AdmissionProbe`).
-        exact: False only when the sampling estimator decided it.
     """
 
     original: ResourceTransaction
     renamed: ResourceTransaction
     sequence: int
     method: str = "backtracking"
-    exact: bool = True
 
     @property
     def transaction_id(self) -> int:
@@ -487,12 +485,12 @@ class QuantumState:
 
         Returns:
             The pending entry for the admitted transaction; its ``method``
-            and ``exact`` say which search decided.
+            says which search decided.
 
         Raises:
             TransactionRejected: if admitting the transaction would empty
-                the set of possible worlds (``method`` / ``exact`` on the
-                exception likewise).
+                the set of possible worlds (``method`` on the exception
+                likewise).
         """
         sequence = self.allocate_sequence()
         renamed = transaction.rename_variables(f"@{transaction.transaction_id}")
@@ -523,20 +521,17 @@ class QuantumState:
                     "admission search exhausted its node budget before "
                     "deciding satisfiability",
                     method=probe.method,
-                    exact=probe.exact,
                 )
             raise TransactionRejected(
                 f"transaction #{transaction.transaction_id} cannot be admitted: "
                 "no consistent grounding exists",
                 method=probe.method,
-                exact=probe.exact,
             )
         entry = PendingTransaction(
             original=transaction,
             renamed=renamed,
             sequence=sequence,
             method=probe.method,
-            exact=probe.exact,
         )
         partition.append(entry, factor=new_factor, program=factor_program)
         # An extension of the footprinted record never rebinds the old

@@ -64,7 +64,6 @@ from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Program, conjoin
-from repro.solver.sampling import relational_atom_count, sample_find_one
 from repro.solver.strategy import AdmissionSearchConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -196,13 +195,9 @@ class AdmissionProbe:
             then only adds the new factor's rows to the footprint instead
             of re-deriving all of it.
         method: which search decided the probe — ``"witness"`` (extension
-            of a footprinted record), ``"backtracking"`` (the exact
-            search: verification, extension or full solve), or
-            ``"sampled"`` (the opt-in approximate estimator).
-        exact: False only when the decision came from the sampling
-            estimator — a sampled accept carries a genuine witness but the
-            search was not exhaustive, and a sampled reject may be a false
-            negative.  Surfaced end-to-end on the commit result.
+            of a footprinted record) or ``"backtracking"`` (the exact
+            search: verification, extension or full solve).  Surfaced
+            end-to-end on the commit result.
         exhausted_budget: the configured ``node_budget`` ran out before
             the search decided; admission turns a rejection with this flag
             into the typed ``AdmissionSearchExhausted`` outcome.
@@ -211,7 +206,6 @@ class AdmissionProbe:
     substitution: Substitution | None
     used_witness: bool = False
     method: str = "backtracking"
-    exact: bool = True
     exhausted_budget: bool = False
 
 
@@ -235,9 +229,6 @@ class SolutionCacheStatistics:
     #: Times the fast path fell back to work over the full composed body
     #: (a verification or a full grounding search).
     fallback_searches: int = 0
-    #: Admissions decided by the opt-in sampling estimator (``exact=False``
-    #: probes) — the count of approximate decisions the cache has made.
-    sampled_admissions: int = 0
     #: Search nodes expanded deciding admissions (re-validations are not
     #: counted).  Unlike the global ``search.nodes`` this excludes grounding
     #: and serializability searches, so it is the number to compare across
@@ -267,9 +258,8 @@ class SolutionCache:
             admission re-verifies the composed body from scratch (the seed
             behaviour); accept/reject decisions are unaffected.  Used to
             measure the fast path.
-        search_config: the node budget and sampling opt-in every
-            :meth:`ensure` searches under; ``None`` is the default config
-            (unbounded exact search, no sampling).
+        search_config: the node budget every :meth:`ensure` searches
+            under; ``None`` is the default config (unbounded search).
     """
 
     def __init__(
@@ -396,7 +386,6 @@ class SolutionCache:
             )
         )
         method = "backtracking"
-        exact = True
         exhausted = False
         nodes = 0
 
@@ -450,22 +439,7 @@ class SolutionCache:
                 )
             )
             stats.full_solves += 1
-            if (
-                config.sampling is not None
-                and relational_atom_count(program.formula) >= config.sampling.threshold
-            ):
-                # The partition is above the exact-search threshold and the
-                # caller explicitly opted into estimation: bounded seeded
-                # descents instead of an exhaustive walk.  An accept still
-                # carries a genuine witness; the decision is just not exact.
-                result = sample_find_one(
-                    self.search, program, sampling=config.sampling
-                )
-                method = "sampled"
-                exact = False
-                nodes += result.statistics.nodes
-            else:
-                result = run_find(program)
+            result = run_find(program)
             if result.satisfiable:
                 substitution = result.substitution
             else:
@@ -474,10 +448,8 @@ class SolutionCache:
             # Only searches that decided an arrival count here, not
             # re-validations.
             stats.admission_nodes += nodes
-            if method == "sampled":
-                stats.sampled_admissions += 1
         elif uncommitted is None and not used_witness and substitution is not None:
             # Re-validation re-verified or re-solved the whole composed
             # body over the committed store: the result is the record.
             self.record(partition, substitution)
-        return AdmissionProbe(substitution, used_witness, method, exact, exhausted)
+        return AdmissionProbe(substitution, used_witness, method, exhausted)

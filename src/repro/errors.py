@@ -118,10 +118,6 @@ class SolverError(ReproError):
     """Base class for errors raised by :mod:`repro.solver`."""
 
 
-class InconsistentProblemError(SolverError):
-    """A constraint problem is trivially inconsistent (empty domain)."""
-
-
 class GroundingError(SolverError):
     """No grounding could be found when one was required to exist."""
 
@@ -151,16 +147,13 @@ class InvalidTransactionError(QuantumError):
 class TransactionRejected(QuantumError):
     """Admitting the transaction would empty the set of possible worlds.
 
-    ``method`` and ``exact`` say which admission search decided the
-    rejection (the provenance a ``CommitResult`` carries).
+    ``method`` says which admission search decided the rejection (the
+    provenance a ``CommitResult`` carries).
     """
 
-    def __init__(
-        self, message: str, *, method: str = "backtracking", exact: bool = True
-    ) -> None:
+    def __init__(self, message: str, *, method: str = "backtracking") -> None:
         super().__init__(message)
         self.method = method
-        self.exact = exact
 
 
 class AdmissionSearchExhausted(TransactionRejected):

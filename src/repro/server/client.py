@@ -55,11 +55,9 @@ class RemoteCommitResult:
     pending: bool
     rejection_reason: str | None
     grounded: tuple[dict[str, Any], ...] = ()
-    #: Which admission search decided the submission ("witness",
-    #: "backtracking" or "sampled").
+    #: Which admission search decided the submission ("witness" or
+    #: "backtracking").
     method: str = "backtracking"
-    #: False when the decision came from the opt-in sampling estimator.
-    exact: bool = True
 
     def __bool__(self) -> bool:
         return self.committed
@@ -73,7 +71,6 @@ class RemoteCommitResult:
             rejection_reason=value.get("rejection_reason"),
             grounded=tuple(value.get("grounded") or ()),
             method=value.get("method", "backtracking"),
-            exact=value.get("exact", True),
         )
 
 

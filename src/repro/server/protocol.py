@@ -269,10 +269,8 @@ def commit_value(result: Any) -> dict[str, Any]:
         "pending": bool(result.pending),
         "rejection_reason": result.rejection_reason,
         "grounded": [grounded_value(record) for record in result.grounded],
-        # Decision provenance (admission-search redesign); getattr keeps
-        # the codec tolerant of minimal result objects in older tests.
-        "method": getattr(result, "method", "backtracking"),
-        "exact": bool(getattr(result, "exact", True)),
+        # Decision provenance: which admission search decided.
+        "method": result.method,
     }
 
 

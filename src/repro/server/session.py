@@ -67,10 +67,8 @@ class AdmissionResult:
             (partner pairs, ``k``-bound victims).
         rejection_reason: populated when ``committed`` is False.
         session_sequence: this session's submission counter for the commit.
-        method: which admission search decided the submission (``"witness"``,
-            ``"backtracking"`` or ``"sampled"``).
-        exact: False only when the decision came from the opt-in sampling
-            estimator (approximate admission).
+        method: which admission search decided the submission (``"witness"``
+            or ``"backtracking"``).
     """
 
     transaction: ResourceTransaction
@@ -80,7 +78,6 @@ class AdmissionResult:
     rejection_reason: str | None = None
     session_sequence: int = 0
     method: str = "backtracking"
-    exact: bool = True
 
     @property
     def transaction_id(self) -> int:
@@ -103,7 +100,6 @@ class AdmissionResult:
             rejection_reason=result.rejection_reason,
             session_sequence=session_sequence,
             method=result.method,
-            exact=result.exact,
         )
 
 

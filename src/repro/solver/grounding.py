@@ -50,8 +50,6 @@ class GroundingStatistics:
     backtracks: int = 0
     nodes: int = 0
     exhausted_budget: bool = False
-    #: Greedy descents performed by the sampling admission estimator.
-    samples: int = 0
     #: High-water mark of the undo trail (deepest destructive binding stack).
     undo_depth: int = 0
 
@@ -62,7 +60,6 @@ class GroundingStatistics:
         self.backtracks += other.backtracks
         self.nodes += other.nodes
         self.exhausted_budget = self.exhausted_budget or other.exhausted_budget
-        self.samples += other.samples
         # A high-water mark, not a flow: the deepest trail any search saw.
         self.undo_depth = max(self.undo_depth, other.undo_depth)
 
@@ -175,7 +172,7 @@ class GroundingSearch:
                     return GroundingResult(run.snapshot(), True, stats)
         finally:
             leaves.close()
-            self.absorb_statistics(stats, formula=program, count_search=True)
+            self._absorb(stats, program)
         # Unsatisfiable (or budget-exhausted): the result still carries the
         # real work counters, so callers can see ``exhausted_budget``.
         return GroundingResult(Substitution.empty(), False, stats)
@@ -247,26 +244,16 @@ class GroundingSearch:
         finally:
             # Runs both on exhaustion and when the caller closes the
             # generator early, so the totals always include this search.
-            self.absorb_statistics(stats, formula=program, count_search=True)
+            self._absorb(stats, program)
 
-    def absorb_statistics(
-        self,
-        stats: GroundingStatistics,
-        *,
-        formula: Program | None = None,
-        count_search: bool = False,
-    ) -> None:
-        """Fold a complete search's counters into the shared totals.
+    def _absorb(self, stats: GroundingStatistics, program: Program) -> None:
+        """Fold one finished search's counters into the shared totals.
 
-        Every entry point reports through here — :meth:`find`,
-        :meth:`find_one` and the sampling estimator,
-        which drives the kernel's step primitives itself — so ``totals``
-        stays the single source of truth.  With ``formula`` given the
-        per-search observer fires too, and ``count_search`` increments
-        :attr:`searches`.
+        :meth:`find` and :meth:`find_one` both report through here, so
+        ``totals`` and :attr:`searches` stay the single source of truth;
+        the per-search observer fires too.
         """
-        if count_search:
-            self.searches += 1
+        self.searches += 1
         self.totals.add(stats)
-        if formula is not None and self.observer is not None:
-            self.observer(formula, stats)
+        if self.observer is not None:
+            self.observer(program, stats)

@@ -2,8 +2,8 @@
 
 Every grounding search in the repository — the ``LIMIT 1`` admission
 probe, the preference-maximising search on partner arrival, forced
-groundings, possible-world enumeration and the sampling estimator — is
-one traversal over one compiled representation:
+groundings and possible-world enumeration — is one traversal over one
+compiled representation:
 
 * :func:`compile_formula` turns a :class:`~repro.logic.formula.Formula`
   into an immutable :class:`Program`: ``simplify()`` runs once, variables

@@ -11,7 +11,7 @@ modelling a social travel application; this subpackage regenerates both:
 * :mod:`.mixed` — mixed read / resource-transaction workloads (Figures 8
   and 9);
 * :mod:`.calendar` — the calendar-management scenario from the
-  introduction, used by the examples and the CSP-based ablation.
+  introduction, used by the calendar example.
 """
 
 from repro.workloads.arrival_orders import ArrivalOrder, expected_max_pending, order_arrivals

@@ -12,16 +12,13 @@ This module provides:
   ``SameSlot(day, slot, day, slot)`` is unnecessary — co-attendance is
   expressed by sharing variables);
 * :func:`make_meeting_request` — a resource transaction booking one common
-  free slot for two attendees (the organiser defers the concrete slot);
-* :func:`calendar_csp` — the same single-meeting placement problem expressed
-  as a finite-domain CSP, used by the calendar example and by tests that
-  cross-check the two formulations.
+  free slot for two attendees (the organiser defers the concrete slot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.resource_transaction import ResourceTransaction
 from repro.logic.atoms import Atom
@@ -29,7 +26,6 @@ from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import Column
-from repro.solver.csp import CSP
 
 
 @dataclass(frozen=True)
@@ -109,24 +105,17 @@ def make_meeting_request(
     meeting: str,
     organiser: str,
     attendee: str,
-    *,
-    preferred_day: int | None = None,
 ) -> ResourceTransaction:
     """A resource transaction booking a common free slot for two people.
 
     The chosen day/slot is deferred; both attendees' free slots are
-    consumed.  A preferred day, when given, is OPTIONAL — the meeting lands
-    on that day if possible but is not blocked by it.
+    consumed.
     """
     day, slot = Variable("day"), Variable("slot")
-    body: list[Atom] = [
+    body = [
         Atom.body("FreeSlot", [Constant(organiser), day, slot]),
         Atom.body("FreeSlot", [Constant(attendee), day, slot]),
     ]
-    if preferred_day is not None:
-        body.append(
-            Atom.body("FreeSlot", [Constant(organiser), Constant(preferred_day), slot], optional=True)
-        )
     updates = [
         Atom.delete("FreeSlot", [Constant(organiser), day, slot]),
         Atom.delete("FreeSlot", [Constant(attendee), day, slot]),
@@ -137,34 +126,3 @@ def make_meeting_request(
         body=tuple(body), updates=tuple(updates), client=organiser, partner=attendee
     )
 
-
-def calendar_csp(
-    database: Database, meetings: Sequence[tuple[str, str, str]]
-) -> CSP:
-    """The meeting-placement problem as a finite-domain CSP.
-
-    Args:
-        database: a calendar database (``FreeSlot`` table).
-        meetings: ``(meeting, organiser, attendee)`` triples; each meeting
-            gets one variable whose domain is the (day, slot) pairs free for
-            both attendees, with an all-different constraint per shared
-            attendee (a person cannot be in two meetings at once).
-
-    Used to cross-check the quantum database's groundings on the calendar
-    example: any grounding the quantum database picks must be a solution of
-    this CSP.
-    """
-    free: dict[str, set[tuple[int, int]]] = {}
-    for row in database.table("FreeSlot"):
-        free.setdefault(row["person"], set()).add((row["day"], row["slot"]))
-    problem = CSP()
-    attendees: dict[str, list[str]] = {}
-    for meeting, organiser, attendee in meetings:
-        domain = sorted(free.get(organiser, set()) & free.get(attendee, set()))
-        problem.add_variable(meeting, domain)
-        attendees.setdefault(organiser, []).append(meeting)
-        attendees.setdefault(attendee, []).append(meeting)
-    for person, person_meetings in attendees.items():
-        if len(person_meetings) > 1:
-            problem.all_different(person_meetings, name=f"no-clash({person})")
-    return problem

@@ -8,8 +8,8 @@ or re-solves it for admission, blind-write validation and peek reads.
 **Goldens.**  ``solution_record_goldens.json`` was recorded at the commit
 *before* the record replaced ``Partition.cached_solution``, the witness
 side table and the thread-local outcome flags.  For every scenario below it
-holds the decision vector (``CommitResult.method`` / ``exact`` included
-where the scenario drives commits itself), the grounded valuations, the
+holds the decision vector (``CommitResult.method`` included where the
+scenario drives commits itself), the grounded valuations, the
 final store and every ``cache.*`` / ``search.*`` / ``state.*`` counter; the
 suite holds the current tree to them bit for bit, under fixed and random
 string hashing alike (CI runs it under three hash seeds).  Regenerate the
@@ -163,7 +163,7 @@ def mixed_trace(config: QuantumConfig, *, seed: int = 7, length: int = 90) -> di
                 booked.append(result.transaction_id)
             decisions.append(
                 ["book", result.committed, result.pending, result.method,
-                 result.exact, len(result.grounded)]
+                 len(result.grounded)]
             )
         elif roll < 0.75:
             flight = rng.choice(MIXED_FLIGHTS)
@@ -230,7 +230,7 @@ def batch_trace(seed: int) -> dict:
             user += 1
         for result in qdb.commit_batch(batch):
             decisions.append(
-                [result.committed, result.pending, result.method, result.exact,
+                [result.committed, result.pending, result.method,
                  len(result.grounded)]
             )
         flight = rng.randrange(1, BATCH_FLIGHTS + 1)

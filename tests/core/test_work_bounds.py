@@ -11,9 +11,7 @@ on a clock, so it holds on any machine:
 * routing — the signature index keeps the overlap scan near one
   unification check per transaction;
 * the witness cache — at least 2x fewer composed-body passes, at
-  identical decisions with the cache on, off and through ``commit_batch``;
-* sampling — on an oversized partition exactly the over-capacity arrivals
-  are decided by the estimator, and each says so (``exact is False``).
+  identical decisions with the cache on, off and through ``commit_batch``.
 
 A ``book_batch``-shaped round bounds what a grounding costs: no
 composition is rebuilt after one (the successor is installed), its delta
@@ -29,7 +27,6 @@ from collections import Counter
 import pytest
 
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
-from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
 from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
@@ -76,8 +73,6 @@ def test_every_admission_path_decides_alike(order, seed):
     decisions, stats = run(order, seed, "default")
     assert run(order, seed, "cache off")[0] == decisions
     assert run(order, seed, "default", batch=True)[0] == decisions
-    # The exact search never samples without the opt-in.
-    assert stats["search.samples"] == 0
 
 
 @streams
@@ -93,40 +88,6 @@ def test_witness_cache_halves_composed_body_passes(order, seed):
     passes_on = run(order, seed, "default")[1]["cache.composed_body_passes"]
     passes_off = run(order, seed, "cache off")[1]["cache.composed_body_passes"]
     assert passes_on * 2 <= passes_off, (passes_on, passes_off)
-
-
-def test_oversized_partition_samples_exactly_the_overbooked_arrivals():
-    """Bookings pile onto one flight until the estimator engages.
-
-    With the witness cache off, the first ``seats`` arrivals extend the
-    partition's solution; each of the ``overbook`` arrivals after them
-    fails to extend it and solves the whole composed body, which is above
-    the sampling ``threshold`` — the regime the estimator exists for.
-    """
-    seats, overbook, k, threshold = 10, 4, 16, 4
-    search = AdmissionSearchConfig(
-        sampling=SamplingConfig(threshold=threshold, samples=16, seed=7),
-    )
-    qdb = QuantumDatabase(
-        config=QuantumConfig(k=k, search=search, witness_cache=False)
-    )
-    qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
-    qdb.create_table(
-        "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
-    )
-    qdb.load_rows("Available", [("f1", f"s{i}") for i in range(seats)])
-    results = [
-        qdb.execute(
-            f"-Available('f1', ?s), +Bookings('u{i}', 'f1', ?s)"
-            " :-1 Available('f1', ?s)"
-        )
-        for i in range(seats + overbook)
-    ]
-    sampled = [r for r in results if r.method == "sampled"]
-    assert len(sampled) == overbook, [r.method for r in results]
-    assert all(not r.exact for r in sampled)
-    assert all(r.exact for r in results if r.method != "sampled")
-    assert qdb.statistics_report()["cache.sampled_admissions"] == len(sampled)
 
 
 # -- a grounding pays only for what it grounds --------------------------------------

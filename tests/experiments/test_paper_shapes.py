@@ -11,6 +11,7 @@ wall time with generous slack; every other assertion is on counts.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -32,9 +33,12 @@ from repro.experiments.runner import (
     run_is_entangled,
     run_quantum_entangled,
 )
+from repro.logic.atoms import Atom
+from repro.logic.formula import AtomFormula, Equality, Negation, conjunction
+from repro.logic.terms import Constant, Variable
+from repro.relational.database import Database
 from repro.relational.planner import MYSQL_JOIN_LIMIT
-from repro.solver.randomsat import CRITICAL_RATIO_3SAT, random_ksat
-from repro.solver.sat import DPLLSolver
+from repro.solver.grounding import GroundingSearch
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
 from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
@@ -208,28 +212,89 @@ class TestDesignAblations:
         assert remaining[SerializabilityMode.SEMANTIC] == 5
 
 
+#: The empirically known critical clause/variable ratio for random 3-SAT.
+CRITICAL_RATIO_3SAT = 4.27
+
+
+def random_3sat_body(num_variables: int, num_clauses: int, rng: random.Random):
+    """A uniform random 3-SAT instance as a body over ``Bool(v)``.
+
+    One ``Bool(?xi)`` atom per variable; each clause picks three distinct
+    variables and negates each with probability 1/2, and holds unless every
+    literal takes its falsifying value.
+    """
+    names = [Variable(f"x{i}") for i in range(1, num_variables + 1)]
+    parts = [AtomFormula(Atom.body("Bool", [name])) for name in names]
+    for _ in range(num_clauses):
+        chosen = rng.sample(names, 3)
+        # A positive literal (probability 1/2) is falsified by 0.
+        falsifying = [Constant(0 if rng.random() < 0.5 else 1) for _ in chosen]
+        parts.append(Negation(conjunction(map(Equality, chosen, falsifying))))
+    return conjunction(parts)
+
+
+def bool_database() -> Database:
+    """The one table the 3-SAT bodies range over: ``Bool`` = {0, 1}."""
+    database = Database()
+    database.create_table("Bool", ["v"], key=["v"])
+    for value in (0, 1):
+        database.insert("Bool", (value,))
+    return database
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_decides_random_3sat_like_brute_force(seed):
+    """The phase-transition test counts the kernel's own decisions, so
+    they must be right: on small instances across the ratio sweep the
+    search's verdict, its witness and its number of distinct groundings
+    match a brute-force evaluation of the same body over every
+    assignment."""
+    num_variables = 8
+    ratio = (1.0, 3.0, CRITICAL_RATIO_3SAT, 5.5, 7.0)[seed % 5]
+    rng = random.Random(seed)
+    body = random_3sat_body(num_variables, round(ratio * num_variables), rng)
+    names = [f"x{i}" for i in range(1, num_variables + 1)]
+
+    def holds(valuation):
+        return body.evaluate(valuation, lambda _relation, values: values[0] in (0, 1))
+
+    models = [
+        valuation
+        for bits in itertools.product((0, 1), repeat=num_variables)
+        if holds(valuation := dict(zip(names, bits)))
+    ]
+    search = GroundingSearch(bool_database())
+    result = search.find_one(body)
+    assert result.satisfiable == bool(models)
+    if result.satisfiable:
+        assert holds(result.valuation())
+    assert len(search.find_all(body)) == len(models)
+
+
 def test_sat_phase_transition():
     """Random 3-SAT is easy, hard near the critical ratio, then easy again.
 
     The paper's Section 6 argues resource allocation behaves the same way,
     so a quantum database could detect the hard region and ground
-    aggressively there.
+    aggressively there.  The instances run through the system's own
+    admission search, effort counted in its search nodes.
     """
     num_variables, instances = 18, 8
+    database = bool_database()
     rng = random.Random(42)
     by_ratio = {}
     for ratio in (1.0, 2.0, 3.0, CRITICAL_RATIO_3SAT, 5.5, 7.0):
-        decisions = []
+        nodes = []
         satisfiable = 0
         for _ in range(instances):
-            cnf = random_ksat(num_variables, round(ratio * num_variables), rng=rng)
-            solver = DPLLSolver()
-            if solver.solve(cnf) is not None:
+            body = random_3sat_body(num_variables, round(ratio * num_variables), rng)
+            result = GroundingSearch(database).find_one(body)
+            if result.satisfiable:
                 satisfiable += 1
-            decisions.append(solver.statistics.decisions)
+            nodes.append(result.statistics.nodes)
         by_ratio[round(ratio, 2)] = (
             satisfiable / instances,
-            sum(decisions) / len(decisions),
+            sum(nodes) / len(nodes),
         )
     # Under-constrained instances are almost all satisfiable; heavily
     # over-constrained ones almost never are.

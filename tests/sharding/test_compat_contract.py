@@ -73,7 +73,6 @@ def book_batch_run(seed: int, config: QuantumConfig):
                     result.pending,
                     result.rejection_reason,
                     result.method,
-                    result.exact,
                     sorted(valuation(record) for record in result.grounded),
                 )
             )
@@ -112,6 +111,7 @@ DELETED = [
     (ServerConfig, ("grounding", "timeout", "s"), 1),
     (AdmissionSearchConfig, ("strategy",), "backtracking"),
     (AdmissionSearchConfig, ("fast" "path",), True),
+    (AdmissionSearchConfig, ("sampling",), None),
 ]
 
 

@@ -1,11 +1,12 @@
 """Tests for the admission-search configuration and the search it bounds.
 
 Covers the :class:`AdmissionSearchConfig` API, the kernel's undoable
-binding store, ``find_one``'s initial substitution and node budget, and
-the opt-in sampling estimator's determinism.
+binding store, and ``find_one``'s initial substitution and node budget.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
@@ -17,8 +18,7 @@ from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
 from repro.solver.kernel import Run, compile_formula
-from repro.solver.sampling import sample_find_one
-from repro.solver.strategy import AdmissionSearchConfig, SamplingConfig
+from repro.solver.strategy import AdmissionSearchConfig
 
 F, S, S2 = (Variable(n) for n in ("f", "s", "s2"))
 
@@ -54,28 +54,13 @@ class TestConfigValidation:
     def test_default_is_seed_behaviour(self):
         config = AdmissionSearchConfig()
         assert config.node_budget is None
-        assert config.sampling is None
+        # The node budget is the one value an admission search takes.
+        assert [field.name for field in fields(config)] == ["node_budget"]
 
     @pytest.mark.parametrize("budget", [0, -1, 1.5, "10", True])
     def test_bad_node_budget_rejected(self, budget):
         with pytest.raises(QuantumError):
             AdmissionSearchConfig(node_budget=budget)
-
-    def test_bad_sampling_rejected(self):
-        with pytest.raises(QuantumError):
-            AdmissionSearchConfig(sampling="yes")
-        with pytest.raises(QuantumError):
-            SamplingConfig(threshold=0)
-        with pytest.raises(QuantumError):
-            SamplingConfig(samples=-3)
-        with pytest.raises(QuantumError):
-            SamplingConfig(seed=True)
-
-    @pytest.mark.parametrize("field", ["threshold", "samples"])
-    def test_bool_sampling_count_rejected(self, field):
-        # ``True`` is an ``int`` to ``isinstance``, but not a count.
-        with pytest.raises(QuantumError):
-            SamplingConfig(**{field: True})
 
     def test_frozen(self):
         config = AdmissionSearchConfig()
@@ -175,52 +160,3 @@ class TestFindOne:
         assert result.statistics.exhausted_budget
         # Unbounded, the same formula is satisfiable.
         assert GroundingSearch(db).find_one(formula).satisfiable
-
-
-# ---------------------------------------------------------------------------
-# Sampling estimator
-# ---------------------------------------------------------------------------
-
-
-class TestSampling:
-    def test_deterministic_under_fixed_seed(self, db):
-        formula = conjunction(
-            [atom("Available", [F, S]), atom("Adjacent", [F, S, S2])]
-        )
-        sampling = SamplingConfig(threshold=1, samples=4, seed=11)
-        runs = [
-            sample_find_one(GroundingSearch(db), formula, sampling=sampling)
-            for _ in range(3)
-        ]
-        assert all(r.satisfiable == runs[0].satisfiable for r in runs)
-        assert all(r.substitution == runs[0].substitution for r in runs)
-
-    def test_different_seed_may_pick_different_witness(self, db):
-        # Not asserting divergence (seeds can collide), only that every
-        # seed still yields a *genuine* witness.
-        formula = atom("Available", [1, S])
-        for seed in range(5):
-            result = sample_find_one(
-                GroundingSearch(db),
-                formula,
-                sampling=SamplingConfig(threshold=1, samples=4, seed=seed),
-            )
-            assert result.satisfiable
-            assert result.valuation()["s"] in {"1A", "1B", "1C"}
-
-    def test_accepts_only_with_verified_grounding(self, db):
-        result = sample_find_one(
-            GroundingSearch(db),
-            atom("Available", [2, S]),
-            sampling=SamplingConfig(threshold=1, samples=8, seed=0),
-        )
-        assert not result.satisfiable  # no row, no lucky descent
-
-    def test_samples_counter_moves(self, db):
-        search = GroundingSearch(db)
-        sample_find_one(
-            search,
-            atom("Available", [2, S]),
-            sampling=SamplingConfig(threshold=1, samples=6, seed=0),
-        )
-        assert search.totals.samples == 6

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.worlds import enumerate_possible_worlds
 from repro.workloads.arrival_orders import (
     ArrivalOrder,
     expected_max_pending,
@@ -13,7 +14,6 @@ from repro.workloads.arrival_orders import (
 from repro.workloads.calendar import (
     CalendarSpec,
     build_calendar_database,
-    calendar_csp,
     make_meeting_request,
 )
 from repro.workloads.entangled_workload import generate_workload, make_pairs
@@ -173,13 +173,19 @@ class TestCalendarWorkload:
         assert len(database.table("FreeSlot")) == 2 * 4 - 1
 
     def test_meeting_request_shape(self):
-        request = make_meeting_request("offsite", "Mickey", "Donald", preferred_day=2)
+        request = make_meeting_request("offsite", "Mickey", "Donald")
         assert len(request.hard_body) == 2
-        assert len(request.optional_body) == 1
+        assert len(request.optional_body) == 0
         assert len(request.updates) == 4
 
-    def test_csp_matches_free_slots(self):
+    def test_possible_placements_match_free_slots(self):
         spec = CalendarSpec(people=("A", "B"), days=1, slots_per_day=3)
         database = build_calendar_database(spec, busy=[("A", 1, 2)])
-        problem = calendar_csp(database, [("m1", "A", "B")])
-        assert set(problem.domains["m1"]) == {(1, 1), (1, 3)}
+        worlds = enumerate_possible_worlds(
+            database, [make_meeting_request("m1", "A", "B")]
+        )
+        placements = {
+            (valuation["day"], valuation["slot"])
+            for valuation in (dict(world.groundings[0][1]) for world in worlds)
+        }
+        assert placements == {(1, 1), (1, 3)}
