@@ -18,9 +18,12 @@ them through an embedded ``QuantumDatabase`` twice, then restarts it:
    (serialization order plus the grounding search), apply (executing a
    plan: store writes, the successor composition, index retraction, delta
    notification and the successor's witness) and persist (inside
-   ``Transaction.commit``: the COMMIT record's append, flush and fsync) —
-   followed by the search counters, the store commits, WAL records and
-   fsyncs behind one booking, and a digest of the round's decisions, which
+   ``Transaction.commit``: the COMMIT record's append, flush and fsync),
+   with the cyclic garbage collector's passes on a ``gc`` line of their own
+   (timed through ``gc.callbacks`` and taken out of whichever phase
+   triggered them, with the collections per generation) — followed by
+   the search counters, the store commits, WAL records and fsyncs behind
+   one booking, and a digest of the round's decisions, which
    two checkouts must agree on when a change claims to keep them;
 2. under ``cProfile``;
 3. then one cold **restart** from a copy of the first pass's log, taken
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import hashlib
 import os
 import pstats
@@ -85,7 +89,8 @@ from repro.storage import SegmentedWriteAheadLog  # noqa: E402
 from repro.workloads.flights import create_flight_tables  # noqa: E402
 
 WORKLOADS = ("book_batch", "book_tcp", "mixed_session")
-PHASES = ("parse", "admit", "plan", "apply", "persist")
+#: Printed in this order; ``gc`` is timed by :meth:`PhaseTimers._on_collection`.
+PHASES = ("parse", "admit", "plan", "apply", "persist", "gc")
 RESTART_PHASES = (
     "open",
     "replay",
@@ -94,6 +99,7 @@ RESTART_PHASES = (
     "rebuild",
     "solve",
     "k bound",
+    "gc",
 )
 ROUND_TARGETS = {
     "admit": (QuantumState, "admit"),
@@ -117,16 +123,36 @@ class PhaseTimers:
 
     A forced grounding runs inside an admission: its plan and apply time
     is charged to plan and apply, not to admit a second time; likewise a
-    store commit inside an apply is charged to persist alone.
+    store commit inside an apply is charged to persist alone, and a
+    garbage collection to ``gc`` alone, whichever phase's allocation
+    triggered it.
     """
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
+        #: Garbage collections per generation while installed and running.
+        self.collections = [0] * len(gc.get_count())
         #: Set outside the measured region (the set-up and the clean-up run
         #: through the wrapped methods too).
         self.stopped = False
         self._nested: list[float] = []
+        self._collection_start: float | None = None
+
+    def _on_collection(self, event: str, info: dict) -> None:
+        """``gc.callbacks`` hook: charge a collection to ``gc``, and count it
+        as nested time of the phase it interrupted."""
+        if event == "start":
+            self._collection_start = None if self.stopped else time.perf_counter()
+            return
+        if self._collection_start is None:
+            return
+        elapsed = time.perf_counter() - self._collection_start
+        self._collection_start = None
+        if self._nested:
+            self._nested[-1] += elapsed
+        self.seconds["gc"] += elapsed
+        self.collections[info["generation"]] += 1
 
     @contextmanager
     def phase(self, name: str):
@@ -163,9 +189,11 @@ class PhaseTimers:
         }
         for name, (owner, attr) in targets.items():
             setattr(owner, attr, self.wrap(name, originals[name]))
+        gc.callbacks.append(self._on_collection)
         try:
             yield self
         finally:
+            gc.callbacks.remove(self._on_collection)
             for name, (owner, attr) in targets.items():
                 setattr(owner, attr, originals[name])
 
@@ -370,10 +398,15 @@ def main(argv=None) -> int:
     print(f"\n{'phase':8s} {'calls':>7s} {'self s':>9s} {'ms/call':>9s} {'share':>7s}")
     for phase in PHASES:
         seconds, calls = timers.seconds[phase], timers.calls[phase]
+        note = ""
+        if phase == "gc":
+            calls = sum(timers.collections)
+            generations = "/".join(map(str, timers.collections))
+            note = f"   (collections by generation: {generations})"
         per_call = 1000 * seconds / calls if calls else 0.0
         print(
             f"{phase:8s} {calls:7d} {seconds:9.3f} {per_call:9.3f} "
-            f"{100 * seconds / elapsed:6.1f}%"
+            f"{100 * seconds / elapsed:6.1f}%{note}"
         )
     print(
         f"{'other':8s} {'':7s} {elapsed - accounted:9.3f} {'':9s} "

@@ -501,8 +501,8 @@ class QuantumDatabase:
     def statistics_report(self) -> dict[str, Any]:
         """Every counter the system maintains, flattened for benchmarks.
 
-        Combines the quantum-state, solution-cache, partition,
-        grounding-search and store-transaction statistics into one
+        Combines the quantum-state, grounding-plan, solution-cache,
+        partition, grounding-search and store-transaction statistics into one
         ``section.counter`` → value mapping, so experiment harnesses can diff
         configurations (e.g. witness cache on vs. off) without reaching into
         internals.
@@ -511,6 +511,9 @@ class QuantumDatabase:
         cache_statistics = self.state.cache.statistics
         sections = {
             "state": self.state.statistics,
+            # The grounding plan's work: reorder checks, preference
+            # attempts and combined fallback searches.
+            "plan": self.state.plan_statistics,
             "cache": cache_statistics,
             "partitions": self.state.partitions.statistics,
             "search": self.state.cache.search.totals,

@@ -187,11 +187,28 @@ PREFIX_CANDIDATES = 8
 COMBINED_NODE_BUDGET = 20_000
 
 
+@dataclass
+class PlanStatistics:
+    """Work counters of the grounding plan phase (the ``plan.*`` section)."""
+
+    #: Grounding plans computed (:func:`compute_grounding_plan` calls).
+    plans: int = 0
+    #: Semantic reorders whose fronted order was composed and searched.
+    reorder_checks: int = 0
+    #: Groundings of the prefix tried for one set of optional factors
+    #: (the all-at-once attempt, each greedy step, the hard-only one).
+    preference_attempts: int = 0
+    #: Combined prefix-and-suffix searches run after no enumerated prefix
+    #: grounding extended over the suffix.
+    fallback_searches: int = 0
+
+
 def compute_grounding_plan(
     search: "GroundingSearch",
     serializability: SerializabilityMode,
     partition: Partition,
     targets: Sequence[PendingTransaction],
+    statistics: PlanStatistics | None = None,
 ) -> tuple[GroundingPlan, OrderComposition, Substitution | None, dict[int, int]]:
     """The pure plan computation: serialization order plus a grounding.
 
@@ -211,12 +228,17 @@ def compute_grounding_plan(
         ``(plan, composition, substitution, satisfied)``: ``composition``
         is the composed order ``plan.to_ground + plan.remaining_order``;
         ``substitution`` is ``None`` when no grounding exists (an invariant
-        violation the caller turns into an error).
+        violation the caller turns into an error).  The work is counted
+        into ``statistics`` when given.
     """
+    if statistics is None:
+        statistics = PlanStatistics()
+    statistics.plans += 1
     fronted: OrderComposition | None = None
 
     def accept_reorder(candidate: Sequence[PendingTransaction]) -> bool:
         nonlocal fronted
+        statistics.reorder_checks += 1
         fronted = OrderComposition(entry.renamed for entry in candidate)
         return search.exists(fronted.program())
 
@@ -228,7 +250,7 @@ def compute_grounding_plan(
         else partition.composition()
     )
     substitution, satisfied_atoms = choose_grounding(
-        search, composition, len(plan.to_ground)
+        search, composition, len(plan.to_ground), statistics
     )
     return plan, composition, substitution, satisfied_atoms
 
@@ -261,22 +283,26 @@ def provably_unsatisfiable(database: Database, factor: Formula) -> bool:
     table = database.table(atom.relation)
     if atom.arity != table.schema.arity:
         return False
-    names = table.schema.column_names
-    columns = []
-    values = []
-    for name, term in zip(names, atom.terms):
+    mask = 0
+    values: list[Any] = []
+    for position, term in enumerate(atom.terms):
         if isinstance(term, Constant):
-            columns.append(name)
+            mask |= 1 << position
             values.append(term.value)
-    if table.best_index(columns) is None:
+        else:
+            values.append(None)
+    if table.plan(mask).index is None:
         return False
-    for _row in table.lookup(columns, values):
+    for _row in table.probe(mask, values):
         return False
     return True
 
 
 def choose_grounding(
-    search: "GroundingSearch", composition: OrderComposition, count: int
+    search: "GroundingSearch",
+    composition: OrderComposition,
+    count: int,
+    statistics: PlanStatistics,
 ) -> tuple[Substitution | None, dict[int, int]]:
     """Find a grounding of the order, maximising the prefix's optionals.
 
@@ -293,7 +319,8 @@ def choose_grounding(
        atoms if preferences cannot be accommodated.
 
     Every body searched is a slice of ``composition``: nothing is rewritten
-    or compiled here that the composition already holds.
+    or compiled here that the composition already holds.  Attempts and
+    fallback searches are counted into ``statistics``.
 
     Returns:
         ``(substitution, satisfied)`` where the substitution covers both
@@ -327,6 +354,7 @@ def choose_grounding(
         complete; a node budget keeps the combined search from thrashing
         when optional factors are involved.
         """
+        statistics.preference_attempts += 1
         body = conjoin(
             [prefix_hard] + [factor.program for factor in selected],
             required=prefix_required,
@@ -339,6 +367,7 @@ def choose_grounding(
                 return extended.substitution
         if not has_suffix:
             return None
+        statistics.fallback_searches += 1
         combined = search.find_one(
             conjoin([body, suffix_body], required=prefix_required | suffix_required),
             node_budget=COMBINED_NODE_BUDGET if selected else None,
@@ -433,6 +462,7 @@ class QuantumState:
             database, enable_witness=witness_cache, search_config=search_config
         )
         self.statistics = QuantumStateStatistics()
+        self.plan_statistics = PlanStatistics()
         self.grounded_results: dict[int, GroundedTransaction] = {}
         self._next_sequence = 1
         #: Callback invoked for every grounded transaction (the quantum
@@ -671,7 +701,11 @@ class QuantumState:
                 database invariant was somehow violated.
         """
         plan, composition, substitution, satisfied_atoms = compute_grounding_plan(
-            self.cache.search, self.serializability, partition, targets
+            self.cache.search,
+            self.serializability,
+            partition,
+            targets,
+            self.plan_statistics,
         )
         if substitution is None:
             raise QuantumStateError(

@@ -44,6 +44,19 @@ class Substitution:
         return cls()
 
     @classmethod
+    def trusted(cls, mapping: dict[Variable, Term]) -> "Substitution":
+        """Wrap ``mapping`` as is, without the constructor's validation.
+
+        For callers that build the mapping from terms by construction: every
+        key a :class:`Variable`, every value a :class:`Constant` or a
+        :class:`Variable` other than its key.  The dict is adopted, not
+        copied, so it must not be changed afterwards.
+        """
+        substitution = cls.__new__(cls)
+        substitution._mapping = mapping
+        return substitution
+
+    @classmethod
     def from_valuation(cls, valuation: Mapping[str, Any]) -> "Substitution":
         """Build a ground substitution from a variable-name → value mapping."""
         return cls({Variable(name): Constant(value) for name, value in valuation.items()})

@@ -102,19 +102,18 @@ class Executor:
     ) -> Iterator[Row]:
         """Rows of ``atom``'s table compatible with the bound positions."""
         table = database.table(atom.table)
-        schema = table.schema
-        columns: list[str] = []
+        mask = 0
         values: list[Any] = []
         for position, term in enumerate(atom.terms):
             if isinstance(term, Var):
-                if term.name in binding:
-                    columns.append(schema.columns[position].name)
-                    values.append(binding[term.name])
+                if term.name not in binding:
+                    values.append(None)
+                    continue
+                values.append(binding[term.name])
             else:
-                columns.append(schema.columns[position].name)
                 values.append(term)
-        rows = table.lookup(columns, values) if columns else table.scan()
-        for row in rows:
+            mask |= 1 << position
+        for row in table.probe(mask, values):
             counter.count += 1
             yield row
 

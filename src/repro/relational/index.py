@@ -88,6 +88,10 @@ class HashIndex:
         """Yield all rows whose indexed columns equal ``key``."""
         yield from self._buckets.get(tuple(key), ())
 
+    def bucket(self, key: tuple[Any, ...]) -> Iterable[Row]:
+        """The rows stored under ``key``: the live bucket (or an empty tuple)."""
+        return self._buckets.get(key, ())
+
     def contains_key(self, key: Sequence[Any]) -> bool:
         """True if any row has the given indexed-column values."""
         return tuple(key) in self._buckets
@@ -97,11 +101,7 @@ class HashIndex:
         return len(self._buckets.get(tuple(key), ()))
 
     def covers(self, columns: Iterable[str]) -> bool:
-        """True if this index's columns are a subset of ``columns``.
-
-        The planner uses this to decide whether an index lookup can serve a
-        given set of bound columns.
-        """
+        """True if this index's columns are a subset of ``columns``."""
         return set(self.columns) <= set(columns)
 
     def __len__(self) -> int:

@@ -3,12 +3,30 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import KeyViolationError, MissingRowError, SchemaError
 from repro.relational.index import HashIndex
 from repro.relational.row import Row
 from repro.relational.schema import TableSchema
+
+
+class AccessPlan(NamedTuple):
+    """How :meth:`Table.probe` serves one set of bound positions.
+
+    ``index`` is the widest index whose positions are all bound (the first
+    declared wins ties), or ``None`` for a scan; ``key`` projects a
+    position-indexed value sequence onto its key; ``exact`` says the index
+    covers every bound position, so its bucket is the answer; ``residual``
+    lists the bound positions the index does not cover, which each
+    candidate row is filtered on.
+    """
+
+    index: HashIndex | None
+    key: Callable[[Sequence[Any]], tuple[Any, ...]] | None
+    exact: bool
+    residual: tuple[int, ...]
 
 
 class Table:
@@ -21,6 +39,10 @@ class Table:
 
     The table keeps a unique index on the primary key and any number of
     secondary hash indexes, all maintained incrementally on insert/delete.
+    Every equality lookup — the search kernel's candidate rows and
+    membership tests, the query executor's, :meth:`lookup` — goes through
+    :meth:`probe`, which resolves its :class:`AccessPlan` once per
+    bound-position mask.
     """
 
     def __init__(self, schema: TableSchema) -> None:
@@ -28,6 +50,9 @@ class Table:
         self._rows: dict[tuple[Any, ...], Row] = {}
         self._primary = HashIndex(schema, schema.key, unique=True)
         self._secondary: dict[tuple[str, ...], HashIndex] = {}
+        #: Bound-position mask → its access plan; cleared by
+        #: :meth:`create_index`, the only place the index set changes.
+        self._plans: dict[int, AccessPlan] = {}
 
     # -- metadata -----------------------------------------------------------
 
@@ -56,6 +81,7 @@ class Table:
         index = HashIndex(self.schema, key)
         index.rebuild(self._rows.values())
         self._secondary[key] = index
+        self._plans.clear()
         return index
 
     def indexes(self) -> tuple[HashIndex, ...]:
@@ -66,15 +92,15 @@ class Table:
         """Return the most selective index usable given ``bound_columns``.
 
         An index is usable when all its columns appear in ``bound_columns``;
-        the index with the largest number of columns is preferred.
+        the index with the largest number of columns is preferred.  This is
+        the :meth:`plan` of those columns' positions (names the table does
+        not have bind nothing); the query planner's estimates read it.
         """
-        bound = set(bound_columns)
-        best: HashIndex | None = None
-        for index in self.indexes():
-            if index.covers(bound):
-                if best is None or len(index.columns) > len(best.columns):
-                    best = index
-        return best
+        mask = 0
+        for column in bound_columns:
+            if self.schema.has_column(column):
+                mask |= 1 << self.schema.position(column)
+        return self.plan(mask).index
 
     # -- mutation -----------------------------------------------------------
 
@@ -159,26 +185,78 @@ class Table:
         """All rows as a list (convenience for tests and snapshots)."""
         return list(self._rows.values())
 
+    def plan(self, mask: int) -> AccessPlan:
+        """The access plan for the positions set in ``mask`` (cached)."""
+        plan = self._plans.get(mask)
+        if plan is None:
+            plan = self._plans[mask] = self._resolve(mask)
+        return plan
+
+    def _resolve(self, mask: int) -> AccessPlan:
+        """Choose the :class:`AccessPlan` of ``mask`` (see its fields)."""
+        best: HashIndex | None = None
+        for index in self.indexes():
+            covered = all(mask >> position & 1 for position in index.positions)
+            if covered and (best is None or len(index.positions) > len(best.positions)):
+                best = index
+        bound = [position for position in range(mask.bit_length()) if mask >> position & 1]
+        if best is None:
+            return AccessPlan(None, None, not bound, tuple(bound))
+        positions = best.positions
+        if len(positions) == 1:
+            (position,) = positions
+            key: Callable[[Sequence[Any]], tuple[Any, ...]] = lambda values: (
+                values[position],
+            )
+        else:
+            key = itemgetter(*positions)
+        residual = tuple(position for position in bound if position not in positions)
+        return AccessPlan(best, key, not residual, residual)
+
+    def probe(self, mask: int, values: Sequence[Any]) -> Iterable[Row]:
+        """Rows whose positions set in ``mask`` equal ``values`` there.
+
+        ``values`` is indexed by position; positions outside ``mask`` are
+        not read.  Rows come in the plan's index-bucket order (insertion
+        order), or in scan order when no index is usable.  An exactly
+        covered mask returns the index bucket itself — a live view, so
+        iterate it before the table changes; otherwise the result is a
+        lazy filter over the bucket or the scan.
+        """
+        plan = self._plans.get(mask)
+        if plan is None:
+            plan = self.plan(mask)
+        if plan.index is None:
+            rows: Iterable[Row] = self._rows.values()
+        else:
+            rows = plan.index.bucket(plan.key(values))
+        if plan.exact:
+            return rows
+        residual = plan.residual
+        if len(residual) == 1:
+            (position,) = residual
+            value = values[position]
+            return (row for row in rows if row.values[position] == value)
+        wanted = [(position, values[position]) for position in residual]
+        return (
+            row
+            for row in rows
+            if all(row.values[position] == value for position, value in wanted)
+        )
+
     def lookup(self, columns: Sequence[str], values: Sequence[Any]) -> Iterator[Row]:
         """Yield rows matching equality on ``columns`` = ``values``.
 
-        Uses the best available index, otherwise falls back to a scan.
+        :meth:`probe` on the named columns' positions (a repeated column
+        takes its last value).
         """
-        index = self.best_index(columns)
-        pairs = dict(zip(columns, values))
-        if index is not None and set(index.columns) == set(columns):
-            key = tuple(pairs[c] for c in index.columns)
-            yield from index.lookup(key)
-            return
-        if index is not None:
-            key = tuple(pairs[c] for c in index.columns)
-            candidates: Iterable[Row] = index.lookup(key)
-        else:
-            candidates = self.scan()
-        remaining = {c: v for c, v in pairs.items()}
-        for row in candidates:
-            if all(row[c] == v for c, v in remaining.items()):
-                yield row
+        mask = 0
+        by_position = [None] * self.schema.arity
+        for column, value in zip(columns, values):
+            position = self.schema.position(column)
+            mask |= 1 << position
+            by_position[position] = value
+        yield from self.probe(mask, by_position)
 
     # -- snapshot support ---------------------------------------------------
 

@@ -105,8 +105,8 @@ class GroundingSearch:
         #: Counters accumulated over every search this instance ever ran;
         #: benchmarks read these to report total grounding work.
         self.totals = GroundingStatistics()
-        #: Number of searches started (``find`` / ``find_one`` calls whose
-        #: body did not simplify to FALSE).
+        #: Number of searches started (``find`` / ``find_one`` / ``exists``
+        #: calls whose body did not simplify to FALSE).
         self.searches = 0
         #: Optional callback invoked after every search completes, with the
         #: searched program (its ``formula`` property is the simplified
@@ -134,8 +134,15 @@ class GroundingSearch:
     def exists(
         self, formula: Formula | Program, *, initial: Substitution | None = None
     ) -> bool:
-        """True if the formula has at least one grounding (a LIMIT 1 probe)."""
-        return self.find_one(formula, initial=initial).satisfiable
+        """True if the formula has at least one grounding (a LIMIT 1 probe).
+
+        Runs the search :meth:`find_one` runs, to the same first leaf and
+        with the same counters, but builds no substitution and no result.
+        """
+        program = compile_formula(formula)
+        if program.is_false:
+            return False
+        return self._first(program, initial, GroundingStatistics(), None) is not None
 
     def find_one(
         self,
@@ -164,18 +171,35 @@ class GroundingSearch:
         if program.is_false:
             # A trivially false body never starts a search.
             return GroundingResult(Substitution.empty(), False, stats)
+        run = self._first(program, initial, stats, node_budget)
+        if run is None:
+            # Unsatisfiable (or budget-exhausted): the result still carries
+            # the real work counters, so callers can see ``exhausted_budget``.
+            return GroundingResult(Substitution.empty(), False, stats)
+        return GroundingResult(run.snapshot(), True, stats)
+
+    def _first(
+        self,
+        program: Program,
+        initial: Substitution | None,
+        stats: GroundingStatistics,
+        node_budget: int | None,
+    ) -> Run | None:
+        """Search ``program`` to its first closed leaf.
+
+        Returns the run holding that leaf's bindings (closing the traversal
+        undoes nothing), or ``None`` when there is none within the budget.
+        """
         run = Run(program, self.database, initial, stats, node_budget)
         leaves = run.solutions()
         try:
             for _leaf in leaves:
                 if run.closed():
-                    return GroundingResult(run.snapshot(), True, stats)
+                    return run
         finally:
             leaves.close()
             self._absorb(stats, program)
-        # Unsatisfiable (or budget-exhausted): the result still carries the
-        # real work counters, so callers can see ``exhausted_budget``.
-        return GroundingResult(Substitution.empty(), False, stats)
+        return None
 
     def find_all(
         self,
@@ -249,9 +273,9 @@ class GroundingSearch:
     def _absorb(self, stats: GroundingStatistics, program: Program) -> None:
         """Fold one finished search's counters into the shared totals.
 
-        :meth:`find` and :meth:`find_one` both report through here, so
-        ``totals`` and :attr:`searches` stay the single source of truth;
-        the per-search observer fires too.
+        :meth:`find`, :meth:`find_one` and :meth:`exists` all report
+        through here, so ``totals`` and :attr:`searches` stay the single
+        source of truth; the per-search observer fires too.
         """
         self.searches += 1
         self.totals.add(stats)

@@ -28,8 +28,9 @@ interpreter step for step:
   ties to the lowest index; else the first disjunction;
 * a spliced conjunction's parts and a chosen disjunction branch go to the
   *front* of the pending list;
-* candidate rows come in the table's index-lookup order (the widest index
-  covered by the bound positions, first declared wins ties);
+* candidate rows come in the order ``Table.probe`` returns them for the
+  bound positions (the bucket of the widest index they cover, first
+  declared wins ties; a scan when none does);
 * unification binds the walked representative of the left side first;
 * a negation is decided as soon as — and only when — every variable it
   mentions is bound *directly* to a constant (alias chains are not
@@ -192,11 +193,16 @@ def _junction(kind: int, parts: list[_Node]) -> _Node:
 
 
 def _member(database: Database, relation: str, values: tuple[Any, ...]) -> bool:
-    """Fact oracle: membership of a ground atom in the database."""
+    """Fact oracle: membership of a ground atom in the database.
+
+    Compares the leading ``min(len(values), arity)`` positions: a value
+    list of the wrong length is matched on the positions both have.
+    """
     if not database.has_table(relation):
         return False
     table = database.table(relation)
-    for _row in table.lookup(list(table.schema.column_names), list(values)):
+    mask = (1 << min(len(values), table.schema.arity)) - 1
+    for _row in table.probe(mask, values):
         return True
     return False
 
@@ -565,24 +571,24 @@ class Run:
 
         Equal, binding for binding and in the same order, to the
         substitution the seed interpreter's chain of ``bind`` calls built
-        along the same path: ``initial`` first, then the trail.
+        along the same path: ``initial`` first, then the trail.  Built
+        :meth:`Substitution.trusted`: the keys are scope variables and the
+        values a ``Constant`` of a bound value or the variable of an alias
+        target, never the key itself.
         """
-        mapping: dict[Variable, Any] = dict(self.initial.items()) if self.initial else {}
+        mapping: dict[Variable, Term] = dict(self.initial.items()) if self.initial else {}
         val, ref = self.val, self.ref
-        if self._extra is None:
-            variables = self.program.scope.variables
-            for slot in self.trail:
-                value = val[slot]
-                mapping[variables[slot]] = (
-                    variables[ref[slot]] if value is _UNBOUND else value
-                )
-        else:
-            for slot in self.trail:
-                value = val[slot]
-                mapping[self._variable(slot)] = (
-                    self._variable(ref[slot]) if value is _UNBOUND else value
-                )
-        return Substitution(mapping)
+        variable = (
+            self.program.scope.variables.__getitem__
+            if self._extra is None
+            else self._variable
+        )
+        for slot in self.trail:
+            value = val[slot]
+            mapping[variable(slot)] = (
+                variable(ref[slot]) if value is _UNBOUND else Constant(value)
+            )
+        return Substitution.trusted(mapping)
 
     # -- step primitives --------------------------------------------------------
 
@@ -660,7 +666,7 @@ class Run:
     ) -> tuple[Iterable[Any], list[tuple[int, int]]]:
         """Rows that can match an atom, and the positions a row must bind.
 
-        Rows come in the order ``Table.lookup`` yields them for the bound
+        Rows come in the order ``Table.probe`` returns them for the bound
         positions; the second element lists ``(position, representative
         slot)`` for the positions still unbound.
         """
@@ -689,7 +695,7 @@ class Run:
             else:
                 values[position] = value
                 mask |= 1 << position
-        return _lookup(table, mask, values), binders
+        return table.probe(mask, values), binders
 
     def bind_row(self, row_values: tuple, binders: list[tuple[int, int]]) -> bool:
         """Bind a candidate row's values to the unbound positions.
@@ -787,6 +793,9 @@ class Run:
                             continue
                     if not parts:
                         if not deferred or self.leaf_holds(deferred):
+                            stats.undo_depth = max(
+                                stats.undo_depth, self.max_depth, len(trail)
+                            )
                             stats.nodes = nodes
                             stats.rows_examined += rows_examined
                             stats.choice_points += choice_points
@@ -843,39 +852,10 @@ class Run:
                     scan = False
                 descending = True
         finally:
-            depth = len(trail)
-            if depth > self.max_depth:
-                self.max_depth = depth
+            self.max_depth = max(self.max_depth, len(trail))
+            stats.undo_depth = max(stats.undo_depth, self.max_depth)
             stats.nodes = nodes
             stats.rows_examined += rows_examined
             stats.choice_points += choice_points
             stats.backtracks += backtracks
 
-
-def _lookup(table: Any, mask: int, values: list[Any]) -> Iterable[Any]:
-    """``Table.lookup`` on positions: same index choice, same row order."""
-    if not mask:
-        return table.scan()
-    best = None
-    width = 0
-    for index in table.indexes():
-        positions = index.positions
-        if len(positions) > width:
-            for position in positions:
-                if not mask >> position & 1:
-                    break
-            else:
-                best = index
-                width = len(positions)
-    bound = [position for position in range(len(values)) if mask >> position & 1]
-    if best is None:
-        candidates = table.scan()
-    else:
-        candidates = best.lookup(tuple(values[position] for position in best.positions))
-        if width == len(bound):
-            return candidates
-    return (
-        row
-        for row in candidates
-        if all(row.values[position] == values[position] for position in bound)
-    )

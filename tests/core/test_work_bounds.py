@@ -15,7 +15,8 @@ on a clock, so it holds on any machine:
 
 A ``book_batch``-shaped round bounds what a grounding costs: no
 composition is rebuilt after one (the successor is installed), its delta
-notification checks at most one footprint (routed by rows), and
+notification checks at most one footprint (routed by rows), its plan
+tries at most 2.4 optional-factor sets on average (``plan.*``), and
 ``unification_predicate`` constructs no ``Substitution``.
 """
 
@@ -165,7 +166,10 @@ def book_batch_round(flights: int = 8, seed: int = 1) -> Counter:
             results = qdb.commit_batch(batch)
             counts["failed"] += sum(not result.committed for result in results)
         counts["transactions"] = len(stream)
-        counts["forced"] = qdb.statistics_report()["state.forced_groundings"]
+        report = qdb.statistics_report()
+        counts["forced"] = report["state.forced_groundings"]
+        counts["plans"] = report["plan.plans"]
+        counts["preference attempts"] = report["plan.preference_attempts"]
     return counts
 
 
@@ -187,6 +191,15 @@ def test_no_composition_is_rebuilt_after_a_grounding():
 def test_a_groundings_delta_notification_checks_at_most_one_footprint():
     # Routed by the deltas' rows, not a check of every live partition.
     assert book_batch_round()["max touched_by per grounding"] <= 1
+
+
+def test_preference_attempts_per_plan_stay_at_the_measured_ratio():
+    # Every attempt enumerates prefix groundings and extends them over the
+    # suffix, so attempts per plan is the plan phase's work multiplier.
+    # Pinned at its measured value: 120 attempts over 50 plans.
+    counts = book_batch_round()
+    assert counts["plans"] == counts["groundings"]
+    assert 5 * counts["preference attempts"] <= 12 * counts["plans"]
 
 
 def test_unification_predicate_constructs_no_substitution(monkeypatch):

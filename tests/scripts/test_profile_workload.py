@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -31,6 +32,28 @@ def test_nested_phases_are_charged_once():
         profile_workload.time.perf_counter = real
     assert timers.seconds == {"plan": 3.0, "admit": 7.0}
     assert timers.calls == {"plan": 1, "admit": 1}
+
+
+def test_a_collection_is_charged_to_gc_not_to_the_phase_it_interrupts():
+    # phase in, collection start, collection stop, phase out
+    clock = iter([0.0, 1.0, 4.0, 10.0])
+    timers = profile_workload.PhaseTimers()
+    real = profile_workload.time.perf_counter
+    automatic = gc.isenabled()
+    gc.disable()  # only the explicit collection below may run
+    profile_workload.time.perf_counter = lambda: next(clock)
+    try:
+        with timers.installed():
+            with timers.phase("plan"):
+                gc.collect()
+    finally:
+        profile_workload.time.perf_counter = real
+        if automatic:
+            gc.enable()
+    assert timers.seconds == {"plan": 7.0, "gc": 3.0}
+    assert timers.calls == {"plan": 1}
+    assert timers.collections == [0, 0, 1]
+    assert timers._on_collection not in gc.callbacks
 
 
 @pytest.mark.parametrize("workload", profile_workload.WORKLOADS)

@@ -172,3 +172,17 @@ class TestFormulaFeatures:
         search = GroundingSearch(db)
         result = search.find_one(atom("Available", [1, S]))
         assert result.statistics.rows_examined >= 1
+
+    def test_undo_depth_is_the_deepest_trail(self, db):
+        # A chain of three joined atoms binds f and s, then s2: the trail
+        # is three bindings deep at the leaf, on every entry point.
+        chain = conjunction(
+            [atom("Available", [F, S]), atom("Adjacent", [F, S, S2]), atom("Available", [F, S2])]
+        )
+        search = GroundingSearch(db)
+        assert search.find_one(chain).statistics.undo_depth >= 3
+        assert search.totals.undo_depth >= 3
+        probe = GroundingSearch(db)
+        assert probe.exists(chain) and probe.totals.undo_depth >= 3
+        first = next(GroundingSearch(db).find(chain))
+        assert first.statistics.undo_depth >= 3

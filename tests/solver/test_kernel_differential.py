@@ -7,7 +7,9 @@ chains, negated equalities / conjunctions / atoms, nested disjunctions,
 ``limit`` and ``node_budget``.  For every case the kernel must produce the
 identical *sequence* of substitutions (binding for binding, in the same
 order) and identical work counters as the seed interpreter preserved in
-``reference_search.py``.
+``reference_search.py``.  On the same cases, ``exists`` must decide and
+count like ``find_one``, and ``Run.snapshot``'s unvalidated substitution
+must equal the validating constructor's.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch, GroundingStatistics
-from repro.solver.kernel import Run, Scope, compile_formula, conjoin
+from repro.solver.kernel import _UNBOUND, Run, Scope, compile_formula, conjoin
 from repro.workloads.flights import create_flight_tables
 
 FLIGHT_VARS = [Variable(name) for name in ("f", "g")]
@@ -305,6 +307,45 @@ def test_find_one_matches_seed_interpreter(db, seed):
     assert _counters(actual.statistics) == _counters(expected_stats)
     assert search.searches == reference.searches
     assert _counters(search.totals) == _counters(reference.totals)
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_exists_runs_the_search_find_one_runs(db, seed):
+    """``exists`` builds no result, but decides and counts like ``find_one``."""
+    formula, initial, required, _limit, _budget = _case(seed)
+    program = compile_formula(formula, required=required)
+    probing, finding = GroundingSearch(db), GroundingSearch(db)
+    found = finding.find_one(program, initial=initial)
+    assert probing.exists(program, initial=initial) == found.satisfiable
+    assert probing.searches == finding.searches
+    assert vars(probing.totals) == vars(finding.totals)
+
+
+def _validated_snapshot(run: Run) -> Substitution:
+    """``Run.snapshot`` as the validating constructor builds it: raw
+    values and alias targets, coerced and checked binding by binding."""
+    mapping: dict = dict(run.initial.items()) if run.initial else {}
+    for slot in run.trail:
+        value = run.val[slot]
+        mapping[run._variable(slot)] = (
+            run._variable(run.ref[slot]) if value is _UNBOUND else value
+        )
+    return Substitution(mapping)
+
+
+@pytest.mark.parametrize("seed", range(400))
+def test_snapshot_equals_the_validating_constructor(db, seed):
+    """The trusted snapshot holds the same bindings, of the same term
+    types, in the same order, at every leaf."""
+    formula, initial, required, _limit, budget = _case(seed)
+    program = compile_formula(formula, required=required)
+    if program.is_false:
+        return
+    run = Run(program, db, initial, GroundingStatistics(), budget)
+    for _leaf in run.solutions():
+        trusted = [(var, type(term), term) for var, term in run.snapshot().items()]
+        validated = [(var, type(term), term) for var, term in _validated_snapshot(run).items()]
+        assert trusted == validated
 
 
 @pytest.mark.parametrize("seed", range(150))
