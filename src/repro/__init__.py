@@ -34,12 +34,12 @@ The two synchronous entry points applications start from:
 
 * :class:`QuantumConfig` — ``k`` (pending bound per partition),
   ``strategy`` (forced-grounding victim order), ``serializability``
-  (STRICT/SEMANTIC), ``read_mode`` (COLLAPSE/PEEK/EXPOSE_ALL),
-  ``ground_on_partner_arrival``, ``witness_cache`` (the fast-path
-  toggle; decisions are identical either way) and ``search`` (the
-  :class:`AdmissionSearchConfig`: a node budget for the one exact
-  admission search; every config type is also re-exported from
-  :mod:`repro.configs`)::
+  (STRICT/SEMANTIC), ``ground_on_partner_arrival``, ``witness_cache``
+  (the fast-path toggle; decisions are identical either way) and
+  ``search`` (the :class:`AdmissionSearchConfig`: a node budget for the
+  one exact admission search).  Every config type is exported here; a
+  read picks its semantics per call (``read(..., mode=ReadMode.PEEK)``,
+  COLLAPSE by default)::
 
       qdb = QuantumDatabase(config=QuantumConfig(k=8, witness_cache=True))
 
@@ -97,7 +97,6 @@ from repro.errors import (
     WriteRejected,
 )
 from repro.relational.database import Database
-from repro.relational.planner import PlannerConfig
 from repro.relational.wal import WriteAheadLog
 from repro.server import (
     AdmissionResult,
@@ -130,7 +129,6 @@ __all__ = [
     "NetClient",
     "NetConfig",
     "NetworkServer",
-    "PlannerConfig",
     "ProtocolError",
     "QuantumConfig",
     "QuantumDatabase",

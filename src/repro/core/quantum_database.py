@@ -54,7 +54,7 @@ from repro.core.worlds import enumerate_possible_worlds
 from repro.errors import QuantumError, TransactionRejected
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert
-from repro.relational.planner import MYSQL_JOIN_LIMIT, PlannerConfig
+from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.relational.schema import Column
 from repro.solver.strategy import AdmissionSearchConfig
 
@@ -70,7 +70,6 @@ class QuantumConfig:
             first).
         serializability: STRICT (arrival order) or SEMANTIC (the paper's
             preferred mode).
-        read_mode: default read semantics (the paper's choice: COLLAPSE).
         ground_on_partner_arrival: ground an entangled pair as soon as both
             partners are in the system (Section 5.1's execution policy).
         witness_cache: let each partition's solution record carry the
@@ -98,20 +97,17 @@ class QuantumConfig:
             Admission runs one exact search, the seed's backtracking
             search byte-for-byte; ``node_budget`` caps it (running out is
             a typed rejection), applied inside ``SolutionCache.ensure``.
-        planner: join-planner settings for the underlying store.
     """
 
     k: int = MYSQL_JOIN_LIMIT
     strategy: GroundingStrategy = GroundingStrategy.OLDEST_FIRST
     serializability: SerializabilityMode = SerializabilityMode.SEMANTIC
-    read_mode: ReadMode = ReadMode.COLLAPSE
     ground_on_partner_arrival: bool = True
     witness_cache: bool = True
     shards: int = 1
     shard_backend: str = "thread"
     admission_lanes: bool = False
     search: AdmissionSearchConfig = field(default_factory=AdmissionSearchConfig)
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
 
     def __post_init__(self) -> None:
         self.policy()  # validates k: a bad bound fails here, not mid-admission
@@ -175,7 +171,7 @@ class QuantumDatabase:
         config: QuantumConfig | None = None,
     ) -> None:
         self.config = config or QuantumConfig()
-        self.database = database or Database(self.config.planner)
+        self.database = database or Database()
         self.pending_store = PendingTransactionStore(self.database)
         self.entanglement = EntanglementRegistry()
         self.state = QuantumState(
@@ -381,17 +377,15 @@ class QuantumDatabase:
 
         Accepts either a :class:`ReadRequest` or a relation name plus terms
         (shorthand for a single-atom read).  The read mode defaults to the
-        configured one (COLLAPSE): pending transactions whose updates unify
-        with the read are grounded first, then the query is answered over
-        the extensional store, giving ordinary read-repeatability.
+        request's, COLLAPSE unless it says otherwise: pending transactions
+        whose updates unify with the read are grounded first, then the
+        query is answered over the extensional store, giving ordinary
+        read-repeatability.
         """
         if isinstance(request, str):
             if terms is None:
                 raise QuantumError("read(relation, terms) requires the terms argument")
-            request = ReadRequest.single(
-                request, terms, select=select, limit=limit,
-                mode=mode or self.config.read_mode,
-            )
+            request = ReadRequest.single(request, terms, select=select, limit=limit)
         effective_mode = mode or request.mode
         if effective_mode is ReadMode.COLLAPSE:
             affected = self.state.affected_by_read(request.atoms)

@@ -58,7 +58,7 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant
 from repro.logic.unification import unifiable
 from repro.relational.database import Database
-from repro.relational.dml import Delete, Insert, Statement
+from repro.relational.dml import Delete, Statement
 from repro.solver.kernel import compile_formula, conjoin
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -742,11 +742,9 @@ class QuantumState:
                 for entry in plan.to_ground:
                     statements = entry.renamed.ground_updates(substitution)
                     for statement in statements:
-                        applied = txn.apply(statement)
-                        is_delete = isinstance(statement, Delete)
-                        deltas.extend(
-                            (statement.table, row.values, is_delete)
-                            for row in applied
+                        row = txn.apply(statement)
+                        deltas.append(
+                            (statement.table, row.values, isinstance(statement, Delete))
                         )
                     grounded_statements.append((entry, statements))
                 if self.pending_store is not None:
@@ -864,30 +862,31 @@ class QuantumState:
         re-validates (or re-solves) every affected partition's composed body
         over the modified database, and rolls the write back on failure.
 
+        The affected partitions are those whose atoms unify with a row the
+        write changed, as the store applied it: a mapping's values in
+        schema order, and for a delete the stored row its key named.
+
         Raises:
             WriteRejected: if the write would empty the set of possible
                 worlds.
         """
         self.statistics.writes_checked += 1
-        write_atoms = [_statement_atom(s) for s in statements]
-        affected = [
-            partition
-            for partition in self.partitions.overlapping_partitions(write_atoms)
-            if partition.pending
-        ]
         txn = self.database.begin()
         deltas: list[tuple[str, tuple, bool]] = []
         rechecked: list[tuple[Partition, Substitution]] = []
         try:
-            # Only blind single-row inserts/deletes reach this point
-            # (_statement_atom above rejects Update and conditional Delete),
-            # so the applied rows describe the write's complete delta.
             for statement in statements:
-                applied = txn.apply(statement)
-                is_delete = isinstance(statement, Delete)
-                deltas.extend(
-                    (statement.table, row.values, is_delete) for row in applied
+                row = txn.apply(statement)
+                deltas.append(
+                    (statement.table, row.values, isinstance(statement, Delete))
                 )
+            affected = [
+                partition
+                for partition in self.partitions.overlapping_partitions(
+                    [Atom.body(table, values) for table, values, _ in deltas]
+                )
+                if partition.pending
+            ]
             for partition in affected:
                 # Trusted as is when the write's deltas miss the record's
                 # footprint; otherwise verified, or re-solved, against the
@@ -916,20 +915,3 @@ class QuantumState:
         self.cache.notify_deltas(deltas, self.partitions)
         for partition, substitution in rechecked:
             self.cache.record(partition, substitution)
-
-
-def _statement_atom(statement: Statement) -> Atom:
-    """Convert a blind write statement into a ground atom for unification."""
-    if isinstance(statement, Insert):
-        values = statement.values
-    elif isinstance(statement, Delete) and statement.values is not None:
-        values = statement.values
-    else:
-        raise WriteRejected(
-            f"only blind single-row writes can be checked, got {statement!r}"
-        )
-    if isinstance(values, Mapping):
-        ordered = tuple(values.values())
-    else:
-        ordered = tuple(values)
-    return Atom.body(statement.table, ordered)

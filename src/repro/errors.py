@@ -5,7 +5,7 @@ applications embedding the library can catch a single base class.  The
 hierarchy mirrors the layering of the system:
 
 * ``relational`` errors concern the extensional store (schema violations,
-  key conflicts, planner limits, transaction aborts).
+  key conflicts, missing rows, transaction aborts).
 * ``logic`` errors concern malformed terms, atoms, or substitutions.
 * ``solver`` errors concern unsatisfiable or ill-posed constraint problems.
 * ``core`` (quantum database) errors concern resource-transaction admission,
@@ -49,28 +49,11 @@ class KeyViolationError(RelationalError):
 
 
 class MissingRowError(RelationalError):
-    """A delete or update targeted a row that does not exist."""
-
-
-class PlannerError(RelationalError):
-    """The query planner could not produce a plan (e.g. join limit hit)."""
-
-
-class JoinLimitExceededError(PlannerError):
-    """A query references more atoms than the engine's join limit.
-
-    This mirrors MySQL's 61-table join limit that the paper's prototype
-    inherits; the quantum database keeps composed bodies below the limit by
-    forcibly grounding pending transactions.
-    """
+    """A delete targeted a row that does not exist."""
 
 
 class TransactionError(RelationalError):
     """A transaction on the extensional store failed or was misused."""
-
-
-class TransactionAborted(TransactionError):
-    """The transaction was rolled back (explicitly or by a conflict)."""
 
 
 class RecoveryError(RelationalError):

@@ -7,11 +7,10 @@ quantum middle tier needs:
 
 * key-enforced tables with secondary hash indexes (:mod:`.table`,
   :mod:`.index`),
-* a conjunctive query facility with ``LIMIT`` support, a greedy bounded-depth
-  join-order planner (the analogue of MySQL's ``optimizer_search_depth``
-  knob) and pipelined index-nested-loop execution (:mod:`.query`,
+* a conjunctive query facility with ``LIMIT`` support, a greedy join order
+  and pipelined index-nested-loop execution (:mod:`.query`,
   :mod:`.planner`, :mod:`.executor`),
-* insert/delete/update statements (:mod:`.dml`),
+* single-row insert/delete statements (:mod:`.dml`),
 * transactions with undo and a write-ahead log plus recovery
   (:mod:`.transaction`, :mod:`.wal`, :mod:`.recovery`),
 * a :class:`~repro.relational.database.Database` facade tying it together.
@@ -21,20 +20,10 @@ the library and by applications that want to populate the extensional store
 directly.
 """
 
-from repro.relational.conditions import (
-    ColumnRef,
-    Comparison,
-    Condition,
-    Conjunction,
-    Constant,
-    Disjunction,
-    Negation,
-)
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
-from repro.relational.dml import Delete, Insert, Update
+from repro.relational.dml import Delete, Insert
 from repro.relational.index import HashIndex
-from repro.relational.planner import Planner, PlannerConfig
 from repro.relational.query import ConjunctiveQuery, QueryAtom, QueryResult
 from repro.relational.recovery import recover_database
 from repro.relational.row import Row
@@ -44,30 +33,20 @@ from repro.relational.transaction import Transaction
 from repro.relational.wal import LogRecord, WriteAheadLog
 
 __all__ = [
-    "ColumnRef",
     "Column",
-    "Comparison",
-    "Condition",
     "ConjunctiveQuery",
-    "Conjunction",
-    "Constant",
     "DataType",
     "Database",
     "Delete",
-    "Disjunction",
     "HashIndex",
     "Insert",
     "LogRecord",
-    "Negation",
-    "Planner",
-    "PlannerConfig",
     "QueryAtom",
     "QueryResult",
     "Row",
     "Table",
     "TableSchema",
     "Transaction",
-    "Update",
     "WriteAheadLog",
     "recover_database",
 ]

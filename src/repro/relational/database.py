@@ -7,9 +7,8 @@ import time
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError, TransactionError, UnknownTableError
-from repro.relational.dml import Delete, Insert, Statement, Update
-from repro.relational.executor import Executor
-from repro.relational.planner import Planner, PlannerConfig
+from repro.relational.dml import Delete, Insert, Statement
+from repro.relational.executor import execute
 from repro.relational.query import ConjunctiveQuery, QueryResult
 from repro.relational.row import Row
 from repro.relational.schema import Column, TableSchema
@@ -26,21 +25,14 @@ class Database:
     """An in-memory relational database.
 
     This is the extensional store underneath a quantum database: a catalog
-    of key-enforced tables, a conjunctive query engine with a bounded-depth
-    join planner, single-row and condition-based DML, WAL-backed
-    transactions, and whole-database snapshots (used both by recovery tests
-    and by the possible-worlds enumeration utilities).
-
-    Args:
-        planner_config: join planner configuration.  The default mirrors the
-            paper's prototype setup (``optimizer_search_depth = 3``,
-            61-atom join limit).
+    of key-enforced tables, a conjunctive query engine with a greedy join
+    order, single-row DML, WAL-backed transactions, and whole-database
+    snapshots (used both by recovery tests and by the possible-worlds
+    enumeration utilities).
     """
 
-    def __init__(self, planner_config: PlannerConfig | None = None) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self.planner_config = planner_config or PlannerConfig()
-        self._executor = Executor(Planner(self.planner_config))
         self.wal = WriteAheadLog()
         self._txn_ids = itertools.count(1)
         self._active_transactions: set[int] = set()
@@ -73,16 +65,6 @@ class Database:
         self._tables[name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog.
-
-        Raises:
-            UnknownTableError: if the table does not exist.
-        """
-        if name not in self._tables:
-            raise UnknownTableError(f"unknown table {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name.
 
@@ -102,19 +84,11 @@ class Database:
         """Names of all tables, in creation order."""
         return tuple(self._tables)
 
-    def tables(self) -> tuple[Table, ...]:
-        """All tables, in creation order."""
-        return tuple(self._tables.values())
-
     # -- queries ------------------------------------------------------------
 
     def execute(self, query: ConjunctiveQuery) -> QueryResult:
         """Evaluate a conjunctive query."""
-        return self._executor.execute(self, query)
-
-    def exists(self, query: ConjunctiveQuery) -> bool:
-        """True if ``query`` has at least one answer (a ``LIMIT 1`` probe)."""
-        return self._executor.exists(self, query)
+        return execute(self, query)
 
     # -- autocommit DML -----------------------------------------------------
 
@@ -130,12 +104,12 @@ class Database:
 
     def apply(self, statements: Statement | Iterable[Statement]) -> list[Row]:
         """Apply one or many statements atomically."""
-        if isinstance(statements, (Insert, Delete, Update)):
+        if isinstance(statements, (Insert, Delete)):
             statements = [statements]
         affected: list[Row] = []
         with self.begin() as txn:
             for statement in statements:
-                affected.extend(txn.apply(statement))
+                affected.append(txn.apply(statement))
         return affected
 
     # -- transactions -------------------------------------------------------
@@ -205,14 +179,10 @@ class Database:
         Used by the possible-worlds utilities, which fork the database for
         each candidate grounding.
         """
-        clone = Database(self.planner_config)
+        clone = Database()
         for name, table in self._tables.items():
             clone._tables[name] = table.copy()
         return clone
-
-    def row_count(self) -> int:
-        """Total number of rows across all tables."""
-        return sum(len(table) for table in self._tables.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{name}[{len(t)}]" for name, t in self._tables.items())

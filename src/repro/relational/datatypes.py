@@ -1,13 +1,9 @@
 """Value domain of the relational substrate.
 
 The quantum database only needs a small, SQL-ish set of scalar types:
-integers, floats, strings, booleans and NULL.  Types are used for two
-purposes:
-
-* validating values on insert (``Column`` declarations carry a
-  :class:`DataType`), and
-* coercing literals written in textual resource transactions into canonical
-  Python values.
+integers, floats, strings, booleans and NULL.  ``Column`` declarations
+carry a :class:`DataType`, which validates values on insert.  Literals in
+textual resource transactions are parsed by :mod:`repro.core.parser`.
 """
 
 from __future__ import annotations
@@ -69,44 +65,3 @@ class DataType(enum.Enum):
         if self is DataType.FLOAT:
             return float(value)
         return value
-
-    @classmethod
-    def infer(cls, value: Any) -> "DataType":
-        """Infer the narrowest :class:`DataType` for a Python value."""
-        if isinstance(value, bool):
-            return cls.BOOLEAN
-        if isinstance(value, int):
-            return cls.INTEGER
-        if isinstance(value, float):
-            return cls.FLOAT
-        if isinstance(value, str):
-            return cls.TEXT
-        return cls.ANY
-
-
-def coerce_literal(text: str) -> Any:
-    """Parse a literal token from a textual transaction into a Python value.
-
-    Quoted strings become ``str``; ``true``/``false`` become booleans;
-    otherwise integers, then floats, are attempted; a bare token falls back
-    to being a string (convenient for names such as ``Mickey``).
-    """
-    stripped = text.strip()
-    if len(stripped) >= 2 and stripped[0] in "'\"" and stripped[-1] == stripped[0]:
-        return stripped[1:-1]
-    lowered = stripped.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    if lowered in ("null", "none"):
-        return None
-    try:
-        return int(stripped)
-    except ValueError:
-        pass
-    try:
-        return float(stripped)
-    except ValueError:
-        pass
-    return stripped

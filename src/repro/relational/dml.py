@@ -1,19 +1,15 @@
-"""Data-manipulation statements: Insert, Delete, Update.
+"""Data-manipulation statements: Insert and Delete.
 
-Resource transactions only need *blind writes* (single-tuple inserts and
-deletes in the ``FOLLOWED BY`` block), but the experiments and the baselines
-also issue condition-based deletes and updates, so all three statement kinds
-are supported.  Statements are plain descriptions; the
-:class:`~repro.relational.database.Database` (optionally inside a
-:class:`~repro.relational.transaction.Transaction`) applies them.
+Resource transactions only write *blind* single-tuple inserts and deletes
+(the ``FOLLOWED BY`` block of the paper), and so do the baselines and the
+blind-write path.  Statements are plain descriptions; a
+:class:`~repro.relational.transaction.Transaction` applies them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-from repro.relational.conditions import Condition
 
 
 @dataclass(frozen=True)
@@ -26,54 +22,18 @@ class Insert:
     table: str
     values: tuple[Any, ...] | Mapping[str, Any]
 
-    def describe(self) -> str:
-        """Human-readable description used in logs and error messages."""
-        return f"INSERT INTO {self.table} VALUES {self.values!r}"
-
 
 @dataclass(frozen=True)
 class Delete:
-    """Delete rows from ``table``.
+    """Delete the row of ``table`` with the key that ``values`` carries.
 
-    Exactly one of ``values`` (a single fully specified row / key) or
-    ``condition`` (delete all rows satisfying it) should be provided.  When
-    both are ``None`` the statement deletes nothing (and is flagged by
-    :meth:`is_blind`).
+    ``values`` may be positional (sequence) or named (mapping); the row
+    removed is the stored one with that key (see :meth:`Table.delete`).
     """
 
     table: str
-    values: tuple[Any, ...] | Mapping[str, Any] | None = None
-    condition: Condition | None = None
-
-    def is_blind(self) -> bool:
-        """True if this is a single-tuple blind delete (resource-transaction style)."""
-        return self.values is not None and self.condition is None
-
-    def describe(self) -> str:
-        """Human-readable description used in logs and error messages."""
-        if self.values is not None:
-            return f"DELETE {self.values!r} FROM {self.table}"
-        return f"DELETE FROM {self.table} WHERE <condition>"
-
-
-@dataclass(frozen=True)
-class Update:
-    """Update rows of ``table`` matching ``condition`` with ``assignments``.
-
-    An update is executed as a delete of each matching row followed by an
-    insert of the modified row, so key maintenance and WAL logging reuse the
-    insert/delete paths.
-    """
-
-    table: str
-    assignments: Mapping[str, Any]
-    condition: Condition | None = None
-
-    def describe(self) -> str:
-        """Human-readable description used in logs and error messages."""
-        sets = ", ".join(f"{k}={v!r}" for k, v in self.assignments.items())
-        return f"UPDATE {self.table} SET {sets}"
+    values: tuple[Any, ...] | Mapping[str, Any]
 
 
 #: Union type accepted by Database.apply / Transaction.apply.
-Statement = Insert | Delete | Update
+Statement = Insert | Delete

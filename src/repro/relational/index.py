@@ -92,10 +92,6 @@ class HashIndex:
         """The rows stored under ``key``: the live bucket (or an empty tuple)."""
         return self._buckets.get(key, ())
 
-    def contains_key(self, key: Sequence[Any]) -> bool:
-        """True if any row has the given indexed-column values."""
-        return tuple(key) in self._buckets
-
     def count(self, key: Sequence[Any]) -> int:
         """Number of rows stored under ``key``."""
         return len(self._buckets.get(tuple(key), ()))

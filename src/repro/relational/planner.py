@@ -1,170 +1,82 @@
 """Join-order planning for conjunctive queries.
 
-The paper's prototype leans on the MySQL optimizer and observes two
-artifacts that shape its evaluation section:
+A greedy left-deep ordering: at each step the executor evaluates next the
+remaining atom with the lowest estimated cost given the variables bound so
+far (how many of its columns are bound, whether an index covers them, and
+table cardinality).  Equal-cost atoms keep query order.
 
-* composed transaction bodies reference up to 61 relations, MySQL's join
-  limit — the quantum database keeps bodies below a parameter ``k`` for this
-  reason; and
-* the default exhaustive plan search becomes the bottleneck for many-way
-  joins, so the authors set ``optimizer_search_depth = 3``; occasional bad
-  plans produce the spikes in Figures 7 and 8.
-
-Our planner reproduces both knobs.  It performs a greedy left-deep join
-ordering: at each step it scores the next ``search_depth`` candidate atoms
-(by how many of their variables are already bound, whether an index covers
-the bound columns, and table cardinality) and picks the best.  With
-``search_depth`` equal to the number of atoms this approximates exhaustive
-ordering; with small depths it is fast but occasionally picks a poor order,
-just like the paper's configuration.
+The paper's prototype sets MySQL's ``optimizer_search_depth = 3`` to keep
+plan search cheap on many-way joins.  Here composed bodies are evaluated
+by the search kernel (:mod:`repro.solver.kernel`), not by this planner;
+the store's own queries (a read's answer, the baselines' probes) join a
+handful of atoms, so one greedy pass is the whole planner.  MySQL's
+61-table join limit survives only as the default bound ``k``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from repro.errors import JoinLimitExceededError, PlannerError, UnknownTableError
+from repro.errors import UnknownTableError
 from repro.relational.query import ConjunctiveQuery, QueryAtom, Var
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.relational.database import Database
 
 #: MySQL's documented maximum number of tables in a join, inherited by the
-#: paper's prototype and therefore by our default configuration.
+#: paper's prototype as the default bound ``k`` on a partition's size.
 MYSQL_JOIN_LIMIT = 61
 
 
-@dataclass
-class PlannerConfig:
-    """Tunable planner parameters.
+def join_order(database: "Database", query: ConjunctiveQuery) -> list[QueryAtom]:
+    """The atoms of ``query`` in execution order.
 
-    Attributes:
-        search_depth: how many candidate atoms are scored at each greedy
-            step (the analogue of MySQL's ``optimizer_search_depth``).  The
-            paper uses 3.
-        join_limit: maximum number of atoms a single query may reference
-            (MySQL's 61-table limit).
+    Raises:
+        SchemaError: if the query is malformed (see
+            :meth:`ConjunctiveQuery.validate`).
+        UnknownTableError: if an atom references a missing table.
     """
+    query.validate()
+    for atom in query.atoms:
+        if not database.has_table(atom.table):
+            raise UnknownTableError(f"unknown table {atom.table!r}")
+    order: list[QueryAtom] = []
+    bound: set[str] = set()
+    remaining = list(query.atoms)
+    while remaining:
+        best = min(remaining, key=lambda atom: _cost(database, atom, bound))
+        order.append(best)
+        bound |= best.variable_names()
+        remaining.remove(best)
+    return order
 
-    search_depth: int = 3
-    join_limit: int = MYSQL_JOIN_LIMIT
 
-    def __post_init__(self) -> None:
-        if self.search_depth < 1:
-            raise PlannerError("search_depth must be at least 1")
-        if self.join_limit < 1:
-            raise PlannerError("join_limit must be at least 1")
+def _cost(
+    database: "Database", atom: QueryAtom, bound: set[str]
+) -> tuple[float, int]:
+    """Estimated cost of evaluating ``atom`` next.
 
-
-@dataclass
-class QueryPlan:
-    """An ordered sequence of atoms, positives first where possible.
-
-    Attributes:
-        order: atoms in execution order.
-        plans_considered: number of (partial) orders the planner scored,
-            reported back through :class:`~repro.relational.query.QueryResult`.
+    Lower is better.  The estimate is the expected number of candidate
+    rows: table cardinality divided by a selectivity factor derived from
+    how many of the atom's columns are bound (by constants or previously
+    bound variables) and whether an index covers them.
     """
-
-    order: list[QueryAtom] = field(default_factory=list)
-    plans_considered: int = 0
-
-
-class Planner:
-    """Greedy bounded-depth join-order planner."""
-
-    def __init__(self, config: PlannerConfig | None = None) -> None:
-        self.config = config or PlannerConfig()
-
-    def plan(self, database: "Database", query: ConjunctiveQuery) -> QueryPlan:
-        """Produce an execution order for ``query`` against ``database``.
-
-        Raises:
-            JoinLimitExceededError: if the query references more atoms than
-                the configured join limit.
-            UnknownTableError: if an atom references a missing table.
-        """
-        query.validate()
-        if len(query.atoms) > self.config.join_limit:
-            raise JoinLimitExceededError(
-                f"query references {len(query.atoms)} atoms, limit is "
-                f"{self.config.join_limit}"
-            )
-        for atom in query.atoms:
-            if not database.has_table(atom.table):
-                raise UnknownTableError(f"unknown table {atom.table!r}")
-
-        positives = [a for a in query.atoms if not a.negated]
-        negatives = [a for a in query.atoms if a.negated]
-
-        plan = QueryPlan()
-        bound: set[str] = set()
-        remaining = list(positives)
-        while remaining:
-            candidates = self._rank(database, remaining, bound)
-            plan.plans_considered += len(candidates)
-            best = candidates[0]
-            plan.order.append(best)
-            bound |= best.variable_names()
-            remaining.remove(best)
-            # Place any negated atom as soon as all its variables are bound:
-            # anti-joins filter early and cheaply.
-            for neg in list(negatives):
-                if neg.variable_names() <= bound:
-                    plan.order.append(neg)
-                    negatives.remove(neg)
-        # Safety validation guarantees the remaining negatives list is empty,
-        # but keep the invariant explicit for ground negated atoms.
-        plan.order.extend(negatives)
-        return plan
-
-    # -- scoring ------------------------------------------------------------
-
-    def _rank(
-        self,
-        database: "Database",
-        remaining: Sequence[QueryAtom],
-        bound: set[str],
-    ) -> list[QueryAtom]:
-        """Return up to ``search_depth`` candidates sorted best-first."""
-        scored = sorted(
-            remaining,
-            key=lambda atom: self._cost(database, atom, bound),
-        )
-        depth = min(self.config.search_depth, len(scored))
-        # The greedy choice only looks at the first `depth` candidates; with
-        # depth < len(remaining) the planner can miss the globally best atom,
-        # which is exactly the behaviour (occasional bad plans) the paper
-        # reports for optimizer_search_depth=3.
-        return scored[:depth] if depth else list(scored)
-
-    def _cost(
-        self, database: "Database", atom: QueryAtom, bound: set[str]
-    ) -> tuple[float, int]:
-        """Estimated cost of evaluating ``atom`` next.
-
-        Lower is better.  The estimate is the expected number of candidate
-        rows: table cardinality divided by a selectivity factor derived from
-        how many of the atom's columns are bound (by constants or previously
-        bound variables) and whether an index covers them.
-        """
-        table = database.table(atom.table)
-        cardinality = max(len(table), 1)
-        schema = table.schema
-        bound_columns: list[str] = []
-        for position, term in enumerate(atom.terms):
-            column = schema.columns[position].name
-            if not isinstance(term, Var) or term.name in bound:
-                bound_columns.append(column)
-        if not bound_columns:
-            return (float(cardinality), -len(atom.terms))
-        index = table.best_index(bound_columns)
-        if index is not None and set(index.columns) == set(bound_columns):
-            # Fully covered equality lookup: expect O(1) matching rows.
-            estimate = 1.0
-        elif index is not None:
-            estimate = cardinality / (10.0 * len(index.columns))
-        else:
-            estimate = cardinality / (2.0 * len(bound_columns))
-        return (estimate, -len(bound_columns))
+    table = database.table(atom.table)
+    cardinality = max(len(table), 1)
+    schema = table.schema
+    bound_columns: list[str] = []
+    for position, term in enumerate(atom.terms):
+        column = schema.columns[position].name
+        if not isinstance(term, Var) or term.name in bound:
+            bound_columns.append(column)
+    if not bound_columns:
+        return (float(cardinality), -len(atom.terms))
+    index = table.best_index(bound_columns)
+    if index is not None and set(index.columns) == set(bound_columns):
+        # Fully covered equality lookup: expect O(1) matching rows.
+        estimate = 1.0
+    elif index is not None:
+        estimate = cardinality / (10.0 * len(index.columns))
+    else:
+        estimate = cardinality / (2.0 * len(bound_columns))
+    return (estimate, -len(bound_columns))

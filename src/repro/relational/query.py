@@ -5,10 +5,9 @@ queries — a join over the body atoms of a composed resource transaction.
 This module defines the query representation; :mod:`repro.relational.planner`
 orders the joins and :mod:`repro.relational.executor` evaluates them.
 
-A query is a set of :class:`QueryAtom` (one per referenced relation, with a
-term per column: either a :class:`Var` or a constant), an optional extra
-:class:`~repro.relational.conditions.Condition` over the variables, a list of
-output variables, and an optional ``limit``.
+A query is a list of :class:`QueryAtom` (one per referenced relation, with a
+term per column: either a :class:`Var` or a constant), a list of output
+variables, and an optional ``limit``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.errors import SchemaError
-from repro.relational.conditions import Condition
 
 
 @dataclass(frozen=True)
@@ -42,32 +40,18 @@ class QueryAtom:
         table: name of the referenced table.
         terms: one term per column of the table, either a :class:`Var` or a
             constant value.
-        negated: when True the atom is an *anti-join*: the query keeps a
-            binding only if no row matches the atom under that binding.
-            Negated atoms must be *safe*: every variable they use must also
-            occur in a positive atom.
     """
 
     table: str
     terms: tuple[Any, ...]
-    negated: bool = False
-
-    def variables(self) -> tuple[Var, ...]:
-        """Variables occurring in this atom, in position order (with dups)."""
-        return tuple(t for t in self.terms if isinstance(t, Var))
 
     def variable_names(self) -> frozenset[str]:
         """Names of the distinct variables in this atom."""
         return frozenset(t.name for t in self.terms if isinstance(t, Var))
 
-    def constants(self) -> dict[int, Any]:
-        """Mapping of column position → constant for the bound positions."""
-        return {i: t for i, t in enumerate(self.terms) if not isinstance(t, Var)}
-
     def __repr__(self) -> str:
         inner = ", ".join(repr(t) for t in self.terms)
-        prefix = "NOT " if self.negated else ""
-        return f"{prefix}{self.table}({inner})"
+        return f"{self.table}({inner})"
 
 
 @dataclass
@@ -76,47 +60,34 @@ class ConjunctiveQuery:
 
     Attributes:
         atoms: the joined relational atoms.
-        condition: extra condition over variable names (may reference any
-            variable bound by the atoms); ``None`` means TRUE.
         select: variable names to project in the result; ``None`` selects all
             variables bound by the atoms.
         limit: maximum number of bindings to return; ``None`` means all.
     """
 
     atoms: list[QueryAtom] = field(default_factory=list)
-    condition: Condition | None = None
     select: Sequence[str] | None = None
     limit: int | None = None
 
-    def add_atom(
-        self, table: str, terms: Sequence[Any], *, negated: bool = False
-    ) -> QueryAtom:
+    def add_atom(self, table: str, terms: Sequence[Any]) -> QueryAtom:
         """Append an atom and return it."""
-        atom = QueryAtom(table, tuple(terms), negated=negated)
+        atom = QueryAtom(table, tuple(terms))
         self.atoms.append(atom)
         return atom
 
     def variable_names(self) -> frozenset[str]:
-        """All distinct variable names bound by positive atoms."""
+        """All distinct variable names bound by the atoms."""
         names: set[str] = set()
         for atom in self.atoms:
-            if not atom.negated:
-                names |= atom.variable_names()
+            names |= atom.variable_names()
         return frozenset(names)
 
     def validate(self) -> None:
-        """Check structural well-formedness (safety of negated atoms)."""
+        """Check structural well-formedness: atoms, and a bound projection."""
         if not self.atoms:
             raise SchemaError("a conjunctive query needs at least one atom")
-        positive_vars = self.variable_names()
-        for atom in self.atoms:
-            if atom.negated and not atom.variable_names() <= positive_vars:
-                unsafe = sorted(atom.variable_names() - positive_vars)
-                raise SchemaError(
-                    f"negated atom {atom!r} uses unsafe variables {unsafe}"
-                )
         if self.select is not None:
-            unknown = set(self.select) - set(positive_vars)
+            unknown = set(self.select) - self.variable_names()
             if unknown:
                 raise SchemaError(
                     f"projection references unbound variables {sorted(unknown)}"
@@ -135,15 +106,9 @@ class QueryResult:
     Attributes:
         bindings: one mapping per result, from selected variable name to its
             value.
-        rows_examined: number of candidate rows the executor touched; used by
-            the experiments to report work done independently of wall-clock
-            noise.
-        plans_considered: number of join orders the planner scored.
     """
 
     bindings: list[dict[str, Any]] = field(default_factory=list)
-    rows_examined: int = 0
-    plans_considered: int = 0
 
     def __len__(self) -> int:
         return len(self.bindings)

@@ -148,18 +148,6 @@ class Table:
             index.remove(existing)
         return existing
 
-    def delete_by_key(self, key: Sequence[Any]) -> Row:
-        """Delete the row with primary key ``key``."""
-        existing = self._rows.pop(tuple(key), None)
-        if existing is None:
-            raise MissingRowError(
-                f"table {self.name!r} has no row with key {tuple(key)!r}"
-            )
-        self._primary.remove(existing)
-        for index in self._secondary.values():
-            index.remove(existing)
-        return existing
-
     def clear(self) -> None:
         """Remove every row."""
         self._rows.clear()
@@ -172,10 +160,6 @@ class Table:
     def get(self, key: Sequence[Any]) -> Row | None:
         """Return the row with primary key ``key``, or None."""
         return self._rows.get(tuple(key))
-
-    def contains_key(self, key: Sequence[Any]) -> bool:
-        """True if a row with the given primary key exists."""
-        return tuple(key) in self._rows
 
     def scan(self) -> Iterator[Row]:
         """Full scan over all rows (iteration order is insertion order)."""

@@ -1,7 +1,7 @@
 """Transactions on the extensional store.
 
 These are the *ordinary* (non-resource) transactions of the substrate: a
-unit of inserts/deletes/updates with atomicity (undo on abort) and
+unit of inserts and deletes with atomicity (undo on abort) and
 durability (WAL records, commit marker).  The quantum middle tier runs one
 per writer operation (:class:`OperationUnit`): the extensional effects of
 every resource transaction the operation grounds, the deletion of their
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import TransactionError
-from repro.relational.dml import Delete, Insert, Statement, Update
+from repro.relational.dml import Insert, Statement
 from repro.relational.row import Row
 from repro.relational.wal import WriteAheadLog
 
@@ -114,47 +114,15 @@ class Transaction:
         self._undo.append(("delete", table, row))
         return row
 
-    def apply(self, statement: Statement) -> list[Row]:
-        """Apply an :class:`Insert`, :class:`Delete` or :class:`Update`.
+    def apply(self, statement: Statement) -> Row:
+        """Apply an :class:`Insert` or :class:`Delete`; return the row.
 
-        Returns the affected rows (for Update, the new row versions).
+        For a delete that is the stored row the key named, which may differ
+        from ``statement.values`` outside the key.
         """
-        self._require_active()
         if isinstance(statement, Insert):
-            return [self.insert(statement.table, statement.values)]
-        if isinstance(statement, Delete):
-            return self._apply_delete(statement)
-        if isinstance(statement, Update):
-            return self._apply_update(statement)
-        raise TransactionError(f"unsupported statement {statement!r}")
-
-    def _apply_delete(self, statement: Delete) -> list[Row]:
-        if statement.values is not None:
-            return [self.delete(statement.table, statement.values)]
-        table = self.database.table(statement.table)
-        victims = [
-            row
-            for row in table.rows()
-            if statement.condition is None
-            or statement.condition.evaluate(row.as_dict())
-        ]
-        return [self.delete(statement.table, row.values) for row in victims]
-
-    def _apply_update(self, statement: Update) -> list[Row]:
-        table = self.database.table(statement.table)
-        victims = [
-            row
-            for row in table.rows()
-            if statement.condition is None
-            or statement.condition.evaluate(row.as_dict())
-        ]
-        new_rows: list[Row] = []
-        for row in victims:
-            self.delete(statement.table, row.values)
-            new_rows.append(
-                self.insert(statement.table, row.replace(**statement.assignments).values)
-            )
-        return new_rows
+            return self.insert(statement.table, statement.values)
+        return self.delete(statement.table, statement.values)
 
     # -- lifecycle ----------------------------------------------------------
 

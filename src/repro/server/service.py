@@ -87,6 +87,10 @@ class WorkItem:
 #: Sentinel that tells the writer loop to exit after draining.
 _SHUTDOWN = object()
 
+#: Upper bound on how many queued items the writer drains per cycle;
+#: contiguous commit items within a drain are admitted as one group commit.
+MAX_BATCH = 64
+
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
@@ -148,9 +152,6 @@ class ServerConfig:
     """Configuration of a :class:`QuantumServer`.
 
     Attributes:
-        max_batch: upper bound on how many queued items the writer drains
-            per cycle; contiguous commit items within a drain are admitted
-            as one group commit.
         queue_depth: admission queue capacity; enqueues beyond it apply
             backpressure (the session's coroutine waits).
         session_quota: per-session cap on queued-but-unprocessed items.
@@ -186,7 +187,6 @@ class ServerConfig:
             :class:`~repro.storage.DurabilityConfig`.
     """
 
-    max_batch: int = 64
     queue_depth: int = 1024
     session_quota: int | None = None
     tenant_quota: int | None = None
@@ -599,7 +599,7 @@ class QuantumServer:
                     shutting_down = True
                 else:
                     drained.append(item)  # type: ignore[arg-type]
-                if shutting_down or len(drained) >= self.config.max_batch:
+                if shutting_down or len(drained) >= MAX_BATCH:
                     break
                 try:
                     item = self._queue.get_nowait()

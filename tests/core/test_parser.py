@@ -56,6 +56,31 @@ class TestParsing:
         assert txn.partner == "Goofy"
 
 
+class TestLiteralTerms:
+    """Each constant term of the textual notation, parsed on its own."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("'Mickey'", "Mickey"),
+            ('"5A"', "5A"),
+            ("42", 42),
+            ("-3", -3),
+            ("3.5", 3.5),
+            ("-0.5", -0.5),
+            ("true", True),
+            ("False", False),
+            ("null", None),
+            ("None", None),
+            ("Mickey", "Mickey"),
+        ],
+    )
+    def test_constant(self, text, expected):
+        (term,) = parse_transaction(f"+R({text}) :-1 S(x)").updates[0].terms
+        assert term == Constant(expected)
+        assert type(term.value) is type(expected)
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text",

@@ -158,6 +158,29 @@ class TestWrites:
             qdb.delete("Available", (123, "1A"))
         assert qdb.statistics.writes_rejected == 1
 
+    def test_mapping_write_is_checked_in_schema_order(self):
+        # The mapping lists the seat first; the check must see the row the
+        # delete removes, Available(123, '1A'), which Mickey's body needs.
+        qdb = qdb_with_seats(seats=1)
+        qdb.execute(ANY_SEAT.format(name="Mickey"))
+        with pytest.raises(WriteRejected):
+            qdb.delete("Available", {"seat": "1A", "flight": 123})
+        assert qdb.table("Available").get((123, "1A")) is not None
+        assert qdb.ground_all()[0].valuation["s"] == "1A"
+
+    def test_delete_is_checked_against_the_row_its_key_names(self):
+        # A delete removes the stored row with the statement's key, here
+        # Mickey's booking, whatever the statement says outside the key.
+        qdb = qdb_with_seats(seats=1)
+        qdb.create_table("Checkin", ["passenger", "flight"], key=["passenger", "flight"])
+        qdb.database.insert("Bookings", ("Mickey", 123, "1A"))
+        qdb.execute("+Checkin('Mickey', 123) :-1 Bookings('Mickey', 123, ?s)")
+        with pytest.raises(WriteRejected):
+            qdb.delete("Bookings", ("Nobody", 123, "1A"))
+        assert qdb.table("Bookings").get((123, "1A"))["passenger"] == "Mickey"
+        qdb.ground_all()
+        assert qdb.table("Checkin").get(("Mickey", 123)) is not None
+
 
 class TestEntanglementFlow:
     def test_pair_grounded_on_partner_arrival(self):

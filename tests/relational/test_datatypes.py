@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TypeMismatchError
-from repro.relational.datatypes import DataType, coerce_literal
+from repro.relational.datatypes import DataType
 
 
 class TestDataTypeValidation:
@@ -52,37 +52,3 @@ class TestDataTypeValidation:
     def test_error_message_names_column(self):
         with pytest.raises(TypeMismatchError, match="seat"):
             DataType.INTEGER.validate("x", column="seat")
-
-
-class TestInfer:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (True, DataType.BOOLEAN),
-            (7, DataType.INTEGER),
-            (7.5, DataType.FLOAT),
-            ("abc", DataType.TEXT),
-            (None, DataType.ANY),
-        ],
-    )
-    def test_infer(self, value, expected):
-        assert DataType.infer(value) is expected
-
-
-class TestCoerceLiteral:
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("'Mickey'", "Mickey"),
-            ('"5A"', "5A"),
-            ("42", 42),
-            ("-3", -3),
-            ("3.5", 3.5),
-            ("true", True),
-            ("False", False),
-            ("null", None),
-            ("Mickey", "Mickey"),
-        ],
-    )
-    def test_coercion(self, text, expected):
-        assert coerce_literal(text) == expected

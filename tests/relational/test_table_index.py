@@ -41,13 +41,16 @@ class TestTableBasics:
         assert len(bookings) == 2
         assert bookings.get((1, "1A")) is None
 
+    def test_delete_removes_the_row_its_key_names(self, bookings):
+        # Deletes are by key: the non-key values of the statement are not
+        # compared, and the stored row is what comes back.
+        removed = bookings.delete(("Nobody", 2, "1A"))
+        assert removed["passenger"] == "Donald"
+        assert bookings.get((2, "1A")) is None
+
     def test_delete_missing(self, bookings):
         with pytest.raises(MissingRowError):
             bookings.delete(("Nobody", 7, "7A"))
-
-    def test_delete_by_key(self, bookings):
-        removed = bookings.delete_by_key((2, "1A"))
-        assert removed["passenger"] == "Donald"
 
     def test_insert_mapping(self, bookings):
         bookings.insert({"passenger": "Minnie", "flight": 3, "seat": "2C"})

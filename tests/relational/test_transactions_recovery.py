@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RecoveryError, TransactionError
-from repro.relational.conditions import equals
 from repro.relational.database import Database
-from repro.relational.dml import Delete, Insert, Update
+from repro.relational.dml import Delete, Insert
 from repro.relational.recovery import recover_database, replay_into
 from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog
 
@@ -64,15 +63,12 @@ class TestTransactions:
         assert len(db.table("Bookings")) == 2 - 1 + 1 - 1  # started 1, +1, -1 ... = 1
         assert db.table("Bookings").get((1, "1B")) is not None
 
-    def test_conditional_delete(self, db):
-        db.insert("Bookings", ("Goofy", 1, "1B"))
-        db.apply(Delete("Bookings", condition=equals("passenger", "Goofy")))
-        assert len(db.table("Bookings")) == 1
-
-    def test_update(self, db):
-        db.apply(Update("Bookings", {"seat": "2C"}, condition=equals("passenger", "Mickey")))
-        assert db.table("Bookings").get((1, "2C"))["passenger"] == "Mickey"
-        assert db.table("Bookings").get((1, "1A")) is None
+    def test_mapping_delete_in_any_column_order(self, db):
+        removed = db.apply(Delete("Bookings", {"seat": "1A", "flight": 1, "passenger": "Mickey"}))
+        assert [row["passenger"] for row in removed] == ["Mickey"]
+        assert len(db.table("Bookings")) == 0
+        recovered = recover_database(make_schema, db.wal)
+        assert recovered.table("Bookings").snapshot() == []
 
 
 class TestWAL:
@@ -147,15 +143,13 @@ class TestDatabaseFacade:
         db.restore(snapshot)
         assert db.table("Bookings").get((1, "1A")) is not None
 
+    def test_table_names(self, db):
+        db.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
+        assert db.table_names() == ("Bookings", "Available")
+        assert db.has_table("Available") and not db.has_table("Nope")
+
     def test_copy_independent(self, db):
         clone = db.copy()
         clone.insert("Bookings", ("Goofy", 1, "1B"))
         assert len(db.table("Bookings")) == 1
         assert len(clone.table("Bookings")) == 2
-
-    def test_row_count(self, db):
-        assert db.row_count() == 1
-
-    def test_drop_table(self, db):
-        db.drop_table("Bookings")
-        assert not db.has_table("Bookings")

@@ -6,14 +6,15 @@ those three knobs are accepted and ignored.  So on a seeded ``book_batch``
 stream, the plain ``QuantumConfig(k=4)`` must give identical commit
 results, valuations and ``statistics_report()`` keys and values, and the
 server's group-commit drain must decide the same on either.  The knobs that
-were deleted with the shard pools, the grounding executor and the second
-admission search are a ``TypeError``.
+were deleted with the shard pools, the grounding executor, the second
+admission search and the store's join planner are a ``TypeError``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import importlib
 
 import pytest
 
@@ -28,6 +29,8 @@ from repro import (
     ServerConfig,
     parse_transaction,
 )
+from repro.relational.dml import Delete
+from repro.relational.query import ConjunctiveQuery, Var
 from repro.workloads.flights import create_flight_tables
 
 FLIGHTS = gen.flight_numbers(6)
@@ -102,8 +105,9 @@ def test_default_config_is_the_benchmark_config(name, seed):
 
 
 #: The knobs deleted with the shard pools, the server's grounding executor,
-#: the plan timeout, and the admission search's strategy selector and shape
-#: shortcuts.  Spelled as words, so that a search of the tree for the
+#: the plan timeout, the admission search's strategy selector and shape
+#: shortcuts, the store's join planner, the default read mode and the
+#: drain bound.  Spelled as words, so that a search of the tree for the
 #: deleted names finds only the history.
 DELETED = [
     (QuantumConfig, ("shard", "workers"), 2),
@@ -112,6 +116,9 @@ DELETED = [
     (AdmissionSearchConfig, ("strategy",), "backtracking"),
     (AdmissionSearchConfig, ("fast" "path",), True),
     (AdmissionSearchConfig, ("sampling",), None),
+    (QuantumConfig, ("planner",), None),
+    (QuantumConfig, ("read", "mode"), None),
+    (ServerConfig, ("max", "batch"), 64),
 ]
 
 
@@ -121,6 +128,31 @@ def test_deleted_knobs_are_a_type_error(make, words, value):
     assert field not in [f.name for f in dataclasses.fields(make)]
     with pytest.raises(TypeError):
         make(**{field: value})
+
+
+def test_the_store_takes_no_planner_config():
+    with pytest.raises(TypeError):
+        Database(None)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro." + "configs")
+
+
+#: The store's condition language and anti-joins went with the planner
+#: config: a resource transaction writes blind single-tuple statements and
+#: reads through positive conjunctive queries.
+STORE_DELETED = {
+    "delete-condition": lambda: Delete("Bookings", ("Mickey", 1, "1A"), condition=None),
+    "query-condition": lambda: ConjunctiveQuery(condition=None),
+    "negated-atom": lambda: ConjunctiveQuery().add_atom("Bookings", [Var("p")], negated=True),
+}
+
+
+@pytest.mark.parametrize("make", STORE_DELETED.values(), ids=STORE_DELETED.keys())
+def test_the_store_takes_no_conditions_or_negation(make):
+    with pytest.raises(TypeError):
+        make()
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.relational." + "conditions")
 
 
 def booking(user, flight):
