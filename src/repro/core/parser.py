@@ -15,10 +15,13 @@ Syntax summary:
 * the body follows ``:-1``; atoms wrapped in square brackets are OPTIONAL
   (the paper underlines them);
 * terms are either constants — quoted strings, numbers, ``true``/``false``,
-  ``null`` — or variables.  A bare identifier starting with a lowercase
-  letter is a variable; an identifier starting with an uppercase letter is a
-  constant string (so ``Mickey`` works unquoted); a ``?``-prefixed
-  identifier is always a variable regardless of case.
+  ``null`` — or variables.  A number with a ``.`` or an exponent
+  (``2.5``, ``1e+20``, ``1.5e-07``) is a float, any other an int; a
+  non-finite float (``inf``, ``nan``) has no notation.  A bare identifier
+  starting with a lowercase letter is a variable; an identifier starting
+  with an uppercase letter is a constant string (so ``Mickey`` works
+  unquoted); a ``?``-prefixed identifier is always a variable regardless
+  of case.
 
 :func:`format_transaction` produces text that :func:`parse_transaction`
 round-trips exactly.  The notation is the human-facing and the wire form;
@@ -28,188 +31,168 @@ the pending-transactions table stores the JSON form of
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any
 
-from repro.errors import ParseError
+from repro.errors import InvalidTransactionError, ParseError
 from repro.core.resource_transaction import ResourceTransaction
 from repro.logic.atoms import Atom, AtomKind
 from repro.logic.terms import Constant, Term, Variable
 
-#: Token specification for the tokenizer.
-_TOKEN_SPEC = [
-    ("CHOOSE", r":-\s*\d+"),
-    ("STRING", r"'(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\""),
-    ("NUMBER", r"-?\d+\.\d+|-?\d+"),
-    ("NAME", r"\??[A-Za-z_][A-Za-z_0-9]*"),
-    ("PLUS", r"\+"),
-    ("MINUS", r"-"),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("LBRACKET", r"\["),
-    ("RBRACKET", r"\]"),
-    ("COMMA", r","),
-    ("WS", r"\s+"),
-]
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+#: One alternative per token class, each its own group, after optional
+#: whitespace: ``re.findall`` returns one tuple per token with only the
+#: matched class's slot non-empty.  The last group takes any other character,
+#: so a character no token starts with is a token too and fails the walk.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(:-\s*\d+)"  # CHOOSE
+    r"|('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")"  # STRING
+    r"|(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"  # NUMBER
+    r"|(\??[A-Za-z_][A-Za-z_0-9]*)"  # NAME
+    r"|([-+()\[\],])"  # punctuation
+    r"|(\S))"  # anything else
+)
+_CHOOSE, _STRING, _NUMBER, _NAME, _PUNCT, _OTHER = range(6)
+#: Stands after the last token, so that the walk never reads past the list.
+_NO_TOKEN = ("",) * 6
+
+_UPDATE_KINDS = {"+": AtomKind.INSERT, "-": AtomKind.DELETE}
+_EXPECTED = "expected {kind} but found {found} at position {position} in {source}"
 
 
-class _Token:
-    __slots__ = ("kind", "text", "position")
+def _error(text: str, index: int, message: str, kind: str = "") -> ParseError:
+    """The error for token ``index`` of ``text``; ``message`` is a template.
 
-    def __init__(self, kind: str, text: str, position: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.position = position
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.kind}({self.text!r})"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[position]!r} at position {position}"
+    A character no token starts with is reported first, wherever it is
+    (the text is a token list before the grammar is checked), and a token
+    expected past the end is "unexpected end of input".  The token's text
+    and position come from a second scan, so that the walk carries neither.
+    """
+    found, position = None, 0
+    for number, match in enumerate(_TOKEN_RE.finditer(text)):
+        group = match.lastindex
+        if group == _OTHER + 1:
+            return ParseError(
+                f"unexpected character {match.group(group)!r} at position "
+                f"{match.start(group)}"
             )
-        kind = match.lastgroup or ""
-        if kind != "WS":
-            tokens.append(_Token(kind, match.group(), position))
-        position = match.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser over the token stream."""
-
-    def __init__(self, tokens: list[_Token], source: str) -> None:
-        self.tokens = tokens
-        self.source = source
-        self.index = 0
-
-    # -- token helpers -------------------------------------------------------
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError(f"unexpected end of input in {self.source!r}")
-        self.index += 1
-        return token
-
-    def _expect(self, kind: str) -> _Token:
-        token = self._next()
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind} but found {token.text!r} at position "
-                f"{token.position} in {self.source!r}"
-            )
-        return token
-
-    def _accept(self, kind: str) -> _Token | None:
-        token = self._peek()
-        if token is not None and token.kind == kind:
-            self.index += 1
-            return token
-        return None
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse(self) -> tuple[tuple[Atom, ...], int, tuple[Atom, ...]]:
-        updates = self._parse_updates()
-        choose_token = self._expect("CHOOSE")
-        choose = int(choose_token.text.split("-", 1)[1])
-        body = self._parse_body()
-        if self._peek() is not None:
-            trailing = self._peek()
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r} at position "
-                f"{trailing.position}"
-            )
-        return updates, choose, body
-
-    def _parse_updates(self) -> tuple[Atom, ...]:
-        atoms: list[Atom] = []
-        while True:
-            token = self._peek()
-            if token is None:
-                raise ParseError("missing ':-1' separator")
-            if token.kind == "CHOOSE":
-                break
-            if token.kind == "PLUS":
-                self._next()
-                atoms.append(self._parse_atom(AtomKind.INSERT))
-            elif token.kind == "MINUS":
-                self._next()
-                atoms.append(self._parse_atom(AtomKind.DELETE))
-            else:
-                raise ParseError(
-                    f"update atoms must start with '+' or '-', found {token.text!r} "
-                    f"at position {token.position}"
-                )
-            if not self._accept("COMMA"):
-                # Next token must be the CHOOSE separator.
-                continue
-        return tuple(atoms)
-
-    def _parse_body(self) -> tuple[Atom, ...]:
-        atoms: list[Atom] = []
-        while True:
-            token = self._peek()
-            if token is None:
-                break
-            if token.kind == "LBRACKET":
-                self._next()
-                atom = self._parse_atom(AtomKind.BODY, optional=True)
-                self._expect("RBRACKET")
-                atoms.append(atom)
-            else:
-                atoms.append(self._parse_atom(AtomKind.BODY))
-            if not self._accept("COMMA"):
-                break
-        if not atoms:
-            raise ParseError("a resource transaction body cannot be empty")
-        return tuple(atoms)
-
-    def _parse_atom(self, kind: AtomKind, *, optional: bool = False) -> Atom:
-        name_token = self._expect("NAME")
-        relation = name_token.text
-        if relation.startswith("?"):
-            raise ParseError(
-                f"relation name cannot start with '?' at position {name_token.position}"
-            )
-        self._expect("LPAREN")
-        terms: list[Term] = []
-        if self._accept("RPAREN") is None:
-            while True:
-                terms.append(self._parse_term())
-                if self._accept("COMMA"):
-                    continue
-                self._expect("RPAREN")
-                break
-        return Atom(relation, tuple(terms), kind, optional)
-
-    def _parse_term(self) -> Term:
-        token = self._next()
-        if token.kind == "STRING":
-            return Constant(_unquote(token.text))
-        if token.kind == "NUMBER":
-            text = token.text
-            return Constant(float(text) if "." in text else int(text))
-        if token.kind == "MINUS":
-            number = self._expect("NUMBER")
-            value = float(number.text) if "." in number.text else int(number.text)
-            return Constant(-value)
-        if token.kind == "NAME":
-            return _term_from_name(token.text)
-        raise ParseError(
-            f"expected a term but found {token.text!r} at position {token.position}"
+        if number == index:
+            found, position = match.group(group), match.start(group)
+    if found is None and "{found}" in message:
+        message = "unexpected end of input in {source}"
+    return ParseError(
+        message.format(
+            kind=kind, found=repr(found), position=position, source=repr(text)
         )
+    )
+
+
+def _number(text: str) -> int | float:
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+def _walk(text: str) -> tuple[tuple[Atom, ...], int, tuple[Atom, ...]]:
+    """Updates, CHOOSE value and body of ``text``: one index walk of the tokens.
+
+    Terms are built once per distinct token text (never per value:
+    ``Constant(1) == Constant(True)``), and atoms :meth:`Atom.unchecked`:
+    the grammar already makes the relation a name and OPTIONAL a body flag.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    end = len(tokens)
+    tokens.append(_NO_TOKEN)
+    terms: dict[str, Term] = {}
+
+    def atom(i: int, kind: AtomKind, optional: bool) -> tuple[Atom, int]:
+        relation = tokens[i][_NAME]
+        if not relation:
+            raise _error(text, i, _EXPECTED, "NAME")
+        if relation[0] == "?":
+            raise _error(
+                text, i, "relation name cannot start with '?' at position {position}"
+            )
+        i += 1
+        if tokens[i][_PUNCT] != "(":
+            raise _error(text, i, _EXPECTED, "LPAREN")
+        i += 1
+        args: list[Term] = []
+        if tokens[i][_PUNCT] == ")":
+            return Atom.unchecked(relation, (), kind, optional), i + 1
+        while True:
+            token = tokens[i]
+            key = token[_NAME] or token[_NUMBER] or token[_STRING]
+            if key:
+                term = terms.get(key)
+                if term is None:
+                    if token[_NAME]:
+                        term = _term_from_name(key)
+                    elif token[_NUMBER]:
+                        term = Constant(_number(key))
+                    else:
+                        term = Constant(_unquote(key))
+                    terms[key] = term
+            elif token[_PUNCT] == "-":
+                i += 1
+                if not tokens[i][_NUMBER]:
+                    raise _error(text, i, _EXPECTED, "NUMBER")
+                term = Constant(-_number(tokens[i][_NUMBER]))
+            else:
+                raise _error(
+                    text, i, "expected a term but found {found} at position {position}"
+                )
+            args.append(term)
+            i += 1
+            if tokens[i][_PUNCT] == ",":
+                i += 1
+                continue
+            if tokens[i][_PUNCT] != ")":
+                raise _error(text, i, _EXPECTED, "RPAREN")
+            return Atom.unchecked(relation, tuple(args), kind, optional), i + 1
+
+    updates: list[Atom] = []
+    i = 0
+    while True:
+        if i == end:
+            raise _error(text, i, "missing ':-1' separator")
+        token = tokens[i]
+        if token[_CHOOSE]:
+            break
+        kind = _UPDATE_KINDS.get(token[_PUNCT])
+        if kind is None:
+            raise _error(
+                text,
+                i,
+                "update atoms must start with '+' or '-', found {found} at position "
+                "{position}",
+            )
+        update, i = atom(i + 1, kind, False)
+        updates.append(update)
+        if tokens[i][_PUNCT] == ",":
+            i += 1
+    choose = int(token[_CHOOSE][2:])
+    i += 1
+    body: list[Atom] = []
+    while i < end:
+        if tokens[i][_PUNCT] == "[":
+            member, i = atom(i + 1, AtomKind.BODY, True)
+            if tokens[i][_PUNCT] != "]":
+                raise _error(text, i, _EXPECTED, "RBRACKET")
+            i += 1
+        else:
+            member, i = atom(i, AtomKind.BODY, False)
+        body.append(member)
+        if tokens[i][_PUNCT] == ",":
+            i += 1
+        else:
+            break
+    if not body:
+        raise _error(text, i, "a resource transaction body cannot be empty")
+    if i < end:
+        raise _error(
+            text, i, "unexpected trailing input {found} at position {position}"
+        )
+    return tuple(updates), choose, tuple(body)
 
 
 def _unquote(text: str) -> str:
@@ -257,8 +240,7 @@ def parse_transaction(
         InvalidTransactionError: if the parsed transaction violates a
             structural rule (e.g. range restriction).
     """
-    tokens = _tokenize(text)
-    updates, choose, body = _Parser(tokens, text).parse()
+    updates, choose, body = _walk(text)
     kwargs: dict[str, Any] = {
         "body": body,
         "updates": updates,
@@ -272,7 +254,12 @@ def parse_transaction(
 
 
 def format_term(term: Term) -> str:
-    """Format a term so that :func:`parse_transaction` round-trips it."""
+    """Format a term so that :func:`parse_transaction` round-trips it.
+
+    Raises:
+        InvalidTransactionError: for a non-finite float, which has no
+            notation (a bare ``inf`` would read back as a variable).
+    """
     if isinstance(term, Variable):
         return f"?{term.name}"
     value = term.value
@@ -283,6 +270,10 @@ def format_term(term: Term) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidTransactionError(
+            f"the notation has no form for the float {value!r}"
+        )
     return repr(value)
 
 

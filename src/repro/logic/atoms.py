@@ -130,13 +130,17 @@ class Atom:
         return tuple(t.value for t in self.terms)  # type: ignore[union-attr]
 
     def with_kind(self, kind: AtomKind) -> "Atom":
-        """Copy of the atom with a different kind (optional flag dropped for updates)."""
+        """Copy of the atom with a different kind (optional flag dropped for updates).
+
+        Built :meth:`unchecked`: the relation and terms are this atom's,
+        already checked, and OPTIONAL survives only on a body atom.
+        """
         optional = self.optional if kind is AtomKind.BODY else False
-        return Atom(self.relation, self.terms, kind, optional)
+        return Atom.unchecked(self.relation, self.terms, kind, optional)
 
     def as_body(self) -> "Atom":
-        """Copy of the atom viewed as a plain body atom."""
-        return Atom(self.relation, self.terms, AtomKind.BODY, False)
+        """Copy of the atom viewed as a plain body atom (built :meth:`unchecked`)."""
+        return Atom.unchecked(self.relation, self.terms, AtomKind.BODY, False)
 
     def rename_variables(self, suffix: str) -> "Atom":
         """Copy with every variable renamed by appending ``suffix``.

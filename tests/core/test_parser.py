@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.parser import format_transaction, parse_transaction
+from repro.core.resource_transaction import ResourceTransaction
 from repro.errors import InvalidTransactionError, ParseError
-from repro.logic.atoms import AtomKind
+from repro.logic.atoms import Atom, AtomKind
 from repro.logic.terms import Constant, Variable
 
 MICKEY = (
@@ -124,6 +127,27 @@ class TestRoundTrip:
         assert reparsed.body == original.body
         assert reparsed.updates == original.updates
         assert reparsed.choose == original.choose
+
+    def test_exponent_form_floats_round_trip(self):
+        values = [1e20, 1.5e-07, -2.5e-300, 1.7976931348623157e308, 5e-324]
+        original = ResourceTransaction(
+            body=(Atom.body("S", [Variable("x"), *values]),),
+            updates=(Atom.insert("R", [Variable("x")]),),
+        )
+        rendered = format_transaction(original)
+        assert "1e+20" in rendered and "1.5e-07" in rendered
+        reparsed = parse_transaction(rendered)
+        assert reparsed.body == original.body
+        assert [type(t.value) for t in reparsed.body[0].terms[1:]] == [float] * len(values)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_has_no_notation(self, value):
+        original = ResourceTransaction(
+            body=(Atom.body("S", [Variable("x"), value]),),
+            updates=(Atom.insert("R", [Variable("x")]),),
+        )
+        with pytest.raises(InvalidTransactionError, match=repr(value)):
+            format_transaction(original)
 
     def test_format_preserves_optional_brackets(self):
         rendered = format_transaction(parse_transaction(MICKEY))

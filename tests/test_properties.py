@@ -18,7 +18,7 @@ from repro.core.parser import format_transaction, parse_transaction
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.resource_transaction import ResourceTransaction
 from repro.core.worlds import enumerate_possible_worlds
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, AtomKind
 from repro.logic.terms import Constant, Variable
 from repro.logic.unification import most_general_unifier, unifiable
 from repro.relational.database import Database
@@ -97,6 +97,17 @@ class TestUnificationProperties:
     def test_renaming_preserves_unifiability_with_ground_atoms(self, atom, suffix):
         ground = Atom.body(atom.relation, [Constant(i) for i in range(atom.arity)])
         assert unifiable(atom, ground) == unifiable(atom.rename_variables(suffix), ground)
+
+    @given(atoms, st.booleans(), st.sampled_from(list(AtomKind)), st.sampled_from(list(AtomKind)))
+    def test_unchecked_copies_equal_the_checked_constructor(self, atom, optional, kind, to):
+        """``as_body`` / ``with_kind`` copy without the checks, to the same atom."""
+        optional = optional and kind is AtomKind.BODY
+        atom = Atom(atom.relation, atom.terms, kind, optional)
+        assert atom.as_body() == Atom(atom.relation, atom.terms, AtomKind.BODY, False)
+        expected = Atom(atom.relation, atom.terms, to, optional and to is AtomKind.BODY)
+        copy = atom.with_kind(to)
+        assert copy == expected and hash(copy) == hash(expected)
+        assert type(copy.terms) is tuple
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +221,42 @@ class TestQuantumEquivalenceProperties:
         assert len(qdb.table("Bookings")) <= num_seats
 
 
+#: Every constant the notation can write: ints, finite floats over the whole
+#: exponent range, bools, None, and strings with ``?``, a backslash and both quotes.
+constants = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from("aZ ?\\'\"\n")),
+)
+variables = st.sampled_from([Variable("x"), Variable("Seat"), Variable("_s2")])
+relations = st.sampled_from(["R", "Available", "lower_1"])
+
+
+@st.composite
+def any_transactions(draw):
+    """A range-restricted transaction over every constant kind."""
+    term_lists = st.lists(st.one_of(variables, constants.map(Constant)), max_size=3)
+    body = [
+        Atom(draw(relations), tuple(draw(term_lists)), AtomKind.BODY, draw(st.booleans()))
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    bound = sorted({t for a in body for t in a.terms if isinstance(t, Variable)}, key=repr)
+    pool = st.one_of(constants.map(Constant), *([st.sampled_from(bound)] if bound else []))
+    updates = [
+        Atom(draw(relations), tuple(draw(st.lists(pool, max_size=3))), kind)
+        for kind in draw(
+            st.lists(st.sampled_from([AtomKind.INSERT, AtomKind.DELETE]), min_size=1, max_size=2)
+        )
+    ]
+    return ResourceTransaction(body=tuple(body), updates=tuple(updates))
+
+
+def constant_types(atoms):
+    return [type(t.value) for a in atoms for t in a.terms if isinstance(t, Constant)]
+
+
 class TestParserProperties:
     @settings(max_examples=60)
     @given(seat_transactions())
@@ -219,3 +266,14 @@ class TestParserProperties:
             reparsed = parse_transaction(format_transaction(transaction))
             assert reparsed.body == transaction.body
             assert reparsed.updates == transaction.updates
+
+    @settings(max_examples=200)
+    @given(any_transactions())
+    def test_every_constant_kind_round_trips(self, transaction):
+        reparsed = parse_transaction(format_transaction(transaction))
+        assert reparsed.updates == transaction.updates
+        assert reparsed.body == transaction.body
+        assert reparsed.choose == transaction.choose
+        for part in ("updates", "body"):
+            parsed, original = getattr(reparsed, part), getattr(transaction, part)
+            assert constant_types(parsed) == constant_types(original)
