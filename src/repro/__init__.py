@@ -25,8 +25,11 @@ Concurrent clients are served by the asyncio session layer
 mutation through a single-writer admission queue (group-committing
 concurrent arrivals, so decisions are identical to the synchronous path in
 the same arrival order), each client gets a :class:`~repro.server.Session`
-with its own transaction stream and statistics, and grounding results are
-delivered as awaitable futures (``session.on_grounding(...)``).  Graceful
+with its own transaction stream and statistics (a session commit returns
+the same :class:`CommitResult` as :meth:`QuantumDatabase.execute`), and
+grounding results are delivered as awaitable futures
+(``session.on_grounding(...)``).  :class:`~repro.server.NetworkServer`
+serves a database over framed TCP through that layer.  Graceful
 shutdown drains the queue, flushes the WAL and folds it into a snapshot
 checkpoint so crash recovery stays bounded.
 
@@ -99,7 +102,6 @@ from repro.errors import (
 from repro.relational.database import Database
 from repro.relational.wal import WriteAheadLog
 from repro.server import (
-    AdmissionResult,
     CheckpointPolicy,
     NetClient,
     NetConfig,
@@ -117,7 +119,6 @@ from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 __version__ = "0.2.0"
 
 __all__ = [
-    "AdmissionResult",
     "AdmissionSearchConfig",
     "CheckpointPolicy",
     "CommitResult",

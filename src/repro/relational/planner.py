@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import UnknownTableError
+from repro.errors import SchemaError, UnknownTableError
 from repro.relational.query import ConjunctiveQuery, QueryAtom, Var
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -33,13 +33,20 @@ def join_order(database: "Database", query: ConjunctiveQuery) -> list[QueryAtom]
 
     Raises:
         SchemaError: if the query is malformed (see
-            :meth:`ConjunctiveQuery.validate`).
+            :meth:`ConjunctiveQuery.validate`) or an atom's term count is
+            not its table's arity.
         UnknownTableError: if an atom references a missing table.
     """
     query.validate()
     for atom in query.atoms:
         if not database.has_table(atom.table):
             raise UnknownTableError(f"unknown table {atom.table!r}")
+        arity = database.table(atom.table).schema.arity
+        if len(atom.terms) != arity:
+            raise SchemaError(
+                f"table {atom.table!r} has {arity} columns, "
+                f"the query atom has {len(atom.terms)} terms"
+            )
     order: list[QueryAtom] = []
     bound: set[str] = set()
     remaining = list(query.atoms)

@@ -11,9 +11,14 @@ critical section short.  This package turns that into a serving layer:
   write), and graceful shutdown (drain, WAL flush, snapshot checkpoint).
   The writer runs every admission and every grounding itself.
 * :class:`Session` — one client's transaction stream: ``await
-  session.commit(tx)`` for the admission guarantee, ``commit_batch`` to
-  pipeline, ``read`` with isolated results, and ``on_grounding`` futures
-  that resolve when value assignments are finally fixed.
+  session.commit(tx)`` for the admission guarantee (the writer's
+  :class:`~repro.core.quantum_database.CommitResult`, as the synchronous
+  path returns it), ``commit_batch`` to pipeline, ``read`` with isolated
+  results, and ``on_grounding`` futures that resolve when value
+  assignments are finally fixed.
+* :class:`NetworkServer` — a framed TCP front end over a database: each
+  connection is one session, and each reply is written straight to the
+  connection's transport.
 
 Because the writer admits strictly in queue order through the ordinary
 synchronous path, accept/reject decisions are identical to calling
@@ -57,15 +62,9 @@ from repro.server.service import (
     WorkItem,
     WorkKind,
 )
-from repro.server.session import (
-    AdmissionResult,
-    GroundingTarget,
-    Session,
-    SessionStatistics,
-)
+from repro.server.session import GroundingTarget, Session, SessionStatistics
 
 __all__ = [
-    "AdmissionResult",
     "CheckpointPolicy",
     "ConnectionClosed",
     "FrameDecoder",

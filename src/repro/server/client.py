@@ -44,7 +44,7 @@ from repro.server.protocol import (
 class RemoteCommitResult:
     """Client-side view of one commit decision.
 
-    The wire analogue of :class:`~repro.server.session.AdmissionResult`
+    The wire analogue of :class:`~repro.core.quantum_database.CommitResult`
     (minus the parsed transaction object, which stays server-side).
     ``grounded`` carries ``{"transaction_id", "valuation"}`` dictionaries
     for transactions grounded as a side effect of this admission.

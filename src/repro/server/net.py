@@ -20,10 +20,11 @@ Design points (see ``docs/architecture.md``, "The network layer"):
   tenant quota (all connections of one tenant, summed) → per-connection
   write buffer.  The first two surface as typed error frames
   (``session_backpressure`` / ``tenant_backpressure``); the third guards
-  the server against *slow readers*: response frames queue in a bounded
-  per-connection buffer, and a client that stops reading past the bound is
-  disconnected (``slow_client_disconnects``) instead of wedging the writer
-  or growing the heap.
+  the server against *slow readers*: a reply is written straight to the
+  connection's transport, and a client that stops reading until the
+  transport holds more than the bound unsent is disconnected
+  (``slow_client_disconnects``) instead of wedging the writer or growing
+  the heap.
 
 * **Graceful drain.**  On SIGTERM (or :meth:`NetworkServer.drain`): stop
   accepting connections, refuse new requests with a ``draining`` error
@@ -47,7 +48,6 @@ from __future__ import annotations
 import asyncio
 import signal as signal_module
 import socket as socket_module
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -78,9 +78,9 @@ class NetConfig:
         port: TCP port; ``0`` (default) lets the OS pick a free one —
             read it back from :attr:`NetworkServer.port`.
         max_frame_bytes: ceiling on one frame's payload, both directions.
-        write_buffer_bytes: per-connection bound on queued-but-unsent
-            response bytes; a connection that exceeds it (a slow reader)
-            is disconnected rather than buffered without bound.
+        write_buffer_bytes: per-connection bound on the response bytes the
+            transport holds unsent; a connection that would exceed it (a
+            slow reader) is disconnected rather than buffered without bound.
         drain_timeout_s: how long a graceful drain waits for in-flight
             requests before shutting the session layer down anyway.
         sock_sndbuf: when set, shrink each connection's kernel send buffer
@@ -112,8 +112,8 @@ class NetStatistics:
 
     Attributes:
         connections_opened / connections_closed: TCP connection lifecycle.
-        frames_in / frames_out: complete frames decoded / queued for send.
-        bytes_in / bytes_out: raw socket bytes received / queued for send.
+        frames_in / frames_out: complete frames decoded / written.
+        bytes_in / bytes_out: raw socket bytes received / written.
         requests: request frames dispatched to a session.
         errors_sent: typed error frames answered.
         protocol_errors: connections killed by a malformed frame.
@@ -136,14 +136,19 @@ class NetStatistics:
     draining_rejections: int = 0
 
 
+def _is_integer(value: Any) -> bool:
+    """True for a JSON integer (``bool`` is an ``int`` subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Connection:
     """One accepted TCP connection: a framed adapter around one Session.
 
     Requests on a connection are handled strictly in arrival order (the
     closed-loop client model); concurrency comes from many connections
-    sharing the single-writer admission queue.  Responses flow through a
-    bounded outbound queue serviced by a dedicated sender task, so a slow
-    reader blocks only its own sender — and past the bound, is dropped.
+    sharing the single-writer admission queue.  Replies go straight to the
+    transport, whose buffer holds what the kernel has not taken yet; a
+    reader that lets it grow past the bound is dropped.
     """
 
     def __init__(
@@ -158,13 +163,6 @@ class _Connection:
         self.decoder = FrameDecoder(max_frame_bytes=net.config.max_frame_bytes)
         self.session: Session | None = None
         self.closed = False
-        self._aborted = False
-        #: Outbound frames waiting for the sender task, bounded by
-        #: ``NetConfig.write_buffer_bytes`` (counted in bytes, not frames).
-        self._outbound: deque[bytes] = deque()
-        self._outbound_bytes = 0
-        self._send_ready = asyncio.Event()
-        self._sender_task: asyncio.Task | None = None
         #: True while a request handler is running (graceful drain waits
         #: for this to clear before shutting the session layer down).
         self.busy = False
@@ -172,13 +170,12 @@ class _Connection:
     # -- outbound path -------------------------------------------------------
 
     def send(self, message: dict[str, Any]) -> bool:
-        """Queue one frame for sending; False if the connection is gone.
+        """Write one frame to the transport; False if the connection is gone.
 
-        This is the slow-reader guard: the frame is appended to the
-        bounded outbound buffer, and a connection whose reader cannot keep
-        up — kernel buffers full, sender blocked in ``drain()``, queue
-        past the bound — is aborted here instead of buffering without
-        limit or stalling the event loop.
+        This is the slow-reader guard: a connection whose transport would
+        hold more than ``NetConfig.write_buffer_bytes`` unsent with this
+        frame (its reader cannot keep up) is aborted here instead of
+        buffering without limit or stalling the event loop.
         """
         if self.closed:
             return False
@@ -196,51 +193,27 @@ class _Connection:
                     "response exceeded the frame size bound",
                 )
             )
-        self._outbound_bytes += len(data)
-        if self._outbound_bytes > self.net.config.write_buffer_bytes:
+        unsent = self.writer.transport.get_write_buffer_size() + len(data)
+        if unsent > self.net.config.write_buffer_bytes:
             self.net.statistics.slow_client_disconnects += 1
             self.abort()
             return False
-        self._outbound.append(data)
+        self.writer.write(data)
         self.net.statistics.frames_out += 1
         self.net.statistics.bytes_out += len(data)
-        self._send_ready.set()
         return True
-
-    async def _sender(self) -> None:
-        """Drain the outbound queue onto the transport, frame by frame."""
-        try:
-            while True:
-                await self._send_ready.wait()
-                while self._outbound:
-                    data = self._outbound.popleft()
-                    self.writer.write(data)
-                    # Honor transport backpressure *outside* the request
-                    # handlers: a slow reader parks this task, the queue
-                    # grows, and `send` disconnects past the bound.
-                    await self.writer.drain()
-                    self._outbound_bytes -= len(data)
-                self._send_ready.clear()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
 
     def abort(self) -> None:
         """Tear the connection down immediately (no flush)."""
         if self.closed:
             return
         self.closed = True
-        self._aborted = True
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+        self.writer.transport.abort()
 
     # -- inbound path --------------------------------------------------------
 
     async def run(self) -> None:
         """Read frames until EOF/error, handling each request in order."""
-        self._sender_task = asyncio.get_running_loop().create_task(
-            self._sender()
-        )
         try:
             while not self.closed:
                 data = await self.reader.read(65536)
@@ -278,8 +251,8 @@ class _Connection:
                     f"{op.value} is a response opcode; clients must not send it",
                 )
             )
-            # Stop reading; run() falls through to _close, which flushes
-            # the error frame before closing the socket.
+            # Stop reading; run() falls through to _close, whose close
+            # flushes the error frame before the socket goes.
             self.closed = True
             return
         if self.net.draining:
@@ -354,25 +327,38 @@ class _Connection:
             request = message.get("request")
             if not isinstance(request, str):
                 raise ProtocolError("read needs a 'request' relation name")
+            terms = message.get("terms")
+            if terms is not None and not isinstance(terms, list):
+                raise ProtocolError("read 'terms' must be a list")
+            limit = message.get("limit")
+            if limit is not None and not _is_integer(limit):
+                raise ProtocolError("read 'limit' must be an integer")
             mode = message.get("mode")
+            try:
+                mode = ReadMode(mode) if mode is not None else None
+            except ValueError:
+                raise ProtocolError(f"unknown read mode {mode!r}") from None
             return await session.read(
                 request,
-                message.get("terms"),
-                mode=ReadMode(mode) if mode is not None else None,
+                terms,
+                mode=mode,
                 select=message.get("select"),
-                limit=message.get("limit"),
+                limit=limit,
             )
         if op is Opcode.GROUND:
             ids = message.get("transaction_ids")
-            if not isinstance(ids, list):
-                raise ProtocolError("ground needs a 'transaction_ids' list")
-            records = await session.ground([int(i) for i in ids])
+            if not isinstance(ids, list) or not all(map(_is_integer, ids)):
+                raise ProtocolError("ground needs a 'transaction_ids' integer list")
+            records = await session.ground(ids)
             return [grounded_value(record) for record in records]
         if op is Opcode.GROUND_ALL:
             records = await self.net.server.ground_all()
             return [grounded_value(record) for record in records]
         if op is Opcode.CHECK_IN:
-            record = await session.check_in(int(message["transaction_id"]))
+            transaction_id = message.get("transaction_id")
+            if not _is_integer(transaction_id):
+                raise ProtocolError("check_in needs an integer 'transaction_id'")
+            record = await session.check_in(transaction_id)
             return grounded_value(record) if record is not None else None
         if op is Opcode.STATS:
             return self.net.statistics_report()
@@ -402,28 +388,17 @@ class _Connection:
     # -- teardown ------------------------------------------------------------
 
     async def _close(self) -> None:
-        # Give the sender a bounded chance to flush what is already queued
-        # (e.g. the final error frame after a protocol violation) before
-        # cancelling it; an aborted transport ends the wait immediately.
-        if self._sender_task is not None and not self._aborted:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + 1.0
-            while self._outbound and not self._sender_task.done():
-                if loop.time() >= deadline:
-                    break
-                await asyncio.sleep(0.005)
         self.closed = True
         if self.session is not None:
             await self.session.close()
-        if self._sender_task is not None:
-            self._sender_task.cancel()
-            try:
-                await self._sender_task
-            except asyncio.CancelledError:
-                pass
+        # Closing flushes what the transport still holds (e.g. the final
+        # error frame after a protocol violation); a peer that does not
+        # take it within the bound is cut off.
+        self.writer.close()
         try:
-            self.writer.close()
-            await self.writer.wait_closed()
+            await asyncio.wait_for(self.writer.wait_closed(), 1.0)
+        except asyncio.TimeoutError:
+            self.writer.transport.abort()
         except (ConnectionError, OSError):
             pass
         # Count every connection exactly once (run() reaches here once).
@@ -442,27 +417,23 @@ class NetworkServer:
             client = await NetClient.connect("127.0.0.1", net.port)
             ...
 
-    Accepts either an existing (possibly running) :class:`QuantumServer`
-    or a bare :class:`QuantumDatabase` (wrapped in a fresh server built
-    from ``server_config``).  ``__aexit__`` performs a full graceful
+    Serves a :class:`QuantumDatabase` through a fresh :class:`QuantumServer`
+    built from ``server_config``.  ``__aexit__`` performs a full graceful
     drain, including the session layer's queue drain and WAL checkpoint.
     """
 
     def __init__(
         self,
-        server: QuantumServer | QuantumDatabase,
+        qdb: QuantumDatabase,
         config: NetConfig | None = None,
         *,
         server_config: ServerConfig | None = None,
     ) -> None:
-        if isinstance(server, QuantumDatabase):
-            server = QuantumServer(server, server_config)
-        elif server_config is not None:
-            raise QuantumError(
-                "pass server_config only with a bare QuantumDatabase; an "
-                "existing QuantumServer already has its configuration"
+        if not isinstance(qdb, QuantumDatabase):
+            raise TypeError(
+                f"NetworkServer serves a QuantumDatabase, not {type(qdb).__name__}"
             )
-        self.server = server
+        self.server = QuantumServer(qdb, server_config)
         self.config = config or NetConfig()
         self.statistics = NetStatistics()
         self.draining = False
@@ -547,16 +518,10 @@ class NetworkServer:
             await asyncio.sleep(0.005)
         await self.server.shutdown()
         for conn in list(self._connections):
+            # Closing flushes the goodbye; `_close` bounds the wait.
             conn.send({"op": Opcode.GOODBYE.value})
-        # Give each sender one scheduling round to flush the goodbye, then
-        # close; `_close` waits for the transport's buffers.
-        await asyncio.sleep(0)
-        for conn in list(self._connections):
             conn.closed = True
-            try:
-                conn.writer.close()
-            except (ConnectionError, OSError):  # pragma: no cover - defensive
-                pass
+            conn.writer.close()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:

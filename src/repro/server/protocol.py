@@ -256,12 +256,10 @@ def result_frame(request_id: Any, value: Any) -> dict[str, Any]:
 
 
 def commit_value(result: Any) -> dict[str, Any]:
-    """JSON-safe payload for a commit outcome.
+    """JSON-safe payload for a :class:`~repro.core.quantum_database.CommitResult`.
 
-    Accepts both the synchronous :class:`~repro.core.quantum_database.CommitResult`
-    and the session-layer :class:`~repro.server.session.AdmissionResult`
-    (same attribute surface).  Grounded side effects travel as serialized
-    grounding records, exactly like :func:`grounded_value`.
+    Grounded side effects travel as serialized grounding records, exactly
+    like :func:`grounded_value`.
     """
     return {
         "transaction_id": result.transaction_id,

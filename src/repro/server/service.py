@@ -225,9 +225,6 @@ class ServerStatistics:
         cancelled_after_admission: commits whose ack was cancelled after
             the admission already happened (the commit stands).
         grounding_futures_resolved: grounding notifications delivered.
-        searches_observed / search_nodes_observed: grounding-search
-            completions (and their node counts) streamed from the solver's
-            observer hook.
         backpressure_rejections: submissions refused because their session
             exceeded its queue quota.
         tenant_rejections: submissions refused because their tenant's
@@ -256,8 +253,6 @@ class ServerStatistics:
     cancelled_before_admission: int = 0
     cancelled_after_admission: int = 0
     grounding_futures_resolved: int = 0
-    searches_observed: int = 0
-    search_nodes_observed: int = 0
     backpressure_rejections: int = 0
     tenant_rejections: int = 0
     policy_checkpoints: int = 0
@@ -310,7 +305,6 @@ class QuantumServer:
         # own housekeeping (entanglement withdrawal).
         self._chained_on_grounded = qdb.state.on_grounded
         qdb.state.on_grounded = self._handle_grounded
-        qdb.state.cache.search.observer = self._observe_search
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -395,11 +389,9 @@ class QuantumServer:
             wal.compact_now()
             wal.stop_compactor()
         # Un-hook: the database outlives the server and must not funnel
-        # future groundings/searches through a dead instance.
+        # future groundings through a dead instance.
         if self.qdb.state.on_grounded == self._handle_grounded:
             self.qdb.state.on_grounded = self._chained_on_grounded
-        if self.qdb.state.cache.search.observer == self._observe_search:
-            self.qdb.state.cache.search.observer = None
 
     async def __aenter__(self) -> "QuantumServer":
         return await self.start()
@@ -813,10 +805,6 @@ class QuantumServer:
             else:
                 remaining.append((target, waiter))
         self._grounding_waiters = remaining
-
-    def _observe_search(self, _formula, stats) -> None:
-        self.statistics.searches_observed += 1
-        self.statistics.search_nodes_observed += stats.nodes
 
     # -- reporting -----------------------------------------------------------
 

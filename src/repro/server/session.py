@@ -48,61 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 GroundingTarget = int | str | Callable[[GroundedTransaction], bool]
 
 
-@dataclass(frozen=True)
-class AdmissionResult:
-    """Client-facing outcome of submitting one resource transaction.
-
-    The asynchronous analogue of
-    :class:`~repro.core.quantum_database.CommitResult`: ``committed=True``
-    is the same guarantee — a consistent value assignment will exist
-    whenever grounding is forced — made durable (the pending-transactions
-    table write is logged and group-commit flushed) before the session's
-    ``commit`` coroutine resumes.
-
-    Attributes:
-        transaction: the submitted transaction.
-        committed: True if the transaction was admitted.
-        pending: True if its values are still deferred.
-        grounded: transactions grounded as a side effect of this admission
-            (partner pairs, ``k``-bound victims).
-        rejection_reason: populated when ``committed`` is False.
-        session_sequence: this session's submission counter for the commit.
-        method: which admission search decided the submission (``"witness"``
-            or ``"backtracking"``).
-    """
-
-    transaction: ResourceTransaction
-    committed: bool
-    pending: bool = False
-    grounded: tuple[GroundedTransaction, ...] = ()
-    rejection_reason: str | None = None
-    session_sequence: int = 0
-    method: str = "backtracking"
-
-    @property
-    def transaction_id(self) -> int:
-        """Id of the submitted transaction."""
-        return self.transaction.transaction_id
-
-    def __bool__(self) -> bool:
-        return self.committed
-
-    @classmethod
-    def from_commit(
-        cls, result: CommitResult, session_sequence: int
-    ) -> "AdmissionResult":
-        """Wrap a synchronous :class:`CommitResult` for a session."""
-        return cls(
-            transaction=result.transaction,
-            committed=result.committed,
-            pending=result.pending,
-            grounded=result.grounded,
-            rejection_reason=result.rejection_reason,
-            session_sequence=session_sequence,
-            method=result.method,
-        )
-
-
 @dataclass
 class SessionStatistics:
     """Per-session counters.
@@ -159,7 +104,6 @@ class Session:
         #: ``ServerConfig.tenant_quota`` (None: exempt from the tenant rung).
         self.tenant = tenant
         self.statistics = SessionStatistics()
-        self._sequence = 0
         self._closed = False
         #: Items this session has enqueued but the writer has not finished;
         #: bounded by ``ServerConfig.session_quota`` (see the server's
@@ -200,12 +144,14 @@ class Session:
 
     async def commit(
         self, transaction: ResourceTransaction | str, **parse_kwargs: Any
-    ) -> AdmissionResult:
+    ) -> CommitResult:
         """Submit one resource transaction and await its admission outcome.
 
         The coroutine resumes once the writer has decided (and, for
-        admissions, durably persisted) the transaction; grounding may still
-        be pending — await :meth:`on_grounding` for the value assignment.
+        admissions, durably persisted) the transaction, with the writer's
+        :class:`~repro.core.quantum_database.CommitResult`; grounding may
+        still be pending — await :meth:`on_grounding` for the value
+        assignment.
 
         Cancelling the coroutine *before* the writer picks the item up
         withdraws the transaction (it is never admitted); once the writer
@@ -213,8 +159,6 @@ class Session:
         """
         self._require_open()
         parsed = self._server._parse(transaction, parse_kwargs, client=self.client)
-        self._sequence += 1
-        sequence = self._sequence
         self.statistics.submitted += 1
         try:
             result = await self._server._submit_commit(parsed, self)
@@ -222,13 +166,13 @@ class Session:
             self.statistics.cancelled += 1
             raise
         self._record(result)
-        return AdmissionResult.from_commit(result, sequence)
+        return result
 
     async def commit_batch(
         self,
         transactions: Sequence[ResourceTransaction | str],
         **parse_kwargs: Any,
-    ) -> list[AdmissionResult]:
+    ) -> list[CommitResult]:
         """Pipeline a stream of resource transactions as one batch.
 
         Pass-through to :meth:`QuantumDatabase.commit_batch`: the whole
@@ -245,12 +189,9 @@ class Session:
         self.statistics.batches += 1
         self.statistics.submitted += len(parsed)
         results = await self._server._submit_batch(parsed, self)
-        wrapped = []
         for result in results:
-            self._sequence += 1
             self._record(result)
-            wrapped.append(AdmissionResult.from_commit(result, self._sequence))
-        return wrapped
+        return results
 
     def _record(self, result: CommitResult) -> None:
         if result.committed:

@@ -31,7 +31,7 @@ solution cache and ultimately uses to execute the pending update portions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import GroundingError
 from repro.logic.formula import Formula
@@ -108,11 +108,6 @@ class GroundingSearch:
         #: Number of searches started (``find`` / ``find_one`` / ``exists``
         #: calls whose body did not simplify to FALSE).
         self.searches = 0
-        #: Optional callback invoked after every search completes, with the
-        #: searched program (its ``formula`` property is the simplified
-        #: body) and its work counters.  The session layer uses it to stream
-        #: per-server search statistics without polling.
-        self.observer: Callable[[Program, GroundingStatistics], None] | None = None
 
     # -- public API ---------------------------------------------------------
 
@@ -198,7 +193,7 @@ class GroundingSearch:
                     return run
         finally:
             leaves.close()
-            self._absorb(stats, program)
+            self._absorb(stats)
         return None
 
     def find_all(
@@ -268,16 +263,14 @@ class GroundingSearch:
         finally:
             # Runs both on exhaustion and when the caller closes the
             # generator early, so the totals always include this search.
-            self._absorb(stats, program)
+            self._absorb(stats)
 
-    def _absorb(self, stats: GroundingStatistics, program: Program) -> None:
+    def _absorb(self, stats: GroundingStatistics) -> None:
         """Fold one finished search's counters into the shared totals.
 
         :meth:`find`, :meth:`find_one` and :meth:`exists` all report
         through here, so ``totals`` and :attr:`searches` stay the single
-        source of truth; the per-search observer fires too.
+        source of truth.
         """
         self.searches += 1
         self.totals.add(stats)
-        if self.observer is not None:
-            self.observer(program, stats)

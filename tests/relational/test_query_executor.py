@@ -90,6 +90,13 @@ class TestPlanner:
         with pytest.raises(UnknownTableError):
             db.execute(query)
 
+    @pytest.mark.parametrize("terms", [[1, Var("s"), Var("x")], [1]])
+    def test_atom_arity_must_match_its_table(self, db, terms):
+        query = ConjunctiveQuery()
+        query.add_atom("Available", terms)
+        with pytest.raises(SchemaError, match="has 2 columns"):
+            db.execute(query)
+
     def test_plan_orders_selective_atom_first(self, db):
         query = ConjunctiveQuery()
         scan_atom = query.add_atom("Available", [Var("f"), Var("s")])

@@ -127,14 +127,35 @@ class TestProtocolViolations:
 
         run(main())
 
-    def test_malformed_request_fields_answer_typed_error(self):
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"op": "commit"},
+            {"op": "check_in"},
+            {"op": "check_in", "transaction_id": "1"},
+            {"op": "ground", "transaction_ids": [1, "x"]},
+            {"op": "read", "request": "Available", "mode": "SIDEWAYS"},
+            {"op": "read", "request": "Available", "terms": "Available"},
+            {"op": "read", "request": "Available", "terms": [None, None], "limit": "1"},
+        ],
+        ids=[
+            "commit-without-text",
+            "check-in-without-id",
+            "check-in-string-id",
+            "ground-string-id",
+            "read-unknown-mode",
+            "read-terms-not-a-list",
+            "read-limit-not-an-integer",
+        ],
+    )
+    def test_malformed_request_fields_answer_typed_error(self, request_fields):
         async def main():
             qdb = make_qdb()
             async with NetworkServer(qdb) as net:
                 reader, writer = await raw_connection(net.port)
-                # Valid frame, valid opcode, missing required field: the
-                # connection survives and answers a typed error.
-                writer.write(encode_frame({"op": "commit", "id": 5}))
+                # Valid frame, valid opcode, a missing or mistyped field:
+                # the connection survives and answers a typed error.
+                writer.write(encode_frame({**request_fields, "id": 5}))
                 frame = await read_frame(reader)
                 assert frame["op"] == "error"
                 assert frame["id"] == 5
@@ -241,9 +262,9 @@ class TestClientDisconnects:
         async def main():
             qdb = make_qdb(flights=40, seats=10)
             # Tiny buffers so the test does not need to move megabytes:
-            # the kernel send buffer fills after a few frames, the sender
-            # task blocks in drain(), the outbound queue grows past the
-            # bound, and `send` aborts the connection.
+            # the kernel send buffer fills after a few frames, the
+            # transport's buffer of unsent bytes grows past the bound,
+            # and `send` aborts the connection.
             config = NetConfig(write_buffer_bytes=4096, sock_sndbuf=2048)
             async with NetworkServer(qdb, config) as net:
                 reader, writer = await raw_connection(net.port)

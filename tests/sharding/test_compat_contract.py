@@ -7,7 +7,9 @@ stream, the plain ``QuantumConfig(k=4)`` must give identical commit
 results, valuations and ``statistics_report()`` keys and values, and the
 server's group-commit drain must decide the same on either.  The knobs that
 were deleted with the shard pools, the grounding executor, the second
-admission search and the store's join planner are a ``TypeError``.
+admission search and the store's join planner are a ``TypeError``; so is
+a network server over anything but a database, and the serving layer's
+deleted copies (the session result record, the search observer) are gone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from bench import settings
 from repro import (
     AdmissionSearchConfig,
     Database,
+    NetworkServer,
     QuantumConfig,
     QuantumDatabase,
     QuantumServer,
@@ -31,6 +34,8 @@ from repro import (
 )
 from repro.relational.dml import Delete
 from repro.relational.query import ConjunctiveQuery, Var
+from repro.server import ServerStatistics
+from repro.solver.grounding import GroundingSearch
 from repro.workloads.flights import create_flight_tables
 
 FLIGHTS = gen.flight_numbers(6)
@@ -153,6 +158,25 @@ def test_the_store_takes_no_conditions_or_negation(make):
         make()
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.relational." + "conditions")
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.server", "repro.server.session"])
+def test_sessions_return_the_core_commit_result(module):
+    """The session result record copied ``CommitResult`` field for field."""
+    assert not hasattr(importlib.import_module(module), "Admission" "Result")
+
+
+def test_the_serving_layer_keeps_one_search_counter_and_one_mode():
+    """``search.searches`` / ``search.nodes`` count every search, so the
+    solver has no per-search observer and the server no second counter; a
+    network server is built over a database, never over a session server."""
+    qdb = build(CONFIGS["default"]())
+    assert not hasattr(GroundingSearch(qdb.database), "observer")
+    server_fields = [f.name for f in dataclasses.fields(ServerStatistics)]
+    for words in (("searches",), ("search", "nodes")):
+        assert "_".join(words + ("observed",)) not in server_fields
+    with pytest.raises(TypeError):
+        NetworkServer(QuantumServer(qdb))
 
 
 def booking(user, flight):

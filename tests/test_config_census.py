@@ -1,7 +1,8 @@
-"""The configuration census in ``docs/architecture.md`` lists every field.
+"""The censuses in ``docs/architecture.md`` list every field and export.
 
-Each field of the six config classes has one row saying what needs it; a
-knob can be neither added nor deleted without its row.
+Each field of the six config classes, and each name in ``repro.__all__``,
+has one row saying what needs it; neither a knob nor an export can be
+added or deleted without its row.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import repro
 from repro import (
     AdmissionSearchConfig,
     CheckpointPolicy,
@@ -29,12 +31,21 @@ CONFIGS = (
     DurabilityConfig,
 )
 ROW = re.compile(r"^\| `(\w+)` \| `(\w+)` \| (.+) \|$")
+EXPORT_ROW = re.compile(r"^\| `(\w+)` \| (.+) \|$")
+
+
+def section_rows(title: str, row: re.Pattern) -> list[tuple[str, ...]]:
+    text = ARCHITECTURE.read_text(encoding="utf-8")
+    section = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return [m.groups() for line in section.splitlines() if (m := row.match(line))]
 
 
 def census_rows() -> list[tuple[str, str, str]]:
-    text = ARCHITECTURE.read_text(encoding="utf-8")
-    section = text.split("\n## Configuration census\n", 1)[1].split("\n## ", 1)[0]
-    return [m.groups() for line in section.splitlines() if (m := ROW.match(line))]
+    return section_rows("Configuration census", ROW)
+
+
+def export_rows() -> list[tuple[str, str]]:
+    return section_rows("Export census", EXPORT_ROW)
 
 
 def test_census_rows_are_the_config_fields():
@@ -49,3 +60,9 @@ def test_census_rows_are_the_config_fields():
 
 def test_every_row_names_a_need():
     assert all(need.strip() for _, _, need in census_rows())
+
+
+def test_export_rows_are_the_package_exports():
+    rows = export_rows()
+    assert [name for name, _ in rows] == repro.__all__
+    assert all(need.strip() for _, need in rows)
