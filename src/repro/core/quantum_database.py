@@ -43,7 +43,7 @@ from repro.core.entanglement import EntanglementRegistry
 from repro.core.grounding_policy import GroundingPolicy, GroundingStrategy
 from repro.core.parser import parse_transaction
 from repro.core.quantum_state import GroundedTransaction, QuantumState
-from repro.core.reads import ReadMode, ReadRequest
+from repro.core.reads import ReadMode, ReadRequest, read_request
 from repro.core.recovery import PendingTransactionStore
 from repro.core.resource_transaction import (
     ResourceTransaction,
@@ -382,20 +382,28 @@ class QuantumDatabase:
         query is answered over the extensional store, giving ordinary
         read-repeatability.
         """
-        if isinstance(request, str):
-            if terms is None:
-                raise QuantumError("read(relation, terms) requires the terms argument")
-            request = ReadRequest.single(request, terms, select=select, limit=limit)
+        request = read_request(request, terms, select=select, limit=limit)
         effective_mode = mode or request.mode
         if effective_mode is ReadMode.COLLAPSE:
             affected = self.state.affected_by_read(request.atoms)
             if affected:
                 with self.database.unit:
                     self.state.ground([entry.transaction_id for entry in affected])
-            return self.database.execute(request.to_query()).bindings
+            return self.answer(request)
         if effective_mode is ReadMode.PEEK:
             return self._peek(request)
         return self._expose_all(request)
+
+    def answer(self, request: ReadRequest) -> list[dict[str, Any]]:
+        """Answer ``request`` over the extensional store as it stands.
+
+        This is a COLLAPSE read once nothing it touches is pending: it
+        grounds nothing, so a caller that found
+        :meth:`QuantumState.affected_by_read
+        <repro.core.quantum_state.QuantumState.affected_by_read>` empty
+        may answer through it directly.  Every binding is a fresh dict.
+        """
+        return self.database.execute(request.to_query()).bindings
 
     def _peek(self, request: ReadRequest) -> list[dict[str, Any]]:
         """Answer over one possible world without collapsing anything."""

@@ -109,6 +109,26 @@ class ReadRequest:
         return query
 
 
+def read_request(
+    request: ReadRequest | str,
+    terms: Sequence[Any] | None = None,
+    *,
+    select: Sequence[str] | None = None,
+    limit: int | None = None,
+    mode: ReadMode | None = None,
+) -> ReadRequest:
+    """``request`` itself, or the single-atom read a relation name and terms
+    describe (see :meth:`ReadRequest.single`; the mode defaults to COLLAPSE).
+    """
+    if isinstance(request, ReadRequest):
+        return request
+    if terms is None:
+        raise QuantumError("read(relation, terms) requires the terms argument")
+    return ReadRequest.single(
+        request, terms, select=select, limit=limit, mode=mode or ReadMode.COLLAPSE
+    )
+
+
 def _to_query_term(term: Variable | Constant) -> Any:
     if isinstance(term, Variable):
         return Var(term.name)

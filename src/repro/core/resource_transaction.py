@@ -56,10 +56,11 @@ class ResourceTransaction:
         choose: the CHOOSE value; the paper and this reproduction always use
             1 ("one resource instance is desired").
         transaction_id: unique identifier, auto-assigned when omitted.
-        client: name of the requesting user (used by workloads and
-            entanglement bookkeeping; not semantically meaningful).
-        partner: optional client name this transaction wants to coordinate
-            with (entangled resource transactions).
+        client: name of the requesting user, text or ``None`` (used by
+            workloads and entanglement bookkeeping; not semantically
+            meaningful).
+        partner: optional client name (text) this transaction wants to
+            coordinate with (entangled resource transactions).
 
     The derived views (:attr:`hard_body`, :attr:`optional_body`,
     :meth:`variables`, :meth:`hard_variables`, :meth:`relations`) are
@@ -92,6 +93,13 @@ class ResourceTransaction:
             raise InvalidTransactionError(
                 f"only CHOOSE 1 is supported (got CHOOSE {self.choose})"
             )
+        # The pending table stores both names as TEXT: a name it would
+        # refuse must be refused here, before the transaction is admitted.
+        for role, name in (("client", self.client), ("partner", self.partner)):
+            if name is not None and not isinstance(name, str):
+                raise InvalidTransactionError(
+                    f"{role} must be text (got {type(name).__name__})"
+                )
         for atom in self.body:
             if atom.kind is not AtomKind.BODY:
                 raise InvalidTransactionError(

@@ -10,6 +10,7 @@ under-constrained case.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.planner import join_order
@@ -27,10 +28,8 @@ def execute(database: "Database", query: ConjunctiveQuery) -> QueryResult:
         list(query.select) if query.select is not None else sorted(query.variable_names())
     )
     result = QueryResult()
-    for binding in _enumerate(database, order, 0, {}):
+    for binding in islice(_enumerate(database, order, 0, {}), query.limit):
         result.bindings.append({name: binding[name] for name in select})
-        if query.limit is not None and len(result.bindings) >= query.limit:
-            break
     return result
 
 

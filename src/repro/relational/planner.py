@@ -31,6 +31,9 @@ MYSQL_JOIN_LIMIT = 61
 def join_order(database: "Database", query: ConjunctiveQuery) -> list[QueryAtom]:
     """The atoms of ``query`` in execution order.
 
+    A one-atom query (every single-atom read) has nothing to order, so it
+    is returned once validated, without a cost pass.
+
     Raises:
         SchemaError: if the query is malformed (see
             :meth:`ConjunctiveQuery.validate`) or an atom's term count is
@@ -47,6 +50,8 @@ def join_order(database: "Database", query: ConjunctiveQuery) -> list[QueryAtom]
                 f"table {atom.table!r} has {arity} columns, "
                 f"the query atom has {len(atom.terms)} terms"
             )
+    if len(query.atoms) == 1:
+        return list(query.atoms)
     order: list[QueryAtom] = []
     bound: set[str] = set()
     remaining = list(query.atoms)

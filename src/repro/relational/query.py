@@ -83,9 +83,12 @@ class ConjunctiveQuery:
         return frozenset(names)
 
     def validate(self) -> None:
-        """Check structural well-formedness: atoms, and a bound projection."""
+        """Check structural well-formedness: atoms, a bound projection and a
+        limit that is not negative."""
         if not self.atoms:
             raise SchemaError("a conjunctive query needs at least one atom")
+        if self.limit is not None and self.limit < 0:
+            raise SchemaError(f"LIMIT must not be negative (got {self.limit})")
         if self.select is not None:
             unknown = set(self.select) - self.variable_names()
             if unknown:

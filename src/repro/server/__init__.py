@@ -18,12 +18,17 @@ critical section short.  This package turns that into a serving layer:
   assignments are finally fixed.
 * :class:`NetworkServer` — a framed TCP front end over a database: each
   connection is one session, and each reply is written straight to the
-  connection's transport.
+  connection's transport.  A COLLAPSE read that touches nothing pending
+  is answered by the connection itself
+  (:meth:`QuantumServer.read_untouched`); every other request queues.
 
 Because the writer admits strictly in queue order through the ordinary
 synchronous path, accept/reject decisions are identical to calling
 :meth:`~repro.core.quantum_database.QuantumDatabase.execute` in the same
 arrival order — concurrency never changes semantics, only interleaving.
+A read that skips the queue is linearizable too: every writer step runs
+synchronously on the event loop, so a connection handler only ever sees
+the durable state between two steps.
 See ``docs/architecture.md`` for the full design; the repository
 benchmark's ``mixed_session`` workload measures its throughput.
 

@@ -9,6 +9,15 @@ frames and marshals results, nothing more.  Decisions over TCP are
 therefore identical to in-process sessions fed the same admission order
 (pinned by ``tests/server/test_net_identity.py``).
 
+One request does not queue: a COLLAPSE read that no pending update
+unifies with grounds nothing, so the connection answers it at once
+(:meth:`QuantumServer.read_untouched
+<repro.server.service.QuantumServer.read_untouched>`).  It reads the
+durable state between two writer steps, since every step runs
+synchronously on this loop, and the connection's own earlier requests
+are complete.  Such answers never suspend, so a connection yields the
+loop every :data:`YIELD_EVERY` requests.
+
 Design points (see ``docs/architecture.md``, "The network layer"):
 
 * **Framed protocol.**  Length-prefixed JSON messages with typed opcodes
@@ -52,7 +61,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantum_database import QuantumDatabase
-from repro.core.reads import ReadMode
+from repro.core.reads import ReadMode, ReadRequest, read_request
 from repro.errors import ProtocolError, QuantumError, ReproError
 from repro.server.protocol import (
     DRAINING_CODE,
@@ -67,6 +76,12 @@ from repro.server.protocol import (
 )
 from repro.server.service import QuantumServer, ServerConfig
 from repro.server.session import Session
+
+
+#: Requests a connection handles before it yields the event loop once, so
+#: that a client pipelining requests answered without suspending cannot
+#: delay other connections and the writer by more than this many answers.
+YIELD_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,11 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_scalar(value: Any) -> bool:
+    """True for a JSON scalar or null (a read term: constant or wildcard)."""
+    return value is None or isinstance(value, (str, int, float))
+
+
 class _Connection:
     """One accepted TCP connection: a framed adapter around one Session.
 
@@ -166,6 +186,8 @@ class _Connection:
         #: True while a request handler is running (graceful drain waits
         #: for this to clear before shutting the session layer down).
         self.busy = False
+        #: Requests handled so far; every YIELD_EVERY-th yields the loop.
+        self.handled = 0
 
     # -- outbound path -------------------------------------------------------
 
@@ -234,6 +256,13 @@ class _Connection:
                     await self._handle(message)
                     if self.closed:
                         break
+                    self.handled += 1
+                    if self.handled % YIELD_EVERY == 0:
+                        # An answer made on the connection (an untouched
+                        # read, a ping) never suspends, nor does a read of
+                        # bytes already buffered: a pipelining client
+                        # would hold the loop, writer included.
+                        await asyncio.sleep(0)
         except ConnectionError:
             pass
         finally:
@@ -297,9 +326,11 @@ class _Connection:
                 raise ProtocolError(
                     "hello must be the connection's first request"
                 )
-            self.session = self.net.server.session(
-                client=message.get("client"), tenant=message.get("tenant")
-            )
+            client, tenant = message.get("client"), message.get("tenant")
+            for name in (client, tenant):
+                if name is not None and not isinstance(name, str):
+                    raise ProtocolError("hello 'client' and 'tenant' must be text")
+            self.session = self.net.server.session(client=client, tenant=tenant)
             return {"session": self.session.session_id}
         if op is Opcode.PING:
             return {"pong": True}
@@ -324,27 +355,11 @@ class _Connection:
             results = await session.commit_batch(parsed)
             return [commit_value(result) for result in results]
         if op is Opcode.READ:
-            request = message.get("request")
-            if not isinstance(request, str):
-                raise ProtocolError("read needs a 'request' relation name")
-            terms = message.get("terms")
-            if terms is not None and not isinstance(terms, list):
-                raise ProtocolError("read 'terms' must be a list")
-            limit = message.get("limit")
-            if limit is not None and not _is_integer(limit):
-                raise ProtocolError("read 'limit' must be an integer")
-            mode = message.get("mode")
-            try:
-                mode = ReadMode(mode) if mode is not None else None
-            except ValueError:
-                raise ProtocolError(f"unknown read mode {mode!r}") from None
-            return await session.read(
-                request,
-                terms,
-                mode=mode,
-                select=message.get("select"),
-                limit=limit,
-            )
+            request = self._read_request(message)
+            rows = self.net.server.read_untouched(request, session)
+            if rows is None:
+                rows = await session.read(request)
+            return rows
         if op is Opcode.GROUND:
             ids = message.get("transaction_ids")
             if not isinstance(ids, list) or not all(map(_is_integer, ids)):
@@ -363,6 +378,32 @@ class _Connection:
         if op is Opcode.STATS:
             return self.net.statistics_report()
         raise ProtocolError(f"unhandled opcode {op.value!r}")  # pragma: no cover
+
+    @staticmethod
+    def _read_request(message: dict[str, Any]) -> ReadRequest:
+        """The read a ``read`` message asks for, its fields validated."""
+        relation = message.get("request")
+        if not isinstance(relation, str):
+            raise ProtocolError("read needs a 'request' relation name")
+        terms = message.get("terms")
+        if terms is not None and not (
+            isinstance(terms, list) and all(map(_is_scalar, terms))
+        ):
+            raise ProtocolError("read 'terms' must be a list of scalars or nulls")
+        select = message.get("select")
+        if select is not None and not (
+            isinstance(select, list) and all(isinstance(n, str) for n in select)
+        ):
+            raise ProtocolError("read 'select' must be a list of variable names")
+        limit = message.get("limit")
+        if limit is not None and not (_is_integer(limit) and limit >= 0):
+            raise ProtocolError("read 'limit' must be an integer >= 0")
+        mode = message.get("mode")
+        try:
+            mode = ReadMode(mode) if mode is not None else None
+        except ValueError:
+            raise ProtocolError(f"unknown read mode {mode!r}") from None
+        return read_request(relation, terms, select=select, limit=limit, mode=mode)
 
     @staticmethod
     def _transaction_text(message: Any) -> str:

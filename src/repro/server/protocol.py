@@ -67,8 +67,9 @@ class Opcode(enum.Enum):
 
     Requests (client → server): ``HELLO`` binds the connection's session
     identity (client and tenant names); ``COMMIT``/``COMMIT_BATCH`` submit
-    resource transactions; ``READ`` answers queries at a writer
-    serialization point; ``GROUND``/``GROUND_ALL``/``CHECK_IN`` collapse
+    resource transactions; ``READ`` answers queries, in the connection
+    handler when a COLLAPSE read touches nothing pending and at a writer
+    serialization point otherwise; ``GROUND``/``GROUND_ALL``/``CHECK_IN`` collapse
     pending transactions; ``STATS`` returns the merged statistics report;
     ``PING`` is a liveness no-op.
 

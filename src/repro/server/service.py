@@ -13,6 +13,10 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   changes only the arrival interleaving, never the semantics.  The PR-1
   witness cache is what makes this single writer viable: the admission
   critical section is a witness-extension search, not a recomposition.
+  The one request that skips the queue is a wire COLLAPSE read that
+  touches nothing pending (:meth:`QuantumServer.read_untouched`): it
+  grounds nothing, and it reads the durable state between two writer
+  steps.
 
 * **Group commit.**  When several commits are queued (concurrent clients),
   the writer drains them together and admits them via
@@ -221,6 +225,10 @@ class ServerStatistics:
         max_drain: most items drained in one cycle.
         queue_high_water: deepest observed queue.
         reads / writes / grounds: non-commit items processed.
+        reads_inline: COLLAPSE reads answered in a connection handler
+            without a work item, because they touched nothing pending
+            (:meth:`QuantumServer.read_untouched`); the share of reads that
+            skipped the queue is ``reads_inline / (reads + reads_inline)``.
         cancelled_before_admission: commits withdrawn before admission.
         cancelled_after_admission: commits whose ack was cancelled after
             the admission already happened (the commit stands).
@@ -248,6 +256,7 @@ class ServerStatistics:
     max_drain: int = 0
     queue_high_water: int = 0
     reads: int = 0
+    reads_inline: int = 0
     writes: int = 0
     grounds: int = 0
     cancelled_before_admission: int = 0
@@ -452,13 +461,16 @@ class QuantumServer:
             kwargs.setdefault("client", client)
         return parse_transaction(transaction, **kwargs)
 
-    async def _enqueue(
-        self, kind: WorkKind, payload: Any, session: Session | None = None
-    ) -> Any:
+    def _require_accepting(self) -> None:
         if self._closed or not self._started:
             raise QuantumError(
                 "server is not accepting work (not started or shut down)"
             )
+
+    async def _enqueue(
+        self, kind: WorkKind, payload: Any, session: Session | None = None
+    ) -> Any:
+        self._require_accepting()
         assert self._queue is not None
         # The backpressure ladder, cheapest rung first: the session quota
         # bounds one connection's pipeline, the tenant quota bounds the sum
@@ -536,6 +548,39 @@ class QuantumServer:
         return await self._enqueue(
             WorkKind.READ, (request, terms, mode, select, limit), session
         )
+
+    def read_untouched(
+        self, request: ReadRequest, session: Session
+    ) -> list[dict[str, Any]] | None:
+        """Answer a COLLAPSE read now if it touches nothing pending.
+
+        Returns ``None``, having done nothing, for any other read: another
+        mode, or a read some pending update unifies with, which must
+        collapse on the writer (:meth:`Session.read` queues it).  An
+        untouched read grounds nothing, so the answer is the ordinary
+        database's (:meth:`QuantumDatabase.answer`), and it is
+        linearizable without a work item: every writer step runs
+        synchronously on this loop, its sync included, so the state read
+        here is the durable state between two steps.  The caller's own
+        earlier requests have completed; another session's unacknowledged
+        commit may be ordered before or after the read, as its reply has
+        not been sent.
+
+        The network layer calls this for every wire read.  In-process
+        sessions keep the queue: a session looping on reads that never
+        suspends would never let the writer run, while a connection
+        suspends whenever its socket has nothing buffered, and yields
+        every :data:`~repro.server.net.YIELD_EVERY` requests otherwise.
+        """
+        self._require_accepting()
+        session._require_open()
+        if request.mode is not ReadMode.COLLAPSE:
+            return None
+        if self.qdb.state.affected_by_read(request.atoms):
+            return None
+        self.statistics.reads_inline += 1
+        session.statistics.reads += 1
+        return self.qdb.answer(request)
 
     async def _submit_write(
         self,
@@ -726,11 +771,10 @@ class QuantumServer:
         if item.kind is WorkKind.READ:
             self.statistics.reads += 1
             request, terms, mode, select, limit = item.payload
-            bindings = self.qdb.read(
+            # Every mode answers with fresh dicts, which the session owns.
+            return self.qdb.read(
                 request, terms, mode=mode, select=select, limit=limit
             )
-            # Isolation of read results: hand the session copies it owns.
-            return [dict(binding) for binding in bindings]
         if item.kind is WorkKind.WRITE:
             operation, table, values = item.payload
             self.statistics.writes += 1

@@ -214,7 +214,10 @@ class Session:
 
         Same semantics as :meth:`QuantumDatabase.read` (COLLAPSE grounds
         exactly the pending transactions the read touches); the returned
-        dictionaries are fresh copies owned by the caller.
+        dictionaries are fresh copies owned by the caller.  Every mode
+        queues here; only the network layer answers a read that touches
+        nothing pending without the queue
+        (:meth:`QuantumServer.read_untouched`).
         """
         self._require_open()
         self.statistics.reads += 1

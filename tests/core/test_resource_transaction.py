@@ -70,6 +70,19 @@ class TestValidation:
                 choose=3,
             )
 
+    @pytest.mark.parametrize(
+        "names", [{"client": 5}, {"partner": ["Goofy"]}, {"client": b"Mickey"}]
+    )
+    def test_client_and_partner_must_be_text(self, names):
+        # The pending table stores both as TEXT: a name it would refuse is
+        # refused here, before admission, not half way through a commit.
+        with pytest.raises(InvalidTransactionError, match="must be text"):
+            ResourceTransaction(
+                body=(Atom.body("A", [S]),),
+                updates=(Atom.insert("B", [S]),),
+                **names,
+            )
+
     def test_unique_ids_assigned(self):
         assert mickey().transaction_id != mickey().transaction_id
 

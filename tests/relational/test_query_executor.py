@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SchemaError, UnknownTableError
 from repro.relational.database import Database
 from repro.relational.planner import join_order
-from repro.relational.query import ConjunctiveQuery, Var
+from repro.relational.query import ConjunctiveQuery, QueryAtom, Var
 
 
 @pytest.fixture
@@ -42,6 +42,17 @@ class TestSingleAtomQueries:
         query = ConjunctiveQuery(limit=1)
         query.add_atom("Available", [Var("f"), Var("s")])
         assert len(db.execute(query)) == 1
+
+    def test_limit_zero_returns_no_rows(self, db):
+        query = ConjunctiveQuery(limit=0)
+        query.add_atom("Available", [Var("f"), Var("s")])
+        assert db.execute(query).bindings == []
+
+    def test_negative_limit_is_refused(self, db):
+        query = ConjunctiveQuery(limit=-1)
+        query.add_atom("Available", [Var("f"), Var("s")])
+        with pytest.raises(SchemaError, match="LIMIT"):
+            db.execute(query)
 
     def test_projection(self, db):
         query = ConjunctiveQuery(select=["f"])
@@ -132,6 +143,19 @@ class TestPlanner:
         order = join_order(db, query)
         assert [id(atom) for atom in order] == [id(atom) for atom in atoms]
         assert len(db.execute(query)) == 5
+
+    def test_one_atom_query_is_its_own_plan(self, db):
+        query = ConjunctiveQuery()
+        atom = query.add_atom("Bookings", ["Goofy", Var("f"), Var("s")])
+        order = join_order(db, query)
+        assert len(order) == 1 and order[0] is atom
+
+    @pytest.mark.parametrize("terms", [[1, Var("s"), Var("x")], [1]])
+    def test_one_atom_query_is_still_validated(self, db, terms):
+        with pytest.raises(SchemaError, match="has 2 columns"):
+            join_order(db, ConjunctiveQuery(atoms=[QueryAtom("Available", tuple(terms))]))
+        with pytest.raises(UnknownTableError):
+            join_order(db, ConjunctiveQuery(atoms=[QueryAtom("Nope", (Var("x"),))]))
 
     def test_query_must_have_atoms(self, db):
         with pytest.raises(SchemaError):

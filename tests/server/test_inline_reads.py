@@ -1,0 +1,205 @@
+"""Wire reads that touch nothing pending are answered on their connection.
+
+A COLLAPSE read whose atoms unify with no pending update reads an
+ordinary database (Section 3.2.2), so the connection handler answers it
+through ``QuantumServer.read_untouched`` instead of queueing a work item
+for the writer.  These tests hold the boundary of that shortcut: what
+skips the queue, what still collapses on the writer, that a drain still
+refuses, and that a connection pipelining reads does not starve another
+connection's commit.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+
+from repro import NetClient, NetworkServer, QuantumConfig, QuantumDatabase
+from repro.server.net import YIELD_EVERY
+from repro.server.protocol import HEADER, encode_frame
+
+
+def make_qdb() -> QuantumDatabase:
+    qdb = QuantumDatabase(config=QuantumConfig(k=16))
+    qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
+    qdb.create_table(
+        "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
+    )
+    qdb.load_rows("Available", [(f, f"s{i}") for f in (1, 2) for i in range(3)])
+    qdb.load_rows("Bookings", [("Goofy", 2, "s9")])
+    return qdb
+
+
+def booking(user: str, flight: int) -> str:
+    return (
+        f"-Available({flight}, ?s), +Bookings('{user}', {flight}, ?s)"
+        f" :-1 Available({flight}, ?s)"
+    )
+
+
+def run(coroutine, timeout=60):
+    return asyncio.run(asyncio.wait_for(coroutine, timeout=timeout))
+
+
+async def read_frame(reader):
+    header = await reader.readexactly(HEADER.size)
+    (length,) = HEADER.unpack(header)
+    return json.loads(await reader.readexactly(length))
+
+
+def counters(net: NetworkServer) -> tuple[int, int, int]:
+    stats = net.server.statistics
+    return stats.items, stats.reads, stats.reads_inline
+
+
+def test_untouched_read_skips_the_queue():
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            client = await NetClient.connect("127.0.0.1", net.port)
+            # A booking on flight 1 stays pending; a read of Goofy's
+            # booking cannot unify with its +Bookings('Mickey', 1, ?s).
+            assert (await client.commit(booking("Mickey", 1))).pending
+            items, reads, inline = counters(net)
+            rows = await client.read("Bookings", ["Goofy", None, None])
+            assert rows == [{"_1": 2, "_2": "s9"}]
+            assert counters(net) == (items, reads, inline + 1)
+            assert qdb.pending_count == 1
+            # Nor does a read of flight 2's free seats, and the stats
+            # opcode shows the counter.
+            rows = await client.read("Available", [2, None], limit=2)
+            assert len(rows) == 2
+            report = await client.stats()
+            assert report["server.reads_inline"] == inline + 2
+            assert report["server.items"] == items
+            await client.close()
+
+    run(main())
+
+
+def test_read_touching_a_pending_booking_collapses_on_the_writer():
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            client = await NetClient.connect("127.0.0.1", net.port)
+            result = await client.commit(booking("Mickey", 1))
+            assert result.pending
+            items, reads, inline = counters(net)
+            rows = await client.read("Bookings", ["Mickey", None, None])
+            assert len(rows) == 1 and rows[0]["_1"] == 1
+            assert counters(net) == (items + 1, reads + 1, inline)
+            assert qdb.pending_count == 0
+            assert result.transaction_id in qdb.state.grounded_results
+            await client.close()
+
+    run(main())
+
+
+def test_peek_read_still_queues():
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            client = await NetClient.connect("127.0.0.1", net.port)
+            items, reads, inline = counters(net)
+            rows = await client.read("Bookings", ["Goofy", None, None], mode="PEEK")
+            assert rows == [{"_1": 2, "_2": "s9"}]
+            assert counters(net) == (items + 1, reads + 1, inline)
+            await client.close()
+
+    run(main())
+
+
+def test_read_during_a_drain_answers_draining():
+    async def main():
+        qdb = make_qdb()
+        net = await NetworkServer(qdb).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", net.port)
+        writer.write(encode_frame({"op": "ping", "id": 1}))
+        assert (await read_frame(reader))["op"] == "result"
+        # Hold the drain after it began refusing requests, so the read
+        # below arrives while it is in progress.
+        release = asyncio.Event()
+        shutdown = net.server.shutdown
+
+        async def held_shutdown():
+            await release.wait()
+            await shutdown()
+
+        net.server.shutdown = held_shutdown
+        drain = asyncio.create_task(net.drain())
+        await asyncio.sleep(0)
+        assert net.draining
+        writer.write(
+            encode_frame(
+                {"op": "read", "id": 2, "request": "Available", "terms": [1, None]}
+            )
+        )
+        frame = await read_frame(reader)
+        assert frame["op"] == "error" and frame["id"] == 2
+        assert frame["code"] == "draining"
+        assert net.server.statistics.reads_inline == 0
+        release.set()
+        await drain
+        writer.close()
+
+    run(main())
+
+
+def test_pipelined_reads_do_not_starve_another_connection():
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            # A task that counts the loop turns other tasks get, and the
+            # count at every answer made without the queue.
+            turns, seen = 0, []
+
+            async def ticker():
+                nonlocal turns
+                while True:
+                    turns += 1
+                    await asyncio.sleep(0)
+
+            answer = net.server.read_untouched
+
+            def counted(request, session):
+                seen.append(turns)
+                return answer(request, session)
+
+            net.server.read_untouched = counted
+            ticking = asyncio.create_task(ticker())
+            reader, writer = await asyncio.open_connection("127.0.0.1", net.port)
+            client = await NetClient.connect("127.0.0.1", net.port)
+            read = {"op": "read", "request": "Bookings", "terms": ["Goofy", None, None]}
+            writer.write(
+                b"".join(encode_frame({**read, "id": i}) for i in range(1000))
+            )
+            commit = asyncio.create_task(client.commit(booking("Mickey", 1)))
+            result = await asyncio.wait_for(commit, timeout=10)
+            assert result.committed
+            for i in range(1000):
+                frame = await read_frame(reader)
+                assert frame["id"] == i
+                assert frame["value"] == [{"_1": 2, "_2": "s9"}]
+            assert len(seen) == net.server.statistics.reads_inline == 1000
+            # The connection let the loop run at least every YIELD_EVERY
+            # answers, however few socket reads the 1 000 requests took.
+            assert seen[-1] - seen[0] >= 1000 // YIELD_EVERY - 1
+            ticking.cancel()
+            writer.close()
+            await client.close()
+
+    run(main())
+
+
+def test_ground_and_check_in_of_an_unknown_huge_id_answer_empty():
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            client = await NetClient.connect("127.0.0.1", net.port)
+            assert (await client.commit(booking("Mickey", 1))).pending
+            assert await client.ground([10**30]) == []
+            assert await client.check_in(10**30) is None
+            assert qdb.pending_count == 1
+            await client.close()
+
+    run(main())

@@ -137,6 +137,12 @@ class TestProtocolViolations:
             {"op": "read", "request": "Available", "mode": "SIDEWAYS"},
             {"op": "read", "request": "Available", "terms": "Available"},
             {"op": "read", "request": "Available", "terms": [None, None], "limit": "1"},
+            {"op": "read", "request": "Available", "terms": [[1], {}]},
+            {"op": "read", "request": "Available", "terms": [None, None], "select": 5},
+            {"op": "read", "request": "Available", "terms": [None, None], "select": ["_0", 1]},
+            {"op": "read", "request": "Available", "terms": [None, None], "limit": -1},
+            {"op": "hello", "client": 5},
+            {"op": "hello", "client": [1], "tenant": {}},
         ],
         ids=[
             "commit-without-text",
@@ -146,6 +152,12 @@ class TestProtocolViolations:
             "read-unknown-mode",
             "read-terms-not-a-list",
             "read-limit-not-an-integer",
+            "read-terms-not-scalars",
+            "read-select-not-a-list",
+            "read-select-not-text",
+            "read-negative-limit",
+            "hello-client-not-text",
+            "hello-client-and-tenant-not-text",
         ],
     )
     def test_malformed_request_fields_answer_typed_error(self, request_fields):
@@ -170,6 +182,41 @@ class TestProtocolViolations:
                 assert frame["op"] == "result" and frame["id"] == 6
                 assert frame["value"]["committed"] is True
                 writer.close()
+
+        run(main())
+
+    def test_commit_with_non_text_client_is_refused_before_queueing(self):
+        """A malformed commit sent in the same drain as a valid one is
+        refused on its own, and the valid one is acknowledged: no half
+        committed run, and the pending table matches the pending set."""
+
+        async def main():
+            qdb = make_qdb()
+            async with NetworkServer(qdb) as net:
+                good_reader, good_writer = await raw_connection(net.port)
+                bad_reader, bad_writer = await raw_connection(net.port)
+                good_writer.write(
+                    encode_frame({"op": "commit", "id": 1, "text": booking("ok", 1)})
+                )
+                bad_writer.write(
+                    encode_frame(
+                        {"op": "commit", "id": 2, "text": booking("bad", 1), "client": 5}
+                    )
+                )
+                good, bad = await asyncio.gather(
+                    read_frame(good_reader), read_frame(bad_reader)
+                )
+                assert good["op"] == "result" and good["value"]["committed"]
+                assert bad["op"] == "error" and bad["code"] == "invalid_transaction"
+                stored = sorted(
+                    t.transaction_id for _seq, t in qdb.pending_store.restore()
+                )
+                in_memory = sorted(
+                    e.transaction_id for e in qdb.state.pending_transactions()
+                )
+                assert stored == in_memory == [good["value"]["transaction_id"]]
+                good_writer.close()
+                bad_writer.close()
 
         run(main())
 
