@@ -51,7 +51,7 @@ from repro.core.resource_transaction import (
 )
 from repro.core.serializability import SerializabilityMode
 from repro.core.worlds import enumerate_possible_worlds
-from repro.errors import QuantumError, TransactionRejected
+from repro.errors import InvalidTransactionError, QuantumError, TransactionRejected
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert
 from repro.relational.planner import MYSQL_JOIN_LIMIT
@@ -249,10 +249,12 @@ class QuantumDatabase:
         guarantee that a suitable assignment will exist whenever it is
         forced.  If no consistent grounding exists the transaction is
         rejected (``committed=False``) rather than raising, mirroring how an
-        application would experience an abort.
+        application would experience an abort.  An update that could never
+        apply raises (:meth:`check_updates`) before any state advances.
         """
         if isinstance(transaction, str):
             transaction = parse_transaction(transaction, **parse_kwargs)
+        self.check_updates(transaction)
         with self.database.unit as unit:
             result, sequence = self._admit_for_batch(transaction)
             if result.pending:
@@ -283,7 +285,8 @@ class QuantumDatabase:
           at its end share one WAL commit record (and one fsync).
 
         Every batch is admitted in this one loop, in order, on the calling
-        thread: admission is serial.
+        thread: admission is serial.  A batch one of whose updates could
+        never apply (:meth:`check_updates`) raises before any is admitted.
 
         Returns:
             One :class:`CommitResult` per submitted transaction, in order.
@@ -292,6 +295,8 @@ class QuantumDatabase:
             parse_transaction(t, **parse_kwargs) if isinstance(t, str) else t
             for t in transactions
         ]
+        for transaction in parsed:
+            self.check_updates(transaction)
         results: list[CommitResult] = []
         admitted: list[tuple[ResourceTransaction, int]] = []
         with self.database.unit as unit:
@@ -311,6 +316,21 @@ class QuantumDatabase:
         self.state.statistics.batches += 1
         self.state.statistics.batch_transactions += len(parsed)
         return results
+
+    def check_updates(self, transaction: ResourceTransaction) -> None:
+        """Refuse a transaction with an insert or delete that names no table
+        or has the wrong number of terms (``InvalidTransactionError``).  Body
+        atoms are not checked: an optional atom over a missing table is
+        legal, and simply unsatisfied."""
+        for atom in transaction.updates:
+            if not self.database.has_table(atom.relation):
+                raise InvalidTransactionError(f"update atom {atom!r} names no table")
+            arity = self.database.table(atom.relation).schema.arity
+            if len(atom.terms) != arity:
+                raise InvalidTransactionError(
+                    f"update atom {atom!r} has {len(atom.terms)} terms, "
+                    f"table {atom.relation!r} {arity} columns"
+                )
 
     def _admit_for_batch(
         self, transaction: ResourceTransaction
@@ -376,21 +396,20 @@ class QuantumDatabase:
         """Answer a read query.
 
         Accepts either a :class:`ReadRequest` or a relation name plus terms
-        (shorthand for a single-atom read).  The read mode defaults to the
-        request's, COLLAPSE unless it says otherwise: pending transactions
-        whose updates unify with the read are grounded first, then the
-        query is answered over the extensional store, giving ordinary
-        read-repeatability.
+        (shorthand for a single-atom read, see :func:`read_request`).  The
+        read runs in the request's mode, COLLAPSE unless it says otherwise:
+        pending transactions whose updates unify with the read are grounded
+        first, then the query is answered over the extensional store,
+        giving ordinary read-repeatability.
         """
-        request = read_request(request, terms, select=select, limit=limit)
-        effective_mode = mode or request.mode
-        if effective_mode is ReadMode.COLLAPSE:
+        request = read_request(request, terms, mode=mode, select=select, limit=limit)
+        if request.mode is ReadMode.COLLAPSE:
             affected = self.state.affected_by_read(request.atoms)
             if affected:
                 with self.database.unit:
                     self.state.ground([entry.transaction_id for entry in affected])
             return self.answer(request)
-        if effective_mode is ReadMode.PEEK:
+        if request.mode is ReadMode.PEEK:
             return self._peek(request)
         return self._expose_all(request)
 

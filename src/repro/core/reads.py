@@ -61,34 +61,6 @@ class ReadRequest:
             if atom.kind is not AtomKind.BODY:
                 raise QuantumError(f"read atoms must be body atoms, got {atom!r}")
 
-    @classmethod
-    def single(
-        cls,
-        relation: str,
-        terms: Sequence[Any],
-        *,
-        select: Sequence[str] | None = None,
-        limit: int | None = None,
-        mode: ReadMode = ReadMode.COLLAPSE,
-    ) -> "ReadRequest":
-        """Convenience constructor for a single-atom read.
-
-        ``None`` terms are treated as wildcards: each becomes a fresh
-        variable named after its column position (``_0``, ``_1``, ...), so
-        ``ReadRequest.single("Bookings", ["Mickey", None, None])`` reads
-        Mickey's flight and seat.
-        """
-        resolved = [
-            Variable(f"_{position}") if term is None else term
-            for position, term in enumerate(terms)
-        ]
-        return cls(
-            atoms=(Atom.body(relation, resolved),),
-            select=tuple(select) if select is not None else None,
-            limit=limit,
-            mode=mode,
-        )
-
     def variables(self) -> tuple[str, ...]:
         """Names of the variables bound by the request, in first-use order."""
         seen: list[str] = []
@@ -115,17 +87,30 @@ def read_request(
     *,
     select: Sequence[str] | None = None,
     limit: int | None = None,
-    mode: ReadMode | None = None,
+    mode: ReadMode | str | None = None,
 ) -> ReadRequest:
-    """``request`` itself, or the single-atom read a relation name and terms
-    describe (see :meth:`ReadRequest.single`; the mode defaults to COLLAPSE).
+    """``request`` itself, or the single-atom read of relation ``request``.
+
+    ``None`` terms are wildcards: each becomes a fresh variable named after
+    its column position (``_0``, ``_1``, ...), so
+    ``read_request("Bookings", ["Mickey", None, None])`` reads Mickey's
+    flight and seat.  ``select``, ``limit`` and ``mode`` (a
+    :class:`ReadMode` or its value; COLLAPSE by default) shape only this
+    form: a :class:`ReadRequest` carries its own.
     """
     if isinstance(request, ReadRequest):
         return request
     if terms is None:
         raise QuantumError("read(relation, terms) requires the terms argument")
-    return ReadRequest.single(
-        request, terms, select=select, limit=limit, mode=mode or ReadMode.COLLAPSE
+    resolved = [
+        Variable(f"_{position}") if term is None else term
+        for position, term in enumerate(terms)
+    ]
+    return ReadRequest(
+        atoms=(Atom.body(request, resolved),),
+        select=tuple(select) if select is not None else None,
+        limit=limit,
+        mode=ReadMode(mode) if mode else ReadMode.COLLAPSE,
     )
 
 

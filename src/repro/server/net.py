@@ -23,7 +23,8 @@ Design points (see ``docs/architecture.md``, "The network layer"):
 * **Framed protocol.**  Length-prefixed JSON messages with typed opcodes
   (:mod:`repro.server.protocol`).  Malformed frames produce a typed error
   frame and a clean close — never an unhandled exception near the writer
-  loop.
+  loop.  :func:`~repro.server.protocol.request_fields` validates each
+  request once, before anything is queued (``protocol_error``).
 
 * **Backpressure ladder.**  Session quota (one connection's pipeline) →
   tenant quota (all connections of one tenant, summed) → per-connection
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantum_database import QuantumDatabase
-from repro.core.reads import ReadMode, ReadRequest, read_request
+from repro.core.reads import read_request
 from repro.errors import ProtocolError, QuantumError, ReproError
 from repro.server.protocol import (
     DRAINING_CODE,
@@ -72,6 +73,7 @@ from repro.server.protocol import (
     encode_frame,
     error_frame,
     grounded_value,
+    request_fields,
     result_frame,
 )
 from repro.server.service import QuantumServer, ServerConfig
@@ -149,16 +151,6 @@ class NetStatistics:
     protocol_errors: int = 0
     slow_client_disconnects: int = 0
     draining_rejections: int = 0
-
-
-def _is_integer(value: Any) -> bool:
-    """True for a JSON integer (``bool`` is an ``int`` subclass, not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_scalar(value: Any) -> bool:
-    """True for a JSON scalar or null (a read term: constant or wildcard)."""
-    return value is None or isinstance(value, (str, int, float))
 
 
 class _Connection:
@@ -298,12 +290,10 @@ class _Connection:
         self.net.statistics.requests += 1
         self.busy = True
         try:
-            value = await self._dispatch(op, message)
+            value = await self._dispatch(op, request_fields(message))
         except ReproError as exc:
             self.net.statistics.errors_sent += 1
             self.send(error_frame(request_id, exc))
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # pragma: no cover - defensive
             self.net.statistics.errors_sent += 1
             self.send(error_frame(request_id, "internal", repr(exc)))
@@ -320,111 +310,42 @@ class _Connection:
             self.session = self.net.server.session(client=client)
         return self.session
 
-    async def _dispatch(self, op: Opcode, message: dict[str, Any]) -> Any:
+    async def _dispatch(self, op: Opcode, fields: dict[str, Any]) -> Any:
         if op is Opcode.HELLO:
             if self.session is not None:
-                raise ProtocolError(
-                    "hello must be the connection's first request"
-                )
-            client, tenant = message.get("client"), message.get("tenant")
-            for name in (client, tenant):
-                if name is not None and not isinstance(name, str):
-                    raise ProtocolError("hello 'client' and 'tenant' must be text")
-            self.session = self.net.server.session(client=client, tenant=tenant)
+                raise ProtocolError("hello must be the connection's first request")
+            self.session = self.net.server.session(**fields)
             return {"session": self.session.session_id}
         if op is Opcode.PING:
             return {"pong": True}
         session = self._session()
         if op is Opcode.COMMIT:
-            result = await session.commit(
-                self._transaction_text(message), **self._parse_kwargs(message)
-            )
-            return commit_value(result)
+            return commit_value(await session.commit(fields.pop("text"), **fields))
         if op is Opcode.COMMIT_BATCH:
-            items = message.get("transactions")
-            if not isinstance(items, list):
-                raise ProtocolError("commit_batch needs a 'transactions' list")
             parsed = [
-                self.net.server._parse(
-                    self._transaction_text(item),
-                    self._parse_kwargs(item),
-                    client=session.client,
-                )
-                for item in items
+                self.net.server._parse(item.pop("text"), item, client=session.client)
+                for item in fields["transactions"]
             ]
             results = await session.commit_batch(parsed)
             return [commit_value(result) for result in results]
         if op is Opcode.READ:
-            request = self._read_request(message)
+            request = read_request(**fields)
             rows = self.net.server.read_untouched(request, session)
             if rows is None:
                 rows = await session.read(request)
             return rows
         if op is Opcode.GROUND:
-            ids = message.get("transaction_ids")
-            if not isinstance(ids, list) or not all(map(_is_integer, ids)):
-                raise ProtocolError("ground needs a 'transaction_ids' integer list")
-            records = await session.ground(ids)
+            records = await session.ground(fields["transaction_ids"])
             return [grounded_value(record) for record in records]
         if op is Opcode.GROUND_ALL:
             records = await self.net.server.ground_all()
             return [grounded_value(record) for record in records]
         if op is Opcode.CHECK_IN:
-            transaction_id = message.get("transaction_id")
-            if not _is_integer(transaction_id):
-                raise ProtocolError("check_in needs an integer 'transaction_id'")
-            record = await session.check_in(transaction_id)
+            record = await session.check_in(fields["transaction_id"])
             return grounded_value(record) if record is not None else None
         if op is Opcode.STATS:
             return self.net.statistics_report()
         raise ProtocolError(f"unhandled opcode {op.value!r}")  # pragma: no cover
-
-    @staticmethod
-    def _read_request(message: dict[str, Any]) -> ReadRequest:
-        """The read a ``read`` message asks for, its fields validated."""
-        relation = message.get("request")
-        if not isinstance(relation, str):
-            raise ProtocolError("read needs a 'request' relation name")
-        terms = message.get("terms")
-        if terms is not None and not (
-            isinstance(terms, list) and all(map(_is_scalar, terms))
-        ):
-            raise ProtocolError("read 'terms' must be a list of scalars or nulls")
-        select = message.get("select")
-        if select is not None and not (
-            isinstance(select, list) and all(isinstance(n, str) for n in select)
-        ):
-            raise ProtocolError("read 'select' must be a list of variable names")
-        limit = message.get("limit")
-        if limit is not None and not (_is_integer(limit) and limit >= 0):
-            raise ProtocolError("read 'limit' must be an integer >= 0")
-        mode = message.get("mode")
-        try:
-            mode = ReadMode(mode) if mode is not None else None
-        except ValueError:
-            raise ProtocolError(f"unknown read mode {mode!r}") from None
-        return read_request(relation, terms, select=select, limit=limit, mode=mode)
-
-    @staticmethod
-    def _transaction_text(message: Any) -> str:
-        if isinstance(message, str):
-            return message
-        if isinstance(message, dict):
-            text = message.get("text")
-            if isinstance(text, str):
-                return text
-        raise ProtocolError("commit needs a transaction 'text'")
-
-    @staticmethod
-    def _parse_kwargs(message: Any) -> dict[str, Any]:
-        if not isinstance(message, dict):
-            return {}
-        kwargs: dict[str, Any] = {}
-        for key in ("client", "partner"):
-            value = message.get(key)
-            if value is not None:
-                kwargs[key] = value
-        return kwargs
 
     # -- teardown ------------------------------------------------------------
 

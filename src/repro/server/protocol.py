@@ -23,11 +23,12 @@ final ``error`` frame where possible and closes the connection cleanly.
 **Messages.**  Every payload is a JSON object with an ``op`` code
 (:class:`Opcode`) and, for request/response pairs, a client-chosen ``id``
 echoed back on the response.  Requests carry op-specific fields (the
-transaction text for ``commit``, the query for ``read``, ...); responses
-are either ``result`` (with a ``value``) or ``error`` (with a ``code``
-from :data:`ERROR_CODES` and a human-readable ``message``).  ``goodbye``
-is the one server-initiated message: it announces a graceful drain before
-the socket closes.
+transaction text for ``commit``, the query for ``read``, ...), declared
+in :data:`REQUEST_FIELDS` and validated only by :func:`request_fields`;
+responses are either ``result`` (with a ``value``) or ``error`` (with a
+``code`` from :data:`ERROR_CODES` and a human-readable ``message``).
+``goodbye`` is the one server-initiated message: it announces a graceful
+drain before the socket closes.
 
 JSON framing (rather than msgpack or pickle) keeps the protocol
 cross-language and — critically for a multi-tenant server — makes frame
@@ -39,8 +40,9 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
+from repro.core.reads import ReadMode
 from repro.errors import (
     FrameCorrupt,
     FrameTooLarge,
@@ -49,6 +51,7 @@ from repro.errors import (
     ProtocolError,
     QuantumError,
     ReproError,
+    SchemaError,
     SessionBackpressure,
     TenantBackpressure,
 )
@@ -133,6 +136,8 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameCorrupt(f"frame payload is not UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise FrameCorrupt("frame payload nests too deeply") from None
     if not isinstance(message, dict):
         raise FrameCorrupt(
             f"frame payload must be a JSON object, got {type(message).__name__}"
@@ -196,6 +201,85 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
+# Requests: each opcode's fields
+# ---------------------------------------------------------------------------
+
+
+def _natural(value: Any) -> bool:
+    return type(value) is int and value >= 0  # a bool is no integer here
+
+
+def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+#: What each field kind accepts.  A commit item is a text or an object
+#: checked against ``commit``'s own row.
+FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
+    "text": lambda value: isinstance(value, str),
+    "integer >= 0": _natural,
+    "list of integers >= 0": _list_of(_natural),
+    "list of scalars or nulls": _list_of(
+        lambda term: term is None or isinstance(term, (str, int, float))
+    ),
+    "list of texts": _list_of(lambda value: isinstance(value, str)),
+    "read mode": lambda value: value in [mode.value for mode in ReadMode],
+    "list of commit items": _list_of(lambda item: isinstance(item, (str, dict))),
+}
+
+#: Each request opcode's fields: name -> (kind, required).  A null field
+#: counts as absent; a field not named here is ignored.
+REQUEST_FIELDS: dict[Opcode, dict[str, tuple[str, bool]]] = {
+    Opcode.HELLO: {"client": ("text", False), "tenant": ("text", False)},
+    Opcode.COMMIT: {
+        "text": ("text", True), "client": ("text", False), "partner": ("text", False)
+    },
+    Opcode.COMMIT_BATCH: {"transactions": ("list of commit items", True)},
+    Opcode.READ: {
+        "request": ("text", True),
+        "terms": ("list of scalars or nulls", True),
+        "mode": ("read mode", False),
+        "select": ("list of texts", False),
+        "limit": ("integer >= 0", False),
+    },
+    Opcode.GROUND: {"transaction_ids": ("list of integers >= 0", True)},
+    Opcode.GROUND_ALL: {},
+    Opcode.CHECK_IN: {"transaction_id": ("integer >= 0", True)},
+    Opcode.STATS: {},
+    Opcode.PING: {},
+}
+
+#: The rows by opcode text, as a message carries it, each with its check.
+_ROWS = {
+    op.value: [(field, *spec, FIELD_KINDS[spec[0]]) for field, spec in row.items()]
+    for op, row in REQUEST_FIELDS.items()
+}
+
+
+def request_fields(message: Mapping[str, Any]) -> dict[str, Any]:
+    """The declared fields of a request, checked against its opcode's row
+    (absent ones left out; a ``commit_batch`` item becomes a ``commit``'s).
+
+    Raises ``ProtocolError`` naming the opcode and the field at fault.
+    """
+    op = message["op"]
+    fields: dict[str, Any] = {}
+    for name, kind, required, check in _ROWS[op]:
+        value = message.get(name)
+        if value is None:
+            if required:
+                raise ProtocolError(f"{op} needs a {name!r} field ({kind})")
+        elif not check(value):
+            raise ProtocolError(f"{op} field {name!r} must be {kind}")
+        elif kind == "list of commit items":
+            items = [{"text": i} if isinstance(i, str) else i for i in value]
+            fields[name] = [request_fields({**i, "op": "commit"}) for i in items]
+        else:
+            fields[name] = value
+    return fields
+
+
+# ---------------------------------------------------------------------------
 # Error frames: typed exceptions <-> wire codes
 # ---------------------------------------------------------------------------
 
@@ -210,6 +294,7 @@ ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
     (FrameCorrupt, "frame_corrupt"),
     (ProtocolError, "protocol_error"),
     (QuantumError, "quantum_error"),
+    (SchemaError, "schema_error"),
     (ReproError, "error"),
 )
 

@@ -447,19 +447,20 @@ class QuantumServer:
 
     # -- submission helpers (called by sessions) ----------------------------
 
-    @staticmethod
     def _parse(
+        self,
         transaction: ResourceTransaction | str,
         parse_kwargs: Mapping[str, Any],
         *,
         client: str | None,
     ) -> ResourceTransaction:
-        if isinstance(transaction, ResourceTransaction):
-            return transaction
-        kwargs = dict(parse_kwargs)
-        if client is not None:
-            kwargs.setdefault("client", client)
-        return parse_transaction(transaction, **kwargs)
+        """The transaction, its updates checked before it queues: a refusal
+        never shares a group-commit run."""
+        if not isinstance(transaction, ResourceTransaction):
+            kwargs = {"client": client, **parse_kwargs}
+            transaction = parse_transaction(transaction, **kwargs)
+        self.qdb.check_updates(transaction)
+        return transaction
 
     def _require_accepting(self) -> None:
         if self._closed or not self._started:
@@ -536,18 +537,9 @@ class QuantumServer:
         return await self._enqueue(WorkKind.BATCH, transactions, session)
 
     async def _submit_read(
-        self,
-        request: ReadRequest | str,
-        terms: Sequence[Any] | None,
-        *,
-        mode: ReadMode | None,
-        select: Sequence[str] | None,
-        limit: int | None,
-        session: Session | None = None,
+        self, request: ReadRequest, session: Session
     ) -> list[dict[str, Any]]:
-        return await self._enqueue(
-            WorkKind.READ, (request, terms, mode, select, limit), session
-        )
+        return await self._enqueue(WorkKind.READ, request, session)
 
     def read_untouched(
         self, request: ReadRequest, session: Session
@@ -770,11 +762,8 @@ class QuantumServer:
             return self.qdb.commit_batch(item.payload)
         if item.kind is WorkKind.READ:
             self.statistics.reads += 1
-            request, terms, mode, select, limit = item.payload
             # Every mode answers with fresh dicts, which the session owns.
-            return self.qdb.read(
-                request, terms, mode=mode, select=select, limit=limit
-            )
+            return self.qdb.read(item.payload)
         if item.kind is WorkKind.WRITE:
             operation, table, values = item.payload
             self.statistics.writes += 1

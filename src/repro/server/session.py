@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.quantum_database import CommitResult
 from repro.core.quantum_state import GroundedTransaction
-from repro.core.reads import ReadMode, ReadRequest
+from repro.core.reads import ReadMode, ReadRequest, read_request
 from repro.core.resource_transaction import ResourceTransaction
 from repro.errors import QuantumError
 
@@ -217,13 +217,13 @@ class Session:
         dictionaries are fresh copies owned by the caller.  Every mode
         queues here; only the network layer answers a read that touches
         nothing pending without the queue
-        (:meth:`QuantumServer.read_untouched`).
+        (:meth:`QuantumServer.read_untouched`).  A malformed read fails
+        here, before it queues.
         """
         self._require_open()
+        request = read_request(request, terms, mode=mode, select=select, limit=limit)
         self.statistics.reads += 1
-        return await self._server._submit_read(
-            request, terms, mode=mode, select=select, limit=limit, session=self
-        )
+        return await self._server._submit_read(request, self)
 
     async def insert(self, table: str, values: Sequence[Any]) -> None:
         """Blind insert, admission-checked against pending transactions."""

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
-from repro.core.reads import ReadMode, ReadRequest
+from repro.core.reads import ReadMode, read_request
 from repro.core.serializability import SerializabilityMode
-from repro.errors import WriteRejected
+from repro.errors import InvalidTransactionError, WriteRejected
 from repro.logic.terms import Variable
 from repro import make_adjacent_seat_request
 from tests.conftest import make_tiny_flight_db
@@ -59,6 +59,46 @@ class TestCommit:
         assert qdb.execute(SPECIFIC_SEAT.format(name="Pluto", seat="1A")).committed
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-Available(123, ?s), +Bookings('a', 123) :-1 Available(123, ?s)",
+            "-Available(123, ?s), +Nope('a', 123, ?s) :-1 Available(123, ?s)",
+            "-Available(?s), +Bookings('a', 123, ?s) :-1 Available(123, ?s)",
+        ],
+        ids=["insert-wrong-arity", "insert-unknown-table", "delete-wrong-arity"],
+    )
+    def test_update_that_cannot_apply_is_refused_before_any_state_advances(
+        self, text
+    ):
+        qdb = qdb_with_seats()
+        assert qdb.execute(ANY_SEAT.format(name="Mickey")).pending
+
+        def state():
+            return (
+                [e.transaction_id for e in qdb.state.pending_transactions()],
+                sorted(t.transaction_id for _, t in qdb.pending_store.restore()),
+                qdb.state._next_sequence,
+            )
+
+        before = state()
+        with pytest.raises(InvalidTransactionError):
+            qdb.execute(text)
+        with pytest.raises(InvalidTransactionError):
+            qdb.commit_batch([ANY_SEAT.format(name="Goofy"), text])
+        assert state() == before
+        assert len(qdb.ground_all()) == 1
+
+    def test_optional_atom_over_a_missing_table_is_legal(self):
+        qdb = qdb_with_seats()
+        result = qdb.execute(
+            "-Available(123, ?s), +Bookings('a', 123, ?s)"
+            " :-1 Available(123, ?s), [Nope(?s)]"
+        )
+        assert result.committed
+        assert len(qdb.ground_all()) == 1
+
+
 class TestGroundingAndReads:
     def test_check_in_fixes_assignment(self):
         qdb = qdb_with_seats()
@@ -95,7 +135,7 @@ class TestGroundingAndReads:
         qdb.execute(ANY_SEAT.format(name="Mickey"))
         qdb.execute(ANY_SEAT.format(name="Goofy"))
         rows = qdb.read(
-            ReadRequest.single("Bookings", [Variable("p"), Variable("f"), Variable("s")])
+            read_request("Bookings", [Variable("p"), Variable("f"), Variable("s")])
         )
         assert len(rows) == 2
         assert qdb.pending_count == 0

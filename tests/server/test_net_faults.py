@@ -27,12 +27,10 @@ from repro import (
     ServerConfig,
     serve,
 )
-from repro.errors import QuantumError, TenantBackpressure
+from repro.errors import QuantumError, SchemaError, TenantBackpressure
 from repro.relational.wal import LogRecordType
 from repro.server.client import ConnectionClosed
 from repro.server.protocol import HEADER, encode_frame
-
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
 
 def make_qdb(*, flights=6, seats=3, k=16):
@@ -131,7 +129,16 @@ class TestProtocolViolations:
         "request_fields",
         [
             {"op": "commit"},
+            {"op": "commit", "text": ["a"]},
+            {"op": "commit_batch"},
+            {"op": "commit_batch", "transactions": [5]},
+            {"op": "commit_batch", "transactions": [{"client": "x"}]},
             {"op": "check_in"},
+            {"op": "check_in", "transaction_id": -1},
+            {"op": "check_in", "transaction_id": True},
+            {"op": "ground", "transaction_ids": [-1]},
+            {"op": "read", "request": "Available"},
+            {"op": "read", "terms": [None, None]},
             {"op": "check_in", "transaction_id": "1"},
             {"op": "ground", "transaction_ids": [1, "x"]},
             {"op": "read", "request": "Available", "mode": "SIDEWAYS"},
@@ -146,7 +153,16 @@ class TestProtocolViolations:
         ],
         ids=[
             "commit-without-text",
+            "commit-text-not-text",
+            "commit-batch-without-transactions",
+            "commit-batch-item-not-a-commit",
+            "commit-batch-item-without-text",
             "check-in-without-id",
+            "check-in-negative-id",
+            "check-in-boolean-id",
+            "ground-negative-id",
+            "read-without-terms",
+            "read-without-relation",
             "check-in-string-id",
             "ground-string-id",
             "read-unknown-mode",
@@ -185,10 +201,83 @@ class TestProtocolViolations:
 
         run(main())
 
-    def test_commit_with_non_text_client_is_refused_before_queueing(self):
-        """A malformed commit sent in the same drain as a valid one is
-        refused on its own, and the valid one is acknowledged: no half
-        committed run, and the pending table matches the pending set."""
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"request": "Nope", "terms": [None]},
+            {"request": "Available", "terms": [None]},
+            {"request": "Available", "terms": [None, None], "select": ["zz"]},
+        ],
+        ids=["unknown-relation", "wrong-arity", "unbound-select"],
+    )
+    def test_read_the_schema_refuses_answers_schema_error(self, request_fields):
+        async def main():
+            qdb = make_qdb()
+            async with NetworkServer(qdb) as net:
+                reader, writer = await raw_connection(net.port)
+                writer.write(encode_frame({"op": "read", "id": 5, **request_fields}))
+                frame = await read_frame(reader)
+                assert frame["op"] == "error" and frame["id"] == 5
+                assert frame["code"] == "schema_error"
+                writer.close()
+                # NetClient rebuilds the typed exception.
+                client = await NetClient.connect("127.0.0.1", net.port)
+                with pytest.raises(SchemaError):
+                    await client.read(**request_fields)
+                await client.close()
+
+        run(main())
+
+    def test_deeply_nested_frame_answers_frame_corrupt(self):
+        async def main():
+            qdb = make_qdb()
+            async with NetworkServer(qdb) as net:
+                reader, writer = await raw_connection(net.port)
+                depth = 10_000
+                payload = (
+                    '{"op":"ping","id":1,"x":' + "[" * depth + "]" * depth + "}"
+                ).encode()
+                writer.write(HEADER.pack(len(payload)) + payload)
+                frame = await read_frame(reader)
+                assert frame["op"] == "error"
+                assert frame["code"] == "frame_corrupt"
+                assert await reader.read() == b""
+                writer.close()
+                assert net.statistics.protocol_errors == 1
+
+        run(main())
+
+    @pytest.mark.parametrize(
+        "bad_fields,code",
+        [
+            ({"text": booking("bad", 1), "client": 5}, "protocol_error"),
+            (
+                {"text": "-Available(?f, ?s), +Bookings('a', ?f) :-1 Available(?f, ?s)"},
+                "invalid_transaction",
+            ),
+            (
+                {"text": "-Available(?f, ?s), +Nope('a', ?f, ?s) :-1 Available(?f, ?s)"},
+                "invalid_transaction",
+            ),
+            (
+                {"text": "-Available(?f), +Bookings('a', ?f, ?s) :-1 Available(?f, ?s)"},
+                "invalid_transaction",
+            ),
+        ],
+        ids=[
+            "client-not-text",
+            "insert-wrong-arity",
+            "insert-unknown-table",
+            "delete-wrong-arity",
+        ],
+    )
+    def test_refused_commit_beside_a_valid_one_is_never_queued(
+        self, bad_fields, code
+    ):
+        """A commit refused in the same drain as a valid one is refused on
+        its own, and the valid one is acknowledged: no half committed run,
+        the pending table matches the pending set, and everything pending
+        can still be grounded."""
 
         async def main():
             qdb = make_qdb()
@@ -199,15 +288,13 @@ class TestProtocolViolations:
                     encode_frame({"op": "commit", "id": 1, "text": booking("ok", 1)})
                 )
                 bad_writer.write(
-                    encode_frame(
-                        {"op": "commit", "id": 2, "text": booking("bad", 1), "client": 5}
-                    )
+                    encode_frame({"op": "commit", "id": 2, **bad_fields})
                 )
                 good, bad = await asyncio.gather(
                     read_frame(good_reader), read_frame(bad_reader)
                 )
                 assert good["op"] == "result" and good["value"]["committed"]
-                assert bad["op"] == "error" and bad["code"] == "invalid_transaction"
+                assert bad["op"] == "error" and bad["code"] == code
                 stored = sorted(
                     t.transaction_id for _seq, t in qdb.pending_store.restore()
                 )
@@ -215,6 +302,7 @@ class TestProtocolViolations:
                     e.transaction_id for e in qdb.state.pending_transactions()
                 )
                 assert stored == in_memory == [good["value"]["transaction_id"]]
+                assert len(await net.server.ground_all()) == 1
                 good_writer.close()
                 bad_writer.close()
 

@@ -1,4 +1,5 @@
-"""Property and fuzz tests for the framed wire protocol codec.
+"""Property and fuzz tests for the framed wire protocol codec and the
+request table.
 
 The codec (:mod:`repro.server.protocol`) is pure — bytes in, messages
 out — so these tests hammer it without a running server: round-trips for
@@ -6,15 +7,24 @@ every opcode, arbitrary read-boundary splits (the decoder must reassemble
 frames fed one byte at a time exactly as fed all at once), and hostile
 inputs (truncated frames, garbage bytes, oversized length declarations)
 that must produce a *typed* error, never an unhandled exception.
+
+The request-schema fuzz sends every request opcode, with fields missing,
+extra and mistyped, to one loopback server per test: every answer is a
+result or a typed error, and the connection goes on serving commits with
+the pending table equal to the pending set.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro import NetClient, NetworkServer, QuantumConfig, QuantumDatabase
+from repro.core.reads import ReadMode
 
 from repro.errors import (
     FrameCorrupt,
@@ -24,10 +34,14 @@ from repro.errors import (
     SessionBackpressure,
     TenantBackpressure,
 )
+from repro.server import client as client_module
 from repro.server.protocol import (
     ERROR_CODES,
+    FIELD_KINDS,
     HEADER,
     MAX_FRAME_BYTES,
+    REQUEST_FIELDS,
+    REQUEST_OPCODES,
     FrameDecoder,
     Opcode,
     decode_payload,
@@ -35,6 +49,7 @@ from repro.server.protocol import (
     error_code_for,
     error_frame,
     exception_for,
+    request_fields,
     result_frame,
 )
 
@@ -218,6 +233,13 @@ class TestHostileInput:
         with pytest.raises(FrameCorrupt):
             decode_payload(b"not json at all")
 
+    def test_deep_nesting_is_corrupt(self):
+        depth = 10_000
+        payload = ('{"op":"ping","x":' + "[" * depth + "]" * depth + "}").encode()
+        assert len(payload) < MAX_FRAME_BYTES
+        with pytest.raises(FrameCorrupt, match="nests too deeply"):
+            decode_payload(payload)
+
 
 # ---------------------------------------------------------------------------
 # Error frames
@@ -269,3 +291,236 @@ class TestErrorFrames:
         assert frame == {"op": "result", "id": 42, "value": {"pong": True}}
         # Frames are themselves encodable.
         assert FrameDecoder().feed(encode_frame(frame)) == [frame]
+
+
+# ---------------------------------------------------------------------------
+# The request table
+# ---------------------------------------------------------------------------
+
+
+class TestRequestFields:
+    def test_every_request_opcode_has_a_row(self):
+        assert set(REQUEST_FIELDS) == REQUEST_OPCODES
+        kinds = {kind for row in REQUEST_FIELDS.values() for kind, _ in row.values()}
+        assert kinds == set(FIELD_KINDS)
+
+    def test_only_declared_fields_come_back_and_null_is_absent(self):
+        message = {
+            "op": "read",
+            "id": 3,
+            "request": "Bookings",
+            "terms": ["Mickey", None, None],
+            "limit": None,
+            "extra": [1, 2],
+        }
+        assert request_fields(message) == {
+            "request": "Bookings",
+            "terms": ["Mickey", None, None],
+        }
+
+    def test_commit_items_come_back_as_commit_fields(self):
+        message = {
+            "op": "commit_batch",
+            "transactions": ["t1", {"text": "t2", "client": "c", "x": 1}],
+        }
+        assert request_fields(message) == {
+            "transactions": [{"text": "t1"}, {"text": "t2", "client": "c"}]
+        }
+
+    @pytest.mark.parametrize(
+        "message,named",
+        [
+            ({"op": "check_in"}, "check_in needs a 'transaction_id'"),
+            ({"op": "ground", "transaction_ids": [1, -1]}, "ground field 'transaction_ids'"),
+            ({"op": "read", "request": "A", "terms": [], "mode": "x"}, "read field 'mode'"),
+            ({"op": "commit_batch", "transactions": [{}]}, "commit needs a 'text'"),
+            ({"op": "hello", "tenant": 1}, "hello field 'tenant'"),
+        ],
+    )
+    def test_refusal_names_the_opcode_and_the_field(self, message, named):
+        with pytest.raises(ProtocolError, match=named):
+            request_fields(message)
+
+    def test_ids_are_integers_at_least_zero(self):
+        assert request_fields({"op": "check_in", "transaction_id": 10**30})
+        for bad in (-1, True, 1.0, "1"):
+            with pytest.raises(ProtocolError):
+                request_fields({"op": "check_in", "transaction_id": bad})
+
+    def test_every_netclient_frame_passes_the_table(self, monkeypatch):
+        sent = []
+        encode = client_module.encode_frame
+
+        def recording(message, **kwargs):
+            sent.append(dict(message))
+            return encode(message, **kwargs)
+
+        monkeypatch.setattr(client_module, "encode_frame", recording)
+
+        async def main():
+            async with NetworkServer(make_qdb()) as net:
+                client = await NetClient.connect(
+                    "127.0.0.1", net.port, client="c", tenant="t"
+                )
+                result = await client.commit(booking("a", 1), client="a", partner="b")
+                await client.commit_batch(
+                    [booking("b", 1), {"text": booking("c", 1), "client": "c"}]
+                )
+                await client.read(
+                    "Bookings", [None, 1, None], mode="PEEK", select=["_0"], limit=2
+                )
+                await client.ground([result.transaction_id])
+                await client.ground_all()
+                await client.check_in(result.transaction_id)
+                await client.stats()
+                await client.ping()
+                await client.close()
+
+        asyncio.run(asyncio.wait_for(main(), 30))
+        assert {message["op"] for message in sent} == {op.value for op in REQUEST_OPCODES}
+        for message in sent:
+            declared = request_fields(message)
+            sent_fields = {k: v for k, v in message.items() if k not in ("op", "id")}
+            if message["op"] != "commit_batch":
+                assert declared == sent_fields
+
+
+# ---------------------------------------------------------------------------
+# Request-schema fuzz over a loopback server
+# ---------------------------------------------------------------------------
+
+
+def make_qdb():
+    qdb = QuantumDatabase(config=QuantumConfig(k=8))
+    qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
+    qdb.create_table(
+        "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
+    )
+    qdb.load_rows("Available", [(f, f"s{i}") for f in (1, 2) for i in range(400)])
+    return qdb
+
+
+def booking(user, flight):
+    return (
+        f"-Available({flight}, ?s), +Bookings('{user}', {flight}, ?s)"
+        f" :-1 Available({flight}, ?s)"
+    )
+
+
+#: Transaction texts a fuzzed commit may carry: valid, unparseable, and
+#: updates that could never apply.
+TEXTS = st.one_of(
+    st.sampled_from(
+        [
+            booking("fuzz", 2),
+            "-Available(2, ?s), +Bookings('a', 2) :-1 Available(2, ?s)",
+            "-Available(?s), +Bookings('a', 2, ?s) :-1 Available(2, ?s)",
+            "+Nope(1) :-1 Available(2, ?s)",
+        ]
+    ),
+    st.text(max_size=30),
+)
+ids = st.one_of(st.integers(min_value=0, max_value=50), st.just(10**30))
+terms = st.lists(
+    st.one_of(st.none(), st.integers(0, 3), st.sampled_from(["s1", "fuzz"]), st.floats()),
+    max_size=4,
+)
+commit_objects = st.fixed_dictionaries(
+    {},
+    optional={
+        "text": TEXTS,
+        "client": st.one_of(st.text(max_size=5), json_values),
+        "partner": st.one_of(st.text(max_size=5), json_values),
+    },
+)
+
+#: A well-typed value of each field kind.
+WELL_TYPED = {
+    "text": st.one_of(st.sampled_from(["Available", "Bookings", "Nope"]), TEXTS),
+    "integer >= 0": ids,
+    "list of integers >= 0": st.lists(ids, max_size=3),
+    "list of scalars or nulls": terms,
+    "list of texts": st.lists(st.sampled_from(["_0", "_1", "zz"]), max_size=2),
+    "read mode": st.sampled_from([mode.value for mode in ReadMode]),
+    "list of commit items": st.lists(st.one_of(TEXTS, commit_objects), max_size=3),
+}
+
+
+def request_messages(op):
+    """``op`` requests whose declared fields are each missing, well typed
+    or mistyped, plus arbitrary extra fields."""
+    declared = {
+        name: st.one_of(WELL_TYPED[kind], json_values)
+        for name, (kind, _) in REQUEST_FIELDS[op].items()
+    }
+    extra = st.dictionaries(
+        st.text(min_size=1, max_size=8).filter(
+            lambda key: key not in declared and key not in ("op", "id")
+        ),
+        json_values,
+        max_size=2,
+    )
+    return st.builds(
+        lambda fields, extra: {**extra, **fields, "op": op.value, "id": 1},
+        st.fixed_dictionaries({}, optional=declared),
+        extra,
+    )
+
+
+class LoopbackServer:
+    """One server and one raw connection on a private event loop, kept
+    across every example of a test."""
+
+    def __init__(self):
+        self.loop = asyncio.new_event_loop()
+        self.qdb = make_qdb()
+        self.net = NetworkServer(self.qdb)
+        self.reader, self.writer = self.run(self._open())
+
+    async def _open(self):
+        await self.net.start()
+        return await asyncio.open_connection("127.0.0.1", self.net.port)
+
+    def run(self, coroutine):
+        return self.loop.run_until_complete(asyncio.wait_for(coroutine, 10))
+
+    def call(self, message):
+        async def exchange():
+            self.writer.write(encode_frame(message))
+            header = await self.reader.readexactly(HEADER.size)
+            (length,) = HEADER.unpack(header)
+            return json.loads(await self.reader.readexactly(length))
+
+        return self.run(exchange())
+
+    def close(self):
+        self.writer.close()
+        self.run(self.net.drain())
+        self.loop.close()
+
+
+@pytest.mark.parametrize("op", sorted(REQUEST_OPCODES, key=lambda op: op.value))
+def test_fuzzed_requests_answer_typed_and_leave_the_connection_serving(op):
+    server = LoopbackServer()
+
+    @settings(max_examples=40, deadline=None)
+    @given(message=request_messages(op))
+    def check(message):
+        answer = server.call(message)
+        assert answer["id"] == 1
+        assert answer["op"] == "result" or answer["code"] not in ("internal", "error")
+        commit = server.call({"op": "commit", "id": 2, "text": booking("ok", 1)})
+        assert commit["op"] == "result", commit
+        stored = sorted(t.transaction_id for _, t in server.qdb.pending_store.restore())
+        in_memory = sorted(
+            e.transaction_id for e in server.qdb.state.pending_transactions()
+        )
+        assert stored == in_memory
+        if len(in_memory) > 4:
+            assert server.call({"op": "ground_all", "id": 3})["op"] == "result"
+
+    try:
+        check()
+        assert server.net.statistics.protocol_errors == 0
+    finally:
+        server.close()

@@ -2,7 +2,8 @@
 
 Each field of the six config classes, and each name in ``repro.__all__``,
 has one row saying what needs it; neither a knob nor an export can be
-added or deleted without its row.
+added or deleted without its row.  Likewise the opcode table lists each
+request opcode's fields exactly as the protocol's request table does.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro import (
     QuantumConfig,
     ServerConfig,
 )
+from repro.server.protocol import REQUEST_FIELDS, Opcode
 
 ARCHITECTURE = Path(__file__).resolve().parent.parent / "docs" / "architecture.md"
 CONFIGS = (
@@ -32,6 +34,8 @@ CONFIGS = (
 )
 ROW = re.compile(r"^\| `(\w+)` \| `(\w+)` \| (.+) \|$")
 EXPORT_ROW = re.compile(r"^\| `(\w+)` \| (.+) \|$")
+OPCODE_ROW = re.compile(r"^\| `(\w+)` \| request \| (.+?) \| .+ \|$")
+FIELD = re.compile(r"`(\w+)`: (.+?)(, required)?")
 
 
 def section_rows(title: str, row: re.Pattern) -> list[tuple[str, ...]]:
@@ -66,3 +70,14 @@ def test_export_rows_are_the_package_exports():
     rows = export_rows()
     assert [name for name, _ in rows] == repro.__all__
     assert all(need.strip() for _, need in rows)
+
+
+def test_opcode_rows_are_the_request_table():
+    documented = {}
+    for op, fields in section_rows("The network layer (PR 7)", OPCODE_ROW):
+        cells = fields.split("; ") if fields != "—" else []
+        matches = [FIELD.fullmatch(cell) for cell in cells]
+        documented[Opcode(op)] = {
+            m[1]: (m[2], m[3] is not None) for m in matches
+        }
+    assert documented == REQUEST_FIELDS
