@@ -74,7 +74,3 @@ class GroundingPolicy:
         if self.strategy is GroundingStrategy.NEWEST_FIRST:
             return list(reversed(ordered[-excess:]))
         return ordered[:excess]
-
-    def within_bound(self, partition: "Partition") -> bool:
-        """True if the partition respects the ``k`` bound."""
-        return len(partition) <= self.k

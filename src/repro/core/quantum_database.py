@@ -251,17 +251,13 @@ class QuantumDatabase:
         rejected (``committed=False``) rather than raising, mirroring how an
         application would experience an abort.  An update that could never
         apply raises (:meth:`check_updates`) before any state advances.
+
+        It runs the admit-and-persist loop of :meth:`commit_batch` on a
+        batch of one, without counting a batch.
         """
         if isinstance(transaction, str):
             transaction = parse_transaction(transaction, **parse_kwargs)
-        self.check_updates(transaction)
-        with self.database.unit as unit:
-            result, sequence = self._admit_for_batch(transaction)
-            if result.pending:
-                assert sequence is not None
-                self.pending_store.persist_many(
-                    ((transaction, sequence),), unit.transaction()
-                )
+        (result,) = self._admit_and_persist((transaction,))
         return result
 
     def commit_batch(
@@ -295,24 +291,7 @@ class QuantumDatabase:
             parse_transaction(t, **parse_kwargs) if isinstance(t, str) else t
             for t in transactions
         ]
-        for transaction in parsed:
-            self.check_updates(transaction)
-        results: list[CommitResult] = []
-        admitted: list[tuple[ResourceTransaction, int]] = []
-        with self.database.unit as unit:
-            for transaction in parsed:
-                result, sequence = self._admit_for_batch(transaction)
-                results.append(result)
-                if result.committed:
-                    assert sequence is not None
-                    admitted.append((transaction, sequence))
-            still_pending = [
-                (transaction, sequence)
-                for transaction, sequence in admitted
-                if self.state.is_pending(transaction.transaction_id)
-            ]
-            if still_pending:
-                self.pending_store.persist_many(still_pending, unit.transaction())
+        results = self._admit_and_persist(parsed)
         self.state.statistics.batches += 1
         self.state.statistics.batch_transactions += len(parsed)
         return results
@@ -332,53 +311,68 @@ class QuantumDatabase:
                     f"table {atom.relation!r} {arity} columns"
                 )
 
-    def _admit_for_batch(
-        self, transaction: ResourceTransaction
-    ) -> tuple[CommitResult, int | None]:
-        """Admit one batch element (shared by :meth:`execute` and
-        :meth:`commit_batch`).
+    def _admit_and_persist(
+        self, transactions: Sequence[ResourceTransaction]
+    ) -> list[CommitResult]:
+        """Check, admit and persist ``transactions`` as one store transaction
+        (the one commit path of :meth:`execute` and :meth:`commit_batch`).
 
-        Returns ``(result, sequence)`` — the sequence is ``None`` for a
-        rejected transaction.  The one place a ``CommitResult`` is stamped
-        with its decision's provenance, read off what ``admit`` hands back.
-        The caller owns the operation's store transaction (it has entered
-        ``database.unit``): groundings triggered here — by the ``k`` bound or
-        a partner's arrival — write through it, and the caller adds the rows
-        of the admissions still pending at the end of its batch before the
-        unit commits.
+        Every update is checked before anything is admitted.  Groundings
+        triggered here — by the ``k`` bound or a partner's arrival — write
+        through the operation's unit, and the rows of the admissions still
+        pending at the end join them before the unit commits.  Each
+        ``CommitResult`` is stamped with its decision's provenance, read off
+        what ``admit`` hands back.
         """
-        try:
-            entry = self.state.admit(transaction)
-        except TransactionRejected as exc:
-            return (
-                CommitResult(
-                    transaction=transaction,
-                    committed=False,
-                    rejection_reason=str(exc),
-                    method=exc.method,
-                ),
-                None,
-            )
-        grounded: list[GroundedTransaction] = []
-        # Forced groundings triggered by the k bound have already fired via
-        # the on_grounded callback; collect the one involving this call.
-        if not self.state.is_pending(transaction.transaction_id):
-            record = self.state.grounded_results.get(transaction.transaction_id)
-            if record is not None:
-                grounded.append(record)
-        match = self.entanglement.register(transaction)
-        if match is not None and self.config.ground_on_partner_arrival:
-            grounded.extend(self.state.ground(match.transaction_ids()))
-        return (
-            CommitResult(
-                transaction=transaction,
-                committed=True,
-                pending=self.state.is_pending(transaction.transaction_id),
-                grounded=tuple(grounded),
-                method=entry.method,
-            ),
-            entry.sequence,
-        )
+        for transaction in transactions:
+            self.check_updates(transaction)
+        state = self.state
+        results: list[CommitResult] = []
+        admitted: list[tuple[ResourceTransaction, int]] = []
+        with self.database.unit as unit:
+            for transaction in transactions:
+                try:
+                    entry = state.admit(transaction)
+                except TransactionRejected as exc:
+                    results.append(
+                        CommitResult(
+                            transaction=transaction,
+                            committed=False,
+                            rejection_reason=str(exc),
+                            method=exc.method,
+                        )
+                    )
+                    continue
+                admitted.append((transaction, entry.sequence))
+                transaction_id = transaction.transaction_id
+                grounded: list[GroundedTransaction] = []
+                # Forced groundings triggered by the k bound have already
+                # fired via the on_grounded callback; collect the one
+                # involving this call.
+                if not state.is_pending(transaction_id):
+                    record = state.grounded_results.get(transaction_id)
+                    if record is not None:
+                        grounded.append(record)
+                match = self.entanglement.register(transaction)
+                if match is not None and self.config.ground_on_partner_arrival:
+                    grounded.extend(state.ground(match.transaction_ids()))
+                results.append(
+                    CommitResult(
+                        transaction=transaction,
+                        committed=True,
+                        pending=state.is_pending(transaction_id),
+                        grounded=tuple(grounded),
+                        method=entry.method,
+                    )
+                )
+            still_pending = [
+                (transaction, sequence)
+                for transaction, sequence in admitted
+                if state.is_pending(transaction.transaction_id)
+            ]
+            if still_pending:
+                self.pending_store.persist_many(still_pending, unit.transaction())
+        return results
 
     # ------------------------------------------------------------------
     # Reads

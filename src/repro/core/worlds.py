@@ -179,18 +179,3 @@ def _count_satisfied_optionals(
         if search.exists(AtomFormula(specialised.as_body())):
             count += 1
     return count
-
-
-def _database_oracle(database: Database):
-    """Membership oracle over a database (for optional-atom counting)."""
-
-    def oracle(relation: str, values: tuple[Any, ...]) -> bool:
-        if not database.has_table(relation):
-            return False
-        table = database.table(relation)
-        columns = list(table.schema.column_names)
-        for _ in table.lookup(columns, list(values)):
-            return True
-        return False
-
-    return oracle

@@ -80,10 +80,6 @@ class LogicError(ReproError):
     """Base class for errors raised by :mod:`repro.logic`."""
 
 
-class UnificationError(LogicError):
-    """Two atoms could not be unified when a unifier was required."""
-
-
 class SubstitutionError(LogicError):
     """A substitution is inconsistent (a variable bound to two values)."""
 

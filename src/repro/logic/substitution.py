@@ -133,10 +133,6 @@ class Substitution:
             atom.optional,
         )
 
-    def apply_atoms(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-        """Apply the substitution to a collection of atoms."""
-        return tuple(self.apply_atom(a) for a in atoms)
-
     def __call__(self, target: Term | Atom) -> Term | Atom:
         """Convenience: ``theta(x)`` applies to a term or atom."""
         if isinstance(target, Atom):

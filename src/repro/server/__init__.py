@@ -64,8 +64,6 @@ from repro.server.service import (
     QuantumServer,
     ServerConfig,
     ServerStatistics,
-    WorkItem,
-    WorkKind,
 )
 from repro.server.session import GroundingTarget, Session, SessionStatistics
 
@@ -85,8 +83,6 @@ __all__ = [
     "ServerStatistics",
     "Session",
     "SessionStatistics",
-    "WorkItem",
-    "WorkKind",
     "encode_frame",
     "serve",
 ]

@@ -322,11 +322,9 @@ class _Connection:
         if op is Opcode.COMMIT:
             return commit_value(await session.commit(fields.pop("text"), **fields))
         if op is Opcode.COMMIT_BATCH:
-            parsed = [
-                self.net.server._parse(item.pop("text"), item, client=session.client)
-                for item in fields["transactions"]
-            ]
-            results = await session.commit_batch(parsed)
+            results = await session.commit_batch(
+                [session._build(item.pop("text"), item) for item in fields["transactions"]]
+            )
             return [commit_value(result) for result in results]
         if op is Opcode.READ:
             request = read_request(**fields)

@@ -10,7 +10,12 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   writer task dequeues them and runs the ordinary synchronous admission
   path, so accept/reject decisions are *identical* to calling
   :meth:`QuantumDatabase.execute` in the same arrival order — concurrency
-  changes only the arrival interleaving, never the semantics.  The PR-1
+  changes only the arrival interleaving, never the semantics.  A commit
+  item carries the list of transactions it admits (one for
+  :meth:`Session.commit`, the whole batch for
+  :meth:`Session.commit_batch`), each already built and checked; every
+  other item carries the writer call that answers it and the counter it
+  bumps.  The PR-1
   witness cache is what makes this single writer viable: the admission
   critical section is a witness-extension search, not a recomposition.
   The one request that skips the queue is a wire COLLAPSE read that
@@ -18,8 +23,9 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   grounds nothing, and it reads the durable state between two writer
   steps.
 
-* **Group commit.**  When several commits are queued (concurrent clients),
-  the writer drains them together and admits them via
+* **Group commit.**  When several commit items are queued (concurrent
+  clients), the writer drains them together and admits the contiguous run
+  — a batch's transactions contiguous and in order within it — via one
   :meth:`QuantumDatabase.commit_batch`, which is *one store transaction*:
   the groundings the run forces, the deletion of their pending rows and
   the rows of the run's still-pending admissions reach the log under one
@@ -46,13 +52,11 @@ follows directly from the paper's model (see ``docs/architecture.md``):
 from __future__ import annotations
 
 import asyncio
-import enum
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable
 
-from repro.core.parser import parse_transaction
-from repro.core.quantum_database import CommitResult, QuantumDatabase
+from repro.core.quantum_database import QuantumDatabase
 from repro.core.quantum_state import GroundedTransaction
 from repro.core.reads import ReadMode, ReadRequest
 from repro.core.resource_transaction import ResourceTransaction
@@ -67,25 +71,21 @@ from repro.server.session import GroundingTarget, Session
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
 
-class WorkKind(enum.Enum):
-    """Kinds of items on the admission queue."""
-
-    COMMIT = "COMMIT"
-    BATCH = "BATCH"
-    READ = "READ"
-    WRITE = "WRITE"
-    GROUND = "GROUND"
-    GROUND_ALL = "GROUND_ALL"
-    CHECKPOINT = "CHECKPOINT"
-
-
 @dataclass
 class WorkItem:
-    """One unit of queued work plus the future its submitter awaits."""
+    """One unit of queued work plus the future its submitter awaits.
 
-    kind: WorkKind
-    payload: Any
+    A commit item has no ``call``: its ``transactions`` join the drain's
+    group-commit run, and its future receives their results, in order.
+    Any other item's ``call`` is the writer call that answers it.
+    ``counter`` names the :class:`ServerStatistics` field the item bumps
+    (by its transactions for a commit item, else by one), or is ``None``.
+    """
+
+    counter: str | None
     future: "asyncio.Future[Any]"
+    call: Callable[[], Any] | None = None
+    transactions: list[ResourceTransaction] | None = None
 
 
 #: Sentinel that tells the writer loop to exit after draining.
@@ -219,8 +219,9 @@ class ServerStatistics:
         items: work items processed by the writer.
         commits: single-commit items admitted.
         batch_commits: transactions admitted through batch items.
-        commit_runs: group commits performed (contiguous commit runs).
-        max_commit_run: largest group commit.
+        commit_runs: group commits performed (contiguous runs of commit
+            and batch items).
+        max_commit_run: most transactions in one group commit.
         drains: writer drain cycles.
         max_drain: most items drained in one cycle.
         queue_high_water: deepest observed queue.
@@ -239,12 +240,11 @@ class ServerStatistics:
             combined in-flight items exceeded the tenant quota.
         policy_checkpoints: checkpoints taken by the periodic policy.
         checkpoints_refused: policy checkpoints refused because a store
-            transaction was still active (retried at the next boundary).
-        checkpoints_deferred: refusals that armed (or consumed) a bounded
-            retry at a later drain boundary — surfaced as
+            transaction was still active; each refusal arms (or consumes)
+            a bounded retry at a later drain boundary.  Surfaced as
             ``durability.checkpoint_deferred`` in ``statistics_report()``
-            so a policy that keeps losing the race is visible, never a
-            silent skip.
+            as well, so a policy that keeps losing the race is visible,
+            never a silent skip.
     """
 
     items: int = 0
@@ -266,7 +266,6 @@ class ServerStatistics:
     tenant_rejections: int = 0
     policy_checkpoints: int = 0
     checkpoints_refused: int = 0
-    checkpoints_deferred: int = 0
 
 
 class QuantumServer:
@@ -445,22 +444,7 @@ class QuantumServer:
         """Number of currently open sessions."""
         return len(self._sessions)
 
-    # -- submission helpers (called by sessions) ----------------------------
-
-    def _parse(
-        self,
-        transaction: ResourceTransaction | str,
-        parse_kwargs: Mapping[str, Any],
-        *,
-        client: str | None,
-    ) -> ResourceTransaction:
-        """The transaction, its updates checked before it queues: a refusal
-        never shares a group-commit run."""
-        if not isinstance(transaction, ResourceTransaction):
-            kwargs = {"client": client, **parse_kwargs}
-            transaction = parse_transaction(transaction, **kwargs)
-        self.qdb.check_updates(transaction)
-        return transaction
+    # -- submission (called by sessions) ------------------------------------
 
     def _require_accepting(self) -> None:
         if self._closed or not self._started:
@@ -469,8 +453,14 @@ class QuantumServer:
             )
 
     async def _enqueue(
-        self, kind: WorkKind, payload: Any, session: Session | None = None
+        self,
+        session: Session | None,
+        counter: str | None,
+        call: Callable[[], Any] | None = None,
+        transactions: list[ResourceTransaction] | None = None,
     ) -> Any:
+        """Queue a writer call, or with ``transactions`` a commit item (see
+        :class:`WorkItem`), and await its result."""
         self._require_accepting()
         assert self._queue is not None
         # The backpressure ladder, cheapest rung first: the session quota
@@ -515,7 +505,7 @@ class QuantumServer:
                 lambda _future, tenant=tenant: self._release_tenant(tenant)
             )
         try:
-            await self._queue.put(WorkItem(kind, payload, future))
+            await self._queue.put(WorkItem(counter, future, call, transactions))
         except BaseException:
             # Never enqueued: cancelling the future runs the registered
             # release callback, returning the quota slot.
@@ -525,21 +515,6 @@ class QuantumServer:
         if depth > self.statistics.queue_high_water:
             self.statistics.queue_high_water = depth
         return await future
-
-    async def _submit_commit(
-        self, transaction: ResourceTransaction, session: Session
-    ) -> CommitResult:
-        return await self._enqueue(WorkKind.COMMIT, transaction, session)
-
-    async def _submit_batch(
-        self, transactions: list[ResourceTransaction], session: Session
-    ) -> list[CommitResult]:
-        return await self._enqueue(WorkKind.BATCH, transactions, session)
-
-    async def _submit_read(
-        self, request: ReadRequest, session: Session
-    ) -> list[dict[str, Any]]:
-        return await self._enqueue(WorkKind.READ, request, session)
 
     def read_untouched(
         self, request: ReadRequest, session: Session
@@ -574,32 +549,16 @@ class QuantumServer:
         session.statistics.reads += 1
         return self.qdb.answer(request)
 
-    async def _submit_write(
-        self,
-        operation: str,
-        table: str,
-        values: Sequence[Any],
-        session: Session | None = None,
-    ) -> None:
-        return await self._enqueue(
-            WorkKind.WRITE, (operation, table, values), session
-        )
-
-    async def _submit_ground(
-        self, ids: list[int], session: Session | None = None
-    ) -> list[GroundedTransaction]:
-        return await self._enqueue(WorkKind.GROUND, ids, session)
-
     async def ground_all(self) -> list[GroundedTransaction]:
         """Ground every pending transaction (e.g. end of the booking day).
 
         Runs at a writer serialization point, all or nothing.
         """
-        return await self._enqueue(WorkKind.GROUND_ALL, None)
+        return await self._enqueue(None, "grounds", lambda: self.qdb.ground_all())
 
     async def checkpoint(self) -> None:
         """Checkpoint the WAL at a writer serialization point."""
-        await self._enqueue(WorkKind.CHECKPOINT, None)
+        await self._enqueue(None, None, lambda: self.qdb.checkpoint())
 
     # -- the single-writer loop ---------------------------------------------
 
@@ -655,10 +614,9 @@ class QuantumServer:
         Drain boundaries are writer serialization points, so normally no
         store transaction is active; if one somehow is (an application
         holding a synchronous ``db.begin()`` open across the boundary),
-        the checkpoint is refused — counted in ``checkpoints_refused``
-        *and* armed for a bounded retry at the next drain boundaries
-        (``checkpoints_deferred``), so a policy losing the race is never
-        a silent skip.
+        the checkpoint is refused — counted in ``checkpoints_refused`` and
+        armed for a bounded retry at the next drain boundaries, so a
+        policy losing the race is never a silent skip.
         """
         policy = self.config.checkpoint_policy
         if policy is None:
@@ -678,7 +636,6 @@ class QuantumServer:
             self.qdb.checkpoint()
         except TransactionError:
             self.statistics.checkpoints_refused += 1
-            self.statistics.checkpoints_deferred += 1
             if due:
                 self._checkpoint_retries = self._CHECKPOINT_RETRY_BUDGET
             else:
@@ -690,98 +647,87 @@ class QuantumServer:
         self._last_checkpoint = time.monotonic()
 
     def _process_drained(self, drained: list[WorkItem]) -> None:
-        index = 0
-        while index < len(drained):
-            item = drained[index]
-            if item.kind is WorkKind.COMMIT:
-                run = [item]
-                while (
-                    index + len(run) < len(drained)
-                    and drained[index + len(run)].kind is WorkKind.COMMIT
-                ):
-                    run.append(drained[index + len(run)])
+        run: list[WorkItem] = []
+        for item in drained:
+            if item.call is None:
+                run.append(item)
+                continue
+            if run:
                 self._process_commit_run(run)
-                index += len(run)
-            else:
-                self._process_item(item)
-                index += 1
+                run = []
+            self._process_item(item)
+        if run:
+            self._process_commit_run(run)
 
     def _process_commit_run(self, run: list[WorkItem]) -> None:
-        """Admit a contiguous run of single commits as one group commit."""
+        """Admit a contiguous run of commit items as one group commit.
+
+        Each item's transactions stay contiguous and in order; an item
+        cancelled before the run starts is withdrawn whole.
+        """
+        statistics = self.statistics
         live = []
+        transactions: list[ResourceTransaction] = []
         for item in run:
-            self.statistics.items += 1
+            statistics.items += 1
             if item.future.cancelled():
-                # Withdrawn before admission: the transaction never enters
-                # the system, exactly as if it had not been submitted.
-                self.statistics.cancelled_before_admission += 1
-            else:
-                live.append(item)
+                # Withdrawn before admission: its transactions never enter
+                # the system, exactly as if they had not been submitted.
+                statistics.cancelled_before_admission += 1
+                continue
+            live.append(item)
+            transactions.extend(item.transactions)
+            setattr(
+                statistics,
+                item.counter,
+                getattr(statistics, item.counter) + len(item.transactions),
+            )
         if not live:
             return
-        self.statistics.commit_runs += 1
-        self.statistics.commits += len(live)
-        if len(live) > self.statistics.max_commit_run:
-            self.statistics.max_commit_run = len(live)
+        statistics.commit_runs += 1
+        if len(transactions) > statistics.max_commit_run:
+            statistics.max_commit_run = len(transactions)
         try:
             # One store transaction: commit_batch returns after its COMMIT
             # record is stable, and the futures below resolve only then, so
             # acknowledgement implies stable storage.
-            results = self.qdb.commit_batch([item.payload for item in live])
+            results = self.qdb.commit_batch(transactions)
         except Exception as exc:  # pragma: no cover - defensive
             for item in live:
                 if not item.future.done():
                     item.future.set_exception(exc)
             return
-        for item, result in zip(live, results):
+        start = 0
+        for item in live:
+            end = start + len(item.transactions)
             if item.future.cancelled():
                 # Too late to withdraw: the admission already happened and
                 # the commit guarantee stands (it remains durable and will
                 # be grounded normally); only the acknowledgement is lost.
-                self.statistics.cancelled_after_admission += 1
+                statistics.cancelled_after_admission += 1
             else:
-                item.future.set_result(result)
+                item.future.set_result(results[start:end])
+            start = end
 
     def _process_item(self, item: WorkItem) -> None:
         self.statistics.items += 1
         if item.future.cancelled():
             self.statistics.cancelled_before_admission += 1
             return
+        if item.counter is not None:
+            setattr(
+                self.statistics,
+                item.counter,
+                getattr(self.statistics, item.counter) + 1,
+            )
         try:
-            result = self._dispatch(item)
+            result = item.call()
         except Exception as exc:
             if not item.future.done():
                 item.future.set_exception(exc)
             return
         if not item.future.cancelled():
             item.future.set_result(result)
-
-    def _dispatch(self, item: WorkItem) -> Any:
-        if item.kind is WorkKind.BATCH:
-            self.statistics.batch_commits += len(item.payload)
-            return self.qdb.commit_batch(item.payload)
-        if item.kind is WorkKind.READ:
-            self.statistics.reads += 1
-            # Every mode answers with fresh dicts, which the session owns.
-            return self.qdb.read(item.payload)
-        if item.kind is WorkKind.WRITE:
-            operation, table, values = item.payload
-            self.statistics.writes += 1
-            if operation == "insert":
-                self.qdb.insert(table, values)
-            else:
-                self.qdb.delete(table, values)
-            return None
-        if item.kind is WorkKind.CHECKPOINT:
-            self.qdb.checkpoint()
-            return None
-        if item.kind is WorkKind.GROUND:
-            self.statistics.grounds += 1
-            return self.qdb.ground(item.payload)
-        if item.kind is WorkKind.GROUND_ALL:
-            self.statistics.grounds += 1
-            return self.qdb.ground_all()
-        raise QuantumError(f"unknown work item kind {item.kind!r}")
 
     # -- grounding notifications --------------------------------------------
 
@@ -856,7 +802,7 @@ class QuantumServer:
         # counters); the deferred-checkpoint counter is server-side
         # bookkeeping, folded in here where the rest of the section lives.
         report["durability.checkpoint_deferred"] = (
-            self.statistics.checkpoints_deferred
+            self.statistics.checkpoints_refused
         )
         return report
 

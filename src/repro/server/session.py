@@ -33,6 +33,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.core.parser import parse_transaction
 from repro.core.quantum_database import CommitResult
 from repro.core.quantum_state import GroundedTransaction
 from repro.core.reads import ReadMode, ReadRequest, read_request
@@ -60,7 +61,8 @@ class SessionStatistics:
         writes: blind inserts/deletes issued.
         grounding_waits: ``on_grounding`` futures requested.
         grounding_events: grounding notifications delivered.
-        cancelled: commits cancelled before the writer admitted them.
+        cancelled: ``commit`` / ``commit_batch`` calls cancelled while they
+            awaited the writer (a batch counts once).
         backpressure: submissions refused because the session exceeded its
             queue quota (:class:`~repro.errors.SessionBackpressure`).
         tenant_backpressure: submissions refused because the session's
@@ -147,6 +149,8 @@ class Session:
     ) -> CommitResult:
         """Submit one resource transaction and await its admission outcome.
 
+        A batch of one (:meth:`commit_batch`): the transaction is built and
+        checked here, then joins the group-commit run of the writer's drain.
         The coroutine resumes once the writer has decided (and, for
         admissions, durably persisted) the transaction, with the writer's
         :class:`~repro.core.quantum_database.CommitResult`; grounding may
@@ -158,14 +162,9 @@ class Session:
         has started, the admission stands even if the ack is cancelled.
         """
         self._require_open()
-        parsed = self._server._parse(transaction, parse_kwargs, client=self.client)
-        self.statistics.submitted += 1
-        try:
-            result = await self._server._submit_commit(parsed, self)
-        except asyncio.CancelledError:
-            self.statistics.cancelled += 1
-            raise
-        self._record(result)
+        (result,) = await self._submit(
+            [self._build(transaction, parse_kwargs)], "commits"
+        )
         return result
 
     async def commit_batch(
@@ -175,20 +174,44 @@ class Session:
     ) -> list[CommitResult]:
         """Pipeline a stream of resource transactions as one batch.
 
-        Pass-through to :meth:`QuantumDatabase.commit_batch`: the whole
-        sequence is admitted back-to-back at one serialization point (no
-        other session's commit interleaves), with a single durability write
-        for the batch.  Semantically identical to awaiting :meth:`commit`
-        for each element in order.
+        Each transaction is built and checked here.  The batch is one queue
+        item: it joins the group-commit run of the writer's drain, its
+        transactions contiguous and in order (no other session's commit
+        interleaves), under the run's one store transaction and fsync.
+        Semantically identical to awaiting :meth:`commit` for each element
+        in order.  Cancelling it before the writer picks it up withdraws the
+        whole batch.
         """
         self._require_open()
-        parsed = [
-            self._server._parse(t, parse_kwargs, client=self.client)
-            for t in transactions
-        ]
+        built = [self._build(t, parse_kwargs) for t in transactions]
         self.statistics.batches += 1
-        self.statistics.submitted += len(parsed)
-        results = await self._server._submit_batch(parsed, self)
+        return await self._submit(built, "batch_commits")
+
+    def _build(
+        self, transaction: ResourceTransaction | str, parse_kwargs: dict[str, Any]
+    ) -> ResourceTransaction:
+        """``transaction``, parsed with this session's client as the default
+        ``client`` if it is text."""
+        if isinstance(transaction, ResourceTransaction):
+            return transaction
+        return parse_transaction(transaction, **{"client": self.client, **parse_kwargs})
+
+    async def _submit(
+        self, transactions: list[ResourceTransaction], counter: str
+    ) -> list[CommitResult]:
+        """Check every update, then queue ``transactions`` as one commit
+        item: a refused transaction never shares a group-commit run."""
+        check_updates = self._server.qdb.check_updates
+        for transaction in transactions:
+            check_updates(transaction)
+        self.statistics.submitted += len(transactions)
+        try:
+            results = await self._server._enqueue(
+                self, counter, transactions=transactions
+            )
+        except asyncio.CancelledError:
+            self.statistics.cancelled += 1
+            raise
         for result in results:
             self._record(result)
         return results
@@ -223,19 +246,22 @@ class Session:
         self._require_open()
         request = read_request(request, terms, mode=mode, select=select, limit=limit)
         self.statistics.reads += 1
-        return await self._server._submit_read(request, self)
+        qdb = self._server.qdb
+        return await self._server._enqueue(self, "reads", lambda: qdb.read(request))
 
     async def insert(self, table: str, values: Sequence[Any]) -> None:
         """Blind insert, admission-checked against pending transactions."""
         self._require_open()
         self.statistics.writes += 1
-        await self._server._submit_write("insert", table, values, session=self)
+        qdb = self._server.qdb
+        await self._server._enqueue(self, "writes", lambda: qdb.insert(table, values))
 
     async def delete(self, table: str, values: Sequence[Any]) -> None:
         """Blind delete, admission-checked against pending transactions."""
         self._require_open()
         self.statistics.writes += 1
-        await self._server._submit_write("delete", table, values, session=self)
+        qdb = self._server.qdb
+        await self._server._enqueue(self, "writes", lambda: qdb.delete(table, values))
 
     # -- grounding -----------------------------------------------------------
 
@@ -264,9 +290,9 @@ class Session:
     async def ground(self, transaction_ids: Sequence[int]) -> list[GroundedTransaction]:
         """Explicitly collapse specific pending transactions."""
         self._require_open()
-        return await self._server._submit_ground(
-            list(transaction_ids), session=self
-        )
+        ids = list(transaction_ids)
+        qdb = self._server.qdb
+        return await self._server._enqueue(self, "grounds", lambda: qdb.ground(ids))
 
     async def check_in(self, transaction_id: int) -> GroundedTransaction | None:
         """Collapse one transaction and return its assignment (or None).
@@ -276,8 +302,9 @@ class Session:
         looked up by id rather than taken from the grounding results.
         """
         self._require_open()
-        await self._server._submit_ground([transaction_id], session=self)
-        return self._server.qdb.state.grounded_results.get(transaction_id)
+        qdb = self._server.qdb
+        await self._server._enqueue(self, "grounds", lambda: qdb.ground([transaction_id]))
+        return qdb.state.grounded_results.get(transaction_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

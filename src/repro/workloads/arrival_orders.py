@@ -36,21 +36,6 @@ class ArrivalOrder(enum.Enum):
     REVERSE_ORDER = "Reverse Order"
 
 
-def pair_index(user_index: int, num_users: int, order: ArrivalOrder) -> int:
-    """Index of the partner of ``user_index`` under the pairing of ``order``.
-
-    All four orders use the same *pairing* for Alternate-style workload
-    construction (consecutive users are partners); what differs is the
-    arrival sequence.  This helper exists mostly for documentation and
-    tests: partner assignment happens in
-    :mod:`repro.workloads.entangled_workload`.
-    """
-    if num_users % 2 != 0:
-        raise ValueError("entangled workloads need an even number of users")
-    del order  # pairing is by consecutive pairs in every workload we build
-    return user_index + 1 if user_index % 2 == 0 else user_index - 1
-
-
 def order_arrivals(
     num_pairs: int,
     order: ArrivalOrder,

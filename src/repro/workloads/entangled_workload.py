@@ -77,13 +77,6 @@ class EntangledWorkload:
         """
         return min(2 * len(self.pairs), self.spec.max_coordinating_users)
 
-    def user_names(self) -> tuple[str, ...]:
-        """All user names, in pair order."""
-        names: list[str] = []
-        for pair in self.pairs:
-            names.extend(pair.members())
-        return tuple(names)
-
 
 def make_pairs(
     spec: FlightDatabaseSpec,

@@ -18,6 +18,10 @@ composition is rebuilt after one (the successor is installed), its delta
 notification checks at most one footprint (routed by rows), its plan
 tries at most 2.4 optional-factor sets on average (``plan.*``), and
 ``unification_predicate`` constructs no ``Substitution``.
+
+A paper-scale round — one nearly full flight of 30 rows at ``k=30``, the
+range of Figures 7–8 and Table 2 — bounds the search nodes a transaction
+costs there, and pins its coordination at 100 %.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from collections import Counter
 import pytest
 
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
+from repro.experiments.runner import coordinated_users_in
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
 from repro.workloads.flights import FlightDatabaseSpec, build_flight_database
@@ -229,3 +234,28 @@ def test_unification_predicate_constructs_no_substitution(monkeypatch):
     predicates = [unification_predicate(a, b) for a in atoms for b in atoms]
     assert sum(predicate is not FALSE for predicate in predicates) > len(atoms)
     assert built == []
+
+
+# -- where the paper lives: k = 30 ----------------------------------------------------
+#
+# One flight of 30 rows (45 entangled pairs, 90 transactions), Random
+# order, seed 0, through ``execute`` at ``k=30``.  Nodes per transaction
+# grow with how full the flight is, not with ``k`` alone: this round is
+# the dearest point of the k-sweep per transaction.
+
+
+def test_paper_scale_round_stays_under_the_measured_search_nodes():
+    spec = FlightDatabaseSpec(num_flights=1, rows_per_flight=30)
+    workload = generate_workload(spec, ArrivalOrder.RANDOM, seed=0)
+    qdb = QuantumDatabase(build_flight_database(spec), QuantumConfig(k=30))
+    results = [qdb.execute(t) for t in workload.transactions]
+    qdb.ground_all()
+    assert len(results) == 90
+    assert all(result.committed for result in results)
+    # A ceiling at the measured value: 406 644 nodes, 4 518.3 per
+    # transaction (the same under every hash seed).
+    nodes = qdb.statistics_report()["search.nodes"]
+    assert nodes <= 4_518.3 * len(results), nodes / len(results)
+    # Every pair sits together.
+    coordinated = coordinated_users_in(qdb.database, workload)
+    assert coordinated == workload.max_possible_coordinations == 60

@@ -308,6 +308,44 @@ class TestProtocolViolations:
 
         run(main())
 
+    def test_every_transaction_is_checked_once_before_it_queues(self):
+        """A wire ``commit`` or ``commit_batch`` transaction has its updates
+        checked twice: once where it is built, before it queues, and once
+        in the writer's ``commit_batch``.  An embedded ``execute`` checks
+        once."""
+        from collections import Counter
+
+        def count_checks(qdb):
+            checks = Counter()
+            original = qdb.check_updates
+
+            def counted(transaction):
+                checks[transaction.transaction_id] += 1
+                return original(transaction)
+
+            qdb.check_updates = counted
+            return checks
+
+        async def main():
+            qdb = make_qdb()
+            checks = count_checks(qdb)
+            async with NetworkServer(qdb) as net:
+                client = await NetClient.connect("127.0.0.1", net.port)
+                single = await client.commit(booking("one", 1))
+                batch = await client.commit_batch(
+                    [booking("two", 2), {"text": booking("three", 3), "client": "x"}]
+                )
+                await client.close()
+            ids = [r.transaction_id for r in (single, *batch)]
+            assert all(r.committed for r in (single, *batch))
+            assert checks == {tid: 2 for tid in ids}
+
+        run(main())
+        qdb = make_qdb()
+        checks = count_checks(qdb)
+        result = qdb.execute(booking("four", 4))
+        assert checks == {result.transaction_id: 1}
+
     def test_parse_error_maps_to_typed_frame(self):
         async def main():
             qdb = make_qdb()
@@ -550,12 +588,12 @@ class TestTenantOverWire:
             async with NetworkServer(
                 qdb, server_config=ServerConfig(tenant_quota=8)
             ) as net:
-                original = net.server._submit_commit
+                original = net.server._enqueue
 
-                async def refuse(parsed, session):
+                async def refuse(session, counter, call=None, transactions=None):
                     raise TenantBackpressure("tenant 'acme' is over quota")
 
-                net.server._submit_commit = refuse
+                net.server._enqueue = refuse
                 client = await NetClient.connect(
                     "127.0.0.1", net.port, tenant="acme"
                 )
@@ -564,7 +602,7 @@ class TestTenantOverWire:
                 assert "over quota" in str(excinfo.value)
                 # The connection survives backpressure (clients back off
                 # and retry on the same socket).
-                net.server._submit_commit = original
+                net.server._enqueue = original
                 assert (await client.commit(booking("t", 1))).committed
                 await client.close()
 

@@ -301,6 +301,88 @@ class TestCancellation:
         asyncio.run(main())
 
 
+class TestOneCommitPath:
+    """A batch is one queue item that joins its drain's group-commit run."""
+
+    @staticmethod
+    async def queue_together(submissions):
+        """Start every submission in one scheduling round, so that all of
+        them sit in the queue when the writer drains it; return the tasks."""
+        tasks = [asyncio.create_task(submission) for submission in submissions]
+        await asyncio.sleep(0)
+        return tasks
+
+    def test_batch_between_two_commits_joins_one_run(self):
+        async def main():
+            qdb = make_qdb(k=2)
+            async with QuantumServer(qdb) as server:
+                async with server.session(client="fill") as session:
+                    # Seven of the flight's nine seats: the run below
+                    # admits two of its five transactions and rejects three.
+                    for index in range(7):
+                        assert (await session.commit(booking(f"f{index}", 100))).committed
+                admitted = record_admission_order(qdb)
+                before = server.statistics_report()
+                a, b, c = (server.session(client=name) for name in "abc")
+                batch = [parse_transaction(booking(f"b{i}", 100)) for i in range(3)]
+                first = parse_transaction(booking("a", 100))
+                last = parse_transaction(booking("c", 100))
+                tasks = await self.queue_together(
+                    [a.commit(first), b.commit_batch(batch), c.commit(last)]
+                )
+                one, many, other = await asyncio.gather(*tasks)
+                after = server.statistics_report()
+            return before, after, admitted, [first, *batch, last], [one, *many, other]
+
+        before, after, admitted, sent, results = asyncio.run(main())
+
+        def grew(key: str) -> int:
+            return after[key] - before[key]
+
+        assert grew("server.commit_runs") == 1
+        assert grew("store.commits") == 1
+        assert grew("server.commits") == 2 and grew("server.batch_commits") == 3
+        assert grew("state.batches") == 1 and grew("state.batch_transactions") == 5
+        # The batch sits contiguous and in order between the two commits,
+        # and each submitter gets its own results back, in order.
+        assert admitted == sent
+        assert [r.transaction for r in results] == sent
+        assert [r.committed for r in results] == [True, True, False, False, False]
+        # The decisions are those of replaying the fill and the run in order.
+        replay = make_qdb(k=2)
+        for index in range(7):
+            assert replay.execute(booking(f"f{index}", 100)).committed
+        assert [replay.execute(t).committed for t in sent] == [
+            r.committed for r in results
+        ]
+
+    def test_cancelled_batch_is_withdrawn_whole(self):
+        async def main():
+            qdb = make_qdb()
+            async with QuantumServer(qdb) as server:
+                a, b, c = (server.session(client=name) for name in "abc")
+                batch = [booking(f"b{i}", 100) for i in range(3)]
+                tasks = await self.queue_together(
+                    [a.commit(booking("a", 100)), b.commit_batch(batch), c.commit(booking("c", 101))]
+                )
+                tasks[1].cancel()
+                one, cancelled, other = await asyncio.gather(
+                    *tasks, return_exceptions=True
+                )
+                assert isinstance(cancelled, asyncio.CancelledError)
+                assert one.committed and other.committed
+                assert b.statistics.cancelled == 1
+                assert server.statistics.cancelled_before_admission == 1
+                assert server.statistics.commit_runs == 1
+                assert server.statistics.batch_commits == 0
+                assert qdb.state.statistics.admitted == 2
+                pending = {e.transaction_id for e in qdb.state.pending_transactions()}
+                assert pending == {one.transaction_id, other.transaction_id}
+                assert qdb.pending_store.pending_ids() == pending
+
+        asyncio.run(main())
+
+
 class TestShutdownAndRecovery:
     def test_shutdown_rejects_new_work_but_drains_queue(self):
         async def main():
