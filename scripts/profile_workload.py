@@ -401,8 +401,7 @@ def main(argv=None) -> int:
         note = ""
         if phase == "gc":
             calls = sum(timers.collections)
-            generations = "/".join(map(str, timers.collections))
-            note = f"   (collections by generation: {generations})"
+            note = collections_note(timers)
         per_call = 1000 * seconds / calls if calls else 0.0
         print(
             f"{phase:8s} {calls:7d} {seconds:9.3f} {per_call:9.3f} "
@@ -448,6 +447,11 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
+def collections_note(timers: PhaseTimers) -> str:
+    """The ``gc`` row's note: how many collections of each generation ran."""
+    return f"   (collections by generation: {'/'.join(map(str, timers.collections))})"
+
+
 def print_restart(report: dict, timers: PhaseTimers) -> None:
     seconds = report["restart.seconds"]
     print(
@@ -463,7 +467,8 @@ def print_restart(report: dict, timers: PhaseTimers) -> None:
             if phase == "other"
             else timers.seconds[phase]
         )
-        print(f"{phase:10s} {1000 * spent:8.2f} {100 * spent / seconds:6.1f}%")
+        note = collections_note(timers) if phase == "gc" else ""
+        print(f"{phase:10s} {1000 * spent:8.2f} {100 * spent / seconds:6.1f}%{note}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.errors import QuantumError
+from repro.errors import QuantumError, UnknownTableError
 from repro.logic.atoms import Atom, AtomKind
 from repro.logic.terms import Constant, Variable
 from repro.relational.query import ConjunctiveQuery, Var
@@ -96,10 +96,13 @@ def read_request(
     ``read_request("Bookings", ["Mickey", None, None])`` reads Mickey's
     flight and seat.  ``select``, ``limit`` and ``mode`` (a
     :class:`ReadMode` or its value; COLLAPSE by default) shape only this
-    form: a :class:`ReadRequest` carries its own.
+    form: a :class:`ReadRequest` carries its own.  An empty relation name
+    is an unknown table, refused before an atom is built.
     """
     if isinstance(request, ReadRequest):
         return request
+    if not request:
+        raise UnknownTableError(f"unknown table {request!r}")
     if terms is None:
         raise QuantumError("read(relation, terms) requires the terms argument")
     resolved = [

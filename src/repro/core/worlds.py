@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.core.resource_transaction import ResourceTransaction
+from repro.errors import WorldLimitExceeded
 from repro.logic.formula import atoms_to_formula
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
@@ -89,10 +90,12 @@ def enumerate_possible_worlds(
     Args:
         database: the initial extensional database (not modified).
         transactions: the pending transactions, in serialization order.
-        max_worlds: safety bound; enumeration stops with a ``ValueError``
-            when exceeded (the extensional representation grows
-            exponentially, which is the paper's argument for the intensional
-            one).
+        max_worlds: safety bound; enumeration stops with
+            :class:`~repro.errors.WorldLimitExceeded` (a ``ValueError``)
+            when a step would exceed it (the extensional representation
+            grows exponentially, which is the paper's argument for the
+            intensional one).  A step's groundings are counted before any
+            of its worlds is forked, so no world past the bound is built.
 
     Returns:
         All distinct possible worlds.  An empty list means the transaction
@@ -103,13 +106,22 @@ def enumerate_possible_worlds(
         (database.copy(), [], 0)
     ]
     for transaction in transactions:
-        next_worlds: list[tuple[Database, list[tuple[int, dict[str, Any]]], int]] = []
         hard_formula = atoms_to_formula(transaction.hard_body)
+        required = transaction.hard_variables()
+        step = []
+        count = 0
         for state, history, optional_count in worlds:
-            search = GroundingSearch(state)
-            groundings = search.find_all(
-                hard_formula, required=transaction.hard_variables()
+            groundings = GroundingSearch(state).find_all(
+                hard_formula, required=required, limit=max_worlds - count + 1
             )
+            count += len(groundings)
+            if count > max_worlds:
+                raise WorldLimitExceeded(
+                    f"possible-world enumeration exceeded {max_worlds} worlds"
+                )
+            step.append((state, history, optional_count, groundings))
+        next_worlds: list[tuple[Database, list[tuple[int, dict[str, Any]]], int]] = []
+        for state, history, optional_count, groundings in step:
             for grounding in groundings:
                 forked = state.copy()
                 substitution = grounding.substitution
@@ -126,10 +138,6 @@ def enumerate_possible_worlds(
                         optional_count + satisfied,
                     )
                 )
-                if len(next_worlds) > max_worlds:
-                    raise ValueError(
-                        f"possible-world enumeration exceeded {max_worlds} worlds"
-                    )
         worlds = next_worlds
     results = [
         PossibleWorld.from_database(state, history, satisfied)

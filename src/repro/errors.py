@@ -152,6 +152,15 @@ class WriteRejected(QuantumError):
     """A blind write would invalidate a pending transaction's invariant."""
 
 
+class WorldLimitExceeded(QuantumError, ValueError):
+    """Enumerating the possible worlds would pass its ``max_worlds`` bound.
+
+    Raised before any world beyond the bound is built; an ``EXPOSE_ALL``
+    read over that many worlds answers the ``world_limit`` wire code.
+    Also a :class:`ValueError`, what the bound raised before it was typed.
+    """
+
+
 class QuantumStateError(QuantumError):
     """The quantum state violates its invariant (internal error)."""
 

@@ -11,14 +11,17 @@ class Row:
     """An immutable tuple of column values tied to a table schema.
 
     Rows compare and hash by (table name, values), which is what key
-    enforcement and possible-world comparisons need.
+    enforcement and possible-world comparisons need.  ``key`` is the
+    primary-key projection of ``values``, computed once here; a table's row
+    map is keyed by this same tuple.
     """
 
-    __slots__ = ("schema", "values")
+    __slots__ = ("schema", "values", "key")
 
     def __init__(self, schema: TableSchema, values: Sequence[Any]) -> None:
         self.schema = schema
         self.values: tuple[Any, ...] = schema.validate_values(values)
+        self.key: tuple[Any, ...] = schema.key_of(self.values)
 
     # -- access -------------------------------------------------------------
 
@@ -36,11 +39,6 @@ class Row:
     def as_dict(self) -> dict[str, Any]:
         """Return the row as a column-name → value mapping."""
         return dict(zip(self.schema.column_names, self.values))
-
-    @property
-    def key(self) -> tuple[Any, ...]:
-        """The row's primary-key projection."""
-        return self.schema.key_of(self.values)
 
     @property
     def table_name(self) -> str:
@@ -64,10 +62,10 @@ class Row:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        return self.table_name == other.table_name and self.values == other.values
+        return self.schema.name == other.schema.name and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.table_name, self.values))
+        return hash((self.schema.name, self.values))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())

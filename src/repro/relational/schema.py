@@ -10,7 +10,8 @@ semantics), which is exactly the normalization fallback the paper mentions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import SchemaError, UnknownColumnError
 from repro.relational.datatypes import DataType
@@ -25,6 +26,15 @@ _EXACT_TYPES: dict[DataType, frozenset[type]] = {
     DataType.BOOLEAN: frozenset((bool,)),
     DataType.ANY: frozenset((int, float, str, bool)),
 }
+
+
+def projection(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple[Any, ...]]:
+    """A callable taking a position-indexed value sequence to the tuple of
+    its values at ``positions`` (in that order)."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,10 @@ class TableSchema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError(f"table {name!r} has duplicate column names: {names}")
+        #: Names of all columns, in declaration order.
+        self.column_names: tuple[str, ...] = tuple(names)
+        #: Number of columns.
+        self.arity: int = len(names)
         self._positions: dict[str, int] = {c.name: i for i, c in enumerate(self.columns)}
         #: Per column, the value types that pass it unchanged.
         self._exact_types: tuple[frozenset[type], ...] = tuple(
@@ -93,18 +107,15 @@ class TableSchema:
                 raise SchemaError(f"key column {k!r} not in table {name!r}")
         self.key: tuple[str, ...] = key_names
         self.key_positions: tuple[int, ...] = tuple(self._positions[k] for k in key_names)
+        #: Project a validated value tuple onto the primary-key columns.  A
+        #: key of every column in order is the value tuple itself.
+        self.key_of: Callable[[Sequence[Any]], tuple[Any, ...]] = (
+            tuple
+            if self.key_positions == tuple(range(self.arity))
+            else projection(self.key_positions)
+        )
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        """Names of all columns, in declaration order."""
-        return tuple(c.name for c in self.columns)
-
-    @property
-    def arity(self) -> int:
-        """Number of columns."""
-        return len(self.columns)
 
     def position(self, column: str) -> int:
         """Return the 0-based position of ``column``.
@@ -136,10 +147,9 @@ class TableSchema:
             raise SchemaError(
                 f"table {self.name!r} expects {self.arity} values, got {len(values)}"
             )
-        for exact, value in zip(self._exact_types, values):
-            if type(value) not in exact:
-                return tuple(col.validate(v) for col, v in zip(self.columns, values))
-        return tuple(values)
+        if all(map(frozenset.__contains__, self._exact_types, map(type, values))):
+            return tuple(values)
+        return tuple(col.validate(v) for col, v in zip(self.columns, values))
 
     def values_from_mapping(self, mapping: Mapping[str, Any]) -> tuple[Any, ...]:
         """Build a positional value tuple from a column-name mapping."""
@@ -151,10 +161,6 @@ class TableSchema:
         return self.validate_values(
             tuple(mapping.get(name) for name in self.column_names)
         )
-
-    def key_of(self, values: Sequence[Any]) -> tuple[Any, ...]:
-        """Project a validated value tuple onto the primary-key columns."""
-        return tuple(values[i] for i in self.key_positions)
 
     # -- dunder -------------------------------------------------------------
 

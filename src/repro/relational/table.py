@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import KeyViolationError, MissingRowError, SchemaError
-from repro.relational.index import HashIndex
+from repro.relational.index import HashIndex, PrimaryKeyIndex
 from repro.relational.row import Row
-from repro.relational.schema import TableSchema
+from repro.relational.schema import TableSchema, projection
 
 
 class AccessPlan(NamedTuple):
@@ -23,7 +22,7 @@ class AccessPlan(NamedTuple):
     candidate row is filtered on.
     """
 
-    index: HashIndex | None
+    index: PrimaryKeyIndex | HashIndex | None
     key: Callable[[Sequence[Any]], tuple[Any, ...]] | None
     exact: bool
     residual: tuple[int, ...]
@@ -37,8 +36,10 @@ class Table:
     3.2.1): the tuple deleted by one pending transaction can never be the
     tuple another pending transaction's body grounds on, unless they unify.
 
-    The table keeps a unique index on the primary key and any number of
-    secondary hash indexes, all maintained incrementally on insert/delete.
+    Rows are kept in a map from primary key to row, which doubles as the
+    primary-key index (:class:`PrimaryKeyIndex` is a view over it); any
+    number of secondary hash indexes are maintained incrementally on
+    insert/delete.
     Every equality lookup — the search kernel's candidate rows and
     membership tests, the query executor's, :meth:`lookup` — goes through
     :meth:`probe`, which resolves its :class:`AccessPlan` once per
@@ -47,8 +48,10 @@ class Table:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
+        #: Primary key → row, in insertion order.  The primary-key view
+        #: reads this very dict, so it is filled and cleared, never rebound.
         self._rows: dict[tuple[Any, ...], Row] = {}
-        self._primary = HashIndex(schema, schema.key, unique=True)
+        self._primary = PrimaryKeyIndex(schema, self._rows)
         self._secondary: dict[tuple[str, ...], HashIndex] = {}
         #: Bound-position mask → its access plan; cleared by
         #: :meth:`create_index`, the only place the index set changes.
@@ -84,11 +87,13 @@ class Table:
         self._plans.clear()
         return index
 
-    def indexes(self) -> tuple[HashIndex, ...]:
+    def indexes(self) -> tuple[PrimaryKeyIndex | HashIndex, ...]:
         """All indexes on this table, primary first."""
         return (self._primary, *self._secondary.values())
 
-    def best_index(self, bound_columns: Iterable[str]) -> HashIndex | None:
+    def best_index(
+        self, bound_columns: Iterable[str]
+    ) -> PrimaryKeyIndex | HashIndex | None:
         """Return the most selective index usable given ``bound_columns``.
 
         An index is usable when all its columns appear in ``bound_columns``;
@@ -121,12 +126,10 @@ class Table:
             raise SchemaError(
                 f"row for table {row.table_name!r} inserted into {self.name!r}"
             )
-        if row.key in self._rows:
-            raise KeyViolationError(
-                f"table {self.name!r} already contains key {row.key!r}"
-            )
-        self._rows[row.key] = row
-        self._primary.add(row)
+        key = row.key
+        if key in self._rows:
+            raise KeyViolationError(f"table {self.name!r} already contains key {key!r}")
+        self._rows[key] = row
         for index in self._secondary.values():
             index.add(row)
         return row
@@ -137,13 +140,15 @@ class Table:
         Raises:
             MissingRowError: if no row with that key exists.
         """
-        row = values if isinstance(values, Row) else self.make_row(values)
-        existing = self._rows.pop(row.key, None)
+        if isinstance(values, Row):
+            key = values.key
+        elif isinstance(values, Mapping):
+            key = self.schema.key_of(self.schema.values_from_mapping(values))
+        else:
+            key = self.schema.key_of(self.schema.validate_values(values))
+        existing = self._rows.pop(key, None)
         if existing is None:
-            raise MissingRowError(
-                f"table {self.name!r} has no row with key {row.key!r}"
-            )
-        self._primary.remove(existing)
+            raise MissingRowError(f"table {self.name!r} has no row with key {key!r}")
         for index in self._secondary.values():
             index.remove(existing)
         return existing
@@ -151,7 +156,6 @@ class Table:
     def clear(self) -> None:
         """Remove every row."""
         self._rows.clear()
-        self._primary.clear()
         for index in self._secondary.values():
             index.clear()
 
@@ -178,7 +182,7 @@ class Table:
 
     def _resolve(self, mask: int) -> AccessPlan:
         """Choose the :class:`AccessPlan` of ``mask`` (see its fields)."""
-        best: HashIndex | None = None
+        best: PrimaryKeyIndex | HashIndex | None = None
         for index in self.indexes():
             covered = all(mask >> position & 1 for position in index.positions)
             if covered and (best is None or len(index.positions) > len(best.positions)):
@@ -187,15 +191,8 @@ class Table:
         if best is None:
             return AccessPlan(None, None, not bound, tuple(bound))
         positions = best.positions
-        if len(positions) == 1:
-            (position,) = positions
-            key: Callable[[Sequence[Any]], tuple[Any, ...]] = lambda values: (
-                values[position],
-            )
-        else:
-            key = itemgetter(*positions)
         residual = tuple(position for position in bound if position not in positions)
-        return AccessPlan(best, key, not residual, residual)
+        return AccessPlan(best, projection(positions), not residual, residual)
 
     def probe(self, mask: int, values: Sequence[Any]) -> Iterable[Row]:
         """Rows whose positions set in ``mask`` equal ``values`` there.
@@ -249,18 +246,34 @@ class Table:
         return [row.values for row in self._rows.values()]
 
     def restore(self, snapshot: Iterable[Sequence[Any]]) -> None:
-        """Replace the table contents with ``snapshot``."""
-        self.clear()
-        for values in snapshot:
-            self.insert(values)
+        """Replace the table contents with ``snapshot``, in its order.
+
+        Each value tuple is validated as :meth:`insert` validates it, and
+        the secondary indexes are rebuilt once at the end.  A repeated key
+        raises :class:`KeyViolationError` (an ill-typed value,
+        :class:`SchemaError`), leaving the rows before it.
+        """
+        schema = self.schema
+        rows = self._rows
+        rows.clear()
+        try:
+            for values in snapshot:
+                row = Row(schema, values)
+                if rows.setdefault(row.key, row) is not row:
+                    raise KeyViolationError(
+                        f"table {self.name!r} already contains key {row.key!r}"
+                    )
+        finally:
+            for index in self._secondary.values():
+                index.rebuild(rows.values())
 
     def copy(self) -> "Table":
         """Deep copy of the table (rows are immutable and shared)."""
         clone = Table(self.schema)
-        for columns in self._secondary:
-            clone.create_index(columns)
-        for row in self._rows.values():
-            clone.insert(row)
+        clone._rows.update(self._rows)
+        clone._secondary = {
+            columns: index.copy() for columns, index in self._secondary.items()
+        }
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -143,9 +143,9 @@ class Transaction:
         for operation, table_name, row in reversed(self._undo):
             table = self.database.table(table_name)
             if operation == "insert":
-                table.delete(row.values)
+                table.delete(row)
             else:
-                table.insert(row.values)
+                table.insert(row)
         self._wal.log_abort(self.transaction_id)
         self.status = TransactionStatus.ABORTED
         statistics = self.database.statistics

@@ -54,6 +54,7 @@ from repro.errors import (
     SchemaError,
     SessionBackpressure,
     TenantBackpressure,
+    WorldLimitExceeded,
 )
 
 #: Big-endian unsigned 32-bit length prefix.
@@ -293,6 +294,7 @@ ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
     (FrameTooLarge, "frame_too_large"),
     (FrameCorrupt, "frame_corrupt"),
     (ProtocolError, "protocol_error"),
+    (WorldLimitExceeded, "world_limit"),
     (QuantumError, "quantum_error"),
     (SchemaError, "schema_error"),
     (ReproError, "error"),

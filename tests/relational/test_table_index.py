@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import KeyViolationError, MissingRowError, SchemaError
+from repro.errors import KeyViolationError, MissingRowError
 from repro.relational.index import HashIndex
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
@@ -94,14 +94,6 @@ class TestLookupAndIndexes:
         first = bookings.create_index(["flight"])
         second = bookings.create_index(["flight"])
         assert first is second
-
-    def test_unique_index_rejects_duplicates(self):
-        schema = TableSchema("T", ["a", "b"], key=["a"])
-        index = HashIndex(schema, ["b"], unique=True)
-        table = Table(schema)
-        index.add(table.make_row((1, "x")))
-        with pytest.raises(SchemaError):
-            index.add(table.make_row((2, "x")))
 
     def test_index_covers(self):
         schema = TableSchema("T", ["a", "b"])

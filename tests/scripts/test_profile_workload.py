@@ -99,6 +99,22 @@ def test_a_miniature_round_runs_clean(workload, monkeypatch):
     assert profile_workload.relational_recovery.replay_into.__name__ == "replay_into"
 
 
+def test_the_restart_table_counts_collections_by_generation(capsys):
+    timers = profile_workload.PhaseTimers()
+    timers.seconds["gc"] = 0.002
+    timers.collections = [3, 0, 1]
+    report = {
+        "restart.seconds": 0.01,
+        "restart.pending": 2,
+        "restart.partitions": 1,
+        "restart.searches": 1,
+    }
+    profile_workload.print_restart(report, timers)
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gc ")]
+    assert row.split()[1:3] == ["2.00", "20.0%"]
+    assert row.endswith("(collections by generation: 3/0/1)")
+
+
 def test_stopped_timers_charge_nothing():
     timers = profile_workload.PhaseTimers()
     timers.stopped = True

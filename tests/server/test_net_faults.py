@@ -207,8 +207,9 @@ class TestProtocolViolations:
             {"request": "Nope", "terms": [None]},
             {"request": "Available", "terms": [None]},
             {"request": "Available", "terms": [None, None], "select": ["zz"]},
+            {"request": "", "terms": []},
         ],
-        ids=["unknown-relation", "wrong-arity", "unbound-select"],
+        ids=["unknown-relation", "wrong-arity", "unbound-select", "empty-relation"],
     )
     def test_read_the_schema_refuses_answers_schema_error(self, request_fields):
         async def main():

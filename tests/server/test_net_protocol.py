@@ -33,6 +33,7 @@ from repro.errors import (
     QuantumError,
     SessionBackpressure,
     TenantBackpressure,
+    WorldLimitExceeded,
 )
 from repro.server import client as client_module
 from repro.server.protocol import (
@@ -522,5 +523,26 @@ def test_fuzzed_requests_answer_typed_and_leave_the_connection_serving(op):
     try:
         check()
         assert server.net.statistics.protocol_errors == 0
+    finally:
+        server.close()
+
+
+def test_expose_all_past_the_world_bound_answers_world_limit():
+    # Two pending bookings on the 400-seat flight have 400 × 399 worlds,
+    # past the 10 000 bound.  The enumeration counts a step's groundings
+    # before forking any world, so the read is refused quickly and typed
+    # instead of copying the database ten thousand times.
+    server = LoopbackServer()
+    try:
+        for user in ("a", "b"):
+            commit = server.call({"op": "commit", "id": 1, "text": booking(user, 1)})
+            assert commit["value"]["pending"] is True, commit
+        read = {"op": "read", "id": 2, "request": "Bookings", "terms": [None, None, None]}
+        answer = server.call({**read, "mode": ReadMode.EXPOSE_ALL.value})
+        assert answer["op"] == "error" and answer["code"] == "world_limit", answer
+        assert isinstance(exception_for(answer["code"], "x"), WorldLimitExceeded)
+        # The writer is still serving, and nothing was grounded.
+        assert server.call({**read, "mode": ReadMode.PEEK.value})["op"] == "result"
+        assert len(server.qdb.state.pending_transactions()) == 2
     finally:
         server.close()
