@@ -8,6 +8,7 @@ adjacent to their partner's booked seat on the same flight.
 
 from __future__ import annotations
 
+import gc
 
 from repro.baselines.intelligent_social import IntelligentSocialClient
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
@@ -40,6 +41,16 @@ def quantum_config(
     return QuantumConfig(k=k, serializability=serializability)
 
 
+def collect_before_timing() -> None:
+    """Collect the garbage earlier work left behind before a timed run.
+
+    A full collection of a large heap takes tens of milliseconds, as long as
+    a whole scaled-down run; started on a clean heap, a run's timers charge
+    its own operations, not a pause that the process's history scheduled.
+    """
+    gc.collect()
+
+
 def run_quantum_entangled(
     workload: EntangledWorkload,
     *,
@@ -54,6 +65,7 @@ def run_quantum_entangled(
     transactions still pending at the end are grounded so that the final
     state is fully concrete before coordination is measured.
     """
+    collect_before_timing()
     database = build_flight_database(workload.spec)
     qdb = QuantumDatabase(database, quantum_config(k, serializability))
     result = RunResult(label=label or f"QuantumDB(k={k})")
@@ -87,6 +99,7 @@ def run_is_entangled(
     workload: EntangledWorkload, *, label: str = "Intelligent Social"
 ) -> RunResult:
     """Run the same workload through the intelligent-social baseline."""
+    collect_before_timing()
     database = build_flight_database(workload.spec)
     client = IntelligentSocialClient(database)
     flights = {pair.first: pair.flight for pair in workload.pairs}
@@ -123,6 +136,7 @@ def run_quantum_mixed(
     executing resource transactions (``update_time``) and answering reads
     (``read_time``).
     """
+    collect_before_timing()
     database = build_flight_database(workload.base.spec)
     qdb = QuantumDatabase(database, quantum_config(k, serializability))
     result = RunResult(label=label or f"QuantumDB(k={k})")
