@@ -50,7 +50,7 @@ from repro.core.resource_transaction import (
     reserve_transaction_ids,
 )
 from repro.core.serializability import SerializabilityMode
-from repro.core.worlds import enumerate_possible_worlds
+from repro.core.worlds import enumerate_world_states
 from repro.errors import InvalidTransactionError, QuantumError, TransactionRejected
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert
@@ -431,15 +431,17 @@ class QuantumDatabase:
         return world.execute(request.to_query()).bindings
 
     def _expose_all(self, request: ReadRequest) -> list[dict[str, Any]]:
-        """Answer across all possible worlds, annotating answers with support."""
+        """Answer across all possible worlds, annotating answers with support.
+
+        Each world is queried on the database the enumeration forked to
+        reach it; nothing is rebuilt from the world's snapshot.
+        """
         pending = [entry.original for entry in self.state.pending_transactions()]
-        worlds = enumerate_possible_worlds(self.database, pending)
+        query = request.to_query()
         counts: dict[tuple, dict[str, Any]] = {}
         support: dict[tuple, int] = {}
-        for world in worlds:
-            world_db = self.database.copy()
-            world_db.restore(dict(world.snapshot))
-            for binding in world_db.execute(request.to_query()).bindings:
+        for _world, state in enumerate_world_states(self.database, pending):
+            for binding in state.execute(query).bindings:
                 key = tuple(sorted(binding.items()))
                 counts[key] = binding
                 support[key] = support.get(key, 0) + 1

@@ -102,6 +102,27 @@ def enumerate_possible_worlds(
         sequence cannot be executed consistently (the quantum database would
         have rejected the last transaction).
     """
+    return [
+        world
+        for world, _state in enumerate_world_states(
+            database, transactions, max_worlds=max_worlds
+        )
+    ]
+
+
+def enumerate_world_states(
+    database: Database,
+    transactions: Sequence[ResourceTransaction],
+    *,
+    max_worlds: int = 10_000,
+) -> list[tuple[PossibleWorld, Database]]:
+    """:func:`enumerate_possible_worlds`, each world with its database.
+
+    The database is the fork the enumeration built to reach the world, so
+    a caller can query a world without rebuilding it from its snapshot.
+    Worlds are deduplicated by extensional state and groundings; a
+    duplicate keeps one of the equal forks.
+    """
     worlds: list[tuple[Database, list[tuple[int, dict[str, Any]]], int]] = [
         (database.copy(), [], 0)
     ]
@@ -139,14 +160,11 @@ def enumerate_possible_worlds(
                     )
                 )
         worlds = next_worlds
-    results = [
-        PossibleWorld.from_database(state, history, satisfied)
-        for state, history, satisfied in worlds
-    ]
     # Deduplicate identical worlds (same extensional state and groundings).
-    unique: dict[tuple, PossibleWorld] = {}
-    for world in results:
-        unique[(world.snapshot, world.groundings)] = world
+    unique: dict[tuple, tuple[PossibleWorld, Database]] = {}
+    for state, history, satisfied in worlds:
+        world = PossibleWorld.from_database(state, history, satisfied)
+        unique[(world.snapshot, world.groundings)] = (world, state)
     return list(unique.values())
 
 

@@ -21,6 +21,27 @@ _PY_TYPES = {
     "BOOLEAN": (bool,),
 }
 
+#: How a value of a subclass of a column type is stored: as the base type,
+#: by the base's own conversion (an ``IntEnum`` member as its int, a
+#: ``(str, Enum)`` member as its text), so the store holds only the exact
+#: types the segmented log's codec writes.  ``bool`` has no subclasses.
+_EXACT_TYPES = frozenset((bool, int, float, str))
+_BASE_CONVERSIONS = (
+    (int, int.__int__),
+    (float, float.__float__),
+    (str, str.__str__),
+)
+
+
+def _exact(value: Any) -> Any:
+    """``value`` as an instance of its base column type itself."""
+    if type(value) in _EXACT_TYPES:
+        return value
+    for base, convert in _BASE_CONVERSIONS:
+        if isinstance(value, base):
+            return convert(value)
+    return value
+
 
 class DataType(enum.Enum):
     """Scalar column types supported by the engine."""
@@ -38,7 +59,8 @@ class DataType(enum.Enum):
 
         ``None`` is always accepted (NULL).  ``FLOAT`` accepts ints and
         coerces them to float.  ``BOOLEAN`` is strict (no 0/1 coercion) so
-        that key comparisons remain unambiguous.
+        that key comparisons remain unambiguous.  A value of a subclass of
+        the column's type is returned as the type itself.
 
         Raises:
             TypeMismatchError: if the value does not conform.
@@ -47,7 +69,7 @@ class DataType(enum.Enum):
             return None
         if self is DataType.ANY:
             if isinstance(value, (int, float, str, bool)):
-                return value
+                return _exact(value)
             raise TypeMismatchError(
                 f"column {column!r}: unsupported value type {type(value).__name__}"
             )
@@ -64,4 +86,4 @@ class DataType(enum.Enum):
             )
         if self is DataType.FLOAT:
             return float(value)
-        return value
+        return _exact(value)

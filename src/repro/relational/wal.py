@@ -10,11 +10,13 @@ with transaction ids and commit/abort markers — that recovery replays
 
 :class:`WriteAheadLog` keeps its records in memory; it is the log of an
 embedded store, and :meth:`~WriteAheadLog.dump` / :meth:`~WriteAheadLog.load`
-carry it through JSON lines.  The one file-backed log is the segmented
-engine, :class:`repro.storage.SegmentedWriteAheadLog`, a subclass that
-frames the same records into sealed segments.  Two properties matter to
-the session layer built on top (:mod:`repro.server`, see
-``docs/architecture.md``):
+carry it through JSON lines (:meth:`LogRecord.to_json`).  The one
+file-backed log is the segmented engine,
+:class:`repro.storage.SegmentedWriteAheadLog`, a subclass that frames the
+same records into sealed segments in their binary form
+(:meth:`LogRecord.to_bytes`: a fixed ``struct`` head, then a marshalled
+body).  Two properties matter to the session layer built on top
+(:mod:`repro.server`, see ``docs/architecture.md``):
 
 * **Thread-safety** — every mutation of the log happens under one
   internal lock, because the segmented engine's compactor thread touches
@@ -32,9 +34,11 @@ from __future__ import annotations
 
 import enum
 import json
-import re
+import marshal
+import struct
 import threading
 from dataclasses import dataclass
+from types import NoneType
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.errors import RecoveryError
@@ -74,8 +78,34 @@ CHECKPOINT_TYPES = frozenset(
 )
 
 
-#: The head of every :meth:`LogRecord.to_json` line: its LSN and kind.
-_JSON_HEAD = re.compile(rb'\{"lsn": (\d+), "type": "([A-Z_]+)"')
+#: The binary codec's table, by kind code: the kind, the types its
+#: ``(table, body)`` pair must have, and the record field the body fills.
+#: Segment files carry the code, so a code is never reused or renumbered.
+_CODEC = {
+    1: (LogRecordType.BEGIN, NoneType, NoneType, "values"),
+    2: (LogRecordType.INSERT, str, tuple, "values"),
+    3: (LogRecordType.DELETE, str, tuple, "values"),
+    4: (LogRecordType.COMMIT, NoneType, NoneType, "values"),
+    5: (LogRecordType.ABORT, NoneType, NoneType, "values"),
+    6: (LogRecordType.CHECKPOINT, NoneType, dict, "snapshot"),
+    7: (LogRecordType.CHECKPOINT_BASE, NoneType, dict, "snapshot"),
+    8: (LogRecordType.CHECKPOINT_DELTA, NoneType, dict, "delta"),
+}
+#: kind → (kind code, the record field that is its body).
+_ENCODE = {kind: (code, field) for code, (kind, _t, _b, field) in _CODEC.items()}
+
+#: The fixed head of :meth:`LogRecord.to_bytes`: LSN, kind code and
+#: transaction id, big-endian.
+_HEAD = struct.Struct(">QBQ")
+
+#: The first two bytes of ``marshal.dumps((table, body), 4)``: a small
+#: tuple of two items, with or without marshal's reference flag.  Checked
+#: before ``marshal.loads`` runs, so a payload that is not a record is
+#: refused without marshal reading it: marshal trusts the item count of a
+#: large tuple and zero-fills that many slots before it reads one.  Counts
+#: nested inside the pair are trusted too; the frame's CRC is what stands
+#: between damaged bytes and the decoder.
+_PAIR_PREFIXES = (b")\x02", b"\xa9\x02")
 
 
 @dataclass(frozen=True)
@@ -106,7 +136,13 @@ class LogRecord:
     delta: Mapping[str, Mapping[str, Sequence[Sequence[Any]]]] | None = None
 
     def to_json(self) -> str:
-        """Serialise the record to a JSON line (for durability tests)."""
+        """Serialise the record to a JSON line.
+
+        The codec of the in-memory log's :meth:`WriteAheadLog.dump` /
+        :meth:`~WriteAheadLog.load`, which also carries JSON-lines logs
+        written by the single-file log of older versions.  The segmented
+        engine frames :meth:`to_bytes` instead.
+        """
         payload: dict[str, Any] = {
             "lsn": self.lsn,
             "type": self.record_type.value,
@@ -129,19 +165,74 @@ class LogRecord:
             }
         return json.dumps(payload)
 
-    @classmethod
-    def head_from_json(cls, payload: bytes) -> tuple[int, LogRecordType]:
-        """``(lsn, record_type)`` of a UTF-8 :meth:`to_json` line.
+    def to_bytes(self) -> bytes:
+        """Encode the record as the payload of one segment frame.
 
-        Reads only the line's first two keys, which :meth:`to_json`
-        always writes first, so a record is classified without decoding
-        its row values or snapshot.
+        A fixed head — LSN, kind code, transaction id (``struct``
+        ``>QBQ``, 17 bytes) — then ``marshal.dumps((table, body), 4)``,
+        where ``body`` is the values tuple of an INSERT / DELETE, the
+        snapshot of a CHECKPOINT / CHECKPOINT_BASE, the delta of a
+        CHECKPOINT_DELTA and ``None`` for the rest.  marshal writes every
+        column value type as it is: tuples stay tuples, ``True`` stays
+        distinct from ``1``, floats keep ``inf``, ``nan`` and ``-0.0``,
+        ints keep any size and text any code point, lone surrogates
+        included.  :meth:`from_bytes` reads it back.
+
+        Raises:
+            ValueError: for a value marshal cannot write (an instance of
+                a subclass of a column type, for example).
         """
-        head = _JSON_HEAD.match(payload)
+        code, field = _ENCODE[self.record_type]
+        head = _HEAD.pack(self.lsn, code, self.transaction_id)
+        return head + marshal.dumps((self.table, getattr(self, field)), 4)
+
+    @staticmethod
+    def head_from_bytes(payload: bytes) -> tuple[int, LogRecordType]:
+        """``(lsn, record_type)`` of a :meth:`to_bytes` payload.
+
+        Reads only the fixed head, so a record is classified without
+        decoding its row values or snapshot.
+
+        Raises:
+            RecoveryError: for a payload shorter than the head or an
+                unknown kind code.
+        """
         try:
-            return int(head[1]), LogRecordType(head[2].decode("ascii"))
-        except (TypeError, ValueError) as exc:  # no head, or an unknown kind
+            lsn, code, _transaction_id = _HEAD.unpack_from(payload)
+            return lsn, _CODEC[code][0]
+        except (struct.error, KeyError) as exc:
             raise RecoveryError(f"malformed log record: {payload[:80]!r}") from exc
+
+    @classmethod
+    def from_bytes(cls, payload: bytes) -> "LogRecord":
+        """Decode a payload produced by :meth:`to_bytes`.
+
+        Fails closed: a short head, an unknown kind code, a body that is
+        not one marshalled ``(table, body)`` pair, or a pair of the wrong
+        types for the kind — INSERT / DELETE need a ``str`` table and a
+        ``tuple`` of values, checkpoints a ``dict`` body, the rest
+        neither — raises :class:`RecoveryError`.  The row values
+        themselves are validated where replay inserts or restores them.
+        """
+        try:
+            lsn, code, transaction_id = _HEAD.unpack_from(payload)
+            kind, table_type, body_type, field = _CODEC[code]
+            if payload[_HEAD.size : _HEAD.size + 2] not in _PAIR_PREFIXES:
+                raise ValueError("the body is not a marshalled pair")
+            table, body = marshal.loads(memoryview(payload)[_HEAD.size :])
+        except (struct.error, KeyError, ValueError, EOFError, TypeError) as exc:
+            raise RecoveryError(
+                f"malformed log record: {exc} in {payload[:80]!r}"
+            ) from exc
+        if type(table) is not table_type or type(body) is not body_type:
+            raise RecoveryError(
+                f"malformed log record {lsn}: a {kind.value} record cannot "
+                f"carry a {type(table).__name__} table and a "
+                f"{type(body).__name__} body"
+            )
+        if field == "values":
+            return cls(lsn, kind, transaction_id, table, body)
+        return cls(lsn, kind, transaction_id, **{field: body})
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":

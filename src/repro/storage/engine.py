@@ -266,10 +266,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 stacklevel=2,
             )
             self.statistics.torn_tail_truncations += 1
-        records = [
-            LogRecord.from_json(payload.decode("utf-8"))
-            for payload in scan.payloads
-        ]
+        records = list(map(LogRecord.from_bytes, scan.payloads))
         for record in records:
             entry.note(record.lsn, record.record_type)
         entry.records = len(records)
@@ -423,7 +420,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
 
     def _write_record_locked(self, record: LogRecord) -> None:
         """Frame ``record`` into the tail, sealing it when thresholds hit."""
-        self._tail.append(record.to_json().encode("utf-8"))
+        self._tail.append(record.to_bytes())
         self._manifest.tail.note(record.lsn, record.record_type)
         if (
             self._tail.size >= self.config.segment_max_bytes
@@ -458,9 +455,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 values=tuple(values) if values is not None else None,
                 snapshot=snapshot,
             )
+            # Framed first: a value the codec cannot write leaves no trace.
+            self._write_record_locked(record)
             self._next_lsn += 1
             self._records.append(record)
-            self._write_record_locked(record)
             if record_type is LogRecordType.INSERT:
                 assert table is not None and record.values is not None
                 self._txn_effects.setdefault(transaction_id, []).append(
@@ -829,7 +827,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 raise RecoveryError(
                     f"sealed segment {entry.name!r} is corrupt: {scan.damage}"
                 )
-            heads = [LogRecord.head_from_json(payload) for payload in scan.payloads]
+            heads = list(map(LogRecord.head_from_bytes, scan.payloads))
         except Exception as exc:
             self._note_compaction_failure(entry.name, exc)
             raise
@@ -935,7 +933,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             transaction_id=0,
             snapshot=snapshot,
         )
-        frame = encode_frame(base.to_json().encode("utf-8"))
+        frame = encode_frame(base.to_bytes())
         with self._lock:
             if self._closed:
                 return False

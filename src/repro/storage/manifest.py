@@ -34,7 +34,10 @@ from repro.storage.segment import LogSegment
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_TMP_NAME = "MANIFEST.tmp"
 
-_FORMAT_VERSION = 1
+#: Version 2: segment frames carry :meth:`LogRecord.to_bytes
+#: <repro.relational.wal.LogRecord.to_bytes>` payloads.  Version 1 framed
+#: JSON lines; such a directory is refused, not converted.
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -87,7 +90,9 @@ class Manifest:
         try:
             if payload["version"] != _FORMAT_VERSION:
                 raise RecoveryError(
-                    f"unsupported manifest version {payload['version']!r}"
+                    f"unsupported manifest version {payload['version']!r}: "
+                    f"this engine reads version {_FORMAT_VERSION} "
+                    "(binary record frames) only"
                 )
             return cls(
                 segments=[

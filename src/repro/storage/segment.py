@@ -6,14 +6,20 @@ A segment file is a sequence of frames::
     | length (4B BE) | CRC32 (4B BE)  | payload (length) |
     +----------------+----------------+------------------+
 
-where the payload is one UTF-8 JSON line produced by
-:meth:`repro.relational.wal.LogRecord.to_json`.  The CRC covers the
-payload only; the length prefix makes a torn trailing write detectable
-(not enough bytes for the header or payload) and the CRC catches a frame
-whose bytes landed but were damaged.  :func:`scan_frames` walks a
-segment's bytes and reports the first point of damage together with the
-length of the clean prefix, so recovery can truncate a torn tail while
-treating damage inside a *sealed* segment as corruption.
+where the payload is one record in its binary form,
+:meth:`repro.relational.wal.LogRecord.to_bytes`: a fixed 17-byte head
+(LSN, kind code, transaction id) that compaction classifies a frame by,
+then the marshalled ``(table, body)`` pair that only a full decode reads.
+The CRC covers the payload only; the length prefix makes a torn trailing
+write detectable (not enough bytes for the header or payload) and the CRC
+catches a frame whose bytes landed but were damaged.  :func:`scan_frames`
+walks a segment's bytes and reports the first point of damage together
+with the length of the clean prefix, so recovery can truncate a torn tail
+while treating damage inside a *sealed* segment as corruption.  A frame
+that passes its CRC but does not decode is not a torn write: it raises
+:class:`~repro.errors.RecoveryError` in
+:meth:`~repro.relational.wal.LogRecord.from_bytes`, in a sealed segment
+and at the tail alike.
 """
 
 from __future__ import annotations

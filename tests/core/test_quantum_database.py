@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.reads import ReadMode, read_request
+from repro.core.worlds import enumerate_possible_worlds
 from repro.core.serializability import SerializabilityMode
 from repro.errors import InvalidTransactionError, WriteRejected
 from repro.logic.terms import Variable
@@ -158,6 +161,45 @@ class TestGroundingAndReads:
         assert seats == {"1A", "1B"}
         assert all(row["_worlds"] == 1 for row in rows)
         assert qdb.pending_count == 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_expose_all_equals_rebuilding_each_world(self, seed):
+        # Each world is answered on the database the enumeration forked;
+        # the reference rebuilds every enumerated world from its snapshot
+        # on a copy of the store.
+        rng = random.Random(seed)
+        seats = rng.randint(3, 5)
+        qdb = qdb_with_seats(seats=seats)
+        labels = [f"1{chr(ord('A') + i)}" for i in range(seats)]
+        for i in range(rng.randint(1, 3)):
+            name = f"user{i}"
+            kind = rng.choice(("any", "specific", "adjacent"))
+            if kind == "any":
+                qdb.execute(ANY_SEAT.format(name=name))
+            elif kind == "specific":
+                qdb.execute(SPECIFIC_SEAT.format(name=name, seat=rng.choice(labels)))
+            else:
+                qdb.execute(make_adjacent_seat_request(name, "user0", flight=123))
+        pending = [entry.original for entry in qdb.state.pending_transactions()]
+        requests = [
+            read_request("Bookings", [None, None, None], mode=ReadMode.EXPOSE_ALL),
+            read_request("Available", [123, None], mode=ReadMode.EXPOSE_ALL),
+            read_request("Bookings", ["user0", None, None], mode=ReadMode.EXPOSE_ALL),
+        ]
+        for request in requests:
+            support: dict[tuple, int] = {}
+            for world in enumerate_possible_worlds(qdb.database, pending):
+                rebuilt = qdb.database.copy()
+                rebuilt.restore(dict(world.snapshot))
+                for binding in rebuilt.execute(request.to_query()).bindings:
+                    key = tuple(sorted(binding.items()))
+                    support[key] = support.get(key, 0) + 1
+            expected = sorted(
+                (*key, ("_worlds", count)) for key, count in support.items()
+            )
+            answers = sorted(tuple(sorted(row.items())) for row in qdb.read(request))
+            assert answers == expected
+        assert qdb.pending_count == len(pending)
 
     def test_ground_all(self):
         qdb = qdb_with_seats()

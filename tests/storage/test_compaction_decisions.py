@@ -51,7 +51,7 @@ def decoded(directory: str, name: str) -> list[LogRecord]:
     with open(os.path.join(directory, name), "rb") as handle:
         scan = scan_frames(handle.read())
     assert scan.damage is None
-    return [LogRecord.from_json(payload.decode("utf-8")) for payload in scan.payloads]
+    return [LogRecord.from_bytes(payload) for payload in scan.payloads]
 
 
 def sealed_on_disk(engine: SegmentedWriteAheadLog) -> dict[int, tuple]:

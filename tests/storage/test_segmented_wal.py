@@ -587,10 +587,7 @@ def corrupt_segment(tmp_path, name: str) -> str:
 def decoded_segment(tmp_path, name: str) -> list:
     """The records of segment file ``name``, read and decoded."""
     data = (tmp_path / "segments" / name).read_bytes()
-    return [
-        LogRecord.from_json(payload.decode("utf-8"))
-        for payload in scan_frames(data).payloads
-    ]
+    return [LogRecord.from_bytes(payload) for payload in scan_frames(data).payloads]
 
 
 def engine_with_mixed_segment(tmp_path):
