@@ -28,8 +28,9 @@ them through an embedded ``QuantumDatabase`` twice, then restarts it:
 2. under ``cProfile``;
 3. then one cold **restart** from a copy of the first pass's log, taken
    before its final ``ground_all`` (as the benchmark takes its crash
-   copies), split the same way: engine open (reading and decoding the log)
-   and replay (redoing it into the tables), with the restore of checkpoint
+   copies), split the same way: engine open (reading and decoding the log;
+   its row also gives the records decoded and the open time per 1 000 of
+   them) and replay (redoing it into the tables), with the restore of checkpoint
    records on its own line, then the quantum state's decode (pending rows
    to transactions), rebuild (routing them into partitions), solve (one
    search per partition) and ``k`` bound steps.
@@ -224,7 +225,7 @@ def flight_schema() -> Database:
     return database
 
 
-def copy_log(qdb: QuantumDatabase, scratch) -> str | Path:
+def copy_log(qdb: QuantumDatabase, scratch) -> bytes | Path:
     """The round's log as a crash would leave it: the dumped in-memory log,
     or a copy of the segment directory (the engine stays open)."""
     if scratch is None:
@@ -234,7 +235,7 @@ def copy_log(qdb: QuantumDatabase, scratch) -> str | Path:
     return copy
 
 
-def restart(log: str | Path, timers: PhaseTimers) -> dict[str, float]:
+def restart(log: bytes | Path, timers: PhaseTimers) -> dict[str, float]:
     """One cold restart from ``log`` (see :func:`copy_log`), timed by phase."""
     with timers.installed(RESTART_TARGETS):
         start = time.perf_counter()
@@ -244,14 +245,21 @@ def restart(log: str | Path, timers: PhaseTimers) -> dict[str, float]:
                 wal = SegmentedWriteAheadLog(
                     directory, settings.durability_config(directory)
                 )
+                # Every record of every segment, superseded ones included:
+                # the open decodes them all before it selects the surviving
+                # lineage.  Counted now, before recovery can checkpoint or
+                # the compactor rewrite a segment.
+                decoded = sum(segment.records for segment in wal._manifest.segments)
             else:
                 wal = WriteAheadLog.load(log)
+                decoded = len(wal)
         database = relational_recovery.recover_database(flight_schema, wal)
         qdb = QuantumDatabase.recover(database, settings.quantum_config())
         seconds = time.perf_counter() - start
     try:
         return {
             "restart.seconds": seconds,
+            "restart.records": decoded,
             "restart.pending": qdb.pending_count,
             "restart.partitions": len(qdb.state.partitions),
             "restart.searches": qdb.statistics_report()["search.searches"],
@@ -467,7 +475,15 @@ def print_restart(report: dict, timers: PhaseTimers) -> None:
             if phase == "other"
             else timers.seconds[phase]
         )
-        note = collections_note(timers) if phase == "gc" else ""
+        note = ""
+        if phase == "gc":
+            note = collections_note(timers)
+        elif phase == "open":
+            records = report["restart.records"]
+            note = (
+                f"   ({records} records decoded, "
+                f"{1e6 * spent / records if records else 0.0:.2f} ms per 1 000)"
+            )
         print(f"{phase:10s} {1000 * spent:8.2f} {100 * spent / seconds:6.1f}%{note}")
 
 

@@ -84,11 +84,10 @@ def encode_transaction(transaction: ResourceTransaction) -> str:
          ["[Adjacent",103,"?s","?s2"]]
 
     Client, partner and id live in the row's other columns.  CHOOSE is
-    always 1 (:class:`ResourceTransaction` admits nothing else).  The
-    segmented log marshals the row, so this text is stored once, as
-    written, with no escaping; a JSON-lines dump of the in-memory log
-    still nests it in JSON, where every ``"`` costs two bytes.  The index
-    spares a booking's row the atom the notation repeats.
+    always 1 (:class:`ResourceTransaction` admits nothing else).  The log
+    marshals the row, so this text is stored once, as written, with no
+    escaping.  The index spares a booking's row the atom the notation
+    repeats.
 
     Raises:
         TypeError: for a constant that is none of those scalar types.

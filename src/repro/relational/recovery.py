@@ -18,13 +18,7 @@ from typing import Callable
 
 from repro.errors import MissingRowError, RecoveryError
 from repro.relational.database import Database
-from repro.relational.wal import (
-    CHECKPOINT_TYPES,
-    SNAPSHOT_CHECKPOINT_TYPES,
-    LogRecord,
-    LogRecordType,
-    WriteAheadLog,
-)
+from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog
 
 
 def recover_database(
@@ -70,7 +64,7 @@ def replay_into(database: Database, wal: WriteAheadLog) -> None:
     """
     committed = wal.committed_transaction_ids()
     for record in wal.records():
-        if record.record_type in CHECKPOINT_TYPES:
+        if record.record_type.is_checkpoint:
             apply_checkpoint_record(database, record)
             continue
         if record.transaction_id not in committed:
@@ -88,7 +82,7 @@ def apply_checkpoint_record(database: Database, record: LogRecord) -> None:
     the in-memory log and on the segmented engine alike (whose records
     hold the lineage it selected from the manifest, then the tail).
     """
-    if record.record_type in SNAPSHOT_CHECKPOINT_TYPES:
+    if record.record_type.is_snapshot:
         if record.snapshot is None:
             raise RecoveryError(
                 f"{record.record_type.value} log record missing its snapshot"

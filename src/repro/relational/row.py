@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.relational.schema import TableSchema
 
@@ -70,3 +70,28 @@ class Row:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"{self.table_name}({inner})"
+
+
+def restored_rows(
+    schema: TableSchema, snapshot: Iterable[Sequence[Any]]
+) -> Iterator[Row]:
+    """The rows of ``snapshot``, each validated as :class:`Row` validates it.
+
+    A snapshot whose value tuples all pass unchanged
+    (:meth:`TableSchema.exact_rows`, decided a column at a time) builds
+    its rows without validating each one again; any other goes through
+    :class:`Row` row by row, which coerces or raises.
+    """
+    snapshot = tuple(snapshot)
+    if not schema.exact_rows(snapshot):
+        for values in snapshot:
+            yield Row(schema, values)
+        return
+    key_of = schema.key_of
+    new = Row.__new__
+    for values in snapshot:
+        row = new(Row)
+        row.schema = schema
+        row.values = values
+        row.key = key_of(values)
+        yield row

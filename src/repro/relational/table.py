@@ -7,7 +7,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import KeyViolationError, MissingRowError, SchemaError
 from repro.relational.index import HashIndex, PrimaryKeyIndex
-from repro.relational.row import Row
+from repro.relational.row import Row, restored_rows
 from repro.relational.schema import TableSchema, projection
 
 
@@ -248,17 +248,17 @@ class Table:
     def restore(self, snapshot: Iterable[Sequence[Any]]) -> None:
         """Replace the table contents with ``snapshot``, in its order.
 
-        Each value tuple is validated as :meth:`insert` validates it, and
-        the secondary indexes are rebuilt once at the end.  A repeated key
-        raises :class:`KeyViolationError` (an ill-typed value,
+        Each value tuple is validated as :meth:`insert` validates it (a
+        column at a time when every value already has an exact type, see
+        :func:`~repro.relational.row.restored_rows`), and the secondary
+        indexes are rebuilt once at the end.  A repeated key raises
+        :class:`KeyViolationError` (an ill-typed value,
         :class:`SchemaError`), leaving the rows before it.
         """
-        schema = self.schema
         rows = self._rows
         rows.clear()
         try:
-            for values in snapshot:
-                row = Row(schema, values)
+            for row in restored_rows(self.schema, snapshot):
                 if rows.setdefault(row.key, row) is not row:
                     raise KeyViolationError(
                         f"table {self.name!r} already contains key {row.key!r}"

@@ -77,6 +77,9 @@ class Transaction:
         #: undo list of (operation, table, row) entries, applied in reverse.
         self._undo: list[tuple[str, str, Row]] = []
         self._wal.log_begin(transaction_id)
+        #: WAL records appended so far: an undo entry whose append raised
+        #: has none.
+        self._logged = 1
 
     # -- state checks -------------------------------------------------------
 
@@ -97,21 +100,30 @@ class Transaction:
     def insert(
         self, table: str, values: Sequence[Any] | Mapping[str, Any]
     ) -> Row:
-        """Insert a row within this transaction."""
+        """Insert a row within this transaction.
+
+        The undo entry is recorded before the log append, so an append
+        that raises leaves the row to this transaction's abort.
+        """
         self._require_active()
         row = self.database.table(table).insert(values)
-        self._wal.log_insert(self.transaction_id, table, row.values)
         self._undo.append(("insert", table, row))
+        self._wal.log_insert(self.transaction_id, table, row.values)
+        self._logged += 1
         return row
 
     def delete(
         self, table: str, values: Sequence[Any] | Mapping[str, Any]
     ) -> Row:
-        """Delete a row (identified by its key) within this transaction."""
+        """Delete a row (identified by its key) within this transaction.
+
+        Like :meth:`insert`, undoable before its log record is appended.
+        """
         self._require_active()
         row = self.database.table(table).delete(values)
-        self._wal.log_delete(self.transaction_id, table, row.values)
         self._undo.append(("delete", table, row))
+        self._wal.log_delete(self.transaction_id, table, row.values)
+        self._logged += 1
         return row
 
     def apply(self, statement: Statement) -> Row:
@@ -133,7 +145,7 @@ class Transaction:
         self.status = TransactionStatus.COMMITTED
         statistics = self.database.statistics
         statistics.commits += 1
-        statistics.records += len(self._undo) + 2
+        statistics.records += self._logged + 1
         self._undo.clear()
         self.database._transaction_finished(self.transaction_id)
 
@@ -150,7 +162,7 @@ class Transaction:
         self.status = TransactionStatus.ABORTED
         statistics = self.database.statistics
         statistics.aborts += 1
-        statistics.records += len(self._undo) + 2
+        statistics.records += self._logged + 1
         self._undo.clear()
         self.database._transaction_finished(self.transaction_id)
 

@@ -25,8 +25,8 @@ or, for a server, pass the config::
 
     ServerConfig(durability=DurabilityConfig(directory="wal-dir"))
 
-A JSON-lines log written by the single-file log of older versions still
-recovers: ``recover_database(make_schema, WriteAheadLog.load(text))``,
+The in-memory log's ``WriteAheadLog.dump()`` is the same frame stream a
+segment holds: ``recover_database(make_schema, WriteAheadLog.load(data))``,
 then ``QuantumDatabase.recover``.
 """
 

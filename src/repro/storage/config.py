@@ -27,9 +27,9 @@ class DurabilityConfig:
     sealed segments under ``directory``, a manifest with atomic
     rename-based updates, delta checkpoints whose pause is proportional to
     churn rather than store size, and background compaction of sealed
-    segments.  A JSON-lines log written by the single-file log of older
-    versions still recovers: ``WriteAheadLog.load`` its text, then
-    ``recover_database`` and ``QuantumDatabase.recover``.
+    segments.  The in-memory log's ``WriteAheadLog.dump`` is the same
+    frame stream; ``WriteAheadLog.load`` it, then ``recover_database`` and
+    ``QuantumDatabase.recover``.
 
     The writer folds a full-store snapshot once, for the first base
     checkpoint; every later checkpoint is a delta.  Later bases are built
@@ -76,9 +76,9 @@ class DurabilityConfig:
         if self.mode != "segmented":
             raise DurabilityError(
                 f"unknown durability mode {self.mode!r}; the segmented engine "
-                "is the only file-backed log.  A JSON-lines log of the "
-                "single-file log that older versions wrote recovers through "
-                "WriteAheadLog.load + recover_database + QuantumDatabase.recover"
+                "is the only file-backed log.  An in-memory log's dump "
+                "recovers through WriteAheadLog.load + recover_database + "
+                "QuantumDatabase.recover"
             )
         for name, (pinned, reason) in _SINGLE_VALUED.items():
             value = getattr(self, name)

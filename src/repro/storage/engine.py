@@ -41,15 +41,17 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.wal import (
-    CHECKPOINT_TYPES,
-    SNAPSHOT_CHECKPOINT_TYPES,
     LogRecord,
     LogRecordType,
     WriteAheadLog,
+    decode_frames,
+    encode_frame,
+    scan_frames,
 )
 from repro.storage.config import DurabilityConfig
 from repro.storage.manifest import MANIFEST_TMP_NAME, Manifest
@@ -57,8 +59,6 @@ from repro.storage.segment import (
     SEGMENT_SUFFIX,
     LogSegment,
     SegmentWriter,
-    encode_frame,
-    scan_frames,
     segment_file_name,
 )
 
@@ -248,7 +248,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 f"segment {entry.name!r} is listed in the manifest but "
                 "missing on disk"
             ) from None
-        scan = scan_frames(data)
+        records, scan = decode_frames(data)
         if scan.damage is not None:
             if entry.sealed:
                 raise RecoveryError(
@@ -266,7 +266,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 stacklevel=2,
             )
             self.statistics.torn_tail_truncations += 1
-        records = list(map(LogRecord.from_bytes, scan.payloads))
         for record in records:
             entry.note(record.lsn, record.record_type)
         entry.records = len(records)
@@ -285,17 +284,17 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         not have dropped it on disk yet).  The dirty set for the next
         delta checkpoint is refolded from the tail's committed records.
         """
-        records = sorted(records, key=lambda r: r.lsn)
+        records = sorted(records, key=attrgetter("lsn"))
         checkpoint_idx = None
         for i, record in enumerate(records):
-            if record.record_type in CHECKPOINT_TYPES:
+            if record.record_type.is_checkpoint:
                 checkpoint_idx = i
         lineage: list[LogRecord] = []
         checkpoint_lsn = 0
         if checkpoint_idx is not None:
             base_idx = None
             for i in range(checkpoint_idx, -1, -1):
-                if records[i].record_type in SNAPSHOT_CHECKPOINT_TYPES:
+                if records[i].record_type.is_snapshot:
                     base_idx = i
                     break
             if base_idx is None:
@@ -315,7 +314,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         tail = [
             r
             for r in records
-            if r.lsn > checkpoint_lsn and r.record_type not in CHECKPOINT_TYPES
+            if r.lsn > checkpoint_lsn and not r.record_type.is_checkpoint
         ]
         self._records = lineage + tail
         self._lineage_length = len(lineage)
@@ -673,7 +672,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         extra records, never drop a needed one (the lineage only moves
         forward).
         """
-        if record_type in CHECKPOINT_TYPES:
+        if record_type is not None and record_type.is_checkpoint:
             if record_type is LogRecordType.CHECKPOINT_DELTA:
                 # A synthesized base reuses its newest folded delta's LSN;
                 # that delta is superseded the moment the base lands, so
@@ -911,7 +910,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             cutoff = self._synthesis_cutoff
             lineage = list(self._records[: self._lineage_length])
             checkpoint_lsn = self._manifest.checkpoint_lsn
-        if not lineage or lineage[0].record_type not in SNAPSHOT_CHECKPOINT_TYPES:
+        if not lineage or not lineage[0].record_type.is_snapshot:
             with self._lock:
                 self._synthesis_due = False
             return False

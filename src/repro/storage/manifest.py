@@ -36,7 +36,8 @@ MANIFEST_TMP_NAME = "MANIFEST.tmp"
 
 #: Version 2: segment frames carry :meth:`LogRecord.to_bytes
 #: <repro.relational.wal.LogRecord.to_bytes>` payloads.  Version 1 framed
-#: JSON lines; such a directory is refused, not converted.
+#: a text encoding of each record; such a directory is refused, not
+#: converted.
 _FORMAT_VERSION = 2
 
 

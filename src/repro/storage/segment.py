@@ -1,22 +1,22 @@
-"""Append-only log segments with CRC-framed records.
+"""Append-only log segments of CRC-framed records.
 
-A segment file is a sequence of frames::
+A segment file is a stream of frames::
 
     +----------------+----------------+------------------+
     | length (4B BE) | CRC32 (4B BE)  | payload (length) |
     +----------------+----------------+------------------+
 
-where the payload is one record in its binary form,
+the byte form of every log (:func:`repro.relational.wal.encode_frame`,
+the same stream :meth:`~repro.relational.wal.WriteAheadLog.dump` writes).
+The payload is one record in its binary form,
 :meth:`repro.relational.wal.LogRecord.to_bytes`: a fixed 17-byte head
 (LSN, kind code, transaction id) that compaction classifies a frame by,
 then the marshalled ``(table, body)`` pair that only a full decode reads.
-The CRC covers the payload only; the length prefix makes a torn trailing
-write detectable (not enough bytes for the header or payload) and the CRC
-catches a frame whose bytes landed but were damaged.  :func:`scan_frames`
-walks a segment's bytes and reports the first point of damage together
-with the length of the clean prefix, so recovery can truncate a torn tail
-while treating damage inside a *sealed* segment as corruption.  A frame
-that passes its CRC but does not decode is not a torn write: it raises
+:func:`~repro.relational.wal.scan_frames` walks a segment's bytes and
+reports the first point of damage together with the length of the clean
+prefix, so recovery can truncate a torn tail while treating damage inside
+a *sealed* segment as corruption.  A frame that passes its CRC but does
+not decode is not a torn write: it raises
 :class:`~repro.errors.RecoveryError` in
 :meth:`~repro.relational.wal.LogRecord.from_bytes`, in a sealed segment
 and at the tail alike.
@@ -25,15 +25,11 @@ and at the tail alike.
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 
-from repro.relational.wal import CHECKPOINT_TYPES, LogRecordType
+from repro.relational.wal import LogRecordType, encode_frame
 
 SEGMENT_SUFFIX = ".walseg"
-
-_HEADER = struct.Struct(">II")
 
 
 def segment_file_name(index: int, generation: int = 0) -> str:
@@ -96,7 +92,7 @@ class LogSegment:
 
     def note(self, lsn: int, record_type: LogRecordType) -> None:
         """Add one record, appended after every record already noted."""
-        if record_type in CHECKPOINT_TYPES:
+        if record_type.is_checkpoint:
             self.checkpoints.append((lsn, record_type))
         else:
             if not self.raw_first_lsn:
@@ -125,65 +121,6 @@ class LogSegment:
             size=payload["size"],
             compacted_at_lsn=payload.get("compacted_at_lsn", 0),
         )
-
-
-def encode_frame(payload: bytes) -> bytes:
-    """Frame one record payload (length + CRC32 header)."""
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-@dataclass
-class ScanResult:
-    """Outcome of :func:`scan_frames`.
-
-    Attributes:
-        payloads: the decoded record payloads of the clean prefix.
-        clean_length: byte offset up to which the segment is undamaged
-            (truncating the file here removes exactly the damage).
-        damage: ``None`` for a fully clean segment, else a description of
-            the first damaged frame.
-    """
-
-    payloads: list[bytes] = field(default_factory=list)
-    clean_length: int = 0
-    damage: str | None = None
-
-
-def scan_frames(data: bytes) -> ScanResult:
-    """Walk a segment's bytes frame by frame, stopping at the first damage.
-
-    Damage is any of: a truncated header, a payload shorter than its
-    declared length (both the shape of a torn trailing write), or a CRC
-    mismatch (a frame whose bytes landed damaged).  Scanning stops there —
-    bytes past a damaged frame cannot be trusted even if they happen to
-    re-align.
-    """
-    result = ScanResult()
-    offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < _HEADER.size:
-            result.damage = (
-                f"truncated frame header at offset {offset} "
-                f"({total - offset} trailing bytes)"
-            )
-            return result
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        if total - start < length:
-            result.damage = (
-                f"truncated frame payload at offset {offset} "
-                f"(declared {length} bytes, {total - start} present)"
-            )
-            return result
-        payload = data[start : start + length]
-        if zlib.crc32(payload) != crc:
-            result.damage = f"CRC mismatch in frame at offset {offset}"
-            return result
-        result.payloads.append(payload)
-        offset = start + length
-        result.clean_length = offset
-    return result
 
 
 class SegmentWriter:

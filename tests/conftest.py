@@ -6,10 +6,22 @@ import pytest
 
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.relational.database import Database
+from repro.relational.wal import encode_frame, scan_frames
 from repro.workloads.flights import (
     FlightDatabaseSpec,
     build_flight_database,
 )
+
+
+def first_frames(dump: bytes, count: int) -> bytes:
+    """The first ``count`` frames of a ``WriteAheadLog.dump()``.
+
+    What a crash right after the log's ``count``-th record leaves behind:
+    cut at a frame boundary, so :meth:`WriteAheadLog.load` reads it whole.
+    """
+    payloads = scan_frames(dump).payloads
+    assert 0 <= count <= len(payloads)
+    return b"".join(map(encode_frame, payloads[:count]))
 
 
 @pytest.fixture

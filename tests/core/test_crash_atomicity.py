@@ -43,7 +43,7 @@ from repro.relational import Database, recover_database
 from repro.relational.wal import LogRecordType
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
-from tests.conftest import make_tiny_flight_db
+from tests.conftest import first_frames, make_tiny_flight_db
 from tests.test_properties_admission import (
     FLIGHTS,
     Op,
@@ -264,13 +264,13 @@ class TestEveryCommitBoundary:
             if record.record_type is LogRecordType.COMMIT and index + 1 >= loaded
         ]
         assert len(cuts) > 3
-        lines = wal.dump().splitlines()
+        dump = wal.dump()
         for cut in cuts:
             # One store transaction per operation: a COMMIT record is the
             # last thing an operation writes, so every cut is a state some
             # caller was handed.
             assert cut in acknowledged, f"COMMIT at {cut} is inside an operation"
-            survivor = WriteAheadLog.load("\n".join(lines[:cut]))
+            survivor = WriteAheadLog.load(first_frames(dump, cut))
             assert_recovers_to(
                 recover_database(seat_schema, survivor), acknowledged[cut]
             )

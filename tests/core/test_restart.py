@@ -46,8 +46,9 @@ from repro.errors import QuantumRecoveryError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
 from repro.relational import recover_database
-from repro.relational.wal import LogRecordType
+from repro.relational.wal import LogRecordType, encode_frame
 
+from tests.conftest import first_frames
 from tests.core.test_crash_atomicity import MODES, SEEDS, drive, seat_schema
 from tests.test_properties_admission import (
     booking_text,
@@ -90,18 +91,18 @@ def exact(transaction: ResourceTransaction):
 # -- row forms -------------------------------------------------------------------
 
 
-def with_rows(log: str, write) -> str:
+def with_rows(log: bytes, write) -> bytes:
     """``log`` with every pending row's text rewritten by ``write``."""
-    lines = []
-    for line in log.splitlines():
-        record = json.loads(line)
-        assert record["type"] not in ("CHECKPOINT", "CHECKPOINT_BASE")
-        if record["table"] == PENDING_TABLE:
-            values = record["values"]
+    frames = []
+    for record in WriteAheadLog.load(log).records():
+        assert not record.record_type.is_snapshot
+        if record.table == PENDING_TABLE:
+            values = list(record.values)
             assert values[4].startswith("[")  # what the live run wrote
             values[4] = write(decode_transaction(values[4], transaction_id=values[0]))
-        lines.append(json.dumps(record))
-    return "\n".join(lines)
+            record = record._replace(values=tuple(values))
+        frames.append(encode_frame(record.to_bytes()))
+    return b"".join(frames)
 
 
 def mixed(transaction: ResourceTransaction) -> str:
@@ -252,7 +253,8 @@ class TestStoredForm:
             assert exact(restored) == exact(transaction)
             # The body atom a booking's delete consumes is written once.
             assert json.loads(stored)[2] == 0
-            # Inside a JSON log record the row grows by at most a tenth.
+            # JSON-escaped, the row grows by at most a tenth over the
+            # notation (which quotes its constants with ', the row with ").
             assert len(json.dumps(stored)) <= 1.1 * len(
                 json.dumps(format_transaction(transaction))
             )
@@ -261,7 +263,7 @@ class TestStoredForm:
 # -- every cut ---------------------------------------------------------------------
 
 
-def cuts_of(seed: int, mode: str) -> list[str]:
+def cuts_of(seed: int, mode: str) -> list[bytes]:
     """The dumped log of a crash-atomicity stream, cut at every COMMIT."""
     run, config = MODES[mode]
     seats_per_flight, ops = generate_stream(seed)
@@ -272,9 +274,9 @@ def cuts_of(seed: int, mode: str) -> list[str]:
         drive(qdb, ops, run, lambda committed: None)
     finally:
         qdb.close()
-    lines = wal.dump().splitlines()
+    dump = wal.dump()
     return [
-        "\n".join(lines[: index + 1])
+        first_frames(dump, index + 1)
         for index, record in enumerate(wal.records())
         if record.record_type is LogRecordType.COMMIT and index + 1 >= loaded
     ]

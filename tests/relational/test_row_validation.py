@@ -18,8 +18,9 @@ import pytest
 from repro.errors import TypeMismatchError
 from repro.relational import Database, recover_database
 from repro.relational.datatypes import DataType
+from repro.relational.row import Row, restored_rows
 from repro.relational.schema import Column, TableSchema
-from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog
+from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog, encode_frame
 
 
 class Name(str):
@@ -82,6 +83,37 @@ def test_two_columns_match_column_validate(first):
         assert typed(observed(schema, values)) == typed(reference(columns, values))
 
 
+def built(schema, rows):
+    """Each row's typed values and key, or the type of what building raised."""
+    try:
+        return [
+            (type(row.values), typed(row.values), typed(row.key))
+            for row in rows
+            if row.schema is schema
+        ]
+    except Exception as exc:  # noqa: BLE001 - compared by type below
+        return type(exc)
+
+
+@pytest.mark.parametrize("first", COLUMNS, ids=repr)
+def test_a_restore_builds_what_row_by_row_validation_builds(first):
+    # A snapshot of rows that all pass the type test unchanged is decided
+    # a column at a time; any other row sends the whole snapshot through
+    # ``Row``.  Both must give what ``Row`` gives row by row.
+    for second in COLUMNS:
+        columns = [first, Column("d", second.datatype, second.nullable)]
+        schema = TableSchema("T", columns)
+        pairs = list(itertools.product(VALUES, repeat=2))
+        unchanged = [p for p in pairs if typed(observed(schema, p)) == typed(p)]
+        assert schema.exact_rows(unchanged)
+        snapshots = [unchanged, [list(p) for p in unchanged], [*unchanged, (1,)]]
+        snapshots += [[*unchanged, p] for p in pairs]
+        for snapshot in snapshots:
+            assert built(schema, restored_rows(schema, snapshot)) == built(
+                schema, (Row(schema, values) for values in snapshot)
+            )
+
+
 def test_a_tuple_passes_as_is_and_a_list_becomes_a_tuple():
     schema = TableSchema("T", [Column("a", DataType.INTEGER), Column("b")])
     row = (1, "x")
@@ -105,4 +137,6 @@ def test_a_bool_in_an_integer_column_fails_checkpoint_restore():
         snapshot={"Seats": [(1, "1A"), (True, "1B")]},
     )
     with pytest.raises(TypeMismatchError, match="boolean"):
-        recover_database(schema, WriteAheadLog.load(checkpoint.to_json()))
+        recover_database(
+            schema, WriteAheadLog.load(encode_frame(checkpoint.to_bytes()))
+        )

@@ -87,7 +87,7 @@ class TestWAL:
         assert committed.transaction_id in db.wal.committed_transaction_ids()
         assert txn.transaction_id not in db.wal.committed_transaction_ids()
 
-    def test_json_roundtrip(self, db):
+    def test_dump_roundtrip(self, db):
         with db.begin() as txn:
             txn.insert("Bookings", ("Goofy", 1, "1B"))
         dumped = db.wal.dump()
@@ -97,7 +97,45 @@ class TestWAL:
 
     def test_malformed_record_rejected(self):
         with pytest.raises(RecoveryError):
-            LogRecord.from_json("{not json")
+            LogRecord.from_bytes(b"{not a record}")
+
+
+class TestWriteAheadOrdering:
+    """A log append that raises leaves the table as the log says it is."""
+
+    @staticmethod
+    def fail(*_args):
+        raise OSError(28, "No space left on device")
+
+    def test_a_failed_insert_append_leaves_no_row(self, monkeypatch):
+        db = make_schema()
+        monkeypatch.setattr(db.wal, "log_insert", self.fail)
+        with pytest.raises(OSError):
+            with db.begin() as txn:
+                txn.insert("Bookings", ("Goofy", 1, "1B"))
+        assert db.table("Bookings").snapshot() == []
+        assert [r.record_type for r in db.wal] == [
+            LogRecordType.BEGIN,
+            LogRecordType.ABORT,
+        ]
+        assert db.statistics.records == len(db.wal)
+        assert recover_database(make_schema, db.wal).table("Bookings").snapshot() == []
+
+    def test_a_failed_delete_append_keeps_the_row(self, db, monkeypatch):
+        logged = len(db.wal)
+        counted = db.statistics.records
+        monkeypatch.setattr(db.wal, "log_delete", self.fail)
+        with pytest.raises(OSError):
+            with db.begin() as txn:
+                txn.delete("Bookings", ("Mickey", 1, "1A"))
+        assert db.table("Bookings").snapshot() == [("Mickey", 1, "1A")]
+        assert [r.record_type for r in db.wal.records()[logged:]] == [
+            LogRecordType.BEGIN,
+            LogRecordType.ABORT,
+        ]
+        assert db.statistics.records - counted == 2
+        recovered = recover_database(make_schema, db.wal)
+        assert recovered.table("Bookings").snapshot() == [("Mickey", 1, "1A")]
 
 
 class TestRecovery:

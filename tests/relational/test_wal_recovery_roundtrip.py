@@ -4,8 +4,8 @@ These tests exercise the full durability loop of
 :mod:`repro.relational.wal` and :mod:`repro.relational.recovery`:
 
 * a "crash" is simulated by discarding the live :class:`Database` and
-  keeping only the WAL — optionally serialised to JSON lines and parsed
-  back, as a real log file would be;
+  keeping only the WAL — optionally dumped to its frame stream (the bytes
+  a segment file holds) and loaded back;
 * replay must restore *exactly* the effects of committed transactions: a
   transaction interrupted mid-flight (records written, no COMMIT marker)
   contributes nothing;
@@ -23,7 +23,7 @@ from repro.core.recovery import PendingTransactionStore
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database, replay_into
-from repro.relational.wal import LogRecordType, WriteAheadLog
+from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog, encode_frame
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 
 
@@ -36,17 +36,17 @@ def make_schema() -> Database:
     return database
 
 
-def crash_and_recover(database: Database, *, through_json: bool) -> Database:
-    """Drop the live database, keep (optionally serialised) WAL, recover."""
+def crash_and_recover(database: Database, *, through_dump: bool) -> Database:
+    """Drop the live database, keep the WAL (optionally dumped), recover."""
     wal = database.wal
-    if through_json:
+    if through_dump:
         wal = WriteAheadLog.load(wal.dump())
     return recover_database(make_schema, wal)
 
 
 class TestPartialTransactionCrash:
-    @pytest.mark.parametrize("through_json", [False, True])
-    def test_uncommitted_tail_is_discarded(self, through_json):
+    @pytest.mark.parametrize("through_dump", [False, True])
+    def test_uncommitted_tail_is_discarded(self, through_dump):
         database = make_schema()
         with database.begin() as txn:
             txn.insert("Seats", (1, "1A"))
@@ -56,12 +56,12 @@ class TestPartialTransactionCrash:
         partial.insert("Bookings", ("Mickey", 1, "1A"))
         partial.delete("Seats", (1, "1A"))
 
-        recovered = crash_and_recover(database, through_json=through_json)
+        recovered = crash_and_recover(database, through_dump=through_dump)
         assert set(recovered.table("Seats").snapshot()) == {(1, "1A"), (1, "1B")}
         assert len(recovered.table("Bookings")) == 0
 
-    @pytest.mark.parametrize("through_json", [False, True])
-    def test_committed_prefix_survives_partial_suffix(self, through_json):
+    @pytest.mark.parametrize("through_dump", [False, True])
+    def test_committed_prefix_survives_partial_suffix(self, through_dump):
         database = make_schema()
         with database.begin() as txn:
             txn.insert("Seats", (1, "1A"))
@@ -71,7 +71,7 @@ class TestPartialTransactionCrash:
         partial = database.begin()
         partial.insert("Bookings", ("Goofy", 1, "1B"))  # never commits
 
-        recovered = crash_and_recover(database, through_json=through_json)
+        recovered = crash_and_recover(database, through_dump=through_dump)
         assert set(recovered.table("Bookings").snapshot()) == {("Mickey", 1, "1A")}
         assert len(recovered.table("Seats")) == 0
 
@@ -82,7 +82,7 @@ class TestPartialTransactionCrash:
         txn.abort()
         with database.begin() as committed:
             committed.insert("Seats", (2, "2A"))
-        recovered = crash_and_recover(database, through_json=True)
+        recovered = crash_and_recover(database, through_dump=True)
         assert set(recovered.table("Seats").snapshot()) == {(2, "2A")}
 
     def test_replay_is_deterministic_and_repeatable(self):
@@ -91,8 +91,8 @@ class TestPartialTransactionCrash:
             txn.insert("Seats", (1, "1A"))
             txn.insert("Seats", (1, "1B"))
             txn.delete("Seats", (1, "1A"))
-        once = crash_and_recover(database, through_json=True)
-        twice = crash_and_recover(once, through_json=True)
+        once = crash_and_recover(database, through_dump=True)
+        twice = crash_and_recover(once, through_dump=True)
         assert set(once.table("Seats").snapshot()) == set(
             twice.table("Seats").snapshot()
         )
@@ -101,7 +101,7 @@ class TestPartialTransactionCrash:
         database = make_schema()
         with database.begin() as txn:
             txn.insert("Seats", (1, "1A"))
-        recovered = crash_and_recover(database, through_json=True)
+        recovered = crash_and_recover(database, through_dump=True)
         highest_before = max(r.lsn for r in recovered.wal.records())
         recovered.insert("Seats", (1, "1B"))
         fresh = [r for r in recovered.wal.records() if r.lsn > highest_before]
@@ -140,7 +140,7 @@ class TestQuantumPendingRoundTrip:
         )
         assert kept.pending
 
-        # Crash: only the JSON form of the WAL survives.
+        # Crash: only the dumped frames of the WAL survive.
         surviving = WriteAheadLog.load(qdb.database.wal.dump())
         recovered_store = recover_database(self.quantum_schema, surviving)
         recovered = QuantumDatabase.recover(recovered_store, qdb.config)
@@ -202,7 +202,7 @@ class TestCheckpoint:
         database.checkpoint()
         records = database.wal.records()
         assert [r.record_type for r in records] == [LogRecordType.CHECKPOINT]
-        recovered = crash_and_recover(database, through_json=True)
+        recovered = crash_and_recover(database, through_dump=True)
         assert set(recovered.table("Seats").snapshot()) == before
 
     def test_post_checkpoint_tail_replays_on_top_of_snapshot(self):
@@ -215,7 +215,7 @@ class TestCheckpoint:
         partial = database.begin()
         partial.insert("Seats", (1, "1C"))  # crash before COMMIT
 
-        recovered = crash_and_recover(database, through_json=True)
+        recovered = crash_and_recover(database, through_dump=True)
         assert set(recovered.table("Seats").snapshot()) == {(1, "1A"), (1, "1B")}
         # LSNs keep increasing across the checkpoint boundary.
         lsns = [r.lsn for r in recovered.wal.records()]
@@ -273,49 +273,74 @@ class TestCheckpoint:
             database.checkpoint()
         txn.abort()
         database.checkpoint()  # fine once nothing is in flight
-        recovered = crash_and_recover(database, through_json=True)
+        recovered = crash_and_recover(database, through_dump=True)
         assert len(recovered.table("Seats")) == 0  # the abort was honoured
 
 
-#: A log file as the single-file JSON-lines log of older versions left it
-#: after a crash: the file was rewritten to one CHECKPOINT record at the
-#: last checkpoint and appended to since — one committed transaction (a
-#: grounded booking plus a new pending row), then one that never reached
-#: its COMMIT.  Pending rows hold the textual notation.
-OLD_LOG = "\n".join(
-    [
-        '{"lsn": 7, "type": "CHECKPOINT", "txn": 0, "table": null, '
-        '"values": null, "snapshot": {"Available": [[7, "1A"], [7, "1B"], '
-        '[7, "1C"], [7, "1D"]], "Bookings": [], "__pending_transactions": '
-        '[[41, 1, "Mickey", null, "-Available(7, ?s), '
-        "+Bookings('Mickey', 7, ?s) :-1 Available(7, ?s)\"]]}}",
-        '{"lsn": 8, "type": "BEGIN", "txn": 5, "table": null, "values": null}',
-        '{"lsn": 9, "type": "DELETE", "txn": 5, "table": "Available", '
-        '"values": [7, "1D"]}',
-        '{"lsn": 10, "type": "INSERT", "txn": 5, "table": "Bookings", '
-        '"values": ["Minnie", 7, "1D"]}',
-        '{"lsn": 11, "type": "INSERT", "txn": 5, "table": '
-        '"__pending_transactions", "values": [42, 2, "Goofy", null, '
-        "\"-Available(7, ?s), +Bookings('Goofy', 7, ?s) :-1 Available(7, ?s)\"]}",
-        '{"lsn": 12, "type": "COMMIT", "txn": 5, "table": null, "values": null}',
-        '{"lsn": 13, "type": "BEGIN", "txn": 6, "table": null, "values": null}',
-        '{"lsn": 14, "type": "INSERT", "txn": 6, "table": '
-        '"__pending_transactions", "values": [43, 3, "Donald", null, '
-        "\"-Available(7, ?s), +Bookings('Donald', 7, ?s) :-1 Available(7, ?s)\"]}",
-        '{"lsn": 15, "type": "DELETE", "txn": 6, "table": "Available", '
-        '"values": [7, "1A"]}',
-    ]
-) + "\n"
+def framed(*records: LogRecord) -> bytes:
+    """A log's byte form, written record by record."""
+    return b"".join(encode_frame(record.to_bytes()) for record in records)
 
 
-class TestOldLogCompatibility:
-    """Logs of the removed single-file log still recover, in memory."""
+def pending_row(transaction_id: int, sequence: int, client: str) -> tuple:
+    """A pending row in the textual notation."""
+    return (
+        transaction_id,
+        sequence,
+        client,
+        None,
+        f"-Available(7, ?s), +Bookings('{client}', 7, ?s) :-1 Available(7, ?s)",
+    )
 
-    def test_old_json_lines_log_recovers_tables_and_pending_set(self, tmp_path):
-        path = tmp_path / "old.wal"
-        path.write_text(OLD_LOG, encoding="utf-8")
+
+#: A log as a crash leaves it after a fold: one CHECKPOINT record at the
+#: last checkpoint and the records appended since — one committed
+#: transaction (a grounded booking plus a new pending row), then one that
+#: never reached its COMMIT.  Pending rows hold the textual notation.
+FOLDED_LOG = framed(
+    LogRecord(
+        7,
+        LogRecordType.CHECKPOINT,
+        0,
+        snapshot={
+            "Available": [(7, "1A"), (7, "1B"), (7, "1C"), (7, "1D")],
+            "Bookings": [],
+            "__pending_transactions": [pending_row(41, 1, "Mickey")],
+        },
+    ),
+    LogRecord(8, LogRecordType.BEGIN, 5),
+    LogRecord(9, LogRecordType.DELETE, 5, "Available", (7, "1D")),
+    LogRecord(10, LogRecordType.INSERT, 5, "Bookings", ("Minnie", 7, "1D")),
+    LogRecord(
+        11,
+        LogRecordType.INSERT,
+        5,
+        "__pending_transactions",
+        pending_row(42, 2, "Goofy"),
+    ),
+    LogRecord(12, LogRecordType.COMMIT, 5),
+    LogRecord(13, LogRecordType.BEGIN, 6),
+    LogRecord(
+        14,
+        LogRecordType.INSERT,
+        6,
+        "__pending_transactions",
+        pending_row(43, 3, "Donald"),
+    ),
+    LogRecord(15, LogRecordType.DELETE, 6, "Available", (7, "1A")),
+)
+
+
+class TestDumpedLogs:
+    """A dumped log recovers from its frames alone, and only whole."""
+
+    def test_a_log_starting_with_a_checkpoint_recovers_tables_and_pending_set(
+        self, tmp_path
+    ):
+        path = tmp_path / "folded.wal"
+        path.write_bytes(FOLDED_LOG)
         schema = TestQuantumPendingRoundTrip().quantum_schema
-        wal = WriteAheadLog.load(path.read_text(encoding="utf-8"))
+        wal = WriteAheadLog.load(path.read_bytes())
         assert [r.record_type for r in wal.records()][0] is LogRecordType.CHECKPOINT
 
         store = recover_database(schema, wal)
@@ -333,7 +358,7 @@ class TestOldLogCompatibility:
         }
         assert restored == {41: (1, "Mickey"), 42: (2, "Goofy")}
 
-        # The recovered store keeps appending after the old log's LSNs and
+        # The recovered store keeps appending after the log's LSNs and
         # grounds both pending bookings into the seats still available.
         recovered.ground_all()
         assert recovered.pending_count == 0
@@ -342,29 +367,25 @@ class TestOldLogCompatibility:
         assert {bookings["Mickey"], bookings["Goofy"]} <= {"1A", "1B", "1C"}
         assert min(r.lsn for r in recovered.database.wal.records()) >= 7
 
-    def test_old_log_before_first_checkpoint_replays_from_empty(self):
-        # Before its first checkpoint the old file was a plain record
-        # stream; an aborted transaction replays as nothing.
-        lines = [
-            '{"lsn": 1, "type": "BEGIN", "txn": 1, "table": null, "values": null}',
-            '{"lsn": 2, "type": "INSERT", "txn": 1, "table": "Seats", '
-            '"values": [1, "1A"]}',
-            '{"lsn": 3, "type": "COMMIT", "txn": 1, "table": null, "values": null}',
-            '{"lsn": 4, "type": "BEGIN", "txn": 2, "table": null, "values": null}',
-            '{"lsn": 5, "type": "INSERT", "txn": 2, "table": "Seats", '
-            '"values": [1, "1B"]}',
-            '{"lsn": 6, "type": "ABORT", "txn": 2, "table": null, "values": null}',
-        ]
-        wal = WriteAheadLog.load("\n".join(lines) + "\n")
+    def test_an_aborted_transaction_replays_as_nothing(self):
+        wal = WriteAheadLog.load(
+            framed(
+                LogRecord(1, LogRecordType.BEGIN, 1),
+                LogRecord(2, LogRecordType.INSERT, 1, "Seats", (1, "1A")),
+                LogRecord(3, LogRecordType.COMMIT, 1),
+                LogRecord(4, LogRecordType.BEGIN, 2),
+                LogRecord(5, LogRecordType.INSERT, 2, "Seats", (1, "1B")),
+                LogRecord(6, LogRecordType.ABORT, 2),
+            )
+        )
         recovered = recover_database(make_schema, wal)
         assert recovered.table("Seats").snapshot() == [(1, "1A")]
         recovered.insert("Seats", (1, "1C"))
         assert min(r.lsn for r in recovered.wal.records() if r.lsn > 6) == 7
 
-    def test_old_log_with_torn_last_line_is_refused(self):
-        torn = OLD_LOG.rstrip("\n")[:-20]
-        with pytest.raises(RecoveryError, match="malformed log record"):
-            WriteAheadLog.load(torn)
+    def test_a_torn_last_frame_is_refused(self):
+        with pytest.raises(RecoveryError, match="truncated frame payload"):
+            WriteAheadLog.load(FOLDED_LOG[:-20])
 
     def test_legacy_durability_mode_is_refused(self):
         with pytest.raises(DurabilityError, match="WriteAheadLog.load"):

@@ -85,6 +85,8 @@ def test_a_miniature_round_runs_clean(workload, monkeypatch):
     # inside the whole.
     assert report["restart.pending"] > 0
     assert 0 < report["restart.searches"] <= report["restart.partitions"]
+    # The open decoded at least every record the round wrote.
+    assert report["restart.records"] >= report["wal.records"]
     once = {"open", "replay", "decode", "rebuild", "k bound"}
     if workload == "book_tcp":
         once.add("checkpoint")
@@ -105,6 +107,7 @@ def test_the_restart_table_counts_collections_by_generation(capsys):
     timers.collections = [3, 0, 1]
     report = {
         "restart.seconds": 0.01,
+        "restart.records": 0,
         "restart.pending": 2,
         "restart.partitions": 1,
         "restart.searches": 1,
@@ -113,6 +116,23 @@ def test_the_restart_table_counts_collections_by_generation(capsys):
     (row,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gc ")]
     assert row.split()[1:3] == ["2.00", "20.0%"]
     assert row.endswith("(collections by generation: 3/0/1)")
+
+
+def test_the_restart_table_shows_what_open_decoded(capsys):
+    timers = profile_workload.PhaseTimers()
+    timers.seconds["open"] = 0.004
+    report = {
+        "restart.seconds": 0.01,
+        "restart.records": 2000,
+        "restart.pending": 2,
+        "restart.partitions": 1,
+        "restart.searches": 1,
+    }
+    profile_workload.print_restart(report, timers)
+    out = capsys.readouterr().out.splitlines()
+    (row,) = [line for line in out if line.startswith("open ")]
+    assert row.split()[1:3] == ["4.00", "40.0%"]
+    assert row.endswith("(2000 records decoded, 2.00 ms per 1 000)")
 
 
 def test_stopped_timers_charge_nothing():

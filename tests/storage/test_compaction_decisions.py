@@ -29,10 +29,9 @@ import shutil
 import pytest
 
 from repro.relational.database import Database
-from repro.relational.wal import LogRecord
+from repro.relational.wal import LogRecord, scan_frames
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.storage.manifest import Manifest
-from repro.storage.segment import scan_frames
 
 keep = SegmentedWriteAheadLog._keep_in_compaction
 
@@ -68,8 +67,8 @@ def sealed_on_disk(engine: SegmentedWriteAheadLog) -> dict[int, tuple]:
     }
 
 
-def images(records: list[LogRecord]) -> list[str]:
-    return [record.to_json() for record in records]
+def images(records: list[LogRecord]) -> list[bytes]:
+    return [record.to_bytes() for record in records]
 
 
 def fingerprint(database: Database) -> dict:

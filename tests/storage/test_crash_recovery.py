@@ -4,7 +4,7 @@ A seeded workload script (mixed auto-commit writes, multi-op
 transactions, aborts and checkpoints — seeded like
 ``tests/sharding/test_concurrent_admission_harness.py``) is applied to
 twin stores: one on the in-memory :class:`WriteAheadLog`, one on the
-segmented engine.  A "crash" keeps only the twin's dumped JSON lines and
+segmented engine.  A "crash" keeps only the twin's dumped frames and
 the engine's on-disk state; both sides are then recovered — through the
 one replay, :func:`recover_database` — and must agree row-for-row,
 including after every crash point the segmented engine has that the
@@ -35,10 +35,10 @@ import pytest
 from repro.errors import RecoveryError
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database
-from repro.relational.wal import WriteAheadLog
+from repro.relational.wal import WriteAheadLog, encode_frame
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.storage.manifest import MANIFEST_TMP_NAME, Manifest
-from repro.storage.segment import SEGMENT_SUFFIX, encode_frame, segment_file_name
+from repro.storage.segment import SEGMENT_SUFFIX, segment_file_name
 
 CRASH_SEEDS = range(8)
 TORN_SEEDS = (3, 11, 27)
@@ -152,7 +152,7 @@ def build_twins(tmp_path, seed: int, **engine_overrides):
 
 
 def recover_twin(twin: Database) -> Database:
-    """The reference: replay the in-memory twin's log from its JSON lines."""
+    """The reference: replay the in-memory twin's log from its dumped frames."""
     return recover_database(make_schema, WriteAheadLog.load(twin.wal.dump()))
 
 

@@ -13,7 +13,11 @@ to three promises:
   does not decode counts as a compaction failure;
 * the bytes on disk do not drift: a committed image of one frame per
   record kind (``record_codec_golden.bin``) still decodes to the same
-  records on every supported Python.
+  records on every supported Python;
+* the in-memory log's dump is the same frame stream: ``load(dump())``
+  gives back every record exactly, a dump is byte for byte what a segment
+  file holds for the same records, and a truncated, damaged or reordered
+  dump is refused.
 
 Re-record the image only for a deliberate format change (and bump the
 manifest's format version with it)::
@@ -41,10 +45,15 @@ from repro.errors import RecoveryError
 from repro.relational.database import Database
 from repro.relational.datatypes import DataType
 from repro.relational.schema import Column
-from repro.relational.wal import LogRecord, LogRecordType
+from repro.relational.wal import (
+    LogRecord,
+    LogRecordType,
+    WriteAheadLog,
+    encode_frame,
+    scan_frames,
+)
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.storage.manifest import MANIFEST_NAME
-from repro.storage.segment import encode_frame, scan_frames
 from tests.storage.test_segmented_wal import engine_with_mixed_segment
 
 GOLDEN = Path(__file__).with_name("record_codec_golden.bin")
@@ -204,6 +213,141 @@ class TestRoundTrip:
         reopened.close()
 
 
+#: Every column value type, with the edges a text codec gets wrong.
+SCALARS = st.one_of(
+    st.sampled_from(VALUES + (math.nan, 0.0, 2**64, -(2**63), "\udfff")),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),
+    st.text(st.characters(exclude_categories=()), max_size=12),
+)
+ROWS = st.lists(SCALARS, max_size=5).map(tuple)
+TABLES = st.text(min_size=1, max_size=8)
+SNAPSHOTS = st.dictionaries(TABLES, st.lists(ROWS, max_size=4), max_size=3)
+CHANGES = st.lists(ROWS, max_size=3)
+DELTAS = st.dictionaries(
+    TABLES,
+    st.fixed_dictionaries({}, optional={"delete": CHANGES, "insert": CHANGES}),
+    max_size=3,
+)
+TXNS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def bodies(kind: LogRecordType):
+    """``(table, values, snapshot, delta)`` of a record of ``kind``."""
+    if kind in (LogRecordType.INSERT, LogRecordType.DELETE):
+        return st.tuples(TABLES, ROWS, st.none(), st.none())
+    if kind.is_snapshot:
+        return st.tuples(st.none(), st.none(), SNAPSHOTS, st.none())
+    if kind is LogRecordType.CHECKPOINT_DELTA:
+        return st.tuples(st.none(), st.none(), st.none(), DELTAS)
+    return st.just((None, None, None, None))
+
+
+RECORD_PARTS = st.sampled_from(LogRecordType).flatmap(
+    lambda kind: st.tuples(st.just(kind), TXNS, bodies(kind))
+)
+
+
+def log_of(records) -> WriteAheadLog:
+    """An in-memory log holding exactly ``records``."""
+    log = WriteAheadLog()
+    for record in records:
+        log._records.append(record)
+    log._next_lsn = records[-1].lsn + 1 if records else 1
+    return log
+
+
+class TestDump:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        parts=st.lists(RECORD_PARTS, max_size=10),
+        gaps=st.lists(st.integers(min_value=1, max_value=2**40), min_size=10),
+    )
+    def test_load_of_dump_is_every_record_exactly(self, parts, gaps):
+        records = []
+        lsn = 0
+        for (kind, txn, body), gap in zip(parts, gaps):
+            lsn += gap
+            records.append(LogRecord(lsn, kind, txn, *body))
+        log = log_of(records)
+        loaded = WriteAheadLog.load(log.dump())
+        assert [record_image(r) for r in loaded.records()] == [
+            record_image(r) for r in records
+        ]
+        assert loaded.log_begin(1).lsn == lsn + 1
+
+    def test_every_kind_and_large_containers_survive_a_dump(self):
+        wide = tuple(range(300))  # marshal's 4-byte-count tuple form
+        records = (
+            *RECORDS,
+            LogRecord(9, LogRecordType.INSERT, 9, "Wide", wide),
+            LogRecord(
+                10, LogRecordType.CHECKPOINT, 0, snapshot={"Wide": (wide,) * 300}
+            ),
+        )
+        loaded = WriteAheadLog.load(log_of(records).dump())
+        assert [record_image(r) for r in loaded.records()] == [
+            record_image(r) for r in records
+        ]
+
+    def test_a_damaged_dump_is_refused(self):
+        dump = log_of(RECORDS).dump()
+        boundaries = {0}
+        offset = 0
+        for payload in scan_frames(dump).payloads:
+            offset += len(encode_frame(payload))
+            boundaries.add(offset)
+        for cut in range(len(dump)):
+            if cut not in boundaries:
+                with pytest.raises(RecoveryError):
+                    WriteAheadLog.load(dump[:cut])
+        for bit in range(8 * len(dump)):
+            flipped = bytearray(dump)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(RecoveryError):
+                WriteAheadLog.load(bytes(flipped))
+
+    def test_a_dump_whose_lsns_do_not_increase_is_refused(self):
+        frames = [encode_frame(record.to_bytes()) for record in RECORDS]
+        swapped = frames[:2] + [frames[3], frames[2]] + frames[4:]
+        with pytest.raises(RecoveryError, match="do not increase"):
+            WriteAheadLog.load(b"".join(swapped))
+        with pytest.raises(RecoveryError, match="do not increase"):
+            WriteAheadLog.load(b"".join(frames[:3] + frames[2:]))
+
+    def test_a_dump_is_the_frames_a_segment_holds(self, tmp_path):
+        database = Database()
+        database.create_table(
+            "Values", [Column(f"c{i}") for i in range(len(VALUES))], key=["c0", "c4"]
+        )
+        database.insert("Values", VALUES)
+        with database.begin() as txn:
+            txn.insert("Values", (1, *VALUES[1:]))
+            txn.delete("Values", VALUES)
+        aborted = database.begin()
+        aborted.insert("Values", (2, *VALUES[1:]))
+        aborted.abort()
+        database.checkpoint()
+        database.insert("Values", (3, *VALUES[1:]))
+        live = database.wal
+        directory = str(tmp_path / "segments")
+        engine = SegmentedWriteAheadLog(
+            directory,
+            DurabilityConfig(directory=directory, segment_max_records=10_000),
+        )
+        engine.adopt(live)
+        written = b"".join(
+            (tmp_path / "segments" / entry.name).read_bytes()
+            for entry in engine._manifest.segments
+        )
+        assert live.dump() == written
+        assert engine.dump() == written
+        engine.close()
+
+
 class TestGolden:
     def test_golden_image_decodes_to_the_records(self):
         scan = scan_frames(GOLDEN.read_bytes())
@@ -247,6 +391,28 @@ MALFORMED = {
     "delta with a table": _HEAD.pack(1, 8, 0) + b")\x02\xda\x01T{0",
 }
 
+_INSERT = _HEAD.pack(1, 2, 1) + b")\x02\xda\x05Seats"
+_COUNT = struct.Struct("<i").pack
+#: Bodies behind a valid CRC whose counts claim far more than the frame
+#: holds: marshal allocates by such a count before it reads one item.
+HUGE_COUNTS = {
+    "16 GiB values tuple": _INSERT + b"(" + _COUNT(2**31 - 1),
+    "128 MiB values tuple": _INSERT + b"(" + _COUNT(2**24),
+    "a list in a row": _INSERT + b")\x01[" + _COUNT(2**24),
+    "a frozenset in a row": _INSERT + b")\x01>" + _COUNT(2**24),
+    "a long int": _INSERT + b")\x01l" + _COUNT(2**31 - 1),
+    "a negative long int": _INSERT + b")\x01l" + _COUNT(-(2**31 - 1)),
+    "a snapshot's rows": _HEAD.pack(1, 7, 0) + b")\x02N{\xda\x05Seats(" + _COUNT(2**24),
+    "a delta's deletes": _HEAD.pack(1, 8, 0)
+    + b")\x02N{\xda\x05Seats{\xda\x06delete[" + _COUNT(2**24),
+    # Each count fits the bytes left on its own; together they claim
+    # 1 000 x 4 096 slots, 32 MiB, which marshal would allocate level
+    # by level before the padding runs out.
+    "nested tuples": _INSERT + (b"(" + _COUNT(4096)) * 1000 + b"N" * 4096,
+    # 1 500 levels of 255-slot tuples: 3 MiB from a 3 KiB body.
+    "nested small tuples": _INSERT + b")\xff" * 1500 + b"N" * 255,
+}
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
@@ -262,6 +428,19 @@ class TestFailClosed:
         try:
             with pytest.raises(RecoveryError):
                 LogRecord.from_bytes(payload)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("payload", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
+    def test_a_huge_nested_count_is_refused_before_marshal_allocates(self, payload):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RecoveryError, match="claim"):
+                LogRecord.from_bytes(payload)
+            with pytest.raises(RecoveryError, match="claim"):
+                WriteAheadLog.load(encode_frame(payload))
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -16,14 +16,14 @@ import pytest
 
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
-from repro.relational.wal import CHECKPOINT_TYPES, LogRecord, LogRecordType
+from repro.relational.wal import LogRecord, LogRecordType, encode_frame, scan_frames
 from repro.storage import (
     DurabilityConfig,
     SegmentedWriteAheadLog,
     recover,
 )
 from repro.storage.manifest import Manifest
-from repro.storage.segment import SegmentWriter, encode_frame, scan_frames
+from repro.storage.segment import SegmentWriter
 
 
 def make_schema() -> Database:
@@ -612,7 +612,7 @@ def engine_with_mixed_segment(tmp_path):
         kinds = {record.record_type for record in records}
         if LogRecordType.CHECKPOINT_DELTA in kinds and any(
             record.lsn < checkpoint_lsn
-            and record.record_type not in CHECKPOINT_TYPES
+            and not record.record_type.is_checkpoint
             for record in records
         ):
             return database, engine, entry.name
@@ -676,7 +676,7 @@ class TestCompactionQuarantine:
         entry = engine._manifest.segments[0]
         assert entry.sealed
         assert all(
-            record.record_type not in CHECKPOINT_TYPES
+            not record.record_type.is_checkpoint
             for record in decoded_segment(tmp_path, entry.name)
         )
         bad_name = corrupt_segment(tmp_path, entry.name)
