@@ -25,7 +25,7 @@ Concurrent clients are served by the asyncio session layer
 mutation through a single-writer admission queue (group-committing
 concurrent arrivals, so decisions are identical to the synchronous path in
 the same arrival order), each client gets a :class:`~repro.server.Session`
-with its own transaction stream and statistics (a session commit returns
+with its own transaction stream (a session commit returns
 the same :class:`CommitResult` as :meth:`QuantumDatabase.execute`), and
 grounding results are delivered as awaitable futures
 (``session.on_grounding(...)``).  :class:`~repro.server.NetworkServer`
@@ -69,8 +69,7 @@ subpackages are:
 * :mod:`repro.logic` — terms, atoms, unification and composed-body
   formulas;
 * :mod:`repro.solver` — the grounding search kernel and its node budget;
-* :mod:`repro.baselines` — the paper's "intelligent social" baseline and an
-  eager-assignment baseline;
+* :mod:`repro.baselines` — the paper's "intelligent social" baseline;
 * :mod:`repro.workloads` — flight databases, arrival orders, and the
   entangled / mixed workloads of the evaluation section;
 * :mod:`repro.experiments` — harnesses regenerating every table and figure.
@@ -89,14 +88,13 @@ from repro.core.quantum_database import CommitResult, QuantumConfig, QuantumData
 from repro.core.reads import ReadMode, ReadRequest
 from repro.core.resource_transaction import ResourceTransaction
 from repro.core.serializability import SerializabilityMode
-from repro.core.solution_cache import Solution, SolutionCacheStatistics
+from repro.core.solution_cache import SolutionCacheStatistics
 from repro.errors import (
     ProtocolError,
     QuantumError,
     ReproError,
     SessionBackpressure,
     TenantBackpressure,
-    TransactionRejected,
     WriteRejected,
 )
 from repro.relational.database import Database
@@ -109,14 +107,10 @@ from repro.server import (
     QuantumServer,
     ServerConfig,
     Session,
-    SessionStatistics,
     serve,
 )
-from repro.core.signature import SignatureIndex
 from repro.solver.strategy import AdmissionSearchConfig
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
-
-__version__ = "0.2.0"
 
 __all__ = [
     "AdmissionSearchConfig",
@@ -144,15 +138,10 @@ __all__ = [
     "ServerConfig",
     "Session",
     "SessionBackpressure",
-    "SessionStatistics",
-    "SignatureIndex",
-    "Solution",
     "SolutionCacheStatistics",
     "TenantBackpressure",
-    "TransactionRejected",
     "WriteAheadLog",
     "WriteRejected",
-    "__version__",
     "format_transaction",
     "make_adjacent_seat_request",
     "parse_transaction",

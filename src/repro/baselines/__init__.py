@@ -1,15 +1,11 @@
-"""Baselines the paper compares against (or that ablations need).
+"""The baseline the paper compares against.
 
 * :mod:`.intelligent_social` — the paper's "intelligent social" (IS) user:
   a client-side strategy over an ordinary database that checks whether the
   friend already has a reservation and books accordingly.  This is "the kind
   of coordination that is achievable without using a quantum database".
-* :mod:`.eager` — a classical eager-assignment client: it grounds a resource
-  transaction immediately at submission time (no deferral), which is what a
-  conventional DBMS forces applications to do.
 """
 
-from repro.baselines.eager import EagerClient
 from repro.baselines.intelligent_social import IntelligentSocialClient
 
-__all__ = ["EagerClient", "IntelligentSocialClient"]
+__all__ = ["IntelligentSocialClient"]

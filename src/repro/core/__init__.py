@@ -27,7 +27,7 @@ tier (:mod:`repro.server`); the admission flow, the witness-cache fast
 path and the session/queue model are documented in ``docs/architecture.md``.
 """
 
-from repro.core.composition import compose_pair, compose_sequence, composed_body
+from repro.core.composition import compose_pair, compose_sequence
 from repro.core.entanglement import EntangledResourceTransaction, EntanglementRegistry
 from repro.core.grounding_policy import GroundingPolicy, GroundingStrategy
 from repro.core.parser import format_transaction, parse_transaction
@@ -55,7 +55,6 @@ __all__ = [
     "SerializabilityMode",
     "compose_pair",
     "compose_sequence",
-    "composed_body",
     "enumerate_possible_worlds",
     "format_transaction",
     "parse_transaction",

@@ -36,7 +36,7 @@ Two textual conventions from the paper are handled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.resource_transaction import ResourceTransaction
@@ -187,19 +187,6 @@ def compose_sequence(
     if not factors:
         return TRUE
     return conjunction(factors)
-
-
-def composed_body(
-    transactions: Sequence[ResourceTransaction],
-    *,
-    include_optional: bool = False,
-) -> Formula:
-    """Alias of :func:`compose_sequence` with renaming disabled.
-
-    Provided for readability at call sites that have already namespaced
-    their transactions (the quantum state does).
-    """
-    return compose_sequence(transactions, include_optional=include_optional)
 
 
 def _entry_factor(rewrites: Sequence[AtomRewrite]) -> Formula:
@@ -517,34 +504,3 @@ class OrderComposition:
                 )
             factors = self._optionals[index] = tuple(built)
         return factors
-
-
-@dataclass
-class CompositionReport:
-    """Diagnostic view of a composition, used by tests and the examples.
-
-    Attributes:
-        formula: the composed body.
-        atom_count: number of relational atoms in the composed body (the
-            analogue of the join count the paper bounds by MySQL's limit).
-        transaction_ids: ids of the composed transactions, in order.
-    """
-
-    formula: Formula
-    atom_count: int
-    transaction_ids: tuple[int, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def build(
-        cls,
-        transactions: Sequence[ResourceTransaction],
-        *,
-        include_optional: bool = False,
-    ) -> "CompositionReport":
-        """Compose ``transactions`` and report the resulting body size."""
-        formula = compose_sequence(transactions, include_optional=include_optional)
-        return cls(
-            formula=formula,
-            atom_count=len(formula.atoms()),
-            transaction_ids=tuple(t.transaction_id for t in transactions),
-        )

@@ -70,8 +70,6 @@ class EntanglementRegistry:
     #: transaction id keyed by (client, partner), for transactions whose
     #: partner has not arrived yet.
     waiting: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: all matches recognised so far (kept for reporting).
-    matches: list[EntanglementMatch] = field(default_factory=list)
 
     def register(self, transaction: ResourceTransaction) -> EntanglementMatch | None:
         """Register an arrival and return the match it completes, if any.
@@ -85,9 +83,7 @@ class EntanglementRegistry:
         reverse = (transaction.partner, transaction.client)
         if reverse in self.waiting:
             earlier_id = self.waiting.pop(reverse)
-            match = EntanglementMatch(earlier_id, transaction.transaction_id)
-            self.matches.append(match)
-            return match
+            return EntanglementMatch(earlier_id, transaction.transaction_id)
         self.waiting[key] = transaction.transaction_id
         return None
 
@@ -98,15 +94,6 @@ class EntanglementRegistry:
         key = (transaction.client, transaction.partner)
         if self.waiting.get(key) == transaction.transaction_id:
             del self.waiting[key]
-
-    def waiting_count(self) -> int:
-        """Number of transactions still waiting for their partner."""
-        return len(self.waiting)
-
-    def matched_count(self) -> int:
-        """Number of coordination pairs recognised so far."""
-        return len(self.matches)
-
 
 def make_adjacent_seat_request(
     client: str,

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.core.composition import OrderComposition, compose_sequence
+from repro.core.composition import OrderComposition
 from repro.core.signature import SignatureIndex
 from repro.logic.atoms import Atom
 from repro.logic.formula import Formula
@@ -48,8 +48,8 @@ class Partition:
             body (a :class:`~repro.core.solution_cache.Solution`), or
             ``None``.  Written by the solution cache; the partition itself
             only withdraws the record's footprint when its pending sequence
-            changes shape (:meth:`remove`, :meth:`ground_prefix`,
-            assignment to :attr:`pending`) — the substitution then has to
+            changes shape (:meth:`ground_prefix`, assignment to
+            :attr:`pending`) — the substitution then has to
             be re-verified before it is trusted again.  An :meth:`append`
             extends the composed body by a factor and leaves the record to
             the admission that caused it.
@@ -73,7 +73,7 @@ class Partition:
         self.statistics: PartitionStatistics | None = None
         #: Observer invoked after every structural change to the pending
         #: sequence, as ``(partition, appended, removed)``: the entry an
-        #: append added, or the entries a grounding or removal took out;
+        #: append added, or the entries a grounding took out;
         #: both ``None`` for a whole-sequence assignment, which requires a
         #: full re-scan.  The partition manager uses this to keep its
         #: signature index and transaction map current even though
@@ -117,9 +117,9 @@ class Partition:
         """Pending transactions in serialization order.
 
         Returned as a tuple: the pending sequence may only change through
-        :meth:`append`, :meth:`remove` or whole-sequence assignment, all of
-        which keep the cached incremental composition in sync (in-place
-        mutation of a shared list would silently bypass that).
+        :meth:`append`, :meth:`ground_prefix` or whole-sequence assignment,
+        all of which keep the cached incremental composition in sync
+        (in-place mutation of a shared list would silently bypass that).
         """
         return tuple(self._pending)
 
@@ -174,7 +174,7 @@ class Partition:
         across groundings as the planned order's successor
         (:meth:`ground_prefix`), so neither admission nor grounding
         recomposes from scratch; built lazily (one pass over the pending
-        list) only for a new partition, after a merge or a :meth:`remove`.
+        list) only for a new partition or after a merge.
         It is the single source of the composed formula, its compiled
         program and — whenever a grounding keeps the order — of the plan's
         prefix, suffix and optional programs.
@@ -185,13 +185,8 @@ class Partition:
             )
         return self._composition
 
-    def composed_formula(self, *, include_optional: bool = False) -> Formula:
+    def composed_formula(self) -> Formula:
         """The composed body of the pending transactions (Theorem 3.5)."""
-        if include_optional:
-            return compose_sequence(
-                [entry.renamed for entry in self._pending],
-                include_optional=True,
-            )
         return self.composition().formula()
 
     def overlaps_atoms(
@@ -269,12 +264,6 @@ class Partition:
         self._pending = ordered[count:]
         self._composition = composition.successor(count)
         self._restructured(ordered[:count])
-
-    def remove(self, entry: "PendingTransaction") -> None:
-        """Remove a pending transaction (after it has been grounded)."""
-        self._pending.remove(entry)
-        self._composition = None
-        self._restructured((entry,))
 
     def variables(self) -> frozenset[Variable]:
         """Every variable of every pending transaction."""
@@ -361,11 +350,6 @@ class PartitionManager:
     def find(self, transaction_id: int) -> tuple[Partition, "PendingTransaction"] | None:
         """Locate a pending transaction by id."""
         return self._located.get(transaction_id)
-
-    def partition_of(self, transaction_id: int) -> Partition | None:
-        """The partition containing ``transaction_id``, if any."""
-        located = self.find(transaction_id)
-        return located[0] if located else None
 
     # -- admission -----------------------------------------------------------
 
@@ -474,7 +458,7 @@ class PartitionManager:
             self._locate(partition, appended)
             return
         if removed is not None:
-            # A grounded prefix or a removal: retract just those entries.
+            # A grounded prefix: retract just those entries.
             self.index.retract(partition, removed)
             members = self._members[partition.partition_id]
             for entry in removed:

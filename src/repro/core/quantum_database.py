@@ -484,11 +484,6 @@ class QuantumDatabase:
                 self.state.ground([transaction_id])
         return self.state.grounded_results.get(transaction_id)
 
-    def assignment_of(self, transaction_id: int) -> dict[str, Any] | None:
-        """The fixed valuation of a grounded transaction, if it has one."""
-        record = self.state.grounded_results.get(transaction_id)
-        return dict(record.valuation) if record is not None else None
-
     # ------------------------------------------------------------------
     # Introspection and reporting
     # ------------------------------------------------------------------

@@ -15,11 +15,9 @@ grounded and executed, it is removed from the pending transactions table."
 extensional store.  A row's ``text`` column holds the transaction in its
 stored form (:func:`encode_transaction`): a compact JSON list of atoms that
 :func:`decode_transaction` turns back into atoms with one ``json.loads``
-and no parsing.  Rows written before that form existed hold the textual
-notation of :mod:`repro.core.parser`; they are still parsed — the first
-character tells the two apart (``[`` opens the JSON list, the notation
-starts with an update atom's ``+`` or ``-``).  It commits nothing itself (bar
-``clear``, a test helper): every insert and delete goes through a store
+and no parsing; any other text in that column is a
+:class:`~repro.errors.QuantumRecoveryError` naming its transaction.  It
+commits nothing itself: every insert and delete goes through a store
 transaction the caller hands in, and in the quantum layer that is always
 the *operation's* transaction
 (:attr:`Database.unit <repro.relational.database.Database.unit>`).
@@ -49,7 +47,6 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.core.parser import parse_transaction
 from repro.core.resource_transaction import ResourceTransaction
 from repro.errors import QuantumRecoveryError
 from repro.logic.atoms import Atom, AtomKind
@@ -260,21 +257,10 @@ class PendingTransactionStore:
             if row is not None:
                 txn.delete(PENDING_TABLE, row.values)
 
-    def clear(self) -> None:
-        """Remove every entry in one store transaction (used by tests)."""
-        rows = list(self.table.rows())
-        if rows:
-            with self.database.begin() as txn:
-                for row in rows:
-                    txn.delete(PENDING_TABLE, row.values)
-
     # -- restore --------------------------------------------------------------
 
     def restore(self) -> list[tuple[int, ResourceTransaction]]:
-        """Deserialise all persisted pending transactions, in sequence order.
-
-        Rows in the stored form are decoded, rows in the textual notation
-        (written before the stored form existed) are parsed.
+        """Decode all persisted pending transactions, in sequence order.
 
         Returns:
             ``(sequence, transaction)`` pairs sorted by sequence number.
@@ -285,9 +271,8 @@ class PendingTransactionStore:
         restored: list[tuple[int, ResourceTransaction]] = []
         for row in self.table.rows():
             transaction_id, sequence, client, partner, text = row.values
-            read = decode_transaction if text.startswith("[") else parse_transaction
             try:
-                transaction = read(
+                transaction = decode_transaction(
                     text, transaction_id=transaction_id, client=client, partner=partner
                 )
             except Exception as exc:  # noqa: BLE001 - wrap any decode failure
@@ -301,6 +286,3 @@ class PendingTransactionStore:
     def pending_ids(self) -> frozenset[int]:
         """Transaction ids currently persisted."""
         return frozenset(row["txn_id"] for row in self.table.rows())
-
-    def __len__(self) -> int:
-        return len(self.table)

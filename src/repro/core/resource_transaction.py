@@ -26,7 +26,6 @@ from typing import Any, Mapping
 
 from repro.errors import InvalidTransactionError
 from repro.logic.atoms import Atom, AtomKind, atoms_variables
-from repro.logic.formula import Formula, atoms_to_formula
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
 from repro.relational.dml import Delete, Insert, Statement
@@ -132,16 +131,6 @@ class ResourceTransaction:
         """Optional body atoms (soft preferences)."""
         return tuple(a for a in self.body if a.optional)
 
-    @property
-    def inserts(self) -> tuple[Atom, ...]:
-        """Insert atoms of the update portion."""
-        return tuple(a for a in self.updates if a.kind is AtomKind.INSERT)
-
-    @property
-    def deletes(self) -> tuple[Atom, ...]:
-        """Delete atoms of the update portion."""
-        return tuple(a for a in self.updates if a.kind is AtomKind.DELETE)
-
     @cached_property
     def _variables(self) -> frozenset[Variable]:
         return atoms_variables(self.body) | atoms_variables(self.updates)
@@ -167,14 +156,6 @@ class ResourceTransaction:
     def relations(self) -> frozenset[str]:
         """Names of every relation the transaction touches."""
         return self._relations
-
-    def hard_formula(self) -> Formula:
-        """The conjunction of the non-optional body atoms as a formula."""
-        return atoms_to_formula(self.hard_body)
-
-    def full_formula(self) -> Formula:
-        """The conjunction of all body atoms (hard and optional)."""
-        return atoms_to_formula(self.body)
 
     # -- transformation ------------------------------------------------------
 
@@ -232,29 +213,6 @@ class ResourceTransaction:
             else:
                 statements.append(Delete(atom.relation, values))
         return statements
-
-    def satisfied_optionals(
-        self, valuation: Mapping[str, Any], oracle
-    ) -> int:
-        """Count optional atoms satisfied by ``valuation`` against ``oracle``.
-
-        ``oracle`` has the :data:`repro.logic.formula.FactOracle` signature.
-        Optional atoms with unbound variables count as unsatisfied.
-        """
-        count = 0
-        for atom in self.optional_body:
-            try:
-                values = []
-                for term in atom.terms:
-                    if isinstance(term, Variable):
-                        values.append(valuation[term.name])
-                    else:
-                        values.append(term.value)
-            except KeyError:
-                continue
-            if oracle(atom.relation, tuple(values)):
-                count += 1
-        return count
 
     # -- presentation --------------------------------------------------------
 

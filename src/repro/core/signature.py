@@ -116,10 +116,6 @@ class SignatureIndex:
     def __contains__(self, partition_id: int) -> bool:
         return partition_id in self._keys
 
-    def is_imprecise(self, partition_id: int) -> bool:
-        """True when the partition fell back to always-candidate routing."""
-        return partition_id in self._imprecise
-
     # -- maintenance ---------------------------------------------------------
 
     def add(self, partition: "Partition") -> None:

@@ -7,7 +7,6 @@ hierarchy mirrors the layering of the system:
 * ``relational`` errors concern the extensional store (schema violations,
   key conflicts, missing rows, transaction aborts).
 * ``logic`` errors concern malformed terms, atoms, or substitutions.
-* ``solver`` errors concern unsatisfiable or ill-posed constraint problems.
 * ``core`` (quantum database) errors concern resource-transaction admission,
   grounding, and recovery.
 """
@@ -86,19 +85,6 @@ class SubstitutionError(LogicError):
 
 class FormulaError(LogicError):
     """A formula is malformed or evaluated with unbound variables."""
-
-
-# ---------------------------------------------------------------------------
-# Solver layer
-# ---------------------------------------------------------------------------
-
-
-class SolverError(ReproError):
-    """Base class for errors raised by :mod:`repro.solver`."""
-
-
-class GroundingError(SolverError):
-    """No grounding could be found when one was required to exist."""
 
 
 # ---------------------------------------------------------------------------

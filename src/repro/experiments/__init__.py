@@ -10,20 +10,11 @@ Run any experiment from the command line, e.g.::
     python -m repro.experiments.figure6
     python -m repro.experiments.table2
 
-The mapping from paper artifact to module is recorded in DESIGN.md
-(per-experiment index) and the measured-vs-paper comparison in
-EXPERIMENTS.md.
+Each module is named after its artifact (``figure5`` … ``figure9``,
+``table1``, ``table2``), and ``tests/experiments/test_paper_shapes.py``
+holds the shape each must show.
 """
 
-from repro.experiments import (  # noqa: F401 - re-exported for convenience
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    table1,
-    table2,
-)
 from repro.experiments.metrics import RunResult, Timer, coordination_percentage
 from repro.experiments.runner import (
     run_is_entangled,
@@ -35,14 +26,7 @@ __all__ = [
     "RunResult",
     "Timer",
     "coordination_percentage",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
     "run_is_entangled",
     "run_quantum_entangled",
     "run_quantum_mixed",
-    "table1",
-    "table2",
 ]

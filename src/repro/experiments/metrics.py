@@ -69,11 +69,6 @@ class RunResult:
         """Cumulative per-operation times (Figure 5's series)."""
         return cumulative(self.op_times)
 
-    def mean_op_time(self) -> float:
-        """Mean per-operation time."""
-        return self.total_time / len(self.op_times) if self.op_times else 0.0
-
-
 def coordination_percentage(coordinated_users: int, max_possible: int) -> float:
     """Coordination percentage with a safe zero denominator."""
     if max_possible <= 0:

@@ -2,8 +2,8 @@
 
 "Given a set of relational atoms containing variables and a database D, a
 substitution is a mapping from variables to variables or data values from D"
-(paper, Section 3.2.1).  We additionally support composition (needed by the
-most-general-unifier definition) and application to atoms and formulas.
+(paper, Section 3.2.1).  We additionally support application to atoms and
+formulas.
 """
 
 from __future__ import annotations
@@ -158,30 +158,6 @@ class Substitution:
         mapping = dict(self._mapping)
         mapping[var] = term
         return Substitution(mapping)
-
-    def compose(self, other: "Substitution") -> "Substitution":
-        """Return ``other ∘ self``: apply ``self`` first, then ``other``.
-
-        This is the composition used in Definition 3.2's "for each unifier ν
-        there exists ν' with ν = ν' ∘ θ".
-        """
-        mapping: dict[Variable, Term] = {}
-        for var, term in self._mapping.items():
-            mapping[var] = other.apply_term(term)
-        for var, term in other._mapping.items():
-            mapping.setdefault(var, term)
-        return Substitution(mapping)
-
-    def merge(self, other: "Substitution") -> "Substitution":
-        """Union of two substitutions that must agree on shared variables.
-
-        Raises:
-            SubstitutionError: if the two bind a shared variable differently.
-        """
-        merged = self
-        for var, term in other.items():
-            merged = merged.bind(var, term)
-        return merged
 
     def restrict(self, variables: Iterable[Variable]) -> "Substitution":
         """Restrict the domain to ``variables``."""

@@ -26,12 +26,10 @@ OPTIONAL atoms as they are, without a body-atom copy.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.logic.atoms import Atom
 from repro.logic.formula import Equality, FALSE, Formula, TRUE, conjunction
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Constant, Term, Variable
+from repro.logic.terms import Term, Variable
 
 
 def unify_terms(
@@ -122,33 +120,3 @@ def unifiable(left: Atom, right: Atom) -> bool:
     """
     return _bindings(left, right) is not None
 
-
-def any_unifiable(left: Iterable[Atom], right: Iterable[Atom]) -> bool:
-    """True if any atom of ``left`` unifies with any atom of ``right``."""
-    right_atoms = list(right)
-    for l_atom in left:
-        for r_atom in right_atoms:
-            if unifiable(l_atom, r_atom):
-                return True
-    return False
-
-
-def match_ground_atom(pattern: Atom, ground: Atom) -> Substitution | None:
-    """One-way match of ``pattern`` against a ground atom.
-
-    Unlike full unification, only the pattern's variables may be bound.
-    Used when checking whether a concrete row (a ground atom) satisfies a
-    body atom.
-    """
-    if pattern.relation != ground.relation or pattern.arity != ground.arity:
-        return None
-    theta = Substitution.empty()
-    for p_term, g_term in zip(pattern.terms, ground.terms):
-        if not isinstance(g_term, Constant):
-            return None
-        bound = theta.apply_term(p_term)
-        if isinstance(bound, Variable):
-            theta = theta.bind(bound, g_term)
-        elif bound != g_term:
-            return None
-    return theta

@@ -95,10 +95,6 @@ class HashIndex(_Index):
         # regardless of PYTHONHASHSEED.
         self._buckets: dict[tuple[Any, ...], dict[Row, None]] = {}
 
-    def key_for(self, row: Row) -> tuple[Any, ...]:
-        """Project ``row`` onto the indexed columns."""
-        return self._project(row.values)
-
     # -- maintenance --------------------------------------------------------
 
     def add(self, row: Row) -> None:

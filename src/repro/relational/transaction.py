@@ -64,7 +64,8 @@ class Transaction:
             txn.insert("Bookings", ("Mickey", 123, "5A"))
 
     Leaving the ``with`` block commits; an exception aborts and undoes all
-    changes.
+    changes.  A log append that raised makes the transaction abort-only,
+    even if the caller caught the error: :meth:`commit` then aborts.
     """
 
     def __init__(
@@ -80,6 +81,9 @@ class Transaction:
         #: WAL records appended so far: an undo entry whose append raised
         #: has none.
         self._logged = 1
+        #: Set when an append raised: the log lacks a change the tables
+        #: hold, so the transaction may only abort.
+        self._append_failed = False
 
     # -- state checks -------------------------------------------------------
 
@@ -108,7 +112,11 @@ class Transaction:
         self._require_active()
         row = self.database.table(table).insert(values)
         self._undo.append(("insert", table, row))
-        self._wal.log_insert(self.transaction_id, table, row.values)
+        try:
+            self._wal.log_insert(self.transaction_id, table, row.values)
+        except BaseException:
+            self._append_failed = True
+            raise
         self._logged += 1
         return row
 
@@ -122,7 +130,11 @@ class Transaction:
         self._require_active()
         row = self.database.table(table).delete(values)
         self._undo.append(("delete", table, row))
-        self._wal.log_delete(self.transaction_id, table, row.values)
+        try:
+            self._wal.log_delete(self.transaction_id, table, row.values)
+        except BaseException:
+            self._append_failed = True
+            raise
         self._logged += 1
         return row
 
@@ -139,8 +151,19 @@ class Transaction:
     # -- lifecycle ----------------------------------------------------------
 
     def commit(self) -> None:
-        """Make all changes durable and end the transaction."""
+        """Make all changes durable and end the transaction.
+
+        Raises:
+            TransactionError: if a log append of this transaction raised;
+                the transaction is aborted instead of committed.
+        """
         self._require_active()
+        if self._append_failed:
+            self.abort()
+            raise TransactionError(
+                f"transaction {self.transaction_id} aborted: a log append "
+                "failed, so its changes cannot commit"
+            )
         self._wal.log_commit(self.transaction_id)
         self.status = TransactionStatus.COMMITTED
         statistics = self.database.statistics
@@ -150,21 +173,25 @@ class Transaction:
         self.database._transaction_finished(self.transaction_id)
 
     def abort(self) -> None:
-        """Undo all changes and end the transaction."""
+        """Undo all changes and end the transaction.
+
+        The transaction has ended even if the ABORT append then raises: a
+        log without this transaction's COMMIT record replays it as nothing.
+        """
         self._require_active()
-        for operation, table_name, row in reversed(self._undo):
+        undo, self._undo = self._undo, []
+        for operation, table_name, row in reversed(undo):
             table = self.database.table(table_name)
             if operation == "insert":
                 table.delete(row)
             else:
                 table.insert(row)
-        self._wal.log_abort(self.transaction_id)
         self.status = TransactionStatus.ABORTED
         statistics = self.database.statistics
         statistics.aborts += 1
-        statistics.records += self._logged + 1
-        self._undo.clear()
         self.database._transaction_finished(self.transaction_id)
+        self._wal.log_abort(self.transaction_id)
+        statistics.records += self._logged + 1
 
     # -- context manager ----------------------------------------------------
 

@@ -65,7 +65,7 @@ from repro.server.service import (
     ServerConfig,
     ServerStatistics,
 )
-from repro.server.session import GroundingTarget, Session, SessionStatistics
+from repro.server.session import GroundingTarget, Session
 
 __all__ = [
     "CheckpointPolicy",
@@ -82,7 +82,6 @@ __all__ = [
     "ServerConfig",
     "ServerStatistics",
     "Session",
-    "SessionStatistics",
     "encode_frame",
     "serve",
 ]

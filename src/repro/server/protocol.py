@@ -168,11 +168,6 @@ class FrameDecoder:
         self.max_frame_bytes = max_frame_bytes
         self._buffer = bytearray()
 
-    @property
-    def buffered(self) -> int:
-        """Bytes held back waiting for the rest of a frame."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> list[dict[str, Any]]:
         """Absorb ``data`` and return every message it completed.
 

@@ -471,7 +471,6 @@ class QuantumServer:
         if session is not None and quota is not None:
             if session._in_flight >= quota:
                 self.statistics.backpressure_rejections += 1
-                session.statistics.backpressure += 1
                 raise SessionBackpressure(
                     f"session #{session.session_id} has {session._in_flight} "
                     f"operations in flight (quota {quota}); retry after they "
@@ -483,7 +482,6 @@ class QuantumServer:
             in_flight = self._tenant_in_flight.get(tenant, 0)
             if in_flight >= tenant_quota:
                 self.statistics.tenant_rejections += 1
-                session.statistics.tenant_backpressure += 1
                 raise TenantBackpressure(
                     f"tenant {tenant!r} has {in_flight} operations in flight "
                     f"across its sessions (quota {tenant_quota}); retry after "
@@ -546,7 +544,6 @@ class QuantumServer:
         if self.qdb.state.affected_by_read(request.atoms):
             return None
         self.statistics.reads_inline += 1
-        session.statistics.reads += 1
         return self.qdb.answer(request)
 
     async def ground_all(self) -> list[GroundedTransaction]:

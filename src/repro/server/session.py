@@ -1,11 +1,11 @@
 """Per-client sessions over a :class:`~repro.server.service.QuantumServer`.
 
 A :class:`Session` is one client's view of the quantum database: its own
-stream of resource transactions, its own statistics, and awaitable
-grounding notifications.  Sessions never touch the database directly —
-every operation is enqueued on the server's single-writer admission queue
-and the session suspends until the writer has processed it, which is what
-gives concurrent clients the exact semantics of the synchronous
+stream of resource transactions and awaitable grounding notifications.
+Sessions never touch the database directly — every operation is enqueued
+on the server's single-writer admission queue and the session suspends
+until the writer has processed it, which is what gives concurrent clients
+the exact semantics of the synchronous
 :class:`~repro.core.quantum_database.QuantumDatabase` API (see
 ``docs/architecture.md``, "The session layer").
 
@@ -30,7 +30,6 @@ Typical usage::
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.parser import parse_transaction
@@ -47,40 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: a relation name (any grounding that wrote to it), or a predicate over
 #: the grounded record.
 GroundingTarget = int | str | Callable[[GroundedTransaction], bool]
-
-
-@dataclass
-class SessionStatistics:
-    """Per-session counters.
-
-    Attributes:
-        submitted: resource transactions submitted (commit + batch items).
-        accepted / rejected: admission outcomes observed by this session.
-        batches: ``commit_batch`` calls.
-        reads: read queries answered.
-        writes: blind inserts/deletes issued.
-        grounding_waits: ``on_grounding`` futures requested.
-        grounding_events: grounding notifications delivered.
-        cancelled: ``commit`` / ``commit_batch`` calls cancelled while they
-            awaited the writer (a batch counts once).
-        backpressure: submissions refused because the session exceeded its
-            queue quota (:class:`~repro.errors.SessionBackpressure`).
-        tenant_backpressure: submissions refused because the session's
-            tenant exceeded its combined quota
-            (:class:`~repro.errors.TenantBackpressure`).
-    """
-
-    submitted: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    batches: int = 0
-    reads: int = 0
-    writes: int = 0
-    grounding_waits: int = 0
-    grounding_events: int = 0
-    cancelled: int = 0
-    backpressure: int = 0
-    tenant_backpressure: int = 0
 
 
 class Session:
@@ -105,7 +70,6 @@ class Session:
         #: Quota group this session bills against under
         #: ``ServerConfig.tenant_quota`` (None: exempt from the tenant rung).
         self.tenant = tenant
-        self.statistics = SessionStatistics()
         self._closed = False
         #: Items this session has enqueued but the writer has not finished;
         #: bounded by ``ServerConfig.session_quota`` (see the server's
@@ -184,7 +148,6 @@ class Session:
         """
         self._require_open()
         built = [self._build(t, parse_kwargs) for t in transactions]
-        self.statistics.batches += 1
         return await self._submit(built, "batch_commits")
 
     def _build(
@@ -204,23 +167,7 @@ class Session:
         check_updates = self._server.qdb.check_updates
         for transaction in transactions:
             check_updates(transaction)
-        self.statistics.submitted += len(transactions)
-        try:
-            results = await self._server._enqueue(
-                self, counter, transactions=transactions
-            )
-        except asyncio.CancelledError:
-            self.statistics.cancelled += 1
-            raise
-        for result in results:
-            self._record(result)
-        return results
-
-    def _record(self, result: CommitResult) -> None:
-        if result.committed:
-            self.statistics.accepted += 1
-        else:
-            self.statistics.rejected += 1
+        return await self._server._enqueue(self, counter, transactions=transactions)
 
     # -- reads and blind writes ---------------------------------------------
 
@@ -245,21 +192,18 @@ class Session:
         """
         self._require_open()
         request = read_request(request, terms, mode=mode, select=select, limit=limit)
-        self.statistics.reads += 1
         qdb = self._server.qdb
         return await self._server._enqueue(self, "reads", lambda: qdb.read(request))
 
     async def insert(self, table: str, values: Sequence[Any]) -> None:
         """Blind insert, admission-checked against pending transactions."""
         self._require_open()
-        self.statistics.writes += 1
         qdb = self._server.qdb
         await self._server._enqueue(self, "writes", lambda: qdb.insert(table, values))
 
     async def delete(self, table: str, values: Sequence[Any]) -> None:
         """Blind delete, admission-checked against pending transactions."""
         self._require_open()
-        self.statistics.writes += 1
         qdb = self._server.qdb
         await self._server._enqueue(self, "writes", lambda: qdb.delete(table, values))
 
@@ -278,14 +222,7 @@ class Session:
             An awaitable future yielding the grounded record.
         """
         self._require_open()
-        self.statistics.grounding_waits += 1
-        future = self._server._register_grounding_waiter(target)
-        future.add_done_callback(self._count_grounding_event)
-        return future
-
-    def _count_grounding_event(self, future: "asyncio.Future") -> None:
-        if not future.cancelled():
-            self.statistics.grounding_events += 1
+        return self._server._register_grounding_waiter(target)
 
     async def ground(self, transaction_ids: Sequence[int]) -> list[GroundedTransaction]:
         """Explicitly collapse specific pending transactions."""
@@ -309,5 +246,5 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Session #{self.session_id} client={self.client!r} "
-            f"submitted={self.statistics.submitted}>"
+            f"in_flight={self._in_flight}>"
         )

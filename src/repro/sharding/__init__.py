@@ -13,11 +13,6 @@ manager itself) and
 :class:`~repro.sharding.admission_lane.AdmissionController`.
 """
 
-from repro.core.signature import SignatureIndex, SignatureIndexStatistics
 from repro.sharding.manager import ShardedPartitionManager
 
-__all__ = [
-    "ShardedPartitionManager",
-    "SignatureIndex",
-    "SignatureIndexStatistics",
-]
+__all__ = ["ShardedPartitionManager"]

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from repro.errors import GroundingError
 from repro.logic.formula import Formula
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Variable
@@ -205,24 +204,6 @@ class GroundingSearch:
     ) -> list[GroundingResult]:
         """Enumerate groundings (used by possible-world utilities and tests)."""
         return list(self.find(formula, required=required, limit=limit))
-
-    def require(
-        self,
-        formula: Formula | Program,
-        *,
-        required: Iterable[Variable] | None = None,
-        initial: Substitution | None = None,
-    ) -> GroundingResult:
-        """Like :meth:`find_one` but raise when no grounding exists.
-
-        Raises:
-            GroundingError: if the formula is unsatisfiable over the
-                database.
-        """
-        result = self.find_one(formula, required=required, initial=initial)
-        if not result.satisfiable:
-            raise GroundingError(f"no grounding exists for {formula!r}")
-        return result
 
     def find(
         self,

@@ -625,7 +625,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         return record
 
     def note_checkpoint_pause(self, pause_ms: float, *, delta: bool = False) -> None:
-        super().note_checkpoint_pause(pause_ms, delta=delta)
+        # The engine keeps its maxima in ``statistics``, not in the
+        # in-memory log's ``_max_pause_ms``.
         stats = self.statistics
         stats.checkpoint_pause_ms = max(stats.checkpoint_pause_ms, pause_ms)
         if delta:
@@ -998,30 +999,14 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     # -- reporting / lifecycle ------------------------------------------------
 
     def durability_statistics(self) -> dict[str, Any]:
-        """Flat ``durability.*`` counters for ``statistics_report()``."""
-        stats = self.statistics
+        """Flat ``durability.*`` counters for ``statistics_report()``: every
+        :class:`DurabilityStatistics` field, plus the mode and four live
+        values: segment counts and the manifest's LSN marks."""
         with self._lock:
             return {
                 "mode": "segmented",
                 "segments_live": len(self._manifest.segments),
-                "segments_sealed": stats.segments_sealed,
-                "compactions": stats.compactions,
-                "bytes_reclaimed": stats.bytes_reclaimed,
-                "flushes": stats.flushes,
-                "fsyncs": stats.fsyncs,
-                "checkpoints_base": stats.checkpoints_base,
-                "checkpoints_delta": stats.checkpoints_delta,
-                "checkpoint_pause_ms": stats.checkpoint_pause_ms,
-                "base_pause_ms": stats.base_pause_ms,
-                "delta_pause_ms": stats.delta_pause_ms,
-                "torn_tail_truncations": stats.torn_tail_truncations,
-                "bases_synthesized": stats.bases_synthesized,
-                "base_synthesis_ms": stats.base_synthesis_ms,
-                "compaction_errors": stats.compaction_errors,
-                "last_compaction_error": stats.last_compaction_error,
-                "compaction_bytes_read": stats.compaction_bytes_read,
-                "manifest_saves_writer": stats.manifest_saves_writer,
-                "manifest_saves_compactor": stats.manifest_saves_compactor,
+                **vars(self.statistics),
                 "segments_quarantined": len(self._compaction_quarantine),
                 "checkpoint_lsn": self._manifest.checkpoint_lsn,
                 "compacted_through_lsn": self._manifest.compacted_through_lsn,

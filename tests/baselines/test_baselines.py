@@ -1,11 +1,9 @@
-"""Tests for the intelligent-social and eager baselines."""
+"""Tests for the intelligent-social baseline."""
 
 from __future__ import annotations
 
 
-from repro.baselines.eager import EagerClient
 from repro.baselines.intelligent_social import IntelligentSocialClient
-from repro import make_adjacent_seat_request
 from tests.conftest import make_tiny_flight_db
 
 
@@ -69,35 +67,3 @@ class TestIntelligentSocial:
         booking = client.book("Mickey", None)
         assert booking.succeeded and booking.flight == 123
 
-
-class TestEagerBaseline:
-    def test_executes_immediately(self):
-        database = make_tiny_flight_db(seats=3)
-        client = EagerClient(database)
-        result = client.execute(make_adjacent_seat_request("Mickey", "Goofy", flight=123))
-        assert result.executed
-        assert len(database.table("Bookings")) == 1
-
-    def test_cannot_coordinate_with_future_partner(self):
-        database = make_tiny_flight_db(seats=3)
-        client = EagerClient(database)
-        first = client.execute(make_adjacent_seat_request("Mickey", "Goofy", flight=123))
-        second = client.execute(make_adjacent_seat_request("Goofy", "Mickey", flight=123))
-        # Goofy (arriving second) can satisfy his preference; Mickey could not
-        # at the time he executed (his partner's booking did not exist yet).
-        assert not first.coordinated
-        assert second.satisfied_optionals == 2 and second.coordinated
-
-    def test_aborts_when_no_grounding(self):
-        database = make_tiny_flight_db(seats=1)
-        client = EagerClient(database)
-        assert client.execute(make_adjacent_seat_request("A", "B", flight=123)).executed
-        result = client.execute(make_adjacent_seat_request("B", "A", flight=123))
-        assert not result.executed
-
-    def test_coordination_percentage(self):
-        database = make_tiny_flight_db(seats=3)
-        client = EagerClient(database)
-        client.execute(make_adjacent_seat_request("Mickey", "Goofy", flight=123))
-        client.execute(make_adjacent_seat_request("Goofy", "Mickey", flight=123))
-        assert client.coordination_percentage() == 50.0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 
 from repro.core.composition import (
-    CompositionReport,
     OrderComposition,
     compose_pair,
     compose_sequence,
@@ -140,15 +139,6 @@ class TestCompositionOptions:
         names = {v.name for v in composed.free_variables()}
         assert len(names) == 2
         assert all("@" in name for name in names)
-
-    def test_report_counts_atoms(self):
-        report = CompositionReport.build([T1, T2, T3])
-        assert report.transaction_ids == (
-            T1.transaction_id,
-            T2.transaction_id,
-            T3.transaction_id,
-        )
-        assert report.atom_count == len(compose_sequence([T1, T2, T3]).atoms())
 
 
 class TestOrderComposition:

@@ -116,7 +116,7 @@ class TestGroundingIsOneStoreTransaction:
         assert sorted(name for name, _f, _s in bookings) == ["Goofy", "Mickey"]
         assert len({seat for _n, _f, seat in bookings}) == 2
         assert len(recovered.table("Available")) == 1
-        assert len(recovered.pending_store) == 0
+        assert not recovered.pending_store.pending_ids()
 
     def test_a_grounding_is_one_commit_record(self):
         qdb = QuantumDatabase(make_tiny_flight_db(seats=3))
@@ -216,7 +216,7 @@ def assert_recovers_to(database: Database, live: Acknowledged) -> None:
     } == live.pending_ids
     recovered.ground_all()
     assert recovered.pending_count == 0
-    assert len(recovered.pending_store) == 0
+    assert not recovered.pending_store.pending_ids()
     bookings = recovered.table("Bookings").snapshot()
     # Every acknowledged commit holds exactly one seat, nobody else does.
     assert sorted(name for name, _f, _s in bookings) == sorted(live.committed)

@@ -330,10 +330,10 @@ def test_retraction_matches_a_rebuild_on_an_imprecise_partition(grounded):
         )
         partition.append(pending)
     assert len(manager) == 1
-    assert manager.index.is_imprecise(partition.partition_id)
+    assert partition.partition_id in manager.index._imprecise
     partition.ground_prefix(partition.composition(), grounded)
     assert partition.pending == tuple(entries[grounded:])
-    assert manager.index.is_imprecise(partition.partition_id) == (grounded < 2)
+    assert (partition.partition_id in manager.index._imprecise) == (grounded < 2)
     assert_successor_is_fresh(partition)
     assert_index_is_rebuilt(manager)
     assert_map_and_loose_set(manager)

@@ -123,7 +123,7 @@ class TestGroundingAndReads:
         assert len(rows) == 1
         # Mickey's transaction was grounded by the read; Goofy's update atom
         # +Bookings('Goofy', ...) does not unify with the Mickey-constant read.
-        assert qdb.assignment_of(mickey.transaction_id) is not None
+        assert mickey.transaction_id in qdb.state.grounded_results
         assert qdb.state.is_pending(goofy.transaction_id)
 
     def test_read_repeatability_after_collapse(self):

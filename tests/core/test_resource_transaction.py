@@ -88,11 +88,6 @@ class TestValidation:
 
 
 class TestIntrospection:
-    def test_inserts_and_deletes(self):
-        txn = mickey()
-        assert [a.relation for a in txn.inserts] == ["Bookings"]
-        assert [a.relation for a in txn.deletes] == ["Available"]
-
     def test_variables(self):
         txn = mickey()
         assert txn.variables() == {F, S, S2}
@@ -109,11 +104,6 @@ class TestIntrospection:
         assert txn.variables() is txn.variables()
         assert txn.hard_variables() is txn.hard_variables()
         assert txn.relations() is txn.relations()
-
-    def test_formulas(self):
-        txn = mickey()
-        assert len(txn.hard_formula().atoms()) == 1
-        assert len(txn.full_formula().atoms()) == 3
 
     def test_rename_variables_preserves_id(self):
         txn = mickey()
@@ -151,13 +141,3 @@ class TestGroundUpdates:
         txn = mickey()
         with pytest.raises(InvalidTransactionError):
             txn.ground_updates({"f": 123})
-
-    def test_satisfied_optionals_counting(self):
-        txn = mickey()
-        facts = {("Bookings", ("Goofy", 1, "1B")), ("Adjacent", (1, "1A", "1B"))}
-        def oracle(rel, values):
-            return (rel, values) in facts
-        assert txn.satisfied_optionals({"f": 1, "s": "1A", "s2": "1B"}, oracle) == 2
-        assert txn.satisfied_optionals({"f": 1, "s": "1C", "s2": "1B"}, oracle) == 1
-        # Unbound optional variables count as unsatisfied, not as errors.
-        assert txn.satisfied_optionals({"f": 1, "s": "1A"}, oracle) == 0

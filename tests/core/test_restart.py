@@ -5,11 +5,10 @@ partitions in sequence order, solves each rebuilt partition once and
 enforces the ``k`` bound.  This suite holds it to the pending set it
 restarts from:
 
-* **Row forms** (``TestRowForms``): a pending table of textual rows (what
-  every log written before the stored form holds), of stored-form rows, or
-  of a mix recovers the same pending ids, sequences, partitions and next
-  sequence; a malformed stored row is a ``QuantumRecoveryError`` naming its
-  transaction.
+* **Row forms** (``TestRowForms``): a pending row in the textual notation,
+  or a malformed stored row, is a ``QuantumRecoveryError`` naming its
+  transaction; the stored form is the only one recovery reads, so a table
+  mixing both forms restarts only at cuts where no textual row is pending.
 * **The stored form** (``TestStoredForm``): every constant type and the
   benchmark generator's transactions survive encode → decode exactly.
 * **Every cut** (``TestEveryCut``): at every COMMIT boundary of the
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -105,8 +105,8 @@ def with_rows(log: bytes, write) -> bytes:
     return b"".join(frames)
 
 
-def mixed(transaction: ResourceTransaction) -> str:
-    """Every other transaction in the textual notation."""
+def odd_rows_textual(transaction: ResourceTransaction) -> str:
+    """Odd-numbered transactions in the textual notation, the rest stored."""
     if transaction.transaction_id % 2:
         return format_transaction(transaction)
     return encode_transaction(transaction)
@@ -114,27 +114,47 @@ def mixed(transaction: ResourceTransaction) -> str:
 
 class TestRowForms:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_textual_stored_and_mixed_rows_restart_alike(self, seed):
-        pending_cuts = 0
+    def test_a_textual_row_names_its_transaction(self, seed):
+        refused = 0
         for cut in cuts_of(seed, "execute"):
-            views = {}
-            for form, write, stored_form in (
-                ("text", format_transaction, lambda txn_id: False),
-                ("stored", encode_transaction, lambda txn_id: True),
-                ("mixed", mixed, lambda txn_id: txn_id % 2 == 0),
-            ):
-                log = WriteAheadLog.load(with_rows(cut, write))
-                recovered = QuantumDatabase.recover(recover_database(seat_schema, log))
-                rows = recovered.database.table(PENDING_TABLE).snapshot()
-                for txn_id, *_, text in rows:
-                    assert text.startswith("[") == stored_form(txn_id)
-                views[form] = (
-                    *pending_view(recovered),
-                    recovered.state.allocate_sequence(),
+            log = WriteAheadLog.load(with_rows(cut, format_transaction))
+            database = recover_database(seat_schema, log)
+            pending = {row[0] for row in database.table(PENDING_TABLE).snapshot()}
+            if not pending:
+                continue
+            with pytest.raises(QuantumRecoveryError) as caught:
+                QuantumDatabase.recover(database)
+            named = re.search(r"pending transaction (\d+):", str(caught.value))
+            assert named is not None and int(named[1]) in pending
+            refused += 1
+        assert refused > 3
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_mixed_table_restarts_only_without_textual_rows(self, seed):
+        refused = 0
+        for cut in cuts_of(seed, "execute"):
+            stored = QuantumDatabase.recover(
+                recover_database(seat_schema, WriteAheadLog.load(cut))
+            )
+            log = WriteAheadLog.load(with_rows(cut, odd_rows_textual))
+            database = recover_database(seat_schema, log)
+            textual = {
+                row[0] for row in database.table(PENDING_TABLE).snapshot() if row[0] % 2
+            }
+            if not textual:
+                recovered = QuantumDatabase.recover(database)
+                assert pending_view(recovered) == pending_view(stored)
+                assert (
+                    recovered.state.allocate_sequence()
+                    == stored.state.allocate_sequence()
                 )
-            assert views["text"] == views["stored"] == views["mixed"]
-            pending_cuts += bool(views["text"][0])
-        assert pending_cuts > 3
+                continue
+            with pytest.raises(QuantumRecoveryError) as caught:
+                QuantumDatabase.recover(database)
+            named = re.search(r"pending transaction (\d+):", str(caught.value))
+            assert named is not None and int(named[1]) in textual
+            refused += 1
+        assert refused > 0
 
     @pytest.mark.parametrize(
         "text",
@@ -327,7 +347,7 @@ class TestEveryCut:
             # The forced groundings removed their rows in the same unit.
             assert recovered.pending_store.pending_ids() == pending
             recovered.ground_all()
-            assert len(recovered.pending_store) == 0
+            assert not recovered.pending_store.pending_ids()
         assert wider, f"seed {seed} never rebuilds a partition wider than 1"
 
 

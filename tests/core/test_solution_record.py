@@ -406,7 +406,7 @@ class TestRecordStates:
         substitution = partition.solution.substitution
         assert partition.solution.footprint is not None
         entries = partition.pending
-        partition.remove(entries[0])
+        partition.pending = entries[1:]
         assert partition.solution.substitution is substitution
         assert partition.solution.footprint is None
         qdb.state.cache.record(partition, substitution.restrict(partition.variables()))

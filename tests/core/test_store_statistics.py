@@ -136,17 +136,6 @@ def test_rejections_write_nothing():
     ledger.expect(commits=0, aborts=1, rows=1)
 
 
-def test_clearing_the_pending_table_is_one_transaction():
-    qdb = QuantumDatabase(build_flight_database(SPEC))
-    qdb.commit_batch([booking(name, FIRST) for name in "abc"])
-    ledger = Ledger(qdb)
-    qdb.pending_store.clear()
-    assert len(qdb.pending_store) == 0
-    ledger.expect(commits=1, rows=3)
-    qdb.pending_store.clear()
-    ledger.expect(commits=0)
-
-
 def test_forced_and_partner_groundings_join_the_admitting_operation():
     # k=1: admitting the second booking of a partition forces the first out.
     qdb = QuantumDatabase(make_tiny_flight_db(seats=3), QuantumConfig(k=1))
@@ -175,7 +164,7 @@ def test_forced_and_partner_groundings_join_the_admitting_operation():
     result = qdb.execute(entangled("Mickey", "Goofy"), client="Mickey", partner="Goofy")
     assert len(result.grounded) == 2 and not result.pending
     ledger.expect(commits=1, rows=5)  # two bookings (2 rows each) + Goofy's row
-    assert len(qdb.pending_store) == 0
+    assert not qdb.pending_store.pending_ids()
 
 
 def test_one_store_commit_per_server_commit_run_and_over_the_wire():

@@ -103,25 +103,24 @@ class TestEntanglement:
         mickey = make_adjacent_seat_request("Mickey", "Goofy")
         goofy = make_adjacent_seat_request("Goofy", "Mickey")
         assert registry.register(mickey) is None
-        assert registry.waiting_count() == 1
+        assert len(registry.waiting) == 1
         match = registry.register(goofy)
         assert match is not None
         assert match.transaction_ids() == (mickey.transaction_id, goofy.transaction_id)
-        assert registry.waiting_count() == 0
-        assert registry.matched_count() == 1
+        assert not registry.waiting
 
     def test_registry_ignores_plain_transactions(self):
         registry = EntanglementRegistry()
         plain = parse_transaction(MICKEY)
         assert registry.register(plain) is None
-        assert registry.waiting_count() == 0
+        assert not registry.waiting
 
     def test_withdraw(self):
         registry = EntanglementRegistry()
         mickey = make_adjacent_seat_request("Mickey", "Goofy")
         registry.register(mickey)
         registry.withdraw(mickey)
-        assert registry.waiting_count() == 0
+        assert not registry.waiting
         # A later Goofy arrival no longer matches.
         assert registry.register(make_adjacent_seat_request("Goofy", "Mickey")) is None
 

@@ -31,7 +31,6 @@ class TestMetricsAndReport:
     def test_run_result_aggregates(self):
         result = RunResult(label="x", op_times=[0.5, 0.5])
         assert result.total_time == 1.0
-        assert result.mean_op_time() == 0.5
         assert result.cumulative_times() == [0.5, 1.0]
 
     def test_format_table_alignment(self):

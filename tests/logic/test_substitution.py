@@ -72,22 +72,6 @@ class TestCombination:
         theta = Substitution({X: 1})
         assert theta.bind(X, 1) == theta
 
-    def test_merge(self):
-        theta = Substitution({X: 1}).merge(Substitution({Y: 2}))
-        assert theta.as_valuation() == {"x": 1, "y": 2}
-
-    def test_merge_conflict(self):
-        with pytest.raises(SubstitutionError):
-            Substitution({X: 1}).merge(Substitution({X: 2}))
-
-    def test_compose_definition(self):
-        # compose: first self, then other (ν = ν' ∘ θ).
-        theta = Substitution({X: Y})
-        nu_prime = Substitution({Y: Constant(7)})
-        composed = theta.compose(nu_prime)
-        assert composed.apply_term(X) == Constant(7)
-        assert composed.apply_term(Y) == Constant(7)
-
     def test_restrict(self):
         theta = Substitution({X: 1, Y: 2})
         restricted = theta.restrict([X])

@@ -8,8 +8,6 @@ from repro.logic.formula import Conjunction, Equality, FALSE, TRUE
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
 from repro.logic.unification import (
-    any_unifiable,
-    match_ground_atom,
     most_general_unifier,
     unifiable,
     unification_predicate,
@@ -63,7 +61,9 @@ class TestMGU:
         # A specific unifier: v1=v3=7, v2=5.
         nu = Substitution({V1: 7, V3: 7, V2: 5})
         nu_prime = Substitution({V1: 7, V3: 7})
-        assert theta.compose(nu_prime).apply_term(V1) == Constant(7)
+        # ν = ν' ∘ θ: applying θ, then ν', maps every variable as ν does.
+        for var in (V1, V2, V3):
+            assert nu_prime.apply_term(theta.apply_term(var)) == nu.apply_term(var)
         assert nu.apply_atom(left) == nu.apply_atom(right)
 
     def test_repeated_variables(self):
@@ -101,16 +101,3 @@ class TestHelpers:
         assert unifiable(Atom.body("R", [V1]), Atom.body("R", [5]))
         assert not unifiable(Atom.body("R", [1]), Atom.body("R", [2]))
 
-    def test_any_unifiable(self):
-        left = [Atom.body("R", [1]), Atom.body("S", [V1])]
-        right = [Atom.body("T", [2]), Atom.body("S", [3])]
-        assert any_unifiable(left, right)
-        assert not any_unifiable([Atom.body("R", [1])], [Atom.body("R", [2])])
-
-    def test_match_ground_atom(self):
-        pattern = Atom.body("R", [V1, V1, "x"])
-        ground = Atom.body("R", [3, 3, "x"])
-        theta = match_ground_atom(pattern, ground)
-        assert theta is not None and theta[V1] == Constant(3)
-        assert match_ground_atom(pattern, Atom.body("R", [3, 4, "x"])) is None
-        assert match_ground_atom(pattern, Atom.body("R", [3, 3, "y"])) is None

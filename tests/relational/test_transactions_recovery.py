@@ -8,6 +8,7 @@ from repro.errors import RecoveryError, TransactionError
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert
 from repro.relational.recovery import recover_database, replay_into
+from repro.relational.transaction import TransactionStatus
 from repro.relational.wal import LogRecord, LogRecordType, WriteAheadLog
 
 
@@ -136,6 +137,106 @@ class TestWriteAheadOrdering:
         assert db.statistics.records - counted == 2
         recovered = recover_database(make_schema, db.wal)
         assert recovered.table("Bookings").snapshot() == [("Mickey", 1, "1A")]
+
+    def test_a_caught_append_failure_aborts_the_commit(self, monkeypatch):
+        db = make_schema()
+        monkeypatch.setattr(db.wal, "log_insert", self.fail)
+        with pytest.raises(TransactionError):
+            with db.begin() as txn:
+                try:
+                    txn.insert("Bookings", ("Goofy", 1, "1B"))
+                except OSError:
+                    pass
+        assert txn.status is TransactionStatus.ABORTED
+        assert db.table("Bookings").snapshot() == []
+        assert [r.record_type for r in db.wal] == [
+            LogRecordType.BEGIN,
+            LogRecordType.ABORT,
+        ]
+        assert (db.statistics.commits, db.statistics.aborts) == (0, 1)
+        assert db.statistics.records == len(db.wal)
+        assert recover_database(make_schema, db.wal).table("Bookings").snapshot() == []
+
+    def test_a_caught_delete_append_failure_keeps_the_row(self, db, monkeypatch):
+        logged = len(db.wal)
+        monkeypatch.setattr(db.wal, "log_delete", self.fail)
+        with pytest.raises(TransactionError):
+            with db.begin() as txn:
+                try:
+                    txn.delete("Bookings", ("Mickey", 1, "1A"))
+                except OSError:
+                    pass
+        assert txn.status is TransactionStatus.ABORTED
+        assert db.table("Bookings").snapshot() == [("Mickey", 1, "1A")]
+        assert [r.record_type for r in db.wal.records()[logged:]] == [
+            LogRecordType.BEGIN,
+            LogRecordType.ABORT,
+        ]
+        recovered = recover_database(make_schema, db.wal)
+        assert recovered.table("Bookings").snapshot() == [("Mickey", 1, "1A")]
+
+    def test_a_caught_append_failure_undoes_the_logged_changes_too(self, monkeypatch):
+        db = make_schema()
+        log_insert = db.wal.log_insert
+        calls = []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                self.fail()
+            log_insert(*args)
+
+        monkeypatch.setattr(db.wal, "log_insert", second_fails)
+        with pytest.raises(TransactionError):
+            with db.begin() as txn:
+                txn.insert("Bookings", ("Goofy", 1, "1B"))
+                try:
+                    txn.insert("Bookings", ("Pluto", 1, "1C"))
+                except OSError:
+                    pass
+                txn.insert("Bookings", ("Donald", 1, "1D"))
+        assert db.table("Bookings").snapshot() == []
+        assert [r.record_type for r in db.wal] == [
+            LogRecordType.BEGIN,
+            LogRecordType.INSERT,
+            LogRecordType.INSERT,
+            LogRecordType.ABORT,
+        ]
+        assert db.statistics.records == len(db.wal)
+        assert recover_database(make_schema, db.wal).table("Bookings").snapshot() == []
+
+    def test_a_refused_commit_ends_the_transaction(self, monkeypatch):
+        db = make_schema()
+        monkeypatch.setattr(db.wal, "log_insert", self.fail)
+        txn = db.begin()
+        with pytest.raises(OSError):
+            txn.insert("Bookings", ("Goofy", 1, "1B"))
+        with pytest.raises(TransactionError, match="aborted"):
+            txn.commit()
+        with pytest.raises(TransactionError):
+            txn.commit()
+        monkeypatch.undo()
+        db.checkpoint()  # refused while any transaction is still active
+        with db.begin() as retry:
+            retry.insert("Bookings", ("Goofy", 1, "1B"))
+        recovered = recover_database(make_schema, db.wal)
+        assert recovered.table("Bookings").snapshot() == [("Goofy", 1, "1B")]
+
+    def test_a_failed_abort_append_still_ends_the_transaction(self, monkeypatch):
+        db = make_schema()
+        monkeypatch.setattr(db.wal, "log_abort", self.fail)
+        txn = db.begin()
+        txn.insert("Bookings", ("Goofy", 1, "1B"))
+        with pytest.raises(OSError):
+            txn.abort()
+        assert txn.status is TransactionStatus.ABORTED
+        assert db.table("Bookings").snapshot() == []
+        assert db.statistics.aborts == 1
+        db.checkpoint()  # refused while any transaction is still active
+        # The log holds no COMMIT for the transaction: replay drops its insert.
+        monkeypatch.undo()
+        recovered = recover_database(make_schema, db.wal)
+        assert recovered.table("Bookings").snapshot() == []
 
 
 class TestRecovery:

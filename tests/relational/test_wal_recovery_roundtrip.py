@@ -19,7 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.quantum_database import QuantumDatabase
-from repro.core.recovery import PendingTransactionStore
+from repro.core.parser import parse_transaction
+from repro.core.recovery import PendingTransactionStore, encode_transaction
 from repro.errors import DurabilityError, RecoveryError
 from repro.relational.database import Database
 from repro.relational.recovery import recover_database, replay_into
@@ -283,20 +284,18 @@ def framed(*records: LogRecord) -> bytes:
 
 
 def pending_row(transaction_id: int, sequence: int, client: str) -> tuple:
-    """A pending row in the textual notation."""
-    return (
-        transaction_id,
-        sequence,
-        client,
-        None,
+    """A pending row in the stored form."""
+    transaction = parse_transaction(
         f"-Available(7, ?s), +Bookings('{client}', 7, ?s) :-1 Available(7, ?s)",
+        transaction_id=transaction_id,
     )
+    return (transaction_id, sequence, client, None, encode_transaction(transaction))
 
 
 #: A log as a crash leaves it after a fold: one CHECKPOINT record at the
 #: last checkpoint and the records appended since — one committed
 #: transaction (a grounded booking plus a new pending row), then one that
-#: never reached its COMMIT.  Pending rows hold the textual notation.
+#: never reached its COMMIT.
 FOLDED_LOG = framed(
     LogRecord(
         7,

@@ -144,7 +144,7 @@ class TestReadBoundarySplits:
         for chunk in chunked(stream, cuts):
             received.extend(decoder.feed(chunk))
         assert received == batch
-        assert decoder.buffered == 0
+        assert len(decoder._buffer) == 0
 
     def test_one_byte_at_a_time(self):
         message = {"op": "commit", "id": 1, "text": "-A(?x) :-1 A(?x)"}
@@ -155,14 +155,14 @@ class TestReadBoundarySplits:
             received.extend(decoder.feed(stream[i : i + 1]))
             if i < len(stream) - 1:
                 assert received == []
-                assert decoder.buffered == i + 1
+                assert len(decoder._buffer) == i + 1
         assert received == [message]
 
     def test_half_frame_stays_buffered(self):
         stream = encode_frame({"op": "ping", "id": 3})
         decoder = FrameDecoder()
         assert decoder.feed(stream[: len(stream) // 2]) == []
-        assert decoder.buffered == len(stream) // 2
+        assert len(decoder._buffer) == len(stream) // 2
         assert decoder.feed(stream[len(stream) // 2 :]) == [
             {"op": "ping", "id": 3}
         ]

@@ -145,7 +145,6 @@ def test_backpressure_semantics_unchanged_when_sharded():
             assert len(refused) == 2
             assert len(accepted) == 2
             assert server.statistics.backpressure_rejections == 2
-            assert session.statistics.backpressure == 2
             await session.close()
 
     asyncio.run(asyncio.wait_for(main(), timeout=60))

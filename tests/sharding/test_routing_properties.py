@@ -184,7 +184,7 @@ def test_manager_matches_exhaustive_scan_stepwise(seed):
             )
             for manager in (reference, routed):
                 partition, entry = manager.find(transaction_id)
-                partition.remove(entry)
+                partition.pending = [e for e in partition if e is not entry]
                 manager.drop_if_empty(partition)
         else:
             sequence += 1

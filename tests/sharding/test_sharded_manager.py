@@ -87,7 +87,6 @@ class TestIndexAndMap:
         assert entry.transaction_id == result.transaction_id
         assert entry in partition.pending
         assert manager.find(99_999_999) is None
-        assert manager.partition_of(99_999_999) is None
 
     def test_map_follows_admissions_and_groundings(self):
         qdb = make_qdb()

@@ -157,7 +157,7 @@ class TestIncrementalMaintenance:
         e1, e2 = booking_entry(1, 1, seat="s1"), booking_entry(2, 2, seat="s2")
         partition = partition_with(e1, e2)
         index.add(partition)
-        partition.remove(e1)
+        partition.pending = [e2]
         index.refresh(partition)
         probe_flight1 = probe_atoms(booking_entry(1, 10, seat="s1"))
         assert index.candidates(probe_flight1) == frozenset()
@@ -186,7 +186,7 @@ class TestImpreciseFallback:
             )
         )
         index.add(partition)
-        assert index.is_imprecise(partition.partition_id)
+        assert partition.partition_id in index._imprecise
         # Imprecise partitions are candidates for *every* probe, even ones
         # that share no relation — the exact scan still decides.
         probe = probe_atoms(booking_entry(1, 2))
@@ -213,5 +213,5 @@ class TestImpreciseFallback:
         )
         index.add(partition)
         index.discard(partition.partition_id)
-        assert not index.is_imprecise(partition.partition_id)
+        assert partition.partition_id not in index._imprecise
         assert index.candidates(probe_atoms(booking_entry(1, 2))) == frozenset()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import GroundingError
 from repro.logic.atoms import Atom
 from repro.logic.formula import (
     AtomFormula,
@@ -55,10 +54,6 @@ class TestBasicSearch:
     def test_missing_table_is_unsatisfiable(self, db):
         search = GroundingSearch(db)
         assert not search.exists(atom("Nope", [S]))
-
-    def test_require_raises(self, db):
-        with pytest.raises(GroundingError):
-            GroundingSearch(db).require(atom("Available", [2, S]))
 
     def test_join_through_shared_variable(self, db):
         search = GroundingSearch(db)

@@ -9,6 +9,7 @@ and the engine's lifecycle/configuration contract.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import stat
 
@@ -22,6 +23,7 @@ from repro.storage import (
     SegmentedWriteAheadLog,
     recover,
 )
+from repro.storage.engine import DurabilityStatistics
 from repro.storage.manifest import Manifest
 from repro.storage.segment import SegmentWriter
 
@@ -422,6 +424,18 @@ class TestDeltaCheckpoints:
         )
         engine.close()
 
+    def test_each_pause_maximum_is_the_largest_pause_of_its_kind(self, tmp_path):
+        _, engine = make_engine(tmp_path)
+        for pause_ms, delta in ((3.0, False), (5.0, True), (1.0, False), (2.0, True)):
+            engine.note_checkpoint_pause(pause_ms, delta=delta)
+        stats = engine.durability_statistics()
+        assert (
+            stats["checkpoint_pause_ms"],
+            stats["base_pause_ms"],
+            stats["delta_pause_ms"],
+        ) == (5.0, 3.0, 5.0)
+        engine.close()
+
 
 class TestCompaction:
     def test_reclaims_superseded_segments(self, tmp_path):
@@ -566,6 +580,24 @@ class TestStatisticsReport:
         assert report["durability.segments_sealed"] >= 1
         assert report["durability.checkpoints_base"] == 1
         assert report["durability.flushes"] >= 10
+        engine.close()
+
+    def test_report_keys_are_the_statistics_fields_and_live_values(self, tmp_path):
+        database, engine = make_engine(tmp_path, segment_max_records=4)
+        for i in range(10):
+            database.insert("Seats", (i, f"s{i}"))
+        database.checkpoint()
+        report = engine.durability_statistics()
+        live = {
+            "mode",
+            "segments_live",
+            "segments_quarantined",
+            "checkpoint_lsn",
+            "compacted_through_lsn",
+        }
+        fields = {field.name for field in dataclasses.fields(DurabilityStatistics)}
+        assert report.keys() == fields | live and not fields & live
+        assert {name: report[name] for name in fields} == vars(engine.statistics)
         engine.close()
 
     def test_fsync_mode_counts_fsyncs(self, tmp_path):

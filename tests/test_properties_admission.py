@@ -170,7 +170,7 @@ class TestAdmissionConsistency:
         decisions, qdb, committed = run_stream(seed, witness=True)
         qdb.ground_all()
         assert qdb.pending_count == 0
-        assert len(qdb.pending_store) == 0
+        assert not qdb.pending_store.pending_ids()
 
         bookings = qdb.table("Bookings").snapshot()
         available = set(qdb.table("Available").snapshot())
