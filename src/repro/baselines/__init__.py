@@ -5,7 +5,3 @@
   friend already has a reservation and books accordingly.  This is "the kind
   of coordination that is achievable without using a quantum database".
 """
-
-from repro.baselines.intelligent_social import IntelligentSocialClient
-
-__all__ = ["IntelligentSocialClient"]

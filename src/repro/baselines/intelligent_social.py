@@ -8,7 +8,9 @@ of coordination that is achievable without using a quantum database."
 The IS client runs directly against the relational store (no quantum
 state): every booking is assigned eagerly at submission time, so a user
 whose friend arrives later can only *hope* that the seat they kept free
-next to them is still free when the friend books.
+next to them is still free when the friend books.  Its queries are the
+paper's ``LIMIT 1`` joins, asked of the engine the quantum database asks
+its own: the grounding search over a conjunction of body atoms.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.logic.atoms import Atom
+from repro.logic.formula import atoms_to_formula
+from repro.logic.terms import Variable
 from repro.relational.database import Database
-from repro.relational.query import ConjunctiveQuery, Var
+from repro.solver.grounding import GroundingSearch
+
+F, S, S2 = Variable("f"), Variable("s"), Variable("s2")
 
 
 @dataclass
@@ -68,52 +75,46 @@ class IntelligentSocialClient:
         self.bookings_table = bookings_table
         self.adjacency_table = adjacency_table
         self.bookings: list[ISBooking] = []
+        self._search = GroundingSearch(database)
 
     # -- queries -------------------------------------------------------------
 
+    def _first(self, flight: Any | None, *atoms: Atom) -> dict[str, Any] | None:
+        """The first grounding of the conjunction of ``atoms`` (a ``LIMIT 1``
+        join), or None.  ``f`` is the pinned ``flight`` when one is given,
+        else the flight the grounding binds."""
+        result = self._search.find_one(atoms_to_formula(atoms))
+        return {"f": flight, **result.valuation()} if result else None
+
     def _partner_booking(self, partner: str, flight: Any | None) -> dict[str, Any] | None:
         """The partner's existing booking, if any (optionally on a flight)."""
-        query = ConjunctiveQuery(select=["s"] if flight is not None else ["f", "s"], limit=1)
-        flight_term = Var("f") if flight is None else flight
-        query.add_atom(self.bookings_table, [partner, flight_term, Var("s")])
-        result = self.database.execute(query).first()
-        if result is None:
-            return None
-        if flight is not None:
-            result = dict(result)
-            result["f"] = flight
-        return result
+        flight_term = F if flight is None else flight
+        booked = Atom.body(self.bookings_table, [partner, flight_term, S])
+        return self._first(flight, booked)
 
     def _adjacent_available(self, flight: Any, seat: Any) -> dict[str, Any] | None:
         """An available seat adjacent to ``seat`` on ``flight``."""
-        query = ConjunctiveQuery(select=["s"], limit=1)
-        query.add_atom(self.adjacency_table, [flight, Var("s"), seat])
-        query.add_atom(self.available_table, [flight, Var("s")])
-        return self.database.execute(query).first()
+        return self._first(
+            flight,
+            Atom.body(self.adjacency_table, [flight, S, seat]),
+            Atom.body(self.available_table, [flight, S]),
+        )
 
     def _seat_with_free_neighbour(self, flight: Any | None) -> dict[str, Any] | None:
         """An available seat that still has an available adjacent seat."""
-        query = ConjunctiveQuery(select=["s"] if flight is not None else ["f", "s"], limit=1)
-        flight_term = Var("f") if flight is None else flight
-        query.add_atom(self.available_table, [flight_term, Var("s")])
-        query.add_atom(self.adjacency_table, [flight_term, Var("s"), Var("s2")])
-        query.add_atom(self.available_table, [flight_term, Var("s2")])
-        result = self.database.execute(query).first()
-        if result is not None and flight is not None:
-            result = dict(result)
-            result["f"] = flight
-        return result
+        flight_term = F if flight is None else flight
+        return self._first(
+            flight,
+            Atom.body(self.available_table, [flight_term, S]),
+            Atom.body(self.adjacency_table, [flight_term, S, S2]),
+            Atom.body(self.available_table, [flight_term, S2]),
+        )
 
     def _any_available(self, flight: Any | None) -> dict[str, Any] | None:
         """Any available seat (optionally on a specific flight)."""
-        query = ConjunctiveQuery(select=["s"] if flight is not None else ["f", "s"], limit=1)
-        flight_term = Var("f") if flight is None else flight
-        query.add_atom(self.available_table, [flight_term, Var("s")])
-        result = self.database.execute(query).first()
-        if result is not None and flight is not None:
-            result = dict(result)
-            result["f"] = flight
-        return result
+        flight_term = F if flight is None else flight
+        available = Atom.body(self.available_table, [flight_term, S])
+        return self._first(flight, available)
 
     # -- booking -------------------------------------------------------------
 
@@ -166,14 +167,11 @@ class IntelligentSocialClient:
         for booking in self.bookings:
             if not booking.succeeded or booking.partner is None:
                 continue
-            query = ConjunctiveQuery(select=["s2"], limit=1)
-            query.add_atom(
-                self.adjacency_table, [booking.flight, booking.seat, Var("s2")]
-            )
-            query.add_atom(
-                self.bookings_table, [booking.partner, booking.flight, Var("s2")]
-            )
-            if self.database.execute(query):
+            together = atoms_to_formula([
+                Atom.body(self.adjacency_table, [booking.flight, booking.seat, S2]),
+                Atom.body(self.bookings_table, [booking.partner, booking.flight, S2]),
+            ])
+            if self._search.exists(together):
                 coordinated += 1
         return coordinated
 

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import QuantumError
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partition import Partition
     from repro.core.quantum_state import PendingTransaction
+
+#: MySQL's documented maximum number of tables in a join, inherited by the
+#: paper's prototype as the default bound ``k`` on a partition's size.
+MYSQL_JOIN_LIMIT = 61
 
 
 class GroundingStrategy(enum.Enum):

@@ -40,10 +40,20 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.entanglement import EntanglementRegistry
-from repro.core.grounding_policy import GroundingPolicy, GroundingStrategy
+from repro.core.grounding_policy import (
+    MYSQL_JOIN_LIMIT,
+    GroundingPolicy,
+    GroundingStrategy,
+)
 from repro.core.parser import parse_transaction
 from repro.core.quantum_state import GroundedTransaction, QuantumState
-from repro.core.reads import ReadMode, ReadRequest, read_request
+from repro.core.reads import (
+    ReadMode,
+    ReadRequest,
+    StoreRead,
+    read_request,
+    store_read,
+)
 from repro.core.recovery import PendingTransactionStore
 from repro.core.resource_transaction import (
     ResourceTransaction,
@@ -54,7 +64,6 @@ from repro.core.worlds import enumerate_world_states
 from repro.errors import InvalidTransactionError, QuantumError, TransactionRejected
 from repro.relational.database import Database
 from repro.relational.dml import Delete, Insert
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.relational.schema import Column
 from repro.solver.strategy import AdmissionSearchConfig
 
@@ -391,21 +400,25 @@ class QuantumDatabase:
 
         Accepts either a :class:`ReadRequest` or a relation name plus terms
         (shorthand for a single-atom read, see :func:`read_request`).  The
-        read runs in the request's mode, COLLAPSE unless it says otherwise:
-        pending transactions whose updates unify with the read are grounded
-        first, then the query is answered over the extensional store,
-        giving ordinary read-repeatability.
+        read is checked against the store's schema first
+        (:func:`~repro.core.reads.store_read`), so a refused read collapses
+        nothing.  It then runs in the request's mode, COLLAPSE unless it
+        says otherwise: pending transactions whose updates unify with the
+        read are grounded first, then the probe is answered over the
+        extensional store, giving ordinary read-repeatability.  PEEK and
+        EXPOSE_ALL answer the same probe over possible worlds.
         """
         request = read_request(request, terms, mode=mode, select=select, limit=limit)
+        probe = store_read(self.database, request)
         if request.mode is ReadMode.COLLAPSE:
-            affected = self.state.affected_by_read(request.atoms)
+            affected = self.state.affected_by_read([request.atom])
             if affected:
                 with self.database.unit:
                     self.state.ground([entry.transaction_id for entry in affected])
-            return self.answer(request)
+            return probe.answer(self.database)
         if request.mode is ReadMode.PEEK:
-            return self._peek(request)
-        return self._expose_all(request)
+            return probe.answer(self._peek_world())
+        return self._expose_all(probe)
 
     def answer(self, request: ReadRequest) -> list[dict[str, Any]]:
         """Answer ``request`` over the extensional store as it stands.
@@ -416,10 +429,10 @@ class QuantumDatabase:
         <repro.core.quantum_state.QuantumState.affected_by_read>` empty
         may answer through it directly.  Every binding is a fresh dict.
         """
-        return self.database.execute(request.to_query()).bindings
+        return store_read(self.database, request).answer(self.database)
 
-    def _peek(self, request: ReadRequest) -> list[dict[str, Any]]:
-        """Answer over one possible world without collapsing anything."""
+    def _peek_world(self) -> Database:
+        """One possible world, built without collapsing anything."""
         world = self.database.copy()
         for partition in self.state.partitions:
             solution = self.state.cache.ensure(partition).substitution
@@ -428,20 +441,19 @@ class QuantumDatabase:
             for entry in partition:
                 for statement in entry.renamed.ground_updates(solution):
                     world.apply(statement)
-        return world.execute(request.to_query()).bindings
+        return world
 
-    def _expose_all(self, request: ReadRequest) -> list[dict[str, Any]]:
+    def _expose_all(self, probe: StoreRead) -> list[dict[str, Any]]:
         """Answer across all possible worlds, annotating answers with support.
 
         Each world is queried on the database the enumeration forked to
         reach it; nothing is rebuilt from the world's snapshot.
         """
         pending = [entry.original for entry in self.state.pending_transactions()]
-        query = request.to_query()
         counts: dict[tuple, dict[str, Any]] = {}
         support: dict[tuple, int] = {}
         for _world, state in enumerate_world_states(self.database, pending):
-            for binding in state.execute(query).bindings:
+            for binding in probe.answer(state):
                 key = tuple(sorted(binding.items()))
                 counts[key] = binding
                 support[key] = support.get(key, 0) + 1

@@ -14,19 +14,3 @@ Each module is named after its artifact (``figure5`` … ``figure9``,
 ``table1``, ``table2``), and ``tests/experiments/test_paper_shapes.py``
 holds the shape each must show.
 """
-
-from repro.experiments.metrics import RunResult, Timer, coordination_percentage
-from repro.experiments.runner import (
-    run_is_entangled,
-    run_quantum_entangled,
-    run_quantum_mixed,
-)
-
-__all__ = [
-    "RunResult",
-    "Timer",
-    "coordination_percentage",
-    "run_is_entangled",
-    "run_quantum_entangled",
-    "run_quantum_mixed",
-]

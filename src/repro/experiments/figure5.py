@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.grounding_policy import MYSQL_JOIN_LIMIT
 from repro.experiments.metrics import RunResult
 from repro.experiments.report import downsample, format_series, print_report
 from repro.experiments.runner import run_is_entangled, run_quantum_entangled
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
 from repro.workloads.flights import FlightDatabaseSpec

@@ -11,11 +11,11 @@ from __future__ import annotations
 import gc
 
 from repro.baselines.intelligent_social import IntelligentSocialClient
+from repro.core.grounding_policy import MYSQL_JOIN_LIMIT
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.serializability import SerializabilityMode
 from repro.experiments.metrics import RunResult, Timer, coordination_percentage
 from repro.relational.database import Database
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.workloads.entangled_workload import EntangledWorkload
 from repro.workloads.flights import booked_adjacent_pairs, build_flight_database
 from repro.workloads.mixed import MixedWorkload, OperationKind

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.grounding_policy import MYSQL_JOIN_LIMIT
 from repro.experiments.report import format_table, print_report
 from repro.experiments.runner import run_quantum_entangled
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.workloads.arrival_orders import (
     ArrivalOrder,
     expected_max_pending,

@@ -1,4 +1,4 @@
-"""The Database facade: catalog, queries, DML, transactions, snapshots."""
+"""The Database facade: catalog, reads, DML, transactions, snapshots."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import SchemaError, TransactionError, UnknownTableError
 from repro.relational.dml import Delete, Insert, Statement
-from repro.relational.executor import execute
-from repro.relational.query import ConjunctiveQuery, QueryResult
 from repro.relational.row import Row
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
@@ -25,8 +23,8 @@ class Database:
     """An in-memory relational database.
 
     This is the extensional store underneath a quantum database: a catalog
-    of key-enforced tables, a conjunctive query engine with a greedy join
-    order, single-row DML, WAL-backed transactions, and whole-database
+    of key-enforced tables, a one-table read (:meth:`execute`), single-row
+    DML, WAL-backed transactions, and whole-database
     snapshots (used both by recovery tests and by the possible-worlds
     enumeration utilities).
     """
@@ -84,11 +82,41 @@ class Database:
         """Names of all tables, in creation order."""
         return tuple(self._tables)
 
-    # -- queries ------------------------------------------------------------
+    # -- reads --------------------------------------------------------------
 
-    def execute(self, query: ConjunctiveQuery) -> QueryResult:
-        """Evaluate a conjunctive query."""
-        return execute(self, query)
+    def execute(
+        self,
+        table: str,
+        mask: int,
+        values: Sequence[Any],
+        columns: Sequence[tuple[str, int]],
+        same: Sequence[tuple[int, int]] = (),
+        limit: int | None = None,
+    ) -> list[dict[str, Any]]:
+        """Answer a one-table read: one :meth:`Table.probe` and its filters.
+
+        The rows of ``table`` equal to ``values`` at the positions set in
+        ``mask`` (:meth:`Table.probe`) and equal to each other at both
+        positions of every pair in ``same``, in probe order, at most
+        ``limit`` of them (all when ``None``).  Each answer is a fresh
+        dict mapping every ``(name, position)`` of ``columns`` to the
+        row's value there.  This is the one call a read makes into the
+        store (see :func:`repro.core.reads.store_read`).
+
+        Raises:
+            UnknownTableError: if the table does not exist.
+        """
+        rows = self.table(table).probe(mask, values)
+        if same:
+            rows = (
+                row
+                for row in rows
+                if all(row.values[a] == row.values[b] for a, b in same)
+            )
+        return [
+            {name: row.values[position] for name, position in columns}
+            for row in itertools.islice(rows, limit)
+        ]
 
     # -- autocommit DML -----------------------------------------------------
 

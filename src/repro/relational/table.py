@@ -41,7 +41,8 @@ class Table:
     number of secondary hash indexes are maintained incrementally on
     insert/delete.
     Every equality lookup — the search kernel's candidate rows and
-    membership tests, the query executor's, :meth:`lookup` — goes through
+    membership tests, a read's (:meth:`Database.execute
+    <repro.relational.database.Database.execute>`), :meth:`lookup` — goes through
     :meth:`probe`, which resolves its :class:`AccessPlan` once per
     bound-position mask.
     """
@@ -90,22 +91,6 @@ class Table:
     def indexes(self) -> tuple[PrimaryKeyIndex | HashIndex, ...]:
         """All indexes on this table, primary first."""
         return (self._primary, *self._secondary.values())
-
-    def best_index(
-        self, bound_columns: Iterable[str]
-    ) -> PrimaryKeyIndex | HashIndex | None:
-        """Return the most selective index usable given ``bound_columns``.
-
-        An index is usable when all its columns appear in ``bound_columns``;
-        the index with the largest number of columns is preferred.  This is
-        the :meth:`plan` of those columns' positions (names the table does
-        not have bind nothing); the query planner's estimates read it.
-        """
-        mask = 0
-        for column in bound_columns:
-            if self.schema.has_column(column):
-                mask |= 1 << self.schema.position(column)
-        return self.plan(mask).index
 
     # -- mutation -----------------------------------------------------------
 

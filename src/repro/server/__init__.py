@@ -56,32 +56,24 @@ Quickstart::
     asyncio.run(main())
 """
 
-from repro.server.client import ConnectionClosed, NetClient, RemoteCommitResult
-from repro.server.net import NetConfig, NetStatistics, NetworkServer, serve
-from repro.server.protocol import FrameDecoder, Opcode, encode_frame
+from repro.server.client import NetClient
+from repro.server.net import NetConfig, NetworkServer, serve
 from repro.server.service import (
     CheckpointPolicy,
     QuantumServer,
     ServerConfig,
     ServerStatistics,
 )
-from repro.server.session import GroundingTarget, Session
+from repro.server.session import Session
 
 __all__ = [
     "CheckpointPolicy",
-    "ConnectionClosed",
-    "FrameDecoder",
-    "GroundingTarget",
     "NetClient",
     "NetConfig",
-    "NetStatistics",
     "NetworkServer",
-    "Opcode",
     "QuantumServer",
-    "RemoteCommitResult",
     "ServerConfig",
     "ServerStatistics",
     "Session",
-    "encode_frame",
     "serve",
 ]

@@ -541,7 +541,7 @@ class QuantumServer:
         session._require_open()
         if request.mode is not ReadMode.COLLAPSE:
             return None
-        if self.qdb.state.affected_by_read(request.atoms):
+        if self.qdb.state.affected_by_read([request.atom]):
             return None
         self.statistics.reads_inline += 1
         return self.qdb.answer(request)

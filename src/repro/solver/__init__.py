@@ -18,17 +18,3 @@ SMT solvers as future work.  This subpackage provides:
   ``node_budget``, bounds that search; ``SolutionCache.ensure`` applies
   it to every admission, write check and peek read alike.
 """
-
-from repro.solver.grounding import GroundingSearch, GroundingResult
-from repro.solver.kernel import Program, Scope, compile_formula, conjoin
-from repro.solver.strategy import AdmissionSearchConfig
-
-__all__ = [
-    "AdmissionSearchConfig",
-    "GroundingResult",
-    "GroundingSearch",
-    "Program",
-    "Scope",
-    "compile_formula",
-    "conjoin",
-]

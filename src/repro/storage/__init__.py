@@ -30,20 +30,12 @@ segment holds: ``recover_database(make_schema, WriteAheadLog.load(data))``,
 then ``QuantumDatabase.recover``.
 """
 
-from repro.storage.compactor import Compactor
 from repro.storage.config import DurabilityConfig
-from repro.storage.engine import DurabilityStatistics, SegmentedWriteAheadLog
-from repro.storage.manifest import Manifest
+from repro.storage.engine import SegmentedWriteAheadLog
 from repro.storage.recovery import recover
-from repro.storage.segment import LogSegment, SegmentWriter
 
 __all__ = [
-    "Compactor",
     "DurabilityConfig",
-    "DurabilityStatistics",
-    "LogSegment",
-    "Manifest",
-    "SegmentWriter",
     "SegmentedWriteAheadLog",
     "recover",
 ]

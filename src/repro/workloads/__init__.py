@@ -13,28 +13,3 @@ modelling a social travel application; this subpackage regenerates both:
 * :mod:`.calendar` — the calendar-management scenario from the
   introduction, used by the calendar example.
 """
-
-from repro.workloads.arrival_orders import ArrivalOrder, expected_max_pending, order_arrivals
-from repro.workloads.entangled_workload import (
-    CoordinationPair,
-    EntangledWorkload,
-    generate_workload,
-)
-from repro.workloads.flights import FlightDatabaseSpec, create_flight_tables, populate_flights
-from repro.workloads.mixed import MixedWorkload, Operation, OperationKind, generate_mixed_workload
-
-__all__ = [
-    "ArrivalOrder",
-    "CoordinationPair",
-    "EntangledWorkload",
-    "FlightDatabaseSpec",
-    "MixedWorkload",
-    "Operation",
-    "OperationKind",
-    "create_flight_tables",
-    "expected_max_pending",
-    "generate_mixed_workload",
-    "generate_workload",
-    "order_arrivals",
-    "populate_flights",
-]

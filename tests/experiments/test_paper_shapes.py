@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.core.grounding_policy import GroundingStrategy
+from repro.core.grounding_policy import MYSQL_JOIN_LIMIT
 from repro.core.quantum_database import QuantumConfig, QuantumDatabase
 from repro.core.serializability import SerializabilityMode
 from repro.experiments import (
@@ -37,7 +38,6 @@ from repro.logic.atoms import Atom
 from repro.logic.formula import AtomFormula, Equality, Negation, conjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
-from repro.relational.planner import MYSQL_JOIN_LIMIT
 from repro.solver.grounding import GroundingSearch
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload

@@ -83,12 +83,12 @@ class TestLookupAndIndexes:
         rows = list(bookings.lookup(["flight", "seat"], [2, "1A"]))
         assert len(rows) == 1 and rows[0]["passenger"] == "Donald"
 
-    def test_best_index_prefers_more_columns(self, bookings):
+    def test_plan_prefers_more_columns(self, bookings):
         flight_index = bookings.create_index(["flight"])
-        best = bookings.best_index(["flight", "seat"])
+        best = bookings.plan(0b110).index
         assert best is not None and set(best.columns) == {"flight", "seat"}
-        assert bookings.best_index(["flight"]) is flight_index
-        assert bookings.best_index(["passenger"]) is None
+        assert bookings.plan(0b010).index is flight_index
+        assert bookings.plan(0b001).index is None
 
     def test_create_index_idempotent(self, bookings):
         first = bookings.create_index(["flight"])

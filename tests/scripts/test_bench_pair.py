@@ -101,22 +101,31 @@ def result(value, *, correct=True, failed=0, exit_code=0):
 
 
 @pytest.fixture
-def fake_runs(monkeypatch):
-    """Replace the contract runs: record them, answer from ``outcome``."""
+def fake_runs(monkeypatch, tmp_path):
+    """Replace the contract runs: record them, answer from ``outcome``.
+
+    The tests pass ``tmp_path`` as ``--base-dir``; any other checkout is
+    the change side's copy of the working tree.
+    """
     calls = []
     outcome = {"base": result(1.0), "change": result(1.0)}
+    checkouts = {}
 
     def run_once(checkout, command):
-        side = "base" if checkout != REPO_ROOT else "change"
+        side = "base" if checkout == tmp_path.resolve() else "change"
+        checkouts.setdefault(side, checkout)
+        if side == "change":
+            copied = checkout / "scripts" / "bench_pair.py"
+            assert copied.read_bytes() == (REPO_ROOT / "scripts" / "bench_pair.py").read_bytes()
         calls.append((side, command[command.index("--seed") + 1]))
         return dict(outcome[side])
 
     monkeypatch.setattr(bench_pair, "run_once", run_once)
-    return calls, outcome
+    return calls, outcome, checkouts
 
 
 def test_pairs_share_a_seed_and_alternate_which_side_runs_first(fake_runs, tmp_path):
-    calls, _ = fake_runs
+    calls, _, _ = fake_runs
     argv = ["--base-dir", str(tmp_path), "--workload", "book_batch",
             "--pairs", "3", "--seed", "5"]  # fmt: skip
     assert bench_pair.main(argv) == 0
@@ -133,7 +142,7 @@ def test_pairs_share_a_seed_and_alternate_which_side_runs_first(fake_runs, tmp_p
     ids=["incorrect", "failed operation", "exit code"],
 )
 def test_an_incorrect_run_fails_the_comparison(change, fake_runs, tmp_path, capsys):
-    _, outcome = fake_runs
+    _, outcome, _ = fake_runs
     outcome["change"] = change
     argv = ["--base-dir", str(tmp_path), "--workload", "book_batch", "--pairs", "2"]
     assert bench_pair.main(argv) == 1
@@ -143,11 +152,28 @@ def test_an_incorrect_run_fails_the_comparison(change, fake_runs, tmp_path, caps
 
 
 def test_a_regressed_metric_fails_the_comparison(fake_runs, tmp_path, capsys):
-    _, outcome = fake_runs
+    _, outcome, _ = fake_runs
     outcome["change"] = result(10.0)  # every lower-is-better metric ten times worse
     argv = ["--base-dir", str(tmp_path), "--workload", "book_batch", "--pairs", "2"]
     assert bench_pair.main(argv) == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_the_change_side_runs_from_a_copy_of_the_working_tree(fake_runs, tmp_path):
+    _, _, checkouts = fake_runs
+    argv = ["--base-dir", str(tmp_path), "--workload", "book_batch", "--pairs", "1"]
+    assert bench_pair.main(argv) == 0
+    change = checkouts["change"]
+    assert change != REPO_ROOT and change.name == "change"
+    assert not change.exists()  # the temporary copy is gone afterwards
+
+
+def test_copy_working_tree_copies_tracked_and_unignored_files(tmp_path):
+    copied = bench_pair.copy_working_tree(tmp_path / "change")
+    for name in ("BENCHMARK.json", "bench/__main__.py", "src/repro/__init__.py"):
+        assert (copied / name).read_bytes() == (REPO_ROOT / name).read_bytes()
+    assert not (copied / ".git").exists()
+    assert not list(copied.rglob("__pycache__"))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ server's group-commit drain must decide the same on either.  The knobs that
 were deleted with the shard pools, the grounding executor, the second
 admission search and the store's join planner are a ``TypeError``; so is
 a network server over anything but a database, and the serving layer's
-deleted copies (the session result record, the search observer) are gone.
+deleted copies (the session result record, the search observer) and the
+store's second join engine (its conjunctive queries and planner) are gone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro import (
     parse_transaction,
 )
 from repro.relational.dml import Delete
-from repro.relational.query import ConjunctiveQuery, Var
 from repro.server import ServerStatistics
 from repro.solver.grounding import GroundingSearch
 from repro.workloads.flights import create_flight_tables
@@ -143,12 +143,9 @@ def test_the_store_takes_no_planner_config():
 
 
 #: The store's condition language and anti-joins went with the planner
-#: config: a resource transaction writes blind single-tuple statements and
-#: reads through positive conjunctive queries.
+#: config: a resource transaction writes blind single-tuple statements.
 STORE_DELETED = {
     "delete-condition": lambda: Delete("Bookings", ("Mickey", 1, "1A"), condition=None),
-    "query-condition": lambda: ConjunctiveQuery(condition=None),
-    "negated-atom": lambda: ConjunctiveQuery().add_atom("Bookings", [Var("p")], negated=True),
 }
 
 
@@ -158,6 +155,16 @@ def test_the_store_takes_no_conditions_or_negation(make):
         make()
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.relational." + "conditions")
+
+
+@pytest.mark.parametrize("module", ["query", "planner", "executor"])
+def test_the_store_has_no_join_engine(module):
+    """A read is one table probe and every join is the search kernel's, so
+    the store's conjunctive-query engine and its join planner are gone."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.relational." + module)
+    table = importlib.import_module("repro.relational.table").Table
+    assert not hasattr(table, "best_" "index")
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.server", "repro.server.session"])

@@ -5,12 +5,15 @@ each ``src/`` module no runtime code imports has one row saying what
 needs it; neither a knob, an export nor a test-only module can be added
 or deleted without its row.  Likewise the opcode table lists each
 request opcode's fields exactly as the protocol's request table does.
+A subpackage ``__init__`` re-exports a name only while some code imports
+it through the package.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +33,9 @@ ARCHITECTURE = REPO / "docs" / "architecture.md"
 SRC = REPO / "src"
 #: Besides ``src/`` itself, the code whose imports keep a module alive.
 RUNTIME_DIRS = ("bench", "scripts", "examples")
+#: Text whose ``from repro.<package> import ...`` lines (doctests, recipes)
+#: keep a re-export alive, besides every Python file.
+IMPORTING_TEXTS = ("Makefile", "README.md", "docs/architecture.md")
 CONFIGS = (
     QuantumConfig,
     AdmissionSearchConfig,
@@ -138,3 +144,76 @@ def test_opcode_rows_are_the_request_table():
             m[1]: (m[2], m[3] is not None) for m in matches
         }
     assert documented == REQUEST_FIELDS
+
+
+def subpackage_exports() -> dict[str, list[str]]:
+    """Each subpackage's re-exported names: what its ``__init__`` imports."""
+    exports = {}
+    for init in sorted(SRC.glob("repro/*/__init__.py")):
+        names = []
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.asname or alias.name for alias in node.names]
+        exports[module_name(init)] = names
+    return exports
+
+
+def dotted(node: ast.AST) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def names_used_through(packages: set[str]) -> set[tuple[str, str]]:
+    """``(package, name)`` for every name some file takes from a package:
+    ``from package import name``, or ``alias.name`` where ``alias`` is the
+    package however it was imported, or a span target of the benchmark."""
+    from bench.spans import TARGETS
+
+    used = {(t.owner, t.attr) for t in TARGETS if t.owner in packages}
+    files = [*SRC.rglob("*.py")]
+    for directory in (*RUNTIME_DIRS, "tests"):
+        files.extend((REPO / directory).rglob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                own = SRC.joinpath(*node.module.split("."), "__init__.py")
+                if node.module in packages and path != own:
+                    used.update((node.module, alias.name) for alias in node.names)
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    aliases[local] = alias.name if alias.asname else local
+        for node in ast.walk(tree):
+            name = dotted(node) if isinstance(node, ast.Attribute) else None
+            head, _, rest = (name or "").partition(".")
+            if head in aliases:
+                full = f"{aliases[head]}.{rest}"
+                for package in packages:
+                    if full.startswith(package + "."):
+                        used.add((package, full[len(package) + 1 :].split(".")[0]))
+    for text in IMPORTING_TEXTS:
+        content = (REPO / text).read_text(encoding="utf-8")
+        for package, names in re.findall(r"from (repro\.\w+) import ([\w, ]+)", content):
+            used.update((package, name.strip()) for name in names.split(","))
+    return used
+
+
+def test_subpackages_re_export_only_what_is_imported_through_them():
+    exports = subpackage_exports()
+    used = names_used_through(set(exports))
+    unused = [
+        f"{package}.{name}"
+        for package, names in exports.items()
+        for name in names
+        if (package, name) not in used
+    ]
+    assert unused == []
+    for package, names in exports.items():
+        assert sorted(getattr(importlib.import_module(package), "__all__", [])) == sorted(names)
