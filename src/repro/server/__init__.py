@@ -15,20 +15,23 @@ critical section short.  This package turns that into a serving layer:
   :class:`~repro.core.quantum_database.CommitResult`, as the synchronous
   path returns it), ``commit_batch`` to pipeline, ``read`` with isolated
   results, and ``on_grounding`` futures that resolve when value
-  assignments are finally fixed.
+  assignments are finally fixed.  What changes nothing is answered by
+  the session at once, while it has nothing queued: a COLLAPSE read that
+  touches nothing pending (:meth:`QuantumServer.read_untouched`) and a
+  check-in or ground that names nothing pending
+  (:meth:`QuantumServer.nothing_to_ground`); everything else queues.
 * :class:`NetworkServer` — a framed TCP front end over a database: each
   connection is one session, and each reply is written straight to the
   connection's transport.  A COLLAPSE read that touches nothing pending
-  is answered by the connection itself
-  (:meth:`QuantumServer.read_untouched`); every other request queues.
+  is answered by the connection itself.
 
 Because the writer admits strictly in queue order through the ordinary
 synchronous path, accept/reject decisions are identical to calling
 :meth:`~repro.core.quantum_database.QuantumDatabase.execute` in the same
 arrival order — concurrency never changes semantics, only interleaving.
-A read that skips the queue is linearizable too: every writer step runs
-synchronously on the event loop, so a connection handler only ever sees
-the durable state between two steps.
+An answer that skips the queue is linearizable too: every writer step
+runs synchronously on the event loop, so a session or connection handler
+only ever sees the durable state between two steps.
 See ``docs/architecture.md`` for the full design; the repository
 benchmark's ``mixed_session`` workload measures its throughput.
 

@@ -9,14 +9,18 @@ frames and marshals results, nothing more.  Decisions over TCP are
 therefore identical to in-process sessions fed the same admission order
 (pinned by ``tests/server/test_net_identity.py``).
 
-One request does not queue: a COLLAPSE read that no pending update
-unifies with grounds nothing, so the connection answers it at once
-(:meth:`QuantumServer.read_untouched
-<repro.server.service.QuantumServer.read_untouched>`).  It reads the
-durable state between two writer steps, since every step runs
+What changes nothing does not queue.  A COLLAPSE read that no pending
+update unifies with grounds nothing, so the connection answers it at
+once (:meth:`QuantumServer.read_untouched
+<repro.server.service.QuantumServer.read_untouched>`, one synchronous
+call); a read it touches goes straight to the session's queue.  A
+CHECK_IN or GROUND that names nothing pending is answered by the session
+(:meth:`QuantumServer.nothing_to_ground
+<repro.server.service.QuantumServer.nothing_to_ground>`).  Either reads
+the durable state between two writer steps, since every step runs
 synchronously on this loop, and the connection's own earlier requests
 are complete.  Such answers never suspend, so a connection yields the
-loop every :data:`YIELD_EVERY` requests.
+loop every :data:`~repro.server.session.YIELD_EVERY` requests.
 
 Design points (see ``docs/architecture.md``, "The network layer"):
 
@@ -77,13 +81,7 @@ from repro.server.protocol import (
     result_frame,
 )
 from repro.server.service import QuantumServer, ServerConfig
-from repro.server.session import Session
-
-
-#: Requests a connection handles before it yields the event loop once, so
-#: that a client pipelining requests answered without suspending cannot
-#: delay other connections and the writer by more than this many answers.
-YIELD_EVERY = 64
+from repro.server.session import YIELD_EVERY, Session
 
 
 @dataclass(frozen=True)
@@ -330,7 +328,7 @@ class _Connection:
             request = read_request(**fields)
             rows = self.net.server.read_untouched(request, session)
             if rows is None:
-                rows = await session.read(request)
+                rows = await session._queue_read(request)
             return rows
         if op is Opcode.GROUND:
             records = await session.ground(fields["transaction_ids"])

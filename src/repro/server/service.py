@@ -18,10 +18,13 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   bumps.  The PR-1
   witness cache is what makes this single writer viable: the admission
   critical section is a witness-extension search, not a recomposition.
-  The one request that skips the queue is a wire COLLAPSE read that
-  touches nothing pending (:meth:`QuantumServer.read_untouched`): it
-  grounds nothing, and it reads the durable state between two writer
-  steps.
+  What changes nothing skips the queue, decided here between two writer
+  steps for any session or connection: a COLLAPSE read that touches
+  nothing pending (:meth:`QuantumServer.read_untouched`) and a check-in
+  or ground that names nothing pending
+  (:meth:`QuantumServer.nothing_to_ground`).  Both read the durable
+  state, since every writer step runs synchronously on the loop, its
+  sync included; a session asks only while it has nothing queued.
 
 * **Group commit.**  When several commit items are queued (concurrent
   clients), the writer drains them together and admits the contiguous run
@@ -54,7 +57,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.quantum_database import QuantumDatabase
 from repro.core.quantum_state import GroundedTransaction
@@ -226,10 +229,13 @@ class ServerStatistics:
         max_drain: most items drained in one cycle.
         queue_high_water: deepest observed queue.
         reads / writes / grounds: non-commit items processed.
-        reads_inline: COLLAPSE reads answered in a connection handler
-            without a work item, because they touched nothing pending
+        reads_inline: COLLAPSE reads of any session answered without a
+            work item, because they touched nothing pending
             (:meth:`QuantumServer.read_untouched`); the share of reads that
             skipped the queue is ``reads_inline / (reads + reads_inline)``.
+        grounds_inline: check-ins and grounds of any session answered
+            without a work item, because they named nothing pending
+            (:meth:`QuantumServer.nothing_to_ground`).
         cancelled_before_admission: commits withdrawn before admission.
         cancelled_after_admission: commits whose ack was cancelled after
             the admission already happened (the commit stands).
@@ -259,6 +265,7 @@ class ServerStatistics:
     reads_inline: int = 0
     writes: int = 0
     grounds: int = 0
+    grounds_inline: int = 0
     cancelled_before_admission: int = 0
     cancelled_after_admission: int = 0
     grounding_futures_resolved: int = 0
@@ -487,16 +494,20 @@ class QuantumServer:
                     f"across its sessions (quota {tenant_quota}); retry after "
                     "they complete"
                 )
-        # Count the submission against its quotas for its whole queued
-        # lifetime — including time spent waiting on the global bound.
-        if session is not None and quota is not None:
+        # Count the submission in flight for its whole queued lifetime —
+        # including time spent waiting on the global bound.  A session's
+        # count is kept with or without a quota: while it is non-zero the
+        # session answers nothing without the queue, so nothing overtakes
+        # its own queued items.
+        if session is not None:
             session._in_flight += 1
+            session._unqueued = 0
         if tenant is not None and tenant_quota is not None:
             self._tenant_in_flight[tenant] = (
                 self._tenant_in_flight.get(tenant, 0) + 1
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        if session is not None and quota is not None:
+        if session is not None:
             future.add_done_callback(session._release_in_flight)
         if tenant is not None and tenant_quota is not None:
             future.add_done_callback(
@@ -521,21 +532,20 @@ class QuantumServer:
 
         Returns ``None``, having done nothing, for any other read: another
         mode, or a read some pending update unifies with, which must
-        collapse on the writer (:meth:`Session.read` queues it).  An
-        untouched read grounds nothing, so the answer is the ordinary
-        database's (:meth:`QuantumDatabase.answer`), and it is
-        linearizable without a work item: every writer step runs
-        synchronously on this loop, its sync included, so the state read
-        here is the durable state between two steps.  The caller's own
-        earlier requests have completed; another session's unacknowledged
-        commit may be ordered before or after the read, as its reply has
-        not been sent.
+        collapse on the writer (the session queues it).  An untouched
+        read grounds nothing, so the answer is the ordinary database's
+        (:meth:`QuantumDatabase.answer`), and it is linearizable without
+        a work item: every writer step runs synchronously on this loop,
+        its sync included, so the state read here is the durable state
+        between two steps.  The caller has nothing queued, so its own
+        earlier requests have completed; another session's
+        unacknowledged commit may be ordered before or after the read,
+        as its reply has not been sent.
 
-        The network layer calls this for every wire read.  In-process
-        sessions keep the queue: a session looping on reads that never
-        suspends would never let the writer run, while a connection
-        suspends whenever its socket has nothing buffered, and yields
-        every :data:`~repro.server.net.YIELD_EVERY` requests otherwise.
+        :meth:`Session.read` asks this while its session has nothing
+        queued, and the network layer for every wire read.  Neither
+        answer suspends, so both callers yield the loop every
+        :data:`~repro.server.session.YIELD_EVERY` answers.
         """
         self._require_accepting()
         session._require_open()
@@ -545,6 +555,28 @@ class QuantumServer:
             return None
         self.statistics.reads_inline += 1
         return self.qdb.answer(request)
+
+    def nothing_to_ground(
+        self, transaction_ids: Sequence[int], session: Session
+    ) -> bool:
+        """True if grounding ``transaction_ids`` would ground nothing.
+
+        None of them is pending, so :meth:`QuantumDatabase.ground` would
+        skip every one and return ``[]``: the caller answers the ground
+        (``[]``) or check-in (the id's grounded record, ``None`` for an
+        unknown id) at once, as :meth:`read_untouched` answers a read,
+        and the answer is counted in ``grounds_inline``.  ``False``, with
+        nothing counted, when some id is pending: the session queues the
+        grounding.  Refuses as a queued operation would once the server
+        or the session stopped accepting work.
+        """
+        self._require_accepting()
+        session._require_open()
+        is_pending = self.qdb.state.is_pending
+        if any(is_pending(transaction_id) for transaction_id in transaction_ids):
+            return False
+        self.statistics.grounds_inline += 1
+        return True
 
     async def ground_all(self) -> list[GroundedTransaction]:
         """Ground every pending transaction (e.g. end of the booking day).

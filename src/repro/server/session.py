@@ -2,16 +2,29 @@
 
 A :class:`Session` is one client's view of the quantum database: its own
 stream of resource transactions and awaitable grounding notifications.
-Sessions never touch the database directly — every operation is enqueued
-on the server's single-writer admission queue and the session suspends
-until the writer has processed it, which is what gives concurrent clients
-the exact semantics of the synchronous
+Every operation that changes the database is enqueued on the server's
+single-writer admission queue and the session suspends until the writer
+has processed it, which is what gives concurrent clients the exact
+semantics of the synchronous
 :class:`~repro.core.quantum_database.QuantumDatabase` API (see
-``docs/architecture.md``, "The session layer").
+``docs/architecture.md``, "The session/queue model").
+
+An operation that needs no writer step is answered at once instead: a
+COLLAPSE read that touches nothing pending
+(:meth:`QuantumServer.read_untouched
+<repro.server.service.QuantumServer.read_untouched>`), and a check-in or
+ground that names no pending transaction
+(:meth:`QuantumServer.nothing_to_ground
+<repro.server.service.QuantumServer.nothing_to_ground>`).  It is answered
+between two writer steps, since every step runs synchronously on the
+loop, and only while the session has nothing queued, so it never
+overtakes the session's own earlier commit.  Such answers never suspend,
+so a session yields the loop once after :data:`YIELD_EVERY` of them in a
+row.
 
 Read results are isolated: the dictionaries a session receives are fresh
-copies produced at the writer's serialization point, so no later commit or
-grounding can mutate what a client already holds.
+copies, so no later commit or grounding can mutate what a client already
+holds.
 
 Typical usage::
 
@@ -42,6 +55,12 @@ from repro.errors import QuantumError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.server.service import QuantumServer
 
+#: Answers a session (or a connection) makes in a row without suspending
+#: before it yields the event loop once, so that a caller looping on
+#: operations answered at once cannot delay other sessions and the writer
+#: by more than this many answers.
+YIELD_EVERY = 64
+
 #: Something :meth:`Session.on_grounding` can wait for: a transaction id,
 #: a relation name (any grounding that wrote to it), or a predicate over
 #: the grounded record.
@@ -53,7 +72,8 @@ class Session:
 
     Created via :meth:`QuantumServer.session`; usable as an async context
     manager.  All methods may be called concurrently with other sessions' —
-    the server's single-writer queue serializes them.
+    the server's single-writer queue serializes them, and an operation
+    answered without the queue reads between two of its steps.
     """
 
     def __init__(
@@ -71,16 +91,27 @@ class Session:
         #: ``ServerConfig.tenant_quota`` (None: exempt from the tenant rung).
         self.tenant = tenant
         self._closed = False
-        #: Items this session has enqueued but the writer has not finished;
-        #: bounded by ``ServerConfig.session_quota`` (see the server's
-        #: ``_enqueue``), which raises
-        #: :class:`~repro.errors.SessionBackpressure` beyond the quota.
+        #: Items this session has enqueued but the writer has not finished.
+        #: An operation is answered without the queue only while this is
+        #: zero; under ``ServerConfig.session_quota`` the server's
+        #: ``_enqueue`` raises :class:`~repro.errors.SessionBackpressure`
+        #: beyond the quota.
         self._in_flight = 0
+        #: Answers made in a row without queueing (reset by ``_enqueue``).
+        self._unqueued = 0
 
     def _release_in_flight(self, _future: "asyncio.Future") -> None:
-        """Return a quota slot once a queued item is resolved (or cancelled)."""
+        """Count a queued item out once it is resolved (or cancelled)."""
         if self._in_flight > 0:
             self._in_flight -= 1
+
+    async def _answered(self) -> None:
+        """Count an answer made without queueing; every
+        :data:`YIELD_EVERY`-th in a row yields the loop once."""
+        self._unqueued += 1
+        if self._unqueued >= YIELD_EVERY:
+            self._unqueued = 0
+            await asyncio.sleep(0)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -184,14 +215,24 @@ class Session:
 
         Same semantics as :meth:`QuantumDatabase.read` (COLLAPSE grounds
         exactly the pending transactions the read touches); the returned
-        dictionaries are fresh copies owned by the caller.  Every mode
-        queues here; only the network layer answers a read that touches
-        nothing pending without the queue
-        (:meth:`QuantumServer.read_untouched`).  A malformed read fails
+        dictionaries are fresh copies owned by the caller.  A COLLAPSE
+        read that touches nothing pending is answered at once
+        (:meth:`QuantumServer.read_untouched`) while the session has
+        nothing queued; any other read queues.  A malformed read fails
         here, before it queues.
         """
         self._require_open()
         request = read_request(request, terms, mode=mode, select=select, limit=limit)
+        if not self._in_flight:
+            rows = self._server.read_untouched(request, self)
+            if rows is not None:
+                await self._answered()
+                return rows
+        return await self._queue_read(request)
+
+    async def _queue_read(self, request: ReadRequest) -> list[dict[str, Any]]:
+        """Answer ``request`` on the writer (the network layer calls this for
+        a wire read it found touching something pending)."""
         qdb = self._server.qdb
         return await self._server._enqueue(self, "reads", lambda: qdb.read(request))
 
@@ -225,9 +266,17 @@ class Session:
         return self._server._register_grounding_waiter(target)
 
     async def ground(self, transaction_ids: Sequence[int]) -> list[GroundedTransaction]:
-        """Explicitly collapse specific pending transactions."""
+        """Explicitly collapse specific pending transactions.
+
+        Ids that are not pending are skipped; when none is, the answer is
+        ``[]`` at once (:meth:`QuantumServer.nothing_to_ground`) while the
+        session has nothing queued.
+        """
         self._require_open()
         ids = list(transaction_ids)
+        if not self._in_flight and self._server.nothing_to_ground(ids, self):
+            await self._answered()
+            return []
         qdb = self._server.qdb
         return await self._server._enqueue(self, "grounds", lambda: qdb.ground(ids))
 
@@ -236,11 +285,17 @@ class Session:
 
         Grounding the target may ground earlier same-partition transactions
         with it (the serialization prefix), so the requested record is
-        looked up by id rather than taken from the grounding results.
+        looked up by id rather than taken from the grounding results.  A
+        transaction that is not pending (already grounded, or unknown) is
+        looked up at once while the session has nothing queued.
         """
         self._require_open()
-        qdb = self._server.qdb
-        await self._server._enqueue(self, "grounds", lambda: qdb.ground([transaction_id]))
+        server = self._server
+        qdb = server.qdb
+        if not self._in_flight and server.nothing_to_ground([transaction_id], self):
+            await self._answered()
+        else:
+            await server._enqueue(self, "grounds", lambda: qdb.ground([transaction_id]))
         return qdb.state.grounded_results.get(transaction_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
