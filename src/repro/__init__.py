@@ -22,11 +22,13 @@ way.
 
 Concurrent clients are served by the asyncio session layer
 (:mod:`repro.server`): a :class:`~repro.server.QuantumServer` funnels every
-mutation through a single-writer admission queue (group-committing
+commit through a single-writer admission queue (group-committing
 concurrent arrivals, so decisions are identical to the synchronous path in
-the same arrival order), each client gets a :class:`~repro.server.Session`
-with its own transaction stream (a session commit returns
-the same :class:`CommitResult` as :meth:`QuantumDatabase.execute`), and
+the same arrival order) and answers every other operation at once, between
+two writer steps; each client gets a :class:`~repro.server.Session`
+with its own transaction stream, run one operation at a time (a session
+commit returns the same :class:`CommitResult` as
+:meth:`QuantumDatabase.execute`), and
 grounding results are delivered as awaitable futures
 (``session.on_grounding(...)``).  :class:`~repro.server.NetworkServer`
 serves a database over framed TCP through that layer.  Graceful
@@ -93,7 +95,6 @@ from repro.errors import (
     ProtocolError,
     QuantumError,
     ReproError,
-    SessionBackpressure,
     TenantBackpressure,
     WriteRejected,
 )
@@ -137,7 +138,6 @@ __all__ = [
     "SerializabilityMode",
     "ServerConfig",
     "Session",
-    "SessionBackpressure",
     "SolutionCacheStatistics",
     "TenantBackpressure",
     "WriteAheadLog",

@@ -10,7 +10,10 @@ state): every booking is assigned eagerly at submission time, so a user
 whose friend arrives later can only *hope* that the seat they kept free
 next to them is still free when the friend books.  Its queries are the
 paper's ``LIMIT 1`` joins, asked of the engine the quantum database asks
-its own: the grounding search over a conjunction of body atoms.
+its own: the grounding search over a conjunction of body atoms.  The
+client compiles its five query shapes once, with variables for the
+partner, flight and seat, and binds the constants of each query through
+the search's ``initial`` substitution.
 """
 
 from __future__ import annotations
@@ -20,11 +23,15 @@ from typing import Any
 
 from repro.logic.atoms import Atom
 from repro.logic.formula import atoms_to_formula
-from repro.logic.terms import Variable
+from repro.logic.substitution import Substitution
+from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
 from repro.solver.grounding import GroundingSearch
+from repro.solver.kernel import Program
 
 F, S, S2 = Variable("f"), Variable("s"), Variable("s2")
+#: The partner and a given seat, bound per query.
+P, SEAT = Variable("p"), Variable("seat")
 
 
 @dataclass
@@ -76,45 +83,64 @@ class IntelligentSocialClient:
         self.adjacency_table = adjacency_table
         self.bookings: list[ISBooking] = []
         self._search = GroundingSearch(database)
+        available = Atom.body(available_table, [F, S])
+
+        def compiled(*atoms: Atom) -> Program:
+            return self._search.compile(atoms_to_formula(atoms))
+
+        #: The partner's booking.
+        self._partner_booked = compiled(Atom.body(bookings_table, [P, F, S]))
+        #: An available seat adjacent to a given seat.
+        self._adjacent_free = compiled(
+            Atom.body(adjacency_table, [F, S, SEAT]), available
+        )
+        #: An available seat that still has an available adjacent seat.
+        self._free_pair = compiled(
+            available,
+            Atom.body(adjacency_table, [F, S, S2]),
+            Atom.body(available_table, [F, S2]),
+        )
+        #: Any available seat.
+        self._any_free = compiled(available)
+        #: A partner booked next to a given seat.
+        self._partner_adjacent = compiled(
+            Atom.body(adjacency_table, [F, SEAT, S2]),
+            Atom.body(bookings_table, [P, F, S2]),
+        )
 
     # -- queries -------------------------------------------------------------
 
-    def _first(self, flight: Any | None, *atoms: Atom) -> dict[str, Any] | None:
-        """The first grounding of the conjunction of ``atoms`` (a ``LIMIT 1``
-        join), or None.  ``f`` is the pinned ``flight`` when one is given,
-        else the flight the grounding binds."""
-        result = self._search.find_one(atoms_to_formula(atoms))
-        return {"f": flight, **result.valuation()} if result else None
+    @staticmethod
+    def _bind(flight: Any | None, **values: Any) -> Substitution:
+        """The constants of one query: ``values`` by variable name, and the
+        flight when one is pinned."""
+        if flight is not None:
+            values["f"] = flight
+        return Substitution.trusted(
+            {Variable(name): Constant(value) for name, value in values.items()}
+        )
+
+    def _first(self, program: Program, bound: Substitution) -> dict[str, Any] | None:
+        """The first grounding of a compiled query (a ``LIMIT 1`` join)
+        extending ``bound``, or None."""
+        result = self._search.find_one(program, initial=bound)
+        return result.valuation() if result else None
 
     def _partner_booking(self, partner: str, flight: Any | None) -> dict[str, Any] | None:
         """The partner's existing booking, if any (optionally on a flight)."""
-        flight_term = F if flight is None else flight
-        booked = Atom.body(self.bookings_table, [partner, flight_term, S])
-        return self._first(flight, booked)
+        return self._first(self._partner_booked, self._bind(flight, p=partner))
 
     def _adjacent_available(self, flight: Any, seat: Any) -> dict[str, Any] | None:
         """An available seat adjacent to ``seat`` on ``flight``."""
-        return self._first(
-            flight,
-            Atom.body(self.adjacency_table, [flight, S, seat]),
-            Atom.body(self.available_table, [flight, S]),
-        )
+        return self._first(self._adjacent_free, self._bind(flight, seat=seat))
 
     def _seat_with_free_neighbour(self, flight: Any | None) -> dict[str, Any] | None:
         """An available seat that still has an available adjacent seat."""
-        flight_term = F if flight is None else flight
-        return self._first(
-            flight,
-            Atom.body(self.available_table, [flight_term, S]),
-            Atom.body(self.adjacency_table, [flight_term, S, S2]),
-            Atom.body(self.available_table, [flight_term, S2]),
-        )
+        return self._first(self._free_pair, self._bind(flight))
 
     def _any_available(self, flight: Any | None) -> dict[str, Any] | None:
         """Any available seat (optionally on a specific flight)."""
-        flight_term = F if flight is None else flight
-        available = Atom.body(self.available_table, [flight_term, S])
-        return self._first(flight, available)
+        return self._first(self._any_free, self._bind(flight))
 
     # -- booking -------------------------------------------------------------
 
@@ -167,11 +193,8 @@ class IntelligentSocialClient:
         for booking in self.bookings:
             if not booking.succeeded or booking.partner is None:
                 continue
-            together = atoms_to_formula([
-                Atom.body(self.adjacency_table, [booking.flight, booking.seat, S2]),
-                Atom.body(self.bookings_table, [booking.partner, booking.flight, S2]),
-            ])
-            if self._search.exists(together):
+            bound = self._bind(booking.flight, seat=booking.seat, p=booking.partner)
+            if self._search.exists(self._partner_adjacent, initial=bound):
                 coordinated += 1
         return coordinated
 

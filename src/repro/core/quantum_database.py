@@ -420,17 +420,6 @@ class QuantumDatabase:
             return probe.answer(self._peek_world())
         return self._expose_all(probe)
 
-    def answer(self, request: ReadRequest) -> list[dict[str, Any]]:
-        """Answer ``request`` over the extensional store as it stands.
-
-        This is a COLLAPSE read once nothing it touches is pending: it
-        grounds nothing, so a caller that found
-        :meth:`QuantumState.affected_by_read
-        <repro.core.quantum_state.QuantumState.affected_by_read>` empty
-        may answer through it directly.  Every binding is a fresh dict.
-        """
-        return store_read(self.database, request).answer(self.database)
-
     def _peek_world(self) -> Database:
         """One possible world, built without collapsing anything."""
         world = self.database.copy()

@@ -151,27 +151,16 @@ class QuantumStateError(QuantumError):
     """The quantum state violates its invariant (internal error)."""
 
 
-class SessionBackpressure(QuantumError):
-    """A session exceeded its per-session queue quota.
-
-    Raised by the server instead of letting one client's backlog occupy
-    the whole admission queue and starve other sessions.  The submission
-    was *not* enqueued; the client should retry after its in-flight
-    operations complete.
-    """
-
-
 class TenantBackpressure(QuantumError):
     """A tenant exceeded its per-tenant queue quota.
 
-    One rung above :class:`SessionBackpressure` on the backpressure ladder
-    (session quota → tenant quota → connection write buffer): a tenant is a
-    named group of sessions — typically every network connection opened
-    with the same ``tenant`` identity — and
-    ``ServerConfig(tenant_quota=N)`` caps the group's *combined*
-    queued-but-unprocessed items.  A tenant that opens many connections
-    cannot multiply its share of the admission queue; the submission was
-    not enqueued, and the network layer maps the error to a
+    The first rung of the backpressure ladder (tenant quota → connection
+    write buffer): a tenant is a named group of sessions — typically every
+    network connection opened with the same ``tenant`` identity — and
+    ``ServerConfig(tenant_quota=N)`` caps the group's *combined* queued
+    commit items.  A tenant that opens many connections cannot multiply
+    its share of the admission queue; the commit was not enqueued, and
+    the network layer maps the error to a
     ``tenant_backpressure`` protocol error frame so remote clients can
     back off.
     """

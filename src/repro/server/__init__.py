@@ -5,33 +5,31 @@ them lazily — the expensive work (composition + grounding search) is
 naturally deferrable, and the PR-1 witness cache keeps the admission
 critical section short.  This package turns that into a serving layer:
 
-* :class:`QuantumServer` — owns the single-writer admission queue (every
-  mutation of the shared database flows through one audited entry point),
-  a group-commit drain (concurrent clients' commits share one durability
-  write), and graceful shutdown (drain, WAL flush, snapshot checkpoint).
-  The writer runs every admission and every grounding itself.
-* :class:`Session` — one client's transaction stream: ``await
-  session.commit(tx)`` for the admission guarantee (the writer's
+* :class:`QuantumServer` — owns the single-writer admission queue, which
+  carries commits only, a group-commit drain (concurrent clients' commits
+  share one durability write), and graceful shutdown (drain, WAL flush,
+  snapshot checkpoint).
+* :class:`Session` — one client's transaction stream, run one operation
+  at a time in the order issued: ``await session.commit(tx)`` for the
+  admission guarantee (the writer's
   :class:`~repro.core.quantum_database.CommitResult`, as the synchronous
   path returns it), ``commit_batch`` to pipeline, ``read`` with isolated
   results, and ``on_grounding`` futures that resolve when value
-  assignments are finally fixed.  What changes nothing is answered by
-  the session at once, while it has nothing queued: a COLLAPSE read that
-  touches nothing pending (:meth:`QuantumServer.read_untouched`) and a
-  check-in or ground that names nothing pending
-  (:meth:`QuantumServer.nothing_to_ground`); everything else queues.
+  assignments are finally fixed.  A commit waits for its group-commit
+  run; every other operation is the same
+  :class:`~repro.core.quantum_database.QuantumDatabase` call, made at
+  once on the caller.
 * :class:`NetworkServer` — a framed TCP front end over a database: each
   connection is one session, and each reply is written straight to the
-  connection's transport.  A COLLAPSE read that touches nothing pending
-  is answered by the connection itself.
+  connection's transport.
 
 Because the writer admits strictly in queue order through the ordinary
 synchronous path, accept/reject decisions are identical to calling
 :meth:`~repro.core.quantum_database.QuantumDatabase.execute` in the same
 arrival order — concurrency never changes semantics, only interleaving.
-An answer that skips the queue is linearizable too: every writer step
-runs synchronously on the event loop, so a session or connection handler
-only ever sees the durable state between two steps.
+An operation answered on the caller is linearizable too: every writer
+step runs synchronously on the event loop, so a session only ever sees
+the durable state between two steps.
 See ``docs/architecture.md`` for the full design; the repository
 benchmark's ``mixed_session`` workload measures its throughput.
 

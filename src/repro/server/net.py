@@ -2,25 +2,19 @@
 
 This module puts :class:`~repro.server.service.QuantumServer` on the wire.
 Each TCP connection is adapted to one ordinary
-:class:`~repro.server.session.Session`, so every decision path — the
+:class:`~repro.server.session.Session`, and every request but HELLO, PING,
+GROUND_ALL and STATS is that session's call, so every decision path — the
 single-writer admission queue, group-commit drains, cancellation
 semantics — is reused *unchanged*: the network layer parses
 frames and marshals results, nothing more.  Decisions over TCP are
 therefore identical to in-process sessions fed the same admission order
 (pinned by ``tests/server/test_net_identity.py``).
 
-What changes nothing does not queue.  A COLLAPSE read that no pending
-update unifies with grounds nothing, so the connection answers it at
-once (:meth:`QuantumServer.read_untouched
-<repro.server.service.QuantumServer.read_untouched>`, one synchronous
-call); a read it touches goes straight to the session's queue.  A
-CHECK_IN or GROUND that names nothing pending is answered by the session
-(:meth:`QuantumServer.nothing_to_ground
-<repro.server.service.QuantumServer.nothing_to_ground>`).  Either reads
-the durable state between two writer steps, since every step runs
-synchronously on this loop, and the connection's own earlier requests
-are complete.  Such answers never suspend, so a connection yields the
-loop every :data:`~repro.server.session.YIELD_EVERY` requests.
+A connection handles one request at a time, so its session never has
+more than one commit queued, and everything but a commit is answered at
+once, between two writer steps.  Such answers never suspend, so a
+connection yields the loop every
+:data:`~repro.server.session.YIELD_EVERY` requests.
 
 Design points (see ``docs/architecture.md``, "The network layer"):
 
@@ -30,10 +24,10 @@ Design points (see ``docs/architecture.md``, "The network layer"):
   loop.  :func:`~repro.server.protocol.request_fields` validates each
   request once, before anything is queued (``protocol_error``).
 
-* **Backpressure ladder.**  Session quota (one connection's pipeline) →
-  tenant quota (all connections of one tenant, summed) → per-connection
-  write buffer.  The first two surface as typed error frames
-  (``session_backpressure`` / ``tenant_backpressure``); the third guards
+* **Backpressure ladder.**  Tenant quota (the queued commits of all
+  connections of one tenant, summed) → per-connection write buffer.  The
+  first surfaces as a typed error frame (``tenant_backpressure``); the
+  second guards
   the server against *slow readers*: a reply is written straight to the
   connection's transport, and a client that stops reading until the
   transport holds more than the bound unsent is disconnected
@@ -66,7 +60,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.quantum_database import QuantumDatabase
-from repro.core.reads import read_request
 from repro.errors import ProtocolError, QuantumError, ReproError
 from repro.server.protocol import (
     DRAINING_CODE,
@@ -248,10 +241,10 @@ class _Connection:
                         break
                     self.handled += 1
                     if self.handled % YIELD_EVERY == 0:
-                        # An answer made on the connection (an untouched
-                        # read, a ping) never suspends, nor does a read of
-                        # bytes already buffered: a pipelining client
-                        # would hold the loop, writer included.
+                        # An answer that is not a commit never suspends,
+                        # nor does a read of bytes already buffered: a
+                        # pipelining client would hold the loop, writer
+                        # included.
                         await asyncio.sleep(0)
         except ConnectionError:
             pass
@@ -325,11 +318,7 @@ class _Connection:
             )
             return [commit_value(result) for result in results]
         if op is Opcode.READ:
-            request = read_request(**fields)
-            rows = self.net.server.read_untouched(request, session)
-            if rows is None:
-                rows = await session._queue_read(request)
-            return rows
+            return await session.read(**fields)
         if op is Opcode.GROUND:
             records = await session.ground(fields["transaction_ids"])
             return [grounded_value(record) for record in records]

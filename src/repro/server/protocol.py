@@ -52,7 +52,6 @@ from repro.errors import (
     QuantumError,
     ReproError,
     SchemaError,
-    SessionBackpressure,
     TenantBackpressure,
     WorldLimitExceeded,
 )
@@ -71,10 +70,8 @@ class Opcode(enum.Enum):
 
     Requests (client → server): ``HELLO`` binds the connection's session
     identity (client and tenant names); ``COMMIT``/``COMMIT_BATCH`` submit
-    resource transactions; ``READ`` answers queries, in the connection
-    handler when a COLLAPSE read touches nothing pending and at a writer
-    serialization point otherwise; ``GROUND``/``GROUND_ALL``/``CHECK_IN`` collapse
-    pending transactions; ``STATS`` returns the merged statistics report;
+    resource transactions; ``READ`` answers queries;
+    ``GROUND``/``GROUND_ALL``/``CHECK_IN`` collapse pending transactions; ``STATS`` returns the merged statistics report;
     ``PING`` is a liveness no-op.
 
     Responses (server → client): ``RESULT`` and ``ERROR`` answer exactly
@@ -283,7 +280,6 @@ def request_fields(message: Mapping[str, Any]) -> dict[str, Any]:
 #: in order, so subclasses must precede their bases).
 ERROR_CODES: tuple[tuple[type[Exception], str], ...] = (
     (TenantBackpressure, "tenant_backpressure"),
-    (SessionBackpressure, "session_backpressure"),
     (ParseError, "parse_error"),
     (InvalidTransactionError, "invalid_transaction"),
     (FrameTooLarge, "frame_too_large"),

@@ -1,34 +1,31 @@
 """The asyncio quantum-database server: sessions, queue, writer.
 
 This module is the concurrency boundary of the reproduction: every mutation
-of the shared :class:`~repro.core.quantum_database.QuantumDatabase` flows
-through **one** audited entry point — the single-writer admission loop —
-while any number of client sessions submit work concurrently.  The design
-follows directly from the paper's model (see ``docs/architecture.md``):
+of the shared :class:`~repro.core.quantum_database.QuantumDatabase` runs on
+the server's event loop, one synchronous step at a time, while any number
+of client sessions submit work concurrently.  The design follows directly
+from the paper's model (see ``docs/architecture.md``):
 
-* **Single-writer admission queue.**  Sessions enqueue work items; one
-  writer task dequeues them and runs the ordinary synchronous admission
-  path, so accept/reject decisions are *identical* to calling
+* **Only commits queue.**  A commit item carries the list of transactions
+  it admits (one for :meth:`Session.commit`, the whole batch for
+  :meth:`Session.commit_batch`), each already built and checked; one
+  writer task dequeues the items and admits them through the ordinary
+  synchronous path, so accept/reject decisions are *identical* to calling
   :meth:`QuantumDatabase.execute` in the same arrival order — concurrency
-  changes only the arrival interleaving, never the semantics.  A commit
-  item carries the list of transactions it admits (one for
-  :meth:`Session.commit`, the whole batch for
-  :meth:`Session.commit_batch`), each already built and checked; every
-  other item carries the writer call that answers it and the counter it
-  bumps.  The PR-1
+  changes only the arrival interleaving, never the semantics.  Every
+  other operation (a read, a check-in or ground, a blind write,
+  ``ground_all``, ``checkpoint``) is the same
+  :class:`~repro.core.quantum_database.QuantumDatabase` call, made on the
+  caller: every writer step runs synchronously on the loop, its sync
+  included, so the caller runs between two steps and sees the durable
+  state.  A session runs its own operations one at a time, in the order
+  they were issued (:class:`~repro.server.session.Session`).  The PR-1
   witness cache is what makes this single writer viable: the admission
   critical section is a witness-extension search, not a recomposition.
-  What changes nothing skips the queue, decided here between two writer
-  steps for any session or connection: a COLLAPSE read that touches
-  nothing pending (:meth:`QuantumServer.read_untouched`) and a check-in
-  or ground that names nothing pending
-  (:meth:`QuantumServer.nothing_to_ground`).  Both read the durable
-  state, since every writer step runs synchronously on the loop, its
-  sync included; a session asks only while it has nothing queued.
 
 * **Group commit.**  When several commit items are queued (concurrent
-  clients), the writer drains them together and admits the contiguous run
-  — a batch's transactions contiguous and in order within it — via one
+  sessions), the writer drains them together and admits the run — a
+  batch's transactions contiguous and in order within it — via one
   :meth:`QuantumDatabase.commit_batch`, which is *one store transaction*:
   the groundings the run forces, the deletion of their pending rows and
   the rows of the run's still-pending admissions reach the log under one
@@ -39,15 +36,16 @@ follows directly from the paper's model (see ``docs/architecture.md``):
   being delivered through the loop, never a grounding — that is not yet
   on stable storage.
 
-* **Grounding on the writer.**  Explicit grounding requests — however
-  many partitions they span — are planned and applied by the writer, like
-  everything else: every partition a request touches is planned before
-  any plan is applied, so a request is all-or-nothing.  The server starts
-  no thread of its own; the only other thread in the process is the
-  durability engine's compactor, which never touches the quantum state.
+* **Grounding on the loop.**  Explicit grounding requests — however
+  many partitions they span — are planned and applied in one synchronous
+  call, like everything else: every partition a request touches is
+  planned before any plan is applied, so a request is all-or-nothing.
+  The server starts no thread of its own; the only other thread in the
+  process is the durability engine's compactor, which never touches the
+  quantum state.
 
 * **Graceful shutdown.**  ``shutdown()`` stops accepting work, drains the
-  queue (every already-enqueued item completes), resolves still-waiting
+  queue (every already-enqueued commit completes), resolves still-waiting
   grounding futures with cancellation, flushes the WAL and folds it into a
   snapshot checkpoint so recovery work stays bounded.
 """
@@ -57,16 +55,14 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, TypeVar
 
 from repro.core.quantum_database import QuantumDatabase
 from repro.core.quantum_state import GroundedTransaction
-from repro.core.reads import ReadMode, ReadRequest
 from repro.core.resource_transaction import ResourceTransaction
 from repro.errors import (
     DurabilityError,
     QuantumError,
-    SessionBackpressure,
     TenantBackpressure,
     TransactionError,
 )
@@ -74,28 +70,28 @@ from repro.server.session import GroundingTarget, Session
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog
 
 
+T = TypeVar("T")
+
+
 @dataclass
 class WorkItem:
-    """One unit of queued work plus the future its submitter awaits.
+    """One queued commit plus the future its submitter awaits.
 
-    A commit item has no ``call``: its ``transactions`` join the drain's
-    group-commit run, and its future receives their results, in order.
-    Any other item's ``call`` is the writer call that answers it.
-    ``counter`` names the :class:`ServerStatistics` field the item bumps
-    (by its transactions for a commit item, else by one), or is ``None``.
+    Its ``transactions`` join the drain's group-commit run, and its future
+    receives their results, in order.  ``counter`` names the
+    :class:`ServerStatistics` field they count into.
     """
 
-    counter: str | None
+    counter: str
     future: "asyncio.Future[Any]"
-    call: Callable[[], Any] | None = None
-    transactions: list[ResourceTransaction] | None = None
+    transactions: list[ResourceTransaction]
 
 
 #: Sentinel that tells the writer loop to exit after draining.
 _SHUTDOWN = object()
 
-#: Upper bound on how many queued items the writer drains per cycle;
-#: contiguous commit items within a drain are admitted as one group commit.
+#: Upper bound on how many queued items the writer drains per cycle; the
+#: items of a drain are admitted as one group commit.
 MAX_BATCH = 64
 
 
@@ -159,21 +155,18 @@ class ServerConfig:
     """Configuration of a :class:`QuantumServer`.
 
     Attributes:
-        queue_depth: admission queue capacity; enqueues beyond it apply
-            backpressure (the session's coroutine waits).
-        session_quota: per-session cap on queued-but-unprocessed items.
-            ``None`` (default) keeps the global bound only; with a quota, a
-            session that already has this many items in flight gets a typed
-            :class:`~repro.errors.SessionBackpressure` error instead of
-            silently occupying the shared queue and starving other clients.
-        tenant_quota: per-tenant cap on queued-but-unprocessed items,
-            summed over every session opened with the same ``tenant``
-            identity (one rung above the session quota on the
-            backpressure ladder).  A tenant that opens many sessions —
-            e.g. many network connections — cannot multiply its share of
-            the admission queue: beyond the quota, submissions get a typed
-            :class:`~repro.errors.TenantBackpressure`.  Sessions without a
-            tenant are exempt.  ``None`` (default) disables the cap.
+        queue_depth: admission queue capacity in commit items; enqueues
+            beyond it apply backpressure (the session's coroutine waits).
+            A session holds at most one slot: it runs its operations one
+            at a time.
+        tenant_quota: cap on the queued commit items of every session
+            opened with the same ``tenant`` identity, summed (the first
+            rung of the backpressure ladder).  A tenant that opens many
+            sessions — e.g. many network connections — cannot multiply its
+            share of the admission queue: beyond the quota, commits get a
+            typed :class:`~repro.errors.TenantBackpressure`.  Sessions
+            without a tenant are exempt.  ``None`` (default) disables the
+            cap.
         checkpoint_policy: periodic WAL checkpointing for long-running
             servers (see :class:`CheckpointPolicy`); ``None`` checkpoints
             only on graceful shutdown.
@@ -195,17 +188,16 @@ class ServerConfig:
     """
 
     queue_depth: int = 1024
-    session_quota: int | None = None
     tenant_quota: int | None = None
     checkpoint_policy: CheckpointPolicy | None = None
     checkpoint_on_shutdown: bool = True
     durability: DurabilityConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.session_quota is not None and self.session_quota < 1:
+        if self.queue_depth < 1:
             raise QuantumError(
-                "ServerConfig.session_quota must be at least 1 (or None): a "
-                "zero quota would reject every submission forever"
+                "ServerConfig.queue_depth must be at least 1: asyncio reads "
+                "a zero bound as no bound at all"
             )
         if self.tenant_quota is not None and self.tenant_quota < 1:
             raise QuantumError(
@@ -219,31 +211,25 @@ class ServerStatistics:
     """Server-level counters (exposed via ``statistics_report()``).
 
     Attributes:
-        items: work items processed by the writer.
+        items: commit items processed by the writer.
         commits: single-commit items admitted.
         batch_commits: transactions admitted through batch items.
-        commit_runs: group commits performed (contiguous runs of commit
-            and batch items).
+        commit_runs: group commits performed (one per drain that admitted
+            anything).
         max_commit_run: most transactions in one group commit.
         drains: writer drain cycles.
         max_drain: most items drained in one cycle.
         queue_high_water: deepest observed queue.
-        reads / writes / grounds: non-commit items processed.
-        reads_inline: COLLAPSE reads of any session answered without a
-            work item, because they touched nothing pending
-            (:meth:`QuantumServer.read_untouched`); the share of reads that
-            skipped the queue is ``reads_inline / (reads + reads_inline)``.
-        grounds_inline: check-ins and grounds of any session answered
-            without a work item, because they named nothing pending
-            (:meth:`QuantumServer.nothing_to_ground`).
-        cancelled_before_admission: commits withdrawn before admission.
+        reads / writes / grounds: reads, blind writes and groundings
+            (check-ins, grounds and ``ground_all``) answered on the caller.
+        cancelled_before_admission: commits withdrawn before admission,
+            in the queue, while waiting on the full queue, or while waiting
+            for their session's turn.
         cancelled_after_admission: commits whose ack was cancelled after
             the admission already happened (the commit stands).
         grounding_futures_resolved: grounding notifications delivered.
-        backpressure_rejections: submissions refused because their session
-            exceeded its queue quota.
-        tenant_rejections: submissions refused because their tenant's
-            combined in-flight items exceeded the tenant quota.
+        tenant_rejections: commits refused because their tenant's queued
+            commit items reached the tenant quota.
         policy_checkpoints: checkpoints taken by the periodic policy.
         checkpoints_refused: policy checkpoints refused because a store
             transaction was still active; each refusal arms (or consumes)
@@ -262,14 +248,11 @@ class ServerStatistics:
     max_drain: int = 0
     queue_high_water: int = 0
     reads: int = 0
-    reads_inline: int = 0
     writes: int = 0
     grounds: int = 0
-    grounds_inline: int = 0
     cancelled_before_admission: int = 0
     cancelled_after_admission: int = 0
     grounding_futures_resolved: int = 0
-    backpressure_rejections: int = 0
     tenant_rejections: int = 0
     policy_checkpoints: int = 0
     checkpoints_refused: int = 0
@@ -287,7 +270,7 @@ class QuantumServer:
                 result = await session.commit(request)
 
     All sessions share the server's event loop; the server owns one writer
-    task, the single mutation point.
+    task, which admits every commit.
     """
 
     def __init__(
@@ -300,8 +283,8 @@ class QuantumServer:
         self._writer_task: asyncio.Task | None = None
         self._sessions: dict[int, Session] = {}
         self._session_ids = 0
-        #: Queued-but-unprocessed items per tenant (the tenant-quota rung
-        #: of the backpressure ladder); entries vanish at zero.
+        #: Queued-but-unprocessed commit items per tenant (the tenant-quota
+        #: rung of the backpressure ladder); entries vanish at zero.
         self._tenant_in_flight: dict[str, int] = {}
         self._closed = False
         self._started = False
@@ -368,8 +351,9 @@ class QuantumServer:
     async def shutdown(self) -> None:
         """Graceful shutdown: drain the queue, flush + checkpoint the WAL.
 
-        Already-enqueued work completes (FIFO order guarantees the shutdown
-        sentinel is processed last); new submissions raise
+        Already-enqueued commits complete (FIFO order guarantees the
+        shutdown sentinel is processed last); any later operation,
+        including a commit still waiting for its session's turn, raises
         :class:`~repro.errors.QuantumError`.  Pending resource transactions
         stay pending — they are durable in the pending-transactions table,
         which the checkpoint snapshot preserves for recovery.
@@ -459,65 +443,62 @@ class QuantumServer:
                 "server is not accepting work (not started or shut down)"
             )
 
+    def _run(self, counter: str | None, call: Callable[[], T]) -> T:
+        """Make a :class:`QuantumDatabase` call that is not a commit, here,
+        on the caller.
+
+        Every writer step runs synchronously on this loop, its sync
+        included, so the call runs between two steps: it reads the durable
+        state, and what it writes is committed (and synced) before it
+        returns.  ``counter`` names the :class:`ServerStatistics` field it
+        bumps, or is ``None``.
+        """
+        self._require_accepting()
+        if counter is not None:
+            setattr(self.statistics, counter, getattr(self.statistics, counter) + 1)
+        return call()
+
     async def _enqueue(
         self,
-        session: Session | None,
-        counter: str | None,
-        call: Callable[[], Any] | None = None,
-        transactions: list[ResourceTransaction] | None = None,
-    ) -> Any:
-        """Queue a writer call, or with ``transactions`` a commit item (see
-        :class:`WorkItem`), and await its result."""
+        session: Session,
+        counter: str,
+        transactions: list[ResourceTransaction],
+    ) -> list[Any]:
+        """Queue a commit item (see :class:`WorkItem`) and await its
+        results."""
         self._require_accepting()
         assert self._queue is not None
-        # The backpressure ladder, cheapest rung first: the session quota
-        # bounds one connection's pipeline, the tenant quota bounds the sum
-        # over all of a tenant's sessions.  Both are checked before either
-        # counter moves, so a refusal at any rung leaks nothing.
-        quota = self.config.session_quota
-        if session is not None and quota is not None:
-            if session._in_flight >= quota:
-                self.statistics.backpressure_rejections += 1
-                raise SessionBackpressure(
-                    f"session #{session.session_id} has {session._in_flight} "
-                    f"operations in flight (quota {quota}); retry after they "
-                    "complete"
-                )
+        # The tenant quota is the first rung of the backpressure ladder; it
+        # is checked before its counter moves, so a refusal leaks nothing.
         tenant_quota = self.config.tenant_quota
-        tenant = session.tenant if session is not None else None
-        if tenant is not None and tenant_quota is not None:
+        tenant = session.tenant if tenant_quota is not None else None
+        if tenant is not None:
             in_flight = self._tenant_in_flight.get(tenant, 0)
             if in_flight >= tenant_quota:
                 self.statistics.tenant_rejections += 1
                 raise TenantBackpressure(
-                    f"tenant {tenant!r} has {in_flight} operations in flight "
-                    f"across its sessions (quota {tenant_quota}); retry after "
-                    "they complete"
+                    f"tenant {tenant!r} has {in_flight} commits queued across "
+                    f"its sessions (quota {tenant_quota}); retry after they "
+                    "complete"
                 )
-        # Count the submission in flight for its whole queued lifetime —
-        # including time spent waiting on the global bound.  A session's
-        # count is kept with or without a quota: while it is non-zero the
-        # session answers nothing without the queue, so nothing overtakes
-        # its own queued items.
-        if session is not None:
-            session._in_flight += 1
-            session._unqueued = 0
-        if tenant is not None and tenant_quota is not None:
-            self._tenant_in_flight[tenant] = (
-                self._tenant_in_flight.get(tenant, 0) + 1
-            )
+        session._unqueued = 0
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        if session is not None:
-            future.add_done_callback(session._release_in_flight)
-        if tenant is not None and tenant_quota is not None:
+        if tenant is not None:
+            # Counted for the item's whole queued lifetime, including time
+            # spent waiting on the global bound.
+            self._tenant_in_flight[tenant] = in_flight + 1
             future.add_done_callback(
                 lambda _future, tenant=tenant: self._release_tenant(tenant)
             )
         try:
-            await self._queue.put(WorkItem(counter, future, call, transactions))
-        except BaseException:
+            await self._queue.put(WorkItem(counter, future, transactions))
+        except BaseException as exc:
             # Never enqueued: cancelling the future runs the registered
-            # release callback, returning the quota slot.
+            # release callback, returning the quota slot.  A commit
+            # cancelled while it waits on the full queue is withdrawn, as
+            # if cancelled in it.
+            if isinstance(exc, asyncio.CancelledError):
+                self.statistics.cancelled_before_admission += 1
             future.cancel()
             raise
         depth = self._queue.qsize()
@@ -525,69 +506,16 @@ class QuantumServer:
             self.statistics.queue_high_water = depth
         return await future
 
-    def read_untouched(
-        self, request: ReadRequest, session: Session
-    ) -> list[dict[str, Any]] | None:
-        """Answer a COLLAPSE read now if it touches nothing pending.
-
-        Returns ``None``, having done nothing, for any other read: another
-        mode, or a read some pending update unifies with, which must
-        collapse on the writer (the session queues it).  An untouched
-        read grounds nothing, so the answer is the ordinary database's
-        (:meth:`QuantumDatabase.answer`), and it is linearizable without
-        a work item: every writer step runs synchronously on this loop,
-        its sync included, so the state read here is the durable state
-        between two steps.  The caller has nothing queued, so its own
-        earlier requests have completed; another session's
-        unacknowledged commit may be ordered before or after the read,
-        as its reply has not been sent.
-
-        :meth:`Session.read` asks this while its session has nothing
-        queued, and the network layer for every wire read.  Neither
-        answer suspends, so both callers yield the loop every
-        :data:`~repro.server.session.YIELD_EVERY` answers.
-        """
-        self._require_accepting()
-        session._require_open()
-        if request.mode is not ReadMode.COLLAPSE:
-            return None
-        if self.qdb.state.affected_by_read([request.atom]):
-            return None
-        self.statistics.reads_inline += 1
-        return self.qdb.answer(request)
-
-    def nothing_to_ground(
-        self, transaction_ids: Sequence[int], session: Session
-    ) -> bool:
-        """True if grounding ``transaction_ids`` would ground nothing.
-
-        None of them is pending, so :meth:`QuantumDatabase.ground` would
-        skip every one and return ``[]``: the caller answers the ground
-        (``[]``) or check-in (the id's grounded record, ``None`` for an
-        unknown id) at once, as :meth:`read_untouched` answers a read,
-        and the answer is counted in ``grounds_inline``.  ``False``, with
-        nothing counted, when some id is pending: the session queues the
-        grounding.  Refuses as a queued operation would once the server
-        or the session stopped accepting work.
-        """
-        self._require_accepting()
-        session._require_open()
-        is_pending = self.qdb.state.is_pending
-        if any(is_pending(transaction_id) for transaction_id in transaction_ids):
-            return False
-        self.statistics.grounds_inline += 1
-        return True
-
     async def ground_all(self) -> list[GroundedTransaction]:
         """Ground every pending transaction (e.g. end of the booking day).
 
-        Runs at a writer serialization point, all or nothing.
+        Runs between two writer steps, all or nothing.
         """
-        return await self._enqueue(None, "grounds", lambda: self.qdb.ground_all())
+        return self._run("grounds", self.qdb.ground_all)
 
     async def checkpoint(self) -> None:
-        """Checkpoint the WAL at a writer serialization point."""
-        await self._enqueue(None, None, lambda: self.qdb.checkpoint())
+        """Checkpoint the WAL between two writer steps."""
+        self._run(None, self.qdb.checkpoint)
 
     # -- the single-writer loop ---------------------------------------------
 
@@ -623,9 +551,6 @@ class QuantumServer:
                 except asyncio.QueueEmpty:
                     break
             if drained:
-                self.statistics.drains += 1
-                if len(drained) > self.statistics.max_drain:
-                    self.statistics.max_drain = len(drained)
                 self._process_drained(drained)
                 self._maybe_checkpoint()
             # Yield so acked clients resume (and refill the queue) before
@@ -676,20 +601,14 @@ class QuantumServer:
         self._last_checkpoint = time.monotonic()
 
     def _process_drained(self, drained: list[WorkItem]) -> None:
-        run: list[WorkItem] = []
-        for item in drained:
-            if item.call is None:
-                run.append(item)
-                continue
-            if run:
-                self._process_commit_run(run)
-                run = []
-            self._process_item(item)
-        if run:
-            self._process_commit_run(run)
+        """Admit one drain's commit items as one group commit."""
+        self.statistics.drains += 1
+        if len(drained) > self.statistics.max_drain:
+            self.statistics.max_drain = len(drained)
+        self._process_commit_run(drained)
 
     def _process_commit_run(self, run: list[WorkItem]) -> None:
-        """Admit a contiguous run of commit items as one group commit.
+        """Admit a run of commit items as one group commit.
 
         Each item's transactions stay contiguous and in order; an item
         cancelled before the run starts is withdrawn whole.
@@ -737,26 +656,6 @@ class QuantumServer:
             else:
                 item.future.set_result(results[start:end])
             start = end
-
-    def _process_item(self, item: WorkItem) -> None:
-        self.statistics.items += 1
-        if item.future.cancelled():
-            self.statistics.cancelled_before_admission += 1
-            return
-        if item.counter is not None:
-            setattr(
-                self.statistics,
-                item.counter,
-                getattr(self.statistics, item.counter) + 1,
-            )
-        try:
-            result = item.call()
-        except Exception as exc:
-            if not item.future.done():
-                item.future.set_exception(exc)
-            return
-        if not item.future.cancelled():
-            item.future.set_result(result)
 
     # -- grounding notifications --------------------------------------------
 

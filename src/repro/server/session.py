@@ -2,25 +2,19 @@
 
 A :class:`Session` is one client's view of the quantum database: its own
 stream of resource transactions and awaitable grounding notifications.
-Every operation that changes the database is enqueued on the server's
-single-writer admission queue and the session suspends until the writer
-has processed it, which is what gives concurrent clients the exact
-semantics of the synchronous
+A session runs its operations one at a time, in the order they were
+issued.  A commit joins the server's single-writer admission queue and
+holds the session's turn until the writer has admitted it (and, for
+admissions, durably persisted it), which is what gives concurrent clients
+the exact semantics of the synchronous
 :class:`~repro.core.quantum_database.QuantumDatabase` API (see
-``docs/architecture.md``, "The session/queue model").
-
-An operation that needs no writer step is answered at once instead: a
-COLLAPSE read that touches nothing pending
-(:meth:`QuantumServer.read_untouched
-<repro.server.service.QuantumServer.read_untouched>`), and a check-in or
-ground that names no pending transaction
-(:meth:`QuantumServer.nothing_to_ground
-<repro.server.service.QuantumServer.nothing_to_ground>`).  It is answered
-between two writer steps, since every step runs synchronously on the
-loop, and only while the session has nothing queued, so it never
-overtakes the session's own earlier commit.  Such answers never suspend,
-so a session yields the loop once after :data:`YIELD_EVERY` of them in a
-row.
+``docs/architecture.md``, "The session/queue model").  Every other
+operation is the same ``QuantumDatabase`` call, made at once on the
+caller: every writer step runs synchronously on the loop, so the call
+runs between two steps.  An operation that finds nothing of its session
+in progress takes no lock and does not suspend; such answers never yield
+the loop, so a session yields it once after :data:`YIELD_EVERY` of them
+in a row.
 
 Read results are isolated: the dictionaries a session receives are fresh
 copies, so no later commit or grounding can mutate what a client already
@@ -43,17 +37,19 @@ Typical usage::
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from repro.core.parser import parse_transaction
 from repro.core.quantum_database import CommitResult
 from repro.core.quantum_state import GroundedTransaction
-from repro.core.reads import ReadMode, ReadRequest, read_request
+from repro.core.reads import ReadMode, ReadRequest
 from repro.core.resource_transaction import ResourceTransaction
 from repro.errors import QuantumError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.server.service import QuantumServer
+
+T = TypeVar("T")
 
 #: Answers a session (or a connection) makes in a row without suspending
 #: before it yields the event loop once, so that a caller looping on
@@ -71,9 +67,10 @@ class Session:
     """One client's transaction stream over the shared quantum database.
 
     Created via :meth:`QuantumServer.session`; usable as an async context
-    manager.  All methods may be called concurrently with other sessions' —
-    the server's single-writer queue serializes them, and an operation
-    answered without the queue reads between two of its steps.
+    manager.  All methods may be called concurrently with other sessions'
+    (the server's single writer serializes commits, and every other
+    operation runs between two of its steps) and with this session's own:
+    they then run one at a time, in the order they were called.
     """
 
     def __init__(
@@ -91,27 +88,35 @@ class Session:
         #: ``ServerConfig.tenant_quota`` (None: exempt from the tenant rung).
         self.tenant = tenant
         self._closed = False
-        #: Items this session has enqueued but the writer has not finished.
-        #: An operation is answered without the queue only while this is
-        #: zero; under ``ServerConfig.session_quota`` the server's
-        #: ``_enqueue`` raises :class:`~repro.errors.SessionBackpressure`
-        #: beyond the quota.
-        self._in_flight = 0
-        #: Answers made in a row without queueing (reset by ``_enqueue``).
+        #: Operations of this session started and not yet finished, not
+        #: counting one answered at once.  While it is non-zero a new
+        #: operation waits for ``_turn``, which a commit holds until the
+        #: writer has admitted it.
+        self._active = 0
+        self._turn = asyncio.Lock()
+        #: Answers made in a row without suspending (reset on suspending).
         self._unqueued = 0
 
-    def _release_in_flight(self, _future: "asyncio.Future") -> None:
-        """Count a queued item out once it is resolved (or cancelled)."""
-        if self._in_flight > 0:
-            self._in_flight -= 1
-
-    async def _answered(self) -> None:
-        """Count an answer made without queueing; every
-        :data:`YIELD_EVERY`-th in a row yields the loop once."""
+    async def _answer(self, counter: str, call: Callable[[], T]) -> T:
+        """Make ``call``, a :class:`QuantumDatabase` call that is not a
+        commit, on the caller at this session's turn (see
+        :meth:`QuantumServer._run
+        <repro.server.service.QuantumServer._run>`)."""
+        server = self._server
+        if self._active:
+            self._active += 1
+            try:
+                async with self._turn:
+                    self._unqueued = 0
+                    return server._run(counter, call)
+            finally:
+                self._active -= 1
+        result = server._run(counter, call)
         self._unqueued += 1
         if self._unqueued >= YIELD_EVERY:
             self._unqueued = 0
             await asyncio.sleep(0)
+        return result
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -121,7 +126,7 @@ class Session:
         return self._closed or self._server.closed
 
     async def close(self) -> None:
-        """Close the session; in-flight operations still complete."""
+        """Close the session; operations already issued still complete."""
         self._closed = True
         self._server._forget_session(self)
 
@@ -152,9 +157,10 @@ class Session:
         still be pending — await :meth:`on_grounding` for the value
         assignment.
 
-        Cancelling the coroutine *before* the writer picks the item up
-        withdraws the transaction (it is never admitted); once the writer
-        has started, the admission stands even if the ack is cancelled.
+        Cancelling the coroutine *before* the writer picks the item up —
+        in the queue, or while it waits for the session's turn — withdraws
+        the transaction (it is never admitted); once the writer has
+        started, the admission stands even if the ack is cancelled.
         """
         self._require_open()
         (result,) = await self._submit(
@@ -194,11 +200,28 @@ class Session:
         self, transactions: list[ResourceTransaction], counter: str
     ) -> list[CommitResult]:
         """Check every update, then queue ``transactions`` as one commit
-        item: a refused transaction never shares a group-commit run."""
-        check_updates = self._server.qdb.check_updates
+        item at this session's turn, holding the turn until the writer has
+        admitted them: a refused transaction never shares a group-commit
+        run."""
+        server = self._server
+        check_updates = server.qdb.check_updates
         for transaction in transactions:
             check_updates(transaction)
-        return await self._server._enqueue(self, counter, transactions=transactions)
+        self._active += 1
+        try:
+            try:
+                # Does not suspend when nothing of the session is in progress.
+                await self._turn.acquire()
+            except asyncio.CancelledError:
+                # Withdrawn before it reached the queue: as if cancelled in it.
+                server.statistics.cancelled_before_admission += 1
+                raise
+            try:
+                return await server._enqueue(self, counter, transactions)
+            finally:
+                self._turn.release()
+        finally:
+            self._active -= 1
 
     # -- reads and blind writes ---------------------------------------------
 
@@ -211,42 +234,31 @@ class Session:
         select: Sequence[str] | None = None,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """Answer a read query at a writer serialization point.
+        """Answer a read query (:meth:`QuantumDatabase.read`) at once.
 
-        Same semantics as :meth:`QuantumDatabase.read` (COLLAPSE grounds
-        exactly the pending transactions the read touches); the returned
-        dictionaries are fresh copies owned by the caller.  A COLLAPSE
-        read that touches nothing pending is answered at once
-        (:meth:`QuantumServer.read_untouched`) while the session has
-        nothing queued; any other read queues.  A malformed read fails
-        here, before it queues.
+        Same semantics: COLLAPSE grounds exactly the pending transactions
+        the read touches, and a read the schema check refuses collapses
+        nothing.  The returned dictionaries are fresh copies owned by the
+        caller.
         """
         self._require_open()
-        request = read_request(request, terms, mode=mode, select=select, limit=limit)
-        if not self._in_flight:
-            rows = self._server.read_untouched(request, self)
-            if rows is not None:
-                await self._answered()
-                return rows
-        return await self._queue_read(request)
-
-    async def _queue_read(self, request: ReadRequest) -> list[dict[str, Any]]:
-        """Answer ``request`` on the writer (the network layer calls this for
-        a wire read it found touching something pending)."""
         qdb = self._server.qdb
-        return await self._server._enqueue(self, "reads", lambda: qdb.read(request))
+        return await self._answer(
+            "reads",
+            lambda: qdb.read(request, terms, mode=mode, select=select, limit=limit),
+        )
 
     async def insert(self, table: str, values: Sequence[Any]) -> None:
         """Blind insert, admission-checked against pending transactions."""
         self._require_open()
         qdb = self._server.qdb
-        await self._server._enqueue(self, "writes", lambda: qdb.insert(table, values))
+        await self._answer("writes", lambda: qdb.insert(table, values))
 
     async def delete(self, table: str, values: Sequence[Any]) -> None:
         """Blind delete, admission-checked against pending transactions."""
         self._require_open()
         qdb = self._server.qdb
-        await self._server._enqueue(self, "writes", lambda: qdb.delete(table, values))
+        await self._answer("writes", lambda: qdb.delete(table, values))
 
     # -- grounding -----------------------------------------------------------
 
@@ -266,40 +278,28 @@ class Session:
         return self._server._register_grounding_waiter(target)
 
     async def ground(self, transaction_ids: Sequence[int]) -> list[GroundedTransaction]:
-        """Explicitly collapse specific pending transactions.
-
-        Ids that are not pending are skipped; when none is, the answer is
-        ``[]`` at once (:meth:`QuantumServer.nothing_to_ground`) while the
-        session has nothing queued.
-        """
+        """Explicitly collapse specific pending transactions
+        (:meth:`QuantumDatabase.ground`); ids that are not pending are
+        skipped."""
         self._require_open()
-        ids = list(transaction_ids)
-        if not self._in_flight and self._server.nothing_to_ground(ids, self):
-            await self._answered()
-            return []
         qdb = self._server.qdb
-        return await self._server._enqueue(self, "grounds", lambda: qdb.ground(ids))
+        ids = list(transaction_ids)
+        return await self._answer("grounds", lambda: qdb.ground(ids))
 
     async def check_in(self, transaction_id: int) -> GroundedTransaction | None:
-        """Collapse one transaction and return its assignment (or None).
+        """Collapse one transaction and return its assignment, or ``None``
+        for an unknown id (:meth:`QuantumDatabase.check_in`).
 
         Grounding the target may ground earlier same-partition transactions
-        with it (the serialization prefix), so the requested record is
-        looked up by id rather than taken from the grounding results.  A
-        transaction that is not pending (already grounded, or unknown) is
-        looked up at once while the session has nothing queued.
+        with it (the serialization prefix); the record returned is the
+        requested one's.
         """
         self._require_open()
-        server = self._server
-        qdb = server.qdb
-        if not self._in_flight and server.nothing_to_ground([transaction_id], self):
-            await self._answered()
-        else:
-            await server._enqueue(self, "grounds", lambda: qdb.ground([transaction_id]))
-        return qdb.state.grounded_results.get(transaction_id)
+        qdb = self._server.qdb
+        return await self._answer("grounds", lambda: qdb.check_in(transaction_id))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Session #{self.session_id} client={self.client!r} "
-            f"in_flight={self._in_flight}>"
+            f"active={self._active}>"
         )

@@ -1,12 +1,12 @@
-"""Wire reads that touch nothing pending are answered on their connection.
+"""Wire reads are answered on their connection, between two writer steps.
 
-A COLLAPSE read whose atoms unify with no pending update reads an
-ordinary database (Section 3.2.2), so the connection handler answers it
-through ``QuantumServer.read_untouched`` instead of queueing a work item
-for the writer.  These tests hold the boundary of that shortcut: what
-skips the queue, what still collapses on the writer, that a drain still
-refuses, and that a connection pipelining reads does not starve another
-connection's commit.
+Only commits queue: a READ frame is the connection session's
+``Session.read``, which makes the ``QuantumDatabase.read`` call at once,
+whether the read touches nothing pending, collapses a pending booking or
+peeks.  These tests hold the boundary of that rule over the wire: no read
+makes a work item, a touched read still collapses what it touches, a
+drain still refuses, and a connection pipelining reads does not starve
+another connection's commit.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ async def read_frame(reader):
     return json.loads(await reader.readexactly(length))
 
 
-def counters(net: NetworkServer) -> tuple[int, int, int]:
+def counters(net: NetworkServer) -> tuple[int, int]:
     stats = net.server.statistics
-    return stats.items, stats.reads, stats.reads_inline
+    return stats.items, stats.reads
 
 
-def test_untouched_read_skips_the_queue():
+def test_untouched_read_makes_no_work_item():
     async def main():
         qdb = make_qdb()
         async with NetworkServer(qdb) as net:
@@ -60,34 +60,34 @@ def test_untouched_read_skips_the_queue():
             # A booking on flight 1 stays pending; a read of Goofy's
             # booking cannot unify with its +Bookings('Mickey', 1, ?s).
             assert (await client.commit(booking("Mickey", 1))).pending
-            items, reads, inline = counters(net)
+            items, reads = counters(net)
             rows = await client.read("Bookings", ["Goofy", None, None])
             assert rows == [{"_1": 2, "_2": "s9"}]
-            assert counters(net) == (items, reads, inline + 1)
+            assert counters(net) == (items, reads + 1)
             assert qdb.pending_count == 1
             # Nor does a read of flight 2's free seats, and the stats
-            # opcode shows the counter.
+            # opcode shows the counters.
             rows = await client.read("Available", [2, None], limit=2)
             assert len(rows) == 2
             report = await client.stats()
-            assert report["server.reads_inline"] == inline + 2
-            assert report["server.items"] == items
+            assert report["server.reads"] == reads + 2
+            assert report["server.items"] == items == 1
             await client.close()
 
     run(main())
 
 
-def test_read_touching_a_pending_booking_collapses_on_the_writer():
+def test_read_touching_a_pending_booking_collapses_on_the_connection():
     async def main():
         qdb = make_qdb()
         async with NetworkServer(qdb) as net:
             client = await NetClient.connect("127.0.0.1", net.port)
             result = await client.commit(booking("Mickey", 1))
             assert result.pending
-            items, reads, inline = counters(net)
+            items, reads = counters(net)
             rows = await client.read("Bookings", ["Mickey", None, None])
             assert len(rows) == 1 and rows[0]["_1"] == 1
-            assert counters(net) == (items + 1, reads + 1, inline)
+            assert counters(net) == (items, reads + 1)
             assert qdb.pending_count == 0
             assert result.transaction_id in qdb.state.grounded_results
             await client.close()
@@ -95,15 +95,17 @@ def test_read_touching_a_pending_booking_collapses_on_the_writer():
     run(main())
 
 
-def test_peek_read_still_queues():
+def test_peek_read_makes_no_work_item():
     async def main():
         qdb = make_qdb()
         async with NetworkServer(qdb) as net:
             client = await NetClient.connect("127.0.0.1", net.port)
-            items, reads, inline = counters(net)
-            rows = await client.read("Bookings", ["Goofy", None, None], mode="PEEK")
-            assert rows == [{"_1": 2, "_2": "s9"}]
-            assert counters(net) == (items + 1, reads + 1, inline)
+            assert (await client.commit(booking("Mickey", 1))).pending
+            items, reads = counters(net)
+            rows = await client.read("Bookings", ["Mickey", None, None], mode="PEEK")
+            assert len(rows) == 1
+            assert counters(net) == (items, reads + 1)
+            assert qdb.pending_count == 1
             await client.close()
 
     run(main())
@@ -137,7 +139,7 @@ def test_read_during_a_drain_answers_draining():
         frame = await read_frame(reader)
         assert frame["op"] == "error" and frame["id"] == 2
         assert frame["code"] == "draining"
-        assert net.server.statistics.reads_inline == 0
+        assert net.server.statistics.reads == 0
         release.set()
         await drain
         writer.close()
@@ -150,7 +152,7 @@ def test_pipelined_reads_do_not_starve_another_connection():
         qdb = make_qdb()
         async with NetworkServer(qdb) as net:
             # A task that counts the loop turns other tasks get, and the
-            # count at every answer made without the queue.
+            # count at every read.
             turns, seen = 0, []
 
             async def ticker():
@@ -159,28 +161,28 @@ def test_pipelined_reads_do_not_starve_another_connection():
                     turns += 1
                     await asyncio.sleep(0)
 
-            answer = net.server.read_untouched
+            read = qdb.read
 
-            def counted(request, session):
+            def counted(*args, **kwargs):
                 seen.append(turns)
-                return answer(request, session)
+                return read(*args, **kwargs)
 
-            net.server.read_untouched = counted
+            qdb.read = counted
             ticking = asyncio.create_task(ticker())
             reader, writer = await asyncio.open_connection("127.0.0.1", net.port)
             client = await NetClient.connect("127.0.0.1", net.port)
-            read = {"op": "read", "request": "Bookings", "terms": ["Goofy", None, None]}
+            frame = {"op": "read", "request": "Bookings", "terms": ["Goofy", None, None]}
             writer.write(
-                b"".join(encode_frame({**read, "id": i}) for i in range(1000))
+                b"".join(encode_frame({**frame, "id": i}) for i in range(1000))
             )
             commit = asyncio.create_task(client.commit(booking("Mickey", 1)))
             result = await asyncio.wait_for(commit, timeout=10)
             assert result.committed
             for i in range(1000):
-                frame = await read_frame(reader)
-                assert frame["id"] == i
-                assert frame["value"] == [{"_1": 2, "_2": "s9"}]
-            assert len(seen) == net.server.statistics.reads_inline == 1000
+                answer = await read_frame(reader)
+                assert answer["id"] == i
+                assert answer["value"] == [{"_1": 2, "_2": "s9"}]
+            assert len(seen) == net.server.statistics.reads == 1000
             # The connection let the loop run at least every YIELD_EVERY
             # answers, however few socket reads the 1 000 requests took.
             assert seen[-1] - seen[0] >= 1000 // YIELD_EVERY - 1

@@ -31,7 +31,6 @@ from repro.errors import (
     FrameTooLarge,
     ProtocolError,
     QuantumError,
-    SessionBackpressure,
     TenantBackpressure,
     WorldLimitExceeded,
 )
@@ -266,10 +265,8 @@ class TestErrorFrames:
         assert str(rebuilt) == "boom"
 
     def test_tenant_before_session_backpressure(self):
-        # Both are QuantumError subclasses; the distinct rungs of the
-        # ladder must keep distinct wire codes.
+        # A QuantumError subclass, with its own wire code ahead of its base.
         assert error_code_for(TenantBackpressure("t")) == "tenant_backpressure"
-        assert error_code_for(SessionBackpressure("s")) == "session_backpressure"
 
     def test_foreign_exception_maps_to_internal(self):
         assert error_code_for(ValueError("nope")) == "internal"

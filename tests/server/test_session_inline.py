@@ -1,13 +1,16 @@
-"""Session operations that change nothing are answered without the queue.
+"""Only commits queue: a session runs one operation at a time.
 
-An in-process ``Session.read`` that touches nothing pending, and a
-``check_in`` or ``ground`` that names nothing pending, need no writer
-step: the session answers at once (``QuantumServer.read_untouched`` /
-``nothing_to_ground``), between two writer steps.  These tests hold the
-boundary of that shortcut: a session's own queued work is never
-overtaken, a session answering in a loop lets the writer run, the writer
-steps it reads between are synchronous, and a closed server refuses an
-inline answer exactly as it refuses a queued one.
+A session's commit joins the writer's admission queue and holds the
+session's turn until its group-commit run admitted it.  Every other
+operation (a read in any mode, a check-in or ground, a blind write, and
+the server's ``ground_all`` / ``checkpoint``) is the same
+``QuantumDatabase`` call, made at once on the caller, between two writer
+steps.  These tests hold that rule: nothing but a commit makes a work
+item, a session's operations run in the order they were issued and never
+put two items in the queue, a commit cancelled while it waits for its
+turn is withdrawn, a session answering in a loop lets the writer run, the
+writer steps it runs between are synchronous, and a closed server refuses
+every operation alike.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import textwrap
 
 import pytest
 
-from repro import NetClient, NetworkServer, QuantumServer, ServerConfig
+from repro import NetClient, NetworkServer, QuantumServer
 from repro.core.parser import parse_transaction
 from repro.core.quantum_database import QuantumDatabase
 from repro.errors import QuantumError
@@ -27,55 +30,62 @@ from repro.server.protocol import encode_frame
 from repro.server.session import YIELD_EVERY
 from tests.server.test_inline_reads import booking, make_qdb, read_frame, run
 
-#: With and without a session quota: the in-flight count that keeps a
-#: session's inline answers behind its own queued items must not depend
-#: on it.
-QUOTAS = pytest.mark.parametrize("quota", [None, 4], ids=["no-quota", "quota"])
-
 GOOFY = ("Bookings", ["Goofy", None, None])
 MICKEY = ("Bookings", ["Mickey", None, None])
 
 
-def counters(server: QuantumServer) -> tuple[int, int, int, int, int]:
+def counters(server: QuantumServer) -> tuple[int, int, int, int]:
     stats = server.statistics
-    return (
-        stats.items,
-        stats.reads,
-        stats.reads_inline,
-        stats.grounds,
-        stats.grounds_inline,
-    )
+    return stats.items, stats.reads, stats.writes, stats.grounds
+
+
+def record_admission_order(qdb: QuantumDatabase) -> list:
+    """Wrap ``commit_batch`` so the test sees the writer's admission order."""
+    admitted: list = []
+    original = qdb.commit_batch
+
+    def recording(transactions, **kwargs):
+        admitted.extend(transactions)
+        return original(transactions, **kwargs)
+
+    qdb.commit_batch = recording  # type: ignore[method-assign]
+    return admitted
 
 
 # ---------------------------------------------------------------------------
-# What is answered at once, and what still queues
+# Nothing but a commit makes a work item
 # ---------------------------------------------------------------------------
 
 
-def test_untouched_read_and_settled_check_in_skip_the_queue():
+def test_nothing_but_a_commit_makes_a_work_item():
     async def main():
         qdb = make_qdb()
         async with QuantumServer(qdb) as server:
             async with server.session(client="Mickey") as session:
-                pending = await session.commit(booking("Mickey", 1))
-                grounded = await session.commit(booking("Minnie", 2))
-                record = await session.check_in(grounded.transaction_id)
-                items, reads, inline, grounds, grounds_inline = counters(server)
-                assert await session.read(*GOOFY) == [{"_1": 2, "_2": "s9"}]
-                assert await session.check_in(grounded.transaction_id) == record
-                assert await session.ground([grounded.transaction_id]) == []
-                assert await session.ground([]) == []
-                assert counters(server) == (
-                    items, reads, inline + 1, grounds, grounds_inline + 3
-                )
-                assert qdb.state.is_pending(pending.transaction_id)
-                # PEEK keeps the queue, as does a read that touches the
-                # pending booking (it collapses it).
+                mickey = await session.commit(booking("Mickey", 1))
+                minnie = await session.commit(booking("Minnie", 1))
+                assert qdb.pending_count == 2
+                assert counters(server) == (2, 0, 0, 0)
+                # PEEK and EXPOSE_ALL collapse nothing.
                 assert len(await session.read(*MICKEY, mode="PEEK")) == 1
-                assert qdb.state.is_pending(pending.transaction_id)
+                worlds = await session.read(*MICKEY, mode="EXPOSE_ALL")
+                assert worlds and all(row["_worlds"] >= 1 for row in worlds)
+                assert qdb.pending_count == 2
+                # A touched COLLAPSE read grounds the booking it reads.
                 assert len(await session.read(*MICKEY)) == 1
-                assert not qdb.state.is_pending(pending.transaction_id)
-                assert counters(server)[:3] == (items + 2, reads + 2, inline + 1)
+                assert not qdb.state.is_pending(mickey.transaction_id)
+                # A check-in that grounds.
+                record = await session.check_in(minnie.transaction_id)
+                assert record.transaction_id == minnie.transaction_id
+                assert qdb.pending_count == 0
+                # Blind writes.
+                await session.insert("Available", (3, "s0"))
+                await session.delete("Available", (3, "s0"))
+                assert counters(server) == (2, 3, 2, 1)
+                await server.ground_all()
+                await server.checkpoint()
+                assert counters(server) == (2, 3, 2, 2)
+                assert server.statistics.queue_high_water == 1
 
     run(main())
 
@@ -86,48 +96,63 @@ def test_check_in_of_an_unknown_huge_id_answers_none():
         async with QuantumServer(qdb) as server:
             async with server.session() as session:
                 assert (await session.commit(booking("Mickey", 1))).pending
-                items = server.statistics.items
                 assert await session.check_in(10**30) is None
                 assert await session.ground([10**30]) == []
-                assert server.statistics.items == items
-                assert server.statistics.grounds_inline == 2
+                assert counters(server) == (1, 0, 0, 2)
                 assert qdb.pending_count == 1
 
     run(main())
 
 
-def test_stats_opcode_carries_grounds_inline():
+def test_stats_opcode_counts_answers_made_on_the_caller():
     async def main():
         qdb = make_qdb()
         async with NetworkServer(qdb) as net:
             client = await NetClient.connect("127.0.0.1", net.port)
             result = await client.commit(booking("Mickey", 1))
             assert (await client.check_in(result.transaction_id)) is not None
-            items = net.server.statistics.items
             again = await client.check_in(result.transaction_id)
             assert again["transaction_id"] == result.transaction_id
             assert await client.ground([result.transaction_id]) == []
             report = await client.stats()
-            assert report["server.grounds_inline"] == 2
-            assert report["server.items"] == items
+            assert report["server.grounds"] == 3
+            assert report["server.items"] == 1
             await client.close()
 
     run(main())
 
 
 # ---------------------------------------------------------------------------
-# Order within a session
+# One operation at a time, in issue order
 # ---------------------------------------------------------------------------
 
 
-@QUOTAS
-def test_a_read_pipelined_behind_the_sessions_commit_sees_it(quota):
-    """Fails if the in-flight count is kept only under a session quota:
-    the read would then be answered before its own commit was admitted."""
+def test_commit_read_commit_gathered_on_one_session_answer_in_issue_order():
+    """The read waits for the first commit and runs before the second: it
+    collapses and sees the first booking, not the second."""
 
     async def main():
         qdb = make_qdb()
-        async with QuantumServer(qdb, ServerConfig(session_quota=quota)) as server:
+        async with QuantumServer(qdb) as server:
+            session = server.session()
+            first, rows, second = await asyncio.gather(
+                session.commit(booking("Mickey", 1)),
+                session.read("Bookings", [None, 1, None]),
+                session.commit(booking("Minnie", 1)),
+            )
+            assert first.committed and second.committed
+            assert [row["_0"] for row in rows] == ["Mickey"]
+            assert first.transaction_id in qdb.state.grounded_results
+            assert qdb.state.is_pending(second.transaction_id)
+            assert counters(server)[:2] == (2, 1)
+
+    run(main())
+
+
+def test_a_read_issued_behind_the_sessions_commit_sees_it():
+    async def main():
+        qdb = make_qdb()
+        async with QuantumServer(qdb) as server:
             async with server.session(client="Mickey") as session:
                 result, rows = await asyncio.gather(
                     session.commit(booking("Mickey", 1)), session.read(*MICKEY)
@@ -137,17 +162,15 @@ def test_a_read_pipelined_behind_the_sessions_commit_sees_it(quota):
                 # The read collapsed the booking it saw.
                 assert result.transaction_id in qdb.state.grounded_results
                 assert qdb.pending_count == 0
-                assert server.statistics.reads_inline == 0
-                assert server.statistics.reads == 1
+                assert counters(server)[:2] == (1, 1)
 
     run(main())
 
 
-@QUOTAS
-def test_a_check_in_pipelined_behind_the_sessions_commit_grounds_it(quota):
+def test_a_check_in_issued_behind_the_sessions_commit_grounds_it():
     async def main():
         qdb = make_qdb()
-        async with QuantumServer(qdb, ServerConfig(session_quota=quota)) as server:
+        async with QuantumServer(qdb) as server:
             async with server.session(client="Mickey") as session:
                 first = parse_transaction(booking("Mickey", 1))
                 second = parse_transaction(booking("Minnie", 1))
@@ -163,26 +186,104 @@ def test_a_check_in_pipelined_behind_the_sessions_commit_grounds_it(quota):
                     second.transaction_id
                 ]
                 assert qdb.pending_count == 0
-                assert server.statistics.grounds == 2
-                assert server.statistics.grounds_inline == 0
+                assert counters(server) == (1, 0, 0, 2)
 
     run(main())
 
 
-@QUOTAS
-def test_in_flight_count_returns_to_zero(quota):
+def test_eight_commits_gathered_on_one_session_never_queue_two_items():
     async def main():
         qdb = make_qdb()
-        async with QuantumServer(qdb, ServerConfig(session_quota=quota)) as server:
+        admitted = record_admission_order(qdb)
+        async with QuantumServer(qdb) as server:
+            session = server.session()
+            sent = [
+                parse_transaction(booking(f"u{i}", 1 + i % 2)) for i in range(8)
+            ]
+            results = await asyncio.gather(*(session.commit(t) for t in sent))
+            assert [r.committed for r in results] == [True] * 6 + [False] * 2
+            assert admitted == sent
+            stats = server.statistics
+            assert stats.queue_high_water == 1
+            assert stats.items == stats.commit_runs == 8
+
+    run(main())
+
+
+def test_an_idle_session_answers_without_its_lock():
+    async def main():
+        qdb = make_qdb()
+        async with QuantumServer(qdb) as server:
             async with server.session(client="Mickey") as session:
                 commit = asyncio.create_task(session.commit(booking("Mickey", 1)))
                 await asyncio.sleep(0)
-                assert session._in_flight == 1
+                assert session._active == 1 and session._turn.locked()
                 await commit
-                assert session._in_flight == 0
-                # With nothing queued, the next untouched read is inline.
-                assert await session.read(*GOOFY)
-                assert server.statistics.reads_inline == 1
+                assert session._active == 0 and not session._turn.locked()
+                # With nothing of the session in progress, an operation
+                # never touches the turn.
+                turn, session._turn = session._turn, None
+                assert await session.read(*GOOFY) == [{"_1": 2, "_2": "s9"}]
+                assert len(await session.read(*MICKEY)) == 1
+                assert await session.ground([10**30]) == []
+                session._turn = turn
+
+    run(main())
+
+
+# ---------------------------------------------------------------------------
+# Cancellation
+# ---------------------------------------------------------------------------
+
+
+def test_a_commit_cancelled_while_waiting_for_its_turn_is_withdrawn():
+    async def main():
+        qdb = make_qdb()
+        async with QuantumServer(qdb) as server:
+            session = server.session()
+            sent = [parse_transaction(booking(f"u{i}", 1)) for i in range(3)]
+            tasks = [asyncio.create_task(session.commit(t)) for t in sent]
+            await asyncio.sleep(0)
+            # The first commit holds the turn; the other two wait for it.
+            assert session._active == 3
+            tasks[1].cancel()
+            first, cancelled, last = await asyncio.gather(
+                *tasks, return_exceptions=True
+            )
+            assert isinstance(cancelled, asyncio.CancelledError)
+            assert first.committed and last.committed
+            stats = server.statistics
+            assert stats.cancelled_before_admission == 1
+            assert stats.items == stats.commits == 2
+            withdrawn = sent[1].transaction_id
+            assert not qdb.state.is_pending(withdrawn)
+            assert withdrawn not in qdb.state.grounded_results
+            assert qdb.pending_store.pending_ids() == {
+                first.transaction_id,
+                last.transaction_id,
+            }
+            assert session._active == 0
+            # The session goes on.
+            assert (await session.commit(booking("after", 1))).committed
+
+    run(main())
+
+
+def test_a_read_cancelled_while_waiting_for_its_turn_runs_nothing():
+    async def main():
+        qdb = make_qdb()
+        async with QuantumServer(qdb) as server:
+            session = server.session()
+            commit = asyncio.create_task(session.commit(booking("Mickey", 1)))
+            read = asyncio.create_task(session.read(*MICKEY))
+            await asyncio.sleep(0)
+            read.cancel()
+            assert (await commit).pending
+            with pytest.raises(asyncio.CancelledError):
+                await read
+            assert qdb.pending_count == 1
+            assert counters(server)[:2] == (1, 0)
+            assert session._active == 0
 
     run(main())
 
@@ -192,12 +293,23 @@ def test_in_flight_count_returns_to_zero(quota):
 # ---------------------------------------------------------------------------
 
 
-def test_a_session_looping_on_untouched_reads_does_not_starve_a_commit():
+def grounding_qdb(flights: int) -> QuantumDatabase:
+    """``flights`` pending bookings, one per flight, and one free flight."""
+    qdb = make_qdb()
+    qdb.load_rows("Available", [(f, "a") for f in range(10, 11 + flights)])
+    qdb.commit_batch(
+        [parse_transaction(booking(f"u{f}", f)) for f in range(10, 10 + flights)]
+    )
+    assert qdb.pending_count == flights
+    return qdb
+
+
+def test_a_session_looping_on_grounding_reads_does_not_starve_a_commit():
     async def main():
-        qdb = make_qdb()
+        qdb = grounding_qdb(1000)
         async with QuantumServer(qdb) as server:
             # A task that counts the loop turns other tasks get, and the
-            # count at every answer made without the queue.
+            # count at every read.
             turns, seen = 0, []
 
             async def ticker():
@@ -206,23 +318,24 @@ def test_a_session_looping_on_untouched_reads_does_not_starve_a_commit():
                     turns += 1
                     await asyncio.sleep(0)
 
-            answer = server.read_untouched
+            read = qdb.read
 
-            def counted(request, session):
+            def counted(*args, **kwargs):
                 seen.append(turns)
-                return answer(request, session)
+                return read(*args, **kwargs)
 
-            server.read_untouched = counted
+            qdb.read = counted
             ticking = asyncio.create_task(ticker())
-            reader = server.session(client="Goofy")
+            reader = server.session(client="reader")
             booker = server.session(client="Mickey")
 
             async def loop_reads():
-                for _ in range(1000):
-                    assert await reader.read(*GOOFY) == [{"_1": 2, "_2": "s9"}]
+                for f in range(10, 1010):
+                    rows = await reader.read("Bookings", [f"u{f}", f, None])
+                    assert rows == [{"_2": "a"}]
 
             async def book():
-                result = await booker.commit(booking("Mickey", 1))
+                result = await booker.commit(booking("Mickey", 1010))
                 return result, len(seen)
 
             reading = asyncio.create_task(loop_reads())
@@ -230,15 +343,18 @@ def test_a_session_looping_on_untouched_reads_does_not_starve_a_commit():
             await reading
             assert result.committed
             assert answered < 1000  # the commit completed mid-loop
-            assert len(seen) == server.statistics.reads_inline == 1000
+            # Every read grounded its booking.
+            assert qdb.pending_count == 1
+            assert len(seen) == server.statistics.reads == 1000
             # The session let the loop run at least every YIELD_EVERY
             # answers.
             assert all(
                 seen[i + YIELD_EVERY] > seen[i]
                 for i in range(len(seen) - YIELD_EVERY)
             )
-            # Queueing resets the run of unqueued answers.
-            await reader.ground([result.transaction_id])
+            # A commit suspends, which resets the run of answers.
+            assert reader._unqueued > 0
+            await reader.commit(booking("Goofy", 1))
             assert reader._unqueued == 0
             ticking.cancel()
 
@@ -246,13 +362,12 @@ def test_a_session_looping_on_untouched_reads_does_not_starve_a_commit():
 
 
 # ---------------------------------------------------------------------------
-# The premise: an inline answer reads between two writer steps
+# The premise: an answer on the caller runs between two writer steps
 # ---------------------------------------------------------------------------
 
 WRITER_STEPS = [
     QuantumServer._process_drained,
     QuantumServer._process_commit_run,
-    QuantumServer._process_item,
     QuantumServer._maybe_checkpoint,
     QuantumDatabase.commit_batch,
 ]
@@ -282,7 +397,7 @@ def test_the_writer_loop_does_not_suspend_inside_a_drain():
 
 
 # ---------------------------------------------------------------------------
-# Refusals: inline answers refuse exactly as queued ones do
+# Refusals: every operation refuses alike
 # ---------------------------------------------------------------------------
 
 
@@ -296,14 +411,19 @@ def prepared_qdb() -> tuple[QuantumDatabase, int, int]:
 
 
 def attempts(session, pending_id: int, grounded_id: int) -> dict:
-    """Each operation once on the inline path and once on the queued one."""
+    """Every session operation, on what grounds and on what does not."""
     return {
         "read-untouched": lambda: session.read(*GOOFY),
         "read-touching": lambda: session.read(*MICKEY),
+        "read-peek": lambda: session.read(*MICKEY, mode="PEEK"),
         "check-in-grounded": lambda: session.check_in(grounded_id),
         "check-in-pending": lambda: session.check_in(pending_id),
         "ground-unknown": lambda: session.ground([10**30]),
         "ground-pending": lambda: session.ground([pending_id]),
+        "insert": lambda: session.insert("Available", (3, "s0")),
+        "delete": lambda: session.delete("Available", (2, "s2")),
+        "commit": lambda: session.commit(booking("Goofy", 2)),
+        "commit-batch": lambda: session.commit_batch([booking("Goofy", 2)]),
     }
 
 
@@ -317,7 +437,7 @@ async def refusals(operations: dict) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("moment", ["during", "after"])
-def test_shutdown_refuses_inline_and_queued_answers_alike(moment):
+def test_shutdown_refuses_every_operation_alike(moment):
     async def main():
         qdb, pending, grounded = prepared_qdb()
         server = await QuantumServer(qdb).start()
@@ -330,7 +450,10 @@ def test_shutdown_refuses_inline_and_queued_answers_alike(moment):
             await server.shutdown()
         refused = await refusals(attempts(session, pending, grounded))
         assert len(set(refused.values())) == 1, refused
-        assert counters(server) == (0, 0, 0, 0, 0)
+        for operation in (server.ground_all, server.checkpoint):
+            with pytest.raises(QuantumError, match="not accepting work"):
+                await operation()
+        assert counters(server) == (0, 0, 0, 0)
         if moment == "during":
             await stopping
         assert qdb.state.is_pending(pending)
@@ -338,7 +461,28 @@ def test_shutdown_refuses_inline_and_queued_answers_alike(moment):
     run(main())
 
 
-def test_an_unstarted_server_refuses_inline_and_queued_answers_alike():
+def test_a_commit_waiting_for_its_turn_at_shutdown_is_refused():
+    """The commit already queued completes; the one waiting behind it for
+    the session's turn never reaches the queue."""
+
+    async def main():
+        qdb = make_qdb()
+        server = await QuantumServer(qdb).start()
+        session = server.session()
+        queued = asyncio.create_task(session.commit(booking("Mickey", 1)))
+        waiting = asyncio.create_task(session.commit(booking("Minnie", 1)))
+        await asyncio.sleep(0)
+        await server.shutdown()
+        assert (await queued).committed
+        with pytest.raises(QuantumError, match="not accepting work"):
+            await waiting
+        assert server.statistics.items == 1
+        assert qdb.pending_count == 1
+
+    run(main())
+
+
+def test_an_unstarted_server_refuses_every_operation_alike():
     async def main():
         qdb, pending, grounded = prepared_qdb()
         server = QuantumServer(qdb)
@@ -346,7 +490,7 @@ def test_an_unstarted_server_refuses_inline_and_queued_answers_alike():
         refused = await refusals(attempts(session, pending, grounded))
         assert len(set(refused.values())) == 1, refused
         assert "not accepting work" in refused["read-untouched"]
-        assert counters(server) == (0, 0, 0, 0, 0)
+        assert counters(server) == (0, 0, 0, 0)
         assert qdb.state.is_pending(pending)
 
     run(main())
@@ -384,7 +528,7 @@ def test_check_in_and_ground_during_a_drain_answer_draining(request_fields):
         frame = await read_frame(reader)
         assert frame["op"] == "error" and frame["id"] == 2
         assert frame["code"] == "draining"
-        assert net.server.statistics.grounds_inline == 0
+        assert net.server.statistics.grounds == 0
         release.set()
         await drain
         writer.close()

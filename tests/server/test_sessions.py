@@ -102,11 +102,10 @@ class TestRoundTrip:
                     assert again[0]["_1"] != "mutated"
                     stats = server.statistics
                     assert stats.commits == qdb.state.statistics.admitted == 1
-                    # The check-in grounded the booking, so both reads
-                    # touch nothing pending and are answered without the
-                    # queue.
-                    assert (stats.reads_inline, stats.reads) == (2, 0)
-                    assert (stats.grounds, stats.grounds_inline) == (1, 0)
+                    # Only the commit queued; the check-in and both reads
+                    # were answered on the caller.
+                    assert stats.items == 1
+                    assert (stats.reads, stats.grounds) == (2, 1)
                     assert stats.grounding_futures_resolved == 1
 
         asyncio.run(main())

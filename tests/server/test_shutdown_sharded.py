@@ -2,12 +2,12 @@
 checkpoint.
 
 ``QuantumServer.shutdown()`` must (in order) drain the admission queue —
-completing a grounding queued behind other work and any commit run
-already drained — then fold the WAL into a checkpoint, all without
-deadlocking.  Every test runs under ``asyncio.wait_for`` so an ordering
-bug fails loudly instead of hanging the suite.
+completing any commit already queued — then fold the WAL into a
+checkpoint, all without deadlocking.  Every test runs under
+``asyncio.wait_for`` so an ordering bug fails loudly instead of hanging
+the suite.
 
-The tests at the bottom pin that ``SessionBackpressure`` fires at enqueue
+The tests at the bottom pin that ``TenantBackpressure`` fires at enqueue
 time, and that a shutdown racing a drain leaves no orphaned pending
 entries (every pending transaction durable, every durable row pending).
 (``shards`` is accepted and ignored; ``test_compat_contract.py`` holds the
@@ -27,7 +27,7 @@ from repro import (
     ServerConfig,
     parse_transaction,
 )
-from repro.errors import QuantumError, SessionBackpressure
+from repro.errors import QuantumError, TenantBackpressure
 from repro.relational.wal import LogRecordType
 
 #: ``shard_backend`` accepts only "thread" (and ignores it); the one-value
@@ -59,7 +59,8 @@ def booking(user, flight):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_close_while_plans_in_flight(backend):
-    """Shutdown drains a queued ground-all spanning six partitions."""
+    """A ground-all spanning six partitions started before shutdown
+    completes, and the server refuses one after it."""
 
     async def main():
         qdb = make_qdb(backend=backend)
@@ -69,9 +70,8 @@ def test_close_while_plans_in_flight(backend):
                 result = await session.commit(booking(f"u{flight}", flight))
                 assert result.committed
         assert qdb.pending_count == 6
-        # Enqueue the grounding but shut down before awaiting it: FIFO
-        # ordering puts the shutdown sentinel behind it, so the drain loop
-        # must plan and apply it before the server exits.
+        # Start the grounding but shut down before awaiting it: it runs on
+        # its caller, between two writer steps, before the shutdown.
         ground_task = asyncio.create_task(server.ground_all())
         await asyncio.sleep(0)
         await server.shutdown()
@@ -125,27 +125,32 @@ def state_pending_ids(qdb):
 
 
 def test_backpressure_semantics_unchanged_when_sharded():
-    """SessionBackpressure fires at enqueue time, before the writer sees
+    """TenantBackpressure fires at enqueue time, before the writer sees
     the work."""
 
     async def main():
         qdb = make_qdb(backend="thread")
-        config = ServerConfig(session_quota=2)
+        config = ServerConfig(tenant_quota=2)
         async with QuantumServer(qdb, config) as server:
-            session = server.session(client="flooder")
+            sessions = [
+                server.session(client=f"flooder{i}", tenant="acme")
+                for i in range(4)
+            ]
             futures = [
                 asyncio.ensure_future(session.commit(booking(f"b{i}", 1)))
-                for i in range(4)
+                for i, session in enumerate(sessions)
             ]
             results = await asyncio.gather(*futures, return_exceptions=True)
             refused = [
-                r for r in results if isinstance(r, SessionBackpressure)
+                r for r in results if isinstance(r, TenantBackpressure)
             ]
             accepted = [r for r in results if not isinstance(r, Exception)]
             assert len(refused) == 2
             assert len(accepted) == 2
-            assert server.statistics.backpressure_rejections == 2
-            await session.close()
+            assert server.statistics.tenant_rejections == 2
+            assert server.statistics.items == 2
+            for session in sessions:
+                await session.close()
 
     asyncio.run(asyncio.wait_for(main(), timeout=60))
 
@@ -162,15 +167,13 @@ def test_close_while_draining_leaves_no_orphans(backend):
         # k=2 with three bookings per flight: the runs force groundings.
         qdb = make_qdb(backend=backend, k=2, flights=6, seats=3)
         server = await QuantumServer(qdb).start()
-        sessions = [server.session(client=f"c{i}") for i in range(3)]
-        futures = []
-        for i in range(18):
-            session = sessions[i % len(sessions)]
-            futures.append(
-                asyncio.create_task(
-                    session.commit(booking(f"u{i}", (i % 6) + 1))
-                )
+        # One commit per session: a session queues one commit at a time.
+        futures = [
+            asyncio.create_task(
+                server.session(client=f"c{i}").commit(booking(f"u{i}", (i % 6) + 1))
             )
+            for i in range(18)
+        ]
         # Let the writer start draining, then shut down immediately: the
         # sentinel lands behind the queued commits, which must complete
         # first.

@@ -7,7 +7,8 @@ stream, the plain ``QuantumConfig(k=4)`` must give identical commit
 results, valuations and ``statistics_report()`` keys and values, and the
 server's group-commit drain must decide the same on either.  The knobs that
 were deleted with the shard pools, the grounding executor, the second
-admission search and the store's join planner are a ``TypeError``; so is
+admission search, the store's join planner and the per-session queue
+quota are a ``TypeError``; so is
 a network server over anything but a database, and the serving layer's
 deleted copies (the session result record, the search observer) and the
 store's second join engine (its conjunctive queries and planner) are gone.
@@ -124,6 +125,7 @@ DELETED = [
     (QuantumConfig, ("planner",), None),
     (QuantumConfig, ("read", "mode"), None),
     (ServerConfig, ("max", "batch"), 64),
+    (ServerConfig, ("session", "quota"), 4),
 ]
 
 
@@ -204,24 +206,25 @@ def test_server_drain_decides_the_same_on_every_config(name):
         qdb = build(config, flights=FLIGHTS[:5])
         decisions = []
         async with QuantumServer(qdb) as server:
-            async with server.session(client="driver") as session:
-                # Submit in bursts so the writer drains real runs.
-                for burst in range(4):
-                    futures = [
-                        asyncio.ensure_future(
-                            session.commit(booking(f"s{burst}_{i}", FLIGHTS[i % 5]))
+            # Submit in bursts, one commit per session, so the writer
+            # drains real runs.
+            sessions = [server.session(client=f"c{i}") for i in range(6)]
+            for burst in range(4):
+                futures = [
+                    asyncio.ensure_future(
+                        session.commit(booking(f"s{burst}_{i}", FLIGHTS[i % 5]))
+                    )
+                    for i, session in enumerate(sessions)
+                ]
+                for result in await asyncio.gather(*futures):
+                    decisions.append(
+                        (
+                            result.transaction.client,
+                            result.committed,
+                            result.pending,
+                            len(result.grounded),
                         )
-                        for i in range(6)
-                    ]
-                    for result in await asyncio.gather(*futures):
-                        decisions.append(
-                            (
-                                result.transaction.client,
-                                result.committed,
-                                result.pending,
-                                len(result.grounded),
-                            )
-                        )
+                    )
             runs = server.statistics.commit_runs
         return decisions, runs
 

@@ -245,24 +245,25 @@ class TestSegmentedServer:
                 def fully_synced() -> bool:
                     return engine._tail.synced_size == engine._tail.size
 
-                def watch(name: str) -> None:
-                    original = getattr(server, name)
+                def watch(owner, name: str) -> None:
+                    original = getattr(owner, name)
 
-                    def watched(work):
-                        items = work if isinstance(work, list) else [work]
+                    def watched(*args, **kwargs):
+                        items = args[0] if owner is server else []
                         in_flight[:] = [item.future for item in items] + [
                             waiter for waiter in groundings if not waiter.done()
                         ]
                         try:
-                            return original(work)
+                            return original(*args, **kwargs)
                         finally:
                             del in_flight[:]
-                            # The futures were just resolved: everything
-                            # the operation appended is on stable storage.
+                            # The futures were just resolved, or the
+                            # caller's result returned: everything the
+                            # operation appended is on stable storage.
                             if not fully_synced():
                                 early.append(f"{name} resolved unsynced")
 
-                    setattr(server, name, watched)
+                    setattr(owner, name, watched)
 
                 resolve = server._resolve_grounding_waiters
 
@@ -272,8 +273,10 @@ class TestSegmentedServer:
                     resolve(record)
 
                 server._resolve_grounding_waiters = resolving
-                watch("_process_commit_run")
-                watch("_process_item")
+                watch(server, "_process_commit_run")
+                # Everything but a commit is answered on its caller.
+                for name in ("read", "check_in", "ground_all"):
+                    watch(qdb, name)
                 groundings: list[asyncio.Future] = []
 
                 async def client(name: str) -> list[int]:
