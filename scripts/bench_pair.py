@@ -10,12 +10,14 @@ contract command of ``BENCHMARK.json``::
 on a checkout of a base revision and on the working tree, pair by pair:
 both sides of a pair get the same seed, and which side runs first
 alternates from pair to pair, so a slow spell of the machine is shared
-instead of landing on one side.  The base is checked out into a temporary
-``git worktree`` (removed afterwards), or taken from ``--base-dir`` when a
-checkout already exists.  The change side runs from a fresh copy of the
-working tree's files in a sibling temporary directory, never from the
-working tree itself: run in place, ``store_churn``'s ``recover_s`` read
-5-7 % slower on the working-tree side whichever code it held.
+instead of landing on one side.  Both sides run from fresh sibling
+directories under one temporary directory.  The base is checked out there
+as a ``git worktree`` (removed afterwards), or copied there from
+``--base-dir`` when a checkout already exists.  The change side runs from
+a fresh copy of the working tree's files, never from the working tree
+itself: run in place, ``store_churn``'s ``recover_s`` read 5-7 % slower on
+the working-tree side whichever code it held, and a copy's ``peak_rss_mb``
+read 1-2 % above a long-lived checkout's.
 
 For every end-to-end metric it prints both sides' medians and quartiles,
 the pairs the change won, and a verdict by the rule of the
@@ -76,6 +78,16 @@ def copy_working_tree(destination: Path) -> Path:
             target = destination / name
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, target)
+    return destination
+
+
+def copy_checkout(source: Path, destination: Path) -> Path:
+    """Copy an existing checkout to ``destination``, leaving out git's
+    metadata and the caches that building and testing leave behind."""
+    ignore = shutil.ignore_patterns(
+        ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis"
+    )
+    shutil.copytree(source, destination, ignore=ignore)
     return destination
 
 
@@ -175,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as scratch:
         if args.base_dir is not None:
-            base_dir = args.base_dir.resolve()
+            base_dir = copy_checkout(args.base_dir.resolve(), Path(scratch) / "base")
         else:
             base_dir = Path(scratch) / "base"
             subprocess.run(

@@ -7,8 +7,9 @@ backstop), then runs :meth:`SegmentedWriteAheadLog.compact_once` until no
 sealed segment is eligible.  A pass decides from the segments' in-memory
 summaries: it unlinks fully superseded segments unread, leaves the ones
 it keeps whole alone, and reads and rewrites only the mixed ones.  All
-file work happens off the writer's lock — the single point of contact is
-one atomic manifest swap per pass.
+file work happens off the writer's lock, the pass's one atomic manifest
+swap included — the single point of contact is the lock acquisition that
+installs the pass's decisions.
 
 The same passes build every base checkpoint after the first: when the
 delta chain reaches ``base_interval`` the engine arms a fold and the next

@@ -53,7 +53,8 @@ class DurabilityConfig:
             pass synthesizes a fresh base.  Larger values mean fewer folds
             at the cost of a longer delta chain to replay on recovery.
         fsync: ``os.fsync`` the live segment at every commit flush (and
-            the manifest and its directory at every update), so
+            the directory at every seal, and the manifest and its
+            directory at every save), so
             durability survives OS crashes, not just process crashes.
             Off by default.
         fsync_window_s: accepts only ``0``; any other value raises

@@ -10,8 +10,10 @@ file-backed log.  What it adds underneath:
 
 * **Segments, not one file.**  Records are CRC-framed into an append-only
   tail segment; when the tail reaches ``segment_max_bytes`` /
-  ``segment_max_records`` it is sealed and a fresh tail opened.  A
-  manifest (atomic rename updates) records the chain.
+  ``segment_max_records`` it is sealed and a fresh tail opened: append
+  and fsync, nothing more.  A manifest (atomic rename updates) records
+  what compaction changed in the chain; only compaction passes, open and
+  close write it.
 
 * **Checkpoint lineage, not a monolithic fold.**  The first checkpoint
   is a ``CHECKPOINT_BASE`` carrying a full snapshot; every later one is a
@@ -59,7 +61,9 @@ from repro.storage.segment import (
     SEGMENT_SUFFIX,
     LogSegment,
     SegmentWriter,
+    parse_segment_file_name,
     segment_file_name,
+    sync_directory,
 )
 
 
@@ -91,8 +95,8 @@ class DurabilityStatistics:
         compaction_bytes_read: bytes of sealed segments the compactor read
             (only segments it rewrites: the rest it decides from their
             summaries).
-        manifest_saves_writer: manifest saves by the writer side (open,
-            seals, checkpoints, close).
+        manifest_saves_writer: manifest saves by the writer side: open
+            and close only (seals and checkpoints save nothing).
         manifest_saves_compactor: manifest saves by compaction passes (at
             most one per pass, none for a pass that changed no segment).
     """
@@ -127,9 +131,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     """A write-ahead log over sealed segments with a checkpoint lineage.
 
     Opening an existing directory *is* the recovery scan: the manifest is
-    read, sealed segments are verified (CRC damage there is fatal), a
-    torn tail record is truncated with a warning, orphan files from
-    interrupted compactions are removed, and the in-memory state (records,
+    read, the segments sealed after its last save are found by name, sealed
+    segments are verified (CRC damage there is fatal), a torn tail record
+    is truncated with a warning, orphan files from interrupted compactions
+    are removed, and the in-memory state (records, checkpoint lineage,
     next LSN, dirty set for the next delta checkpoint) is rebuilt.  Use
     :func:`repro.storage.recover` to also replay the records into a fresh
     :class:`~repro.relational.database.Database`.
@@ -202,13 +207,31 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._save_manifest_locked()
             return
         self._manifest = manifest
+        saved_next = manifest.next_segment_index
+        orphans: list[str] = []
+        successors: list[LogSegment] = []
+        for name in self._segment_files_on_disk() - manifest.segment_names():
+            # A name this engine never writes parses as generation -1.
+            index, generation = parse_segment_file_name(name) or (0, -1)
+            # Indexes are never reused, not even an orphan's.
+            manifest.next_segment_index = max(
+                manifest.next_segment_index, index + 1
+            )
+            if generation == 0 and index >= saved_next:
+                # Created by a seal after the last manifest save.
+                successors.append(LogSegment(index=index, name=name))
+            else:
+                # Orphans: a compactor killed mid-rewrite (new generation
+                # written, manifest never swapped) or mid-cleanup (swapped,
+                # old file not yet deleted).
+                orphans.append(name)
+        manifest.segments += sorted(successors, key=attrgetter("index"))
+        for entry in manifest.segments[:-1]:
+            entry.sealed = True
         all_records: list[LogRecord] = []
         for entry in manifest.segments:
             all_records.extend(self._scan_segment(entry))
-        for name in self._segment_files_on_disk() - manifest.segment_names():
-            # Orphans: a compactor killed mid-rewrite (new file written,
-            # manifest never swapped) or mid-cleanup (swapped, old file
-            # not yet deleted).  Either way the manifest never names them.
+        for name in orphans:
             os.remove(self._path(name))
         self._install_records(all_records, buffer_open_transactions=False)
         if not manifest.segments or manifest.segments[-1].sealed:
@@ -219,13 +242,20 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._tail.records = tail.records
         self._save_manifest_locked()
 
-    def _save_manifest_locked(self, *, compactor: bool = False) -> None:
-        """Persist the manifest (caller holds ``_lock``) and count the save."""
+    def _save_manifest_locked(self) -> None:
+        """Persist the manifest (open and close; caller holds ``_lock``)."""
         self._manifest.save(self.directory, fsync=self.config.fsync)
-        if compactor:
-            self.statistics.manifest_saves_compactor += 1
-        else:
-            self.statistics.manifest_saves_writer += 1
+        self.statistics.manifest_saves_writer += 1
+
+    def _save_manifest_image(self, image: Manifest) -> None:
+        """Persist a compaction pass's manifest image.
+
+        The caller holds ``_compaction_lock`` but not ``_lock``: the image
+        was copied under ``_lock``, and its two fsyncs do not stall the
+        writer.
+        """
+        image.save(self.directory, fsync=self.config.fsync)
+        self.statistics.manifest_saves_compactor += 1
 
     def _segment_files_on_disk(self) -> set[str]:
         return {
@@ -281,8 +311,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         checkpoint plus every delta after it up to the newest checkpoint
         of any kind — and keeps only raw records past that point as the
         live tail; everything older is superseded (compaction may or may
-        not have dropped it on disk yet).  The dirty set for the next
-        delta checkpoint is refolded from the tail's committed records.
+        not have dropped it on disk yet).  The lineage's positions
+        (``checkpoint_lsn``, ``base_lsn``) are read off it here, not from
+        the manifest file.  The dirty set for the next delta checkpoint is
+        refolded from the tail's committed records.
         """
         records = sorted(records, key=attrgetter("lsn"))
         checkpoint_idx = None
@@ -318,6 +350,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         ]
         self._records = lineage + tail
         self._lineage_length = len(lineage)
+        self._manifest.checkpoint_lsn = checkpoint_lsn
+        self._manifest.base_lsn = lineage[0].lsn if lineage else 0
         self._next_lsn = (records[-1].lsn if records else 0) + 1
         self._has_base = bool(lineage)
         self._deltas_since_base = max(0, len(lineage) - 1)
@@ -502,12 +536,15 @@ class SegmentedWriteAheadLog(WriteAheadLog):
     def _seal_tail_locked(self) -> None:
         """Seal the live segment and open a fresh tail.
 
-        Order matters for crash-safety: the outgoing tail is flushed (its
-        records must be durable before anything references them as
-        sealed), the new segment file is created, and only then the
-        manifest is atomically updated.  A crash between the steps leaves
-        either the old manifest (new file is a cleanable orphan) or the
-        new one — both recoverable.
+        Flush (and sync) the outgoing tail, create the successor file, and
+        with ``fsync`` sync the directory; the manifest is not saved.  The
+        order is what makes it crash-safe: the outgoing tail is durable
+        before a successor exists, and the successor's name is durable
+        before a commit in it is acknowledged.  Open finds the successor by
+        its name (generation 0, index at or past the saved
+        ``next_segment_index``), and every segment before the last one it
+        finds counts as sealed.  A crash before the directory sync may
+        leave an empty successor, or none; both open to the same records.
         """
         self._tail.flush()
         entry = self._manifest.tail
@@ -516,7 +553,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         entry.size = self._tail.size
         self._tail.close()
         self._create_tail_locked()
-        self._save_manifest_locked()
+        if self.config.fsync:
+            sync_directory(self.directory)
         self.statistics.segments_sealed += 1
         self._trigger_compaction()
 
@@ -537,9 +575,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         """Write a CHECKPOINT_BASE record starting a fresh lineage.
 
         Unlike the in-memory fold, nothing is discarded on disk
-        here: the base record is appended to the tail and the manifest's
-        lineage pointers advance; dropping the superseded records on disk
-        is the background compactor's job.
+        here: the base record is appended to the tail and the in-memory
+        lineage pointers advance (open reads them off the record heads, so
+        the manifest is not saved); dropping the superseded records on
+        disk is the background compactor's job.
         """
         with self._lock:
             if self._closed:
@@ -563,7 +602,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._synthesis_due = False
             self._manifest.checkpoint_lsn = record.lsn
             self._manifest.base_lsn = record.lsn
-            self._save_manifest_locked()
             self.statistics.checkpoints_base += 1
         self._trigger_compaction()
         return record
@@ -574,7 +612,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         The payload is exactly the net row changes committed since the
         previous checkpoint — already tracked incrementally at commit
         time, so no snapshot of the store is built and the pause is
-        proportional to churn.
+        proportional to churn.  Like :meth:`checkpoint` it appends and
+        flushes the one record and saves no manifest.
 
         Raises:
             DurabilityError: if no base snapshot exists yet (a delta
@@ -616,10 +655,6 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 self._synthesis_due = True
                 if self._tail.records > 0:
                     self._seal_tail_locked()
-                else:
-                    self._save_manifest_locked()
-            else:
-                self._save_manifest_locked()
             self.statistics.checkpoints_delta += 1
         self._trigger_compaction()
         return record
@@ -734,12 +769,12 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         whole is neither read nor written (only its ``compacted_at_lsn``
         hint advances), and only a mixed one is read and its kept frames
         copied into a *new generation* (new name), off the writer lock.
-        All decisions are installed under one ``_lock`` acquisition with
-        at most one manifest save — none if no segment changed — and the
-        superseded files are unlinked only after that save: a crash
-        before it leaves the rewrites as orphans, a crash after it leaves
-        the superseded files as orphans, and the open-time cleanup
-        removes either.
+        All decisions are installed under one ``_lock`` acquisition, which
+        also copies the manifest; that copy is saved once — not at all if
+        no segment changed — off the writer's lock, and the superseded
+        files are unlinked only after that save: a crash before it leaves
+        the rewrites as orphans, a crash after it leaves the superseded
+        files as orphans, and the open-time cleanup removes either.
         """
         with self._compaction_lock:
             try:
@@ -803,8 +838,9 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                     ),
                     default=checkpoint_lsn,
                 )
-                if superseded:
-                    self._save_manifest_locked(compactor=True)
+                image = self._manifest.copy() if superseded else None
+            if image is not None:
+                self._save_manifest_image(image)
             for name in superseded:
                 os.remove(self._path(name))
             return True
@@ -899,11 +935,13 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         written into its own sealed segment file, and only the install —
         splicing that segment into the front of the manifest chain and
         advancing the lineage pointers — takes the lock, exactly like a
-        segment rewrite.  The synthesized record *reuses the LSN of the
-        newest delta it folded*, preserving the log's total order; the
-        superseded delta is filtered at install/recovery and dropped by
-        compaction.  A crash before the manifest save leaves the new file
-        as a cleanable orphan and the old lineage authoritative.
+        segment rewrite; the manifest save after it does not.  The
+        synthesized record *reuses the LSN of the newest delta it folded*,
+        preserving the log's total order; the superseded delta is filtered
+        at install/recovery and dropped by compaction.  The file is born
+        at generation 1 under a fresh index, so a crash before the
+        manifest save leaves it as a cleanable orphan (never a writer
+        successor) and the old lineage authoritative.
         """
         with self._lock:
             if self._closed or not self._synthesis_due:
@@ -939,7 +977,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 return False
             index = self._manifest.next_segment_index
             self._manifest.next_segment_index += 1
-        name = segment_file_name(index)
+        name = segment_file_name(index, generation=1)
         path = self._path(name)
         with open(path, "wb") as handle:
             handle.write(frame)
@@ -961,7 +999,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 return False
             entry = LogSegment(
                 index=index,
-                name=name,
+                generation=1,
                 sealed=True,
                 records=1,
                 size=len(frame),
@@ -980,12 +1018,13 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             self._lineage_length = 1 + len(remaining)
             self._deltas_since_base = len(remaining)
             self._synthesis_due = False
-            self._save_manifest_locked(compactor=True)
-            self.statistics.bases_synthesized += 1
-            self.statistics.base_synthesis_ms = max(
-                self.statistics.base_synthesis_ms,
-                (time.perf_counter() - started) * 1000.0,
-            )
+            image = self._manifest.copy()
+        self._save_manifest_image(image)
+        self.statistics.bases_synthesized += 1
+        self.statistics.base_synthesis_ms = max(
+            self.statistics.base_synthesis_ms,
+            (time.perf_counter() - started) * 1000.0,
+        )
         self._trigger_compaction()
         return True
 
@@ -1013,9 +1052,11 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             }
 
     def close(self) -> None:
-        """Stop the compactor, sync and close the tail (idempotent)."""
+        """Stop the compactor, sync and close the tail, save the manifest
+        (idempotent).  ``_compaction_lock`` keeps an explicit pass's save
+        from racing this one."""
         self.stop_compactor()
-        with self._lock:
+        with self._compaction_lock, self._lock:
             if self._closed:
                 return
             self._closed = True

@@ -1,44 +1,64 @@
-"""The manifest: the segmented log's single source of structural truth.
+"""The manifest: the compactor's record of the segment chain.
 
-The manifest file records the live segment chain (in replay order), the
-checkpoint lineage positions (latest base snapshot and latest checkpoint
-of any kind) and the compaction watermark.  Every update is written to a
-temporary file, flushed, and atomically renamed over the old manifest
-(``os.replace``), so a crash at any instant leaves either the old or the
-new manifest — never a half-written one; with ``fsync`` the directory is
-synced after the rename, so the new manifest also survives an OS crash.  A leftover ``MANIFEST.tmp`` is
+The manifest file lists the segment chain in replay order as of its last
+save, the index the next segment will take (``next_segment_index``) and
+the compaction watermark.  Only compaction passes (at most one save per
+pass), open and close write it; a seal or a checkpoint does not.  It is
+the source of truth for what compaction changed: which generation of a
+segment is live, which segments were dropped, and where synthesized
+bases sit in the replay order.  The compaction quarantine is not in it:
+it lives in memory, so a restart gives a quarantined segment fresh
+attempts.
+
+Every update is written to a temporary file, flushed, and atomically
+renamed over the old manifest (``os.replace``), so a crash at any
+instant leaves either the old or the new manifest — never a half-written
+one; with ``fsync`` the directory is synced after the rename, so the new
+manifest also survives an OS crash.  A leftover ``MANIFEST.tmp`` is
 simply discarded at the next open: the rename that would have made it
 authoritative never happened.
 
-Segment *files* not named by the manifest are orphans — a compactor
-killed between writing its rewritten file and the manifest swap (the new
-file is the orphan), or killed between the swap and deleting the old
-file (the old file is the orphan).  The engine deletes them at open.
-A base synthesized off the writer by a compaction pass follows the
-same discipline: its single-record segment is written first and spliced
-into the *front* of the chain by one manifest save — a crash before that
-save leaves the file as a cleanable orphan and the old lineage
-authoritative.  The chain is therefore ordered for replay (synthesized
-bases first), not strictly by segment index.
+Open decides every segment file the manifest does not list by its name,
+``segment_file_name(index, generation)``:
+
+* **Writer successor** — generation 0 and ``index`` at or above the
+  saved ``next_segment_index``: a segment the writer created by a seal
+  after the last save.  Successors are replayed in index order after the
+  listed chain.  Every segment of that chain but the last one is sealed,
+  so damage in it is fatal; damage in the last one is a torn tail and is
+  truncated.
+* **Orphan** — anything else, removed at open.  Compaction writes only
+  generations 1 and up: a rewrite of a segment, or a synthesized base
+  (born at generation 1 under a fresh index), that a crash kept from its
+  manifest save is an orphan and the old chain stays authoritative.  So
+  is a superseded file a crash kept from its unlink after the save:
+  its index lies below the saved ``next_segment_index``.
+
+The chain is ordered for replay (synthesized bases first), not strictly
+by segment index.  The checkpoint lineage is not in the manifest: open
+reads it off the record heads it decodes anyway.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import RecoveryError
-from repro.storage.segment import LogSegment
+from repro.storage.segment import LogSegment, sync_directory
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_TMP_NAME = "MANIFEST.tmp"
 
-#: Version 2: segment frames carry :meth:`LogRecord.to_bytes
-#: <repro.relational.wal.LogRecord.to_bytes>` payloads.  Version 1 framed
-#: a text encoding of each record; such a directory is refused, not
-#: converted.
-_FORMAT_VERSION = 2
+#: Version 3: seals and checkpoints do not save the manifest, unlisted
+#: generation-0 files at or past ``next_segment_index`` are writer successors,
+#: and a synthesized base is born at generation 1.  Version 2 saved on
+#: every seal and wrote synthesized bases at generation 0, so its
+#: unlisted files are all orphans; version 1 framed a text encoding of
+#: each record.  Both are refused, not converted.
+_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -51,9 +71,11 @@ class Manifest:
         checkpoint_lsn: LSN of the newest checkpoint record of any kind
             (0 before the first checkpoint).  Records at or below this
             LSN are superseded by the checkpoint lineage — the
-            compactor's drop rule.
+            compactor's drop rule.  In memory only: open sets it from the
+            record heads.
         base_lsn: LSN of the newest full-snapshot checkpoint
             (``CHECKPOINT_BASE``); lineage records below it are stale.
+            In memory only, like ``checkpoint_lsn``.
         compacted_through_lsn: compaction watermark — every sealed
             segment has been compacted against at least this checkpoint
             LSN.
@@ -76,12 +98,14 @@ class Manifest:
         """The unsealed tail segment (the chain is never empty once open)."""
         return self.segments[-1]
 
+    def copy(self) -> "Manifest":
+        """A detached image, to save off the engine's lock."""
+        return replace(self, segments=list(map(copy.copy, self.segments)))
+
     def to_payload(self) -> dict:
         return {
             "version": _FORMAT_VERSION,
             "segments": [segment.to_payload() for segment in self.segments],
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "base_lsn": self.base_lsn,
             "compacted_through_lsn": self.compacted_through_lsn,
             "next_segment_index": self.next_segment_index,
         }
@@ -92,16 +116,13 @@ class Manifest:
             if payload["version"] != _FORMAT_VERSION:
                 raise RecoveryError(
                     f"unsupported manifest version {payload['version']!r}: "
-                    f"this engine reads version {_FORMAT_VERSION} "
-                    "(binary record frames) only"
+                    f"this engine reads version {_FORMAT_VERSION} only"
                 )
             return cls(
                 segments=[
                     LogSegment.from_payload(entry)
                     for entry in payload["segments"]
                 ],
-                checkpoint_lsn=payload["checkpoint_lsn"],
-                base_lsn=payload["base_lsn"],
                 compacted_through_lsn=payload["compacted_through_lsn"],
                 next_segment_index=payload["next_segment_index"],
             )
@@ -117,10 +138,9 @@ class Manifest:
 
         With ``fsync`` the directory is synced after the rename too: until
         then an OS crash can undo the rename, and recovery would trust
-        the old manifest and delete the newer tail segment, with the
-        acknowledged commits in it, as an orphan.  The same sync makes
-        every segment file created or swapped in since the last save
-        durable in the directory.
+        the old manifest, and so miss what the compaction pass changed.
+        The same sync makes every file the pass wrote durable in the
+        directory.
         """
         directory = os.fspath(directory)
         tmp_path = os.path.join(directory, MANIFEST_TMP_NAME)
@@ -133,11 +153,7 @@ class Manifest:
                 os.fsync(handle.fileno())
         os.replace(tmp_path, final_path)
         if fsync:
-            fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            sync_directory(directory)
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "Manifest | None":

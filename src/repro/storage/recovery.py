@@ -1,10 +1,12 @@
 """Recovery entry points for the segmented durability engine.
 
-Replay order (the manifest drives all of it):
+Replay order:
 
-1. **Manifest** — atomically-updated source of the live segment chain;
-   a leftover ``MANIFEST.tmp`` from an interrupted update is discarded,
-   orphan segment files from an interrupted compaction are removed.
+1. **Chain** — the segments the manifest lists, then the writer's
+   successors it does not list yet (generation 0, index at or past its
+   ``next_segment_index``; seals do not save the manifest); a leftover
+   ``MANIFEST.tmp`` from an interrupted update is discarded, orphan
+   segment files from an interrupted compaction are removed.
 2. **Base** — the newest surviving ``CHECKPOINT_BASE`` (or in-memory
    ``CHECKPOINT``) snapshot is restored.  A base synthesized off the
    writer by a compaction pass reuses the LSN of the newest delta it
@@ -13,8 +15,9 @@ Replay order (the manifest drives all of it):
 3. **Delta chain** — every ``CHECKPOINT_DELTA`` after that base is
    applied in LSN order (per table: deletes, then inserts).
 4. **Unsealed tail** — committed raw records past the newest checkpoint
-   are redone; a torn trailing record in the unsealed tail is truncated
-   with a warning (CRC damage in a *sealed* segment raises
+   are redone; a torn trailing record in the unsealed tail (the chain's
+   last segment) is truncated with a warning (CRC damage in a *sealed*
+   segment raises
    :class:`~repro.errors.RecoveryError` — sealed bytes never change, so
    damage there is real corruption, not a crash artifact).
 

@@ -25,21 +25,43 @@ and at the tail alike.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 
 from repro.relational.wal import LogRecordType, encode_frame
 
 SEGMENT_SUFFIX = ".walseg"
 
+_SEGMENT_NAME = re.compile(r"segment-(\d{8,})\.g(\d+)" + re.escape(SEGMENT_SUFFIX))
+
 
 def segment_file_name(index: int, generation: int = 0) -> str:
     """Canonical file name of segment ``index`` at ``generation``.
 
-    Compaction bumps the generation: the rewritten file gets a new name,
-    so the swap is a manifest update plus a delete, never an in-place
-    overwrite of bytes recovery might still need.
+    Generation 0 is a file the writer created; compaction rewrites and
+    synthesized bases are generation 1 and up.  Compaction bumps the
+    generation: the rewritten file gets a new name, so the swap is a
+    manifest update plus a delete, never an in-place overwrite of bytes
+    recovery might still need.
     """
     return f"segment-{index:08d}.g{generation}{SEGMENT_SUFFIX}"
+
+
+def parse_segment_file_name(name: str) -> tuple[int, int] | None:
+    """``(index, generation)`` of a canonical segment file name, else None."""
+    match = _SEGMENT_NAME.fullmatch(name)
+    if match is None:
+        return None
+    return int(match.group(1)), int(match.group(2))
+
+
+def sync_directory(directory: str | os.PathLike) -> None:
+    """``os.fsync`` a directory, making the names created in it durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
@@ -126,9 +148,8 @@ class LogSegment:
 class SegmentWriter:
     """Appends framed records to one live (unsealed) segment file.
 
-    The writer only ever appends; sealing is a property of the manifest
-    entry, enforced by the engine (which stops writing and opens the next
-    segment).  ``records`` / ``size`` mirror the manifest entry so seal
+    The writer only ever appends; sealing is enforced by the engine,
+    which stops writing to the file and opens the next segment.  ``records`` / ``size`` mirror the manifest entry so seal
     thresholds are checked without stat calls.
     """
 
@@ -159,10 +180,10 @@ class SegmentWriter:
     def close(self) -> None:
         if not self._file.closed:
             self._file.flush()
-            if self.fsync:
+            if self.fsync and self.synced_size != self.size:
                 # flush() alone leaves the final records in the page cache;
                 # a close must honor the same durability promise as every
-                # flush before it.
+                # flush before it.  A seal has just synced everything.
                 os.fsync(self._file.fileno())
                 self.synced_size = self.size
             self._file.close()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -104,17 +105,20 @@ def result(value, *, correct=True, failed=0, exit_code=0):
 def fake_runs(monkeypatch, tmp_path):
     """Replace the contract runs: record them, answer from ``outcome``.
 
-    The tests pass ``tmp_path`` as ``--base-dir``; any other checkout is
-    the change side's copy of the working tree.
+    The tests pass ``tmp_path`` as ``--base-dir``: the base side runs from
+    a copy of it named ``base``, the change side from a copy of the working
+    tree named ``change``.
     """
     calls = []
     outcome = {"base": result(1.0), "change": result(1.0)}
     checkouts = {}
 
     def run_once(checkout, command):
-        side = "base" if checkout == tmp_path.resolve() else "change"
+        side = checkout.name
         checkouts.setdefault(side, checkout)
-        if side == "change":
+        if side == "base":
+            assert sorted(os.listdir(checkout)) == sorted(os.listdir(tmp_path))
+        else:
             copied = checkout / "scripts" / "bench_pair.py"
             assert copied.read_bytes() == (REPO_ROOT / "scripts" / "bench_pair.py").read_bytes()
         calls.append((side, command[command.index("--seed") + 1]))
@@ -166,6 +170,28 @@ def test_the_change_side_runs_from_a_copy_of_the_working_tree(fake_runs, tmp_pat
     change = checkouts["change"]
     assert change != REPO_ROOT and change.name == "change"
     assert not change.exists()  # the temporary copy is gone afterwards
+
+
+def test_the_base_side_runs_from_a_copy_of_the_base_dir(fake_runs, tmp_path):
+    _, _, checkouts = fake_runs
+    (tmp_path / "marker.txt").write_text("the base checkout")
+    argv = ["--base-dir", str(tmp_path), "--workload", "book_batch", "--pairs", "1"]
+    assert bench_pair.main(argv) == 0
+    base = checkouts["base"]
+    assert base != tmp_path.resolve()
+    assert base.parent == checkouts["change"].parent  # sibling copies
+    assert not base.exists()  # the temporary copy is gone afterwards
+
+
+def test_copy_checkout_leaves_out_git_and_caches(tmp_path):
+    source = tmp_path / "checkout"
+    for name in ("src/module.py", ".git/HEAD", "src/__pycache__/module.pyc"):
+        (source / name).parent.mkdir(parents=True, exist_ok=True)
+        (source / name).write_text(name)
+    copied = bench_pair.copy_checkout(source, tmp_path / "base")
+    assert (copied / "src" / "module.py").read_text() == "src/module.py"
+    assert not (copied / ".git").exists()
+    assert not list(copied.rglob("__pycache__"))
 
 
 def test_copy_working_tree_copies_tracked_and_unignored_files(tmp_path):

@@ -11,15 +11,21 @@ including after every crash point the segmented engine has that the
 in-memory log does not:
 
 * a torn tail record (truncated / CRC-corrupted / garbage-suffixed);
+* a copy taken after every seal, while the manifest lags the writer (a
+  seal saves no manifest: open finds the sealed successors by name), and
+  a copy taken inside a seal, between creating the successor and syncing
+  the directory (an empty successor);
 * a manifest swap interrupted mid-rename (``MANIFEST.tmp`` left behind);
 * a compactor killed mid-rewrite (orphan generation before the swap) or
-  mid-cleanup (superseded generation after the swap), and a compaction
-  pass killed on either side of its one manifest save;
+  mid-cleanup (superseded generation after the swap), a compaction pass
+  killed on either side of its one manifest save, and a rewrite of a
+  successor the manifest does not list yet killed before its save;
 * an open transaction's unsynced bytes past the tail's synced watermark
   (``fsync=True``), lost or torn.
 
 Corruption inside a *sealed* segment is not a torn write and must be
-fatal rather than silently healed.
+fatal rather than silently healed — also in a successor the manifest
+does not list, unless it is the last one.
 """
 
 from __future__ import annotations
@@ -37,8 +43,13 @@ from repro.relational.database import Database
 from repro.relational.recovery import recover_database
 from repro.relational.wal import WriteAheadLog, encode_frame
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
+from repro.storage import engine as engine_module
 from repro.storage.manifest import MANIFEST_TMP_NAME, Manifest
-from repro.storage.segment import SEGMENT_SUFFIX, segment_file_name
+from repro.storage.segment import (
+    SEGMENT_SUFFIX,
+    parse_segment_file_name,
+    segment_file_name,
+)
 
 CRASH_SEEDS = range(8)
 TORN_SEEDS = (3, 11, 27)
@@ -132,9 +143,8 @@ def fingerprint(database: Database) -> dict:
     }
 
 
-def build_twins(tmp_path, seed: int, **engine_overrides):
-    """Twin stores after the same seeded workload; crash = stop using them."""
-    script = generate_script(seed)
+def open_twins(tmp_path, **engine_overrides):
+    """Empty twin stores: the in-memory log and the segmented engine."""
     twin = make_schema()
     seg_dir = tmp_path / "segments"
     config = DurabilityConfig(
@@ -146,6 +156,13 @@ def build_twins(tmp_path, seed: int, **engine_overrides):
     engine = SegmentedWriteAheadLog(seg_dir, config)
     engine.adopt(segmented.wal)
     segmented.wal = engine
+    return twin, segmented, engine, seg_dir
+
+
+def build_twins(tmp_path, seed: int, **engine_overrides):
+    """Twin stores after the same seeded workload; crash = stop using them."""
+    twin, segmented, engine, seg_dir = open_twins(tmp_path, **engine_overrides)
+    script = generate_script(seed)
     apply_script(twin, script)
     apply_script(segmented, script)
     return twin, segmented, engine, seg_dir
@@ -156,10 +173,35 @@ def recover_twin(twin: Database) -> Database:
     return recover_database(make_schema, WriteAheadLog.load(twin.wal.dump()))
 
 
-def tail_file(seg_dir) -> str:
+def writer_files(seg_dir) -> list[str]:
+    """The writer's segment files (generation 0), oldest first."""
+    indexed = []
+    for name in os.listdir(seg_dir):
+        parsed = parse_segment_file_name(name)
+        if parsed is not None and parsed[1] == 0:
+            indexed.append((parsed[0], name))
+    return [name for _index, name in sorted(indexed)]
+
+
+def saved_manifest(seg_dir) -> Manifest:
     manifest = Manifest.load(str(seg_dir))
     assert manifest is not None
-    return os.path.join(str(seg_dir), manifest.tail.name)
+    return manifest
+
+
+def successor_names(seg_dir) -> list[str]:
+    """Writer files the saved manifest does not list, oldest first."""
+    listed = saved_manifest(seg_dir).segment_names()
+    return [name for name in writer_files(seg_dir) if name not in listed]
+
+
+def tail_file(seg_dir) -> str:
+    """The writer's tail: its newest segment file.
+
+    Seals do not save the manifest, so the tail is found as open finds
+    it, by name rather than from the manifest's last entry.
+    """
+    return os.path.join(str(seg_dir), writer_files(seg_dir)[-1])
 
 
 def start_torn_transaction(twin: Database, segmented: Database, seg_dir):
@@ -233,6 +275,157 @@ class TestTornTail:
         recovered.wal.close()
 
 
+class TestSealCrashPoints:
+    """A seal saves no manifest.  Whatever a crash leaves after or inside
+    a seal, open finds the sealed successors by name and recovers the
+    twin's rows."""
+
+    @pytest.mark.parametrize("seed", (0, 4, 7))
+    def test_copy_after_every_seal_matches_twin_replay(self, tmp_path, seed):
+        twin, segmented, engine, seg_dir = open_twins(tmp_path)
+        copies = []
+        for op in generate_script(seed):
+            sealed = engine.statistics.segments_sealed
+            apply_script(twin, [op])
+            apply_script(segmented, [op])
+            if engine.statistics.segments_sealed > sealed:
+                crash_dir = tmp_path / f"after-seal-{sealed + 1}"
+                shutil.copytree(seg_dir, crash_dir)
+                copies.append(
+                    (sealed + 1, crash_dir, fingerprint(recover_twin(twin)))
+                )
+        # One copy per seal: every k from the first seal to the last.
+        assert [k for k, _dir, _rows in copies] == list(
+            range(1, engine.statistics.segments_sealed + 1)
+        )
+        assert len(copies) >= 4
+        for k, crash_dir, expected in copies:
+            # The manifest lags: it was saved at open, before any seal.
+            assert len(successor_names(crash_dir)) == k
+            recovered = recover(crash_dir, make_schema)
+            assert fingerprint(recovered) == expected
+            # The open's own save lists the whole chain it found.
+            assert successor_names(crash_dir) == []
+            recovered.wal.close()
+
+    @pytest.mark.parametrize("seed", (2, 5))
+    def test_copy_inside_a_seal_before_the_directory_sync(
+        self, tmp_path, monkeypatch, seed
+    ):
+        twin, segmented, engine, seg_dir = open_twins(tmp_path, fsync=True)
+        real_sync = engine_module.sync_directory
+        crash_dirs = []
+
+        def copying_sync(directory):
+            # The successor exists but its name is not yet durable: the
+            # crash image holds it empty, or (an OS crash) not at all.
+            crash_dir = tmp_path / f"in-seal-{len(crash_dirs) + 1}"
+            shutil.copytree(seg_dir, crash_dir)
+            crash_dirs.append(crash_dir)
+            real_sync(directory)
+
+        monkeypatch.setattr(engine_module, "sync_directory", copying_sync)
+        cases = []
+        after = fingerprint(recover_twin(twin))
+        for op in generate_script(seed):
+            before, seals = after, len(crash_dirs)
+            apply_script(twin, [op])
+            apply_script(segmented, [op])
+            after = fingerprint(recover_twin(twin))
+            cases += [(name, before, after) for name in crash_dirs[seals:]]
+        monkeypatch.undo()
+        assert len(cases) >= 4
+        for crash_dir, before, after in cases:
+            empty = tail_file(crash_dir)
+            assert os.path.getsize(empty) == 0
+            without = crash_dir.with_name(crash_dir.name + "-lost")
+            shutil.copytree(crash_dir, without)
+            os.remove(os.path.join(without, os.path.basename(empty)))
+            for image in (crash_dir, without):
+                recovered = recover(image, make_schema)
+                # The seal flushed the outgoing tail first: if the
+                # operation's own COMMIT sealed it, that commit is durable
+                # before its acknowledgement.  Either side is a legal
+                # crash outcome, never anything in between.
+                assert fingerprint(recovered) in (before, after)
+                recovered.wal.close()
+
+    @pytest.mark.parametrize("seed", (0, 1, 6))
+    def test_rewrite_of_an_unlisted_successor_killed_before_its_save(
+        self, tmp_path, monkeypatch, seed
+    ):
+        twin, segmented, engine, seg_dir = build_twins(
+            tmp_path, seed, base_interval=100
+        )
+        expected = fingerprint(segmented)
+        saved_next = saved_manifest(seg_dir).next_segment_index
+        names_before = set(os.listdir(seg_dir))
+
+        def crashing_save(self, directory, *, fsync=True):
+            raise OSError("killed before the manifest save")
+
+        monkeypatch.setattr(Manifest, "save", crashing_save)
+        with pytest.raises(OSError):
+            engine.compact_once()
+        monkeypatch.undo()
+        rewrites = set(os.listdir(seg_dir)) - names_before
+        assert any(
+            generation == 1 and index >= saved_next
+            for index, generation in map(parse_segment_file_name, rewrites)
+        ), "the pass should have rewritten a successor the manifest omits"
+        recovered = recover(seg_dir, make_schema)
+        assert not rewrites & set(os.listdir(seg_dir))
+        assert fingerprint(recovered) == expected
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
+        recovered.wal.close()
+
+
+class TestSuccessorDamage:
+    """Every segment of the chain open builds but the last is sealed,
+    whether the manifest lists it or open found it by name."""
+
+    SEED = 3
+
+    @staticmethod
+    def _damage_first_frame(path) -> None:
+        data = bytearray(path.read_bytes())
+        data[12] ^= 0xFF  # inside the first frame's payload
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("victim", ["listed-tail", "first-successor"])
+    def test_damage_before_the_last_successor_is_fatal(self, tmp_path, victim):
+        _twin, _segmented, _engine, seg_dir = build_twins(tmp_path, self.SEED)
+        successors = successor_names(seg_dir)
+        assert len(successors) >= 2
+        # The manifest saved at open lists the tail of that moment as
+        # unsealed; the seals after it sealed it.
+        name = (
+            saved_manifest(seg_dir).tail.name
+            if victim == "listed-tail"
+            else successors[0]
+        )
+        self._damage_first_frame(seg_dir / name)
+        with pytest.raises(RecoveryError, match="corrupt"):
+            recover(seg_dir, make_schema)
+
+    def test_damage_in_the_last_successor_truncates(self, tmp_path):
+        twin, segmented, _engine, seg_dir = build_twins(tmp_path, self.SEED)
+        expected = fingerprint(segmented)
+        start_torn_transaction(twin, segmented, seg_dir)
+        path = tail_file(seg_dir)
+        assert os.path.basename(path) == successor_names(seg_dir)[-1]
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(TAIL_DAMAGE["flip-crc-byte"](data))
+        with pytest.warns(RuntimeWarning, match="torn tail"):
+            recovered = recover(seg_dir, make_schema)
+        assert fingerprint(recovered) == expected
+        assert fingerprint(recovered) == fingerprint(recover_twin(twin))
+        assert recovered.wal.statistics.torn_tail_truncations == 1
+        recovered.wal.close()
+
+
 class TestManifestCrashPoints:
     def test_interrupted_manifest_swap_is_discarded(self, tmp_path):
         twin, segmented, _engine, seg_dir = build_twins(tmp_path, 0)
@@ -245,9 +438,8 @@ class TestManifestCrashPoints:
         recovered.wal.close()
 
     def test_compactor_killed_before_swap_drops_orphan_generation(self, tmp_path):
-        twin, segmented, _engine, seg_dir = build_twins(tmp_path, 1)
-        manifest = Manifest.load(str(seg_dir))
-        entry = next(e for e in manifest.segments if e.sealed)
+        twin, segmented, engine, seg_dir = build_twins(tmp_path, 1)
+        entry = next(e for e in engine._manifest.segments if e.sealed)
         orphan = seg_dir / segment_file_name(entry.index, entry.generation + 1)
         orphan.write_bytes(encode_frame(b"half a rewrite, never swapped in"))
         recovered = recover(seg_dir, make_schema)
@@ -355,9 +547,8 @@ class TestCompactionPassCrashPoints:
 
 class TestSealedCorruption:
     def test_sealed_segment_corruption_is_fatal(self, tmp_path):
-        _twin, _segmented, _engine, seg_dir = build_twins(tmp_path, 5)
-        manifest = Manifest.load(str(seg_dir))
-        entry = next(e for e in manifest.segments if e.sealed)
+        _twin, _segmented, engine, seg_dir = build_twins(tmp_path, 5)
+        entry = next(e for e in engine._manifest.segments if e.sealed)
         path = seg_dir / entry.name
         data = bytearray(path.read_bytes())
         data[12] ^= 0xFF  # inside the first frame's payload
@@ -396,10 +587,11 @@ class TestSynthesizedBaseCrashPoints:
     def test_fabricated_orphan_base_is_dropped(self, tmp_path):
         # The compactor wrote the synthesized base's segment file but died
         # before the manifest save: the file is an orphan, the old lineage
-        # stays authoritative.
-        twin, segmented, _engine, seg_dir = self._twins(tmp_path, 0)
-        manifest = Manifest.load(str(seg_dir))
-        orphan = seg_dir / segment_file_name(manifest.next_segment_index)
+        # stays authoritative.  A base is born at generation 1 under the
+        # next fresh index, past every writer successor.
+        twin, segmented, engine, seg_dir = self._twins(tmp_path, 0)
+        index = engine._manifest.next_segment_index
+        orphan = seg_dir / segment_file_name(index, generation=1)
         orphan.write_bytes(
             encode_frame(b"a synthesized base the swap never published")
         )

@@ -493,16 +493,25 @@ class TestFailClosed:
 
 
 class TestManifestFormat:
-    def test_a_version_1_directory_is_refused(self, tmp_path):
+    @staticmethod
+    def _refused(tmp_path, version: int) -> None:
         directory = tmp_path / "segments"
         SegmentedWriteAheadLog(str(directory)).close()
         manifest = directory / MANIFEST_NAME
         payload = json.loads(manifest.read_text())
-        assert payload["version"] == 2
-        payload["version"] = 1
+        assert payload["version"] == 3
+        payload["version"] = version
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(RecoveryError, match="version 1"):
+        with pytest.raises(RecoveryError, match=f"version {version}"):
             SegmentedWriteAheadLog(str(directory))
+
+    def test_a_version_1_directory_is_refused(self, tmp_path):
+        self._refused(tmp_path, 1)
+
+    def test_a_version_2_directory_is_refused(self, tmp_path):
+        # Version 2 wrote synthesized bases at generation 0: read by the
+        # version-3 rule, an uninstalled one would replay as a successor.
+        self._refused(tmp_path, 2)
 
 
 if __name__ == "__main__":
