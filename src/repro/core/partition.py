@@ -8,11 +8,13 @@ explicitly specified flights.  The partitioning is dynamic: a new
 transaction that unifies with members of several partitions forces those
 partitions to be merged (the window-or-aisle example of the paper).
 
-This module defines :class:`Partition` — an ordered set of pending
-transactions with its composed body and its one known solution — and
-:class:`PartitionManager`, which owns all partitions, routes every overlap
-query through the :class:`~repro.core.signature.SignatureIndex` and
-implements the merge-on-overlap logic.
+This module defines :class:`Partition` — plain data: an ordered set of
+pending transactions with its composed body and its one known solution —
+and :class:`PartitionManager`, which owns all partitions and makes every
+structural change to them (append, grounded prefix, merge, drop), keeping
+its cross-partition views current as it does: the
+:class:`~repro.core.signature.SignatureIndex` every overlap query is routed
+through, the transaction map and the set of loose solution records.
 """
 
 from __future__ import annotations
@@ -40,101 +42,37 @@ _partition_counter = itertools.count(1)
 class Partition:
     """An independent set of pending transactions.
 
+    Plain data: its own methods change only its own fields.  A partition
+    owned by a :class:`PartitionManager` is changed only through the
+    manager, which keeps its views of the partition current.
+
     Attributes:
         partition_id: unique identifier (survives merges on the surviving
             partition).
-        pending: pending transactions in serialization order.
         solution: the partition's one known grounding of its composed hard
             body (a :class:`~repro.core.solution_cache.Solution`), or
-            ``None``.  Written by the solution cache; the partition itself
-            only withdraws the record's footprint when its pending sequence
-            changes shape (:meth:`ground_prefix`, assignment to
-            :attr:`pending`) — the substitution then has to
-            be re-verified before it is trusted again.  An :meth:`append`
-            extends the composed body by a factor and leaves the record to
-            the admission that caused it.
+            ``None``.  Written only by :meth:`PartitionManager.set_solution`.
     """
 
-    def __init__(self, pending: Iterable["PendingTransaction"] = ()) -> None:
+    def __init__(self) -> None:
         self.partition_id = next(_partition_counter)
-        self._pending: list["PendingTransaction"] = list(pending)
-        #: The owning manager's set of partitions whose record is *loose* —
-        #: a footprint its signature index cannot route deltas to (see
-        #: :attr:`solution`); ``None`` for a free-standing partition.
-        self.loose: set[int] | None = None
-        self._solution: "Solution | None" = None
+        self._pending: list["PendingTransaction"] = []
         #: The resident composition of the pending sequence (hard atoms
         #: only, with the factors' compiled programs).  Extended by
         #: appends, replaced by its successor after a grounding, and
-        #: rebuilt lazily after any other structural change (a merge).
+        #: rebuilt lazily after a merge.
         self._composition: OrderComposition | None = None
-        #: The owning manager's counters, whose high-water marks
-        #: :meth:`append` maintains (``None`` for a free-standing partition).
-        self.statistics: PartitionStatistics | None = None
-        #: Observer invoked after every structural change to the pending
-        #: sequence, as ``(partition, appended, removed)``: the entry an
-        #: append added, or the entries a grounding took out;
-        #: both ``None`` for a whole-sequence assignment, which requires a
-        #: full re-scan.  The partition manager uses this to keep its
-        #: signature index and transaction map current even though
-        #: admission and grounding mutate partitions directly.
-        self.on_structural_change: (
-            Callable[
-                [
-                    "Partition",
-                    "PendingTransaction | None",
-                    "Sequence[PendingTransaction] | None",
-                ],
-                None,
-            ]
-            | None
-        ) = None
-
-    @property
-    def solution(self) -> "Solution | None":
-        """The partition's one known grounding (see the class docstring).
-
-        Writing it keeps the manager's :attr:`loose` set current: a
-        footprint with non-ground ``relations`` or a non-monotone body
-        cannot be found through the rows of a delta, so delta
-        notification visits such records unconditionally.
-        """
-        return self._solution
-
-    @solution.setter
-    def solution(self, solution: "Solution | None") -> None:
-        self._solution = solution
-        loose = self.loose
-        if loose is not None:
-            footprint = solution.footprint if solution is not None else None
-            if footprint is not None and footprint.loose:
-                loose.add(self.partition_id)
-            else:
-                loose.discard(self.partition_id)
+        self.solution: "Solution | None" = None
 
     @property
     def pending(self) -> tuple["PendingTransaction", ...]:
         """Pending transactions in serialization order.
 
-        Returned as a tuple: the pending sequence may only change through
-        :meth:`append`, :meth:`ground_prefix` or whole-sequence assignment,
-        all of which keep the cached incremental composition in sync
-        (in-place mutation of a shared list would silently bypass that).
+        Returned as a tuple: the pending sequence changes only through
+        :meth:`append`, :meth:`ground_prefix` and :meth:`absorb`, which keep
+        the resident composition in sync.
         """
         return tuple(self._pending)
-
-    @pending.setter
-    def pending(self, entries: Iterable["PendingTransaction"]) -> None:
-        self._pending = list(entries)
-        self._composition = None
-        self._restructured(None)
-
-    def _restructured(self, removed: Sequence["PendingTransaction"] | None) -> None:
-        """The pending sequence changed other than by an append."""
-        if self.solution is not None:
-            self.solution = self.solution.unverified()
-        if self.on_structural_change is not None:
-            self.on_structural_change(self, None, removed)
 
     # -- introspection -------------------------------------------------------
 
@@ -143,10 +81,6 @@ class Partition:
 
     def __iter__(self) -> Iterator["PendingTransaction"]:
         return iter(self._pending)
-
-    def transactions(self) -> tuple["PendingTransaction", ...]:
-        """Pending transactions in serialization order."""
-        return tuple(self._pending)
 
     def transaction_ids(self) -> tuple[int, ...]:
         """Ids of the pending transactions, in order."""
@@ -237,22 +171,17 @@ class Partition:
         self._pending.append(entry)
         if self._composition is not None:
             self._composition.append(entry.renamed, factor, program)
-        if self.statistics is not None:
-            self.statistics.record_size(
-                len(self._pending), self.composition().atom_count()
-            )
-        if self.on_structural_change is not None:
-            self.on_structural_change(self, entry, None)
 
-    def ground_prefix(self, composition: OrderComposition, count: int) -> None:
+    def ground_prefix(
+        self, composition: OrderComposition, count: int
+    ) -> list["PendingTransaction"]:
         """The first ``count`` entries of ``composition`` were grounded.
 
         ``composition`` is the order the grounding was planned on: every
         pending entry, possibly reordered.  The rest stay pending in that
         order, and the successor of the composition (Theorem 3.5 on a
         prefix removal, :meth:`OrderComposition.successor`) becomes the
-        resident one.  Only the grounded entries are withdrawn from the
-        manager's index and map.
+        resident one.  Returns the grounded entries.
         """
         if len(composition) != len(self._pending):
             raise ValueError(
@@ -263,7 +192,18 @@ class Partition:
         ordered = [by_transaction[id(t)] for t in composition.transactions]
         self._pending = ordered[count:]
         self._composition = composition.successor(count)
-        self._restructured(ordered[:count])
+        return ordered[:count]
+
+    def absorb(self, others: Sequence["Partition"]) -> None:
+        """Take in the pending entries of ``others`` (a merge).
+
+        The pending sequences are concatenated in global arrival order; the
+        composition is rebuilt lazily.
+        """
+        entries = [entry for partition in (self, *others) for entry in partition]
+        entries.sort(key=lambda e: e.sequence)
+        self._pending = entries
+        self._composition = None
 
     def variables(self) -> frozenset[Variable]:
         """Every variable of every pending transaction."""
@@ -310,14 +250,17 @@ class PartitionStatistics:
 
 
 class PartitionManager:
-    """Owns all partitions and implements merge-on-overlap admission.
+    """Owns all partitions and makes every structural change to them.
 
     Every overlap query is routed through the :class:`SignatureIndex`, and
     each candidate it returns is confirmed by the exact pairwise-unification
     test, so the answer is the exhaustive scan's.  A transaction-id map
-    answers :meth:`find` and :meth:`pending_count` in O(1).  The partitions'
-    structural-change hook keeps both current, since admission and grounding
-    mutate partitions directly.  Only the writer touches any of it.
+    answers :meth:`find` and :meth:`pending_count` in O(1).  Each change to
+    a partition — :meth:`append`, :meth:`ground_prefix`, a merge in
+    :meth:`merged_for`, a drop — is a method here that changes the partition
+    and then the index, the map, the loose set and the statistics, and a
+    solution record is written only by :meth:`set_solution`.  Only the
+    writer touches any of it.
     """
 
     def __init__(self) -> None:
@@ -328,11 +271,8 @@ class PartitionManager:
         self._by_id: dict[int, Partition] = {}
         #: transaction id → the partition holding it and its pending entry.
         self._located: dict[int, tuple[Partition, "PendingTransaction"]] = {}
-        #: partition id → the transaction ids mapped to it.
-        self._members: dict[int, set[int]] = {}
-        #: ids of partitions whose record is loose (see
-        #: :attr:`Partition.solution`): delta notification visits them
-        #: whatever rows the deltas name.
+        #: ids of partitions whose record is loose (see :meth:`set_solution`):
+        #: delta notification visits them whatever rows the deltas name.
         self._loose: set[int] = set()
 
     # -- introspection -------------------------------------------------------
@@ -382,36 +322,87 @@ class PartitionManager:
         overlapping = self.overlapping_partitions(atoms)
         if not overlapping:
             partition = Partition()
-            partition.statistics = self.statistics
-            partition.loose = self._loose
-            partition.on_structural_change = self._track
             self.partitions.append(partition)
             self._by_id[partition.partition_id] = partition
-            self._members[partition.partition_id] = set()
             return partition, False
         if len(overlapping) == 1:
             return overlapping[0], False
         merged = overlapping[0]
         absorbed = overlapping[1:]
-        entries = [entry for partition in overlapping for entry in partition]
-        entries.sort(key=lambda e: e.sequence)
         for other in absorbed:
-            self.partitions.remove(other)
-            self._forget(other)
+            self._drop(other)
+            for entry in other:
+                self._located[entry.transaction_id] = (merged, entry)
+        merged.absorb(absorbed)
+        self.index.refresh(merged)
         # The absorbed partitions take their solutions with them; nothing
-        # is known about the merged sequence yet.  The assignment fires the
-        # hook, which maps the absorbed transactions to ``merged``.
-        merged.pending = entries
-        merged.solution = None
+        # is known about the merged sequence yet.
+        self.set_solution(merged, None)
         self.statistics.merges += 1
         return merged, True
 
+    def append(
+        self,
+        partition: Partition,
+        entry: "PendingTransaction",
+        factor: Formula | None = None,
+        program: Program | None = None,
+    ) -> None:
+        """Append ``entry`` to ``partition`` (see :meth:`Partition.append`).
+
+        Signatures only grow, so the index posts just the new entry.
+        """
+        partition.append(entry, factor, program)
+        self.statistics.record_size(
+            len(partition), partition.composition().atom_count()
+        )
+        self.index.extend(partition, entry)
+        self._located[entry.transaction_id] = (partition, entry)
+
+    def ground_prefix(
+        self, partition: Partition, composition: OrderComposition, count: int
+    ) -> None:
+        """The first ``count`` entries of ``composition`` were grounded (see
+        :meth:`Partition.ground_prefix`).
+
+        Only the grounded entries leave the index and the map; a partition
+        left empty is dropped.
+        """
+        grounded = partition.ground_prefix(composition, count)
+        self.index.retract(partition, grounded)
+        for entry in grounded:
+            del self._located[entry.transaction_id]
+        self.drop_if_empty(partition)
+
     def drop_if_empty(self, partition: Partition) -> None:
         """Remove ``partition`` from the manager when it has no pending txns."""
+        if not len(partition):
+            self._drop(partition)
+
+    def _drop(self, partition: Partition) -> None:
+        """Release a partition that leaves the list (merged away or emptied);
+        the map entries of its pending transactions are the caller's."""
+        self.partitions.remove(partition)
         pid = partition.partition_id
-        if not partition.pending and self._by_id.get(pid) is partition:
-            self.partitions.remove(partition)
-            self._forget(partition)
+        del self._by_id[pid]
+        self.index.discard(pid)
+        self._loose.discard(pid)
+
+    # -- solution records ------------------------------------------------------
+
+    def set_solution(self, partition: Partition, solution: "Solution | None") -> None:
+        """Write ``partition``'s solution record, keeping the loose set current.
+
+        A footprint with non-ground ``relations`` or a non-monotone body
+        cannot be found through the rows of a delta, so delta notification
+        visits such *loose* records unconditionally.
+        """
+        partition.solution = solution
+        footprint = solution.footprint if solution is not None else None
+        if footprint is not None and footprint.loose:
+            self._loose.add(partition.partition_id)
+        else:
+            self._loose.discard(partition.partition_id)
 
     def delta_candidates(self, deltas: Iterable["Delta"]) -> list[Partition]:
         """The partitions whose record a row-level delta could touch.
@@ -442,51 +433,3 @@ class PartitionManager:
         plans its groups itself.
         """
         return [plan(partition, entries) for partition, entries in groups]
-
-    # -- incremental maintenance (called by the partitions themselves) -------
-
-    def _track(
-        self,
-        partition: Partition,
-        appended: "PendingTransaction | None",
-        removed: "Sequence[PendingTransaction] | None",
-    ) -> None:
-        """The structural-change hook: keep the index and the map current."""
-        if appended is not None:
-            # Append: signatures only grow, so post just the new entry.
-            self.index.extend(partition, appended)
-            self._locate(partition, appended)
-            return
-        if removed is not None:
-            # A grounded prefix: retract just those entries.
-            self.index.retract(partition, removed)
-            members = self._members[partition.partition_id]
-            for entry in removed:
-                del self._located[entry.transaction_id]
-                members.discard(entry.transaction_id)
-            return
-        # Whole-sequence assignment (a merge): re-derive both views.
-        self.index.refresh(partition)
-        self._unlocate(partition)
-        for member in partition:
-            self._locate(partition, member)
-
-    def _locate(self, partition: Partition, entry: "PendingTransaction") -> None:
-        self._located[entry.transaction_id] = (partition, entry)
-        self._members[partition.partition_id].add(entry.transaction_id)
-
-    def _unlocate(self, partition: Partition) -> None:
-        for transaction_id in self._members[partition.partition_id]:
-            del self._located[transaction_id]
-        self._members[partition.partition_id] = set()
-
-    def _forget(self, partition: Partition) -> None:
-        """Release a partition that left the list (merged away or emptied)."""
-        self._unlocate(partition)
-        pid = partition.partition_id
-        del self._members[pid]
-        del self._by_id[pid]
-        self.index.discard(pid)
-        self._loose.discard(pid)
-        partition.loose = None
-        partition.on_structural_change = None

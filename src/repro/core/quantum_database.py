@@ -187,11 +187,11 @@ class QuantumDatabase:
             self.database,
             policy=self.config.policy(),
             serializability=self.config.serializability,
-            on_grounded=self._handle_grounded,
             pending_store=self.pending_store,
             witness_cache=self.config.witness_cache,
             search_config=self.config.search,
         )
+        self.state.grounding_listeners.append(self._handle_grounded)
 
     # ------------------------------------------------------------------
     # Schema and extensional passthrough
@@ -243,7 +243,7 @@ class QuantumDatabase:
                 deltas.append((table, row.values, False))
         # Inserts cannot invalidate a monotone witness, but keep the cache
         # informed so the invariant holds even for exotic formulas.
-        self.state.cache.notify_deltas(deltas, self.state.partitions)
+        self.state.cache.notify_deltas(deltas)
 
     # ------------------------------------------------------------------
     # Resource transactions
@@ -356,7 +356,7 @@ class QuantumDatabase:
                 transaction_id = transaction.transaction_id
                 grounded: list[GroundedTransaction] = []
                 # Forced groundings triggered by the k bound have already
-                # fired via the on_grounded callback; collect the one
+                # reached the grounding listeners; collect the one
                 # involving this call.
                 if not state.is_pending(transaction_id):
                     record = state.grounded_results.get(transaction_id)

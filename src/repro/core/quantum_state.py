@@ -449,7 +449,6 @@ class QuantumState:
         *,
         policy: GroundingPolicy | None = None,
         serializability: SerializabilityMode = SerializabilityMode.SEMANTIC,
-        on_grounded: Callable[[GroundedTransaction], None] | None = None,
         pending_store: "PendingTransactionStore | None" = None,
         witness_cache: bool = True,
         search_config: "AdmissionSearchConfig | None" = None,
@@ -459,17 +458,21 @@ class QuantumState:
         self.serializability = serializability
         self.partitions = PartitionManager()
         self.cache = SolutionCache(
-            database, enable_witness=witness_cache, search_config=search_config
+            database,
+            self.partitions,
+            enable_witness=witness_cache,
+            search_config=search_config,
         )
         self.statistics = QuantumStateStatistics()
         self.plan_statistics = PlanStatistics()
         self.grounded_results: dict[int, GroundedTransaction] = {}
         self._next_sequence = 1
-        #: Callback invoked for every grounded transaction (the quantum
-        #: database withdraws its entanglement registration, the session
-        #: layer notifies waiting clients).  It must not write to the store:
-        #: the grounding's transaction is already complete when it fires.
-        self.on_grounded = on_grounded
+        #: Called with every grounded transaction, in registration order
+        #: (the quantum database withdraws its entanglement registration, a
+        #: running server resolves waiting clients).  A listener must not
+        #: write to the store: the grounding's transaction is already
+        #: complete when it is called.
+        self.grounding_listeners: list[Callable[[GroundedTransaction], None]] = []
         #: The pending-transactions table, when the state backs a
         #: :class:`~repro.core.quantum_database.QuantumDatabase`: a grounding
         #: deletes the rows of what it fixes in its own store transaction.
@@ -563,7 +566,9 @@ class QuantumState:
             sequence=sequence,
             method=probe.method,
         )
-        partition.append(entry, factor=new_factor, program=factor_program)
+        self.partitions.append(
+            partition, entry, factor=new_factor, program=factor_program
+        )
         # An extension of the footprinted record never rebinds the old
         # factors' variables: they keep their rows, the new factor adds its.
         self.cache.record(
@@ -605,7 +610,9 @@ class QuantumState:
             partition, _merged = self.partitions.merged_for(
                 renamed.body + renamed.updates
             )
-            partition.append(PendingTransaction(transaction, renamed, sequence))
+            self.partitions.append(
+                partition, PendingTransaction(transaction, renamed, sequence)
+            )
             self._next_sequence = max(self._next_sequence, sequence + 1)
         self.statistics.max_pending = max(
             self.statistics.max_pending, self.pending_count()
@@ -776,23 +783,25 @@ class QuantumState:
             )
         # The plan's composition orders ``to_ground + remaining_order``; its
         # successor is the remaining order's, with nothing unified again.
-        # The restructuring withdraws this partition's footprint, so the
-        # deltas below only count as invalidations where they touch *other*
-        # partitions' records (normally nowhere, by independence).
-        partition.ground_prefix(planned.composition, len(plan.to_ground))
-        self.cache.notify_deltas(deltas, self.partitions)
+        # The partition's footprint is withdrawn, so the deltas below only
+        # count as invalidations where they touch *other* partitions'
+        # records (normally nowhere, by independence).
+        self.partitions.ground_prefix(
+            partition, planned.composition, len(plan.to_ground)
+        )
+        self.cache.withdraw(partition)
+        self.cache.notify_deltas(deltas)
         if len(partition):
             # The restriction of a consistent grounding for the full order is
             # a consistent grounding of the remaining sequence over the
             # database produced by executing the prefix (Theorem 3.5), so the
             # successor record is footprinted without re-searching.
             self.cache.record(partition, substitution.restrict(partition.variables()))
-        self.partitions.drop_if_empty(partition)
         for record in results:
             self.grounded_results[record.transaction_id] = record
             self.statistics.grounded += 1
-            if self.on_grounded is not None:
-                self.on_grounded(record)
+            for listener in self.grounding_listeners:
+                listener(record)
         return results
 
     def _count_satisfied_optionals(
@@ -912,6 +921,6 @@ class QuantumState:
             self.statistics.writes_rejected += 1
             raise
         txn.commit()
-        self.cache.notify_deltas(deltas, self.partitions)
+        self.cache.notify_deltas(deltas)
         for partition, substitution in rechecked:
             self.cache.record(partition, substitution)

@@ -14,19 +14,25 @@ and it lives *on* the partition: :attr:`Partition.solution
 <repro.core.partition.Partition.solution>` is a :class:`Solution` record —
 a satisfying substitution of the composed hard body plus, optionally, the
 :class:`Footprint` of extensional rows it grounds the body's atoms on.  The
-record is in one of three states:
+cache moves a record between its states and writes it through
+:meth:`PartitionManager.set_solution
+<repro.core.partition.PartitionManager.set_solution>`, the one writer,
+which also keeps the manager's set of loose records current.  The record
+is in one of three states:
 
 * **none** — nothing known (a fresh or freshly merged partition);
 * **unverified** — a substitution without a footprint: it satisfied the body
   once, but must be re-verified against the composed body before it is
-  trusted (after a delta touched its footprint, after a structural change,
-  and always with ``enable_witness=False`` — the seed behaviour);
+  trusted (after a delta touched its footprint, after a grounded prefix
+  left the partition, and always with ``enable_witness=False`` — the seed
+  behaviour);
 * **footprinted** — trusted without re-verification until a row-level delta
   touches the footprint.
 
 Because the record is a field of the partition its lifetime *is* the
 partition's: a merged-away, emptied or rejected-empty partition takes its
-solution with it, and there is no side table to keep in sync.
+solution with it, and there is no side table to keep in sync (a merge
+leaves the surviving partition with none).
 
 :meth:`SolutionCache.ensure` is the only verify → extend → solve flow.
 Admission, blind-write validation and peek reads all run it:
@@ -52,13 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.logic.formula import (
-    Conjunction,
-    Disjunction,
-    Formula,
-    Negation,
-    TRUE,
-)
+from repro.logic.formula import Conjunction, Disjunction, Formula, Negation
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
 from repro.relational.database import Database
@@ -248,12 +248,13 @@ class SolutionCacheStatistics:
 class SolutionCache:
     """Keeper of the partitions' :class:`Solution` records.
 
-    It holds no solution itself — each record is a field of its partition —
-    only the shared search, the counters, and the rules that move a record
-    between its states.
+    It holds no solution itself — each record is a field of its partition,
+    written through the partitions' manager — only the shared search, the
+    counters, and the rules that move a record between its states.
 
     Args:
         database: the extensional store searches run against.
+        partitions: the manager of the partitions whose records it keeps.
         enable_witness: when False no record is ever footprinted, so every
             admission re-verifies the composed body from scratch (the seed
             behaviour); accept/reject decisions are unaffected.  Used to
@@ -265,11 +266,13 @@ class SolutionCache:
     def __init__(
         self,
         database: Database,
+        partitions: PartitionManager,
         *,
         enable_witness: bool = True,
         search_config: AdmissionSearchConfig | None = None,
     ) -> None:
         self.database = database
+        self.partitions = partitions
         self.search = GroundingSearch(database)
         self.statistics = SolutionCacheStatistics()
         self.enable_witness = enable_witness
@@ -299,18 +302,27 @@ class SolutionCache:
                 footprint.  Otherwise the whole composed body is walked.
         """
         if not self.enable_witness:
-            partition.solution = Solution(substitution)
+            self.partitions.set_solution(partition, Solution(substitution))
             return
         base = partition.solution.footprint if partition.solution else None
         if extends is not None and base is not None:
             footprint = Footprint.of(extends, substitution, base)
         else:
             footprint = Footprint.of(partition.composed_formula(), substitution)
-        partition.solution = Solution(substitution, footprint)
+        self.partitions.set_solution(partition, Solution(substitution, footprint))
 
-    def notify_deltas(
-        self, deltas: Sequence[Delta], partitions: PartitionManager
-    ) -> None:
+    def withdraw(self, partition: Partition) -> None:
+        """Keep the partition's substitution but stop trusting it.
+
+        Called when a grounded prefix left the partition: the record has to
+        be re-verified before it is trusted again.  Unlike
+        :meth:`notify_deltas` this counts no invalidation.
+        """
+        solution = partition.solution
+        if solution is not None:
+            self.partitions.set_solution(partition, solution.unverified())
+
+    def notify_deltas(self, deltas: Sequence[Delta]) -> None:
         """Un-trust the records whose footprint a committed delta touches.
 
         Called after blind writes commit, after grounded update portions
@@ -323,10 +335,10 @@ class SolutionCache:
         """
         if not deltas:
             return
-        for partition in partitions.delta_candidates(deltas):
+        for partition in self.partitions.delta_candidates(deltas):
             solution = partition.solution
             if solution is not None and solution.touched_by(deltas):
-                partition.solution = solution.unverified()
+                self.partitions.set_solution(partition, solution.unverified())
                 self.statistics.witness_invalidations += 1
 
     # -- the one flow -----------------------------------------------------------
@@ -334,7 +346,7 @@ class SolutionCache:
     def ensure(
         self,
         partition: Partition,
-        new_factor: Formula | Program | None = None,
+        new_factor: Program | None = None,
         new_required: Iterable[Variable] = (),
         *,
         uncommitted: Sequence[Delta] | None = None,
@@ -351,8 +363,9 @@ class SolutionCache:
             partition: the partition whose invariant must hold.
             new_factor: factor contributed by a transaction being admitted
                 (its body rewritten against the partition's accumulated
-                updates), as a formula or compiled into the partition
-                composition's scope; ``None`` when only re-validating.
+                updates), compiled into the partition composition's scope
+                (it is searched up to twice and then conjoined with the
+                composed body); ``None`` when only re-validating.
             new_required: variables of the new factor that must be ground.
             uncommitted: the row-level deltas of a blind write that is
                 applied but not yet committed (the write check).  The
@@ -372,19 +385,7 @@ class SolutionCache:
         solution = partition.solution
         if solution is not None and uncommitted and solution.touched_by(uncommitted):
             solution = solution.unverified()
-        admitting = new_factor is not None and new_factor is not TRUE
         required = frozenset(new_required)
-        # The new factor is searched up to twice and then conjoined with the
-        # composed body, so it lives in the composition's scope.
-        factor = (
-            None
-            if not admitting
-            else new_factor
-            if isinstance(new_factor, Program)
-            else self.search.compile(
-                new_factor, required=required, scope=composition.scope
-            )
-        )
         method = "backtracking"
         exhausted = False
         nodes = 0
@@ -399,9 +400,9 @@ class SolutionCache:
             return result
 
         def extend(base: Substitution) -> Substitution | None:
-            if factor is None:
+            if new_factor is None:
                 return base
-            result = run_find(factor, initial=base)
+            result = run_find(new_factor, initial=base)
             if result.satisfiable:
                 stats.extension_hits += 1
                 return result.substitution
@@ -432,9 +433,9 @@ class SolutionCache:
             # factor (the ``LIMIT 1`` analogue).
             program = (
                 composition.program(required=composition.required())
-                if factor is None
+                if new_factor is None
                 else conjoin(
-                    [composition.program(), factor],
+                    [composition.program(), new_factor],
                     required=composition.required() | required,
                 )
             )
@@ -444,7 +445,7 @@ class SolutionCache:
                 substitution = result.substitution
             else:
                 stats.failures += 1
-        if admitting:
+        if new_factor is not None:
             # Only searches that decided an arrival count here, not
             # re-validations.
             stats.admission_nodes += nodes

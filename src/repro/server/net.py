@@ -14,7 +14,9 @@ A connection handles one request at a time, so its session never has
 more than one commit queued, and everything but a commit is answered at
 once, between two writer steps.  Such answers never suspend, so a
 connection yields the loop every
-:data:`~repro.server.session.YIELD_EVERY` requests.
+:data:`~repro.server.session.YIELD_EVERY` requests, whoever answered them.
+That is the one yield rule on the wire: the session's own rule, which
+paces in-process callers, never fires under a connection.
 
 Design points (see ``docs/architecture.md``, "The network layer"):
 
@@ -240,6 +242,11 @@ class _Connection:
                     if self.closed:
                         break
                     self.handled += 1
+                    if self.session is not None:
+                        # The connection's rule below is the wire's one
+                        # yield rule, whoever answered: its session's own
+                        # run of answers never reaches YIELD_EVERY.
+                        self.session._unqueued = 0
                     if self.handled % YIELD_EVERY == 0:
                         # An answer that is not a commit never suspends,
                         # nor does a read of bytes already buffered: a

@@ -299,10 +299,6 @@ class QuantumServer:
         self._records_at_checkpoint = len(qdb.database.wal)
         self._last_checkpoint = time.monotonic()
         self._checkpoint_retries = 0
-        # Chain the grounding notification hook in front of the database's
-        # own housekeeping (entanglement withdrawal).
-        self._chained_on_grounded = qdb.state.on_grounded
-        qdb.state.on_grounded = self._handle_grounded
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -342,6 +338,9 @@ class QuantumServer:
             wal.start_compactor()
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._loop = asyncio.get_running_loop()
+        # After the database's own listener (entanglement withdrawal);
+        # shutdown() removes it.
+        self.qdb.state.grounding_listeners.append(self._handle_grounded)
         self._writer_task = self._loop.create_task(
             self._writer_loop(), name="repro-admission-writer"
         )
@@ -364,9 +363,14 @@ class QuantumServer:
         if not self._started:
             return
         assert self._queue is not None
-        await self._queue.put(_SHUTDOWN)
-        if self._writer_task is not None:
-            await self._writer_task
+        try:
+            await self._queue.put(_SHUTDOWN)
+            if self._writer_task is not None:
+                await self._writer_task
+        finally:
+            # The writer is done: the database outlives the server and must
+            # not funnel future groundings through a dead instance.
+            self.qdb.state.grounding_listeners.remove(self._handle_grounded)
         for session in list(self._sessions.values()):
             session._closed = True
         self._sessions.clear()
@@ -387,10 +391,6 @@ class QuantumServer:
             wal.flush()
             wal.compact_now()
             wal.stop_compactor()
-        # Un-hook: the database outlives the server and must not funnel
-        # future groundings through a dead instance.
-        if self.qdb.state.on_grounded == self._handle_grounded:
-            self.qdb.state.on_grounded = self._chained_on_grounded
 
     async def __aenter__(self) -> "QuantumServer":
         return await self.start()
@@ -683,8 +683,6 @@ class QuantumServer:
         return bool(target(record))
 
     def _handle_grounded(self, record: GroundedTransaction) -> None:
-        if self._chained_on_grounded is not None:
-            self._chained_on_grounded(record)
         if not self._grounding_waiters:
             return
         # Waiters are resolved by a callback on the server's loop, never

@@ -75,8 +75,11 @@ class DurabilityStatistics:
         segments_sealed: tail segments sealed since open.
         compactions: sealed-segment rewrites/deletions performed.
         bytes_reclaimed: on-disk bytes dropped by compaction.
-        flushes: group-commit flushes of the tail segment.
-        fsyncs: ``os.fsync`` calls on the tail (``fsync=True`` only).
+        flushes: flushes of the tail segment: one per seal, and one per
+            commit, abort or checkpoint record that did not seal the tail
+            (the seal made it durable).
+        fsyncs: ``os.fsync`` calls on the tail (``fsync=True`` only), a
+            seal's included.
         checkpoints_base: full-snapshot checkpoints written.
         checkpoints_delta: delta checkpoints written.
         checkpoint_pause_ms: longest observed checkpoint pause (any kind).
@@ -402,9 +405,10 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                     "this directory already holds records — recover from it "
                     "with repro.storage.recover() instead"
                 )
+            sealed = False
             for record in records:
-                self._write_record_locked(record)
-            if records:
+                sealed = self._write_record_locked(record)
+            if records and not sealed:
                 self._flush_tail_locked()
             self._install_records(list(records), buffer_open_transactions=True)
 
@@ -451,8 +455,12 @@ class SegmentedWriteAheadLog(WriteAheadLog):
 
     # -- append path ---------------------------------------------------------
 
-    def _write_record_locked(self, record: LogRecord) -> None:
-        """Frame ``record`` into the tail, sealing it when thresholds hit."""
+    def _write_record_locked(self, record: LogRecord) -> bool:
+        """Frame ``record`` into the tail, sealing it when thresholds hit.
+
+        Returns True when it sealed: the seal flushed (and synced) the
+        record, so a record that must be durable needs no flush of its own.
+        """
         self._tail.append(record.to_bytes())
         self._manifest.tail.note(record.lsn, record.record_type)
         if (
@@ -460,6 +468,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             or self._tail.records >= self.config.segment_max_records
         ):
             self._seal_tail_locked()
+            return True
+        return False
 
     def append(
         self,
@@ -489,7 +499,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 snapshot=snapshot,
             )
             # Framed first: a value the codec cannot write leaves no trace.
-            self._write_record_locked(record)
+            sealed = self._write_record_locked(record)
             self._next_lsn += 1
             self._records.append(record)
             if record_type is LogRecordType.INSERT:
@@ -505,10 +515,12 @@ class SegmentedWriteAheadLog(WriteAheadLog):
             elif record_type is LogRecordType.COMMIT:
                 for effect in self._txn_effects.pop(transaction_id, ()):
                     self._fold_effect(*effect)
-                self._flush_tail_locked()
+                if not sealed:
+                    self._flush_tail_locked()
             elif record_type is LogRecordType.ABORT:
                 self._txn_effects.pop(transaction_id, None)
-                self._flush_tail_locked()
+                if not sealed:
+                    self._flush_tail_locked()
         return record
 
     def _flush_tail_locked(self) -> None:
@@ -546,7 +558,7 @@ class SegmentedWriteAheadLog(WriteAheadLog):
         finds counts as sealed.  A crash before the directory sync may
         leave an empty successor, or none; both open to the same records.
         """
-        self._tail.flush()
+        self._flush_tail_locked()
         entry = self._manifest.tail
         entry.sealed = True
         entry.records = self._tail.records
@@ -592,8 +604,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 snapshot={name: tuple(rows) for name, rows in snapshot.items()},
             )
             self._next_lsn += 1
-            self._write_record_locked(record)
-            self._flush_tail_locked()
+            if not self._write_record_locked(record):
+                self._flush_tail_locked()
             self._records = [record]
             self._lineage_length = 1
             self._dirty = {}
@@ -636,8 +648,8 @@ class SegmentedWriteAheadLog(WriteAheadLog):
                 delta=self._delta_payload(),
             )
             self._next_lsn += 1
-            self._write_record_locked(record)
-            self._flush_tail_locked()
+            if not self._write_record_locked(record):
+                self._flush_tail_locked()
             self._records = self._records[: self._lineage_length] + [record]
             self._lineage_length += 1
             self._dirty = {}

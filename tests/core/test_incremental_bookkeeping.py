@@ -147,14 +147,15 @@ def install_checks(monkeypatch) -> Counter:
         assert_map_and_loose_set(self.partitions)
         return results
 
-    def notify(self, deltas, partitions):
+    def notify(self, deltas):
+        partitions = self.partitions
         expected = {
             partition.partition_id
             for partition in partitions
             if partition.solution is not None and partition.solution.touched_by(deltas)
         }
         before = footprinted(partitions)
-        notify_deltas(self, deltas, partitions)
+        notify_deltas(self, deltas)
         assert before - footprinted(partitions) == expected
         counts["notifications"] += 1
         counts["invalidations"] += len(expected)
@@ -328,11 +329,13 @@ def test_retraction_matches_a_rebuild_on_an_imprecise_partition(grounded):
         partition, _merged = manager.merged_for(
             tuple(pending.renamed.body) + tuple(pending.renamed.updates)
         )
-        partition.append(pending)
+        manager.append(partition, pending)
     assert len(manager) == 1
     assert partition.partition_id in manager.index._imprecise
-    partition.ground_prefix(partition.composition(), grounded)
+    manager.ground_prefix(partition, partition.composition(), grounded)
     assert partition.pending == tuple(entries[grounded:])
+    # A grounded prefix that empties the partition drops it.
+    assert len(manager) == int(grounded < len(entries))
     assert (partition.partition_id in manager.index._imprecise) == (grounded < 2)
     assert_successor_is_fresh(partition)
     assert_index_is_rebuilt(manager)
@@ -344,15 +347,20 @@ def test_grounding_a_reordered_composition_keeps_its_order():
     entries = [seat_entry(5, sequence) for sequence in range(1, 5)]
     for pending in entries:
         partition, _merged = manager.merged_for(tuple(pending.renamed.body))
-        partition.append(pending)
+        manager.append(partition, pending)
     order = [entries[2], entries[0], entries[1], entries[3]]
     fronted = OrderComposition(pending.renamed for pending in order)
-    partition.ground_prefix(fronted, 1)
+    manager.ground_prefix(partition, fronted, 1)
     assert partition.pending == (entries[0], entries[1], entries[3])
     assert_successor_is_fresh(partition)
     assert_index_is_rebuilt(manager)
+    assert_map_and_loose_set(manager)
     with pytest.raises(ValueError):
-        partition.ground_prefix(OrderComposition([entries[0].renamed]), 1)
+        manager.ground_prefix(partition, OrderComposition([entries[0].renamed]), 1)
+    # The refused grounding changed nothing.
+    assert partition.pending == (entries[0], entries[1], entries[3])
+    assert_index_is_rebuilt(manager)
+    assert_map_and_loose_set(manager)
 
 
 def booked_database() -> QuantumDatabase:
@@ -381,10 +389,10 @@ def test_routed_notification_matches_a_full_scan_on_loose_footprints(
     qdb = booked_database()
     manager = qdb.state.partitions
     first = manager.partitions[0]
-    first.solution = Solution(first.solution.substitution, footprint)
+    manager.set_solution(first, Solution(first.solution.substitution, footprint))
     assert (first.partition_id in manager._loose) == footprint.loose
     assert_map_and_loose_set(manager)
-    qdb.state.cache.notify_deltas([delta], manager)
+    qdb.state.cache.notify_deltas([delta])
     assert checked["notifications"] == 1
     # The hand-built record is the only one the delta can touch.
     assert checked["invalidations"] == int(footprint.touched_by([delta]))
@@ -396,7 +404,7 @@ def test_routed_notification_finds_each_footprint_row(checked):
     manager = qdb.state.partitions
     for partition in list(manager):
         for table, values in sorted(partition.solution.footprint.rows):
-            qdb.state.cache.notify_deltas([(table, values, True)], manager)
+            qdb.state.cache.notify_deltas([(table, values, True)])
             assert partition.solution.footprint is None
             qdb.state.cache.ensure(partition)  # re-footprints it
     assert checked["invalidations"] == checked["notifications"] > 0
@@ -406,14 +414,17 @@ def test_a_forgotten_partition_leaves_the_loose_set():
     qdb = booked_database()
     manager = qdb.state.partitions
     partition = manager.partitions[0]
-    partition.solution = Solution(
-        partition.solution.substitution,
-        Footprint(frozenset(), frozenset({"Available"}), True),
+    manager.set_solution(
+        partition,
+        Solution(
+            partition.solution.substitution,
+            Footprint(frozenset(), frozenset({"Available"}), True),
+        ),
     )
     assert manager._loose == {partition.partition_id}
     qdb.ground_all()
     assert manager._loose == set()
-    assert partition.loose is None
+    assert partition not in manager.partitions
 
 
 # -- the positional unifier ---------------------------------------------------------

@@ -401,19 +401,37 @@ class TestRecordStates:
     def test_fresh_partition_has_no_record(self):
         assert Partition().solution is None
 
-    def test_structural_change_keeps_substitution_drops_footprint(self):
+    def test_structural_change_keeps_substitution_drops_footprint(self, monkeypatch):
         qdb, partition = self._booked()
         substitution = partition.solution.substitution
         assert partition.solution.footprint is not None
-        entries = partition.pending
-        partition.pending = entries[1:]
-        assert partition.solution.substitution is substitution
-        assert partition.solution.footprint is None
-        qdb.state.cache.record(partition, substitution.restrict(partition.variables()))
+        # A grounding withdraws the footprint of the partition it grounded
+        # before its deltas are notified, and keeps the substitution.
+        seen = []
+        notify_deltas = SolutionCache.notify_deltas
+
+        def spy(cache, deltas):
+            seen.append(partition.solution)
+            notify_deltas(cache, deltas)
+
+        monkeypatch.setattr(SolutionCache, "notify_deltas", spy)
+        invalidations = qdb.cache_statistics.witness_invalidations
+        qdb.check_in(partition.transaction_ids()[0])
+        [withdrawn] = seen
+        assert withdrawn.substitution is substitution
+        assert withdrawn.footprint is None
+        assert qdb.cache_statistics.witness_invalidations == invalidations
+        # The successor record is footprinted again.
         assert partition.solution.footprint is not None
-        partition.pending = entries[2:]
+        # The same step, driven on the manager and the cache directly.
+        manager, cache = qdb.state.partitions, qdb.state.cache
+        successor = partition.solution.substitution
+        manager.ground_prefix(partition, partition.composition(), 1)
+        cache.withdraw(partition)
+        assert partition.solution.substitution is successor
         assert partition.solution.footprint is None
-        assert partition.solution.substitution is not None
+        cache.record(partition, successor.restrict(partition.variables()))
+        assert partition.solution.footprint is not None
 
     def test_append_leaves_the_record_to_the_admission(self):
         qdb, partition = self._booked()
@@ -425,14 +443,14 @@ class TestRecordStates:
 
     def test_delta_notification_untrusts_exactly_the_touched_record(self):
         qdb, partition = self._booked()
-        cache, partitions = qdb.state.cache, qdb.state.partitions
+        cache = qdb.state.cache
         row = sorted(partition.solution.footprint.rows)[0]
         invalidations = qdb.cache_statistics.witness_invalidations
-        cache.notify_deltas([("Available", (123, "9Z"), True)], partitions)  # a miss
-        cache.notify_deltas([(*row, False)], partitions)  # an insert: monotone
+        cache.notify_deltas([("Available", (123, "9Z"), True)])  # a miss
+        cache.notify_deltas([(*row, False)])  # an insert: monotone
         assert partition.solution.footprint is not None
         assert qdb.cache_statistics.witness_invalidations == invalidations
-        cache.notify_deltas([(*row, True)], partitions)
+        cache.notify_deltas([(*row, True)])
         assert partition.solution.footprint is None
         assert qdb.cache_statistics.witness_invalidations == invalidations + 1
         # Unverified: the next admission verifies the composed body first.

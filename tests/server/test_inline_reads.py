@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+from collections import Counter
+
+import pytest
 
 from repro import NetClient, NetworkServer, QuantumConfig, QuantumDatabase
 from repro.server.net import YIELD_EVERY
@@ -203,5 +207,53 @@ def test_ground_and_check_in_of_an_unknown_huge_id_answer_empty():
             assert await client.check_in(10**30) is None
             assert qdb.pending_count == 1
             await client.close()
+
+    run(main())
+
+
+def count_yields(monkeypatch) -> Counter:
+    """``asyncio.sleep(0)`` calls, counted by the calling module."""
+    counts: Counter = Counter()
+    real_sleep = asyncio.sleep
+
+    def sleep(delay, *args, **kwargs):
+        if delay == 0:
+            counts[sys._getframe(1).f_globals["__name__"]] += 1
+        return real_sleep(delay, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "sleep", sleep)
+    return counts
+
+
+READ = {"op": "read", "request": "Bookings", "terms": ["Goofy", None, None]}
+PING = {"op": "ping"}
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [[READ], [PING], [READ, PING]],
+    ids=["reads", "pings", "reads and pings"],
+)
+def test_a_connection_yields_once_per_yield_every_requests(monkeypatch, stream):
+    requests = 1024
+
+    async def main():
+        qdb = make_qdb()
+        async with NetworkServer(qdb) as net:
+            reader, writer = await asyncio.open_connection("127.0.0.1", net.port)
+            yields = count_yields(monkeypatch)
+            writer.write(
+                b"".join(
+                    encode_frame({**stream[i % len(stream)], "id": i})
+                    for i in range(requests)
+                )
+            )
+            for i in range(requests):
+                assert (await read_frame(reader))["id"] == i
+            # One rule per connection, whoever answered: the session
+            # answering the reads does not yield on top of it.
+            assert yields["repro.server.net"] == requests // YIELD_EVERY
+            assert yields["repro.server.session"] == 0
+            writer.close()
 
     run(main())

@@ -25,6 +25,7 @@ from repro.errors import QuantumError
 from repro.relational.database import Database
 from repro.relational.wal import LogRecordType
 from repro.server import QuantumServer, ServerConfig
+from repro.server.net import NetworkServer
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.workloads.arrival_orders import ArrivalOrder
 from repro.workloads.entangled_workload import generate_workload
@@ -415,9 +416,10 @@ class TestShutdownAndRecovery:
             await server.shutdown()
             with pytest.raises(QuantumError):
                 session.on_grounding(result.transaction_id)
-            # The database outlives the server: hooks are restored, so
-            # synchronous use keeps working without the dead server.
-            assert qdb.state.on_grounded == qdb._handle_grounded
+            # The database outlives the server: only its own grounding
+            # listener is left, so synchronous use keeps working without
+            # the dead server.
+            assert qdb.state.grounding_listeners == [qdb._handle_grounded]
             qdb.ground_all()
             assert qdb.pending_count == 0
 
@@ -439,6 +441,45 @@ class TestShutdownAndRecovery:
         survived = recover(config.directory, notes_schema)
         assert survived.table("Notes").snapshot() == [(1, "durable")]
         survived.wal.close()
+
+    def test_a_server_that_never_ran_leaves_only_the_database_listener(self):
+        async def main():
+            qdb = make_qdb()
+            only_the_database = [qdb._handle_grounded]
+            await QuantumServer(qdb).shutdown()
+            assert qdb.state.grounding_listeners == only_the_database
+            # The next server neither chains the dead one nor restores it.
+            server = QuantumServer(qdb)
+            async with server:
+                assert qdb.state.grounding_listeners == [
+                    qdb._handle_grounded,
+                    server._handle_grounded,
+                ]
+            assert qdb.state.grounding_listeners == only_the_database
+
+        asyncio.run(main())
+
+    def test_a_failed_start_leaves_only_the_database_listener(self, tmp_path):
+        config = used_segment_directory(tmp_path)
+
+        async def main():
+            qdb = make_qdb()
+            net = NetworkServer(qdb, server_config=ServerConfig(durability=config))
+            with pytest.raises(QuantumError, match="already holds a durable log"):
+                await net.start()
+            await net.server.shutdown()
+            assert qdb.state.grounding_listeners == [qdb._handle_grounded]
+            # A server started next on the same database notifies its own
+            # waiters, and leaves the same single listener behind.
+            async with QuantumServer(qdb) as server:
+                session = server.session()
+                result = await session.commit(booking("Mickey"))
+                grounded = session.on_grounding(result.transaction_id)
+                await session.check_in(result.transaction_id)
+                assert (await grounded).transaction_id == result.transaction_id
+            assert qdb.state.grounding_listeners == [qdb._handle_grounded]
+
+        asyncio.run(main())
 
     def test_shutdown_checkpoints_wal(self):
         async def main():

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro import QuantumConfig, QuantumDatabase, parse_transaction
+from repro.core.composition import OrderComposition
 from repro.core.partition import PartitionManager
 from repro.core.quantum_state import PendingTransaction
 from repro.core.resource_transaction import ResourceTransaction
@@ -31,7 +32,8 @@ SEEDS = range(10)
 def make_qdb(*, reference=False, k=4, flights=5, seats=3):
     qdb = QuantumDatabase(config=QuantumConfig(k=k))
     if reference:
-        qdb.state.partitions = ExhaustiveScan()
+        # The state and its solution cache share one manager.
+        qdb.state.partitions = qdb.state.cache.partitions = ExhaustiveScan()
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
         "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]
@@ -160,10 +162,11 @@ def test_manager_matches_exhaustive_scan_stepwise(seed):
 
     Drives the reference and the manager with the *same* synthetic stream —
     arrivals (including unhashable constants, which force the index's
-    imprecise fallback) interleaved with removals that stand in for
-    groundings — and checks every overlap answer (arrivals and reads of an
-    earlier user's booking), merge flag and resulting partition, and the
-    manager's transaction map after every step.
+    imprecise fallback) interleaved with one-entry groundings, each the
+    entry fronted and grounded as a semantic reorder grounds it — and
+    checks every overlap answer (arrivals and reads of an earlier user's
+    booking), merge flag and resulting partition, and the manager's
+    transaction map after every step.
     """
     rng = random.Random(seed)
     reference = ExhaustiveScan()
@@ -178,14 +181,17 @@ def test_manager_matches_exhaustive_scan_stepwise(seed):
             )
             assert expected == observed, f"read overlap diverged at step {step}"
         if routed.pending_count() and rng.random() < 0.25:
-            # A grounding: remove one pending entry from both managers.
+            # A grounding of one pending entry, fronted, in both managers.
             transaction_id = rng.choice(
                 [entry.transaction_id for p in routed for entry in p]
             )
             for manager in (reference, routed):
                 partition, entry = manager.find(transaction_id)
-                partition.pending = [e for e in partition if e is not entry]
-                manager.drop_if_empty(partition)
+                fronted = OrderComposition(
+                    [entry.renamed]
+                    + [e.renamed for e in partition if e is not entry]
+                )
+                manager.ground_prefix(partition, fronted, 1)
         else:
             sequence += 1
             transaction = synthetic_transaction(rng, f"u{sequence}")
@@ -199,7 +205,9 @@ def test_manager_matches_exhaustive_scan_stepwise(seed):
             results = []
             for manager in (reference, routed):
                 partition, merged = manager.merged_for(atoms)
-                partition.append(PendingTransaction(transaction, renamed, sequence))
+                manager.append(
+                    partition, PendingTransaction(transaction, renamed, sequence)
+                )
                 results.append((merged, partition.transaction_ids()))
             assert results[0] == results[1], f"diverged at step {step}"
         assert partition_fingerprint(reference) == partition_fingerprint(routed)

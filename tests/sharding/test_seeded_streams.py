@@ -29,7 +29,7 @@ def make_qdb(*, k=3, search=None, reference=False):
     kwargs = {} if search is None else {"search": search}
     qdb = QuantumDatabase(config=QuantumConfig(k=k, **kwargs))
     if reference:
-        qdb.state.partitions = ExhaustiveScan()
+        qdb.state.partitions = qdb.state.cache.partitions = ExhaustiveScan()
     qdb.create_table("Available", ["flight", "seat"], key=["flight", "seat"])
     qdb.create_table(
         "Bookings", ["passenger", "flight", "seat"], key=["flight", "seat"]

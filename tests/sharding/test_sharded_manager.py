@@ -112,7 +112,7 @@ class TestIndexAndMap:
         assert pid not in manager.index
         assert manager.find(result.transaction_id) is None
         assert manager.pending_count() == 0
-        assert partition.on_structural_change is None
+        assert pid not in manager._loose
 
     def test_a_rejected_arrival_leaves_nothing_behind(self):
         qdb = make_qdb(seats=1)

@@ -157,7 +157,8 @@ class TestIncrementalMaintenance:
         e1, e2 = booking_entry(1, 1, seat="s1"), booking_entry(2, 2, seat="s2")
         partition = partition_with(e1, e2)
         index.add(partition)
-        partition.pending = [e2]
+        partition.ground_prefix(partition.composition(), 1)
+        assert partition.pending == (e2,)
         index.refresh(partition)
         probe_flight1 = probe_atoms(booking_entry(1, 10, seat="s1"))
         assert index.candidates(probe_flight1) == frozenset()

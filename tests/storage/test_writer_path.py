@@ -25,6 +25,7 @@ from repro.relational.database import Database
 from repro.relational.wal import LogRecordType
 from repro.storage import DurabilityConfig, SegmentedWriteAheadLog, recover
 from repro.storage.manifest import Manifest
+from repro.storage.segment import SEGMENT_SUFFIX
 
 ROWS_PER_TXN = 10
 TXNS_PER_CHECKPOINT = 5
@@ -63,6 +64,35 @@ def test_a_seal_is_two_fsyncs_tail_then_directory(tmp_path, fsync_kinds):
     engine.append(LogRecordType.INSERT, 1, "Rows", (3, "c"))
     assert engine.statistics.segments_sealed == 1
     assert fsync_kinds == ["file", "directory"]
+    engine.close()
+
+
+def test_a_commit_that_seals_the_tail_syncs_it_once(tmp_path, monkeypatch):
+    directory = tmp_path / "segments"
+    config = DurabilityConfig(
+        directory=str(directory), fsync=True, segment_max_records=3
+    )
+    engine = SegmentedWriteAheadLog(directory, config)
+    engine.append(LogRecordType.BEGIN, 1)
+    engine.append(LogRecordType.INSERT, 1, "Rows", (1, "a"))
+    synced: list[int] = []
+    real_fsync = os.fsync
+
+    def spying_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spying_fsync)
+    fsyncs = engine.statistics.fsyncs
+    # The COMMIT is the third record: it seals the tail, and the seal's
+    # sync is the commit's durability point.  The empty successor is not
+    # synced.
+    engine.append(LogRecordType.COMMIT, 1)
+    assert engine.statistics.segments_sealed == 1
+    first, successor = sorted(directory.glob(f"*{SEGMENT_SUFFIX}"))
+    assert successor.stat().st_size == 0
+    assert synced == [first.stat().st_ino, os.stat(directory).st_ino]
+    assert engine.statistics.fsyncs == fsyncs + 1
     engine.close()
 
 
